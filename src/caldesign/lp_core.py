@@ -1,15 +1,12 @@
-"""Dense linear programs and a self-contained two-phase simplex solver.
+"""Dense linear programs over ``x >= 0`` and a self-contained simplex solver.
 
-The model is ``maximize c @ x`` subject to a list of dense rows
-``(coefficients, relation, rhs)`` with relations ``<=``, ``==``, ``>=`` and
-per-variable bounds (defaulting to ``[0, inf)``, with +/-inf allowed).
+The model is ``maximize c @ x`` subject to ``x >= 0`` and a list of dense
+rows ``(coefficients, relation, rhs)`` with relations ``<=``, ``==``, ``>=``.
 
-The solver is a textbook two-phase primal simplex on a dense tableau with
-Bland's anti-cycling rule throughout.  Rows are equilibrated (scaled to unit
-max-norm) before solving so that utility sentinels of size ~1e9 coexist with
-O(1) data.  The pivot loop itself lives in :mod:`caldesign._simplex_kernels`
-as a jitted kernel with a pure-numpy fallback; select explicitly via
-:func:`set_kernel` or the ``CALDESIGN_DISABLE_NUMBA`` environment variable.
+The solver is a textbook two-phase primal simplex on a dense numpy tableau
+with Bland's anti-cycling rule throughout.  Rows and columns are equilibrated
+(scaled to unit max-norm) before solving so that utility sentinels of size
+~1e9 coexist with O(1) data.
 
 An optimal solution carries its basis, from which :func:`row_prices`
 computes the row prices on demand (column generation prices with them).
@@ -23,12 +20,10 @@ external solver can be swapped in by replacing :func:`solve`; the
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _simplex_kernels as _kernels
 from .errors import SolverError, ValidationError
 
 OPTIMAL = "OPTIMAL"
@@ -39,67 +34,38 @@ FEASIBILITY_TOL = 1e-7
 _COST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
 _PHASE1_TOL = 1e-8
+_RATIO_TIE_TOL = 1e-12
 
 _RELATIONS = {"<=": "<=", "=": "==", "==": "==", ">=": ">="}
-
-_KERNEL_OVERRIDE = None
-
-
-def set_kernel(mode):
-    """Force the pivot kernel: "numba", "numpy", or None to restore default."""
-    global _KERNEL_OVERRIDE
-    if mode not in (None, "numba", "numpy"):
-        raise ValueError(f"unknown kernel {mode!r}")
-    _KERNEL_OVERRIDE = mode
-
-
-def active_kernel():
-    mode = _KERNEL_OVERRIDE
-    if mode is None:
-        mode = "numpy" if os.environ.get("CALDESIGN_DISABLE_NUMBA") else "numba"
-    if mode == "numba" and _kernels.HAVE_NUMBA:
-        return "numba", _kernels.pivot_loop_numba
-    return "numpy", _kernels.pivot_loop_numpy
 
 
 @dataclass
 class LinearProgram:
-    """maximize ``objective @ x`` s.t. rows ``(coeffs, relation, rhs)``."""
+    """maximize ``objective @ x`` s.t. ``x >= 0`` and ``constraints``."""
 
     num_vars: int
     objective: np.ndarray
     constraints: list = field(default_factory=list)
-    bounds: list | None = None  # per-variable (lower, upper); None -> [0, inf)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.shape != (self.num_vars,):
             raise ValidationError("BAD_LP", "objective length mismatch")
-        normalized = []
-        for coeffs, rel, rhs in self.constraints:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (self.num_vars,):
-                raise ValidationError("BAD_LP", "constraint length mismatch")
-            if rel not in _RELATIONS:
-                raise ValidationError("BAD_LP", f"unknown relation {rel!r}")
-            rhs = float(rhs)
-            if not math.isfinite(rhs):
-                raise ValidationError("BAD_LP", "rhs must be finite")
-            normalized.append((coeffs, _RELATIONS[rel], rhs))
-        self.constraints = normalized
-        if self.bounds is None:
-            self.bounds = [(0.0, math.inf)] * self.num_vars
-        if len(self.bounds) != self.num_vars:
-            raise ValidationError("BAD_LP", "bounds length mismatch")
-        self.bounds = [(float(lo), float(hi)) for lo, hi in self.bounds]
+        self.constraints = [self._row(*row) for row in self.constraints]
 
     def add_constraint(self, coeffs, rel, rhs):
+        self.constraints.append(self._row(coeffs, rel, rhs))
+
+    def _row(self, coeffs, rel, rhs):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.num_vars,):
             raise ValidationError("BAD_LP", "constraint length mismatch")
         if rel not in _RELATIONS:
             raise ValidationError("BAD_LP", f"unknown relation {rel!r}")
-        self.constraints.append((coeffs, _RELATIONS[rel], float(rhs)))
+        rhs = float(rhs)
+        if not math.isfinite(rhs):
+            raise ValidationError("BAD_LP", "rhs must be finite")
+        return coeffs, _RELATIONS[rel], rhs
 
 
 @dataclass
@@ -108,9 +74,9 @@ class LpSolution:
 
     ``basis`` lists the basic columns of the optimal vertex, numbering a
     structural variable ``j`` as ``j`` and the slack or surplus of row ``r``
-    as ``num_vars + r``; :func:`row_prices` reads it.  It is None when some
-    variable has bounds other than ``[0, inf)`` or the solve dropped a
-    redundant row, since the vertex then has no basis in those terms.
+    as ``num_vars + r``; :func:`row_prices` reads it.  It is None when the
+    solve dropped a redundant row, since the vertex then has no basis in
+    those terms.
     """
 
     status: str
@@ -123,70 +89,22 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def _default_max_iter(num_vars, num_cons):
-    return int(10 * (num_vars + num_cons) ** 2) + 100
-
-
 def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
     """Solve the program; raises ``SolverError('NUMERICAL_FAILURE')`` on stall."""
-    n_orig = lp.num_vars
+    n = lp.num_vars
     rows = len(lp.constraints)
     if max_iter is None:
-        max_iter = _default_max_iter(n_orig, rows)
+        max_iter = int(10 * (n + rows) ** 2) + 100
 
-    c = lp.objective.copy()
-    if rows:
-        A = np.vstack([coeffs for coeffs, _, _ in lp.constraints])
-        b = np.array([rhs for _, _, rhs in lp.constraints])
-        rel = [r for _, r, _ in lp.constraints]
-    else:
-        A = np.zeros((0, n_orig))
-        b = np.zeros(0)
-        rel = []
-
-    # --- convert bounds so every solver variable is >= 0 -----------------
-    recon = []          # ops to map solver vars back to original vars
-    split_cols = []     # (orig_index,) extra negative parts, appended at end
-    upper_rows = []     # (col_index, upper) rows appended after splits
-    rewritten = False   # any bound other than [0, inf)
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo > hi:
-            return LpSolution(INFEASIBLE, math.nan, None)
-        if lo != 0.0 or hi != math.inf:
-            rewritten = True
-        if lo == -math.inf and hi == math.inf:
-            recon.append(("split", j))
-            split_cols.append(j)
-        elif lo == -math.inf:
-            # x = hi - y with y >= 0
-            b -= A[:, j] * hi
-            A[:, j] = -A[:, j]
-            recon.append(("mirror", j, hi))
-            c[j] = -c[j]
-        else:
-            if lo != 0.0:
-                b -= A[:, j] * lo
-            recon.append(("shift", j, lo))
-            if hi != math.inf:
-                upper_rows.append((j, hi - lo))
-
-    n_struct = n_orig + len(split_cols)
-    if split_cols:
-        A = np.hstack([A, -A[:, split_cols]])
-        c = np.concatenate([c, -c[split_cols]])
-    for j, ub in upper_rows:
-        row = np.zeros(n_struct)
-        row[j] = 1.0
-        A = np.vstack([A, row]) if A.size else row[None, :]
-        b = np.append(b, ub)
-        rel.append("<=")
-    rows = A.shape[0]
+    A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(rows, n)
+    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
+    rel = [r for _, r, _ in lp.constraints]
 
     # --- equilibration and sign normalization -----------------------------
     # Rows first, then columns, then rows again: sentinel-sized utilities can
     # put nine orders of magnitude inside a single row, and the tableau loses
     # precision fast unless both dimensions are brought near unit scale.
-    col_scale = np.ones(n_struct)
+    col_scale = np.ones(n)
     if rows:
         for _ in range(2):
             rs = np.maximum(np.abs(A).max(axis=1), np.abs(b))
@@ -202,7 +120,7 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
         b[flip] = -b[flip]
         rel = [({"<=": ">=", ">=": "<=", "==": "=="}[r] if f else r)
                for r, f in zip(rel, flip)]
-    c = c / col_scale
+    c = lp.objective / col_scale
     cost_scale = max(1.0, np.abs(c).max()) if c.size else 1.0
     c_scaled = c / cost_scale
 
@@ -212,29 +130,27 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
     art_rows = [r for r in range(rows) if rel[r] in (">=", "==")]
     n_slack = len(le_rows)
     n_surplus = len(ge_rows)
-    art_start = n_struct + n_slack + n_surplus
+    art_start = n + n_slack + n_surplus
     n_total = art_start + len(art_rows)
 
     T = np.zeros((rows + 1, n_total + 1))
-    T[:rows, :n_struct] = A
+    T[:rows, :n] = A
     T[:rows, n_total] = b
     basis = np.empty(rows, dtype=np.int64)
     for k, r in enumerate(le_rows):
-        T[r, n_struct + k] = 1.0
-        basis[r] = n_struct + k
+        T[r, n + k] = 1.0
+        basis[r] = n + k
     for k, r in enumerate(ge_rows):
-        T[r, n_struct + n_slack + k] = -1.0
+        T[r, n + n_slack + k] = -1.0
     for k, r in enumerate(art_rows):
         T[r, art_start + k] = 1.0
         basis[r] = art_start + k
-
-    kernel = active_kernel()[1]
 
     if art_rows:
         phase1_cost = np.zeros(n_total)
         phase1_cost[art_start:] = -1.0
         _install_objective(T, basis, phase1_cost)
-        code, _ = kernel(T, basis, _COST_TOL, _PIVOT_TOL, max_iter)
+        code, _ = _pivot_loop(T, basis, max_iter)
         if code == 2:
             raise SolverError("NUMERICAL_FAILURE",
                               f"phase 1 exceeded {max_iter} pivots")
@@ -247,11 +163,11 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
         T, basis, rows = _drive_out_artificials(T, basis, rows, art_start)
 
     # --- phase 2 ----------------------------------------------------------
-    T = np.ascontiguousarray(np.delete(T, np.s_[art_start:n_total], axis=1))
+    T = np.delete(T, np.s_[art_start:n_total], axis=1)
     phase2_cost = np.zeros(art_start)
-    phase2_cost[:n_struct] = c_scaled
+    phase2_cost[:n] = c_scaled
     _install_objective(T, basis, phase2_cost)
-    code, _ = kernel(T, basis, _COST_TOL, _PIVOT_TOL, max_iter)
+    code, _ = _pivot_loop(T, basis, max_iter)
     if code == 2:
         raise SolverError("NUMERICAL_FAILURE",
                           f"phase 2 exceeded {max_iter} pivots")
@@ -260,26 +176,16 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
 
     y = np.zeros(art_start)
     y[basis] = T[:rows, -1]
-    y_struct = y[:n_struct] / col_scale
-
-    x = np.empty(n_orig)
-    extra = n_orig
-    for op in recon:
-        if op[0] == "split":
-            x[op[1]] = y_struct[op[1]] - y_struct[extra]
-            extra += 1
-        elif op[0] == "mirror":
-            x[op[1]] = op[2] - y_struct[op[1]]
-        else:
-            x[op[1]] = y_struct[op[1]] + op[2]
+    # Adding 0.0 turns -0.0 into 0.0, so a zero entry never prints as -0.0.
+    x = y[:n] / col_scale + 0.0
 
     _check_solution(lp, x)
     basic = None
-    if not rewritten and rows == len(lp.constraints):
+    if rows == len(lp.constraints):
         slack_rows = np.array(le_rows + ge_rows, dtype=np.int64)
         basic = basis.copy()
-        logical = basis >= n_orig
-        basic[logical] = n_orig + slack_rows[basis[logical] - n_orig]
+        logical = basis >= n
+        basic[logical] = n + slack_rows[basis[logical] - n]
     return LpSolution(OPTIMAL, float(lp.objective @ x), x, basic)
 
 
@@ -318,6 +224,44 @@ def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
     return y
 
 
+def _pivot_loop(T, basis, max_iter):
+    """Pivot ``T`` in place under Bland's rule: smallest-index improving
+    column in, min-ratio row out (ties to the smallest basic index).
+
+    ``T``'s last row holds reduced costs (optimal when none is below
+    ``-_COST_TOL``), its last column the right-hand side.  Returns
+    ``(code, pivots)``: code 0 optimal, 1 unbounded, 2 iteration cap hit.
+    """
+    rows = T.shape[0] - 1
+    cols = T.shape[1] - 1
+    for it in range(max_iter):
+        improving = np.flatnonzero(T[rows, :cols] < -_COST_TOL)
+        if improving.size == 0:
+            return 0, it
+        enter = int(improving[0])
+        col = T[:rows, enter]
+        eligible = col > _PIVOT_TOL
+        if not np.any(eligible):
+            return 1, it
+        ratios = np.full(rows, np.inf)
+        ratios[eligible] = T[:rows, cols][eligible] / col[eligible]
+        best = ratios.min()
+        ties = np.flatnonzero(ratios <= best + _RATIO_TIE_TOL)
+        _pivot(T, basis, int(ties[np.argmin(basis[ties])]), enter)
+    return 2, max_iter
+
+
+def _pivot(T, basis, r, col):
+    """Make column ``col`` basic in row ``r``."""
+    T[r] /= T[r, col]
+    factors = T[:, col].copy()
+    factors[r] = 0.0
+    T -= np.outer(factors, T[r])
+    T[:, col] = 0.0
+    T[r, col] = 1.0
+    basis[r] = col
+
+
 def _install_objective(T, basis, cost):
     """Set the reduced-cost row for ``cost`` given the current basis."""
     rows = T.shape[0] - 1
@@ -335,69 +279,36 @@ def _drive_out_artificials(T, basis, rows, art_start):
     for r in range(rows):
         if basis[r] < art_start:
             continue
-        pivot_col = -1
-        row = T[r, :art_start]
-        candidates = np.flatnonzero(np.abs(row) > 1e-9)
+        candidates = np.flatnonzero(np.abs(T[r, :art_start]) > 1e-9)
         if candidates.size:
-            pivot_col = int(candidates[0])
-        if pivot_col < 0:
+            _pivot(T, basis, r, int(candidates[0]))
+        else:
             drop.append(r)
-            continue
-        T[r] /= T[r, pivot_col]
-        factors = T[:, pivot_col].copy()
-        factors[r] = 0.0
-        T -= np.outer(factors, T[r])
-        T[:, pivot_col] = 0.0
-        T[r, pivot_col] = 1.0
-        basis[r] = pivot_col
     if drop:
         keep = [r for r in range(rows) if r not in drop]
-        T = np.ascontiguousarray(T[keep + [rows]])
+        T = T[keep + [rows]]
         basis = basis[keep]
         rows = len(keep)
     return T, basis, rows
 
 
 def _check_solution(lp, x):
+    """Raise ``SolverError('NUMERICAL_FAILURE')`` unless ``x`` meets every row
+    and ``x >= 0`` within tolerance; a non-finite ``x`` fails."""
     tol = FEASIBILITY_TOL
     for coeffs, rel_op, rhs in lp.constraints:
         scale = max(1.0, abs(rhs), float(np.abs(coeffs).max(initial=0.0)))
         lhs = float(coeffs @ x)
         if rel_op == "<=":
-            bad = lhs - rhs > tol * scale
+            gap = lhs - rhs
         elif rel_op == ">=":
-            bad = rhs - lhs > tol * scale
+            gap = rhs - lhs
         else:
-            bad = abs(lhs - rhs) > tol * scale
-        if bad:
+            gap = abs(lhs - rhs)
+        if not gap <= tol * scale:
             raise SolverError(
                 "NUMERICAL_FAILURE",
                 f"solution violates {rel_op} row by {abs(lhs - rhs):.3e}")
-    for xi, (lo, hi) in zip(x, lp.bounds):
-        if xi < lo - tol * max(1.0, abs(lo)) or xi > hi + tol * max(1.0, abs(hi)):
-            raise SolverError("NUMERICAL_FAILURE", "solution violates bounds")
-
-
-def format_lp(lp: LinearProgram, name="lp") -> str:
-    """Plain-text dump in the common LP interchange layout for cross-checks."""
-
-    def term(coef, j):
-        return f"{coef:+.12g} x{j + 1}"
-
-    lines = [f"\\ {name}", "Maximize"]
-    obj = " ".join(term(coef, j) for j, coef in enumerate(lp.objective)
-                   if coef != 0.0) or "0 x1"
-    lines.append(f" obj: {obj}")
-    lines.append("Subject To")
-    for k, (coeffs, rel_op, rhs) in enumerate(lp.constraints):
-        body = " ".join(term(coef, j) for j, coef in enumerate(coeffs)
-                        if coef != 0.0) or "0 x1"
-        op = {"<=": "<=", ">=": ">=", "==": "="}[rel_op]
-        lines.append(f" c{k + 1}: {body} {op} {rhs:.12g}")
-    lines.append("Bounds")
-    for j, (lo, hi) in enumerate(lp.bounds):
-        lo_s = "-inf" if lo == -math.inf else f"{lo:.12g}"
-        hi_s = "+inf" if hi == math.inf else f"{hi:.12g}"
-        lines.append(f" {lo_s} <= x{j + 1} <= {hi_s}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    if not np.all(np.isfinite(x) & (x >= -tol)):
+        raise SolverError("NUMERICAL_FAILURE",
+                          "solution is not finite and nonnegative")

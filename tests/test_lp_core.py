@@ -5,7 +5,7 @@ import pytest
 
 from caldesign import lp_core
 from caldesign.errors import SolverError, ValidationError
-from caldesign.lp_core import LinearProgram, format_lp, solve
+from caldesign.lp_core import LinearProgram, solve
 
 
 def random_lp(rng, n_vars=6, n_rows=4, feasible=True):
@@ -43,37 +43,6 @@ class TestBasics:
     def test_unbounded(self):
         assert solve(LinearProgram(1, [1.0], [])).status == lp_core.UNBOUNDED
 
-    def test_equality_and_free_variable(self):
-        lp = LinearProgram(2, [1.0, 2.0], [([1.0, 1.0], "==", 3.0)],
-                           bounds=[(0, 5), (-1, 1)])
-        sol = solve(lp)
-        assert sol.objective_value == pytest.approx(4.0)
-        assert np.allclose(sol.x, [2.0, 1.0])
-
-    def test_free_variable_unbounded(self):
-        lp = LinearProgram(2, [1.0, -2.0], [([1.0, 1.0], "==", 3.0)],
-                           bounds=[(0, math.inf), (-math.inf, math.inf)])
-        assert solve(lp).status == lp_core.UNBOUNDED
-
-    def test_mirrored_upper_bound_only(self):
-        # maximize -x with x <= 4 and no lower bound: optimum at -inf? no,
-        # objective -x grows as x decreases without bound
-        lp = LinearProgram(1, [-1.0], [], bounds=[(-math.inf, 4.0)])
-        assert solve(lp).status == lp_core.UNBOUNDED
-        lp = LinearProgram(1, [1.0], [], bounds=[(-math.inf, 4.0)])
-        sol = solve(lp)
-        assert sol.objective_value == pytest.approx(4.0)
-
-    def test_shifted_lower_bound(self):
-        lp = LinearProgram(1, [-1.0], [([1.0], "<=", 9.0)], bounds=[(2.0, 9.0)])
-        sol = solve(lp)
-        assert sol.objective_value == pytest.approx(-2.0)
-        assert sol.x[0] == pytest.approx(2.0)
-
-    def test_crossed_bounds_infeasible(self):
-        lp = LinearProgram(1, [1.0], [], bounds=[(3.0, 1.0)])
-        assert solve(lp).status == lp_core.INFEASIBLE
-
     def test_iteration_cap_raises(self):
         lp = LinearProgram(1, [1.0], [([1.0], "<=", 1.0)])
         with pytest.raises(SolverError) as err:
@@ -87,6 +56,27 @@ class TestBasics:
             LinearProgram(1, [1.0], [([1.0], "<=", math.inf)])
         with pytest.raises(ValidationError):
             LinearProgram(1, [1.0], [([1.0], "!", 1.0)])
+        lp = LinearProgram(1, [1.0], [])
+        with pytest.raises(ValidationError):
+            lp.add_constraint([1.0], "<=", math.inf)
+        assert lp.constraints == []
+
+
+class TestSolutionCheck:
+    LP = LinearProgram(2, [1.0, 1.0], [([1.0, 1.0], "<=", 2.0)])
+
+    def test_rejects_nan(self):
+        with pytest.raises(SolverError) as err:
+            lp_core._check_solution(self.LP, np.array([math.nan, 0.0]))
+        assert err.value.code == "NUMERICAL_FAILURE"
+
+    def test_rejects_negative_entry(self):
+        # x meets the row; only the sign of its second entry is wrong
+        x = np.array([1.0, -2 * lp_core.FEASIBILITY_TOL])
+        lp_core._check_solution(self.LP, np.abs(x))
+        with pytest.raises(SolverError, match="nonnegative") as err:
+            lp_core._check_solution(self.LP, x)
+        assert err.value.code == "NUMERICAL_FAILURE"
 
 
 class TestRowPrices:
@@ -108,10 +98,13 @@ class TestRowPrices:
         assert np.allclose(y, [-1.0, 0.0, 1.0])
         assert y @ [0.0, 1.0, 4.0] == pytest.approx(sol.objective_value)
 
-    def test_rewritten_bounds_have_no_basis(self):
-        lp = LinearProgram(2, [1.0, 2.0], [([1.0, 1.0], "==", 3.0)],
-                           bounds=[(0, 5), (-1, 1)])
+    def test_redundant_row_has_no_basis(self):
+        # the second row doubles the first; phase 1 drops it
+        lp = LinearProgram(2, [1.0, 2.0], [([1.0, 1.0], "==", 3.0),
+                                           ([2.0, 2.0], "==", 6.0),
+                                           ([0.0, 1.0], "<=", 1.0)])
         sol = solve(lp)
+        assert sol.objective_value == pytest.approx(4.0)
         assert sol.basis is None
         with pytest.raises(SolverError) as err:
             lp_core.row_prices(lp, sol)
@@ -143,8 +136,7 @@ class TestProperties:
             perm = rng.permutation(lp.num_vars)
             permuted = LinearProgram(
                 lp.num_vars, lp.objective[perm],
-                [(a[perm], op, r) for a, op, r in lp.constraints],
-                bounds=[lp.bounds[j] for j in perm])
+                [(a[perm], op, r) for a, op, r in lp.constraints])
             v1 = solve(lp).objective_value
             v2 = solve(permuted).objective_value
             assert v1 == pytest.approx(v2, abs=1e-7)
@@ -175,7 +167,7 @@ class TestProperties:
                 -lp.objective, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
                 A_eq=np.array(A_eq) if A_eq else None,
                 b_eq=np.array(b_eq) if b_eq else None,
-                bounds=lp.bounds, method="highs")
+                bounds=(0, None), method="highs")
             sol = solve(lp)
             if ref.status == 0:
                 assert sol.status == lp_core.OPTIMAL
@@ -184,39 +176,3 @@ class TestProperties:
                 assert sol.status == lp_core.INFEASIBLE
             elif ref.status == 3:
                 assert sol.status == lp_core.UNBOUNDED
-
-
-class TestKernels:
-    def test_numpy_and_numba_agree(self):
-        pytest.importorskip("numba")
-        rng = np.random.default_rng(6)
-        try:
-            for _ in range(15):
-                lp, _ = random_lp(rng)
-                lp_core.set_kernel("numba")
-                a = solve(lp)
-                lp_core.set_kernel("numpy")
-                b = solve(lp)
-                assert a.status == b.status
-                assert a.objective_value == pytest.approx(b.objective_value,
-                                                          abs=1e-9)
-                assert np.allclose(a.x, b.x, atol=1e-9)
-        finally:
-            lp_core.set_kernel(None)
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("CALDESIGN_DISABLE_NUMBA", "1")
-        assert lp_core.active_kernel()[0] == "numpy"
-        monkeypatch.delenv("CALDESIGN_DISABLE_NUMBA")
-
-
-class TestDump:
-    def test_format_smoke(self):
-        lp = LinearProgram(2, [1.5, 0.0],
-                           [([1.0, -2.0], "<=", 4.0), ([0.0, 1.0], ">=", 0.5)],
-                           bounds=[(0, math.inf), (0, 3.0)])
-        text = format_lp(lp, name="smoke")
-        assert "Maximize" in text
-        assert "c1: +1 x1 -2 x2 <= 4" in text
-        assert "0 <= x2 <= 3" in text
-        assert text.endswith("End\n")
