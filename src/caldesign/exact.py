@@ -14,6 +14,8 @@ and back.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from . import lp_core
@@ -21,6 +23,8 @@ from .errors import SolverError, ValidationError
 from .model import INF, Instance, Predictor, action_profile
 
 ZERO_MASS_TOL = 1e-12
+
+log = logging.getLogger("caldesign")
 
 
 class SenderStrategy:
@@ -228,10 +232,15 @@ def _refine_for_agent(inst, lp, best, fallback):
             lp.constraints + [(lp.objective, ">=", best - slack)])
         try:
             sol2 = lp_core.solve(refined)
-        except SolverError:
+        except SolverError as err:
+            log.debug("agent tie-break refine failed at slack %.3g: %s",
+                      slack, err)
             continue
         if sol2.is_optimal:
             return sol2.x
+        log.debug("agent tie-break refine came back %s at slack %.3g",
+                  sol2.status, slack)
+    log.debug("agent tie-break fell back to the first-stage vertex")
     return fallback
 
 

@@ -348,7 +348,7 @@ def solve_plan_lp(lp: lp_core.LinearProgram, cols: PlanColumns):
     the largest objective coefficient; every round adds a column not yet in
     the master, so it ends.  The returned solution has the master's vertex
     padded with zeros to the full column set, checked against every row of
-    ``lp``.
+    ``lp``; its ``iterations`` sum the pivots of every master solve.
     """
     n = len(lp.constraints) - 1
     err = lp.constraints[0][0]
@@ -359,11 +359,13 @@ def solve_plan_lp(lp: lp_core.LinearProgram, cols: PlanColumns):
     active = order[np.unique(cols.i[order], return_index=True)[1]]
     tol = PRICE_TOL * float(np.abs(lp.objective).max(initial=0.0))
     batch = 2 * (n + 1)
+    pivots = 0
     while True:
         master = lp_core.LinearProgram(
             active.size, lp.objective[active],
             [(coeffs[active], rel, rhs) for coeffs, rel, rhs in lp.constraints])
         sol = lp_core.solve(master)
+        pivots += sol.iterations
         if not sol.is_optimal:
             raise SolverError("NO_SOLUTION",
                               f"discretized plan program came back {sol.status}")
@@ -382,7 +384,8 @@ def solve_plan_lp(lp: lp_core.LinearProgram, cols: PlanColumns):
     x = np.zeros(lp.num_vars)
     x[active] = sol.x
     lp_core._check_solution(lp, x)
-    return lp_core.LpSolution(lp_core.OPTIMAL, float(lp.objective @ x), x)
+    return lp_core.LpSolution(lp_core.OPTIMAL, float(lp.objective @ x), x,
+                              iterations=pivots)
 
 
 def fptas_solve(inst: Instance, delta: float):

@@ -3,8 +3,13 @@
 The model is ``maximize c @ x`` subject to ``x >= 0`` and a list of dense
 rows ``(coefficients, relation, rhs)`` with relations ``<=``, ``==``, ``>=``.
 
-The solver is a textbook two-phase primal simplex on a dense numpy tableau
-with Bland's anti-cycling rule throughout.  Rows and columns are equilibrated
+The solver is a textbook two-phase primal simplex on a dense numpy tableau.
+The entering column is the smallest-index improving one (Bland's rule); the
+leaving row comes from Harris's two-pass ratio test, which among near-minimal
+ratios pivots on the largest element, so degenerate rows with tiny entries
+do not blow the tableau up.  That leaving rule gives up Bland's finite
+termination guarantee; a pivot cap raises ``SolverError('NUMERICAL_FAILURE')``
+instead, so a solve never stalls silently.  Rows and columns are equilibrated
 (scaled to unit max-norm) before solving so that utility sentinels of size
 ~1e9 coexist with O(1) data.
 
@@ -76,13 +81,14 @@ class LpSolution:
     structural variable ``j`` as ``j`` and the slack or surplus of row ``r``
     as ``num_vars + r``; :func:`row_prices` reads it.  It is None when the
     solve dropped a redundant row, since the vertex then has no basis in
-    those terms.
+    those terms.  ``iterations`` counts the pivots of both phases.
     """
 
     status: str
     objective_value: float
     x: np.ndarray | None
     basis: np.ndarray | None = None
+    iterations: int = 0
 
     @property
     def is_optimal(self):
@@ -146,11 +152,12 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
         T[r, art_start + k] = 1.0
         basis[r] = art_start + k
 
+    pivots = 0
     if art_rows:
         phase1_cost = np.zeros(n_total)
         phase1_cost[art_start:] = -1.0
         _install_objective(T, basis, phase1_cost)
-        code, _ = _pivot_loop(T, basis, max_iter)
+        code, pivots = _pivot_loop(T, basis, max_iter)
         if code == 2:
             raise SolverError("NUMERICAL_FAILURE",
                               f"phase 1 exceeded {max_iter} pivots")
@@ -159,7 +166,7 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
         residual = sum(max(T[r, -1], 0.0) for r in range(rows)
                        if basis[r] >= art_start)
         if code == 1 or residual > _PHASE1_TOL:
-            return LpSolution(INFEASIBLE, math.nan, None)
+            return LpSolution(INFEASIBLE, math.nan, None, iterations=pivots)
         T, basis, rows = _drive_out_artificials(T, basis, rows, art_start)
 
     # --- phase 2 ----------------------------------------------------------
@@ -167,12 +174,13 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
     phase2_cost = np.zeros(art_start)
     phase2_cost[:n] = c_scaled
     _install_objective(T, basis, phase2_cost)
-    code, _ = _pivot_loop(T, basis, max_iter)
+    code, phase2 = _pivot_loop(T, basis, max_iter)
+    pivots += phase2
     if code == 2:
         raise SolverError("NUMERICAL_FAILURE",
                           f"phase 2 exceeded {max_iter} pivots")
     if code == 1:
-        return LpSolution(UNBOUNDED, math.inf, None)
+        return LpSolution(UNBOUNDED, math.inf, None, iterations=pivots)
 
     y = np.zeros(art_start)
     y[basis] = T[:rows, -1]
@@ -186,7 +194,7 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
         basic = basis.copy()
         logical = basis >= n
         basic[logical] = n + slack_rows[basis[logical] - n]
-    return LpSolution(OPTIMAL, float(lp.objective @ x), x, basic)
+    return LpSolution(OPTIMAL, float(lp.objective @ x), x, basic, pivots)
 
 
 def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
@@ -225,8 +233,16 @@ def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
 
 
 def _pivot_loop(T, basis, max_iter):
-    """Pivot ``T`` in place under Bland's rule: smallest-index improving
-    column in, min-ratio row out (ties to the smallest basic index).
+    """Pivot ``T`` in place: smallest-index improving column in (Bland's
+    entering rule), leaving row by Harris's two-pass ratio test.
+
+    Pass 1 finds the step ``min (max(rhs, 0) + _RATIO_TIE_TOL) / col`` over
+    rows with ``col > _PIVOT_TOL``; pass 2 takes, among rows whose ratio
+    ``max(rhs, 0) / col`` is within that step, the one with the largest
+    ``col`` entry.  On degenerate rows (rhs 0, many ratios tied at 0) this
+    avoids pivoting on a tiny element, which would blow the tableau up.
+    The leaving rule is not Bland's, so finite termination is not
+    guaranteed; the ``max_iter`` cap bounds the loop instead.
 
     ``T``'s last row holds reduced costs (optimal when none is below
     ``-_COST_TOL``), its last column the right-hand side.  Returns
@@ -240,14 +256,14 @@ def _pivot_loop(T, basis, max_iter):
             return 0, it
         enter = int(improving[0])
         col = T[:rows, enter]
-        eligible = col > _PIVOT_TOL
-        if not np.any(eligible):
+        eligible = np.flatnonzero(col > _PIVOT_TOL)
+        if eligible.size == 0:
             return 1, it
-        ratios = np.full(rows, np.inf)
-        ratios[eligible] = T[:rows, cols][eligible] / col[eligible]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + _RATIO_TIE_TOL)
-        _pivot(T, basis, int(ties[np.argmin(basis[ties])]), enter)
+        entries = col[eligible]
+        rhs = np.maximum(T[eligible, cols], 0.0)
+        step = ((rhs + _RATIO_TIE_TOL) / entries).min()
+        near = np.flatnonzero(rhs / entries <= step)
+        _pivot(T, basis, int(eligible[near[np.argmax(entries[near])]]), enter)
     return 2, max_iter
 
 
@@ -265,12 +281,8 @@ def _pivot(T, basis, r, col):
 def _install_objective(T, basis, cost):
     """Set the reduced-cost row for ``cost`` given the current basis."""
     rows = T.shape[0] - 1
-    T[rows, :] = 0.0
-    T[rows, :cost.size] = -cost
-    for r in range(rows):
-        cb = cost[basis[r]]
-        if cb != 0.0:
-            T[rows, :] += cb * T[r, :]
+    T[rows] = cost[basis] @ T[:rows]
+    T[rows, :cost.size] -= cost
 
 
 def _drive_out_artificials(T, basis, rows, art_start):
@@ -279,9 +291,9 @@ def _drive_out_artificials(T, basis, rows, art_start):
     for r in range(rows):
         if basis[r] < art_start:
             continue
-        candidates = np.flatnonzero(np.abs(T[r, :art_start]) > 1e-9)
-        if candidates.size:
-            _pivot(T, basis, r, int(candidates[0]))
+        entries = np.abs(T[r, :art_start])
+        if entries.max(initial=0.0) > 1e-9:
+            _pivot(T, basis, r, int(np.argmax(entries)))
         else:
             drop.append(r)
     if drop:

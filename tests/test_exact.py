@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
-from caldesign.errors import ValidationError
+from caldesign import lp_core
+from caldesign.errors import SolverError, ValidationError
 from caldesign.exact import (
     SenderStrategy,
     aggregated_bias,
@@ -45,6 +48,30 @@ class TestGoldenInstance:
         _, pred, obj = solve_exact(golden.with_epsilon(eps))
         assert obj == pytest.approx(want, abs=1e-4)
         assert ece(pred, golden, 1.0) <= eps + 1e-7
+
+    def test_every_budget_on_a_fine_grid(self, golden):
+        # acceptance 2's formulas at all 81 budgets 0.00 ... 0.80, not just
+        # nine: a ratio test that pivots on tiny entries of the degenerate
+        # zero-rhs recommendation rows fails single budgets (0.19, 0.32)
+        def principal(eps):
+            if eps <= 0.025:
+                return 50 * eps + 0.75
+            if eps <= 0.1:
+                return 10 * eps + 1.75
+            if eps <= 0.45:
+                return 4.28578 * eps + 2.32142
+            if eps <= 0.7:
+                return 3 * eps + 2.9
+            return 5.0
+
+        for k in range(81):
+            eps = round(0.01 * k, 2)
+            inst = golden.with_epsilon(eps)
+            _, pred, obj = solve_exact(inst)
+            assert obj == pytest.approx(principal(eps), abs=1e-4), eps
+            assert payoff(pred, inst) == pytest.approx(principal(eps),
+                                                       abs=1e-4), eps
+            assert ece(pred, inst, 1.0) <= eps + 1e-7, eps
 
     def test_binary_shape_high_budget_is_deterministic(self):
         rng = np.random.default_rng(0)
@@ -245,3 +272,52 @@ class TestSolverInvariants:
                                        norm=norm)
                 strat, _, _ = solve_exact(inst)
                 assert recommendation_ok(strat, inst)
+
+
+def _regression_set(seed=1012):
+    """n = m in {10, 12}, t in {1, inf}, three draws per cell, epsilon 0.1.
+    Eight of them run past 40 s each under Bland's leaving rule."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for size in (10, 12):
+        for norm in (1.0, INF):
+            for _ in range(3):
+                out.append(random_instance(rng, epsilon=0.1, norm=norm,
+                                           n_min=size, n_max=size,
+                                           m_min=size, m_max=size))
+    return out
+
+
+class TestLargerInstances:
+    @pytest.mark.parametrize("k", range(12))
+    def test_solves_within_budget_and_beats_truthful(self, k):
+        inst = _regression_set()[k]
+        _, pred, _ = solve_exact(inst)
+        assert ece(pred, inst, inst.norm) <= inst.epsilon + 1e-7
+        truthful = payoff(Predictor(inst.theta, np.eye(inst.n)), inst)
+        assert payoff(pred, inst) >= truthful - 1e-9
+
+
+class TestAgentRefine:
+    def test_fallback_is_logged(self, golden, monkeypatch, caplog):
+        # the first-stage solve succeeds, every refine raises: the first-stage
+        # vertex comes back and each failed slack is logged
+        real_solve = lp_core.solve
+        calls = []
+
+        def flaky(lp, max_iter=None):
+            calls.append(lp)
+            if len(calls) > 1:
+                raise SolverError("NUMERICAL_FAILURE", "forced")
+            return real_solve(lp, max_iter)
+
+        monkeypatch.setattr(lp_core, "solve", flaky)
+        inst = golden.with_epsilon(0.04)
+        with caplog.at_level(logging.DEBUG, logger="caldesign"):
+            _, _, obj = solve_exact(inst)
+        assert len(calls) == 3
+        assert obj == pytest.approx(2.15, abs=1e-4)
+        slacks = [r.getMessage() for r in caplog.records
+                  if "slack" in r.getMessage()]
+        assert len(slacks) == 2
+        assert "NUMERICAL_FAILURE" in slacks[0]

@@ -49,6 +49,16 @@ class TestBasics:
             solve(lp, max_iter=0)
         assert err.value.code == "NUMERICAL_FAILURE"
 
+    def test_counts_pivots(self):
+        lp = LinearProgram(2, [1.0, 1.0], [([1.0, 1.0], "<=", 2.0),
+                                           ([1.0, 0.0], "<=", 1.0)])
+        assert solve(lp).iterations == 2
+        # the slack basis is already optimal, and phase 1 needs one pivot
+        assert solve(LinearProgram(1, [-1.0], [([1.0], "<=", 1.0)])) \
+            .iterations == 0
+        assert solve(LinearProgram(1, [-1.0], [([1.0], ">=", 1.0)])) \
+            .iterations == 1
+
     def test_rejects_malformed(self):
         with pytest.raises(ValidationError):
             LinearProgram(2, [1.0], [])
@@ -77,6 +87,44 @@ class TestSolutionCheck:
         with pytest.raises(SolverError, match="nonnegative") as err:
             lp_core._check_solution(self.LP, x)
         assert err.value.code == "NUMERICAL_FAILURE"
+
+
+class TestRatioTest:
+    def test_degenerate_tie_takes_largest_pivot(self):
+        # both rows tie at ratio 0; Bland's tie-break would take row 0 (basic
+        # index 1) and divide by 1e-9, Harris takes row 1's unit entry
+        T = np.array([[1e-9, 1.0, 0.0, 0.0],
+                      [1.0, 0.0, 1.0, 0.0],
+                      [-1.0, 0.0, 0.0, 0.0]])
+        basis = np.array([1, 2])
+        assert lp_core._pivot_loop(T, basis, 10) == (0, 1)
+        assert basis.tolist() == [1, 0]
+        assert np.abs(T).max() == pytest.approx(1.0)
+
+    def test_step_is_the_minimum_ratio(self):
+        # the larger entry sits on the row with the larger ratio; the ratio
+        # test must not overshoot to it
+        T = np.array([[0.5, 1.0, 0.0, 1.0],
+                      [2.0, 0.0, 1.0, 5.0],
+                      [-1.0, 0.0, 0.0, 0.0]])
+        basis = np.array([1, 2])
+        lp_core._pivot_loop(T, basis, 10)
+        assert basis.tolist() == [0, 2]
+        assert T[0, -1] == pytest.approx(2.0)
+
+
+    def test_objective_row_matches_row_by_row_sum(self):
+        rng = np.random.default_rng(3)
+        T = rng.normal(size=(5, 9))
+        basis = np.array([6, 1, 3, 7])
+        cost = rng.normal(size=8)
+        cost[3] = 0.0
+        want = np.zeros(9)
+        want[:8] = -cost
+        for r in range(4):
+            want += cost[basis[r]] * T[r]
+        lp_core._install_objective(T, basis, cost)
+        assert np.allclose(T[4], want, rtol=0.0, atol=1e-13)
 
 
 class TestRowPrices:
