@@ -8,8 +8,10 @@ Subpackages:
 - :mod:`caldesign.fptas` -- grid-based approximation scheme for general norms.
 - :mod:`caldesign.structure` -- recalibration, contraction checks, optimality
   certificates and structural diagnostics for event-independent utilities.
-- :mod:`caldesign.oracle` -- brute-force cross-checks (sampler, enumeration).
 - :mod:`caldesign.cli` -- command-line front end.
+
+The brute-force cross-checks (feasible-rule sampler, tiny-grid enumeration)
+live with the tests, in ``tests/oracle.py``.
 """
 
 from .errors import CaldesignError, SolverError, ValidationError

@@ -197,7 +197,10 @@ def solve_exact(inst: Instance, tie_break="agent"):
     designer payoff); with ``tie_break="agent"`` a second solve maximizes the
     agent's expected utility over that face, which keeps the selection
     deterministic and avoids gratuitously harmful recommendations.  Pass
-    ``tie_break=None`` for the raw first-stage vertex.
+    ``tie_break=None`` for the raw first-stage vertex.  The second solve
+    starts from the first stage's optimal basis (see
+    :func:`_refine_for_agent`), so it needs only the pivots that move along
+    the optimal face.
 
     A feasible point always exists (full pooling at an in-range biased mean),
     so infeasibility indicates a malformed instance and raises.
@@ -212,7 +215,7 @@ def solve_exact(inst: Instance, tie_break="agent"):
     best = float(sol.objective_value)
     x = sol.x
     if tie_break == "agent":
-        x = _refine_for_agent(inst, lp, best, fallback=x)
+        x = _refine_for_agent(inst, lp, best, fallback=x, basis=sol.basis)
     elif tie_break is not None:
         raise ValidationError("BAD_FORMAT", f"unknown tie_break {tie_break!r}")
     strat = _strategy_from_solution(inst, x)
@@ -220,18 +223,27 @@ def solve_exact(inst: Instance, tie_break="agent"):
     return strat, predictor, best
 
 
-def _refine_for_agent(inst, lp, best, fallback):
-    """Re-solve over the (slightly slackened) optimal face for agent welfare."""
+def _refine_for_agent(inst, lp, best, fallback, basis):
+    """Re-solve over the (slightly slackened) optimal face for agent welfare.
+
+    The refine program is ``lp`` plus the payoff floor ``objective @ x >=
+    best - slack``.  The first-stage vertex is feasible for it, so when the
+    first stage's optimal ``basis`` is not None, each solve warm-starts from
+    that basis plus the floor row's surplus (whose value there is the slack
+    itself) and skips phase 1; without a basis it solves from scratch.
+    """
     nm = inst.n * inst.m
     agent_obj = np.zeros(lp.num_vars)
     agent_obj[:nm] = (inst.lam[:, None] * inst.vbar_events).ravel()
+    start = None if basis is None else np.append(
+        basis, lp.num_vars + len(lp.constraints))
     for slack_scale in (1e-7, 1e-5):
         slack = slack_scale * (1.0 + abs(best))
         refined = lp_core.LinearProgram(
             lp.num_vars, agent_obj,
             lp.constraints + [(lp.objective, ">=", best - slack)])
         try:
-            sol2 = lp_core.solve(refined)
+            sol2 = lp_core.solve(refined, basis=start)
         except SolverError as err:
             log.debug("agent tie-break refine failed at slack %.3g: %s",
                       slack, err)
@@ -248,7 +260,13 @@ def strategy_to_predictor(strat: SenderStrategy, inst: Instance) -> Predictor:
     """Predict each signal's biased mean whenever that signal would be sent.
 
     Zero-mass signals are dropped; signals sharing a biased mean merge into
-    one support point.  Payoff is preserved by construction.
+    one support point.  Payoff is preserved when every support point carries
+    one recommendation.  It is not when two signals recommend different
+    actions at the same biased mean (an indifference point of the agent):
+    after the merge the agent takes one action for the whole merged mass, and
+    the predictor's payoff can fall short of the LP objective.  exact-ladder
+    instance 16 is the known case (``perfbench/workloads.py``,
+    ``KNOWN_WRONG``).
     """
     mass = strat.signal_mass(inst)
     keep = np.flatnonzero(mass > ZERO_MASS_TOL)

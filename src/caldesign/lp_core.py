@@ -15,6 +15,11 @@ instead, so a solve never stalls silently.  Rows and columns are equilibrated
 
 An optimal solution carries its basis, from which :func:`row_prices`
 computes the row prices on demand (column generation prices with them).
+The same basis can start another solve: :func:`solve` accepts a start basis
+and, when it is a feasible basis of the new program, skips phase 1 and runs
+phase 2 from it (warm start).  A program plus one added row, started from
+the old optimal basis plus the new row's slack or surplus, is the case the
+exact solver's agent tie-break uses.
 
 Problems here are wide and shallow (a handful of rows, possibly tens of
 thousands of columns), which a dense tableau handles comfortably.  An
@@ -24,6 +29,7 @@ external solver can be swapped in by replacing :func:`solve`; the
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +48,8 @@ _PHASE1_TOL = 1e-8
 _RATIO_TIE_TOL = 1e-12
 
 _RELATIONS = {"<=": "<=", "=": "==", "==": "==", ">=": ">="}
+
+log = logging.getLogger("caldesign")
 
 
 @dataclass
@@ -81,7 +89,8 @@ class LpSolution:
     structural variable ``j`` as ``j`` and the slack or surplus of row ``r``
     as ``num_vars + r``; :func:`row_prices` reads it.  It is None when the
     solve dropped a redundant row, since the vertex then has no basis in
-    those terms.  ``iterations`` counts the pivots of both phases.
+    those terms.  ``iterations`` counts the pivots made: both phases, or
+    phase 2 alone after a warm start.
     """
 
     status: str
@@ -95,12 +104,22 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
-    """Solve the program; raises ``SolverError('NUMERICAL_FAILURE')`` on stall."""
+def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
+    """Solve the program; raises ``SolverError('NUMERICAL_FAILURE')`` on stall.
+
+    ``basis`` optionally names a start basis in :attr:`LpSolution.basis`'s
+    numbering (one column per row: structural ``j``, or ``num_vars + r`` for
+    the slack or surplus of row ``r``).  If its basic solution ``B⁻¹b`` is
+    finite and nonnegative, phase 1 is skipped and phase 2 starts there.
+    Any other start (wrong length, an ``==`` row's logical column, which
+    does not exist, a singular or infeasible basis) is logged at debug on
+    the ``caldesign`` logger and the two-phase solve runs as without it.
+    """
     n = lp.num_vars
     rows = len(lp.constraints)
     if max_iter is None:
         max_iter = int(10 * (n + rows) ** 2) + 100
+    start = basis  # the name ``basis`` is the tableau's from here on
 
     A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(rows, n)
     b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
@@ -138,6 +157,8 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
     n_surplus = len(ge_rows)
     art_start = n + n_slack + n_surplus
     n_total = art_start + len(art_rows)
+    # row k of slack_rows owns the logical column n + k
+    slack_rows = np.array(le_rows + ge_rows, dtype=np.int64)
 
     T = np.zeros((rows + 1, n_total + 1))
     T[:rows, :n] = A
@@ -153,7 +174,10 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
         basis[r] = art_start + k
 
     pivots = 0
-    if art_rows:
+    warm = None if start is None else _warm_start(T, n, start, slack_rows)
+    if warm is not None:
+        basis = warm
+    elif art_rows:
         phase1_cost = np.zeros(n_total)
         phase1_cost[art_start:] = -1.0
         _install_objective(T, basis, phase1_cost)
@@ -190,7 +214,6 @@ def solve(lp: LinearProgram, max_iter=None) -> LpSolution:
     _check_solution(lp, x)
     basic = None
     if rows == len(lp.constraints):
-        slack_rows = np.array(le_rows + ge_rows, dtype=np.int64)
         basic = basis.copy()
         logical = basis >= n
         basic[logical] = n + slack_rows[basis[logical] - n]
@@ -230,6 +253,48 @@ def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
         raise SolverError("NUMERICAL_FAILURE",
                           f"row prices miss the objective by {gap:.3e}")
     return y
+
+
+def _warm_start(T, n, start, slack_rows):
+    """Make the start basis ``start`` basic in ``T``; returns its tableau
+    columns, or None with ``T`` untouched.
+
+    ``start`` is in :attr:`LpSolution.basis` numbering; ``slack_rows[k]`` is
+    the row whose slack or surplus is tableau column ``n + k`` (an ``==`` row
+    has none).  The constraint rows of ``T`` become ``B⁻¹·T`` only if that
+    is finite and ``B⁻¹b >= -FEASIBILITY_TOL`` (tiny negatives are clamped
+    to 0).  A rejected start is logged at debug with its reason.
+    """
+    rows = T.shape[0] - 1
+
+    def reject(reason):
+        log.debug("warm start rejected (%s); solving from phase 1", reason)
+
+    start = np.asarray(start).ravel()
+    if start.size != rows or not np.issubdtype(start.dtype, np.integer):
+        return reject(f"{start.size} start entries for {rows} rows")
+    if np.any((start < 0) | (start >= n + rows)):
+        return reject("start names a column outside the program")
+    logical = np.full(rows, -1, dtype=np.int64)
+    logical[slack_rows] = n + np.arange(slack_rows.size)
+    cols = start.astype(np.int64)
+    named = cols >= n
+    cols[named] = logical[cols[named] - n]
+    if np.any(cols < 0):
+        return reject("start names the logical column of an == row")
+    try:
+        X = np.linalg.solve(T[:rows, cols], T[:rows])
+    except np.linalg.LinAlgError:
+        return reject("singular start basis")
+    if not np.all(np.isfinite(X)):
+        return reject("start basis gives non-finite entries")
+    rhs = X[:, -1]
+    if not np.all(rhs >= -FEASIBILITY_TOL):
+        return reject(f"infeasible start, min B^-1 b = {rhs.min():.3g}")
+    np.maximum(rhs, 0.0, out=rhs)
+    X[:, cols] = np.eye(rows)
+    T[:rows] = X
+    return cols
 
 
 def _pivot_loop(T, basis, max_iter):

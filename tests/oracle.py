@@ -1,4 +1,4 @@
-"""Brute-force cross-checks used to validate the solvers.
+"""Brute-force cross-checks used by the test suite to validate the solvers.
 
 Two independent routes: a seeded rejection sampler that spews feasible
 predictors (their payoffs must never beat the exact optimum), and an
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp_core
-from .errors import ValidationError
-from .model import INF, Instance, Predictor, ece, indirect_utility_matrix, payoff
+from caldesign import lp_core
+from caldesign.errors import ValidationError
+from caldesign.model import INF, Instance, Predictor, ece, indirect_utility_matrix, payoff
 
 
 @dataclass

@@ -15,7 +15,6 @@ from caldesign.exact import (
 )
 from caldesign.fptas import build_grid, fptas_solve, plan_to_predictor, round_plan
 from caldesign.model import INF, agent_payoff, ece, payoff
-from caldesign.oracle import SamplerConfig, exhaustive_best, sample_feasible
 from caldesign.structure import (
     analyze_structure,
     binary_action_optimal,
@@ -32,6 +31,7 @@ from conftest import (
     random_instance,
     random_predictor,
 )
+from oracle import SamplerConfig, exhaustive_best, sample_feasible
 
 
 def report(num, ok, detail):

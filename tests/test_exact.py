@@ -305,11 +305,11 @@ class TestAgentRefine:
         real_solve = lp_core.solve
         calls = []
 
-        def flaky(lp, max_iter=None):
+        def flaky(lp, max_iter=None, basis=None):
             calls.append(lp)
             if len(calls) > 1:
                 raise SolverError("NUMERICAL_FAILURE", "forced")
-            return real_solve(lp, max_iter)
+            return real_solve(lp, max_iter, basis=basis)
 
         monkeypatch.setattr(lp_core, "solve", flaky)
         inst = golden.with_epsilon(0.04)
@@ -321,3 +321,55 @@ class TestAgentRefine:
                   if "slack" in r.getMessage()]
         assert len(slacks) == 2
         assert "NUMERICAL_FAILURE" in slacks[0]
+
+
+class TestWarmRefine:
+    """The agent refine starts from the first stage's optimal basis."""
+
+    cold_solve = staticmethod(lp_core.solve)   # the unpatched solver
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # every lp_core.solve of solve_exact as (program, start basis,
+        # solution); the first is the first stage, the rest are refines
+        seen = []
+
+        def spy(lp, max_iter=None, basis=None):
+            sol = self.cold_solve(lp, max_iter, basis=basis)
+            seen.append((lp, basis, sol))
+            return sol
+
+        monkeypatch.setattr(lp_core, "solve", spy)
+        return seen
+
+    @staticmethod
+    def _golden_budgets(golden):
+        return [golden.with_epsilon(round(0.01 * k, 2)) for k in range(81)]
+
+    def _check_against_cold(self, solves, inst):
+        solves.clear()
+        solve_exact(inst)
+        refines = solves[1:]
+        assert refines
+        for lp, basis, sol in refines:
+            assert basis is not None
+            cold = self.cold_solve(lp)
+            v = cold.objective_value
+            assert abs(sol.objective_value - v) <= 1e-9 * (1 + abs(v))
+            assert sol.iterations < cold.iterations
+
+    def test_golden_refine_matches_cold(self, golden, solves):
+        for inst in self._golden_budgets(golden):
+            self._check_against_cold(solves, inst)
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_larger_refine_matches_cold(self, solves, k):
+        self._check_against_cold(solves, _regression_set()[k])
+
+    def test_golden_refine_pivots_less_than_first_stage(self, golden, solves):
+        for inst in self._golden_budgets(golden):
+            solves.clear()
+            solve_exact(inst)
+            first = solves[0][2].iterations
+            for _, _, sol in solves[1:]:
+                assert sol.iterations < first, inst.epsilon

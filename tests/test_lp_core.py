@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -157,6 +158,61 @@ class TestRowPrices:
         with pytest.raises(SolverError) as err:
             lp_core.row_prices(lp, sol)
         assert err.value.code == "NUMERICAL_FAILURE"
+
+
+class TestWarmStart:
+    # max x0 + x1 s.t. x0 + x1 <= 2, x0 <= 3, x1 == 0.5 (rows 0, 1, 2)
+    LP = LinearProgram(2, [1.0, 1.0], [([1.0, 1.0], "<=", 2.0),
+                                       ([1.0, 0.0], "<=", 3.0),
+                                       ([0.0, 1.0], "==", 0.5)])
+
+    def test_added_floor_row_starts_from_old_basis(self):
+        # the refine pattern: solve, add an objective floor, change the
+        # objective; the old basis plus the floor's surplus is feasible
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            lp, _ = random_lp(rng, n_vars=8, n_rows=6)
+            first = solve(lp)
+            floor = first.objective_value - 1e-3
+            refine = LinearProgram(lp.num_vars, rng.normal(size=lp.num_vars),
+                                   lp.constraints + [(lp.objective, ">=",
+                                                      floor)])
+            start = np.append(first.basis, lp.num_vars + len(lp.constraints))
+            cold = solve(refine)
+            warm = solve(refine, basis=start)
+            assert warm.objective_value == pytest.approx(
+                cold.objective_value, rel=0.0, abs=1e-9)
+            assert warm.iterations < cold.iterations
+            assert lp.objective @ warm.x >= floor - 1e-9
+
+    @pytest.mark.parametrize("start,reason", [
+        ([2, 0, 1], "infeasible"),          # x0 = 3 leaves row 0 short by 1.5
+        ([0, 0, 1], "singular"),
+        ([0, 1], "start entries"),
+        ([0, 3, 4], "== row"),              # row 2 has no logical column
+    ])
+    def test_unusable_start_falls_back_to_cold(self, start, reason, caplog):
+        cold = solve(self.LP)
+        with caplog.at_level(logging.DEBUG, logger="caldesign"):
+            sol = solve(self.LP, basis=start)
+        assert sol.objective_value == cold.objective_value
+        assert np.array_equal(sol.x, cold.x)
+        assert sol.iterations == cold.iterations
+        assert any(reason in r.getMessage() for r in caplog.records)
+
+    def test_logical_of_a_flipped_row_is_accepted(self, caplog):
+        # row 0 has b < 0, so the solver flips it into a >= row whose
+        # logical is a surplus; x0 = 3 with both logicals basic is optimal
+        lp = LinearProgram(2, [1.0, 0.0], [([-1.0, -1.0], "<=", -1.0),
+                                           ([1.0, 0.0], "<=", 3.0),
+                                           ([0.0, 1.0], "<=", 5.0)])
+        cold = solve(lp)
+        with caplog.at_level(logging.DEBUG, logger="caldesign"):
+            warm = solve(lp, basis=[2, 0, 4])
+        assert not caplog.records
+        assert warm.iterations == 0 < cold.iterations
+        assert warm.objective_value == pytest.approx(3.0)
+        assert sorted(warm.basis.tolist()) == [0, 2, 4]
 
 
 class TestProperties:

@@ -4,9 +4,9 @@ import pytest
 from caldesign.errors import ValidationError
 from caldesign.exact import solve_exact
 from caldesign.model import INF, ece, kappa
-from caldesign.oracle import SamplerConfig, exhaustive_best, sample_feasible
 
 from conftest import make_instance, random_instance
+from oracle import SamplerConfig, exhaustive_best, sample_feasible
 
 
 class TestSampler:

@@ -225,7 +225,7 @@ class TestCertificates:
 
     def test_all_pass_is_sound_against_sampler(self):
         # a certified predictor must dominate every sampled feasible one
-        from caldesign.oracle import SamplerConfig, sample_feasible
+        from oracle import SamplerConfig, sample_feasible
         rng = np.random.default_rng(52)
         inst = random_binary_instance(rng, epsilon=0.08)
         pred = binary_action_optimal(inst)
