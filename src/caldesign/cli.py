@@ -44,19 +44,15 @@ def _fmt(x) -> str:
 
 @dataclass
 class RunConfig:
-    command: str
     instance_path: str = ""
     method: str = "exact"
     delta: float = 0.1
     eps_override: float | None = None
     output_path: str | None = None
-    format: str = "csv"
 
     def __post_init__(self):
         if self.method not in ("exact", "fptas"):
             raise ValidationError("BAD_FORMAT", f"unknown method {self.method!r}")
-        if self.format not in ("json", "csv"):
-            raise ValidationError("BAD_FORMAT", f"unknown format {self.format!r}")
 
 
 def _load_json(path):
@@ -280,8 +276,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        code = _dispatch(parser, args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # The reader of stdout stopped early (``caldesign grid ... | head``).
+        # Python's documented recipe: point stdout at devnull so the flush
+        # at exit cannot fail again, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
+    return code
+
+
+def _dispatch(parser, args) -> int:
+    try:
         cfg = RunConfig(
-            command=args.command,
             instance_path=args.instance,
             method=getattr(args, "method", "exact"),
             delta=getattr(args, "delta", 0.1),

@@ -71,13 +71,6 @@ class SenderStrategy:
         out[pos] = num[pos] / mass[pos]
         return out
 
-    def validate_means(self, inst, tol=1e-7):
-        means = self.biased_means(inst)
-        ok = np.isnan(means) | ((means > -tol) & (means < 1 + tol))
-        if not np.all(ok):
-            raise ValidationError("BAD_STRATEGY",
-                                  f"biased means outside [0, 1]: {means}")
-
     def to_json_dict(self, inst):
         return {
             "pi": [row.tolist() for row in self.pi],

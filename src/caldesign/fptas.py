@@ -25,13 +25,13 @@ two-layer grid.  (``full_predictions=True`` builds the literal all-grid
 variant for cross-checking at coarse resolutions.)
 
 The plan LP has one budget row and one supply row per event, so an optimal
-vertex pools at most n + 1 of its (up to tens of thousands of) columns.
-:func:`fptas_solve` therefore solves it by column generation
-(:func:`solve_plan_lp`): a restricted master starts from the calibrated
-diagonal entries, every column is priced against the master's row prices
-in one vectorized pass, the most profitable columns join the master, and
-the loop stops once no reduced cost exceeds ``PRICE_TOL`` relative to the
-largest objective coefficient.
+vertex pools at most n + 1 of its (up to millions of) columns.  It is held
+only as its column arrays (:class:`PlanColumns`), never as the full
+(n + 1) x C program, and solved by column generation (:func:`solve_plan_lp`):
+a restricted master built from the active columns starts at the calibrated
+diagonal, every column is priced from its arrays in one vectorized pass,
+the most profitable columns join the master, and the loop stops once no
+reduced cost exceeds ``PRICE_TOL`` relative to the largest objective.
 """
 
 from __future__ import annotations
@@ -214,12 +214,17 @@ class BiEventPlan:
 
 @dataclass
 class PlanColumns:
-    """Column metadata for the discretized plan LP."""
+    """The discretized plan LP as its columns: entry (i, j, q, p) earns
+    ``obj``, spends ``err`` = |q - p|^t of the budget, and draws the share
+    ``r`` of its mass from event i and ``1 - r`` from event j."""
 
     i: np.ndarray
     j: np.ndarray
     q: np.ndarray
     p: np.ndarray
+    obj: np.ndarray
+    err: np.ndarray
+    r: np.ndarray
 
     def plan(self, weights, keep_tol=1e-12):
         keep = np.flatnonzero(weights > keep_tol)
@@ -227,20 +232,25 @@ class PlanColumns:
                            self.p[keep], weights[keep])
 
 
+def piece_scan(zs):
+    """Edges {0, 1, zs} of the constant pieces of an indirect utility with
+    breakpoints ``zs``, then each piece's midpoint: it takes no other value."""
+    edges = _dedup_sorted(np.concatenate([[0.0, 1.0], zs]))
+    return np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
+
+
 def _prediction_points(inst, grid, full):
     if full:
         return grid.points
-    zs = grid.discontinuities
-    edges = _dedup_sorted(np.concatenate([[0.0, 1.0], zs]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    return _dedup_sorted(np.concatenate([edges, mids, inst.theta]))
+    return _dedup_sorted(np.concatenate([piece_scan(grid.discontinuities),
+                                         inst.theta]))
 
 
 def build_disc_lp(inst: Instance, grid: Grid, full_predictions=False):
-    """Discretized plan LP on ``grid``; returns (program, column metadata).
+    """Columns of the discretized plan LP on ``grid`` (no rows are built).
 
-    Maximizes sum chi[i,j](q,p) * (r U_i(p) + (1-r) U_j(p)) subject to the
-    budget row sum chi |q-p|^t <= eps^t and one supply row per event.
+    The LP maximizes sum chi[i,j](q,p) * (r U_i(p) + (1-r) U_j(p)) subject
+    to the budget row sum chi |q-p|^t <= eps^t and one supply row per event.
     q ranges over grid points inside [theta_i, theta_j]; p over the reduced
     prediction set (or the whole grid with ``full_predictions``).  Pairs
     with equal means are routed through the diagonal entry.
@@ -251,8 +261,7 @@ def build_disc_lp(inst: Instance, grid: Grid, full_predictions=False):
                               "the approximation scheme needs a finite norm")
     ps = _prediction_points(inst, grid, full_predictions)
     U = indirect_utility_matrix(inst, ps)  # (n, P)
-    cols_i, cols_j, cols_q, cols_p = [], [], [], []
-    obj_parts, err_parts, ri_parts = [], [], []
+    parts = {name: [] for name in ("i", "j", "q", "p", "obj", "err", "r")}
     for i in range(inst.n):
         for j in range(i, inst.n):
             if i < j and inst.theta[j] - inst.theta[i] <= 1e-15:
@@ -270,33 +279,18 @@ def build_disc_lp(inst: Instance, grid: Grid, full_predictions=False):
             else:
                 r = (inst.theta[j] - qs) / (inst.theta[j] - inst.theta[i])
             nq, npred = qs.size, ps.size
-            cols_i.append(np.full(nq * npred, i))
-            cols_j.append(np.full(nq * npred, j))
-            cols_q.append(np.repeat(qs, npred))
-            cols_p.append(np.tile(ps, nq))
-            obj_parts.append((r[:, None] * U[i][None, :]
-                              + (1.0 - r)[:, None] * U[j][None, :]).ravel())
-            err_parts.append(
+            parts["i"].append(np.full(nq * npred, i))
+            parts["j"].append(np.full(nq * npred, j))
+            parts["q"].append(np.repeat(qs, npred))
+            parts["p"].append(np.tile(ps, nq))
+            parts["obj"].append((r[:, None] * U[i][None, :]
+                                 + (1.0 - r)[:, None] * U[j][None, :]).ravel())
+            parts["err"].append(
                 (np.abs(qs[:, None] - ps[None, :]) ** t).ravel())
-            ri_parts.append(np.repeat(r, npred))
-
-    cols = PlanColumns(np.concatenate(cols_i), np.concatenate(cols_j),
-                       np.concatenate(cols_q), np.concatenate(cols_p))
-    obj = np.concatenate(obj_parts)
-    err_row = np.concatenate(err_parts)
-    r_all = np.concatenate(ri_parts)
-    total = obj.size
-
-    lp = lp_core.LinearProgram(total, obj, [])
-    lp.add_constraint(err_row, "<=", inst.epsilon**t)
-    for event in range(inst.n):
-        row = np.zeros(total)
-        low = cols.i == event
-        row[low] += r_all[low]
-        high = cols.j == event
-        row[high] += (1.0 - r_all)[high]
-        lp.add_constraint(row, "==", inst.lam[event])
-    return lp, cols
+            parts["r"].append(np.repeat(r, npred))
+    # join one field at a time, dropping its pieces before the next
+    return PlanColumns(**{name: np.concatenate(parts.pop(name))
+                          for name in list(parts)})
 
 
 def plan_to_predictor(plan: BiEventPlan, inst: Instance) -> Predictor:
@@ -334,45 +328,50 @@ def plan_to_predictor(plan: BiEventPlan, inst: Instance) -> Predictor:
     return Predictor(support, out)
 
 
-def solve_plan_lp(lp: lp_core.LinearProgram, cols: PlanColumns):
-    """Solve a :func:`build_disc_lp` program by column generation.
+def solve_plan_lp(inst: Instance, cols: PlanColumns):
+    """Solve the :func:`build_disc_lp` plan LP by column generation.
 
-    The program has one budget row and one supply row per event, so an
-    optimal vertex uses at most n + 1 of its columns.  A restricted master
-    starts from each event's calibrated diagonal column (i, i, theta_i,
-    theta_i), whose zero error keeps it feasible at any budget, and is
-    solved with :func:`lp_core.solve`.  Each round prices every column of
-    the program in one pass, ``c - y @ A`` with the master's row prices
-    ``y``, and adds the ``2(n + 1)`` columns of largest positive reduced
-    cost.  The loop stops when no reduced cost exceeds ``PRICE_TOL`` times
-    the largest objective coefficient; every round adds a column not yet in
-    the master, so it ends.  The returned solution has the master's vertex
-    padded with zeros to the full column set, checked against every row of
-    ``lp``; its ``iterations`` sum the pivots of every master solve.
+    An optimal vertex uses at most n + 1 columns.  The restricted master,
+    the LP on the active columns only, starts from each event's calibrated
+    diagonal column (i, i, theta_i, theta_i), whose zero error keeps it
+    feasible at any budget, and is solved and checked by
+    :func:`lp_core.solve`.  Each round prices every column from its arrays
+    with the master's row prices ``y``, ``obj - y_0 err - y_i r - y_j (1-r)``,
+    and adds the ``2(n + 1)`` columns of largest positive reduced cost,
+    until none exceeds ``PRICE_TOL`` times the largest objective; each
+    round adds a new column, so the loop ends.  The solution is the
+    master's vertex padded with zeros to every column; its ``iterations``
+    sum the pivots of every master solve.
     """
-    n = len(lp.constraints) - 1
-    err = lp.constraints[0][0]
+    n = inst.n
     # per event, the diagonal column of least error: zero unless theta_i
     # merged with a prediction point within GRID_MERGE_TOL
     diag = np.flatnonzero(cols.i == cols.j)
-    order = diag[np.lexsort((err[diag], cols.i[diag]))]
+    order = diag[np.lexsort((cols.err[diag], cols.i[diag]))]
     active = order[np.unique(cols.i[order], return_index=True)[1]]
-    tol = PRICE_TOL * float(np.abs(lp.objective).max(initial=0.0))
+    tol = PRICE_TOL * float(np.abs(cols.obj).max(initial=0.0))
     batch = 2 * (n + 1)
     pivots = 0
     while True:
+        r = cols.r[active]
+        at = np.arange(active.size)
+        supply = np.zeros((n, active.size))
+        np.add.at(supply, (cols.i[active], at), r)
+        np.add.at(supply, (cols.j[active], at), 1.0 - r)
         master = lp_core.LinearProgram(
-            active.size, lp.objective[active],
-            [(coeffs[active], rel, rhs) for coeffs, rel, rhs in lp.constraints])
+            active.size, cols.obj[active],
+            [(cols.err[active], "<=", inst.epsilon**inst.norm)]
+            + [(supply[e], "==", inst.lam[e]) for e in range(n)])
         sol = lp_core.solve(master)
         pivots += sol.iterations
         if not sol.is_optimal:
             raise SolverError("NO_SOLUTION",
                               f"discretized plan program came back {sol.status}")
         y = lp_core.row_prices(master, sol)
-        reduced = lp.objective.copy()
-        for price, (coeffs, _, _) in zip(y, lp.constraints):
-            reduced -= price * coeffs
+        # the subtraction order matches pricing against the rows one by one
+        reduced = cols.obj - y[0] * cols.err
+        reduced -= y[1:][cols.i] * cols.r
+        reduced -= y[1:][cols.j] * (1.0 - cols.r)
         reduced[active] = -np.inf
         entering = np.flatnonzero(reduced > tol)
         if entering.size == 0:
@@ -381,29 +380,29 @@ def solve_plan_lp(lp: lp_core.LinearProgram, cols: PlanColumns):
             best = np.argpartition(reduced[entering], -batch)[-batch:]
             entering = entering[best]
         active = np.concatenate([active, entering])
-    x = np.zeros(lp.num_vars)
+    x = np.zeros(cols.obj.size)
     x[active] = sol.x
-    lp_core._check_solution(lp, x)
-    return lp_core.LpSolution(lp_core.OPTIMAL, float(lp.objective @ x), x,
+    return lp_core.LpSolution(lp_core.OPTIMAL, float(cols.obj @ x), x,
                               iterations=pivots)
 
 
 def fptas_solve(inst: Instance, delta: float):
     """(1 - delta)-approximate predictor for any finite norm.
 
-    Builds the grid at precision delta/3 and the discretized plan LP on it,
-    solves that LP by column generation (:func:`solve_plan_lp`: a restricted
-    master seeded with the calibrated diagonal, priced over every column
-    until no reduced cost exceeds the tolerance), and converts the optimal
-    plan; the result keeps the calibration budget and loses at most a
-    (1 - delta) factor of the optimal payoff.
+    Builds the grid at precision delta/3 and the columns of the discretized
+    plan LP on it, solves that LP by column generation
+    (:func:`solve_plan_lp`: a restricted master seeded with the calibrated
+    diagonal, priced over every column until no reduced cost exceeds the
+    tolerance; no LP wider than the master is built), and converts the
+    optimal plan; the result keeps the calibration budget and loses at most
+    a (1 - delta) factor of the optimal payoff.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValidationError("BAD_DELTA", f"delta must be in (0, 1), got {delta}")
     grid = build_grid(inst, delta / 3.0)
-    lp, cols = build_disc_lp(inst, grid)
-    sol = solve_plan_lp(lp, cols)
+    cols = build_disc_lp(inst, grid)
+    sol = solve_plan_lp(inst, cols)
     plan = cols.plan(sol.x)
     predictor = plan_to_predictor(plan, inst)
     return predictor, float(sol.objective_value)

@@ -25,11 +25,10 @@ from .model import (
     kappa_values,
     point_mass,
 )
-from .fptas import discontinuities
+from .fptas import SUPPLY_TOL, discontinuities, piece_scan
 
 KAPPA_GROUP_TOL = 1e-9
 CLASSIFY_TOL = 1e-7
-SUPPLY_TOL = 1e-7
 
 
 def is_event_independent(inst: Instance) -> bool:
@@ -39,11 +38,7 @@ def is_event_independent(inst: Instance) -> bool:
     midpoints; that covers every value a piecewise-constant indirect
     utility can take.
     """
-    zs = discontinuities(inst)
-    edges = np.unique(np.concatenate([[0.0, 1.0], zs]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    scan = np.concatenate([edges, mids])
-    U = indirect_utility_matrix(inst, scan)
+    U = indirect_utility_matrix(inst, piece_scan(discontinuities(inst)))
     return bool(np.all(np.abs(U - U[0][None, :]) <= 1e-9))
 
 
@@ -398,10 +393,9 @@ def verify_optimality(pred: Predictor, inst: Instance,
     scan = [np.arange(0.0, 1.0 + 1e-12, 1e-4), zs, cert.knots_x, ps]
     for z in zs:
         scan.append(np.array([z - 1e-9, z + 1e-9]))
-    edges = np.unique(np.concatenate([[0.0, 1.0], zs]))
     # exact per-piece check: utility is constant between breakpoints, so the
     # certificate (convex) only needs checking at piece ends and its own knots
-    scan.append(0.5 * (edges[:-1] + edges[1:]))
+    scan.append(piece_scan(zs))
     grid = np.unique(np.clip(np.concatenate(scan), 0.0, 1.0))
     U_grid = indirect_utility_matrix(inst, grid)[0]
     # Scan offsets at z +/- 1e-9 sit inside the agent's indifference window,

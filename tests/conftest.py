@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from caldesign.fptas import BiEventPlan, discontinuities
+from caldesign import lp_core
+from caldesign.fptas import PRICE_TOL, BiEventPlan, discontinuities
 from caldesign.model import Instance, Predictor, validate_instance
 
 DATA = Path(__file__).parent / "data"
@@ -42,6 +43,56 @@ def f_dagger():
 @pytest.fixture(scope="session")
 def f_ddagger():
     return Predictor.from_json_dict(load_fixture("f_ddagger.json"))
+
+
+def plan_program(inst, cols):
+    """The full plan LP on ``build_disc_lp`` columns as one dense program:
+    the budget row, then one supply row per event."""
+    lp = lp_core.LinearProgram(cols.obj.size, cols.obj, [])
+    lp.add_constraint(cols.err, "<=", inst.epsilon**inst.norm)
+    for event in range(inst.n):
+        row = np.zeros(cols.obj.size)
+        low = cols.i == event
+        row[low] += cols.r[low]
+        high = cols.j == event
+        row[high] += (1.0 - cols.r)[high]
+        lp.add_constraint(row, "==", inst.lam[event])
+    return lp
+
+
+def dense_column_generation(lp, cols):
+    """Reference for ``solve_plan_lp``: the same column generation, with each
+    master sliced from the rows of the dense ``lp`` and every column priced
+    against those rows one at a time."""
+    err = lp.constraints[0][0]
+    diag = np.flatnonzero(cols.i == cols.j)
+    order = diag[np.lexsort((err[diag], cols.i[diag]))]
+    active = order[np.unique(cols.i[order], return_index=True)[1]]
+    tol = PRICE_TOL * float(np.abs(lp.objective).max(initial=0.0))
+    batch = 2 * len(lp.constraints)
+    pivots = 0
+    while True:
+        master = lp_core.LinearProgram(
+            active.size, lp.objective[active],
+            [(coeffs[active], rel, rhs) for coeffs, rel, rhs in lp.constraints])
+        sol = lp_core.solve(master)
+        assert sol.is_optimal
+        pivots += sol.iterations
+        y = lp_core.row_prices(master, sol)
+        reduced = lp.objective.copy()
+        for price, (coeffs, _, _) in zip(y, lp.constraints):
+            reduced -= price * coeffs
+        reduced[active] = -np.inf
+        entering = np.flatnonzero(reduced > tol)
+        if entering.size == 0:
+            break
+        if entering.size > batch:
+            best = np.argpartition(reduced[entering], -batch)[-batch:]
+            entering = entering[best]
+        active = np.concatenate([active, entering])
+    x = np.zeros(lp.num_vars)
+    x[active] = sol.x
+    return float(lp.objective @ x), x, pivots
 
 
 def make_instance(theta, lam, agent_utility, principal_utility, epsilon,

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import caldesign
 from caldesign.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -223,3 +227,21 @@ class TestGrid:
         code, _, err = run(capsys, "grid", GOLDEN, "--delta", "0.5")
         assert code == 2
         assert "BAD_DELTA" in err
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_quietly(self):
+        # megabytes of grid output cannot fit in a pipe buffer, so the write
+        # meets the closed pipe whenever the child gets to it
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(caldesign.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from caldesign.cli import main; sys.exit(main())",
+             "grid", GOLDEN, "--delta", "0.0005"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""

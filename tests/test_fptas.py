@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from caldesign.fptas import (
 from caldesign.model import ece, indirect_utility_matrix, payoff
 from caldesign.exact import solve_exact
 
-from conftest import make_instance, random_feasible_plan, random_instance
+from conftest import (
+    dense_column_generation,
+    make_instance,
+    plan_program,
+    random_feasible_plan,
+    random_instance,
+)
 
 
 class TestDiscontinuities:
@@ -93,8 +101,8 @@ class TestDiscLp:
         for _ in range(10):
             inst = random_instance(rng, epsilon=float(rng.uniform(0, 0.3)))
             grid = build_grid(inst, 0.2)
-            lp, cols = build_disc_lp(inst, grid)
-            sol = lp_core.solve(lp)
+            cols = build_disc_lp(inst, grid)
+            sol = lp_core.solve(plan_program(inst, cols))
             assert sol.status == lp_core.OPTIMAL
             plan = cols.plan(sol.x)
             assert np.allclose(plan.event_supply(inst), inst.lam, atol=1e-7)
@@ -104,8 +112,7 @@ class TestDiscLp:
         for _ in range(10):
             inst = random_instance(rng, epsilon=1.0)
             grid = build_grid(inst, 0.2)
-            lp, _ = build_disc_lp(inst, grid)
-            sol = lp_core.solve(lp)
+            sol = lp_core.solve(plan_program(inst, build_disc_lp(inst, grid)))
             U = indirect_utility_matrix(inst, grid.points)
             want = float(inst.lam @ U.max(axis=1))
             assert sol.objective_value == pytest.approx(want, abs=1e-7)
@@ -114,7 +121,7 @@ class TestDiscLp:
         inst = make_instance([0.3], [1.0], [[0.0, 0.0], [-0.5, 0.5]],
                              np.ones((1, 2, 2)), 0.1)
         grid = build_grid(inst, 0.2)
-        _, cols = build_disc_lp(inst, grid)
+        cols = build_disc_lp(inst, grid)
         assert np.all(cols.i == 0) and np.all(cols.j == 0)
         assert np.allclose(cols.q, 0.3)
 
@@ -124,10 +131,10 @@ class TestDiscLp:
             inst = random_instance(rng, epsilon=float(rng.uniform(0, 0.3)),
                                    n_max=3)
             grid = build_grid(inst, 0.25)
-            lp_red, _ = build_disc_lp(inst, grid)
-            lp_full, _ = build_disc_lp(inst, grid, full_predictions=True)
-            v_red = lp_core.solve(lp_red).objective_value
-            v_full = lp_core.solve(lp_full).objective_value
+            red = build_disc_lp(inst, grid)
+            full = build_disc_lp(inst, grid, full_predictions=True)
+            v_red = lp_core.solve(plan_program(inst, red)).objective_value
+            v_full = lp_core.solve(plan_program(inst, full)).objective_value
             assert v_red == pytest.approx(v_full, abs=1e-7)
 
     def test_column_generation_matches_full_lp(self):
@@ -137,9 +144,10 @@ class TestDiscLp:
             eps = 0.0 if trial < 2 else float(rng.uniform(0, 0.3))
             inst = random_instance(rng, epsilon=eps, n_max=3, norm=t)
             grid = build_grid(inst, 0.25)
-            lp, cols = build_disc_lp(inst, grid)
+            cols = build_disc_lp(inst, grid)
+            lp = plan_program(inst, cols)
             full = lp_core.solve(lp)
-            sol = solve_plan_lp(lp, cols)
+            sol = solve_plan_lp(inst, cols)
             assert sol.objective_value == pytest.approx(full.objective_value,
                                                         abs=1e-7)
             assert sol.x.shape == (lp.num_vars,)
@@ -150,6 +158,39 @@ class TestDiscLp:
                 assert coeffs @ sol.x == pytest.approx(lam, abs=1e-9)
             # a vertex of a program with n + 1 rows
             assert np.count_nonzero(sol.x > 0) <= inst.n + 1
+
+    def test_column_generation_bit_identical_to_dense_reference(self):
+        # pricing from the column arrays subtracts the same products in the
+        # same order as pricing against the dense rows, so nothing may move
+        rng = np.random.default_rng(35)
+        for trial in range(24):
+            t = (1.0, 2.0)[trial % 2]
+            eps = 0.0 if trial % 6 < 2 else float(rng.uniform(0, 0.3))
+            inst = random_instance(rng, epsilon=eps, n_max=4, norm=t)
+            cols = build_disc_lp(inst, build_grid(inst, 0.2))
+            objective, x, pivots = dense_column_generation(
+                plan_program(inst, cols), cols)
+            sol = solve_plan_lp(inst, cols)
+            assert sol.objective_value == objective
+            assert np.array_equal(sol.x, x)
+            assert sol.iterations == pivots
+
+    def test_peak_memory_is_linear_in_columns(self):
+        # Only the columns' arrays and a few column-length temporaries are
+        # alive at once; a dense (n + 1) x C program would read about
+        # (n + 16) x 8C here.  The factor 14 does not depend on n.
+        inst = random_instance(np.random.default_rng(5), epsilon=0.1,
+                               n_min=10, n_max=10, m_min=3, m_max=3)
+        grid = build_grid(inst, 0.2)
+        tracemalloc.start()
+        try:
+            cols = build_disc_lp(inst, grid)
+            solve_plan_lp(inst, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cols.obj.size > 50_000
+        assert peak < 14 * 8 * cols.obj.size
 
 
 class TestPlanToPredictor:
