@@ -8,8 +8,21 @@ must find the recommendation optimal.  The bias budget is the calibration
 budget: for t=1 the total |b| is capped by epsilon, for t=inf each action's
 |b(a)| is capped by epsilon times its signal mass (so every biased mean sits
 within epsilon of its Bayes mean).  An optimal scheme converts into an
-optimal predictor by predicting p(a) whenever action a would be recommended,
-and back.
+optimal predictor by predicting p(a) whenever action a would be recommended.
+
+Every predictor is a post-processed calibrated one, so the truthful scheme
+(no bias, each event recommends its own best response) is always feasible;
+the solve starts its simplex there (a crash basis) instead of running
+phase 1.  The program's value is a supremum: two signals may recommend
+different actions at one biased mean, an indifference point of the agent,
+and a predictor cannot tell them apart there.  When an optimal scheme does
+that, the budget is lowered by ``SEPARATION``, the program re-solved, and
+each of the two signals moves ``SEPARATION`` away from the shared mean
+through its bias, so that each action is the agent's strict choice at its
+own prediction.  Every
+solve ends with a certificate independent of the solver: the returned
+predictor's calibration error is within the budget and its payoff is the
+returned objective, or ``SolverError('UNCERTIFIED')`` is raised.
 """
 
 from __future__ import annotations
@@ -20,9 +33,31 @@ import numpy as np
 
 from . import lp_core
 from .errors import SolverError, ValidationError
-from .model import INF, Instance, Predictor, action_profile
+from .model import (
+    INF,
+    SUPPORT_MERGE_TOL,
+    Instance,
+    Predictor,
+    action_profile,
+    ece,
+    payoff,
+    tied_action_sets,
+)
 
 ZERO_MASS_TOL = 1e-12
+
+# Budget given up to pull apart two signals that meet at one biased mean;
+# each moves this far from the meeting point.
+SEPARATION = 1e-6
+# A merge of signals loses payoff when it costs more than this, relative.
+MERGE_TOL = 1e-9
+
+# The certificate (:func:`certify`): the calibration error may exceed the
+# budget by CERT_ECE_TOL, and the payoff may miss the objective by
+# CERT_PAYOFF_TOL * (1 + |objective|), which covers the agent tie-break's
+# widest payoff slack (1e-5).
+CERT_ECE_TOL = 1e-7
+CERT_PAYOFF_TOL = 2e-5
 
 log = logging.getLogger("caldesign")
 
@@ -78,23 +113,6 @@ class SenderStrategy:
                      for a, b in zip(self.signal_actions, self.bias)},
             "signal_actions": [int(a) for a in self.signal_actions],
         }
-
-
-def aggregated_bias(strat: SenderStrategy, inst: Instance, t=None) -> float:
-    """Mass-weighted norm of the per-signal bias rates |b| / mass.
-
-    This is the quantity the bounded-bias budget constrains; it upper-bounds
-    the calibration error of the induced predictor.
-    """
-    t = inst.norm if t is None else float(t)
-    mass = strat.signal_mass(inst)
-    pos = mass > ZERO_MASS_TOL
-    if not np.any(pos):
-        return 0.0
-    rates = np.abs(strat.bias[pos]) / mass[pos]
-    if t == INF:
-        return float(rates.max())
-    return float((mass[pos] @ rates**t) ** (1.0 / t))
 
 
 def _variable_layout(inst):
@@ -157,10 +175,7 @@ def build_actrec_lp(inst: Instance) -> lp_core.LinearProgram:
         lp.add_constraint(Ta, ">=", 0.0)          # biased mean >= 0
         lp.add_constraint(Ma - Ta, ">=", 0.0)     # biased mean <= 1
         if t == INF:
-            row = np.zeros(total)
-            row[nm + a] = 1.0
-            row[bp_end + a] = 1.0
-            lp.add_constraint(row - inst.epsilon * Ma, "<=", 0.0)
+            lp.add_constraint(np.zeros(total), "<=", 0.0)   # see _set_budget
     for i in range(n):
         row = np.zeros(total)
         row[pi_idx(i, 0):pi_idx(i, 0) + m] = 1.0
@@ -168,8 +183,28 @@ def build_actrec_lp(inst: Instance) -> lp_core.LinearProgram:
     if t == 1.0:
         row = np.zeros(total)
         row[nm:] = 1.0
-        lp.add_constraint(row, "<=", inst.epsilon)
+        lp.add_constraint(row, "<=", 0.0)                  # see _set_budget
+    _set_budget(lp, inst, inst.epsilon)
     return lp
+
+
+def _set_budget(lp, inst, budget):
+    """Write the bias budget ``budget`` into the rows of
+    :func:`build_actrec_lp` that carry it: for t=1 the last row's rhs
+    (``sum b+ + b- <= budget``), for t=inf the last row of each action's
+    block (``b+(a) + b-(a) - budget * M(a) <= 0``)."""
+    nm, bp_end, total = _variable_layout(inst)
+    m = inst.m
+    if inst.norm == 1.0:
+        coeffs, rel, _ = lp.constraints[-1]
+        lp.constraints[-1] = (coeffs, rel, float(budget))
+        return
+    for a in range(m):
+        row = np.zeros(total)
+        row[a:nm:m] -= budget * inst.lam
+        row[nm + a] = row[bp_end + a] = 1.0
+        # each action's block: m - 1 incentive rows, two mean rows, this one
+        lp.constraints[a * (m + 2) + m + 1] = (row, "<=", 0.0)
 
 
 def _strategy_from_solution(inst, x):
@@ -186,34 +221,144 @@ def _strategy_from_solution(inst, x):
 def solve_exact(inst: Instance, tie_break="agent"):
     """Optimal (strategy, predictor, objective) for t in {1, inf}.
 
-    The optimal face is often degenerate (several schemes reach the same
-    designer payoff); with ``tie_break="agent"`` a second solve maximizes the
-    agent's expected utility over that face, which keeps the selection
-    deterministic and avoids gratuitously harmful recommendations.  Pass
-    ``tie_break=None`` for the raw first-stage vertex.  The second solve
-    starts from the first stage's optimal basis (see
-    :func:`_refine_for_agent`), so it needs only the pivots that move along
-    the optimal face.
+    The first stage starts its simplex at the truthful scheme
+    (:func:`_truthful_basis`), a feasible vertex of every instance, so no
+    phase 1 runs.  The optimal face is often degenerate (several schemes
+    reach the same designer payoff); with ``tie_break="agent"`` a second
+    solve maximizes the agent's expected utility over that face, which keeps
+    the selection deterministic and avoids gratuitously harmful
+    recommendations.  Pass ``tie_break=None`` for the raw first-stage
+    vertex.  The second solve starts from the first stage's optimal basis
+    (see :func:`_refine_for_agent`), so it needs only the pivots that move
+    along the optimal face.
 
-    A feasible point always exists (full pooling at an in-range biased mean),
-    so infeasibility indicates a malformed instance and raises.
+    If two signals of the optimal scheme meet at one biased mean and the
+    predictor would lose payoff by merging them (:func:`_lossy_merges`), the
+    budget of the same program is lowered by ``SEPARATION``, both stages run
+    again, and the signals are pulled apart (:func:`_separate`); the
+    objective returned is then the lowered program's, which the predictor
+    earns.  Three or more actions tied at such a mean, or a budget below
+    ``SEPARATION``, raise ``SolverError('UNCERTIFIED')``, as does a
+    predictor that fails the final certificate (:func:`certify`).
     """
+    if tie_break not in ("agent", None):
+        raise ValidationError("BAD_FORMAT", f"unknown tie_break {tie_break!r}")
     lp = build_actrec_lp(inst)
-    sol = lp_core.solve(lp)
+    best, strat = _solve_stages(inst, lp, tie_break)
+    merged = _lossy_merges(inst, strat)
+    if merged:
+        if inst.epsilon < SEPARATION:
+            raise SolverError(
+                "UNCERTIFIED",
+                f"signals meet at biased mean {merged[0][0]:.9g} and a "
+                f"budget of {inst.epsilon:.3g} leaves no room to separate "
+                f"them")
+        _set_budget(lp, inst, inst.epsilon - SEPARATION)
+        best, strat = _solve_stages(inst, lp, tie_break)
+        _separate(inst, strat, _lossy_merges(inst, strat))
+    predictor = strategy_to_predictor(strat, inst)
+    certify(predictor, inst, best)
+    return strat, predictor, best
+
+
+def _solve_stages(inst, lp, tie_break):
+    """First stage from the truthful crash basis, then the agent refine;
+    returns the first stage's objective and the final vertex's strategy."""
+    sol = lp_core.solve(lp, basis=_truthful_basis(inst, lp))
     if not sol.is_optimal:
         raise SolverError(
             "NO_SOLUTION",
-            f"recommendation program came back {sol.status}; the instance "
-            f"admits a feasible pooled scheme, so data is likely malformed")
+            f"recommendation program came back {sol.status}; the truthful "
+            f"scheme is feasible, so data is likely malformed")
     best = float(sol.objective_value)
     x = sol.x
     if tie_break == "agent":
         x = _refine_for_agent(inst, lp, best, fallback=x, basis=sol.basis)
-    elif tie_break is not None:
-        raise ValidationError("BAD_FORMAT", f"unknown tie_break {tie_break!r}")
-    strat = _strategy_from_solution(inst, x)
-    predictor = strategy_to_predictor(strat, inst)
-    return strat, predictor, best
+    return best, _strategy_from_solution(inst, x)
+
+
+def _truthful_basis(inst, lp):
+    """Crash basis at the truthful scheme: ``pi_i(a_i)`` for each event's own
+    best response ``a_i`` at ``theta_i``, plus the slack or surplus of every
+    inequality row.
+
+    Only the ``pi_i(a_i)`` columns meet the ``n`` stochastic rows, one each,
+    so the basis matrix is block-triangular with identity blocks and
+    nonsingular.  Its solution sets ``pi_i(a_i) = 1`` and every logical to
+    its row's surplus there, which is nonnegative: events sharing a best
+    response pool to a mean inside that action's best-response interval,
+    with no bias.
+    """
+    own = np.argmax(inst.agent_scores(inst.theta), axis=1)
+    logical = [lp.num_vars + r for r, (_, rel, _) in enumerate(lp.constraints)
+               if rel != "=="]
+    return np.concatenate([np.arange(inst.n) * inst.m + own, logical])
+
+
+def _lossy_merges(inst, strat):
+    """``(p, signals)`` for each biased mean ``p`` that two or more live
+    signals share (in the sense of :class:`Predictor`'s support merge) and
+    where the merge loses payoff: a predictor cannot tell them apart, so the
+    agent takes one action at ``p`` for all of their mass (the designer-best
+    of the actions tied there), which earns less than each signal's own."""
+    live = np.flatnonzero(strat.signal_mass(inst) > ZERO_MASS_TOL)
+    means = np.clip(strat.biased_means(inst)[live], 0.0, 1.0)
+    order = np.argsort(means, kind="stable")
+    live, means = live[order], means[order]
+    cuts = np.flatnonzero(np.diff(means) > SUPPORT_MERGE_TOL) + 1
+    weights = inst.lam[:, None] * strat.pi
+    lossy = []
+    for group in np.split(np.arange(live.size), cuts):
+        if group.size < 2:
+            continue
+        signals = live[group]
+        w = weights[:, signals]
+        own = float(np.sum(w * inst.ubar[:, strat.signal_actions[signals]]))
+        pooled = w.sum(axis=1)
+        act = action_profile(inst, means[group[:1]], pooled[:, None])[0]
+        if pooled @ inst.ubar[:, act] < own - MERGE_TOL * (1.0 + abs(own)):
+            lossy.append((float(means[group[0]]), signals))
+    return lossy
+
+
+def _separate(inst, strat, merged):
+    """Move each pair of signals that meets at ``p`` apart through their
+    biases, in place: the steeper action's signal (larger ``v(a,1) -
+    v(a,0)``) to ``p + SEPARATION`` and the other to ``p - SEPARATION``
+    (clipped to [0, 1]), where each action is the agent's strict choice.
+    The extra bias is ``SEPARATION`` times the signals' mass, which the
+    lowered budget left free."""
+    slope = inst.agent_utility[:, 1] - inst.agent_utility[:, 0]
+    mass = strat.signal_mass(inst)
+    for p, signals in merged:
+        tied = int(tied_action_sets(inst, [p])[0].sum())
+        if max(tied, signals.size) > 2:
+            raise SolverError(
+                "UNCERTIFIED",
+                f"{max(tied, signals.size)} actions meet at biased mean "
+                f"{p:.9g}; two can be pulled apart, more cannot")
+        up, down = signals
+        if slope[strat.signal_actions[up]] < slope[strat.signal_actions[down]]:
+            up, down = down, up
+        strat.bias[up] += min(SEPARATION, 1.0 - p) * mass[up]
+        strat.bias[down] -= min(SEPARATION, p) * mass[down]
+
+
+def certify(predictor, inst, objective):
+    """Check a solver's answer independently of the solver: ``predictor``
+    keeps the budget (``ece <= epsilon`` in the instance's norm) and earns
+    ``objective``.  Raises ``SolverError('UNCERTIFIED')`` when either fails,
+    so that no solve returns a predictor that does less than it reports.
+    Both solvers end with it (``fptas_solve`` too)."""
+    gap = ece(predictor, inst) - inst.epsilon
+    if not gap <= CERT_ECE_TOL:
+        raise SolverError("UNCERTIFIED",
+                          f"predictor exceeds the budget by {gap:.3e}")
+    miss = payoff(predictor, inst) - objective
+    if not abs(miss) <= CERT_PAYOFF_TOL * (1.0 + abs(objective)):
+        raise SolverError(
+            "UNCERTIFIED",
+            f"predictor payoff misses the objective by {miss:.3e}")
 
 
 def _refine_for_agent(inst, lp, best, fallback, basis):
@@ -257,9 +402,8 @@ def strategy_to_predictor(strat: SenderStrategy, inst: Instance) -> Predictor:
     one recommendation.  It is not when two signals recommend different
     actions at the same biased mean (an indifference point of the agent):
     after the merge the agent takes one action for the whole merged mass, and
-    the predictor's payoff can fall short of the LP objective.  exact-ladder
-    instance 16 is the known case (``perfbench/workloads.py``,
-    ``KNOWN_WRONG``).
+    the predictor's payoff can fall short of the LP objective.
+    :func:`solve_exact` pulls such signals apart before converting.
     """
     mass = strat.signal_mass(inst)
     keep = np.flatnonzero(mass > ZERO_MASS_TOL)
@@ -283,55 +427,3 @@ def strategy_to_predictor(strat: SenderStrategy, inst: Instance) -> Predictor:
         support = means
         massmat = pi / rows[:, None]
     return Predictor(support, massmat)
-
-
-def predictor_to_strategy(pred: Predictor, inst: Instance) -> SenderStrategy:
-    """Collapse a predictor into the direct scheme it induces.
-
-    Each prediction is routed to the action the agent takes there; the
-    action's bias collects the signed calibration gap of its predictions.
-    The result is direct, recommendation-optimal, and its aggregated bias is
-    at most the predictor's calibration error in the same norm.
-    """
-    weights = inst.lam[:, None] * pred.mass
-    acts = action_profile(inst, pred.support, weight_matrix=weights)
-    pi = np.zeros((inst.n, inst.m))
-    bias = np.zeros(inst.m)
-    gaps = weights * (pred.support[None, :] - inst.theta[:, None])
-    for k, a in enumerate(acts):
-        pi[:, a] += pred.mass[:, k]
-        bias[a] += gaps[:, k].sum()
-    return SenderStrategy(pi, bias)
-
-
-def contract_signals(strat: SenderStrategy, inst: Instance) -> SenderStrategy:
-    """Merge signals that induce the same action (revelation step).
-
-    Signal probabilities and biases add; the per-event action distribution
-    is unchanged and the aggregated bias can only shrink.
-    """
-    labels = np.unique(strat.signal_actions)
-    pi = np.zeros((strat.pi.shape[0], labels.size))
-    bias = np.zeros(labels.size)
-    for k, a in enumerate(labels):
-        cols = strat.signal_actions == a
-        pi[:, k] = strat.pi[:, cols].sum(axis=1)
-        bias[k] = strat.bias[cols].sum()
-    return SenderStrategy(pi, bias, labels)
-
-
-def recommendation_ok(strat: SenderStrategy, inst: Instance, tol=1e-7) -> bool:
-    """True if every positive-mass signal's biased mean makes its own action
-    an agent best response."""
-    mass = strat.signal_mass(inst)
-    means = strat.biased_means(inst)
-    for k in range(strat.n_signals):
-        if mass[k] <= ZERO_MASS_TOL:
-            continue
-        p = min(max(float(means[k]), 0.0), 1.0)
-        scores = inst.agent_scores(p)
-        a = strat.signal_actions[k]
-        scale = max(1.0, float(np.abs(inst.agent_utility).max()))
-        if scores[a] < scores.max() - tol * scale:
-            return False
-    return True

@@ -43,6 +43,7 @@ import numpy as np
 
 from . import lp_core
 from .errors import SolverError, ValidationError
+from .exact import certify
 from .model import (
     INF,
     Instance,
@@ -395,7 +396,10 @@ def fptas_solve(inst: Instance, delta: float):
     diagonal, priced over every column until no reduced cost exceeds the
     tolerance; no LP wider than the master is built), and converts the
     optimal plan; the result keeps the calibration budget and loses at most
-    a (1 - delta) factor of the optimal payoff.
+    a (1 - delta) factor of the optimal payoff.  The predictor is certified
+    before it is returned (:func:`caldesign.exact.certify`): its calibration
+    error is within the budget and its payoff is the returned objective, or
+    ``SolverError('UNCERTIFIED')`` is raised.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:
@@ -405,7 +409,9 @@ def fptas_solve(inst: Instance, delta: float):
     sol = solve_plan_lp(inst, cols)
     plan = cols.plan(sol.x)
     predictor = plan_to_predictor(plan, inst)
-    return predictor, float(sol.objective_value)
+    objective = float(sol.objective_value)
+    certify(predictor, inst, objective)
+    return predictor, objective
 
 
 def _snap(values, grid_points):

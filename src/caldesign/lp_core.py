@@ -17,9 +17,10 @@ An optimal solution carries its basis, from which :func:`row_prices`
 computes the row prices on demand (column generation prices with them).
 The same basis can start another solve: :func:`solve` accepts a start basis
 and, when it is a feasible basis of the new program, skips phase 1 and runs
-phase 2 from it (warm start).  A program plus one added row, started from
-the old optimal basis plus the new row's slack or surplus, is the case the
-exact solver's agent tie-break uses.
+phase 2 from it (warm start).  The exact solver starts its first stage
+from a crash basis at a known feasible point, and its agent tie-break, a
+program plus one added row, from the old optimal basis plus the new row's
+slack or surplus.
 
 Problems here are wide and shallow (a handful of rows, possibly tens of
 thousands of columns), which a dense tableau handles comfortably.  An
@@ -371,21 +372,26 @@ def _drive_out_artificials(T, basis, rows, art_start):
 
 def _check_solution(lp, x):
     """Raise ``SolverError('NUMERICAL_FAILURE')`` unless ``x`` meets every row
-    and ``x >= 0`` within tolerance; a non-finite ``x`` fails."""
+    and ``x >= 0`` within tolerance; a non-finite ``x`` fails.
+
+    Row ``r`` may miss by ``FEASIBILITY_TOL * max(1, |rhs_r|, max|a_r|)``."""
     tol = FEASIBILITY_TOL
-    for coeffs, rel_op, rhs in lp.constraints:
-        scale = max(1.0, abs(rhs), float(np.abs(coeffs).max(initial=0.0)))
-        lhs = float(coeffs @ x)
-        if rel_op == "<=":
-            gap = lhs - rhs
-        elif rel_op == ">=":
-            gap = rhs - lhs
-        else:
-            gap = abs(lhs - rhs)
-        if not gap <= tol * scale:
-            raise SolverError(
-                "NUMERICAL_FAILURE",
-                f"solution violates {rel_op} row by {abs(lhs - rhs):.3e}")
+    rows = len(lp.constraints)
+    A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(
+        rows, lp.num_vars)
+    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
+    rel = np.array([r for _, r, _ in lp.constraints])
+    lhs = A @ x
+    gap = np.where(rel == "<=", lhs - b,
+                   np.where(rel == ">=", b - lhs, np.abs(lhs - b)))
+    scale = np.maximum(np.maximum(1.0, np.abs(b)),
+                       np.abs(A).max(axis=1, initial=0.0))
+    bad = np.flatnonzero(~(gap <= tol * scale))
+    if bad.size:
+        r = bad[0]
+        raise SolverError(
+            "NUMERICAL_FAILURE",
+            f"solution violates {rel[r]} row by {abs(lhs[r] - b[r]):.3e}")
     if not np.all(np.isfinite(x) & (x >= -tol)):
         raise SolverError("NUMERICAL_FAILURE",
                           "solution is not finite and nonnegative")

@@ -6,13 +6,7 @@ import time
 
 import numpy as np
 
-from caldesign.exact import (
-    SenderStrategy,
-    aggregated_bias,
-    contract_signals,
-    predictor_to_strategy,
-    solve_exact,
-)
+from caldesign.exact import SenderStrategy, solve_exact
 from caldesign.fptas import build_grid, fptas_solve, plan_to_predictor, round_plan
 from caldesign.model import INF, agent_payoff, ece, payoff
 from caldesign.structure import (
@@ -32,6 +26,7 @@ from conftest import (
     random_predictor,
 )
 from oracle import SamplerConfig, exhaustive_best, sample_feasible
+from revelation import aggregated_bias, contract_signals, predictor_to_strategy
 
 
 def report(num, ok, detail):

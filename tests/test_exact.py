@@ -3,21 +3,23 @@ import logging
 import numpy as np
 import pytest
 
-from caldesign import lp_core
+from caldesign import exact, lp_core
 from caldesign.errors import SolverError, ValidationError
 from caldesign.exact import (
     SenderStrategy,
-    aggregated_bias,
     build_actrec_lp,
-    contract_signals,
-    predictor_to_strategy,
-    recommendation_ok,
     solve_exact,
     strategy_to_predictor,
 )
 from caldesign.model import INF, Predictor, ece, payoff, point_mass
 
 from conftest import make_instance, random_instance, random_predictor
+from revelation import (
+    aggregated_bias,
+    contract_signals,
+    predictor_to_strategy,
+    recommendation_ok,
+)
 
 
 class TestProgramShape:
@@ -373,3 +375,199 @@ class TestWarmRefine:
             first = solves[0][2].iterations
             for _, _, sol in solves[1:]:
                 assert sol.iterations < first, inst.epsilon
+
+
+def _ladder(list_seed=1003):
+    """The exact-ladder benchmark list (``perfbench``): n = m cycling 6, 7,
+    8, norm 1 for three draws and inf for the next three, epsilon 0.1."""
+    rng = np.random.default_rng(list_seed)
+    out = []
+    for k in range(24):
+        size = (6, 7, 8)[k % 3]
+        norm = (1.0, INF)[(k // 3) % 2]
+        out.append(random_instance(rng, 0.1, norm, size, size, size, size))
+    return out
+
+
+def _edge_instances():
+    """Degenerate inputs for the truthful crash start."""
+    u3 = np.ones((3, 2, 2))
+    return {
+        "zero_prior_event": make_instance(
+            [0.1, 0.5, 0.9], [0.5, 0.0, 0.5], [[0.0, 0.0], [-0.6, 0.4]],
+            np.arange(12, dtype=float).reshape(3, 2, 2), 0.05),
+        # both actions score 0 at theta = 0.5, the second event's mean
+        "tied_best_response": make_instance(
+            [0.2, 0.5, 0.8], [0.3, 0.4, 0.3], [[0.0, 0.0], [-1.0, 1.0]],
+            u3, 0.1, norm=INF),
+        "duplicate_actions": make_instance(
+            [0.2, 0.8], [0.5, 0.5], [[0.0, 0.0], [-1.0, 1.0], [-1.0, 1.0]],
+            np.array([[[1, 1], [0, 0], [2, 2]], [[0, 0], [1, 1], [0, 2]]],
+                     dtype=float), 0.1),
+        "sentinel_utilities": make_instance(
+            [0.0, 0.3, 1.0], [0.2, 0.5, 0.3],
+            [[1e9, -1e9], [0.0, 0.0], [-1e9, 5.0]],
+            np.ones((3, 3, 2)), 0.02),
+        "single_action": make_instance(
+            [0.3, 0.6], [0.5, 0.5], [[1.0, -1.0]], np.ones((2, 1, 2)), 0.1),
+        "zero_budget_t1": make_instance(
+            [0.2, 0.8], [0.5, 0.5], [[0.0, 0.0], [-0.6, 0.4]],
+            np.array([[[0, 0], [1, 1]], [[0, 0], [1, 1]]], dtype=float), 0.0),
+        "zero_budget_tinf": make_instance(
+            [0.2, 0.8], [0.5, 0.5], [[0.0, 0.0], [-0.6, 0.4]],
+            np.array([[[0, 0], [1, 1]], [[0, 0], [1, 1]]], dtype=float), 0.0,
+            norm=INF),
+    }
+
+
+class TestCrashStart:
+    """The first stage starts at the truthful scheme, never in phase 1."""
+
+    cold_solve = staticmethod(lp_core.solve)   # the unpatched solver
+
+    @pytest.fixture
+    def solves(self, monkeypatch, caplog):
+        # (rows, start basis, solution) of every lp_core.solve
+        seen = []
+
+        def spy(lp, max_iter=None, basis=None):
+            sol = self.cold_solve(lp, max_iter, basis=basis)
+            seen.append((len(lp.constraints), basis, sol))
+            return sol
+
+        monkeypatch.setattr(lp_core, "solve", spy)
+        caplog.set_level(logging.DEBUG, logger="caldesign")
+        return seen
+
+    @staticmethod
+    def _solve_accepted(inst, solves, caplog):
+        """Solve; check every first stage got a start and none was
+        rejected; return the pivots of the first one."""
+        solves.clear()
+        caplog.clear()
+        solve_exact(inst)
+        # a refine program carries the payoff floor, one row more
+        first = [(basis, sol) for rows, basis, sol in solves
+                 if rows == solves[0][0]]
+        assert all(basis is not None for basis, _ in first)
+        rejected = [r.getMessage() for r in caplog.records
+                    if "warm start rejected" in r.getMessage()]
+        assert not rejected, rejected
+        return first[0][1].iterations
+
+    def test_golden_budgets(self, golden, solves, caplog):
+        for k in range(81):
+            self._solve_accepted(golden.with_epsilon(round(0.01 * k, 2)),
+                                 solves, caplog)
+
+    def test_ladder(self, solves, caplog):
+        # the first stage took 4,260 pivots over this list from phase 1
+        pivots = sum(self._solve_accepted(inst, solves, caplog)
+                     for inst in _ladder())
+        assert pivots < 1200
+
+    @pytest.mark.parametrize("name", sorted(_edge_instances()))
+    def test_edge_instances(self, name, solves, caplog):
+        self._solve_accepted(_edge_instances()[name], solves, caplog)
+
+    @pytest.mark.parametrize("norm", [1.0, INF])
+    def test_truthful_basis_is_a_feasible_basis(self, golden, norm):
+        # B is nonsingular and B^-1 b puts each event on its own best
+        # response with weight 1 and every logical at its row's surplus
+        inst = golden.with_epsilon(0.1, norm=norm)
+        lp = build_actrec_lp(inst)
+        basis = exact._truthful_basis(inst, lp)
+        A = np.array([coeffs for coeffs, _, _ in lp.constraints])
+        b = np.array([rhs for _, _, rhs in lp.constraints])
+        B = np.zeros((len(b), len(b)))
+        for k, col in enumerate(basis):
+            if col < lp.num_vars:
+                B[:, k] = A[:, col]
+            else:
+                r = col - lp.num_vars
+                B[r, k] = 1.0 if lp.constraints[r][1] == "<=" else -1.0
+        z = np.linalg.solve(B, b)
+        assert np.all(z >= -1e-9 * np.abs(z).max())
+        x = np.zeros(lp.num_vars)
+        x[basis[basis < lp.num_vars]] = z[basis < lp.num_vars]
+        own = np.argmax(inst.agent_scores(inst.theta), axis=1)
+        pi = x[:inst.n * inst.m].reshape(inst.n, inst.m)
+        assert np.allclose(pi, np.eye(inst.m)[own])
+        assert np.all(x[inst.n * inst.m:] == 0.0)
+
+
+class TestCertifiedSolves:
+    """Every returned predictor earns its objective within its budget."""
+
+    # list seed, index: an optimal vertex of each recommends two actions at
+    # one biased mean, which a predictor cannot tell apart
+    MERGING = [(1003, 0), (1003, 16), (7, 5), (7, 6), (7, 8), (7, 15)]
+
+    @pytest.mark.parametrize("seed,k", MERGING)
+    def test_merged_signals_are_separated(self, seed, k):
+        inst = _ladder(seed)[k]
+        strat, pred, obj = solve_exact(inst)
+        assert payoff(pred, inst) == pytest.approx(obj, abs=1e-6)
+        assert ece(pred, inst) <= inst.epsilon + 1e-7
+        assert recommendation_ok(strat, inst)
+        gaps = np.diff(pred.support)
+        assert np.any(np.abs(gaps - 2 * exact.SEPARATION) < 1e-9)
+
+    def test_lossy_merge_detection(self):
+        # two events at one mean; the agent is indifferent between a1 and a2
+        # there, and the designer wants a1 in event 0 and a2 in event 1
+        inst = make_instance([0.5, 0.5], [0.5, 0.5],
+                             [[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]],
+                             np.array([[[0, 0], [1, 1], [0, 0]],
+                                       [[0, 0], [0, 0], [1, 1]]], dtype=float),
+                             0.1)
+        split = SenderStrategy([[0, 1, 0], [0, 0, 1]], [0.0, 0.0, 0.0])
+        [(p, signals)] = exact._lossy_merges(inst, split)
+        assert p == 0.5 and signals.tolist() == [1, 2]
+        pooled = SenderStrategy([[0, 1, 0], [0, 1, 0]], [0.0, 0.0, 0.0])
+        assert exact._lossy_merges(inst, pooled) == []
+        exact._separate(inst, split, [(p, signals)])
+        assert split.biased_means(inst)[1:].tolist() == pytest.approx(
+            [0.5 - exact.SEPARATION, 0.5 + exact.SEPARATION], abs=1e-15)
+
+    # two instances whose optimal vertex merges signals that cannot be
+    # pulled apart (drawn from a seeded scan over small integer data)
+    TIGHT = make_instance(
+        [0.25, 0.25, 0.25, 1.0], [1 / 3, 1 / 3, 1 / 3, 0.0],
+        [[-2.0, 0.0], [1.0, 0.0], [0.0, 2.0], [1.0, 0.0]],
+        [[[0, 1], [0, 0], [1, 0], [1, 1]], [[1, 0], [0, 0], [0, 1], [1, 0]],
+         [[2, 1], [0, 2], [2, 0], [0, 1]], [[1, 1], [0, 0], [1, 2], [2, 0]]],
+        1e-7, norm=INF)
+    # a1, a2 and a3 all score -0.5 at 0.25
+    THREE_TIED = make_instance(
+        [0.0, 0.25, 0.75, 1.0], [0.25] * 4,
+        [[-2.0, -1.0], [0.0, -2.0], [-1.0, 1.0], [0.0, -2.0]],
+        [[[0, 0], [0, 2], [0, 1], [0, 2]], [[1, 1], [2, 2], [1, 0], [0, 0]],
+         [[2, 2], [1, 0], [1, 2], [2, 2]], [[1, 0], [0, 0], [1, 0], [1, 0]]],
+        0.25)
+
+    def test_budget_below_separation_raises(self):
+        # all mass sits at 0.25, where a1 and a3 tie (identical utilities);
+        # a budget of 1e-7 is below SEPARATION, too small to move them apart
+        with pytest.raises(SolverError, match="no room") as err:
+            solve_exact(self.TIGHT)
+        assert err.value.code == "UNCERTIFIED"
+        inst = self.TIGHT.with_epsilon(1e-5)
+        _, pred, obj = solve_exact(inst)
+        assert payoff(pred, inst) == pytest.approx(obj, abs=1e-9)
+
+    def test_three_tied_actions_raise(self):
+        with pytest.raises(SolverError, match="3 actions") as err:
+            solve_exact(self.THREE_TIED)
+        assert err.value.code == "UNCERTIFIED"
+
+    @pytest.mark.parametrize("check,fake", [
+        ("ece", lambda pred, inst: inst.epsilon + 1e-6),
+        ("payoff", lambda pred, inst: -1.0),
+    ])
+    def test_certificate_failure_raises(self, golden, monkeypatch, check,
+                                        fake):
+        monkeypatch.setattr(exact, check, fake)
+        with pytest.raises(SolverError) as err:
+            solve_exact(golden.with_epsilon(0.04))
+        assert err.value.code == "UNCERTIFIED"

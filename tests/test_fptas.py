@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from caldesign import lp_core
-from caldesign.errors import ValidationError
+from caldesign import exact, lp_core
+from caldesign.errors import SolverError, ValidationError
 from caldesign.fptas import (
     BiEventPlan,
     build_disc_lp,
@@ -358,6 +358,19 @@ class TestFptasSolve:
         _, fine = fptas_solve(inst, 0.04)
         assert ece(coarse_pred, inst, 2.0) <= inst.epsilon + 1e-7
         assert coarse >= (1 - 0.4) * fine - 1e-9
+
+    @pytest.mark.parametrize("check,fake", [
+        ("ece", lambda pred, inst: inst.epsilon + 1e-6),
+        ("payoff", lambda pred, inst: 10.0),
+    ])
+    def test_certificate_failure_raises(self, golden, monkeypatch, check,
+                                        fake):
+        # the certificate fptas_solve ends with is solve_exact's
+        fptas_solve(golden, 0.1)
+        monkeypatch.setattr(exact, check, fake)
+        with pytest.raises(SolverError) as err:
+            fptas_solve(golden, 0.1)
+        assert err.value.code == "UNCERTIFIED"
 
     def test_approximation_vs_exact(self):
         rng = np.random.default_rng(31)

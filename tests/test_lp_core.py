@@ -81,6 +81,62 @@ class TestSolutionCheck:
             lp_core._check_solution(self.LP, np.array([math.nan, 0.0]))
         assert err.value.code == "NUMERICAL_FAILURE"
 
+    @pytest.mark.parametrize("rel,rhs,x", [
+        ("<=", 2.0, [1.0, 1.0 + 1e-6]),
+        (">=", 2.0, [1.0, 1.0 - 1e-6]),
+        ("==", 2.0, [1.0, 1.0 - 1e-6]),
+        ("==", 2.0, [1.0, 1.0 + 1e-6]),
+    ])
+    def test_rejects_violated_row(self, rel, rhs, x):
+        # one violated row among met ones; rows are checked together
+        lp = LinearProgram(2, [1.0, 1.0], [([1.0, 0.0], ">=", 0.0),
+                                           ([1.0, 1.0], rel, rhs),
+                                           ([0.0, 1.0], "<=", 5.0)])
+        with pytest.raises(SolverError, match=f"violates {rel} row") as err:
+            lp_core._check_solution(lp, np.array(x))
+        assert err.value.code == "NUMERICAL_FAILURE"
+        lp_core._check_solution(lp, np.array([1.0, 1.0]))
+
+    def test_matches_row_by_row_reference(self):
+        # the per-row loop the vectorized check replaced, as the reference
+        def row_by_row(lp, x):
+            for coeffs, rel, rhs in lp.constraints:
+                scale = max(1.0, abs(rhs), float(np.abs(coeffs).max()))
+                lhs = float(coeffs @ x)
+                gap = {"<=": lhs - rhs, ">=": rhs - lhs}.get(rel,
+                                                             abs(lhs - rhs))
+                if not gap <= lp_core.FEASIBILITY_TOL * scale:
+                    return False
+            return True
+
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for _ in range(200):
+            n, rows = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            x = rng.uniform(0.0, 2.0, n)
+            lp = LinearProgram(n, np.zeros(n), [])
+            for _ in range(rows):
+                coeffs = rng.uniform(-1e3, 1e3, n) * (rng.uniform(size=n) < .7)
+                rel = ["<=", ">=", "=="][int(rng.integers(3))]
+                # a row of scale ~1e3 may miss by ~1e-4
+                miss = float(rng.choice([0.0, 1e-6, 1e-3, -1e-6, -1e-3]))
+                lp.add_constraint(coeffs, rel, float(coeffs @ x) + miss)
+            try:
+                lp_core._check_solution(lp, x)
+                ok = True
+            except SolverError:
+                ok = False
+            assert ok == row_by_row(lp, x)
+            outcomes.add(ok)
+        assert outcomes == {True, False}
+
+    def test_row_scale_tolerance(self):
+        # a row of norm 1e6 may miss by 1e-7 * 1e6; a unit row may not
+        lp = LinearProgram(1, [1.0], [([1e6], "<=", 1e6)])
+        lp_core._check_solution(lp, np.array([1.0 + 5e-8]))
+        with pytest.raises(SolverError):
+            lp_core._check_solution(lp, np.array([1.0 + 2e-7]))
+
     def test_rejects_negative_entry(self):
         # x meets the row; only the sign of its second entry is wrong
         x = np.array([1.0, -2 * lp_core.FEASIBILITY_TOL])
