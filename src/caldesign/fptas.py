@@ -12,9 +12,9 @@ Discretization uses an instance-dependent two-layer grid: a uniform delta
 mesh joined with the outcome means, the breakpoints of the designer's
 indirect utility, and geometric micro-nets around each of those anchors
 whose radii start at (eps^t * delta)^(1/t).  Solving the plan LP on this
-grid loses at most a (1 - 3*delta) factor; the rounding scheme
-(:func:`round_plan`) realizes that bound constructively and is exercised
-directly by the test-suite.
+grid loses at most a (1 - 3*delta) factor; the paper's rounding scheme
+realizes that bound constructively (it lives with the test-suite, which
+checks it; the solver needs no rounding).
 
 One practical reduction: prediction columns in the LP are restricted to the
 utility breakpoints, the outcome means, and one interior point per constant
@@ -25,19 +25,21 @@ two-layer grid.  (``full_predictions=True`` builds the literal all-grid
 variant for cross-checking at coarse resolutions.)
 
 The plan LP has one budget row and one supply row per event, so an optimal
-vertex pools at most n + 1 of its (up to millions of) columns.  It is held
-only as its column arrays (:class:`PlanColumns`), never as the full
-(n + 1) x C program, and solved by column generation (:func:`solve_plan_lp`):
-a restricted master built from the active columns starts at the calibrated
-diagonal, every column is priced from its arrays in one vectorized pass,
-the most profitable columns join the master, and the loop stops once no
-reduced cost exceeds ``PRICE_TOL`` relative to the largest objective.
+vertex pools at most n + 1 of its (up to millions of) columns.  Neither the
+program nor its columns are ever built whole: :class:`PlanProgram` holds
+each event pair's slice of the grid and the utilities at each prediction,
+and :func:`solve_plan_lp` solves by column generation.  A restricted master
+of the active columns starts at the calibrated diagonal; each round prices
+a few candidates per pair and prediction, which stand for all of that
+pair's columns because the reduced cost is concave in q, the most
+profitable columns join the master, and the loop stops once no reduced cost
+exceeds ``PRICE_TOL`` relative to the largest objective.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -215,9 +217,9 @@ class BiEventPlan:
 
 @dataclass
 class PlanColumns:
-    """The discretized plan LP as its columns: entry (i, j, q, p) earns
-    ``obj``, spends ``err`` = |q - p|^t of the budget, and draws the share
-    ``r`` of its mass from event i and ``1 - r`` from event j."""
+    """Columns of the plan LP: entry (i, j, q, p) earns ``obj``, spends
+    ``err`` = |q - p|^t of the budget, and draws the share ``r`` of its
+    mass from event i and ``1 - r`` from event j."""
 
     i: np.ndarray
     j: np.ndarray
@@ -227,10 +229,20 @@ class PlanColumns:
     err: np.ndarray
     r: np.ndarray
 
+    def take(self, idx):
+        return PlanColumns(*(getattr(self, f.name)[idx]
+                             for f in fields(self)))
+
     def plan(self, weights, keep_tol=1e-12):
         keep = np.flatnonzero(weights > keep_tol)
         return BiEventPlan(self.i[keep], self.j[keep], self.q[keep],
                            self.p[keep], weights[keep])
+
+
+def _join(parts):
+    return PlanColumns(*(np.concatenate([getattr(part, f.name)
+                                         for part in parts])
+                         for f in fields(PlanColumns)))
 
 
 def piece_scan(zs):
@@ -247,51 +259,129 @@ def _prediction_points(inst, grid, full):
                                          inst.theta]))
 
 
+@dataclass
+class PlanProgram:
+    """The discretized plan LP of ``inst`` by event pair; no column of it is
+    built.
+
+    Its columns are the diagonal entries (e, e, theta_e, p) for every event
+    ``e`` and prediction ``p = ps[c]``, and the pooled entries
+    (i, j, points[g], p) for every pair ``i = i[k] < j = j[k]`` of distinct
+    means and grid index ``lo[k] <= g < hi[k]``.  ``U[e, c]`` is event e's
+    indirect utility at ``ps[c]``.  ``fixed`` holds the pricing candidates
+    that no row price moves (see :meth:`price`), opening with the n x P
+    diagonal entries event by event; ``fixed_keys`` names each candidate:
+    ``(k * points.size + g) * ps.size + c`` for a pooled entry,
+    ``-1 - (e * ps.size + c)`` for a diagonal one.
+    """
+
+    inst: Instance
+    points: np.ndarray
+    ps: np.ndarray
+    U: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    fixed: PlanColumns = field(init=False)
+    fixed_keys: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        inst, npred = self.inst, self.ps.size
+        e = np.repeat(np.arange(inst.n), npred)
+        c = np.tile(np.arange(npred), inst.n)
+        q = inst.theta[e]
+        diag = PlanColumns(e, e, q, self.ps[c], self.U[e, c],
+                           np.abs(q - self.ps[c]) ** inst.norm,
+                           np.ones(e.size))
+        # the ends of every slice (the clip maps 0 and points.size onto
+        # them) and the grid neighbours of every prediction
+        near = np.searchsorted(self.points, self.ps)
+        pooled, keys = self._pooled(np.stack([np.zeros_like(near),
+                                          np.full_like(near, self.points.size),
+                                          near - 1, near])[:, None])
+        keys, first = np.unique(keys, return_index=True)
+        self.fixed = _join([diag, pooled.take(first)])
+        self.fixed_keys = np.concatenate([-1 - (e * npred + c), keys])
+
+    def _pooled(self, g):
+        """Pooled entries at grid indices ``g``, a stack of (pair,
+        prediction) planes, each index clipped into its pair's slice, and
+        their keys."""
+        inst, npred = self.inst, self.ps.size
+        g = np.clip(g, self.lo[:, None], self.hi[:, None] - 1).ravel()
+        at = np.arange(g.size)
+        k, c = at // npred % self.i.size, at % npred
+        i, j = self.i[k], self.j[k]
+        q = self.points[g]
+        p = self.ps[c]
+        r = (inst.theta[j] - q) / (inst.theta[j] - inst.theta[i])
+        cols = PlanColumns(i, j, q, p,
+                           r * self.U[i, c] + (1.0 - r) * self.U[j, c],
+                           np.abs(q - p) ** inst.norm, r)
+        return cols, (k * self.points.size + g) * npred + c
+
+    def price(self, y):
+        """Pricing candidates for the row prices ``y`` (budget row first,
+        then one supply row per event), their keys and reduced costs.
+
+        With ``A_e = U_e(p) - y_e`` the reduced cost of (i, j, q, p) is
+        ``r(q) A_i + (1 - r(q)) A_j - y_0 |q - p|^t``, an affine function of
+        q minus ``y_0 |q - p|^t``, so concave in q when ``y_0 >= 0`` and
+        convex when ``y_0 <= 0``.  For every pair and prediction the best
+        grid point of the slice is thus an end of the slice, or a grid
+        neighbour of the stationary point
+        ``q* = p + sign(s) (|s| / (y_0 t))^(1/(t-1))``,
+        ``s = (A_j - A_i) / (theta_j - theta_i)``, which is the kink
+        ``q* = p`` for t = 1.  The fixed candidates are the ends, the
+        neighbours of every p and the diagonal entries; for t > 1 and
+        ``y_0 > 0`` the neighbours of q* join them.  So no column has a
+        larger reduced cost than the best candidate of its pair and
+        prediction.
+        """
+        cols, keys = self.fixed, self.fixed_keys
+        t = self.inst.norm
+        if t > 1.0 and y[0] > 0.0 and self.i.size:
+            theta = self.inst.theta
+            A = self.U - y[1:, None]
+            width = theta[self.j] - theta[self.i]
+            s = (A[self.j] - A[self.i]) / width[:, None]
+            with np.errstate(over="ignore"):
+                step = (np.abs(s) / (y[0] * t)) ** (1.0 / (t - 1.0))
+            near = np.searchsorted(self.points, self.ps + np.sign(s) * step)
+            more, more_keys = self._pooled(np.stack([near - 1, near]))
+            cols = _join([cols, more])
+            keys = np.concatenate([keys, more_keys])
+        # the subtraction order matches pricing against the rows one by one
+        reduced = cols.obj - y[0] * cols.err
+        reduced -= y[1:][cols.i] * cols.r
+        reduced -= y[1:][cols.j] * (1.0 - cols.r)
+        return cols, keys, reduced
+
+
 def build_disc_lp(inst: Instance, grid: Grid, full_predictions=False):
-    """Columns of the discretized plan LP on ``grid`` (no rows are built).
+    """The discretized plan LP on ``grid``, as a :class:`PlanProgram`.
 
     The LP maximizes sum chi[i,j](q,p) * (r U_i(p) + (1-r) U_j(p)) subject
     to the budget row sum chi |q-p|^t <= eps^t and one supply row per event.
-    q ranges over grid points inside [theta_i, theta_j]; p over the reduced
-    prediction set (or the whole grid with ``full_predictions``).  Pairs
-    with equal means are routed through the diagonal entry.
+    q ranges over the grid points inside [theta_i, theta_j], one slice of
+    the grid per pair; p over the reduced prediction set (or the whole grid
+    with ``full_predictions``).  Pairs with equal means are routed through
+    the diagonal entry.  Nothing is built per column: the program holds
+    the slices, the n x P utilities and the fixed pricing candidates: the
+    n x P diagonal entries and at most four per pair and prediction.
     """
-    t = inst.norm
-    if t == INF:
+    if inst.norm == INF:
         raise ValidationError("UNSUPPORTED_NORM",
                               "the approximation scheme needs a finite norm")
     ps = _prediction_points(inst, grid, full_predictions)
-    U = indirect_utility_matrix(inst, ps)  # (n, P)
-    parts = {name: [] for name in ("i", "j", "q", "p", "obj", "err", "r")}
-    for i in range(inst.n):
-        for j in range(i, inst.n):
-            if i < j and inst.theta[j] - inst.theta[i] <= 1e-15:
-                continue  # merged through the diagonal entries
-            if i == j:
-                qs = inst.theta[i:i + 1]
-            else:
-                lo = np.searchsorted(grid.points, inst.theta[i] - GRID_MERGE_TOL)
-                hi = np.searchsorted(grid.points, inst.theta[j] + GRID_MERGE_TOL)
-                qs = grid.points[lo:hi]
-            if qs.size == 0:
-                continue
-            if i == j:
-                r = np.ones(1)
-            else:
-                r = (inst.theta[j] - qs) / (inst.theta[j] - inst.theta[i])
-            nq, npred = qs.size, ps.size
-            parts["i"].append(np.full(nq * npred, i))
-            parts["j"].append(np.full(nq * npred, j))
-            parts["q"].append(np.repeat(qs, npred))
-            parts["p"].append(np.tile(ps, nq))
-            parts["obj"].append((r[:, None] * U[i][None, :]
-                                 + (1.0 - r)[:, None] * U[j][None, :]).ravel())
-            parts["err"].append(
-                (np.abs(qs[:, None] - ps[None, :]) ** t).ravel())
-            parts["r"].append(np.repeat(r, npred))
-    # join one field at a time, dropping its pieces before the next
-    return PlanColumns(**{name: np.concatenate(parts.pop(name))
-                          for name in list(parts)})
+    i, j = np.triu_indices(inst.n, k=1)
+    lo = np.searchsorted(grid.points, inst.theta[i] - GRID_MERGE_TOL)
+    hi = np.searchsorted(grid.points, inst.theta[j] + GRID_MERGE_TOL)
+    keep = (inst.theta[j] - inst.theta[i] > 1e-15) & (hi > lo)
+    return PlanProgram(inst, grid.points, ps,
+                       indirect_utility_matrix(inst, ps),
+                       i[keep], j[keep], lo[keep], hi[keep])
 
 
 def plan_to_predictor(plan: BiEventPlan, inst: Instance) -> Predictor:
@@ -329,195 +419,93 @@ def plan_to_predictor(plan: BiEventPlan, inst: Instance) -> Predictor:
     return Predictor(support, out)
 
 
-def solve_plan_lp(inst: Instance, cols: PlanColumns):
+def solve_plan_lp(inst: Instance, prog: PlanProgram):
     """Solve the :func:`build_disc_lp` plan LP by column generation.
 
     An optimal vertex uses at most n + 1 columns.  The restricted master,
     the LP on the active columns only, starts from each event's calibrated
     diagonal column (i, i, theta_i, theta_i), whose zero error keeps it
     feasible at any budget, and is solved and checked by
-    :func:`lp_core.solve`.  Each round prices every column from its arrays
-    with the master's row prices ``y``, ``obj - y_0 err - y_i r - y_j (1-r)``,
-    and adds the ``2(n + 1)`` columns of largest positive reduced cost,
-    until none exceeds ``PRICE_TOL`` times the largest objective; each
-    round adds a new column, so the loop ends.  The solution is the
-    master's vertex padded with zeros to every column; its ``iterations``
-    sum the pivots of every master solve.
+    :func:`lp_core.solve`.  Each round prices the program with the master's
+    row prices (:meth:`PlanProgram.price`: a few candidates per pair and
+    prediction stand for every column) and adds the ``2(n + 1)`` new
+    candidates of largest reduced cost, until none exceeds ``PRICE_TOL``
+    times the largest utility, which is the largest objective of a diagonal
+    column; each round adds a new column, so the loop ends.  Every master
+    starts warm: the first from its crash basis (each diagonal column in
+    its event's supply row, the budget row's slack), each later one from
+    the previous optimal basis.  Returns the master's columns and its
+    optimal solution, whose ``iterations`` sum the pivots of every master.
     """
     n = inst.n
     # per event, the diagonal column of least error: zero unless theta_i
     # merged with a prediction point within GRID_MERGE_TOL
-    diag = np.flatnonzero(cols.i == cols.j)
-    order = diag[np.lexsort((cols.err[diag], cols.i[diag]))]
-    active = order[np.unique(cols.i[order], return_index=True)[1]]
-    tol = PRICE_TOL * float(np.abs(cols.obj).max(initial=0.0))
+    npred = prog.ps.size
+    err = prog.fixed.err[:n * npred].reshape(n, npred)
+    start = np.arange(n) * npred + np.argmin(err, axis=1)
+    cols = prog.fixed.take(start)
+    taken = set(prog.fixed_keys[start].tolist())
+    basis = np.concatenate([[n], np.arange(n)])
+    tol = PRICE_TOL * float(np.abs(prog.U).max(initial=0.0))
     batch = 2 * (n + 1)
     pivots = 0
     while True:
-        r = cols.r[active]
-        at = np.arange(active.size)
-        supply = np.zeros((n, active.size))
-        np.add.at(supply, (cols.i[active], at), r)
-        np.add.at(supply, (cols.j[active], at), 1.0 - r)
+        size = cols.obj.size
+        at = np.arange(size)
+        supply = np.zeros((n, size))
+        np.add.at(supply, (cols.i, at), cols.r)
+        np.add.at(supply, (cols.j, at), 1.0 - cols.r)
         master = lp_core.LinearProgram(
-            active.size, cols.obj[active],
-            [(cols.err[active], "<=", inst.epsilon**inst.norm)]
+            size, cols.obj,
+            [(cols.err, "<=", inst.epsilon**inst.norm)]
             + [(supply[e], "==", inst.lam[e]) for e in range(n)])
-        sol = lp_core.solve(master)
+        sol = lp_core.solve(master, basis=basis)
         pivots += sol.iterations
         if not sol.is_optimal:
             raise SolverError("NO_SOLUTION",
                               f"discretized plan program came back {sol.status}")
-        y = lp_core.row_prices(master, sol)
-        # the subtraction order matches pricing against the rows one by one
-        reduced = cols.obj - y[0] * cols.err
-        reduced -= y[1:][cols.i] * cols.r
-        reduced -= y[1:][cols.j] * (1.0 - cols.r)
-        reduced[active] = -np.inf
+        cand, keys, reduced = prog.price(lp_core.row_prices(master, sol))
         entering = np.flatnonzero(reduced > tol)
+        entering = entering[np.fromiter(
+            (key not in taken for key in keys[entering].tolist()), dtype=bool,
+            count=entering.size)]
+        entering = entering[np.unique(keys[entering], return_index=True)[1]]
         if entering.size == 0:
             break
         if entering.size > batch:
             best = np.argpartition(reduced[entering], -batch)[-batch:]
             entering = entering[best]
-        active = np.concatenate([active, entering])
-    x = np.zeros(cols.obj.size)
-    x[active] = sol.x
-    return lp_core.LpSolution(lp_core.OPTIMAL, float(cols.obj @ x), x,
-                              iterations=pivots)
+        taken.update(keys[entering].tolist())
+        cols = _join([cols, cand.take(entering)])
+        # the logicals of the old master renumber past the new columns
+        basis = np.where(sol.basis >= size, sol.basis + entering.size,
+                         sol.basis)
+    sol.iterations = pivots
+    return cols, sol
 
 
 def fptas_solve(inst: Instance, delta: float):
     """(1 - delta)-approximate predictor for any finite norm.
 
-    Builds the grid at precision delta/3 and the columns of the discretized
-    plan LP on it, solves that LP by column generation
-    (:func:`solve_plan_lp`: a restricted master seeded with the calibrated
-    diagonal, priced over every column until no reduced cost exceeds the
-    tolerance; no LP wider than the master is built), and converts the
-    optimal plan; the result keeps the calibration budget and loses at most
-    a (1 - delta) factor of the optimal payoff.  The predictor is certified
-    before it is returned (:func:`caldesign.exact.certify`): its calibration
-    error is within the budget and its payoff is the returned objective, or
+    Builds the grid at precision delta/3 and the per-pair plan LP on it
+    (:func:`build_disc_lp`), solves that LP by column generation
+    (:func:`solve_plan_lp`: warm-started restricted masters seeded with the
+    calibrated diagonal, priced a few candidates per pair and prediction
+    until no reduced cost exceeds the tolerance; neither the LP nor its
+    columns are ever built whole), and converts the optimal plan; the
+    result keeps the calibration budget and loses at most a (1 - delta)
+    factor of the optimal payoff.  The predictor is certified before it is
+    returned (:func:`caldesign.exact.certify`): its calibration error is
+    within the budget and its payoff is the returned objective, or
     ``SolverError('UNCERTIFIED')`` is raised.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValidationError("BAD_DELTA", f"delta must be in (0, 1), got {delta}")
     grid = build_grid(inst, delta / 3.0)
-    cols = build_disc_lp(inst, grid)
-    sol = solve_plan_lp(inst, cols)
+    cols, sol = solve_plan_lp(inst, build_disc_lp(inst, grid))
     plan = cols.plan(sol.x)
     predictor = plan_to_predictor(plan, inst)
     objective = float(sol.objective_value)
     certify(predictor, inst, objective)
     return predictor, objective
-
-
-def _snap(values, grid_points):
-    """Snap values onto exact grid coordinates (they are grid points up to fp)."""
-    idx = np.clip(np.searchsorted(grid_points, values), 1, grid_points.size - 1)
-    left = grid_points[idx - 1]
-    right = grid_points[idx]
-    snapped = np.where(np.abs(values - left) <= np.abs(right - values),
-                       left, right)
-    if np.any(np.abs(snapped - values) > 1e-9):
-        raise ValidationError("BAD_PLAN", "value not on the grid")
-    return snapped
-
-
-def round_plan(plan: BiEventPlan, inst: Instance, grid: Grid) -> BiEventPlan:
-    """Round a feasible plan onto the grid, preserving budget and most payoff.
-
-    Requires input predictions on the utility breakpoints or outcome means.
-    A fixed fraction 1 - 1/(1+2*delta) of every entry is re-routed to the
-    perfectly calibrated diagonal first; the remainder has its q spread onto
-    two bracketing grid points chosen by gap size (small gaps use the
-    innermost micro-net radius, medium gaps a geometric radius just past the
-    gap, huge gaps collapse to the diagonal).  The output is grid-supported,
-    stays within the calibration budget, and keeps at least a
-    (1 - 3*delta) fraction of the input objective when utilities are >= 0.
-    """
-    plan.check_ranges(inst)
-    t = inst.norm
-    if t == INF:
-        raise ValidationError("UNSUPPORTED_NORM", "finite norms only")
-    anchors = _dedup_sorted(np.concatenate([grid.discontinuities, inst.theta]))
-    for p in plan.p:
-        if np.min(np.abs(anchors - p)) > 1e-9:
-            raise ValidationError(
-                "PRECONDITION_VIOLATION",
-                f"prediction {p} is not a breakpoint or outcome mean")
-    delta = grid.delta
-    delta0 = grid.delta0
-    S = grid.levels
-    keep_frac = 1.0 / (1.0 + 2.0 * delta)   # survives step 1
-    gap_small = delta0 ** (1.0 / t) if delta0 > 0 else 0.0
-    gap_large = ((delta0 * (1.0 + delta) ** (S - 1)) ** (1.0 / t)
-                 if delta0 > 0 else 0.0)
-
-    acc: dict = {}
-
-    def put(i, j, q, p, w):
-        if w <= 0.0:
-            return
-        key = (int(i), int(j), float(q), float(p))
-        acc[key] = acc.get(key, 0.0) + float(w)
-
-    r_all = plan.contribution(inst)
-    for idx in range(len(plan)):
-        i, j = int(plan.i[idx]), int(plan.j[idx])
-        q, p, w = float(plan.q[idx]), float(plan.p[idx]), float(plan.w[idx])
-        if w <= 0.0:
-            continue
-        ti, tj = float(inst.theta[i]), float(inst.theta[j])
-        r = float(r_all[idx])
-        # step 1: reserve calibrated diagonal mass
-        put(i, i, ti, ti, (1.0 - keep_frac) * w * r)
-        put(j, j, tj, tj, (1.0 - keep_frac) * w * (1.0 - r))
-        rem = keep_frac * w
-        gap = abs(q - p)
-        if gap <= 1e-15:
-            put(i, j, q, p, rem)
-            continue
-        sign = 1.0 if q >= p else -1.0
-        near = max(ti, p) if sign > 0 else min(tj, p)
-        far_cap = tj if sign > 0 else ti
-        if gap < gap_small:
-            far = (p + sign * gap_small)
-            far = min(far, far_cap) if sign > 0 else max(far, far_cap)
-        elif delta0 > 0 and gap <= gap_large:
-            guess = p + sign * gap * (1.0 + delta) ** (1.0 / t)
-            if (sign > 0 and guess >= far_cap) or (sign < 0 and guess <= far_cap):
-                far = far_cap
-            else:
-                far = None
-                lo = math.log(gap**t / delta0) / math.log1p(delta)
-                for s in range(max(0, int(math.floor(lo))), S + 1):
-                    cand = p + sign * (delta0 * (1.0 + delta) ** s) ** (1.0 / t)
-                    if (cand - q) * sign >= -1e-12 and \
-                            (guess - cand) * sign >= -1e-12:
-                        far = cand
-                        break
-                if far is None:
-                    raise SolverError("NUMERICAL_FAILURE",
-                                      "no micro-net radius brackets the gap")
-        else:
-            # gap too large: give up on this entry, go calibrated
-            put(i, i, ti, ti, rem * r)
-            put(j, j, tj, tj, rem * (1.0 - r))
-            continue
-        if abs(far - near) <= 1e-15:
-            put(i, j, near, p, rem)
-        else:
-            share_near = (far - q) / (far - near)
-            share_near = min(max(share_near, 0.0), 1.0)
-            put(i, j, near, p, rem * share_near)
-            put(i, j, far, p, rem * (1.0 - share_near))
-
-    keys = list(acc.keys())
-    out = BiEventPlan([k[0] for k in keys], [k[1] for k in keys],
-                      _snap(np.array([k[2] for k in keys]), grid.points),
-                      _snap(np.array([k[3] for k in keys]), grid.points),
-                      [acc[k] for k in keys])
-    return out

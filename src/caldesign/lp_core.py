@@ -20,10 +20,14 @@ and, when it is a feasible basis of the new program, skips phase 1 and runs
 phase 2 from it (warm start).  The exact solver starts its first stage
 from a crash basis at a known feasible point, and its agent tie-break, a
 program plus one added row, from the old optimal basis plus the new row's
-slack or surplus.
+slack or surplus.  The approximation scheme's column generation starts its
+first master from a crash basis and each later one, the same rows with
+columns added, from the previous optimal basis.
 
-Problems here are wide and shallow (a handful of rows, possibly tens of
-thousands of columns), which a dense tableau handles comfortably.  An
+Problems here are small: the exact path's are square, up to about 90 rows,
+and the approximation scheme's restricted masters have n + 1 rows by a few
+dozen to a few hundred columns (its full plan LP is never built).  A dense
+tableau handles them comfortably.  An
 external solver can be swapped in by replacing :func:`solve`; the
 :class:`LinearProgram` container is deliberately solver-agnostic.
 """

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from caldesign import lp_core
-from caldesign.fptas import PRICE_TOL, BiEventPlan, discontinuities
+from caldesign.fptas import (
+    PRICE_TOL,
+    BiEventPlan,
+    PlanColumns,
+    discontinuities,
+)
 from caldesign.model import Instance, Predictor, validate_instance
 
 DATA = Path(__file__).parent / "data"
@@ -45,9 +50,42 @@ def f_ddagger():
     return Predictor.from_json_dict(load_fixture("f_ddagger.json"))
 
 
+def full_columns(prog):
+    """Reference for ``build_disc_lp``: every column of the plan LP
+    ``prog``, materialized pair by pair in the order (i, j, q, p), with the
+    pair slices found again from the grid."""
+    inst, ps, U = prog.inst, prog.ps, prog.U
+    t = inst.norm
+    parts = {name: [] for name in ("i", "j", "q", "p", "obj", "err", "r")}
+    for i in range(inst.n):
+        for j in range(i, inst.n):
+            if i < j and inst.theta[j] - inst.theta[i] <= 1e-15:
+                continue  # merged through the diagonal entries
+            if i == j:
+                qs, r = inst.theta[i:i + 1], np.ones(1)
+            else:
+                lo = np.searchsorted(prog.points, inst.theta[i] - 1e-12)
+                hi = np.searchsorted(prog.points, inst.theta[j] + 1e-12)
+                qs = prog.points[lo:hi]
+                r = (inst.theta[j] - qs) / (inst.theta[j] - inst.theta[i])
+            if qs.size == 0:
+                continue
+            nq, npred = qs.size, ps.size
+            parts["i"].append(np.full(nq * npred, i))
+            parts["j"].append(np.full(nq * npred, j))
+            parts["q"].append(np.repeat(qs, npred))
+            parts["p"].append(np.tile(ps, nq))
+            parts["obj"].append((r[:, None] * U[i][None, :]
+                                 + (1.0 - r)[:, None] * U[j][None, :]).ravel())
+            parts["err"].append(
+                (np.abs(qs[:, None] - ps[None, :]) ** t).ravel())
+            parts["r"].append(np.repeat(r, npred))
+    return PlanColumns(**{name: np.concatenate(parts[name]) for name in parts})
+
+
 def plan_program(inst, cols):
-    """The full plan LP on ``build_disc_lp`` columns as one dense program:
-    the budget row, then one supply row per event."""
+    """The full plan LP on ``full_columns`` as one dense program: the
+    budget row, then one supply row per event."""
     lp = lp_core.LinearProgram(cols.obj.size, cols.obj, [])
     lp.add_constraint(cols.err, "<=", inst.epsilon**inst.norm)
     for event in range(inst.n):

@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from caldesign.exact import SenderStrategy, solve_exact
-from caldesign.fptas import build_grid, fptas_solve, plan_to_predictor, round_plan
+from caldesign.fptas import build_grid, fptas_solve, plan_to_predictor
 from caldesign.model import INF, agent_payoff, ece, payoff
 from caldesign.structure import (
     analyze_structure,
@@ -27,6 +27,7 @@ from conftest import (
 )
 from oracle import SamplerConfig, exhaustive_best, sample_feasible
 from revelation import aggregated_bias, contract_signals, predictor_to_strategy
+from rounding import round_plan
 
 
 def report(num, ok, detail):

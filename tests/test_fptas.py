@@ -12,7 +12,6 @@ from caldesign.fptas import (
     discontinuities,
     fptas_solve,
     plan_to_predictor,
-    round_plan,
     solve_plan_lp,
 )
 from caldesign.model import ece, indirect_utility_matrix, payoff
@@ -20,11 +19,13 @@ from caldesign.exact import solve_exact
 
 from conftest import (
     dense_column_generation,
+    full_columns,
     make_instance,
     plan_program,
     random_feasible_plan,
     random_instance,
 )
+from rounding import round_plan
 
 
 class TestDiscontinuities:
@@ -101,7 +102,7 @@ class TestDiscLp:
         for _ in range(10):
             inst = random_instance(rng, epsilon=float(rng.uniform(0, 0.3)))
             grid = build_grid(inst, 0.2)
-            cols = build_disc_lp(inst, grid)
+            cols = full_columns(build_disc_lp(inst, grid))
             sol = lp_core.solve(plan_program(inst, cols))
             assert sol.status == lp_core.OPTIMAL
             plan = cols.plan(sol.x)
@@ -112,7 +113,8 @@ class TestDiscLp:
         for _ in range(10):
             inst = random_instance(rng, epsilon=1.0)
             grid = build_grid(inst, 0.2)
-            sol = lp_core.solve(plan_program(inst, build_disc_lp(inst, grid)))
+            cols = full_columns(build_disc_lp(inst, grid))
+            sol = lp_core.solve(plan_program(inst, cols))
             U = indirect_utility_matrix(inst, grid.points)
             want = float(inst.lam @ U.max(axis=1))
             assert sol.objective_value == pytest.approx(want, abs=1e-7)
@@ -120,10 +122,11 @@ class TestDiscLp:
     def test_single_event_columns(self):
         inst = make_instance([0.3], [1.0], [[0.0, 0.0], [-0.5, 0.5]],
                              np.ones((1, 2, 2)), 0.1)
-        grid = build_grid(inst, 0.2)
-        cols = build_disc_lp(inst, grid)
-        assert np.all(cols.i == 0) and np.all(cols.j == 0)
-        assert np.allclose(cols.q, 0.3)
+        prog = build_disc_lp(inst, build_grid(inst, 0.2))
+        assert prog.i.size == 0
+        for cols in (prog.fixed, full_columns(prog)):
+            assert np.all(cols.i == 0) and np.all(cols.j == 0)
+            assert np.allclose(cols.q, 0.3)
 
     def test_reduced_matches_full_predictions(self):
         rng = np.random.default_rng(22)
@@ -131,11 +134,39 @@ class TestDiscLp:
             inst = random_instance(rng, epsilon=float(rng.uniform(0, 0.3)),
                                    n_max=3)
             grid = build_grid(inst, 0.25)
-            red = build_disc_lp(inst, grid)
-            full = build_disc_lp(inst, grid, full_predictions=True)
+            red = full_columns(build_disc_lp(inst, grid))
+            full = full_columns(build_disc_lp(inst, grid,
+                                              full_predictions=True))
             v_red = lp_core.solve(plan_program(inst, red)).objective_value
             v_full = lp_core.solve(plan_program(inst, full)).objective_value
             assert v_red == pytest.approx(v_full, abs=1e-7)
+
+    def test_pricing_finds_every_pair_best_column(self):
+        # for random row prices, the best candidate of each (pair,
+        # prediction) prices as high as every column of it in the full LP
+        rng = np.random.default_rng(36)
+        for trial in range(48):
+            t = (1.0, 1.5, 2.0, 3.0)[trial % 4]
+            eps = 0.0 if trial % 12 < 4 else float(rng.uniform(0, 0.3))
+            inst = random_instance(rng, epsilon=eps, n_max=4, norm=t)
+            prog = build_disc_lp(inst, build_grid(inst, 0.2))
+            full = full_columns(prog)
+            y = rng.uniform(-1.0, 1.0, inst.n + 1)
+            y[0] = (0.0, 10.0 ** rng.uniform(-3, 2))[trial % 3 > 0]
+            cand, _, reduced = prog.price(y)
+            best = {}
+            for key, value in zip(zip(cand.i, cand.j, cand.p), reduced):
+                best[key] = max(best.get(key, -np.inf), value)
+            lp = plan_program(inst, full)
+            priced = lp.objective.copy()
+            for price, (coeffs, _, _) in zip(y, lp.constraints):
+                priced -= price * coeffs
+            want = {}
+            for key, value in zip(zip(full.i, full.j, full.p), priced):
+                want[key] = max(want.get(key, -np.inf), value)
+            assert best.keys() == want.keys()
+            for key, value in want.items():
+                assert abs(best[key] - value) <= 1e-12 * (1 + abs(value))
 
     def test_column_generation_matches_full_lp(self):
         rng = np.random.default_rng(34)
@@ -143,54 +174,69 @@ class TestDiscLp:
             t = (1.0, 2.0)[trial % 2]
             eps = 0.0 if trial < 2 else float(rng.uniform(0, 0.3))
             inst = random_instance(rng, epsilon=eps, n_max=3, norm=t)
-            grid = build_grid(inst, 0.25)
-            cols = build_disc_lp(inst, grid)
-            lp = plan_program(inst, cols)
-            full = lp_core.solve(lp)
-            sol = solve_plan_lp(inst, cols)
+            prog = build_disc_lp(inst, build_grid(inst, 0.25))
+            everything = full_columns(prog)
+            full = lp_core.solve(plan_program(inst, everything))
+            cols, sol = solve_plan_lp(inst, prog)
             assert sol.objective_value == pytest.approx(full.objective_value,
                                                         abs=1e-7)
-            assert sol.x.shape == (lp.num_vars,)
+            # the master holds distinct columns of the full LP, bit for bit
+            known = set(zip(everything.i, everything.j, everything.q,
+                            everything.p, everything.obj, everything.err,
+                            everything.r))
+            mine = list(zip(cols.i, cols.j, cols.q, cols.p, cols.obj,
+                            cols.err, cols.r))
+            assert len(set(mine)) == len(mine) and known.issuperset(mine)
+            assert sol.x.shape == (cols.obj.size,)
             assert np.all(sol.x >= -1e-12)
-            (err_row, _, budget), *supply = lp.constraints
-            assert err_row @ sol.x <= budget + 1e-9
-            for coeffs, _, lam in supply:
-                assert coeffs @ sol.x == pytest.approx(lam, abs=1e-9)
+            plan = cols.plan(sol.x)
+            assert plan.raw_error(t) <= inst.epsilon**t + 1e-9
+            assert np.allclose(plan.event_supply(inst), inst.lam, atol=1e-9)
             # a vertex of a program with n + 1 rows
             assert np.count_nonzero(sol.x > 0) <= inst.n + 1
 
-    def test_column_generation_bit_identical_to_dense_reference(self):
-        # pricing from the column arrays subtracts the same products in the
-        # same order as pricing against the dense rows, so nothing may move
+    def test_column_generation_matches_dense_references(self):
+        # pricing a few candidates per pair enters other columns than
+        # pricing every column, so only the optimal value must agree
         rng = np.random.default_rng(35)
         for trial in range(24):
             t = (1.0, 2.0)[trial % 2]
             eps = 0.0 if trial % 6 < 2 else float(rng.uniform(0, 0.3))
             inst = random_instance(rng, epsilon=eps, n_max=4, norm=t)
-            cols = build_disc_lp(inst, build_grid(inst, 0.2))
-            objective, x, pivots = dense_column_generation(
-                plan_program(inst, cols), cols)
-            sol = solve_plan_lp(inst, cols)
-            assert sol.objective_value == objective
-            assert np.array_equal(sol.x, x)
-            assert sol.iterations == pivots
+            prog = build_disc_lp(inst, build_grid(inst, 0.2))
+            cols = full_columns(prog)
+            lp = plan_program(inst, cols)
+            dense = lp_core.solve(lp).objective_value
+            generated, _, _ = dense_column_generation(lp, cols)
+            value = solve_plan_lp(inst, prog)[1].objective_value
+            for want in (dense, generated):
+                assert abs(value - want) <= 1e-12 * (1 + abs(want))
 
-    def test_peak_memory_is_linear_in_columns(self):
-        # Only the columns' arrays and a few column-length temporaries are
-        # alive at once; a dense (n + 1) x C program would read about
-        # (n + 16) x 8C here.  The factor 14 does not depend on n.
+    def test_masters_start_warm(self, caplog):
+        # the first master starts from its crash basis, each later one from
+        # the previous optimal basis; cold masters take 482 pivots here
+        rng = np.random.default_rng(1003)
+        pivots = 0
+        with caplog.at_level("DEBUG", logger="caldesign"):
+            for trial in range(50):
+                inst = random_instance(rng, epsilon=(0.01, 0.1)[trial % 2])
+                prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
+                pivots += solve_plan_lp(inst, prog)[1].iterations
+        assert not [r for r in caplog.records if "rejected" in r.message]
+        assert pivots < 300
+
+    def test_peak_memory_holds_no_columns(self):
+        # the full LP here has millions of columns; materializing them took
+        # a traced peak of about 333 MB, pricing per pair well under 1 MB
         inst = random_instance(np.random.default_rng(5), epsilon=0.1,
-                               n_min=10, n_max=10, m_min=3, m_max=3)
-        grid = build_grid(inst, 0.2)
+                               n_min=12, n_max=12, m_min=4, m_max=4)
         tracemalloc.start()
         try:
-            cols = build_disc_lp(inst, grid)
-            solve_plan_lp(inst, cols)
+            fptas_solve(inst, 0.05)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert cols.obj.size > 50_000
-        assert peak < 14 * 8 * cols.obj.size
+        assert peak < 16 * 2**20
 
 
 class TestPlanToPredictor:
