@@ -22,7 +22,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,19 +41,6 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-@dataclass
-class RunConfig:
-    instance_path: str = ""
-    method: str = "exact"
-    delta: float = 0.1
-    eps_override: float | None = None
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.method not in ("exact", "fptas"):
-            raise ValidationError("BAD_FORMAT", f"unknown method {self.method!r}")
-
-
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -65,20 +51,21 @@ def _load_json(path):
         raise ValidationError("BAD_FORMAT", f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_instance(cfg: RunConfig) -> model.Instance:
-    inst = model.validate_instance(_load_json(cfg.instance_path))
-    if cfg.eps_override is not None:
-        inst = inst.with_epsilon(cfg.eps_override)
+def _load_instance(args) -> model.Instance:
+    inst = model.validate_instance(_load_json(args.instance))
+    if args.eps_override is not None:
+        inst = inst.with_epsilon(args.eps_override)
     return inst
 
 
 def _load_predictor(path, inst) -> model.Predictor:
+    """Read a predictor whose rows follow the instance file's events."""
     pred = model.Predictor.from_json_dict(_load_json(path))
     if pred.n_events != inst.n:
         raise ValidationError(
             "BAD_MASS",
             f"predictor has {pred.n_events} event rows, instance has {inst.n}")
-    return pred
+    return model.Predictor(pred.support, pred.mass[inst.order])
 
 
 def _write_text(path, text):
@@ -89,19 +76,16 @@ def _write_text(path, text):
         sys.stdout.write(text)
 
 
-def _run_method(inst, cfg):
-    if cfg.method == "exact":
-        if inst.norm not in (1.0, model.INF):
-            raise ValidationError("UNSUPPORTED_NORM",
-                                  "method=exact needs norm 1 or inf")
+def _run_method(inst, args):
+    if args.method == "exact":
         strat, pred, objective = exact.solve_exact(inst)
         return pred, objective, strat
-    pred, objective = fptas.fptas_solve(inst, cfg.delta)
+    pred, objective = fptas.fptas_solve(inst, args.delta)
     return pred, objective, None
 
 
 def _summary(inst, pred, objective):
-    per_event = (pred.mass > 1e-12).sum(axis=1)
+    per_event = inst.to_caller((pred.mass > 1e-12).sum(axis=1))
     return {
         "objective": objective,
         "payoff": model.payoff(pred, inst),
@@ -114,31 +98,35 @@ def _summary(inst, pred, objective):
     }
 
 
-def cmd_solve(cfg: RunConfig, strategy_path: str | None = None) -> int:
-    inst = _load_instance(cfg)
-    pred, objective, strat = _run_method(inst, cfg)
+def cmd_solve(args) -> int:
+    """Predictor and scheme rows are written in the instance file's order."""
+    inst = _load_instance(args)
+    pred, objective, strat = _run_method(inst, args)
     summary = _summary(inst, pred, objective)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            json.dump(pred.to_json_dict(), fh, indent=1)
+    if args.output:
+        caller = model.Predictor(pred.support, inst.to_caller(pred.mass))
+        with open(args.output, "w", encoding="utf-8") as fh:
+            json.dump(caller.to_json_dict(), fh, indent=1)
             fh.write("\n")
-        log.info("wrote predictor to %s", cfg.output_path)
-    if strategy_path:
+        log.info("wrote predictor to %s", args.output)
+    if args.strategy_out:
         if strat is None:
             raise ValidationError("BAD_FORMAT",
                                   "--strategy-out needs --method exact")
-        with open(strategy_path, "w", encoding="utf-8") as fh:
-            json.dump(strat.to_json_dict(inst), fh, indent=1)
+        scheme = strat.to_json_dict(inst)
+        scheme["pi"] = inst.to_caller(strat.pi).tolist()
+        with open(args.strategy_out, "w", encoding="utf-8") as fh:
+            json.dump(scheme, fh, indent=1)
             fh.write("\n")
-        log.info("wrote recommendation scheme to %s", strategy_path)
-    print(json.dumps({"predictor": (cfg.output_path or "(not saved)"),
+        log.info("wrote recommendation scheme to %s", args.strategy_out)
+    print(json.dumps({"predictor": (args.output or "(not saved)"),
                       "summary": summary}, indent=1))
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, predictor_path: str) -> int:
-    inst = _load_instance(cfg)
-    pred = _load_predictor(predictor_path, inst)
+def cmd_eval(args) -> int:
+    inst = _load_instance(args)
+    pred = _load_predictor(args.predictor, inst)
     counts = structure.count_predictions(pred, inst)
     lines = [
         f"ece t=1: {_fmt(model.ece(pred, inst, 1.0))}",
@@ -149,17 +137,17 @@ def cmd_eval(cfg: RunConfig, predictor_path: str) -> int:
         f"support: total={counts.total} per_event_max={counts.per_event_max} "
         f"per_outcome_max={counts.per_outcome_max}",
     ]
-    _write_text(cfg.output_path, "\n".join(lines) + "\n")
+    _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, eps_list) -> int:
-    inst = _load_instance(cfg)
+def cmd_sweep(args) -> int:
+    inst = _load_instance(args)
     rows = ["epsilon,principal_payoff,agent_payoff,ece_of_solution,status"]
-    for eps in eps_list:
+    for eps in [float(tok) for tok in args.eps.split(",") if tok]:
         sub = inst.with_epsilon(eps)
         try:
-            pred, objective, _ = _run_method(sub, cfg)
+            pred, objective, _ = _run_method(sub, args)
             rows.append(",".join([
                 _fmt(eps), _fmt(objective),
                 _fmt(model.agent_payoff(pred, sub)),
@@ -168,13 +156,13 @@ def cmd_sweep(cfg: RunConfig, eps_list) -> int:
             log.warning("budget %s failed: %s", eps, exc)
             rows.append(",".join([_fmt(eps), "nan", "nan", "nan",
                                   f"error:{exc.code}"]))
-    _write_text(cfg.output_path, "\n".join(rows) + "\n")
+    _write_text(args.output, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
-def cmd_reliability(cfg: RunConfig, predictor_path: str) -> int:
-    inst = _load_instance(cfg)
-    pred = _load_predictor(predictor_path, inst)
+def cmd_reliability(args) -> int:
+    inst = _load_instance(args)
+    pred = _load_predictor(args.predictor, inst)
     marg = pred.marginal(inst.lam)
     kap = model.kappa_values(pred, inst)
     rows = ["p,kappa,marginal_mass"]
@@ -182,29 +170,28 @@ def cmd_reliability(cfg: RunConfig, predictor_path: str) -> int:
         if marg[k] <= 0:
             continue
         rows.append(f"{_fmt(pred.support[k])},{_fmt(kap[k])},{_fmt(marg[k])}")
-    _write_text(cfg.output_path, "\n".join(rows) + "\n")
+    _write_text(args.output, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
-def cmd_verify_structure(cfg: RunConfig, predictor_path: str,
-                         certificate_path: str | None) -> int:
-    inst = _load_instance(cfg)
-    pred = _load_predictor(predictor_path, inst)
+def cmd_verify_structure(args) -> int:
+    inst = _load_instance(args)
+    pred = _load_predictor(args.predictor, inst)
     report = structure.analyze_structure(pred, inst)
     out = {"structure": report.to_json_dict()}
-    if certificate_path:
+    if args.certificate:
         cert = structure.GammaCertificate.from_json_dict(
-            _load_json(certificate_path))
+            _load_json(args.certificate))
         out["optimality"] = structure.verify_optimality(pred, inst,
                                                         cert).to_json_dict()
     text = json.dumps(out, indent=1, default=float) + "\n"
-    _write_text(cfg.output_path, text)
+    _write_text(args.output, text)
     return EXIT_OK
 
 
-def cmd_grid(cfg: RunConfig) -> int:
-    inst = _load_instance(cfg)
-    g = fptas.build_grid(inst, cfg.delta)
+def cmd_grid(args) -> int:
+    inst = _load_instance(args)
+    g = fptas.build_grid(inst, args.delta)
     out = {
         "delta": g.delta,
         "delta0": g.delta0,
@@ -213,7 +200,7 @@ def cmd_grid(cfg: RunConfig) -> int:
         "discontinuities": [float(z) for z in g.discontinuities],
         "points": [float(p) for p in g.points],
     }
-    _write_text(cfg.output_path, json.dumps(out, indent=1) + "\n")
+    _write_text(args.output, json.dumps(out, indent=1) + "\n")
     return EXIT_OK
 
 
@@ -232,6 +219,7 @@ def _build_parser():
                            help="write here instead of stdout")
 
     p = sub.add_parser("solve", help="compute an optimal predictor")
+    p.set_defaults(run=cmd_solve)
     common(p, output=False)
     p.add_argument("--method", choices=["exact", "fptas"], default="exact")
     p.add_argument("--delta", type=float, default=0.1,
@@ -242,10 +230,12 @@ def _build_parser():
                    help="also write the recommendation scheme (exact only)")
 
     p = sub.add_parser("eval", help="score a predictor file")
+    p.set_defaults(run=cmd_eval)
     common(p)
     p.add_argument("predictor", help="predictor JSON file")
 
     p = sub.add_parser("sweep", help="re-solve across budgets, emit CSV")
+    p.set_defaults(run=cmd_sweep)
     common(p)
     p.add_argument("--eps", required=True,
                    help="comma-separated budget list, e.g. 0,0.025,0.05")
@@ -253,16 +243,19 @@ def _build_parser():
     p.add_argument("--delta", type=float, default=0.1)
 
     p = sub.add_parser("reliability", help="dump reliability-diagram data")
+    p.set_defaults(run=cmd_reliability)
     common(p)
     p.add_argument("predictor", help="predictor JSON file")
 
     p = sub.add_parser("verify-structure", help="shape and optimality checks")
+    p.set_defaults(run=cmd_verify_structure)
     common(p)
     p.add_argument("predictor", help="predictor JSON file")
     p.add_argument("--certificate", default=None,
                    help="certificate JSON to verify optimality against")
 
     p = sub.add_parser("grid", help="dump the discretization grid")
+    p.set_defaults(run=cmd_grid)
     common(p)
     p.add_argument("--delta", type=float, default=0.1)
     return parser
@@ -273,10 +266,9 @@ def main(argv=None) -> int:
         level=getattr(logging, os.environ.get("CALDESIGN_LOG", "WARNING").upper(),
                       logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        code = _dispatch(parser, args)
+        code = _dispatch(args)
         sys.stdout.flush()  # a closed reader shows here, not at exit
     except BrokenPipeError:
         # The reader of stdout stopped early (``caldesign grid ... | head``).
@@ -288,29 +280,9 @@ def main(argv=None) -> int:
     return code
 
 
-def _dispatch(parser, args) -> int:
+def _dispatch(args) -> int:
     try:
-        cfg = RunConfig(
-            instance_path=args.instance,
-            method=getattr(args, "method", "exact"),
-            delta=getattr(args, "delta", 0.1),
-            eps_override=args.eps_override,
-            output_path=getattr(args, "output", None),
-        )
-        if args.command == "solve":
-            return cmd_solve(cfg, strategy_path=args.strategy_out)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.predictor)
-        if args.command == "sweep":
-            eps_list = [float(tok) for tok in args.eps.split(",") if tok]
-            return cmd_sweep(cfg, eps_list)
-        if args.command == "reliability":
-            return cmd_reliability(cfg, args.predictor)
-        if args.command == "verify-structure":
-            return cmd_verify_structure(cfg, args.predictor, args.certificate)
-        if args.command == "grid":
-            return cmd_grid(cfg)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -320,7 +292,6 @@ def _dispatch(parser, args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    return EXIT_OK
 
 
 if __name__ == "__main__":

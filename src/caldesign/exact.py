@@ -115,104 +115,90 @@ class SenderStrategy:
         }
 
 
-def _variable_layout(inst):
-    # [pi_i(a) row-major over (event, action)] + [b+_a] + [b-_a]
-    nm = inst.n * inst.m
-    return nm, nm + inst.m, nm + 2 * inst.m
-
-
 def build_actrec_lp(inst: Instance) -> lp_core.LinearProgram:
     """Action-recommendation LP; linear only for t in {1, inf}.
 
-    Variables: pi_i(a) >= 0 and the bias split b(a) = b+(a) - b-(a) with
-    b+, b- >= 0.  Constraints: recommendation optimality for every ordered
-    action pair, per-event row stochasticity, biased means inside [0, 1],
-    and the bias budget in the requested norm.
+    Variables: pi_i(a) >= 0 row-major over (event, action), then the bias
+    split b(a) = b+(a) - b-(a) with b+, b- >= 0.  Rows: one block per action
+    a (recommendation optimality against every other action, the biased
+    mean inside [0, 1], and for t=inf a's bias budget), then per-event row
+    stochasticity, then for t=1 the total bias budget.
     """
     t = inst.norm
     if t != 1.0 and t != INF:
         raise ValidationError("UNSUPPORTED_NORM",
                               f"exact solver needs t in {{1, inf}}, got {t}")
     n, m = inst.n, inst.m
-    nm, bp_end, total = _variable_layout(inst)
+    nm = n * m
+    total = nm + 2 * m
     v = inst.agent_utility
-    lam, theta = inst.lam, inst.theta
-
-    def pi_idx(i, a):
-        return i * m + a
-
     obj = np.zeros(total)
-    for i in range(n):
-        obj[pi_idx(i, 0):pi_idx(i, 0) + m] = lam[i] * inst.ubar[i]
+    obj[:nm] = (inst.lam[:, None] * inst.ubar).ravel()
 
-    lp = lp_core.LinearProgram(total, obj, [])
-
-    # T(a) = sum_i lam_i pi_i(a) theta_i + b(a);  M(a) = sum_i lam_i pi_i(a)
-    def t_coeffs(a):
-        row = np.zeros(total)
-        for i in range(n):
-            row[pi_idx(i, a)] = lam[i] * theta[i]
-        row[nm + a] = 1.0
-        row[bp_end + a] = -1.0
-        return row
-
-    def m_coeffs(a):
-        row = np.zeros(total)
-        for i in range(n):
-            row[pi_idx(i, a)] = lam[i]
-        return row
-
-    for a in range(m):
-        Ta, Ma = t_coeffs(a), m_coeffs(a)
-        for a2 in range(m):
-            if a2 == a:
-                continue
-            d1 = v[a, 1] - v[a2, 1]
-            d0 = v[a, 0] - v[a2, 0]
-            # utility gap at the biased mean, scaled by signal mass:
-            # T(a) (d1 - d0) + M(a) d0 >= 0
-            lp.add_constraint((d1 - d0) * Ta + d0 * Ma, ">=", 0.0)
-        lp.add_constraint(Ta, ">=", 0.0)          # biased mean >= 0
-        lp.add_constraint(Ma - Ta, ">=", 0.0)     # biased mean <= 1
-        if t == INF:
-            lp.add_constraint(np.zeros(total), "<=", 0.0)   # see _set_budget
-    for i in range(n):
-        row = np.zeros(total)
-        row[pi_idx(i, 0):pi_idx(i, 0) + m] = 1.0
-        lp.add_constraint(row, "==", 1.0)
+    # row a of T: T(a) = sum_i lam_i pi_i(a) theta_i + b(a);
+    # row a of M: M(a) = sum_i lam_i pi_i(a)
+    pi_cols = np.arange(nm).reshape(n, m).T
+    acts = np.arange(m)[:, None]
+    T = np.zeros((m, total))
+    T[acts, pi_cols] = inst.lam * inst.theta
+    T[acts, nm + acts] = 1.0
+    T[acts, nm + m + acts] = -1.0
+    M = np.zeros((m, total))
+    M[acts, pi_cols] = inst.lam
+    # utility gap of a over a2 at the biased mean, scaled by signal mass:
+    # T(a) (d1 - d0) + M(a) d0 >= 0, for each a2 != a
+    d1 = v[:, 1][:, None] - v[:, 1]
+    d0 = v[:, 0][:, None] - v[:, 0]
+    gaps = (d1 - d0)[:, :, None] * T[:, None] + d0[:, :, None] * M[:, None]
+    block = [gaps[~np.eye(m, dtype=bool)].reshape(m, m - 1, total),
+             T[:, None], (M - T)[:, None]]   # biased mean >= 0 and <= 1
+    if t == INF:
+        block.append(_budget_rows(inst, inst.epsilon)[:, None])
+    per_block = m + 1 + (t == INF)
+    stochastic = np.zeros((n, total))
+    stochastic[:, :nm] = np.kron(np.eye(n), np.ones(m))
+    A = [np.concatenate(block, axis=1).reshape(m * per_block, total),
+         stochastic]
+    rel = ([">="] * (m + 1) + ["<="] * (t == INF)) * m + ["=="] * n
+    b = [np.zeros(m * per_block), np.ones(n)]
     if t == 1.0:
-        row = np.zeros(total)
-        row[nm:] = 1.0
-        lp.add_constraint(row, "<=", 0.0)                  # see _set_budget
-    _set_budget(lp, inst, inst.epsilon)
-    return lp
+        total_bias = np.zeros(total)
+        total_bias[nm:] = 1.0
+        A.append(total_bias[None])
+        rel.append("<=")
+        b.append([inst.epsilon])
+    return lp_core.LinearProgram(obj, np.vstack(A), rel, np.concatenate(b))
+
+
+def _budget_rows(inst, budget):
+    """The t=inf budget rows, one per action: ``b+(a) + b-(a) - budget *
+    M(a) <= 0``."""
+    nm, m = inst.n * inst.m, inst.m
+    acts = np.arange(m)[:, None]
+    rows = np.zeros((m, nm + 2 * m))
+    rows[acts, np.arange(nm).reshape(inst.n, m).T] -= budget * inst.lam
+    rows[acts, nm + acts] = rows[acts, nm + m + acts] = 1.0
+    return rows
 
 
 def _set_budget(lp, inst, budget):
-    """Write the bias budget ``budget`` into the rows of
-    :func:`build_actrec_lp` that carry it: for t=1 the last row's rhs
-    (``sum b+ + b- <= budget``), for t=inf the last row of each action's
-    block (``b+(a) + b-(a) - budget * M(a) <= 0``)."""
-    nm, bp_end, total = _variable_layout(inst)
-    m = inst.m
+    """Write the bias budget ``budget`` into ``lp``, a program of
+    :func:`build_actrec_lp`, in place.  Its ``<=`` rows are the ones that
+    carry the budget: for t=1 the one total-bias row's rhs, for t=inf each
+    action's budget row (:func:`_budget_rows`)."""
+    budget_rows = lp.rel == "<="
     if inst.norm == 1.0:
-        coeffs, rel, _ = lp.constraints[-1]
-        lp.constraints[-1] = (coeffs, rel, float(budget))
-        return
-    for a in range(m):
-        row = np.zeros(total)
-        row[a:nm:m] -= budget * inst.lam
-        row[nm + a] = row[bp_end + a] = 1.0
-        # each action's block: m - 1 incentive rows, two mean rows, this one
-        lp.constraints[a * (m + 2) + m + 1] = (row, "<=", 0.0)
+        lp.b[budget_rows] = budget
+    else:
+        lp.A[budget_rows] = _budget_rows(inst, budget)
 
 
 def _strategy_from_solution(inst, x):
-    nm, bp_end, _ = _variable_layout(inst)
+    nm, m = inst.n * inst.m, inst.m
     pi = x[:nm].reshape(inst.n, inst.m).clip(min=0.0)
     # Renormalize away solver round-off so rows sum to exactly 1.
     pi /= pi.sum(axis=1, keepdims=True)
-    bias = x[nm:bp_end] - x[bp_end:]
+    bias = x[nm:nm + m] - x[nm + m:]
     mass = inst.lam @ pi
     bias[mass <= ZERO_MASS_TOL] = 0.0
     return SenderStrategy(pi, bias)
@@ -290,8 +276,7 @@ def _truthful_basis(inst, lp):
     with no bias.
     """
     own = np.argmax(inst.agent_scores(inst.theta), axis=1)
-    logical = [lp.num_vars + r for r, (_, rel, _) in enumerate(lp.constraints)
-               if rel != "=="]
+    logical = lp.num_vars + np.flatnonzero(lp.rel != "==")
     return np.concatenate([np.arange(inst.n) * inst.m + own, logical])
 
 
@@ -373,13 +358,14 @@ def _refine_for_agent(inst, lp, best, fallback, basis):
     nm = inst.n * inst.m
     agent_obj = np.zeros(lp.num_vars)
     agent_obj[:nm] = (inst.lam[:, None] * inst.vbar_events).ravel()
-    start = None if basis is None else np.append(
-        basis, lp.num_vars + len(lp.constraints))
+    start = None if basis is None else np.append(basis,
+                                                 lp.num_vars + lp.b.size)
+    A = np.vstack([lp.A, lp.objective])
+    rel = np.append(lp.rel, ">=")
     for slack_scale in (1e-7, 1e-5):
         slack = slack_scale * (1.0 + abs(best))
-        refined = lp_core.LinearProgram(
-            lp.num_vars, agent_obj,
-            lp.constraints + [(lp.objective, ">=", best - slack)])
+        refined = lp_core.LinearProgram(agent_obj, A, rel,
+                                        np.append(lp.b, best - slack))
         try:
             sol2 = lp_core.solve(refined, basis=start)
         except SolverError as err:

@@ -456,9 +456,8 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
         np.add.at(supply, (cols.i, at), cols.r)
         np.add.at(supply, (cols.j, at), 1.0 - cols.r)
         master = lp_core.LinearProgram(
-            size, cols.obj,
-            [(cols.err, "<=", inst.epsilon**inst.norm)]
-            + [(supply[e], "==", inst.lam[e]) for e in range(n)])
+            cols.obj, np.vstack([cols.err, supply]), ["<="] + ["=="] * n,
+            np.concatenate([[inst.epsilon**inst.norm], inst.lam]))
         sol = lp_core.solve(master, basis=basis)
         pivots += sol.iterations
         if not sol.is_optimal:

@@ -1,7 +1,12 @@
 """Dense linear programs over ``x >= 0`` and a self-contained simplex solver.
 
-The model is ``maximize c @ x`` subject to ``x >= 0`` and a list of dense
-rows ``(coefficients, relation, rhs)`` with relations ``<=``, ``==``, ``>=``.
+The model is ``maximize c @ x`` subject to ``x >= 0`` and ``A @ x rel b``
+row by row: :class:`LinearProgram` holds the objective, the dense constraint
+matrix ``A``, an array ``rel`` of relations (``<=``, ``==``, ``>=``) and the
+right-hand sides ``b``, and validates them once, on construction.  Builders
+assemble ``A`` from row blocks; :func:`solve` works on a copy, so a program
+can be solved, edited in place (the exact solver lowers its budget that way)
+and solved again.
 
 The solver is a textbook two-phase primal simplex on a dense numpy tableau.
 The entering column is the smallest-index improving one (Bland's rule); the
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,38 +57,47 @@ _PIVOT_TOL = 1e-11
 _PHASE1_TOL = 1e-8
 _RATIO_TIE_TOL = 1e-12
 
-_RELATIONS = {"<=": "<=", "=": "==", "==": "==", ">=": ">="}
+_RELATIONS = ("<=", "==", ">=")
 
 log = logging.getLogger("caldesign")
 
 
-@dataclass
 class LinearProgram:
-    """maximize ``objective @ x`` s.t. ``x >= 0`` and ``constraints``."""
+    """maximize ``objective @ x`` s.t. ``x >= 0`` and ``A @ x rel b``.
 
-    num_vars: int
-    objective: np.ndarray
-    constraints: list = field(default_factory=list)
+    ``A`` is ``(rows, num_vars)``, ``rel`` holds one of ``<=``, ``==``,
+    ``>=`` per row and ``b`` the finite right-hand sides.  The arrays are
+    held as given (converted to float and str arrays), not copied.
+    """
 
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.shape != (self.num_vars,):
-            raise ValidationError("BAD_LP", "objective length mismatch")
-        self.constraints = [self._row(*row) for row in self.constraints]
-
-    def add_constraint(self, coeffs, rel, rhs):
-        self.constraints.append(self._row(coeffs, rel, rhs))
-
-    def _row(self, coeffs, rel, rhs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.num_vars,):
-            raise ValidationError("BAD_LP", "constraint length mismatch")
-        if rel not in _RELATIONS:
-            raise ValidationError("BAD_LP", f"unknown relation {rel!r}")
-        rhs = float(rhs)
-        if not math.isfinite(rhs):
+    def __init__(self, objective, A, rel, b):
+        self.objective = np.asarray(objective, dtype=float)
+        self.A = np.asarray(A, dtype=float)
+        self.rel = np.asarray(rel, dtype=str)
+        self.b = np.asarray(b, dtype=float)
+        n, rows = self.num_vars, self.b.size
+        shapes = [x.shape for x in (self.objective, self.A, self.rel, self.b)]
+        if shapes != [(n,), (rows, n), (rows,), (rows,)]:
+            raise ValidationError(
+                "BAD_LP", f"objective, A, rel and b of shapes {shapes} do "
+                f"not fit together")
+        known = np.isin(self.rel, _RELATIONS)
+        if not known.all():
+            raise ValidationError(
+                "BAD_LP", f"unknown relation {self.rel[~known][0]!r}")
+        if not np.all(np.isfinite(self.b)):
             raise ValidationError("BAD_LP", "rhs must be finite")
-        return coeffs, _RELATIONS[rel], rhs
+
+    @property
+    def num_vars(self):
+        return self.objective.size
+
+    @property
+    def constraints(self):
+        """The rows as a list of ``(coeffs, rel, rhs)``.  Only the benchmark's
+        tracer (``perfbench/tracer.py``) reads this form; the package reads
+        the arrays."""
+        return list(zip(self.A, self.rel.tolist(), self.b.tolist()))
 
 
 @dataclass
@@ -121,14 +135,14 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
     the ``caldesign`` logger and the two-phase solve runs as without it.
     """
     n = lp.num_vars
-    rows = len(lp.constraints)
+    rows = lp.b.size
     if max_iter is None:
         max_iter = int(10 * (n + rows) ** 2) + 100
     start = basis  # the name ``basis`` is the tableau's from here on
 
-    A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(rows, n)
-    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
-    rel = [r for _, r, _ in lp.constraints]
+    A = lp.A.copy()
+    b = lp.b.copy()
+    rel = lp.rel
 
     # --- equilibration and sign normalization -----------------------------
     # Rows first, then columns, then rows again: sentinel-sized utilities can
@@ -148,41 +162,36 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
         flip = b < 0
         A[flip] *= -1
         b[flip] = -b[flip]
-        rel = [({"<=": ">=", ">=": "<=", "==": "=="}[r] if f else r)
-               for r, f in zip(rel, flip)]
+        rel = np.where(flip & (rel == "<="), ">=",
+                       np.where(flip & (rel == ">="), "<=", rel))
     c = lp.objective / col_scale
     cost_scale = max(1.0, np.abs(c).max()) if c.size else 1.0
     c_scaled = c / cost_scale
 
     # --- assemble phase-1 tableau ----------------------------------------
-    le_rows = [r for r in range(rows) if rel[r] == "<="]
-    ge_rows = [r for r in range(rows) if rel[r] == ">="]
-    art_rows = [r for r in range(rows) if rel[r] in (">=", "==")]
-    n_slack = len(le_rows)
-    n_surplus = len(ge_rows)
-    art_start = n + n_slack + n_surplus
-    n_total = art_start + len(art_rows)
+    le_rows = np.flatnonzero(rel == "<=")
+    ge_rows = np.flatnonzero(rel == ">=")
+    art_rows = np.flatnonzero(rel != "<=")
     # row k of slack_rows owns the logical column n + k
-    slack_rows = np.array(le_rows + ge_rows, dtype=np.int64)
+    slack_rows = np.concatenate([le_rows, ge_rows])
+    art_start = n + slack_rows.size
+    n_total = art_start + art_rows.size
 
     T = np.zeros((rows + 1, n_total + 1))
     T[:rows, :n] = A
     T[:rows, n_total] = b
     basis = np.empty(rows, dtype=np.int64)
-    for k, r in enumerate(le_rows):
-        T[r, n + k] = 1.0
-        basis[r] = n + k
-    for k, r in enumerate(ge_rows):
-        T[r, n + n_slack + k] = -1.0
-    for k, r in enumerate(art_rows):
-        T[r, art_start + k] = 1.0
-        basis[r] = art_start + k
+    basis[le_rows] = n + np.arange(le_rows.size)
+    basis[art_rows] = art_start + np.arange(art_rows.size)
+    T[le_rows, basis[le_rows]] = 1.0
+    T[ge_rows, n + le_rows.size + np.arange(ge_rows.size)] = -1.0
+    T[art_rows, basis[art_rows]] = 1.0
 
     pivots = 0
     warm = None if start is None else _warm_start(T, n, start, slack_rows)
     if warm is not None:
         basis = warm
-    elif art_rows:
+    elif art_rows.size:
         phase1_cost = np.zeros(n_total)
         phase1_cost[art_start:] = -1.0
         _install_objective(T, basis, phase1_cost)
@@ -218,7 +227,7 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
 
     _check_solution(lp, x)
     basic = None
-    if rows == len(lp.constraints):
+    if rows == lp.b.size:
         basic = basis.copy()
         logical = basis >= n
         basic[logical] = n + slack_rows[basis[logical] - n]
@@ -234,13 +243,12 @@ def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
     when ``sol`` carries no basis, the basis matrix is singular, or the
     prices do not reproduce the objective (``y @ b``).
     """
-    rows = len(lp.constraints)
+    A, b = lp.A, lp.b
+    rows = b.size
     basis = sol.basis
     if basis is None or basis.size != rows:
         raise SolverError("NUMERICAL_FAILURE",
                           "the solution carries no basis to price from")
-    A = np.vstack([coeffs for coeffs, _, _ in lp.constraints])
-    b = np.array([rhs for _, _, rhs in lp.constraints])
     structural = basis < lp.num_vars
     B = np.zeros((rows, rows))
     B[:, structural] = A[:, basis[structural]]
@@ -380,11 +388,7 @@ def _check_solution(lp, x):
 
     Row ``r`` may miss by ``FEASIBILITY_TOL * max(1, |rhs_r|, max|a_r|)``."""
     tol = FEASIBILITY_TOL
-    rows = len(lp.constraints)
-    A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(
-        rows, lp.num_vars)
-    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
-    rel = np.array([r for _, r, _ in lp.constraints])
+    A, rel, b = lp.A, lp.rel, lp.b
     lhs = A @ x
     gap = np.where(rel == "<=", lhs - b,
                    np.where(rel == ">=", b - lhs, np.abs(lhs - b)))

@@ -56,8 +56,10 @@ class Instance:
     """A validated, normalized problem instance.
 
     Events are sorted by non-decreasing outcome mean on construction; the
-    prior and the designer utility table are permuted consistently.
-    Immutable after construction (arrays are set read-only).
+    prior and the designer utility table are permuted consistently, and
+    ``order[k]`` keeps the caller's index of sorted event ``k``, so that
+    per-event output can be given back in the caller's order.  Immutable
+    after construction (arrays are set read-only).
     """
 
     def __init__(self, theta, lam, actions, agent_utility, principal_utility,
@@ -106,6 +108,7 @@ class Instance:
             raise ValidationError("BAD_NORM", "norm exponent must be >= 1 or inf")
 
         order = np.argsort(theta, kind="stable")
+        self.order = order
         self.theta = theta[order]
         self.lam = lam[order]
         self.actions = actions
@@ -122,15 +125,25 @@ class Instance:
         self.vbar_events = (np.outer(1.0 - self.theta, v[:, 0])
                             + np.outer(self.theta, v[:, 1]))
         self.theta_bar = float(self.lam @ self.theta)
-        for arr in (self.theta, self.lam, self.agent_utility,
+        for arr in (self.order, self.theta, self.lam, self.agent_utility,
                     self.principal_utility, self.ubar, self.vbar_events):
             arr.setflags(write=False)
 
     def with_epsilon(self, epsilon, norm=None):
-        """Copy of the instance with a different budget (and optionally norm)."""
-        return Instance(self.theta, self.lam, self.actions, self.agent_utility,
-                        self.principal_utility, epsilon,
-                        self.norm if norm is None else norm)
+        """Copy of the instance with a different budget (and optionally norm);
+        it keeps the caller's event order."""
+        out = Instance(self.theta, self.lam, self.actions, self.agent_utility,
+                       self.principal_utility, epsilon,
+                       self.norm if norm is None else norm)
+        out.order = self.order
+        return out
+
+    def to_caller(self, rows):
+        """Per-event ``rows`` (one per sorted event) in the caller's order."""
+        rows = np.asarray(rows)
+        out = np.empty_like(rows)
+        out[self.order] = rows
+        return out
 
     def agent_scores(self, ps):
         """Agent expected utility of each action when trusting prediction(s) p.
@@ -143,15 +156,17 @@ class Instance:
         return scores
 
     def to_json_dict(self):
+        """The description :func:`validate_instance` reads, events in the
+        caller's order."""
+        u = self.to_caller(self.principal_utility)
         return {
-            "theta": self.theta.tolist(),
-            "lambda": self.lam.tolist(),
+            "theta": self.to_caller(self.theta).tolist(),
+            "lambda": self.to_caller(self.lam).tolist(),
             "actions": list(self.actions),
             "agent_utility": {a: self.agent_utility[k].tolist()
                               for k, a in enumerate(self.actions)},
             "principal_utility": [
-                {a: self.principal_utility[i, k].tolist()
-                 for k, a in enumerate(self.actions)}
+                {a: u[i, k].tolist() for k, a in enumerate(self.actions)}
                 for i in range(self.n)
             ],
             "epsilon": self.epsilon,

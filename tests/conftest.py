@@ -86,39 +86,37 @@ def full_columns(prog):
 def plan_program(inst, cols):
     """The full plan LP on ``full_columns`` as one dense program: the
     budget row, then one supply row per event."""
-    lp = lp_core.LinearProgram(cols.obj.size, cols.obj, [])
-    lp.add_constraint(cols.err, "<=", inst.epsilon**inst.norm)
-    for event in range(inst.n):
-        row = np.zeros(cols.obj.size)
+    supply = np.zeros((inst.n, cols.obj.size))
+    for event, row in enumerate(supply):
         low = cols.i == event
         row[low] += cols.r[low]
         high = cols.j == event
         row[high] += (1.0 - cols.r)[high]
-        lp.add_constraint(row, "==", inst.lam[event])
-    return lp
+    return lp_core.LinearProgram(
+        cols.obj, np.vstack([cols.err, supply]), ["<="] + ["=="] * inst.n,
+        np.concatenate([[inst.epsilon**inst.norm], inst.lam]))
 
 
 def dense_column_generation(lp, cols):
     """Reference for ``solve_plan_lp``: the same column generation, with each
     master sliced from the rows of the dense ``lp`` and every column priced
     against those rows one at a time."""
-    err = lp.constraints[0][0]
+    err = lp.A[0]
     diag = np.flatnonzero(cols.i == cols.j)
     order = diag[np.lexsort((err[diag], cols.i[diag]))]
     active = order[np.unique(cols.i[order], return_index=True)[1]]
     tol = PRICE_TOL * float(np.abs(lp.objective).max(initial=0.0))
-    batch = 2 * len(lp.constraints)
+    batch = 2 * lp.b.size
     pivots = 0
     while True:
-        master = lp_core.LinearProgram(
-            active.size, lp.objective[active],
-            [(coeffs[active], rel, rhs) for coeffs, rel, rhs in lp.constraints])
+        master = lp_core.LinearProgram(lp.objective[active], lp.A[:, active],
+                                       lp.rel, lp.b)
         sol = lp_core.solve(master)
         assert sol.is_optimal
         pivots += sol.iterations
         y = lp_core.row_prices(master, sol)
         reduced = lp.objective.copy()
-        for price, (coeffs, _, _) in zip(y, lp.constraints):
+        for price, coeffs in zip(y, lp.A):
             reduced -= price * coeffs
         reduced[active] = -np.inf
         entering = np.flatnonzero(reduced > tol)

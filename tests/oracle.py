@@ -67,40 +67,39 @@ def _fixed_support_lp(inst, support):
     """
     n, K = inst.n, support.size
     t = inst.norm
+    if t != 1.0 and t != INF:
+        raise ValidationError("UNSUPPORTED_NORM",
+                              "enumeration handles t in {1, inf} only")
     U = indirect_utility_matrix(inst, support)
     nv = n * K + (K if t == 1.0 else 0)
     obj = np.zeros(nv)
     obj[:n * K] = (inst.lam[:, None] * U).ravel()
-    lp = lp_core.LinearProgram(nv, obj, [])
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i * K:(i + 1) * K] = 1.0
-        lp.add_constraint(row, "==", 1.0)
+    stochastic = np.zeros((n, nv))
+    stochastic[:, :n * K] = np.kron(np.eye(n), np.ones(K))
     # signed calibration gap of point k: sum_i lam_i f_i(k) (theta_i - p_k)
     gap = np.zeros((K, nv))
     for i in range(n):
         gap[:, i * K:(i + 1) * K] = np.eye(K) * inst.lam[i] * \
             (inst.theta[i] - support)[None, :]
     if t == 1.0:
-        for k in range(K):
-            aux = np.zeros(nv)
-            aux[n * K + k] = 1.0
-            lp.add_constraint(gap[k] - aux, "<=", 0.0)
-            lp.add_constraint(-gap[k] - aux, "<=", 0.0)
-        total = np.zeros(nv)
-        total[n * K:] = 1.0
-        lp.add_constraint(total, "<=", inst.epsilon)
-    elif t == INF:
-        for k in range(K):
-            massrow = np.zeros(nv)
-            for i in range(n):
-                massrow[i * K + k] = inst.lam[i]
-            lp.add_constraint(gap[k] - inst.epsilon * massrow, "<=", 0.0)
-            lp.add_constraint(-gap[k] - inst.epsilon * massrow, "<=", 0.0)
+        # |gap_k| <= aux_k, and the aux sum within the budget
+        bound = np.zeros((K, nv))
+        bound[:, n * K:] = np.eye(K)
+        total = np.zeros((1, nv))
+        total[0, n * K:] = 1.0
+        rhs = [0.0] * 2 * K + [inst.epsilon]
     else:
-        raise ValidationError("UNSUPPORTED_NORM",
-                              "enumeration handles t in {1, inf} only")
-    return lp
+        # |gap_k| <= epsilon * mass_k
+        bound = np.zeros((K, nv))
+        for i in range(n):
+            bound[:, i * K:(i + 1) * K] = np.eye(K) * inst.lam[i]
+        bound *= inst.epsilon
+        total = np.zeros((0, nv))
+        rhs = [0.0] * 2 * K
+    pairs = np.stack([gap - bound, -gap - bound], axis=1).reshape(2 * K, nv)
+    A = np.vstack([stochastic, pairs, total])
+    return lp_core.LinearProgram(obj, A, ["=="] * n + ["<="] * len(rhs),
+                                 np.concatenate([np.ones(n), rhs]))
 
 
 def exhaustive_best(inst: Instance, grid_step: float):

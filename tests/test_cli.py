@@ -125,6 +125,18 @@ class TestSweep:
         assert out_file.read_bytes().endswith(b"\n")
         assert b"\r" not in out_file.read_bytes()
 
+    def test_golden_sweep_is_pinned(self, capsys, tmp_path):
+        # golden_sweep.csv holds `caldesign sweep golden.json` at the 81
+        # budgets 0.00, 0.01, ..., 0.80 (agent refine included); the solvers
+        # must reproduce it byte for byte
+        out_file = tmp_path / "sweep.csv"
+        budgets = ",".join(f"{0.01 * k:.2f}" for k in range(81))
+        code, _, _ = run(capsys, "sweep", GOLDEN, "--eps", budgets,
+                         "-o", str(out_file))
+        assert code == 0
+        assert (out_file.read_bytes()
+                == (DATA / "golden_sweep.csv").read_bytes())
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "sweep", GOLDEN, "--eps", "0.01,0.04", "-o", str(a))
@@ -211,6 +223,60 @@ class TestVerifyStructure:
                            str(pred_path))
         assert code == 2
         assert "NOT_EVENT_INDEPENDENT" in err
+
+
+class TestEventOrder:
+    """Per-event rows, written and read, follow the instance file's order
+    of events, which need not be sorted by theta."""
+
+    @staticmethod
+    def _permuted(path, perm, tmp_path):
+        raw = json.loads(Path(path).read_text())
+        for key in ("theta", "lambda", "principal_utility"):
+            raw[key] = [raw[key][k] for k in perm]
+        out = tmp_path / f"permuted_{Path(path).name}"
+        out.write_text(json.dumps(raw))
+        return str(out)
+
+    @pytest.mark.parametrize("perm", [[2, 1, 0], [1, 2, 0]])
+    def test_permuted_golden(self, capsys, tmp_path, perm):
+        got = {}
+        for name, path in (("sorted", GOLDEN),
+                           ("permuted", self._permuted(GOLDEN, perm, tmp_path))):
+            pred = tmp_path / f"{name}_pred.json"
+            scheme = tmp_path / f"{name}_scheme.json"
+            code, out, _ = run(capsys, "solve", path, "-o", str(pred),
+                               "--strategy-out", str(scheme))
+            assert code == 0
+            got[name] = (json.loads(out)["summary"],
+                         json.loads(pred.read_text()),
+                         json.loads(scheme.read_text()))
+            # each predictor read back against its own instance file
+            got[name] += tuple(run(capsys, cmd, path, str(pred))
+                               for cmd in ("eval", "reliability"))
+        summary, pred, scheme, *read = got["sorted"]
+        p_summary, p_pred, p_scheme, *p_read = got["permuted"]
+        per_event = summary.pop("per_event_support")
+        assert p_summary.pop("per_event_support") == [per_event[k]
+                                                      for k in perm]
+        assert p_summary == summary       # objective, payoff, ece, support
+        assert p_pred["support"] == pred["support"]
+        assert p_pred["mass"] == [pred["mass"][k] for k in perm]
+        assert p_pred["mass"] != pred["mass"]
+        assert p_scheme["pi"] == [scheme["pi"][k] for k in perm]
+        assert p_read == read
+
+    def test_permuted_structure_check(self, capsys, tmp_path):
+        # f_ddagger sends each event of two_event to its own prediction;
+        # its rows must be read against the file's events
+        raw = json.loads(Path(F_DDAGGER).read_text())
+        raw["mass"] = raw["mass"][::-1]
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(raw))
+        inst = self._permuted(TWO_EVENT, [1, 0], tmp_path)
+        for cmd in ("eval", "reliability", "verify-structure"):
+            assert run(capsys, cmd, inst, str(pred)) == \
+                run(capsys, cmd, TWO_EVENT, F_DDAGGER)
 
 
 class TestGrid:

@@ -32,6 +32,21 @@ class TestProgramShape:
             build_actrec_lp(golden.with_epsilon(0.1, norm=2.0))
         assert err.value.code == "UNSUPPORTED_NORM"
 
+    @pytest.mark.parametrize("norm", [1.0, INF])
+    def test_set_budget_equals_a_rebuild(self, golden, norm):
+        # solve_exact lowers the budget of a built program in place; the
+        # result must be the program built at that budget, bit for bit
+        for inst in (golden, _ladder()[0]):
+            inst = inst.with_epsilon(0.1, norm=norm)
+            for budget in (0.1 - exact.SEPARATION, 0.0, 0.45):
+                lp = build_actrec_lp(inst)
+                exact._set_budget(lp, inst, budget)
+                want = build_actrec_lp(inst.with_epsilon(budget))
+                for got, ref in ((lp.A, want.A), (lp.rel, want.rel),
+                                 (lp.b, want.b)):
+                    assert got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes()
+
     def test_zero_budget_forces_zero_bias(self, golden):
         _, pred, _ = solve_exact(golden.with_epsilon(0.0))
         assert ece(pred, golden, 1.0) <= 1e-9
@@ -432,7 +447,7 @@ class TestCrashStart:
 
         def spy(lp, max_iter=None, basis=None):
             sol = self.cold_solve(lp, max_iter, basis=basis)
-            seen.append((len(lp.constraints), basis, sol))
+            seen.append((lp.b.size, basis, sol))
             return sol
 
         monkeypatch.setattr(lp_core, "solve", spy)
@@ -477,16 +492,14 @@ class TestCrashStart:
         inst = golden.with_epsilon(0.1, norm=norm)
         lp = build_actrec_lp(inst)
         basis = exact._truthful_basis(inst, lp)
-        A = np.array([coeffs for coeffs, _, _ in lp.constraints])
-        b = np.array([rhs for _, _, rhs in lp.constraints])
-        B = np.zeros((len(b), len(b)))
+        B = np.zeros((lp.b.size, lp.b.size))
         for k, col in enumerate(basis):
             if col < lp.num_vars:
-                B[:, k] = A[:, col]
+                B[:, k] = lp.A[:, col]
             else:
                 r = col - lp.num_vars
-                B[r, k] = 1.0 if lp.constraints[r][1] == "<=" else -1.0
-        z = np.linalg.solve(B, b)
+                B[r, k] = 1.0 if lp.rel[r] == "<=" else -1.0
+        z = np.linalg.solve(B, lp.b)
         assert np.all(z >= -1e-9 * np.abs(z).max())
         x = np.zeros(lp.num_vars)
         x[basis[basis < lp.num_vars]] = z[basis < lp.num_vars]

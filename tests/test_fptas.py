@@ -159,7 +159,7 @@ class TestDiscLp:
                 best[key] = max(best.get(key, -np.inf), value)
             lp = plan_program(inst, full)
             priced = lp.objective.copy()
-            for price, (coeffs, _, _) in zip(y, lp.constraints):
+            for price, coeffs in zip(y, lp.A):
                 priced -= price * coeffs
             want = {}
             for key, value in zip(zip(full.i, full.j, full.p), priced):

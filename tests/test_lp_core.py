@@ -14,67 +14,101 @@ def random_lp(rng, n_vars=6, n_rows=4, feasible=True):
     A = rng.normal(size=(n_rows, n_vars))
     x0 = rng.uniform(0.0, 1.0, n_vars)
     b = A @ x0 + rng.uniform(0.1, 1.0, n_rows)
-    cons = [(A[r], "<=", b[r]) for r in range(n_rows)]
     # box the variables so the problem is bounded
-    for j in range(n_vars):
-        row = np.zeros(n_vars)
-        row[j] = 1.0
-        cons.append((row, "<=", 5.0))
+    A = np.vstack([A, np.eye(n_vars)])
+    b = np.concatenate([b, np.full(n_vars, 5.0)])
     c = rng.normal(size=n_vars)
-    return LinearProgram(n_vars, c, cons), x0
+    return LinearProgram(c, A, ["<="] * b.size, b), x0
+
+
+def with_row(lp, coeffs, rel, rhs, objective=None):
+    """``lp`` plus the row ``coeffs @ x rel rhs`` (and another objective)."""
+    return LinearProgram(lp.objective if objective is None else objective,
+                         np.vstack([lp.A, coeffs]), np.append(lp.rel, rel),
+                         np.append(lp.b, rhs))
 
 
 class TestBasics:
     def test_simple_bound(self):
-        sol = solve(LinearProgram(1, [1.0], [([1.0], "<=", 1.0)]))
+        sol = solve(LinearProgram([1.0], [[1.0]], ["<="], [1.0]))
         assert sol.status == lp_core.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0)
 
     def test_infeasible(self):
-        sol = solve(LinearProgram(1, [1.0], [([1.0], "<=", -1.0)]))
+        sol = solve(LinearProgram([1.0], [[1.0]], ["<="], [-1.0]))
         assert sol.status == lp_core.INFEASIBLE
 
     def test_two_var_vertex(self):
-        lp = LinearProgram(2, [1.0, 1.0], [([1.0, 1.0], "<=", 2.0),
-                                           ([1.0, 0.0], "<=", 1.0)])
+        lp = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], ["<=", "<="],
+                           [2.0, 1.0])
         sol = solve(lp)
         assert sol.status == lp_core.OPTIMAL
         assert sol.objective_value == pytest.approx(2.0)
 
     def test_unbounded(self):
-        assert solve(LinearProgram(1, [1.0], [])).status == lp_core.UNBOUNDED
+        # a program with no rows at all still solves
+        lp = LinearProgram([1.0], np.zeros((0, 1)), [], [])
+        assert solve(lp).status == lp_core.UNBOUNDED
+        assert solve(LinearProgram([-1.0], np.zeros((0, 1)), [], [])) \
+            .objective_value == 0.0
 
     def test_iteration_cap_raises(self):
-        lp = LinearProgram(1, [1.0], [([1.0], "<=", 1.0)])
+        lp = LinearProgram([1.0], [[1.0]], ["<="], [1.0])
         with pytest.raises(SolverError) as err:
             solve(lp, max_iter=0)
         assert err.value.code == "NUMERICAL_FAILURE"
 
     def test_counts_pivots(self):
-        lp = LinearProgram(2, [1.0, 1.0], [([1.0, 1.0], "<=", 2.0),
-                                           ([1.0, 0.0], "<=", 1.0)])
+        lp = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], ["<=", "<="],
+                           [2.0, 1.0])
         assert solve(lp).iterations == 2
         # the slack basis is already optimal, and phase 1 needs one pivot
-        assert solve(LinearProgram(1, [-1.0], [([1.0], "<=", 1.0)])) \
+        assert solve(LinearProgram([-1.0], [[1.0]], ["<="], [1.0])) \
             .iterations == 0
-        assert solve(LinearProgram(1, [-1.0], [([1.0], ">=", 1.0)])) \
+        assert solve(LinearProgram([-1.0], [[1.0]], [">="], [1.0])) \
             .iterations == 1
 
-    def test_rejects_malformed(self):
-        with pytest.raises(ValidationError):
-            LinearProgram(2, [1.0], [])
-        with pytest.raises(ValidationError):
-            LinearProgram(1, [1.0], [([1.0], "<=", math.inf)])
-        with pytest.raises(ValidationError):
-            LinearProgram(1, [1.0], [([1.0], "!", 1.0)])
-        lp = LinearProgram(1, [1.0], [])
-        with pytest.raises(ValidationError):
-            lp.add_constraint([1.0], "<=", math.inf)
-        assert lp.constraints == []
+    @pytest.mark.parametrize("objective,A,rel,b,match", [
+        ([1.0, 1.0], [[1.0]], ["<="], [1.0], "do not fit"),     # A too narrow
+        ([1.0], [[1.0], [2.0]], ["<="], [1.0], "do not fit"),   # A too tall
+        ([1.0], [[1.0]], ["<=", "<="], [1.0], "do not fit"),    # extra rel
+        ([1.0], [1.0], ["<="], [1.0], "do not fit"),            # A not 2-D
+        ([[1.0]], [[1.0]], ["<="], [1.0], "do not fit"),        # objective 2-D
+        ([1.0], [[1.0]], ["!"], [1.0], "unknown relation"),
+        ([1.0], [[1.0]], ["="], [1.0], "unknown relation"),
+        ([1.0], [[1.0]], ["<=="], [1.0], "unknown relation"),
+        ([1.0], [[1.0]], ["<="], [math.inf], "finite"),
+        ([1.0], [[1.0]], ["<="], [math.nan], "finite"),
+    ])
+    def test_rejects_malformed(self, objective, A, rel, b, match):
+        with pytest.raises(ValidationError, match=match) as err:
+            LinearProgram(objective, A, rel, b)
+        assert err.value.code == "BAD_LP"
+
+    def test_solve_leaves_the_program_unchanged(self):
+        # solve scales, flips and pivots a copy: the exact solver re-solves
+        # and refines the same program, so its arrays must survive intact
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            lp, x0 = random_lp(rng)
+            # x0 meets both added rows: one with b < 0, which the solver
+            # flips, and one of scale 1e6 that needs an artificial
+            a = -np.abs(rng.normal(size=lp.num_vars))
+            lp = with_row(lp, a, ">=", a @ x0 - 0.5)
+            a = 1e6 * rng.uniform(size=lp.num_vars)
+            lp = with_row(lp, a, "==", a @ x0)
+            before = (lp.objective.copy(), lp.A.copy(), lp.rel.copy(),
+                      lp.b.copy())
+            first = solve(lp)
+            assert first.is_optimal and first.basis is not None
+            solve(lp, basis=first.basis)
+            lp_core.row_prices(lp, first)
+            for kept, now in zip(before, (lp.objective, lp.A, lp.rel, lp.b)):
+                assert np.array_equal(kept, now)
 
 
 class TestSolutionCheck:
-    LP = LinearProgram(2, [1.0, 1.0], [([1.0, 1.0], "<=", 2.0)])
+    LP = LinearProgram([1.0, 1.0], [[1.0, 1.0]], ["<="], [2.0])
 
     def test_rejects_nan(self):
         with pytest.raises(SolverError) as err:
@@ -89,9 +123,8 @@ class TestSolutionCheck:
     ])
     def test_rejects_violated_row(self, rel, rhs, x):
         # one violated row among met ones; rows are checked together
-        lp = LinearProgram(2, [1.0, 1.0], [([1.0, 0.0], ">=", 0.0),
-                                           ([1.0, 1.0], rel, rhs),
-                                           ([0.0, 1.0], "<=", 5.0)])
+        lp = LinearProgram([1.0, 1.0], [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                           [">=", rel, "<="], [0.0, rhs, 5.0])
         with pytest.raises(SolverError, match=f"violates {rel} row") as err:
             lp_core._check_solution(lp, np.array(x))
         assert err.value.code == "NUMERICAL_FAILURE"
@@ -100,7 +133,7 @@ class TestSolutionCheck:
     def test_matches_row_by_row_reference(self):
         # the per-row loop the vectorized check replaced, as the reference
         def row_by_row(lp, x):
-            for coeffs, rel, rhs in lp.constraints:
+            for coeffs, rel, rhs in zip(lp.A, lp.rel, lp.b):
                 scale = max(1.0, abs(rhs), float(np.abs(coeffs).max()))
                 lhs = float(coeffs @ x)
                 gap = {"<=": lhs - rhs, ">=": rhs - lhs}.get(rel,
@@ -114,13 +147,15 @@ class TestSolutionCheck:
         for _ in range(200):
             n, rows = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             x = rng.uniform(0.0, 2.0, n)
-            lp = LinearProgram(n, np.zeros(n), [])
+            A, rels, b = [], [], []
             for _ in range(rows):
                 coeffs = rng.uniform(-1e3, 1e3, n) * (rng.uniform(size=n) < .7)
-                rel = ["<=", ">=", "=="][int(rng.integers(3))]
+                rels.append(["<=", ">=", "=="][int(rng.integers(3))])
                 # a row of scale ~1e3 may miss by ~1e-4
                 miss = float(rng.choice([0.0, 1e-6, 1e-3, -1e-6, -1e-3]))
-                lp.add_constraint(coeffs, rel, float(coeffs @ x) + miss)
+                A.append(coeffs)
+                b.append(float(coeffs @ x) + miss)
+            lp = LinearProgram(np.zeros(n), A, rels, b)
             try:
                 lp_core._check_solution(lp, x)
                 ok = True
@@ -132,7 +167,7 @@ class TestSolutionCheck:
 
     def test_row_scale_tolerance(self):
         # a row of norm 1e6 may miss by 1e-7 * 1e6; a unit row may not
-        lp = LinearProgram(1, [1.0], [([1e6], "<=", 1e6)])
+        lp = LinearProgram([1.0], [[1e6]], ["<="], [1e6])
         lp_core._check_solution(lp, np.array([1.0 + 5e-8]))
         with pytest.raises(SolverError):
             lp_core._check_solution(lp, np.array([1.0 + 2e-7]))
@@ -187,17 +222,15 @@ class TestRatioTest:
 class TestRowPrices:
     def test_inequality_rows(self):
         # x = (3, 1); rows 0 and 2 bind, row 1 has slack
-        lp = LinearProgram(2, [3.0, 2.0], [([1.0, 1.0], "<=", 4.0),
-                                           ([1.0, 3.0], "<=", 7.0),
-                                           ([1.0, 0.0], "<=", 3.0)])
+        lp = LinearProgram([3.0, 2.0], [[1.0, 1.0], [1.0, 3.0], [1.0, 0.0]],
+                           ["<="] * 3, [4.0, 7.0, 3.0])
         sol = solve(lp)
         assert np.allclose(lp_core.row_prices(lp, sol), [2.0, 0.0, 1.0])
 
     def test_equality_and_surplus_rows(self):
         # x = (2, 2); the >= row has slack, the equality row prices negative
-        lp = LinearProgram(2, [1.0, 1.0], [([1.0, -1.0], "==", 0.0),
-                                           ([1.0, 0.0], ">=", 1.0),
-                                           ([2.0, 0.0], "<=", 4.0)])
+        lp = LinearProgram([1.0, 1.0], [[1.0, -1.0], [1.0, 0.0], [2.0, 0.0]],
+                           ["==", ">=", "<="], [0.0, 1.0, 4.0])
         sol = solve(lp)
         y = lp_core.row_prices(lp, sol)
         assert np.allclose(y, [-1.0, 0.0, 1.0])
@@ -205,9 +238,8 @@ class TestRowPrices:
 
     def test_redundant_row_has_no_basis(self):
         # the second row doubles the first; phase 1 drops it
-        lp = LinearProgram(2, [1.0, 2.0], [([1.0, 1.0], "==", 3.0),
-                                           ([2.0, 2.0], "==", 6.0),
-                                           ([0.0, 1.0], "<=", 1.0)])
+        lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0], [0.0, 1.0]],
+                           ["==", "==", "<="], [3.0, 6.0, 1.0])
         sol = solve(lp)
         assert sol.objective_value == pytest.approx(4.0)
         assert sol.basis is None
@@ -218,9 +250,8 @@ class TestRowPrices:
 
 class TestWarmStart:
     # max x0 + x1 s.t. x0 + x1 <= 2, x0 <= 3, x1 == 0.5 (rows 0, 1, 2)
-    LP = LinearProgram(2, [1.0, 1.0], [([1.0, 1.0], "<=", 2.0),
-                                       ([1.0, 0.0], "<=", 3.0),
-                                       ([0.0, 1.0], "==", 0.5)])
+    LP = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                       ["<=", "<=", "=="], [2.0, 3.0, 0.5])
 
     def test_added_floor_row_starts_from_old_basis(self):
         # the refine pattern: solve, add an objective floor, change the
@@ -230,10 +261,9 @@ class TestWarmStart:
             lp, _ = random_lp(rng, n_vars=8, n_rows=6)
             first = solve(lp)
             floor = first.objective_value - 1e-3
-            refine = LinearProgram(lp.num_vars, rng.normal(size=lp.num_vars),
-                                   lp.constraints + [(lp.objective, ">=",
-                                                      floor)])
-            start = np.append(first.basis, lp.num_vars + len(lp.constraints))
+            refine = with_row(lp, lp.objective, ">=", floor,
+                              objective=rng.normal(size=lp.num_vars))
+            start = np.append(first.basis, lp.num_vars + lp.b.size)
             cold = solve(refine)
             warm = solve(refine, basis=start)
             assert warm.objective_value == pytest.approx(
@@ -259,9 +289,8 @@ class TestWarmStart:
     def test_logical_of_a_flipped_row_is_accepted(self, caplog):
         # row 0 has b < 0, so the solver flips it into a >= row whose
         # logical is a surplus; x0 = 3 with both logicals basic is optimal
-        lp = LinearProgram(2, [1.0, 0.0], [([-1.0, -1.0], "<=", -1.0),
-                                           ([1.0, 0.0], "<=", 3.0),
-                                           ([0.0, 1.0], "<=", 5.0)])
+        lp = LinearProgram([1.0, 0.0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
+                           ["<="] * 3, [-1.0, 3.0, 5.0])
         cold = solve(lp)
         with caplog.at_level(logging.DEBUG, logger="caldesign"):
             warm = solve(lp, basis=[2, 0, 4])
@@ -285,7 +314,7 @@ class TestProperties:
                 if all({"<=": a @ x <= r + 1e-12,
                         ">=": a @ x >= r - 1e-12,
                         "==": abs(a @ x - r) <= 1e-12}[op]
-                       for a, op, r in lp.constraints):
+                       for a, op, r in zip(lp.A, lp.rel, lp.b)):
                     best = max(best, lp.objective @ x)
             assert sol.objective_value >= best - 1e-7
 
@@ -294,9 +323,8 @@ class TestProperties:
         for _ in range(20):
             lp, _ = random_lp(rng)
             perm = rng.permutation(lp.num_vars)
-            permuted = LinearProgram(
-                lp.num_vars, lp.objective[perm],
-                [(a[perm], op, r) for a, op, r in lp.constraints])
+            permuted = LinearProgram(lp.objective[perm], lp.A[:, perm], lp.rel,
+                                     lp.b)
             v1 = solve(lp).objective_value
             v2 = solve(permuted).objective_value
             assert v1 == pytest.approx(v2, abs=1e-7)
@@ -311,22 +339,15 @@ class TestProperties:
             if trial % 3 == 0:
                 # sprinkle equalities / reversed rows to vary structure
                 a = rng.normal(size=n_vars)
-                lp.add_constraint(a, ">=", float(a @ rng.uniform(0, 1, n_vars)) - 0.5)
-            A_ub, b_ub, A_eq, b_eq = [], [], [], []
-            for a, op, r in lp.constraints:
-                if op == "<=":
-                    A_ub.append(a)
-                    b_ub.append(r)
-                elif op == ">=":
-                    A_ub.append(-a)
-                    b_ub.append(-r)
-                else:
-                    A_eq.append(a)
-                    b_eq.append(r)
+                lp = with_row(lp, a, ">=",
+                              float(a @ rng.uniform(0, 1, n_vars)) - 0.5)
+            sign = np.where(lp.rel == ">=", -1.0, 1.0)
+            ub, eq = lp.rel != "==", lp.rel == "=="
             ref = scipy_opt.linprog(
-                -lp.objective, A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                A_eq=np.array(A_eq) if A_eq else None,
-                b_eq=np.array(b_eq) if b_eq else None,
+                -lp.objective, A_ub=sign[ub, None] * lp.A[ub],
+                b_ub=sign[ub] * lp.b[ub],
+                A_eq=lp.A[eq] if eq.any() else None,
+                b_eq=lp.b[eq] if eq.any() else None,
                 bounds=(0, None), method="highs")
             sol = solve(lp)
             if ref.status == 0:

@@ -66,6 +66,19 @@ class TestValidation:
         assert np.allclose(again.agent_utility, golden.agent_utility)
         assert again.norm == golden.norm
 
+    def test_keeps_the_caller_order(self, golden):
+        raw = golden.to_json_dict()
+        for key in ("theta", "lambda", "principal_utility"):
+            raw[key] = raw[key][::-1]
+        inst = validate_instance(raw)
+        assert np.array_equal(inst.theta, golden.theta)
+        assert inst.order.tolist() == [2, 1, 0]
+        assert inst.with_epsilon(0.3, norm=INF).order.tolist() == [2, 1, 0]
+        assert validate_instance(inst.to_json_dict()).order.tolist() == \
+            [2, 1, 0]
+        assert inst.to_json_dict() == raw
+        assert inst.to_caller(inst.theta).tolist() == raw["theta"]
+
 
 class TestPredictor:
     def test_support_merging(self):
