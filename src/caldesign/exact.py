@@ -131,6 +131,7 @@ def build_actrec_lp(inst: Instance) -> lp_core.LinearProgram:
     n, m = inst.n, inst.m
     nm = n * m
     total = nm + 2 * m
+    per_block = m + 1 + (t == INF)
     v = inst.agent_utility
     obj = np.zeros(total)
     obj[:nm] = (inst.lam[:, None] * inst.ubar).ravel()
@@ -139,35 +140,34 @@ def build_actrec_lp(inst: Instance) -> lp_core.LinearProgram:
     # row a of M: M(a) = sum_i lam_i pi_i(a)
     pi_cols = np.arange(nm).reshape(n, m).T
     acts = np.arange(m)[:, None]
-    T = np.zeros((m, total))
+    T, M = np.zeros((2, m, total))
     T[acts, pi_cols] = inst.lam * inst.theta
     T[acts, nm + acts] = 1.0
     T[acts, nm + m + acts] = -1.0
-    M = np.zeros((m, total))
     M[acts, pi_cols] = inst.lam
     # utility gap of a over a2 at the biased mean, scaled by signal mass:
     # T(a) (d1 - d0) + M(a) d0 >= 0, for each a2 != a
-    d1 = v[:, 1][:, None] - v[:, 1]
-    d0 = v[:, 0][:, None] - v[:, 0]
-    gaps = (d1 - d0)[:, :, None] * T[:, None] + d0[:, :, None] * M[:, None]
-    block = [gaps[~np.eye(m, dtype=bool)].reshape(m, m - 1, total),
-             T[:, None], (M - T)[:, None]]   # biased mean >= 0 and <= 1
-    if t == INF:
-        block.append(_budget_rows(inst, inst.epsilon)[:, None])
-    per_block = m + 1 + (t == INF)
-    stochastic = np.zeros((n, total))
-    stochastic[:, :nm] = np.kron(np.eye(n), np.ones(m))
-    A = [np.concatenate(block, axis=1).reshape(m * per_block, total),
-         stochastic]
+    off = ~np.eye(m, dtype=bool)
+    d1 = (v[:, 1][:, None] - v[:, 1])[off].reshape(m, m - 1, 1)
+    d0 = (v[:, 0][:, None] - v[:, 0])[off].reshape(m, m - 1, 1)
+
+    top = m * per_block
+    A = np.zeros((top + n + (t == 1.0), total))
+    b = np.zeros(A.shape[0])
     rel = ([">="] * (m + 1) + ["<="] * (t == INF)) * m + ["=="] * n
-    b = [np.zeros(m * per_block), np.ones(n)]
+    block = A[:top].reshape(m, per_block, total)
+    block[:, :m - 1] = (d1 - d0) * T[:, None] + d0 * M[:, None]
+    block[:, m - 1] = T          # biased mean >= 0
+    block[:, m] = M - T          # biased mean <= 1
+    if t == INF:
+        block[:, m + 1] = _budget_rows(inst, inst.epsilon)
+    A[top:top + n, :nm] = np.repeat(np.eye(n), m, axis=1)
+    b[top:top + n] = 1.0         # sum_a pi_i(a) == 1
     if t == 1.0:
-        total_bias = np.zeros(total)
-        total_bias[nm:] = 1.0
-        A.append(total_bias[None])
+        A[-1, nm:] = 1.0         # sum_a b+(a) + b-(a) <= epsilon
+        b[-1] = inst.epsilon
         rel.append("<=")
-        b.append([inst.epsilon])
-    return lp_core.LinearProgram(obj, np.vstack(A), rel, np.concatenate(b))
+    return lp_core.LinearProgram(obj, A, rel, b)
 
 
 def _budget_rows(inst, budget):

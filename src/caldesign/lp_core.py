@@ -57,8 +57,6 @@ _PIVOT_TOL = 1e-11
 _PHASE1_TOL = 1e-8
 _RATIO_TIE_TOL = 1e-12
 
-_RELATIONS = ("<=", "==", ">=")
-
 log = logging.getLogger("caldesign")
 
 
@@ -81,11 +79,11 @@ class LinearProgram:
             raise ValidationError(
                 "BAD_LP", f"objective, A, rel and b of shapes {shapes} do "
                 f"not fit together")
-        known = np.isin(self.rel, _RELATIONS)
+        known = (self.rel == "<=") | (self.rel == "==") | (self.rel == ">=")
         if not known.all():
             raise ValidationError(
                 "BAD_LP", f"unknown relation {self.rel[~known][0]!r}")
-        if not np.all(np.isfinite(self.b)):
+        if not np.isfinite(self.b).all():
             raise ValidationError("BAD_LP", "rhs must be finite")
 
     @property
