@@ -9,6 +9,10 @@ Subcommands:
 - ``verify-structure``  shape diagnostics and optional optimality certificate
 - ``grid``         dump the discretization grid for a given precision
 
+Per-event rows (predictor ``mass``, scheme ``pi``, ``per_event_support``)
+are written and read in the instance file's order of events, whatever the
+order of their means.
+
 Exit codes: 0 success, 2 invalid input, 3 solver failure.  Set
 ``CALDESIGN_LOG=debug|info|warning`` for logging verbosity.  All numeric
 output is printed with 12 significant digits so reruns are byte-identical.

@@ -140,7 +140,8 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
 
     A = lp.A.copy()
     b = lp.b.copy()
-    rel = lp.rel
+    le = lp.rel == "<="
+    ge = lp.rel == ">="
 
     # --- equilibration and sign normalization -----------------------------
     # Rows first, then columns, then rows again: sentinel-sized utilities can
@@ -160,16 +161,15 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
         flip = b < 0
         A[flip] *= -1
         b[flip] = -b[flip]
-        rel = np.where(flip & (rel == "<="), ">=",
-                       np.where(flip & (rel == ">="), "<=", rel))
+        le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
     c = lp.objective / col_scale
     cost_scale = max(1.0, np.abs(c).max()) if c.size else 1.0
     c_scaled = c / cost_scale
 
     # --- assemble phase-1 tableau ----------------------------------------
-    le_rows = np.flatnonzero(rel == "<=")
-    ge_rows = np.flatnonzero(rel == ">=")
-    art_rows = np.flatnonzero(rel != "<=")
+    le_rows = np.flatnonzero(le)
+    ge_rows = np.flatnonzero(ge)
+    art_rows = np.flatnonzero(~le)
     # row k of slack_rows owns the logical column n + k
     slack_rows = np.concatenate([le_rows, ge_rows])
     art_start = n + slack_rows.size

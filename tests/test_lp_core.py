@@ -68,22 +68,22 @@ class TestBasics:
         assert solve(LinearProgram([-1.0], [[1.0]], [">="], [1.0])) \
             .iterations == 1
 
-    @pytest.mark.parametrize("objective,A,rel,b,match", [
-        ([1.0, 1.0], [[1.0]], ["<="], [1.0], "do not fit"),     # A too narrow
-        ([1.0], [[1.0], [2.0]], ["<="], [1.0], "do not fit"),   # A too tall
-        ([1.0], [[1.0]], ["<=", "<="], [1.0], "do not fit"),    # extra rel
-        ([1.0], [1.0], ["<="], [1.0], "do not fit"),            # A not 2-D
-        ([[1.0]], [[1.0]], ["<="], [1.0], "do not fit"),        # objective 2-D
-        ([1.0], [[1.0]], ["!"], [1.0], "unknown relation"),
-        ([1.0], [[1.0]], ["="], [1.0], "unknown relation"),
-        ([1.0], [[1.0]], ["<=="], [1.0], "unknown relation"),
-        ([1.0], [[1.0]], ["<="], [math.inf], "finite"),
-        ([1.0], [[1.0]], ["<="], [math.nan], "finite"),
-    ])
-    def test_rejects_malformed(self, objective, A, rel, b, match):
-        with pytest.raises(ValidationError, match=match) as err:
-            LinearProgram(objective, A, rel, b)
-        assert err.value.code == "BAD_LP"
+    def test_rejects_malformed(self):
+        for objective, A, rel, b, match in [
+            ([1.0, 1.0], [[1.0]], ["<="], [1.0], "do not fit"),  # A narrow
+            ([1.0], [[1.0], [2.0]], ["<="], [1.0], "do not fit"),  # A tall
+            ([1.0], [[1.0]], ["<=", "<="], [1.0], "do not fit"),  # extra rel
+            ([1.0], [1.0], ["<="], [1.0], "do not fit"),  # A not 2-D
+            ([[1.0]], [[1.0]], ["<="], [1.0], "do not fit"),  # objective 2-D
+            ([1.0], [[1.0]], ["!"], [1.0], "unknown relation"),
+            ([1.0], [[1.0]], ["="], [1.0], "unknown relation"),
+            ([1.0], [[1.0]], ["<=="], [1.0], "unknown relation"),
+            ([1.0], [[1.0]], ["<="], [math.inf], "finite"),
+            ([1.0], [[1.0]], ["<="], [math.nan], "finite"),
+        ]:
+            with pytest.raises(ValidationError, match=match) as err:
+                LinearProgram(objective, A, rel, b)
+            assert err.value.code == "BAD_LP"
 
     def test_solve_leaves_the_program_unchanged(self):
         # solve scales, flips and pivots a copy: the exact solver re-solves
