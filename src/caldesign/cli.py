@@ -21,6 +21,7 @@ output is printed with 12 significant digits so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -182,7 +183,7 @@ def cmd_verify_structure(args) -> int:
     inst = _load_instance(args)
     pred = _load_predictor(args.predictor, inst)
     report = structure.analyze_structure(pred, inst)
-    out = {"structure": report.to_json_dict()}
+    out = {"structure": dataclasses.asdict(report)}
     if args.certificate:
         cert = structure.GammaCertificate.from_json_dict(
             _load_json(args.certificate))

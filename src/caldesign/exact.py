@@ -41,6 +41,7 @@ from .model import (
     action_profile,
     ece,
     payoff,
+    runs,
     tied_action_sets,
 )
 
@@ -290,10 +291,10 @@ def _lossy_merges(inst, strat):
     means = np.clip(strat.biased_means(inst)[live], 0.0, 1.0)
     order = np.argsort(means, kind="stable")
     live, means = live[order], means[order]
-    cuts = np.flatnonzero(np.diff(means) > SUPPORT_MERGE_TOL) + 1
     weights = inst.lam[:, None] * strat.pi
     lossy = []
-    for group in np.split(np.arange(live.size), cuts):
+    for group in np.split(np.arange(live.size),
+                          runs(means, SUPPORT_MERGE_TOL)[1:]):
         if group.size < 2:
             continue
         signals = live[group]

@@ -10,11 +10,12 @@ predictor with no worse calibration error and identical payoff.
 
 Discretization uses an instance-dependent two-layer grid: a uniform delta
 mesh joined with the outcome means, the breakpoints of the designer's
-indirect utility, and geometric micro-nets around each of those anchors
-whose radii start at (eps^t * delta)^(1/t).  Solving the plan LP on this
-grid loses at most a (1 - 3*delta) factor; the paper's rounding scheme
-realizes that bound constructively (it lives with the test-suite, which
-checks it; the solver needs no rounding).
+indirect utility (the agent's envelope, :func:`caldesign.model.envelope`),
+and geometric micro-nets around each of those anchors whose radii start at
+(eps^t * delta)^(1/t).  Solving the plan LP on this grid loses at most a
+(1 - 3*delta) factor; the paper's rounding scheme realizes that bound
+constructively (it lives with the test-suite, which checks it; the solver
+needs no rounding).
 
 One practical reduction: prediction columns in the LP are restricted to the
 utility breakpoints, the outcome means, and one interior point per constant
@@ -48,45 +49,18 @@ from .errors import SolverError, ValidationError
 from .exact import certify
 from .model import (
     INF,
+    SUPPLY_TOL,
+    SUPPORT_MERGE_TOL,
     Instance,
     Predictor,
-    SUPPORT_MERGE_TOL,
+    envelope,
     indirect_utility_matrix,
+    piece_scan,
+    runs,
 )
 
 GRID_MERGE_TOL = 1e-12
-SUPPLY_TOL = 1e-7
 PRICE_TOL = 1e-10
-
-
-def discontinuities(inst: Instance) -> np.ndarray:
-    """Interior predictions where the agent's optimal action changes.
-
-    Candidate points are the pairwise indifference crossings of the agent's
-    (linear-in-p) action scores; a candidate is kept only when the winning
-    action actually differs between the adjacent cells.
-    """
-    v = inst.agent_utility
-    cands = set()
-    for a in range(inst.m):
-        for a2 in range(a + 1, inst.m):
-            d1 = v[a, 1] - v[a2, 1]
-            d0 = v[a, 0] - v[a2, 0]
-            denom = d1 - d0
-            if denom == 0.0:
-                continue
-            p = -d0 / denom
-            if 1e-12 < p < 1 - 1e-12:
-                cands.add(float(p))
-    if not cands:
-        return np.zeros(0)
-    cands = _dedup_sorted(np.array(sorted(cands)))
-    cells = np.concatenate([[0.0], cands, [1.0]])
-    mids = 0.5 * (cells[:-1] + cells[1:])
-    # Strict per-cell winner: inside a cell the top action is unique up to
-    # exactly duplicated utility rows, so argmax is stable there.
-    winners = np.argmax(inst.agent_scores(mids), axis=1)
-    return cands[winners[:-1] != winners[1:]]
 
 
 @dataclass
@@ -106,11 +80,7 @@ class Grid:
 
 def _dedup_sorted(values, tol=GRID_MERGE_TOL):
     values = np.sort(np.asarray(values, dtype=float))
-    if values.size == 0:
-        return values
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = np.diff(values) > tol
-    return values[keep]
+    return values[runs(values, tol)]
 
 
 def build_grid(inst: Instance, delta: float) -> Grid:
@@ -128,7 +98,7 @@ def build_grid(inst: Instance, delta: float) -> Grid:
     if t == INF:
         raise ValidationError("UNSUPPORTED_NORM",
                               "the approximation scheme needs a finite norm")
-    zs = discontinuities(inst)
+    zs = envelope(inst)[0]
     anchors = _dedup_sorted(np.concatenate([zs, inst.theta]))
     levels = int(math.ceil(2.0 / math.log1p(delta) * math.log(1.0 / delta)))
     delta0 = inst.epsilon**t * delta
@@ -243,13 +213,6 @@ def _join(parts):
     return PlanColumns(*(np.concatenate([getattr(part, f.name)
                                          for part in parts])
                          for f in fields(PlanColumns)))
-
-
-def piece_scan(zs):
-    """Edges {0, 1, zs} of the constant pieces of an indirect utility with
-    breakpoints ``zs``, then each piece's midpoint: it takes no other value."""
-    edges = _dedup_sorted(np.concatenate([[0.0, 1.0], zs]))
-    return np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
 
 
 def _prediction_points(inst, grid, full):

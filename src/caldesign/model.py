@@ -29,9 +29,21 @@ UTILITY_CAP = 1e9
 # Prediction values closer than this are the same support point.
 SUPPORT_MERGE_TOL = 1e-12
 
+# A plan may supply an event's prior mass up to this much off.
+SUPPLY_TOL = 1e-7
+
 # Indifference window for the agent, scaled by utility magnitude so that
 # capped (sentinel-sized) payoffs keep a ~1e-9 wide window in p-space.
 TIE_TOL = 1e-9
+
+
+def runs(values, tol):
+    """Start index of each run of the sorted ``values`` in which every value
+    lies within ``tol`` of the one before it."""
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    starts[1:] = np.diff(values) > tol
+    return np.flatnonzero(starts)
 
 
 def _as_float_array(x, name, code):
@@ -244,19 +256,9 @@ class Predictor:
         mass = np.clip(mass, 0.0, None)
 
         order = np.argsort(support, kind="stable")
-        support = support[order]
-        mass = mass[:, order]
-        # Merge runs of nearly identical support values.
-        keep = []
-        sums = []
-        start = 0
-        for k in range(1, support.size + 1):
-            if k == support.size or support[k] - support[k - 1] > merge_tol:
-                keep.append(start)
-                sums.append(mass[:, start:k].sum(axis=1))
-                start = k
-        self.support = support[keep]
-        self.mass = np.column_stack(sums) if sums else mass
+        starts = runs(support[order], merge_tol)
+        self.support = support[order][starts]
+        self.mass = np.add.reduceat(mass[:, order], starts, axis=1)
         rows = self.mass.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-9):
             raise ValidationError("BAD_MASS",
@@ -304,6 +306,67 @@ class AgentResponse:
                 f"tied={self.tied_actions})")
 
 
+def envelope(inst):
+    """The agent's best response as a step function of the prediction.
+
+    Returns ``(zs, acts)``: the sorted breakpoints inside (1e-12, 1 - 1e-12),
+    and ``acts[k]``, the action with the strictly largest score on piece
+    ``k`` (from ``zs[k - 1]`` to ``zs[k]``; exact duplicates resolve to the
+    lowest index), so ``len(acts) == len(zs) + 1``.  The walk climbs the
+    upper envelope of the linear action scores in slope order: from the best
+    action at p = 0, the next is the steeper action that overtakes it first
+    (of those that overtake within ``SUPPORT_MERGE_TOL`` of the first
+    crossing, the one scoring highest there, then the steepest, then the
+    lowest index).  Each breakpoint is the pair's crossing
+    ``-d0 / (d1 - d0)``, lower action index first.  A crossing at or
+    below 1e-12 replaces the action at 0, and breakpoints within
+    ``SUPPORT_MERGE_TOL`` of the one before merge into the first of their
+    run, dropping the pieces between them.
+    """
+    v = inst.agent_utility.tolist()
+    slope = [v1 - v0 for v0, v1 in v]
+    act = max(range(inst.m), key=lambda a: (v[a][0], slope[a], -a))
+    zs, acts, z = [], [act], 0.0
+    while True:
+        cross = {b: _crossing(v, act, b) for b in range(inst.m)
+                 if slope[b] > slope[act]}
+        cross = {b: c for b, c in cross.items() if c < 1 - 1e-12}
+        if not cross:
+            break
+        # Of the actions that overtake within the merge tolerance of the
+        # first crossing, the best right after it: a sentinel-steep line can
+        # meet two others at crossings that rounding cannot order.
+        first = min(cross.values())
+        act = max((b for b, c in cross.items()
+                   if c <= first + SUPPORT_MERGE_TOL),
+                  key=lambda b: (first * v[b][1] + (1.0 - first) * v[b][0],
+                                 slope[b], -b))
+        z, last = cross[act], z
+        if z <= 1e-12 or zs and z - last <= SUPPORT_MERGE_TOL:
+            acts[-1] = act      # the piece before z is empty or merged
+        else:
+            zs.append(z)
+            acts.append(act)
+    return np.array(zs), np.array(acts)
+
+
+def _crossing(v, a, b):
+    """Where the lines ``v[a]`` and ``v[b]`` (lists of floats) cross,
+    lower index first; inf if they are parallel."""
+    lo, hi = min(a, b), max(a, b)
+    d1 = v[lo][1] - v[hi][1]
+    d0 = v[lo][0] - v[hi][0]
+    return -d0 / (d1 - d0) if d1 != d0 else INF
+
+
+def piece_scan(zs):
+    """Edges {0, 1, zs} of the constant pieces of an indirect utility with
+    the :func:`envelope` breakpoints ``zs``, then each piece's midpoint: it
+    takes no other value."""
+    edges = np.concatenate([[0.0], zs, [1.0]])
+    return np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
+
+
 def _tie_tolerances(inst, best_idx):
     """Per-action score tolerance for tie detection; shape broadcastable to scores."""
     vmax = np.maximum(1.0, np.abs(inst.agent_utility).max(axis=1))  # (m,)
@@ -346,11 +409,10 @@ def best_response(inst, p, weights=None):
     p = float(p)
     if not -1e-12 <= p <= 1 + 1e-12:
         raise ValidationError("BAD_SUPPORT", f"prediction {p} outside [0, 1]")
+    w = None if weights is None else np.asarray(weights, dtype=float)[:, None]
     tied = tied_action_sets(inst, [p])[0]
-    w = inst.lam if weights is None else np.asarray(weights, dtype=float)
-    gains = w @ inst.ubar
-    action = int(np.argmax(np.where(tied, gains, -np.inf)))
-    return AgentResponse(p, action, np.flatnonzero(tied))
+    return AgentResponse(p, action_profile(inst, [p], w)[0],
+                         np.flatnonzero(tied))
 
 
 def indirect_utility(inst, i, p):

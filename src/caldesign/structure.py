@@ -8,24 +8,31 @@ indirect utility and covered by a convex "certificate" function with
 symmetric linear tails.  This module checks membership in that shape,
 recalibrates arbitrary predictors through event-independent post-processing
 plans, verifies optimality certificates, and carries the closed form for
-the binary-action special case.
+the binary-action special case.  The indirect utility's breakpoints and the
+binary threshold come from the agent's envelope
+(:func:`caldesign.model.envelope`); this module imports no solver.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import (
+    SUPPLY_TOL,
+    SUPPORT_MERGE_TOL,
     Instance,
     Predictor,
-    SUPPORT_MERGE_TOL,
     ece,
+    envelope,
     indirect_utility_matrix,
     kappa_values,
+    piece_scan,
     point_mass,
+    runs,
 )
-from .fptas import SUPPLY_TOL, discontinuities, piece_scan
 
 KAPPA_GROUP_TOL = 1e-9
 CLASSIFY_TOL = 1e-7
@@ -38,7 +45,7 @@ def is_event_independent(inst: Instance) -> bool:
     midpoints; that covers every value a piecewise-constant indirect
     utility can take.
     """
-    U = indirect_utility_matrix(inst, piece_scan(discontinuities(inst)))
+    U = indirect_utility_matrix(inst, piece_scan(envelope(inst)[0]))
     return bool(np.all(np.abs(U - U[0][None, :]) <= 1e-9))
 
 
@@ -66,15 +73,8 @@ def check_mpc(g, lam, tol=1e-9) -> bool:
 
 def prior_on_means(inst: Instance):
     """The event prior as a distribution over outcome means (ties merged)."""
-    values = []
-    probs = []
-    for th, lm in zip(inst.theta, inst.lam):
-        if values and th - values[-1] <= SUPPORT_MERGE_TOL:
-            probs[-1] += lm
-        else:
-            values.append(float(th))
-            probs.append(float(lm))
-    return np.array(values), np.array(probs)
+    starts = runs(inst.theta, SUPPORT_MERGE_TOL)
+    return inst.theta[starts], np.add.reduceat(inst.lam, starts)
 
 
 class EventIndependentPlan:
@@ -118,30 +118,19 @@ def recalibrate(pred: Predictor, inst: Instance):
     keep = np.flatnonzero(marg > 0)
     kap = kappa_values(pred, inst)[keep]
     order = np.argsort(kap, kind="stable")
-    groups = []          # lists of kept-support indices
-    for pos in order:
-        if groups and kap[pos] - kap[groups[-1][0]] <= KAPPA_GROUP_TOL:
-            groups[-1].append(pos)
-        else:
-            groups.append([pos])
-
-    n = inst.n
-    q_atoms = np.empty(len(groups))
-    gmass = np.zeros((n, len(groups)))
-    plan_q, plan_p, plan_w = [], [], []
-    for gidx, members in enumerate(groups):
-        cols = keep[members]
-        weight = marg[cols]
-        q_atoms[gidx] = float(weight @ kap[members] / weight.sum())
-        gmass[:, gidx] = pred.mass[:, cols].sum(axis=1)
-        for c, w in zip(cols, weight):
-            plan_q.append(q_atoms[gidx])
-            plan_p.append(float(pred.support[c]))
-            plan_w.append(float(w))
+    cols, kap = keep[order], kap[order]
+    starts = runs(kap, KAPPA_GROUP_TOL)
+    weight = marg[cols]
+    cuts = starts[1:]
+    q_atoms = np.array([w @ k / w.sum() for w, k in
+                        zip(np.split(weight, cuts), np.split(kap, cuts))])
+    gmass = np.add.reduceat(pred.mass[:, cols], starts, axis=1)
+    sizes = np.diff(starts, append=cols.size)
     # group means are strictly increasing, so disable support merging to keep
     # the calibrated support aligned with the plan's q-marginal one-to-one
     gtilde = Predictor(q_atoms, gmass, merge_tol=0.0)
-    plan = EventIndependentPlan(plan_q, plan_p, plan_w)
+    plan = EventIndependentPlan(np.repeat(q_atoms, sizes), pred.support[cols],
+                                weight)
     return gtilde, plan
 
 
@@ -178,40 +167,25 @@ def apply_plan(gtilde: Predictor, plan: EventIndependentPlan,
     return Predictor(support, mass)
 
 
+@dataclass
 class StructureReport:
-    """Shape diagnostics of a predictor under event-independent utility."""
+    """Shape diagnostics of a predictor under event-independent utility;
+    ``dataclasses.asdict`` gives its JSON form."""
 
-    def __init__(self, p_low, p_high, classification, collinear_under,
-                 collinear_over, under_residual, over_residual,
-                 slope_gap, convex_points, violations):
-        self.p_low = p_low
-        self.p_high = p_high
-        self.classification = classification
-        self.collinear_under = collinear_under
-        self.collinear_over = collinear_over
-        self.under_residual = under_residual
-        self.over_residual = over_residual
-        self.slope_gap = slope_gap
-        self.convex_points = convex_points
-        self.violations = violations
+    p_low: float
+    p_high: float
+    classification: list
+    collinear_under: bool
+    collinear_over: bool
+    under_residual: float
+    over_residual: float
+    slope_gap: float
+    convex_points: bool
+    violations: list
 
     @property
     def ok(self):
         return not self.violations
-
-    def to_json_dict(self):
-        return {
-            "p_low": self.p_low,
-            "p_high": self.p_high,
-            "classification": self.classification,
-            "collinear_under": self.collinear_under,
-            "collinear_over": self.collinear_over,
-            "under_residual": self.under_residual,
-            "over_residual": self.over_residual,
-            "slope_gap": self.slope_gap,
-            "convex_points": self.convex_points,
-            "violations": self.violations,
-        }
 
 
 def _fit_line(xs, ys):
@@ -343,25 +317,26 @@ class GammaCertificate:
                                   f"missing field {exc}") from None
 
 
+@dataclass
 class OptimalityVerdict:
     """Per-condition outcome of the certificate check; all-pass certifies."""
 
-    FIELDS = ("budget_complementarity", "touches_support", "dominates_utility",
-              "miscalibrated_in_tails", "expected_value_match", "contraction")
-
-    def __init__(self, **flags):
-        for f in self.FIELDS:
-            setattr(self, f, bool(flags[f]))
-        self.details = flags.get("details", {})
+    budget_complementarity: bool
+    touches_support: bool
+    dominates_utility: bool
+    miscalibrated_in_tails: bool
+    expected_value_match: bool
+    contraction: bool
+    details: dict = field(default_factory=dict)
 
     @property
     def all_pass(self):
-        return all(getattr(self, f) for f in self.FIELDS)
+        return all(astuple(self)[:-1])
 
     def to_json_dict(self):
-        out = {f: getattr(self, f) for f in self.FIELDS}
+        out = asdict(self)
         out["all_pass"] = self.all_pass
-        out["details"] = self.details
+        out["details"] = out.pop("details")
         return out
 
 
@@ -389,7 +364,7 @@ def verify_optimality(pred: Predictor, inst: Instance,
     U_support = indirect_utility_matrix(inst, ps)[0]
     cond_touch = bool(np.all(np.abs(cert(ps) - U_support) <= 1e-7))
 
-    zs = discontinuities(inst)
+    zs = envelope(inst)[0]
     scan = [np.arange(0.0, 1.0 + 1e-12, 1e-4), zs, cert.knots_x, ps]
     for z in zs:
         scan.append(np.array([z - 1e-9, z + 1e-9]))
@@ -432,7 +407,8 @@ def verify_optimality(pred: Predictor, inst: Instance,
 
 def _binary_shape(inst: Instance):
     """(high_action, unit_payoff, threshold) of a binary reach-the-high-action
-    instance, or a ``NOT_BINARY_SHAPE`` error."""
+    instance, or a ``NOT_BINARY_SHAPE`` error.  The threshold is the agent's
+    envelope breakpoint, 0 when the high action is best on all of [0, 1]."""
     if inst.m != 2:
         raise ValidationError("NOT_BINARY_SHAPE", "needs exactly two actions")
     if inst.norm != 1.0:
@@ -448,19 +424,11 @@ def _binary_shape(inst: Instance):
         raise ValidationError("NOT_BINARY_SHAPE",
                               "one action must pay a positive constant, one zero")
     high = int(np.argmax(vals))
-    c = float(vals[high])
-    v = inst.agent_utility
-    slope = (v[high, 1] - v[1 - high, 1]) - (v[high, 0] - v[1 - high, 0])
-    gap0 = v[high, 0] - v[1 - high, 0]  # score gap at p = 0
-    if slope <= 0:
+    zs, acts = envelope(inst)
+    if acts[-1] != high:
         raise ValidationError("NOT_BINARY_SHAPE",
                               "high action must win for large predictions")
-    threshold = -gap0 / slope
-    if threshold >= 1 - 1e-12:
-        raise ValidationError("NOT_BINARY_SHAPE",
-                              "high action is never an agent best response")
-    threshold = max(threshold, 0.0)
-    return high, c, threshold
+    return high, float(vals[high]), float(zs[0]) if zs.size else 0.0
 
 
 def binary_action_optimal(inst: Instance) -> Predictor:
@@ -533,21 +501,13 @@ def binary_action_certificate(inst: Instance) -> GammaCertificate:
     return GammaCertificate(knots, alpha, 0.0, anchor)
 
 
+@dataclass
 class PredictionCounts:
     """Support-size statistics of a predictor."""
 
-    def __init__(self, total, per_event_max, per_outcome_max):
-        self.total = int(total)
-        self.per_event_max = int(per_event_max)
-        self.per_outcome_max = int(per_outcome_max)
-
-    def astuple(self):
-        return (self.total, self.per_event_max, self.per_outcome_max)
-
-    def __repr__(self):
-        return (f"PredictionCounts(total={self.total}, "
-                f"per_event_max={self.per_event_max}, "
-                f"per_outcome_max={self.per_outcome_max})")
+    total: int
+    per_event_max: int
+    per_outcome_max: int
 
 
 def count_predictions(pred: Predictor, inst: Instance) -> PredictionCounts:
@@ -558,8 +518,5 @@ def count_predictions(pred: Predictor, inst: Instance) -> PredictionCounts:
     total = keep.size
     per_event = int(np.max((pred.mass[:, keep] > 1e-12).sum(axis=1), initial=0))
     kap = np.sort(kappa_values(pred, inst)[keep])
-    best = run = 1 if kap.size else 0
-    for k in range(1, kap.size):
-        run = run + 1 if kap[k] - kap[k - 1] <= KAPPA_GROUP_TOL else 1
-        best = max(best, run)
-    return PredictionCounts(total, per_event, best)
+    sizes = np.diff(runs(kap, KAPPA_GROUP_TOL), append=kap.size)
+    return PredictionCounts(total, per_event, int(sizes.max(initial=0)))

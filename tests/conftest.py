@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 
 from caldesign import lp_core
-from caldesign.fptas import (
-    PRICE_TOL,
-    BiEventPlan,
-    PlanColumns,
-    discontinuities,
-)
-from caldesign.model import Instance, Predictor, validate_instance
+from caldesign.fptas import PRICE_TOL, BiEventPlan, PlanColumns
+from caldesign.model import Instance, Predictor, envelope, validate_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -188,7 +183,7 @@ def random_feasible_plan(rng, inst, moves=6, anchors_only=True):
     """Supply-feasible pairwise plan; starts from the calibrated diagonal and
     moves random mass into pooled entries."""
     if anchors_only:
-        anchors = np.unique(np.concatenate([discontinuities(inst),
+        anchors = np.unique(np.concatenate([envelope(inst)[0],
                                             inst.theta]))
     else:
         anchors = np.sort(rng.uniform(0.0, 1.0, 8))

@@ -9,7 +9,6 @@ from caldesign.fptas import (
     BiEventPlan,
     build_disc_lp,
     build_grid,
-    discontinuities,
     fptas_solve,
     plan_to_predictor,
     solve_plan_lp,
@@ -26,30 +25,6 @@ from conftest import (
     random_instance,
 )
 from rounding import round_plan
-
-
-class TestDiscontinuities:
-    def test_golden_breakpoints(self, golden):
-        zs = discontinuities(golden)
-        assert zs.size == 3
-        # the capped "minus infinity" entry shifts the top crossing by ~1e-8
-        assert np.allclose(zs, [1e-5, 0.9, 1.0], atol=1e-7)
-
-    def test_single_action_has_none(self, two_event):
-        assert discontinuities(two_event).size == 0
-
-    def test_matches_dense_scan(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            inst = random_instance(rng, epsilon=0.1, m_min=2)
-            zs = discontinuities(inst)
-            ps = np.linspace(0.0, 1.0, 1_000_001)
-            winners = np.argmax(inst.agent_scores(ps), axis=1)
-            flips = ps[1:][winners[1:] != winners[:-1]]
-            # every dense-scan flip sits next to a reported breakpoint
-            for f in flips:
-                assert np.min(np.abs(zs - f)) <= 2e-6
-            assert zs.size >= np.unique(np.round(flips, 4)).size
 
 
 class TestGrid:

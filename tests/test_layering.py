@@ -1,0 +1,51 @@
+"""Import layering of the package, read from its source with ``ast``.
+
+``model`` is the base layer: it may import ``errors`` and nothing else of
+the package.  ``structure`` works on predictors and the agent's envelope
+from ``model``; it must not reach into the solvers.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "caldesign"
+
+
+def package_imports(module):
+    """The ``caldesign`` modules that ``module``'s source imports, at any
+    depth of its syntax tree (function-level imports count too)."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                name = node.module
+            elif (node.module or "").split(".")[0] == "caldesign":
+                name = node.module.partition(".")[2]
+            else:
+                continue
+            if name:
+                found.add(name.split(".")[0])
+            else:   # from . import x / from caldesign import x
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "caldesign" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_the_reader_sees_every_import_form():
+    assert package_imports("fptas") >= {"lp_core", "errors", "exact",
+                                        "model"}
+    assert package_imports("cli") >= {"exact", "fptas", "model",
+                                      "structure", "errors"}
+
+
+def test_model_imports_only_errors():
+    assert package_imports("model") <= {"errors"}
+
+
+def test_structure_imports_no_solver():
+    assert not package_imports("structure") & {"fptas", "exact", "lp_core"}

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from caldesign.errors import ValidationError
 from caldesign.model import (
     INF,
+    SUPPORT_MERGE_TOL,
     Predictor,
     agent_payoff,
     best_response,
     ece,
+    envelope,
     indirect_utility,
     kappa,
     payoff,
     point_mass,
+    runs,
     validate_instance,
 )
 
@@ -124,6 +127,179 @@ class TestBestResponse:
             assert resp.action in resp.tied_actions
             exact_ties = set(np.flatnonzero(scores >= scores.max() - 1e-12))
             assert exact_ties <= set(resp.tied_actions)
+
+    def test_weights_rank_the_tied_actions(self, golden):
+        # a1 and a2 tie at p = 1e-5; each event's own designer utility
+        # picks among them
+        for i in range(golden.n):
+            resp = best_response(golden, 1e-5, weights=np.eye(golden.n)[i])
+            tied = list(resp.tied_actions)
+            assert resp.action == tied[np.argmax(golden.ubar[i, tied])]
+
+
+def _lines(v):
+    """Instance whose agent scores are the lines ``v`` (one event)."""
+    v = np.asarray(v, dtype=float)
+    return make_instance([0.5], [1.0], v, np.zeros((1, len(v), 2)), 0.1)
+
+
+def _crossing(v, a, b):
+    """The crossing of actions a < b, computed as :func:`envelope` does."""
+    d1 = v[a][1] - v[b][1]
+    d0 = v[a][0] - v[b][0]
+    return -d0 / (d1 - d0)
+
+
+class TestEnvelope:
+    def test_golden_breakpoints(self, golden):
+        zs, acts = envelope(golden)
+        assert zs.size == 3
+        # the capped "minus infinity" entry shifts the top crossing by ~1e-8
+        assert np.allclose(zs, [1e-5, 0.9, 1.0], atol=1e-7)
+        assert acts.tolist() == [0, 1, 2, 3]
+
+    def test_single_action_has_none(self, two_event):
+        zs, acts = envelope(two_event)
+        assert zs.size == 0 and acts.tolist() == [0]
+
+    def test_matches_dense_scan(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            inst = random_instance(rng, epsilon=0.1, m_min=2)
+            zs, acts = envelope(inst)
+            ps = np.linspace(0.0, 1.0, 1_000_001)
+            winners = np.argmax(inst.agent_scores(ps), axis=1)
+            flips = ps[1:][winners[1:] != winners[:-1]]
+            # every dense-scan flip sits next to a reported breakpoint
+            for f in flips:
+                assert np.min(np.abs(zs - f)) <= 2e-6
+            assert zs.size >= np.unique(np.round(flips, 4)).size
+            assert acts[0] == winners[0] and acts[-1] == winners[-1]
+
+    @staticmethod
+    def _check_midpoints(inst):
+        zs, acts = envelope(inst)
+        assert acts.size == zs.size + 1
+        assert np.all(np.diff(zs) > SUPPORT_MERGE_TOL)
+        assert np.all((zs > 1e-12) & (zs < 1 - 1e-12))
+        edges = np.concatenate([[0.0], zs, [1.0]])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        assert acts.tolist() == np.argmax(inst.agent_scores(mids),
+                                          axis=1).tolist()
+
+    def test_acts_are_the_argmax_on_each_piece(self):
+        rng = np.random.default_rng(23)
+        for k in range(300):
+            m = int(rng.integers(1, 9))
+            if k % 3 == 0:     # integer lines: exact ties, shared crossings
+                v = rng.integers(-3, 4, (m, 2)).astype(float)
+            else:
+                v = rng.uniform(-1.0, 1.0, (m, 2))
+            if k % 3 == 2 and m > 1:
+                v[rng.integers(0, m)] = v[rng.integers(0, m)]
+            self._check_midpoints(_lines(v))
+
+    def test_duplicate_action_rows(self):
+        # exact duplicates resolve to the lowest index, as argmax does
+        zs, acts = envelope(_lines([[0, 0], [-1, 1], [-1, 1]]))
+        assert zs.tolist() == [0.5] and acts.tolist() == [0, 1]
+        zs, acts = envelope(_lines([[-1, 1], [1, -1], [1, -1]]))
+        assert zs.tolist() == [0.5] and acts.tolist() == [1, 0]
+
+    def test_parallel_lines(self):
+        # a1 lies above its parallel a0 everywhere; a2 overtakes a1 at 0.6
+        v = [[0.0, 1.0], [0.2, 1.2], [-1.0, 2.0]]
+        zs, acts = envelope(_lines(v))
+        assert zs.tolist() == [_crossing(v, 1, 2)]
+        assert acts.tolist() == [1, 2]
+        zs, acts = envelope(_lines([[0.0, 1.0], [0.5, 1.5]]))
+        assert zs.size == 0 and acts.tolist() == [1]
+
+    def test_three_lines_through_one_point(self):
+        # the middle line is best only at p = 0.5 itself
+        zs, acts = envelope(_lines([[1, -1], [0, 0], [-1, 1]]))
+        assert zs.tolist() == [0.5] and acts.tolist() == [0, 2]
+        zs, acts = envelope(_lines([[0, 0], [1, -1], [-1, 1]]))
+        assert zs.tolist() == [0.5] and acts.tolist() == [1, 2]
+
+    def test_breakpoints_within_the_merge_tolerance_merge(self):
+        # a1 overtakes a0 at 0.5 and a2 overtakes a1 5e-13 later: one
+        # breakpoint, and a1's sliver of a piece is dropped
+        x = 0.5 + 5e-13
+        zs, acts = envelope(_lines([[0, 0], [-0.5, 0.5],
+                                    [-(x + 0.5), 1.5 - x]]))
+        assert zs.tolist() == [0.5] and acts.tolist() == [0, 2]
+
+    def test_one_action(self):
+        zs, acts = envelope(_lines([[0.3, -0.2]]))
+        assert zs.size == 0 and acts.tolist() == [0]
+
+    def test_sentinel_meets_two_lines_at_once(self):
+        # the falling sentinel a3 crosses a2 and a4 within 1e-18 of each
+        # other, past what rounding can order; a2 is best from there to 0.5
+        v = [[2, 0], [-2, -2], [1, 2], [INF, -INF], [0, 3]]
+        inst = _lines(v)
+        zs, acts = envelope(inst)
+        assert acts.tolist() == [3, 2, 4]
+        assert zs[1] == 0.5 and zs[0] == pytest.approx(0.5 - 7.5e-10,
+                                                       abs=1e-15)
+        self._check_midpoints(inst)
+
+    def test_sentinel_crossings_that_rounding_misorders(self):
+        # the falling sentinel a0 meets a1 and, under 1e-17 later, a2, but
+        # the computed crossings come out the other way round; a1 is best
+        # from there until a2 overtakes it
+        v = [[1e9, -1e9], [-0.4036738186851505, 0.48351336013866075],
+             [-1.556379829988487, 1.6362193691906182]]
+        inst = _lines(v)
+        assert _crossing(v, 0, 2) < _crossing(v, 0, 1)
+        assert envelope(inst)[1].tolist() == [0, 1, 2]
+        self._check_midpoints(inst)
+
+    def test_sentinel_breakpoint_is_the_meeting_pair(self):
+        # a6 is best at p = 0 and the sentinel action a4 overtakes it at
+        # 3/(1e9 + 1); a2 crosses a4 within 1e-12 of that point but is
+        # never best
+        v = [[1, 3], [0, 2], [2, -3], [0, 0], [-1, 1e9], [-1, 0], [2, 2]]
+        zs, acts = envelope(_lines(v))
+        assert zs.tolist() == [_crossing(v, 4, 6)]
+        assert zs[0] != _crossing(v, 2, 4)
+        assert zs[0] == pytest.approx(3.0e-9, rel=1e-8)
+        assert acts.tolist() == [6, 4]
+
+
+class TestRuns:
+    def test_chain_of_close_steps_is_one_run(self):
+        tol = 1e-9
+        values = np.array([0.1, 0.1 + 0.6e-9, 0.1 + 1.2e-9, 0.1 + 1.8e-9,
+                           0.5, 0.5, 0.7])
+        assert runs(values, tol).tolist() == [0, 4, 6]
+
+    def test_matches_the_loop_and_the_predictor_merge(self):
+        # reference: the loop each caller ran before; sorted values with
+        # clusters, chains and exact repeats
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            base = np.sort(rng.choice([0.1, 0.4, 0.9], 8))
+            values = np.sort(base + rng.integers(0, 4, 8) * 0.6e-12)
+            starts = [k for k in range(values.size)
+                      if k == 0 or values[k] - values[k - 1] > 1e-12]
+            assert runs(values, 1e-12).tolist() == starts
+            mass = rng.dirichlet(np.ones(8), size=3)
+            pred = Predictor(values, mass)
+            ends = starts[1:] + [values.size]
+            assert pred.support.tolist() == values[starts].tolist()
+            want = np.column_stack([mass[:, s:e].sum(axis=1)
+                                    for s, e in zip(starts, ends)])
+            assert np.allclose(pred.mass, want, rtol=0, atol=4e-16)
+
+    def test_empty_and_single(self):
+        assert runs(np.zeros(0), 1e-12).size == 0
+        assert runs(np.array([0.3]), 1e-12).tolist() == [0]
+
+    def test_zero_tolerance_splits_distinct_values(self):
+        values = np.array([0.0, 0.0, 1e-300, 1.0])
+        assert runs(values, 0.0).tolist() == [0, 2, 3]
 
 
 class TestIndirectUtility:

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -299,7 +301,7 @@ class TestCounts:
     def test_fully_revealing(self, two_event):
         pred = Predictor([0.3, 0.9], np.eye(2))
         counts = count_predictions(pred, two_event)
-        assert counts.astuple() == (2, 1, 1)
+        assert astuple(counts) == (2, 1, 1)
 
     def test_binary_low_budget_per_event(self):
         rng = np.random.default_rng(49)
@@ -310,3 +312,25 @@ class TestCounts:
             assert counts.per_event_max <= 2
             assert counts.total <= inst.n + 2
             assert counts.per_outcome_max <= 2
+
+    def test_per_outcome_max_is_the_largest_recalibrated_group(self):
+        # events whose means chain in steps of 0.6e-9 (each within
+        # KAPPA_GROUP_TOL of the one before, three of them spanning more),
+        # each predicting on points of its own, so a point's posterior mean
+        # is its event's mean
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            theta = (rng.choice([0.2, 0.7], n)
+                     + rng.integers(0, 3, n) * 0.6e-9)
+            inst = make_instance(theta, rng.dirichlet(np.ones(n)),
+                                 [[0.0, 0.0]], np.ones((n, 1, 2)), 0.1)
+            points = rng.integers(1, 4, inst.n)
+            mass = np.zeros((inst.n, points.sum()))
+            for i, (lo, k) in enumerate(zip(np.cumsum(points) - points,
+                                            points)):
+                mass[i, lo:lo + k] = rng.dirichlet(np.ones(k))
+            pred = Predictor(rng.uniform(0.0, 1.0, points.sum()), mass)
+            _, plan = recalibrate(pred, inst)
+            largest = np.unique(plan.q, return_counts=True)[1].max()
+            assert count_predictions(pred, inst).per_outcome_max == largest
