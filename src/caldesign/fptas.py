@@ -173,17 +173,6 @@ class BiEventPlan:
         val = r * U[self.i, col] + (1.0 - r) * U[self.j, col]
         return float(self.w @ val)
 
-    def to_records(self):
-        return [{"i": int(i), "j": int(j), "q": float(q), "p": float(p),
-                 "mass": float(w)}
-                for i, j, q, p, w in zip(self.i, self.j, self.q, self.p, self.w)]
-
-    @classmethod
-    def from_records(cls, records):
-        return cls([r["i"] for r in records], [r["j"] for r in records],
-                   [r["q"] for r in records], [r["p"] for r in records],
-                   [r["mass"] for r in records])
-
 
 @dataclass
 class PlanColumns:

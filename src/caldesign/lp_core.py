@@ -8,11 +8,15 @@ assemble ``A`` from row blocks; :func:`solve` works on a copy, so a program
 can be solved, edited in place (the exact solver lowers its budget that way)
 and solved again.
 
-The solver is a textbook two-phase primal simplex on a dense numpy tableau.
-The entering column is the smallest-index improving one (Bland's rule); the
-leaving row comes from Harris's two-pass ratio test, which among near-minimal
-ratios pivots on the largest element, so degenerate rows with tiny entries
-do not blow the tableau up.  That leaving rule gives up Bland's finite
+The solver is a textbook two-phase primal simplex on a dense numpy tableau
+``[A | slacks and surpluses | b]``.  Phase 1 (:func:`_phase1`) appends one
+artificial column per ``==`` or ``>=`` row (after rows with ``b < 0`` are
+flipped), minimizes them out and deletes them again, so phase 2 always
+pivots on the program's own columns.  The entering column is the
+smallest-index improving one (Bland's rule); the leaving row comes from
+Harris's two-pass ratio test, which among near-minimal ratios pivots on the
+largest element, so degenerate rows with tiny entries do not blow the
+tableau up.  That leaving rule gives up Bland's finite
 termination guarantee; a pivot cap raises ``SolverError('NUMERICAL_FAILURE')``
 instead, so a solve never stalls silently.  Rows and columns are equilibrated
 (scaled to unit max-norm) before solving so that utility sentinels of size
@@ -22,12 +26,15 @@ An optimal solution carries its basis, from which :func:`row_prices`
 computes the row prices on demand (column generation prices with them).
 The same basis can start another solve: :func:`solve` accepts a start basis
 and, when it is a feasible basis of the new program, skips phase 1 and runs
-phase 2 from it (warm start).  The exact solver starts its first stage
+phase 2 from it (warm start), solving ``B⁻¹`` against the nonbasic columns
+and the right-hand side only.  The exact solver starts its first stage
 from a crash basis at a known feasible point, and its agent tie-break, a
 program plus one added row, from the old optimal basis plus the new row's
 slack or surplus.  The approximation scheme's column generation starts its
 first master from a crash basis and each later one, the same rows with
-columns added, from the previous optimal basis.
+columns added, from the previous optimal basis.  So package solves never
+run phase 1; it serves cold solves (tests, other callers) and rejected
+starts.
 
 Problems here are small: the exact path's are square, up to about 90 rows,
 and the approximation scheme's restricted masters have n + 1 rows by a few
@@ -131,6 +138,8 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
     Any other start (wrong length, an ``==`` row's logical column, which
     does not exist, a singular or infeasible basis) is logged at debug on
     the ``caldesign`` logger and the two-phase solve runs as without it.
+    Either way phase 2 runs on the tableau ``[A | slacks and surpluses |
+    b]``; artificial columns exist only inside phase 1.
     """
     n = lp.num_vars
     rows = lp.b.size
@@ -150,7 +159,7 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
     col_scale = np.ones(n)
     if rows:
         for _ in range(2):
-            rs = np.maximum(np.abs(A).max(axis=1), np.abs(b))
+            rs = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
             rs[rs < 1e-300] = 1.0
             A /= rs[:, None]
             b /= rs
@@ -166,48 +175,29 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
     cost_scale = max(1.0, np.abs(c).max()) if c.size else 1.0
     c_scaled = c / cost_scale
 
-    # --- assemble phase-1 tableau ----------------------------------------
+    # --- assemble the tableau [A | slacks and surpluses | b] ---------------
     le_rows = np.flatnonzero(le)
     ge_rows = np.flatnonzero(ge)
-    art_rows = np.flatnonzero(~le)
     # row k of slack_rows owns the logical column n + k
     slack_rows = np.concatenate([le_rows, ge_rows])
-    art_start = n + slack_rows.size
-    n_total = art_start + art_rows.size
+    n_total = n + slack_rows.size
 
     T = np.zeros((rows + 1, n_total + 1))
     T[:rows, :n] = A
     T[:rows, n_total] = b
-    basis = np.empty(rows, dtype=np.int64)
-    basis[le_rows] = n + np.arange(le_rows.size)
-    basis[art_rows] = art_start + np.arange(art_rows.size)
-    T[le_rows, basis[le_rows]] = 1.0
+    T[le_rows, n + np.arange(le_rows.size)] = 1.0
     T[ge_rows, n + le_rows.size + np.arange(ge_rows.size)] = -1.0
-    T[art_rows, basis[art_rows]] = 1.0
 
     pivots = 0
-    warm = None if start is None else _warm_start(T, n, start, slack_rows)
-    if warm is not None:
-        basis = warm
-    elif art_rows.size:
-        phase1_cost = np.zeros(n_total)
-        phase1_cost[art_start:] = -1.0
-        _install_objective(T, basis, phase1_cost)
-        code, pivots = _pivot_loop(T, basis, max_iter)
-        if code == 2:
-            raise SolverError("NUMERICAL_FAILURE",
-                              f"phase 1 exceeded {max_iter} pivots")
-        # Judge feasibility from the basic artificial values themselves; the
-        # tableau's objective cell can drift under heavy cancellation.
-        residual = sum(max(T[r, -1], 0.0) for r in range(rows)
-                       if basis[r] >= art_start)
-        if code == 1 or residual > _PHASE1_TOL:
+    basis = None if start is None else _warm_start(T, n, start, slack_rows)
+    if basis is None:
+        T, basis, pivots = _phase1(T, n, le, max_iter)
+        if basis is None:
             return LpSolution(INFEASIBLE, math.nan, None, iterations=pivots)
-        T, basis, rows = _drive_out_artificials(T, basis, rows, art_start)
+        rows = basis.size
 
     # --- phase 2 ----------------------------------------------------------
-    T = np.delete(T, np.s_[art_start:n_total], axis=1)
-    phase2_cost = np.zeros(art_start)
+    phase2_cost = np.zeros(n_total)
     phase2_cost[:n] = c_scaled
     _install_objective(T, basis, phase2_cost)
     code, phase2 = _pivot_loop(T, basis, max_iter)
@@ -218,7 +208,7 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
     if code == 1:
         return LpSolution(UNBOUNDED, math.inf, None, iterations=pivots)
 
-    y = np.zeros(art_start)
+    y = np.zeros(n_total)
     y[basis] = T[:rows, -1]
     # Adding 0.0 turns -0.0 into 0.0, so a zero entry never prints as -0.0.
     x = y[:n] / col_scale + 0.0
@@ -266,15 +256,56 @@ def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
     return y
 
 
+def _phase1(T, n, le, max_iter):
+    """Find a feasible basis of the tableau ``T = [A | slacks and surpluses
+    | b]`` (``n`` structural columns; ``le`` marks the ``<=`` rows, whose
+    slacks come first).
+
+    Every other row gets an artificial column, appended here and minimized
+    out; they are deleted again before returning, so phase 2 sees the
+    tableau's own columns.  Returns ``(T, basis, pivots)``, the feasible
+    tableau without any rows found redundant, or a None basis when the
+    program is infeasible.  Raises ``SolverError('NUMERICAL_FAILURE')`` at
+    the pivot cap.
+    """
+    art_start = T.shape[1] - 1
+    le_rows = np.flatnonzero(le)
+    art_rows = np.flatnonzero(~le)
+    basis = np.empty(le.size, dtype=np.int64)
+    basis[le_rows] = n + np.arange(le_rows.size)
+    if art_rows.size == 0:
+        return T, basis, 0
+    basis[art_rows] = art_start + np.arange(art_rows.size)
+    T = np.insert(T, [art_start] * art_rows.size, 0.0, axis=1)
+    T[art_rows, basis[art_rows]] = 1.0
+    cost = np.zeros(T.shape[1] - 1)
+    cost[art_start:] = -1.0
+    _install_objective(T, basis, cost)
+    code, pivots = _pivot_loop(T, basis, max_iter)
+    if code == 2:
+        raise SolverError("NUMERICAL_FAILURE",
+                          f"phase 1 exceeded {max_iter} pivots")
+    # Judge feasibility from the basic artificial values themselves; the
+    # tableau's objective cell can drift under heavy cancellation.
+    residual = sum(max(T[r, -1], 0.0) for r in range(le.size)
+                   if basis[r] >= art_start)
+    if code == 1 or residual > _PHASE1_TOL:
+        return T, None, pivots
+    T, basis, _ = _drive_out_artificials(T, basis, le.size, art_start)
+    return np.delete(T, np.s_[art_start:-1], axis=1), basis, pivots
+
+
 def _warm_start(T, n, start, slack_rows):
     """Make the start basis ``start`` basic in ``T``; returns its tableau
     columns, or None with ``T`` untouched.
 
     ``start`` is in :attr:`LpSolution.basis` numbering; ``slack_rows[k]`` is
     the row whose slack or surplus is tableau column ``n + k`` (an ``==`` row
-    has none).  The constraint rows of ``T`` become ``B⁻¹·T`` only if that
-    is finite and ``B⁻¹b >= -FEASIBILITY_TOL`` (tiny negatives are clamped
-    to 0).  A rejected start is logged at debug with its reason.
+    has none).  Only the nonbasic columns and the right-hand side are solved
+    for, ``X = B⁻¹·T[:, nonbasic]``; the basic columns become the identity.
+    ``T`` takes them only if ``X`` is finite and ``B⁻¹b >= -FEASIBILITY_TOL``
+    (tiny negatives are clamped to 0).  A rejected start is logged at debug
+    with its reason.
     """
     rows = T.shape[0] - 1
 
@@ -293,8 +324,10 @@ def _warm_start(T, n, start, slack_rows):
     cols[named] = logical[cols[named] - n]
     if np.any(cols < 0):
         return reject("start names the logical column of an == row")
+    nonbasic = np.ones(T.shape[1], dtype=bool)   # the rhs column included
+    nonbasic[cols] = False
     try:
-        X = np.linalg.solve(T[:rows, cols], T[:rows])
+        X = np.linalg.solve(T[:rows, cols], T[:rows, nonbasic])
     except np.linalg.LinAlgError:
         return reject("singular start basis")
     if not np.all(np.isfinite(X)):
@@ -303,8 +336,8 @@ def _warm_start(T, n, start, slack_rows):
     if not np.all(rhs >= -FEASIBILITY_TOL):
         return reject(f"infeasible start, min B^-1 b = {rhs.min():.3g}")
     np.maximum(rhs, 0.0, out=rhs)
-    X[:, cols] = np.eye(rows)
-    T[:rows] = X
+    T[:rows, nonbasic] = X
+    T[:rows, cols] = np.eye(rows)
     return cols
 
 
@@ -315,10 +348,12 @@ def _pivot_loop(T, basis, max_iter):
     Pass 1 finds the step ``min (max(rhs, 0) + _RATIO_TIE_TOL) / col`` over
     rows with ``col > _PIVOT_TOL``; pass 2 takes, among rows whose ratio
     ``max(rhs, 0) / col`` is within that step, the one with the largest
-    ``col`` entry.  On degenerate rows (rhs 0, many ratios tied at 0) this
-    avoids pivoting on a tiny element, which would blow the tableau up.
-    The leaving rule is not Bland's, so finite termination is not
-    guaranteed; the ``max_iter`` cap bounds the loop instead.
+    ``col`` entry (the first such row on a tie).  On degenerate rows (rhs
+    0, many ratios tied at 0) this avoids pivoting on a tiny element, which
+    would blow the tableau up.  The leaving rule is not Bland's, so finite
+    termination is not guaranteed; the ``max_iter`` cap bounds the loop
+    instead.  Both passes divide under the ``col > _PIVOT_TOL`` mask into
+    buffers allocated once per call.
 
     ``T``'s last row holds reduced costs (optimal when none is below
     ``-_COST_TOL``), its last column the right-hand side.  Returns
@@ -326,29 +361,44 @@ def _pivot_loop(T, basis, max_iter):
     """
     rows = T.shape[0] - 1
     cols = T.shape[1] - 1
+    cost, rhs = T[rows, :cols], T[:rows, cols]   # views, kept current
+    # one more, never improving, entry: argmax needs a nonempty array
+    improving = np.zeros(cols + 1, dtype=bool)
+    eligible = np.empty(rows, dtype=bool)
+    near = np.empty(rows, dtype=bool)
+    pos = np.empty(rows)
+    ratio = np.empty(rows)
+    largest = np.empty(rows)
+    work = np.empty_like(T)
     for it in range(max_iter):
-        improving = np.flatnonzero(T[rows, :cols] < -_COST_TOL)
-        if improving.size == 0:
+        np.less(cost, -_COST_TOL, out=improving[:cols])
+        enter = int(improving.argmax())
+        if not improving[enter]:
             return 0, it
-        enter = int(improving[0])
         col = T[:rows, enter]
-        eligible = np.flatnonzero(col > _PIVOT_TOL)
-        if eligible.size == 0:
+        np.greater(col, _PIVOT_TOL, out=eligible)
+        if not eligible.any():
             return 1, it
-        entries = col[eligible]
-        rhs = np.maximum(T[eligible, cols], 0.0)
-        step = ((rhs + _RATIO_TIE_TOL) / entries).min()
-        near = np.flatnonzero(rhs / entries <= step)
-        _pivot(T, basis, int(eligible[near[np.argmax(entries[near])]]), enter)
+        np.maximum(rhs, 0.0, out=pos)
+        np.add(pos, _RATIO_TIE_TOL, out=ratio)
+        np.divide(ratio, col, out=ratio, where=eligible)
+        step = np.minimum.reduce(ratio, where=eligible, initial=np.inf)
+        np.divide(pos, col, out=ratio, where=eligible)
+        np.less_equal(ratio, step, out=near)
+        near &= eligible
+        largest.fill(-np.inf)
+        np.copyto(largest, col, where=near)
+        _pivot(T, basis, int(largest.argmax()), enter, work)
     return 2, max_iter
 
 
-def _pivot(T, basis, r, col):
-    """Make column ``col`` basic in row ``r``."""
+def _pivot(T, basis, r, col, work=None):
+    """Make column ``col`` basic in row ``r``; ``work``, an array of ``T``'s
+    shape, holds the update instead of a new one."""
     T[r] /= T[r, col]
     factors = T[:, col].copy()
     factors[r] = 0.0
-    T -= np.outer(factors, T[r])
+    T -= np.multiply(factors[:, None], T[r], out=work)
     T[:, col] = 0.0
     T[r, col] = 1.0
     basis[r] = col

@@ -32,8 +32,8 @@ SUPPORT_MERGE_TOL = 1e-12
 # A plan may supply an event's prior mass up to this much off.
 SUPPLY_TOL = 1e-7
 
-# Indifference window for the agent, scaled by utility magnitude so that
-# capped (sentinel-sized) payoffs keep a ~1e-9 wide window in p-space.
+# Indifference window for the agent, relative to the size of the utility
+# terms summed in a score (see tied_action_sets).
 TIE_TOL = 1e-9
 
 
@@ -367,19 +367,25 @@ def piece_scan(zs):
     return np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])])
 
 
-def _tie_tolerances(inst, best_idx):
-    """Per-action score tolerance for tie detection; shape broadcastable to scores."""
-    vmax = np.maximum(1.0, np.abs(inst.agent_utility).max(axis=1))  # (m,)
-    return TIE_TOL * np.maximum(vmax, vmax[best_idx][..., None])
-
-
 def tied_action_sets(inst, ps):
-    """Boolean mask (len(ps), m) of agent-optimal actions at each prediction."""
+    """Boolean mask (len(ps), m) of agent-optimal actions at each prediction.
+
+    Action ``a`` ties the best action ``b`` at ``p`` when their score gap is
+    at most ``TIE_TOL · max(1, |v_a0|(1-p) + |v_a1|p, the same for b)``, the
+    size of the terms summed at ``p``, or at most ``SUPPORT_MERGE_TOL`` times
+    the difference of their slopes: ``p`` lies within ``SUPPORT_MERGE_TOL``
+    of where the two lines cross.
+    """
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
+    v = inst.agent_utility
     scores = inst.agent_scores(ps)
-    best = np.argmax(scores, axis=-1)
-    best_score = np.take_along_axis(scores, best[:, None], axis=1)
-    return scores >= best_score - _tie_tolerances(inst, best)
+    best = np.argmax(scores, axis=-1)[:, None]
+    gap = np.take_along_axis(scores, best, axis=1) - scores
+    size = ps[:, None] * np.abs(v[:, 1]) + (1.0 - ps[:, None]) * np.abs(v[:, 0])
+    size = np.maximum(np.maximum(1.0, size), np.take_along_axis(size, best, 1))
+    slope = v[:, 1] - v[:, 0]
+    crossing = SUPPORT_MERGE_TOL * np.abs(slope - slope[best])
+    return (gap <= TIE_TOL * size) | (gap <= crossing)
 
 
 def action_profile(inst, ps, weight_matrix=None):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
-    SUPPLY_TOL,
     SUPPORT_MERGE_TOL,
     Instance,
     Predictor,
@@ -93,14 +92,6 @@ class EventIndependentPlan:
             raise ValidationError("BAD_PLAN",
                                   f"plan mass sums to {self.w.sum()!r}, not 1")
 
-    def marginal(self):
-        """Distribution of q implied by the plan."""
-        qs = np.unique(self.q)
-        probs = np.zeros(qs.size)
-        idx = np.searchsorted(qs, self.q)
-        np.add.at(probs, idx, self.w)
-        return qs, probs
-
     def raw_error(self, t):
         return float(self.w @ np.abs(self.q - self.p) ** t)
 
@@ -132,39 +123,6 @@ def recalibrate(pred: Predictor, inst: Instance):
     plan = EventIndependentPlan(np.repeat(q_atoms, sizes), pred.support[cols],
                                 weight)
     return gtilde, plan
-
-
-def apply_plan(gtilde: Predictor, plan: EventIndependentPlan,
-               inst: Instance) -> Predictor:
-    """Blur a perfectly calibrated predictor through a post-processing plan.
-
-    Each calibrated atom q forwards its per-event mass to the plan's
-    predictions in proportion chi(q, p) / g(q).  The plan's q-marginal must
-    match the calibrated marginal within tolerance.
-    """
-    gmarg = gtilde.marginal(inst.lam)
-    qs, probs = plan.marginal()
-    if qs.size != gtilde.support.size or \
-            np.any(np.abs(qs - gtilde.support) > 1e-9):
-        raise ValidationError("SUPPLY_VIOLATION",
-                              "plan q-support differs from the calibrated support")
-    if np.any(np.abs(probs - gmarg) > SUPPLY_TOL):
-        worst = float(np.abs(probs - gmarg).max())
-        raise ValidationError("SUPPLY_VIOLATION",
-                              f"plan marginal off by {worst:.3e}")
-    support = np.unique(plan.p)
-    mass = np.zeros((inst.n, support.size))
-    qidx = np.searchsorted(gtilde.support, plan.q - 1e-12)
-    qidx = np.clip(qidx, 0, gtilde.support.size - 1)
-    pidx = np.searchsorted(support, plan.p)
-    for k in range(plan.w.size):
-        qa, pa, w = qidx[k], pidx[k], plan.w[k]
-        if w <= 0 or gmarg[qa] <= 0:
-            continue
-        mass[:, pa] += gtilde.mass[:, qa] * (w / gmarg[qa])
-    rows = mass.sum(axis=1)
-    mass = mass / rows[:, None]
-    return Predictor(support, mass)
 
 
 @dataclass

@@ -1,0 +1,64 @@
+"""Plan helpers that only the tests use.
+
+:func:`apply_plan` is the inverse of :func:`caldesign.structure.recalibrate`:
+it blurs the calibrated core back through the event-independent plan.
+:func:`plan_to_records` and :func:`plan_from_records` give a
+:class:`caldesign.fptas.BiEventPlan` a list-of-dicts form.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from caldesign.errors import ValidationError
+from caldesign.fptas import BiEventPlan
+from caldesign.model import SUPPLY_TOL, Instance, Predictor
+from caldesign.structure import EventIndependentPlan
+
+
+def apply_plan(gtilde: Predictor, plan: EventIndependentPlan,
+               inst: Instance) -> Predictor:
+    """Blur a perfectly calibrated predictor through a post-processing plan.
+
+    Each calibrated atom q forwards its per-event mass to the plan's
+    predictions in proportion chi(q, p) / g(q).  The plan's q-marginal must
+    match the calibrated marginal within tolerance.
+    """
+    gmarg = gtilde.marginal(inst.lam)
+    qs = np.unique(plan.q)
+    probs = np.zeros(qs.size)
+    np.add.at(probs, np.searchsorted(qs, plan.q), plan.w)
+    if qs.size != gtilde.support.size or \
+            np.any(np.abs(qs - gtilde.support) > 1e-9):
+        raise ValidationError("SUPPLY_VIOLATION",
+                              "plan q-support differs from the calibrated support")
+    if np.any(np.abs(probs - gmarg) > SUPPLY_TOL):
+        worst = float(np.abs(probs - gmarg).max())
+        raise ValidationError("SUPPLY_VIOLATION",
+                              f"plan marginal off by {worst:.3e}")
+    support = np.unique(plan.p)
+    mass = np.zeros((inst.n, support.size))
+    qidx = np.searchsorted(gtilde.support, plan.q - 1e-12)
+    qidx = np.clip(qidx, 0, gtilde.support.size - 1)
+    pidx = np.searchsorted(support, plan.p)
+    for k in range(plan.w.size):
+        qa, pa, w = qidx[k], pidx[k], plan.w[k]
+        if w <= 0 or gmarg[qa] <= 0:
+            continue
+        mass[:, pa] += gtilde.mass[:, qa] * (w / gmarg[qa])
+    rows = mass.sum(axis=1)
+    mass = mass / rows[:, None]
+    return Predictor(support, mass)
+
+
+def plan_to_records(plan: BiEventPlan):
+    """One ``{"i", "j", "q", "p", "mass"}`` dict per plan entry."""
+    return [{"i": int(i), "j": int(j), "q": float(q), "p": float(p),
+             "mass": float(w)}
+            for i, j, q, p, w in zip(plan.i, plan.j, plan.q, plan.p, plan.w)]
+
+
+def plan_from_records(records) -> BiEventPlan:
+    return BiEventPlan([r["i"] for r in records], [r["j"] for r in records],
+                       [r["q"] for r in records], [r["p"] for r in records],
+                       [r["mass"] for r in records])

@@ -14,7 +14,6 @@ from caldesign.structure import (
     binary_action_optimal,
     check_mpc,
     count_predictions,
-    apply_plan,
     prior_on_means,
     recalibrate,
 )
@@ -26,6 +25,7 @@ from conftest import (
     random_predictor,
 )
 from oracle import SamplerConfig, exhaustive_best, sample_feasible
+from plans import apply_plan
 from revelation import aggregated_bias, contract_signals, predictor_to_strategy
 from rounding import round_plan
 

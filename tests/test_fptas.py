@@ -24,6 +24,7 @@ from conftest import (
     random_feasible_plan,
     random_instance,
 )
+from plans import plan_from_records, plan_to_records
 from rounding import round_plan
 
 
@@ -262,9 +263,9 @@ class TestPlanToPredictor:
         rng = np.random.default_rng(33)
         inst = random_instance(rng, epsilon=0.5, n_min=2)
         plan = random_feasible_plan(rng, inst)
-        records = plan.to_records()
+        records = plan_to_records(plan)
         assert all(set(r) == {"i", "j", "q", "p", "mass"} for r in records)
-        again = BiEventPlan.from_records(records)
+        again = plan_from_records(records)
         assert np.allclose(again.event_supply(inst), plan.event_supply(inst))
         assert again.raw_error(1.0) == pytest.approx(plan.raw_error(1.0))
 

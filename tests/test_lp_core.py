@@ -52,6 +52,25 @@ class TestBasics:
         assert solve(LinearProgram([-1.0], np.zeros((0, 1)), [], [])) \
             .objective_value == 0.0
 
+    def test_programs_without_rows_or_columns(self):
+        # keep their statuses; the pivot loop's argmax never sees an empty
+        # array (a phase 2 with no columns left, or no rows at all)
+        for objective, A, rel, b, status in [
+            ([], np.zeros((2, 0)), ["<=", ">="], [1.0, 0.0], lp_core.OPTIMAL),
+            ([], np.zeros((1, 0)), [">="], [1.0], lp_core.INFEASIBLE),
+            ([], np.zeros((1, 0)), ["=="], [0.0], lp_core.OPTIMAL),
+            ([], np.zeros((0, 0)), [], [], lp_core.OPTIMAL),
+            ([1.0], np.zeros((0, 1)), [], [], lp_core.UNBOUNDED),
+            ([-1.0], np.zeros((0, 1)), [], [], lp_core.OPTIMAL),
+        ]:
+            sol = solve(LinearProgram(objective, A, rel, b))
+            assert sol.status == status, (A.shape, rel)
+            if sol.is_optimal:
+                assert sol.objective_value == 0.0
+                assert sol.x.size == len(objective)
+        assert lp_core._pivot_loop(np.zeros((1, 1)),
+                                   np.zeros(0, dtype=np.int64), 5) == (0, 0)
+
     def test_iteration_cap_raises(self):
         lp = LinearProgram([1.0], [[1.0]], ["<="], [1.0])
         with pytest.raises(SolverError) as err:
@@ -205,6 +224,22 @@ class TestRatioTest:
         assert T[0, -1] == pytest.approx(2.0)
 
 
+    def test_never_pivots_on_a_tiny_entry(self):
+        # rows 0 and 1 have the smallest "ratios" (0), but their entries
+        # (_PIVOT_TOL and -1) are not > _PIVOT_TOL; row 2 must leave
+        T = np.array([[lp_core._PIVOT_TOL, 1.0, 0.0, 0.0, 0.0],
+                      [-1.0, 0.0, 1.0, 0.0, 0.0],
+                      [0.5, 0.0, 0.0, 1.0, 5.0],
+                      [-1.0, 0.0, 0.0, 0.0, 0.0]])
+        basis = np.array([1, 2, 3])
+        assert lp_core._pivot_loop(T, basis, 10) == (0, 1)
+        assert basis.tolist() == [1, 2, 0]
+        assert T[2, -1] == 10.0
+        # with no entry above _PIVOT_TOL the column is unbounded
+        T = np.array([[lp_core._PIVOT_TOL, 1.0, 0.0],
+                      [-1.0, 0.0, 0.0]])
+        assert lp_core._pivot_loop(T, np.array([1]), 10) == (1, 0)
+
     def test_objective_row_matches_row_by_row_sum(self):
         rng = np.random.default_rng(3)
         T = rng.normal(size=(5, 9))
@@ -285,6 +320,51 @@ class TestWarmStart:
         assert np.array_equal(sol.x, cold.x)
         assert sol.iterations == cold.iterations
         assert any(reason in r.getMessage() for r in caplog.records)
+
+    # The tableau [A | logicals | rhs] of x0 + x1 <= 1, x0 - x1 >= 0.25,
+    # x0 == 0.5 with its objective row; rows 0 and 1 own the logical
+    # columns 2 and 3 (start numbers 2 and 3; row 2 has none).
+    T = np.array([[1.0, 1.0, 1.0, 0.0, 1.0],
+                  [1.0, -1.0, 0.0, -1.0, 0.25],
+                  [1.0, 0.0, 0.0, 0.0, 0.5],
+                  [0.0, 0.0, 0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("start,reason", [
+        ([0, 1], "2 start entries for 3 rows"),
+        (np.array([0.0, 1.0, 2.0]), "3 start entries for 3 rows"),
+        ([0, 1, 5], "outside the program"),
+        ([0, 1, 4], "== row"),
+        ([1, 2, 3], "singular"),           # row 2 is zero on x1, s0, s1
+        ([3, 1, 0], "infeasible"),         # the surplus of row 1 is -0.25
+    ])
+    def test_rejection_leaves_the_tableau_unchanged(self, start, reason,
+                                                    caplog):
+        T = self.T.copy()
+        with caplog.at_level(logging.DEBUG, logger="caldesign"):
+            assert lp_core._warm_start(T, 2, start, np.array([0, 1])) is None
+        assert np.array_equal(T, self.T)
+        assert any(reason in r.getMessage() for r in caplog.records)
+
+    def test_non_finite_rejection_leaves_the_tableau_unchanged(self, caplog):
+        T = np.array([[1e-300, 1e300, 1.0, 1.0],
+                      [0.0, 0.0, 0.0, 0.0]])
+        kept = T.copy()
+        with caplog.at_level(logging.DEBUG, logger="caldesign"):
+            assert lp_core._warm_start(T, 2, [0], np.array([0])) is None
+        assert np.array_equal(T, kept)
+        assert any("non-finite" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("start", [[2, 3, 0], [0, 1, 2]])
+    def test_accepted_start_is_b_inverse_times_the_tableau(self, start):
+        # only the nonbasic columns are solved for; the basic ones are set
+        # to the identity, which is what B^-1 gives them
+        T = self.T.copy()
+        cols = lp_core._warm_start(T, 2, start, np.array([0, 1]))
+        assert cols.tolist() == start
+        full = np.linalg.solve(self.T[:3, cols], self.T[:3])
+        assert np.allclose(T[:3], full, rtol=0.0, atol=1e-15)
+        assert np.array_equal(T[:3, cols], np.eye(3))
+        assert np.array_equal(T[3], self.T[3])
 
     def test_logical_of_a_flipped_row_is_accepted(self, caplog):
         # row 0 has b < 0, so the solver flips it into a >= row whose

@@ -9,6 +9,7 @@ from caldesign.errors import ValidationError
 from caldesign.model import (
     INF,
     SUPPORT_MERGE_TOL,
+    TIE_TOL,
     Predictor,
     agent_payoff,
     best_response,
@@ -19,6 +20,7 @@ from caldesign.model import (
     payoff,
     point_mass,
     runs,
+    tied_action_sets,
     validate_instance,
 )
 
@@ -135,6 +137,42 @@ class TestBestResponse:
             resp = best_response(golden, 1e-5, weights=np.eye(golden.n)[i])
             tied = list(resp.tied_actions)
             assert resp.action == tied[np.argmax(golden.ubar[i, tied])]
+
+
+class TestTieRule:
+    """``tied_action_sets``: a gap within ``TIE_TOL`` of the terms summed at
+    ``p``, or ``p`` within ``SUPPORT_MERGE_TOL`` of the two lines' crossing."""
+
+    def test_sentinel_does_not_widen_the_window(self):
+        # action 3 scores 0 against the best 1 at p = 0; a window scaled by
+        # its largest utility (1e9) counted it as tied
+        inst = _lines([[-1, 0], [1, 2], [1, 2], [0, -1e9]])
+        assert tied_action_sets(inst, [0.0])[0].tolist() == [
+            False, True, True, False]
+
+    def test_a_tie_at_one_point_counts(self):
+        # sentinel set "wide" #0: v[4] meets v[2] (and its duplicate v[5])
+        # only at p = 0, where the LP may use it as a best response
+        inst = _lines([[0, 0], [1, -1], [3, 0], [-1, -1e9], [3, -2], [3, 0]])
+        tied = tied_action_sets(inst, [0.0, 1e-6])
+        assert np.flatnonzero(tied[0]).tolist() == [2, 4, 5]
+        assert np.flatnonzero(tied[1]).tolist() == [2, 5]
+
+    def test_golden_crossing_ties_within_rounding(self, golden):
+        # a3 = [-0.9, 0.1] and a4 = [-1e9, 10] cross at p ~ 1 - 9.9e-9,
+        # where rounding leaves scores 2e-8 apart: more than TIE_TOL times
+        # the terms summed there (~20), so only the crossing rule ties them.
+        # The LP lands on these floats across the golden budgets.
+        z = envelope(golden)[0][-1]
+        ps = [z + k * np.spacing(z) for k in range(-2, 3)]
+        scores = golden.agent_scores(z)
+        assert abs(scores[2] - scores[3]) > TIE_TOL * 20.0
+        for tied in tied_action_sets(golden, ps):
+            assert np.flatnonzero(tied).tolist() == [2, 3]
+
+    def test_parallel_lines_tie_only_within_the_window(self):
+        inst = _lines([[0.0, 1.0], [-1e-10, 1.0 - 1e-10], [-1e-8, 1 - 1e-8]])
+        assert tied_action_sets(inst, [0.5])[0].tolist() == [True, True, False]
 
 
 def _lines(v):

@@ -10,7 +10,6 @@ from caldesign.structure import (
     EventIndependentPlan,
     GammaCertificate,
     analyze_structure,
-    apply_plan,
     binary_action_certificate,
     binary_action_optimal,
     check_mpc,
@@ -27,6 +26,7 @@ from conftest import (
     random_instance,
     random_predictor,
 )
+from plans import apply_plan
 
 
 class TestEventIndependence:
