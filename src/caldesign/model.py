@@ -379,13 +379,15 @@ def tied_action_sets(inst, ps):
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     v = inst.agent_utility
     scores = inst.agent_scores(ps)
-    best = np.argmax(scores, axis=-1)[:, None]
-    gap = np.take_along_axis(scores, best, axis=1) - scores
-    size = ps[:, None] * np.abs(v[:, 1]) + (1.0 - ps[:, None]) * np.abs(v[:, 0])
-    size = np.maximum(np.maximum(1.0, size), np.take_along_axis(size, best, 1))
+    best = scores.argmax(axis=1)
+    rows = np.arange(ps.size)
+    gap = scores[rows, best][:, None] - scores
+    size = np.outer(ps, np.abs(v[:, 1])) + np.outer(1.0 - ps, np.abs(v[:, 0]))
+    window = TIE_TOL * np.maximum(np.maximum(size, size[rows, best][:, None]),
+                                  1.0)
     slope = v[:, 1] - v[:, 0]
-    crossing = SUPPORT_MERGE_TOL * np.abs(slope - slope[best])
-    return (gap <= TIE_TOL * size) | (gap <= crossing)
+    crossing = SUPPORT_MERGE_TOL * np.abs(slope - slope[best][:, None])
+    return gap <= np.maximum(window, crossing)
 
 
 def action_profile(inst, ps, weight_matrix=None):
