@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from caldesign import exact, lp_core
+from caldesign.cli import _fmt
 from caldesign.errors import SolverError, ValidationError
 from caldesign.exact import (
     SenderStrategy,
@@ -12,7 +13,6 @@ from caldesign.exact import (
     strategy_to_predictor,
 )
 from caldesign.fptas import fptas_solve
-from caldesign.cli import _fmt
 from caldesign.model import (
     INF,
     Predictor,
@@ -643,7 +643,7 @@ class TestNoPhase1:
         assert phase1_calls == []
 
 
-def ladder_pin_csv():
+def _ladder_pin_csv():
     """The ladder list solved with both tie-breaks: objective, payoff,
     agent payoff and ece per solve, printed as the CLI prints numbers."""
     rows = ["index,tie_break,objective,payoff,agent_payoff,ece"]
@@ -658,9 +658,9 @@ def ladder_pin_csv():
 
 
 def test_ladder_is_pinned():
-    # ladder_pin.csv holds ladder_pin_csv()'s output; the solvers must
+    # ladder_pin.csv holds _ladder_pin_csv()'s output; the solvers must
     # reproduce it byte for byte
-    assert ladder_pin_csv().encode() == (DATA / "ladder_pin.csv").read_bytes()
+    assert _ladder_pin_csv().encode() == (DATA / "ladder_pin.csv").read_bytes()
 
 
 class TestCertifiedSolves:

@@ -224,6 +224,15 @@ class TestRatioTest:
         assert T[0, -1] == pytest.approx(2.0)
 
 
+    def test_equal_largest_entries_take_the_first_row(self):
+        # rows 0 and 1 tie in ratio and in entry; the first one leaves
+        T = np.array([[1.0, 1.0, 0.0, 0.0],
+                      [1.0, 0.0, 1.0, 0.0],
+                      [-1.0, 0.0, 0.0, 0.0]])
+        basis = np.array([1, 2])
+        assert lp_core._pivot_loop(T, basis, 10) == (0, 1)
+        assert basis.tolist() == [0, 2]
+
     def test_never_pivots_on_a_tiny_entry(self):
         # rows 0 and 1 have the smallest "ratios" (0), but their entries
         # (_PIVOT_TOL and -1) are not > _PIVOT_TOL; row 2 must leave
