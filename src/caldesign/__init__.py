@@ -3,7 +3,7 @@
 Subpackages:
 
 - :mod:`caldesign.model` -- instances, predictors, primitive evaluations.
-- :mod:`caldesign.lp_core` -- dense LP container and two-phase simplex.
+- :mod:`caldesign.lp_core` -- dense LP container and simplex from a feasible start.
 - :mod:`caldesign.exact` -- exact optimum for the 1-norm and max-norm budgets.
 - :mod:`caldesign.fptas` -- grid-based approximation scheme for general norms.
 - :mod:`caldesign.structure` -- recalibration, contraction checks, optimality

@@ -12,14 +12,14 @@ optimal predictor by predicting p(a) whenever action a would be recommended.
 
 Every predictor is a post-processed calibrated one, so the truthful scheme
 (no bias, each event recommends its own best response) is always feasible;
-the solve starts its simplex there (a crash basis) instead of running
-phase 1.  The program's value is a supremum: two signals may recommend
-different actions at one biased mean, an indifference point of the agent,
-and a predictor cannot tell them apart there.  When an optimal scheme does
-that, the budget is lowered by ``SEPARATION``, the program re-solved, and
-each of the two signals moves ``SEPARATION`` away from the shared mean
-through its bias, so that each action is the agent's strict choice at its
-own prediction.  Every
+the solve starts its simplex there (a crash basis), as ``lp_core``
+requires a feasible start.  The program's value is a supremum: two signals
+may recommend different actions at one biased mean, an indifference point
+of the agent, and a predictor cannot tell them apart there.  When an
+optimal scheme does that, the budget is lowered by ``SEPARATION``, the
+program re-solved, and each of the two signals moves ``SEPARATION`` away
+from the shared mean through its bias, so that each action is the agent's
+strict choice at its own prediction.  Every
 solve ends with a certificate independent of the solver: the returned
 predictor's calibration error is within the budget and its payoff is the
 returned objective, or ``SolverError('UNCERTIFIED')`` is raised.
@@ -209,15 +209,15 @@ def solve_exact(inst: Instance, tie_break="agent"):
     """Optimal (strategy, predictor, objective) for t in {1, inf}.
 
     The first stage starts its simplex at the truthful scheme
-    (:func:`_truthful_basis`), a feasible vertex of every instance, so no
-    phase 1 runs.  The optimal face is often degenerate (several schemes
-    reach the same designer payoff); with ``tie_break="agent"`` a second
-    solve maximizes the agent's expected utility over that face, which keeps
-    the selection deterministic and avoids gratuitously harmful
-    recommendations.  Pass ``tie_break=None`` for the raw first-stage
-    vertex.  The second solve starts from the first stage's optimal basis
-    (see :func:`_refine_for_agent`), so it needs only the pivots that move
-    along the optimal face.
+    (:func:`_truthful_basis`), a feasible vertex of every instance.  The
+    optimal face is often degenerate (several schemes reach the same
+    designer payoff); with ``tie_break="agent"`` a second solve maximizes
+    the agent's expected utility over that face, which keeps the selection
+    deterministic and avoids gratuitously harmful recommendations.  Pass
+    ``tie_break=None`` for the raw first-stage vertex.  The second solve
+    starts from the first stage's optimal basis (see
+    :func:`_refine_for_agent`), so it needs only the pivots that move along
+    the optimal face.
 
     If two signals of the optimal scheme meet at one biased mean and the
     predictor would lose payoff by merging them (:func:`_lossy_merges`), the
@@ -227,6 +227,10 @@ def solve_exact(inst: Instance, tie_break="agent"):
     earns.  Three or more actions tied at such a mean, or a budget below
     ``SEPARATION``, raise ``SolverError('UNCERTIFIED')``, as does a
     predictor that fails the final certificate (:func:`certify`).
+
+    Per-event rows (the strategy's ``pi``, the predictor's ``mass``) come
+    back in ``inst``'s sorted event order, not the caller's;
+    ``inst.to_caller`` maps them back.
     """
     if tie_break not in ("agent", None):
         raise ValidationError("BAD_FORMAT", f"unknown tie_break {tie_break!r}")
@@ -351,16 +355,18 @@ def _refine_for_agent(inst, lp, best, fallback, basis):
     """Re-solve over the (slightly slackened) optimal face for agent welfare.
 
     The refine program is ``lp`` plus the payoff floor ``objective @ x >=
-    best - slack``.  The first-stage vertex is feasible for it, so when the
-    first stage's optimal ``basis`` is not None, each solve warm-starts from
-    that basis plus the floor row's surplus (whose value there is the slack
-    itself) and skips phase 1; without a basis it solves from scratch.
+    best - slack``.  The first-stage vertex is feasible for it, so each
+    solve starts from the first stage's optimal ``basis`` plus the floor
+    row's surplus, whose value there is the slack itself.  A solve that
+    fails, a rejected start included (on an ill-conditioned basis ``B⁻¹b``
+    can read slightly negative), is logged with its slack and retried at
+    the wider slack; when both fail, ``fallback``, the first-stage vertex,
+    comes back.
     """
     nm = inst.n * inst.m
     agent_obj = np.zeros(lp.num_vars)
     agent_obj[:nm] = (inst.lam[:, None] * inst.vbar_events).ravel()
-    start = None if basis is None else np.append(basis,
-                                                 lp.num_vars + lp.b.size)
+    start = np.append(basis, lp.num_vars + lp.b.size)
     A = np.vstack([lp.A, lp.objective])
     rel = np.append(lp.rel, ">=")
     for slack_scale in (1e-7, 1e-5):

@@ -22,8 +22,7 @@ utility breakpoints, the outcome means, and one interior point per constant
 piece of the indirect utilities.  Since the indirect utilities are piecewise
 constant with upper-semicontinuous maxima at the breakpoints, an optimal
 plan never needs any other prediction, while the q-side keeps the full
-two-layer grid.  (``full_predictions=True`` builds the literal all-grid
-variant for cross-checking at coarse resolutions.)
+two-layer grid.
 
 The plan LP has one budget row and one supply row per event, so an optimal
 vertex pools at most n + 1 of its (up to millions of) columns.  Neither the
@@ -164,15 +163,6 @@ class BiEventPlan:
         np.add.at(supply, self.j, self.w * (1.0 - r))
         return supply
 
-    def objective(self, inst):
-        """Designer payoff of the plan (pairwise-mixed indirect utility)."""
-        ps = _dedup_sorted(self.p)
-        U = indirect_utility_matrix(inst, ps)
-        col = np.searchsorted(ps, self.p - GRID_MERGE_TOL)
-        r = self.contribution(inst)
-        val = r * U[self.i, col] + (1.0 - r) * U[self.j, col]
-        return float(self.w @ val)
-
 
 @dataclass
 class PlanColumns:
@@ -202,13 +192,6 @@ def _join(parts):
     return PlanColumns(*(np.concatenate([getattr(part, f.name)
                                          for part in parts])
                          for f in fields(PlanColumns)))
-
-
-def _prediction_points(inst, grid, full):
-    if full:
-        return grid.points
-    return _dedup_sorted(np.concatenate([piece_scan(grid.discontinuities),
-                                         inst.theta]))
 
 
 @dataclass
@@ -311,22 +294,23 @@ class PlanProgram:
         return cols, keys, reduced
 
 
-def build_disc_lp(inst: Instance, grid: Grid, full_predictions=False):
+def build_disc_lp(inst: Instance, grid: Grid):
     """The discretized plan LP on ``grid``, as a :class:`PlanProgram`.
 
     The LP maximizes sum chi[i,j](q,p) * (r U_i(p) + (1-r) U_j(p)) subject
     to the budget row sum chi |q-p|^t <= eps^t and one supply row per event.
     q ranges over the grid points inside [theta_i, theta_j], one slice of
-    the grid per pair; p over the reduced prediction set (or the whole grid
-    with ``full_predictions``).  Pairs with equal means are routed through
-    the diagonal entry.  Nothing is built per column: the program holds
-    the slices, the n x P utilities and the fixed pricing candidates: the
-    n x P diagonal entries and at most four per pair and prediction.
+    the grid per pair; p over the reduced prediction set.  Pairs with
+    equal means are routed through the diagonal entry.  Nothing is built
+    per column: the program holds the slices, the n x P utilities and the
+    fixed pricing candidates: the n x P diagonal entries and at most four
+    per pair and prediction.
     """
     if inst.norm == INF:
         raise ValidationError("UNSUPPORTED_NORM",
                               "the approximation scheme needs a finite norm")
-    ps = _prediction_points(inst, grid, full_predictions)
+    ps = _dedup_sorted(np.concatenate([piece_scan(grid.discontinuities),
+                                       inst.theta]))
     i, j = np.triu_indices(inst.n, k=1)
     lo = np.searchsorted(grid.points, inst.theta[i] - GRID_MERGE_TOL)
     hi = np.searchsorted(grid.points, inst.theta[j] + GRID_MERGE_TOL)
@@ -448,7 +432,9 @@ def fptas_solve(inst: Instance, delta: float):
     factor of the optimal payoff.  The predictor is certified before it is
     returned (:func:`caldesign.exact.certify`): its calibration error is
     within the budget and its payoff is the returned objective, or
-    ``SolverError('UNCERTIFIED')`` is raised.
+    ``SolverError('UNCERTIFIED')`` is raised.  The predictor's ``mass``
+    rows come back in ``inst``'s sorted event order, not the caller's;
+    ``inst.to_caller`` maps them back.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:

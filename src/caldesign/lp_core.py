@@ -8,33 +8,29 @@ assemble ``A`` from row blocks; :func:`solve` works on a copy, so a program
 can be solved, edited in place (the exact solver lowers its budget that way)
 and solved again.
 
-The solver is a textbook two-phase primal simplex on a dense numpy tableau
-``[A | slacks and surpluses | b]``.  Phase 1 (:func:`_phase1`) appends one
-artificial column per ``==`` or ``>=`` row (after rows with ``b < 0`` are
-flipped), minimizes them out and deletes them again, so phase 2 always
-pivots on the program's own columns.  The entering column is the
-smallest-index improving one (Bland's rule); the leaving row comes from
-Harris's two-pass ratio test, which among near-minimal ratios pivots on the
-largest element, so degenerate rows with tiny entries do not blow the
-tableau up.  That leaving rule gives up Bland's finite
-termination guarantee; a pivot cap raises ``SolverError('NUMERICAL_FAILURE')``
-instead, so a solve never stalls silently.  Rows and columns are equilibrated
-(scaled to unit max-norm) before solving so that utility sentinels of size
-~1e9 coexist with O(1) data.
+The solver is a primal simplex on a dense numpy tableau ``[A | slacks and
+surpluses | b]`` that starts from a feasible basis the caller names: it
+solves ``B⁻¹`` against the nonbasic columns and the right-hand side once
+and pivots from there.  There is no phase 1; every caller knows a feasible
+vertex of its program.  The exact solver starts its first stage from a
+crash basis at the truthful scheme, and its agent tie-break, a program plus
+one added row, from the old optimal basis plus the new row's surplus.  The
+approximation scheme's column generation starts its first master from a
+crash basis at the calibrated diagonal and each later one, the same rows
+with columns added, from the previous optimal basis.  A start that is not a
+feasible basis of the program raises ``SolverError('NUMERICAL_FAILURE')``.
 
-An optimal solution carries its basis, from which :func:`row_prices`
-computes the row prices on demand (column generation prices with them).
-The same basis can start another solve: :func:`solve` accepts a start basis
-and, when it is a feasible basis of the new program, skips phase 1 and runs
-phase 2 from it (warm start), solving ``B⁻¹`` against the nonbasic columns
-and the right-hand side only.  The exact solver starts its first stage
-from a crash basis at a known feasible point, and its agent tie-break, a
-program plus one added row, from the old optimal basis plus the new row's
-slack or surplus.  The approximation scheme's column generation starts its
-first master from a crash basis and each later one, the same rows with
-columns added, from the previous optimal basis.  So package solves never
-run phase 1; it serves cold solves (tests, other callers) and rejected
-starts.
+The entering column is the smallest-index improving one (Bland's rule); the
+leaving row comes from Harris's two-pass ratio test, which among
+near-minimal ratios pivots on the largest element, so degenerate rows with
+tiny entries do not blow the tableau up.  That leaving rule gives up
+Bland's finite termination guarantee; a pivot cap raises
+``SolverError('NUMERICAL_FAILURE')`` instead, so a solve never stalls
+silently.  Rows and columns are equilibrated (scaled to unit max-norm)
+before solving so that utility sentinels of size ~1e9 coexist with O(1)
+data.  An optimal solution carries its basis, from which
+:func:`row_prices` computes the row prices on demand (column generation
+prices with them) and which can start the next solve.
 
 Problems here are small: the exact path's are square, up to about 90 rows,
 and the approximation scheme's restricted masters have n + 1 rows by a few
@@ -46,7 +42,6 @@ external solver can be swapped in by replacing :func:`solve`; the
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -55,16 +50,12 @@ import numpy as np
 from .errors import SolverError, ValidationError
 
 OPTIMAL = "OPTIMAL"
-INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
 FEASIBILITY_TOL = 1e-7
 _COST_TOL = 1e-10
 _PIVOT_TOL = 1e-11
-_PHASE1_TOL = 1e-8
 _RATIO_TIE_TOL = 1e-12
-
-log = logging.getLogger("caldesign")
 
 
 class LinearProgram:
@@ -109,18 +100,16 @@ class LinearProgram:
 class LpSolution:
     """Result of :func:`solve`.
 
-    ``basis`` lists the basic columns of the optimal vertex, numbering a
+    ``basis`` lists the basic columns of the final vertex, numbering a
     structural variable ``j`` as ``j`` and the slack or surplus of row ``r``
-    as ``num_vars + r``; :func:`row_prices` reads it.  It is None when the
-    solve dropped a redundant row, since the vertex then has no basis in
-    those terms.  ``iterations`` counts the pivots made: both phases, or
-    phase 2 alone after a warm start.
+    as ``num_vars + r``; :func:`row_prices` reads it.  ``iterations``
+    counts the pivots made from the start basis.
     """
 
     status: str
     objective_value: float
     x: np.ndarray | None
-    basis: np.ndarray | None = None
+    basis: np.ndarray
     iterations: int = 0
 
     @property
@@ -128,24 +117,23 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
-    """Solve the program; raises ``SolverError('NUMERICAL_FAILURE')`` on stall.
+def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
+    """Solve the program from the start basis ``basis``; the result is
+    OPTIMAL or UNBOUNDED.
 
-    ``basis`` optionally names a start basis in :attr:`LpSolution.basis`'s
-    numbering (one column per row: structural ``j``, or ``num_vars + r`` for
-    the slack or surplus of row ``r``).  If its basic solution ``B⁻¹b`` is
-    finite and nonnegative, phase 1 is skipped and phase 2 starts there.
-    Any other start (wrong length, an ``==`` row's logical column, which
-    does not exist, a singular or infeasible basis) is logged at debug on
-    the ``caldesign`` logger and the two-phase solve runs as without it.
-    Either way phase 2 runs on the tableau ``[A | slacks and surpluses |
-    b]``; artificial columns exist only inside phase 1.
+    ``basis`` names one column per row in :attr:`LpSolution.basis`'s
+    numbering (structural ``j``, or ``num_vars + r`` for the slack or
+    surplus of row ``r``), in any order; its basic solution ``B⁻¹b`` must be
+    finite and nonnegative.  Any other start (wrong length, an ``==`` row's
+    logical column, which does not exist, a singular or infeasible basis)
+    raises ``SolverError('NUMERICAL_FAILURE', 'start basis rejected:
+    <reason>')``, as do a stall past ``max_iter`` pivots and a solution
+    that misses a row.
     """
     n = lp.num_vars
     rows = lp.b.size
     if max_iter is None:
         max_iter = int(10 * (n + rows) ** 2) + 100
-    start = basis  # the name ``basis`` is the tableau's from here on
 
     A = lp.A.copy()
     b = lp.b.copy()
@@ -188,37 +176,26 @@ def solve(lp: LinearProgram, max_iter=None, basis=None) -> LpSolution:
     T[le_rows, n + np.arange(le_rows.size)] = 1.0
     T[ge_rows, n + le_rows.size + np.arange(ge_rows.size)] = -1.0
 
-    pivots = 0
-    basis = None if start is None else _warm_start(T, n, start, slack_rows)
-    if basis is None:
-        T, basis, pivots = _phase1(T, n, le, max_iter)
-        if basis is None:
-            return LpSolution(INFEASIBLE, math.nan, None, iterations=pivots)
-        rows = basis.size
-
-    # --- phase 2 ----------------------------------------------------------
-    phase2_cost = np.zeros(n_total)
-    phase2_cost[:n] = c_scaled
-    _install_objective(T, basis, phase2_cost)
-    code, phase2 = _pivot_loop(T, basis, max_iter)
-    pivots += phase2
+    cols = _warm_start(T, n, basis, slack_rows)
+    cost = np.zeros(n_total)
+    cost[:n] = c_scaled
+    _install_objective(T, cols, cost)
+    code, pivots = _pivot_loop(T, cols, max_iter)
     if code == 2:
         raise SolverError("NUMERICAL_FAILURE",
-                          f"phase 2 exceeded {max_iter} pivots")
+                          f"simplex exceeded {max_iter} pivots")
+    basic = cols.copy()
+    logical = cols >= n
+    basic[logical] = n + slack_rows[cols[logical] - n]
     if code == 1:
-        return LpSolution(UNBOUNDED, math.inf, None, iterations=pivots)
+        return LpSolution(UNBOUNDED, math.inf, None, basic, pivots)
 
     y = np.zeros(n_total)
-    y[basis] = T[:rows, -1]
+    y[cols] = T[:rows, -1]
     # Adding 0.0 turns -0.0 into 0.0, so a zero entry never prints as -0.0.
     x = y[:n] / col_scale + 0.0
 
     _check_solution(lp, x)
-    basic = None
-    if rows == lp.b.size:
-        basic = basis.copy()
-        logical = basis >= n
-        basic[logical] = n + slack_rows[basis[logical] - n]
     return LpSolution(OPTIMAL, float(lp.objective @ x), x, basic, pivots)
 
 
@@ -228,15 +205,12 @@ def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
     With these prices a column ``a`` with objective ``c`` has reduced cost
     ``c - y @ a``; the vertex is optimal over any set of columns whose
     reduced costs are all <= 0.  Raises ``SolverError('NUMERICAL_FAILURE')``
-    when ``sol`` carries no basis, the basis matrix is singular, or the
-    prices do not reproduce the objective (``y @ b``).
+    when the basis matrix is singular or the prices do not reproduce the
+    objective (``y @ b``).
     """
     A, b = lp.A, lp.b
     rows = b.size
     basis = sol.basis
-    if basis is None or basis.size != rows:
-        raise SolverError("NUMERICAL_FAILURE",
-                          "the solution carries no basis to price from")
     structural = basis < lp.num_vars
     B = np.zeros((rows, rows))
     B[:, structural] = A[:, basis[structural]]
@@ -256,85 +230,47 @@ def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
     return y
 
 
-def _phase1(T, n, le, max_iter):
-    """Find a feasible basis of the tableau ``T = [A | slacks and surpluses
-    | b]`` (``n`` structural columns; ``le`` marks the ``<=`` rows, whose
-    slacks come first).
-
-    Every other row gets an artificial column, appended here and minimized
-    out; they are deleted again before returning, so phase 2 sees the
-    tableau's own columns.  Returns ``(T, basis, pivots)``, the feasible
-    tableau without any rows found redundant, or a None basis when the
-    program is infeasible.  Raises ``SolverError('NUMERICAL_FAILURE')`` at
-    the pivot cap.
-    """
-    art_start = T.shape[1] - 1
-    le_rows = np.flatnonzero(le)
-    art_rows = np.flatnonzero(~le)
-    basis = np.empty(le.size, dtype=np.int64)
-    basis[le_rows] = n + np.arange(le_rows.size)
-    if art_rows.size == 0:
-        return T, basis, 0
-    basis[art_rows] = art_start + np.arange(art_rows.size)
-    T = np.insert(T, [art_start] * art_rows.size, 0.0, axis=1)
-    T[art_rows, basis[art_rows]] = 1.0
-    cost = np.zeros(T.shape[1] - 1)
-    cost[art_start:] = -1.0
-    _install_objective(T, basis, cost)
-    code, pivots = _pivot_loop(T, basis, max_iter)
-    if code == 2:
-        raise SolverError("NUMERICAL_FAILURE",
-                          f"phase 1 exceeded {max_iter} pivots")
-    # Judge feasibility from the basic artificial values themselves; the
-    # tableau's objective cell can drift under heavy cancellation.
-    residual = sum(max(T[r, -1], 0.0) for r in range(le.size)
-                   if basis[r] >= art_start)
-    if code == 1 or residual > _PHASE1_TOL:
-        return T, None, pivots
-    T, basis, _ = _drive_out_artificials(T, basis, le.size, art_start)
-    return np.delete(T, np.s_[art_start:-1], axis=1), basis, pivots
-
-
 def _warm_start(T, n, start, slack_rows):
     """Make the start basis ``start`` basic in ``T``; returns its tableau
-    columns, or None with ``T`` untouched.
+    columns.
 
     ``start`` is in :attr:`LpSolution.basis` numbering; ``slack_rows[k]`` is
     the row whose slack or surplus is tableau column ``n + k`` (an ``==`` row
     has none).  Only the nonbasic columns and the right-hand side are solved
     for, ``X = B⁻¹·T[:, nonbasic]``; the basic columns become the identity.
-    ``T`` takes them only if ``X`` is finite and ``B⁻¹b >= -FEASIBILITY_TOL``
-    (tiny negatives are clamped to 0).  A rejected start is logged at debug
-    with its reason.
+    The start is accepted only if ``X`` is finite and ``B⁻¹b >=
+    -FEASIBILITY_TOL`` (tiny negatives are clamped to 0); otherwise
+    ``SolverError('NUMERICAL_FAILURE')`` names the reason.
     """
     rows = T.shape[0] - 1
 
-    def reject(reason):
-        log.debug("warm start rejected (%s); solving from phase 1", reason)
+    def rejected(reason):
+        return SolverError("NUMERICAL_FAILURE",
+                           f"start basis rejected: {reason}")
 
     start = np.asarray(start).ravel()
     if start.size != rows or not np.issubdtype(start.dtype, np.integer):
-        return reject(f"{start.size} start entries for {rows} rows")
+        raise rejected(f"{start.size} start entries for {rows} rows")
     if np.any((start < 0) | (start >= n + rows)):
-        return reject("start names a column outside the program")
+        raise rejected("start names a column outside the program")
     logical = np.full(rows, -1, dtype=np.int64)
     logical[slack_rows] = n + np.arange(slack_rows.size)
     cols = start.astype(np.int64)
     named = cols >= n
     cols[named] = logical[cols[named] - n]
     if np.any(cols < 0):
-        return reject("start names the logical column of an == row")
+        raise rejected("start names the logical column of an == row")
     nonbasic = np.ones(T.shape[1], dtype=bool)   # the rhs column included
     nonbasic[cols] = False
     try:
         X = np.linalg.solve(T[:rows, cols], T[:rows, nonbasic])
     except np.linalg.LinAlgError:
-        return reject("singular start basis")
+        raise rejected("singular start basis") from None
     if not np.all(np.isfinite(X)):
-        return reject("start basis gives non-finite entries")
+        raise rejected("start basis gives non-finite entries")
     rhs = X[:, -1]
     if not np.all(rhs >= -FEASIBILITY_TOL):
-        return reject(f"infeasible start, min B^-1 b = {rhs.min():.3g}")
+        raise rejected(f"infeasible start, min B^-1 b = {rhs.min():.3g}")
     np.maximum(rhs, 0.0, out=rhs)
     T[:rows, nonbasic] = X
     T[:rows, cols] = np.eye(rows)
@@ -409,25 +345,6 @@ def _install_objective(T, basis, cost):
     rows = T.shape[0] - 1
     T[rows] = cost[basis] @ T[:rows]
     T[rows, :cost.size] -= cost
-
-
-def _drive_out_artificials(T, basis, rows, art_start):
-    """Pivot basic artificials onto structural columns; drop redundant rows."""
-    drop = []
-    for r in range(rows):
-        if basis[r] < art_start:
-            continue
-        entries = np.abs(T[r, :art_start])
-        if entries.max(initial=0.0) > 1e-9:
-            _pivot(T, basis, r, int(np.argmax(entries)))
-        else:
-            drop.append(r)
-    if drop:
-        keep = [r for r in range(rows) if r not in drop]
-        T = T[keep + [rows]]
-        basis = basis[keep]
-        rows = len(keep)
-    return T, basis, rows
 
 
 def _check_solution(lp, x):

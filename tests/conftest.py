@@ -8,6 +8,8 @@ from caldesign import lp_core
 from caldesign.fptas import PRICE_TOL, BiEventPlan, PlanColumns
 from caldesign.model import Instance, Predictor, envelope, validate_instance
 
+from cold import cold_solve
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -106,7 +108,7 @@ def dense_column_generation(lp, cols):
     while True:
         master = lp_core.LinearProgram(lp.objective[active], lp.A[:, active],
                                        lp.rel, lp.b)
-        sol = lp_core.solve(master)
+        sol = cold_solve(master)
         assert sol.is_optimal
         pivots += sol.iterations
         y = lp_core.row_prices(master, sol)

@@ -1,10 +1,13 @@
 """Brute-force cross-checks used by the test suite to validate the solvers.
 
-Two independent routes: a seeded rejection sampler that spews feasible
-predictors (their payoffs must never beat the exact optimum), and an
-exhaustive search over tiny grids that enumerates support sets and
-optimizes the masses exactly on each, giving a tight grid-restricted
-optimum to compare against.
+Two independent routes: seeded samplers that spew feasible predictors
+(their payoffs must never beat the exact optimum), and an exhaustive search
+over tiny grids that enumerates support sets and optimizes the masses
+exactly on each, giving a tight grid-restricted optimum to compare against.
+:func:`sample_feasible` draws random predictors on a grid and keeps those
+within the budget, which a tight budget rarely admits;
+:func:`sample_calibrated_shifts` shifts calibrated predictors out to the
+budget's boundary, where optimal predictors sit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 from caldesign import lp_core
 from caldesign.errors import ValidationError
 from caldesign.model import INF, Instance, Predictor, ece, indirect_utility_matrix, payoff
+
+from cold import cold_solve
 
 
 @dataclass
@@ -55,6 +60,43 @@ def sample_feasible(inst: Instance, cfg: SamplerConfig):
             mass[i, cols] = rng.dirichlet(np.ones(size))
         pred = Predictor(grid, mass)
         if ece(pred, inst) <= inst.epsilon + 1e-12:
+            yield pred
+
+
+def sample_calibrated_shifts(inst: Instance, count: int, seed: int,
+                             budget: float):
+    """Yield the draws among ``count`` whose calibration error is within
+    ``budget``; deterministic for a fixed seed.
+
+    Each draw pools the events at random into groups, each predicting its
+    pooled mean, which is calibrated, and then shifts each group's
+    prediction by ``d_g`` (clipped to [0, 1]).  For t = 1 the shifts spend
+    the whole budget, ``sum_g mass_g |d_g| = budget``, in random shares; for
+    t = inf each ``|d_g| <= budget`` is drawn uniformly.  Signs are random.
+    Both stay a relative 1e-9 inside the budget, against rounding.
+    """
+    if inst.norm != 1.0 and inst.norm != INF:
+        raise ValidationError("UNSUPPORTED_NORM",
+                              "shifts are drawn for t in {1, inf} only")
+    rng = np.random.default_rng(seed)
+    reach = budget * (1.0 - 1e-9)
+    for _ in range(count):
+        labels = rng.integers(0, rng.integers(1, inst.n + 1), inst.n)
+        _, groups = np.unique(labels, return_inverse=True)
+        size = groups.max() + 1
+        mass = np.bincount(groups, inst.lam, size)
+        mean = np.divide(np.bincount(groups, inst.lam * inst.theta, size),
+                         mass, out=np.zeros(size), where=mass > 0)
+        sign = rng.choice([-1.0, 1.0], size)
+        if inst.norm == 1.0:
+            share = rng.dirichlet(np.ones(size))
+            shift = np.divide(reach * share, mass, out=np.zeros(size),
+                              where=mass > 0)
+        else:
+            shift = reach * rng.uniform(0.0, 1.0, size)
+        pred = Predictor(np.clip(mean + sign * shift, 0.0, 1.0),
+                         np.eye(size)[groups])
+        if ece(pred, inst) <= budget:
             yield pred
 
 
@@ -124,7 +166,7 @@ def exhaustive_best(inst: Instance, grid_step: float):
     for subset in subsets:
         support = grid[list(subset)]
         lp = _fixed_support_lp(inst, support)
-        sol = lp_core.solve(lp)
+        sol = cold_solve(lp)
         if not sol.is_optimal:
             continue
         K = support.size

@@ -2,8 +2,9 @@
 
 :func:`apply_plan` is the inverse of :func:`caldesign.structure.recalibrate`:
 it blurs the calibrated core back through the event-independent plan.
-:func:`plan_to_records` and :func:`plan_from_records` give a
-:class:`caldesign.fptas.BiEventPlan` a list-of-dicts form.
+:func:`plan_objective` is a :class:`caldesign.fptas.BiEventPlan`'s
+designer payoff; :func:`plan_to_records` and :func:`plan_from_records` give
+such a plan a list-of-dicts form.
 """
 
 from __future__ import annotations
@@ -11,8 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from caldesign.errors import ValidationError
-from caldesign.fptas import BiEventPlan
-from caldesign.model import SUPPLY_TOL, Instance, Predictor
+from caldesign.fptas import GRID_MERGE_TOL, BiEventPlan, _dedup_sorted
+from caldesign.model import (
+    SUPPLY_TOL,
+    Instance,
+    Predictor,
+    indirect_utility_matrix,
+)
 from caldesign.structure import EventIndependentPlan
 
 
@@ -49,6 +55,16 @@ def apply_plan(gtilde: Predictor, plan: EventIndependentPlan,
     rows = mass.sum(axis=1)
     mass = mass / rows[:, None]
     return Predictor(support, mass)
+
+
+def plan_objective(plan: BiEventPlan, inst: Instance) -> float:
+    """Designer payoff of the plan (pairwise-mixed indirect utility)."""
+    ps = _dedup_sorted(plan.p)
+    U = indirect_utility_matrix(inst, ps)
+    col = np.searchsorted(ps, plan.p - GRID_MERGE_TOL)
+    r = plan.contribution(inst)
+    val = r * U[plan.i, col] + (1.0 - r) * U[plan.j, col]
+    return float(plan.w @ val)
 
 
 def plan_to_records(plan: BiEventPlan):

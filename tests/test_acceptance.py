@@ -25,7 +25,7 @@ from conftest import (
     random_predictor,
 )
 from oracle import SamplerConfig, exhaustive_best, sample_feasible
-from plans import apply_plan
+from plans import apply_plan, plan_objective
 from revelation import aggregated_bias, contract_signals, predictor_to_strategy
 from rounding import round_plan
 
@@ -190,8 +190,8 @@ class TestAcceptance:
             for p in rounded.p:
                 assert np.min(np.abs(grid.points - p)) <= 1e-12
             assert rounded.raw_error(1.0) <= plan.raw_error(1.0) + 1e-12
-            before = plan.objective(inst)
-            after = rounded.objective(inst)
+            before = plan_objective(plan, inst)
+            after = plan_objective(rounded, inst)
             assert after >= (1 - 3 * delta) * before - 1e-9
             if before > 1e-12:
                 worst_ratio = min(worst_ratio, after / before)

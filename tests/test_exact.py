@@ -22,8 +22,9 @@ from caldesign.model import (
     point_mass,
 )
 
+from cold import cold_solve
 from conftest import DATA, make_instance, random_instance, random_predictor
-from oracle import SamplerConfig, sample_feasible
+from oracle import SamplerConfig, sample_calibrated_shifts, sample_feasible
 from revelation import (
     aggregated_bias,
     contract_signals,
@@ -379,15 +380,23 @@ class TestLargerInstances:
 
     # Sampled predictors are scored by model.payoff, so a tie window wider
     # than the LP's exact ties shows as a sample beating the optimum (wide
-    # #2 and #7 did while a 1e9 sentinel widened the window to 1 in score).
-    # The sampler finds almost no predictor within the tight budgets.
+    # #2 and #7 did, on the grid sampler, while a 1e9 sentinel widened the
+    # window to 1 in score).  The grid sampler finds almost no predictor
+    # within the tight budgets; the shift sampler draws at the budget's
+    # boundary, at the budget less SEPARATION, since a separated solve
+    # returns the optimum at that lowered budget.
     @pytest.mark.parametrize("budget, k", _known(
-        [("wide", k) for k in range(16)], {
-            ("wide", 6): (SolverError, THREE_TIED)}))
+        [(b, k) for b in ("wide", "tight") for k in range(16)], {
+            ("wide", 6): (SolverError, THREE_TIED),
+            ("tight", 11): (SolverError, THREE_TIED)}))
     def test_sentinel_optimum_beats_the_sampler(self, budget, k):
         inst = _sentinel_set(budget)[k]
         _, _, opt = solve_exact(inst)
-        for pred in sample_feasible(inst, SamplerConfig(0.1, 300, seed=k)):
+        shifted = list(sample_calibrated_shifts(
+            inst, 300, k, inst.epsilon - exact.SEPARATION))
+        assert len(shifted) == 300
+        on_grid = sample_feasible(inst, SamplerConfig(0.1, 300, seed=k))
+        for pred in shifted + list(on_grid):
             assert payoff(pred, inst) <= opt + 1e-7
 
     # The plan LP shares model's tie window: while a 1e9 sentinel widened it
@@ -410,18 +419,44 @@ class TestLargerInstances:
         _check_fptas_bracket(acc3[24])
 
 
+_real_solve = lp_core.solve   # the unpatched solver
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every lp_core.solve as (program, start basis, solution or the
+    SolverError it raised).  An error is recorded before it propagates, so
+    the ones that the agent refine catches show too."""
+    seen = []
+
+    def spy(lp, basis, max_iter=None):
+        try:
+            sol = _real_solve(lp, basis, max_iter)
+        except SolverError as err:
+            seen.append((lp, basis, err))
+            raise
+        seen.append((lp, basis, sol))
+        return sol
+
+    monkeypatch.setattr(lp_core, "solve", spy)
+    return seen
+
+
+def _errors(solves):
+    return [out for _, _, out in solves if isinstance(out, SolverError)]
+
+
 class TestAgentRefine:
     def test_fallback_is_logged(self, golden, monkeypatch, caplog):
         # the first-stage solve succeeds, every refine raises: the first-stage
         # vertex comes back and each failed slack is logged
-        real_solve = lp_core.solve
         calls = []
 
-        def flaky(lp, max_iter=None, basis=None):
+        def flaky(lp, basis, max_iter=None):
             calls.append(lp)
             if len(calls) > 1:
                 raise SolverError("NUMERICAL_FAILURE", "forced")
-            return real_solve(lp, max_iter, basis=basis)
+            return _real_solve(lp, basis, max_iter)
 
         monkeypatch.setattr(lp_core, "solve", flaky)
         inst = golden.with_epsilon(0.04)
@@ -434,25 +469,30 @@ class TestAgentRefine:
         assert len(slacks) == 2
         assert "NUMERICAL_FAILURE" in slacks[0]
 
+    def test_rejected_start_falls_back(self, solves, caplog):
+        # sentinel tight-8: with the floor row, the first stage's optimal
+        # basis reads B^-1 b = -1.85e-6, below the start's tolerance, at
+        # both slacks; the refine logs each slack it failed at and returns
+        # the first-stage vertex
+        inst = _sentinel_set("tight")[8]
+        _, _, first_stage = solve_exact(inst, tie_break=None)
+        solves.clear()
+        with caplog.at_level(logging.DEBUG, logger="caldesign"):
+            _, _, obj = solve_exact(inst)
+        rejected = _errors(solves)
+        assert len(rejected) == 2
+        assert all("start basis rejected: infeasible" in str(err)
+                   for err in rejected)
+        assert obj == first_stage
+        failed = [r.getMessage() for r in caplog.records
+                  if "start basis rejected" in r.getMessage()]
+        assert [m.split(":")[0] for m in failed] == [
+            "agent tie-break refine failed at slack 1.64e-07",
+            "agent tie-break refine failed at slack 1.64e-05"]
+
 
 class TestWarmRefine:
     """The agent refine starts from the first stage's optimal basis."""
-
-    cold_solve = staticmethod(lp_core.solve)   # the unpatched solver
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        # every lp_core.solve of solve_exact as (program, start basis,
-        # solution); the first is the first stage, the rest are refines
-        seen = []
-
-        def spy(lp, max_iter=None, basis=None):
-            sol = self.cold_solve(lp, max_iter, basis=basis)
-            seen.append((lp, basis, sol))
-            return sol
-
-        monkeypatch.setattr(lp_core, "solve", spy)
-        return seen
 
     @staticmethod
     def _golden_budgets(golden):
@@ -461,11 +501,11 @@ class TestWarmRefine:
     def _check_against_cold(self, solves, inst):
         solves.clear()
         solve_exact(inst)
+        assert not _errors(solves)
         refines = solves[1:]
         assert refines
-        for lp, basis, sol in refines:
-            assert basis is not None
-            cold = self.cold_solve(lp)
+        for lp, _, sol in refines:
+            cold = cold_solve(lp)
             v = cold.objective_value
             assert abs(sol.objective_value - v) <= 1e-9 * (1 + abs(v))
             assert sol.iterations < cold.iterations
@@ -531,54 +571,49 @@ def _edge_instances():
 
 
 class TestCrashStart:
-    """The first stage starts at the truthful scheme, never in phase 1."""
-
-    cold_solve = staticmethod(lp_core.solve)   # the unpatched solver
-
-    @pytest.fixture
-    def solves(self, monkeypatch, caplog):
-        # (rows, start basis, solution) of every lp_core.solve
-        seen = []
-
-        def spy(lp, max_iter=None, basis=None):
-            sol = self.cold_solve(lp, max_iter, basis=basis)
-            seen.append((lp.b.size, basis, sol))
-            return sol
-
-        monkeypatch.setattr(lp_core, "solve", spy)
-        caplog.set_level(logging.DEBUG, logger="caldesign")
-        return seen
+    """The first stage starts at the truthful scheme, and every package
+    solve from an accepted crash or warm basis.  A rejected start raises,
+    and the agent refine catches that and falls back, so the spy records
+    every SolverError before it propagates and these tests require none."""
 
     @staticmethod
-    def _solve_accepted(inst, solves, caplog):
-        """Solve; check every first stage got a start and none was
-        rejected; return the pivots of the first one."""
+    def _solve_accepted(inst, solves, tie_break="agent"):
+        """Solve; check that no start was rejected; return the pivots of
+        the first stage."""
         solves.clear()
-        caplog.clear()
-        solve_exact(inst)
-        # a refine program carries the payoff floor, one row more
-        first = [(basis, sol) for rows, basis, sol in solves
-                 if rows == solves[0][0]]
-        assert all(basis is not None for basis, _ in first)
-        rejected = [r.getMessage() for r in caplog.records
-                    if "warm start rejected" in r.getMessage()]
-        assert not rejected, rejected
-        return first[0][1].iterations
+        solve_exact(inst, tie_break=tie_break)
+        assert not _errors(solves)
+        return solves[0][2].iterations
 
-    def test_golden_budgets(self, golden, solves, caplog):
+    def test_the_spy_sees_a_rejected_start(self, solves):
+        # the surplus alone puts x at -1
+        with pytest.raises(SolverError, match="start basis rejected"):
+            lp_core.solve(lp_core.LinearProgram([-1.0], [[1.0]], [">="],
+                                                [1.0]), [1])
+        assert len(_errors(solves)) == 1
+
+    def test_golden_budgets(self, golden, solves):
         for k in range(81):
             self._solve_accepted(golden.with_epsilon(round(0.01 * k, 2)),
-                                 solves, caplog)
+                                 solves)
 
-    def test_ladder(self, solves, caplog):
+    def test_ladder(self, solves):
         # the first stage took 4,260 pivots over this list from phase 1
-        pivots = sum(self._solve_accepted(inst, solves, caplog)
-                     for inst in _ladder())
+        pivots = 0
+        for inst in _ladder():
+            pivots += self._solve_accepted(inst, solves)
+            self._solve_accepted(inst, solves, tie_break=None)
         assert pivots < 1200
 
+    def test_acc3_fptas(self, solves):
+        rng = np.random.default_rng(1003)
+        for k in range(25):
+            fptas_solve(random_instance(rng, (0.01, 0.1)[k % 2]), 0.1)
+        assert solves and not _errors(solves)
+
     @pytest.mark.parametrize("name", sorted(_edge_instances()))
-    def test_edge_instances(self, name, solves, caplog):
-        self._solve_accepted(_edge_instances()[name], solves, caplog)
+    def test_edge_instances(self, name, solves):
+        self._solve_accepted(_edge_instances()[name], solves)
 
     @pytest.mark.parametrize("norm", [1.0, INF])
     def test_truthful_basis_is_a_feasible_basis(self, golden, norm):
@@ -602,45 +637,6 @@ class TestCrashStart:
         pi = x[:inst.n * inst.m].reshape(inst.n, inst.m)
         assert np.allclose(pi, np.eye(inst.m)[own])
         assert np.all(x[inst.n * inst.m:] == 0.0)
-
-
-class TestNoPhase1:
-    """Every package solve starts from an accepted crash or warm basis, so
-    ``lp_core``'s phase 1, which appends the artificial columns, never runs.
-    A start that began to be rejected would cost that warm path silently."""
-
-    @pytest.fixture
-    def phase1_calls(self, monkeypatch):
-        calls = []
-        real = lp_core._phase1
-
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(lp_core, "_phase1", spy)
-        return calls
-
-    def test_the_spy_sees_a_cold_solve(self, phase1_calls):
-        lp_core.solve(lp_core.LinearProgram([-1.0], [[1.0]], [">="], [1.0]))
-        assert len(phase1_calls) == 1
-
-    def test_golden_budgets(self, golden, phase1_calls):
-        for k in range(81):
-            solve_exact(golden.with_epsilon(round(0.01 * k, 2)))
-        assert phase1_calls == []
-
-    def test_ladder_both_tie_breaks(self, phase1_calls):
-        for inst in _ladder():
-            for tie_break in ("agent", None):
-                solve_exact(inst, tie_break=tie_break)
-        assert phase1_calls == []
-
-    def test_acc3_fptas(self, phase1_calls):
-        rng = np.random.default_rng(1003)
-        for k in range(25):
-            fptas_solve(random_instance(rng, (0.01, 0.1)[k % 2]), 0.1)
-        assert phase1_calls == []
 
 
 def _ladder_pin_csv():

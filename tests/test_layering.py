@@ -1,8 +1,10 @@
 """Import layering of the package, read from its source with ``ast``.
 
 ``model`` is the base layer: it may import ``errors`` and nothing else of
-the package.  ``structure`` works on predictors and the agent's envelope
-from ``model``; it must not reach into the solvers.
+the package.  ``lp_core`` is the leaf engine, which an external solver may
+replace: it imports ``errors`` alone.  ``structure`` works on predictors
+and the agent's envelope from ``model``; it must not reach into the
+solvers.
 """
 
 import ast
@@ -45,6 +47,10 @@ def test_the_reader_sees_every_import_form():
 
 def test_model_imports_only_errors():
     assert package_imports("model") <= {"errors"}
+
+
+def test_lp_core_imports_only_errors():
+    assert package_imports("lp_core") <= {"errors"}
 
 
 def test_structure_imports_no_solver():

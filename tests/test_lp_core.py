@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -7,6 +6,8 @@ import pytest
 from caldesign import lp_core
 from caldesign.errors import SolverError, ValidationError
 from caldesign.lp_core import LinearProgram, solve
+
+from cold import INFEASIBLE, cold_solve
 
 
 def random_lp(rng, n_vars=6, n_rows=4, feasible=True):
@@ -30,40 +31,46 @@ def with_row(lp, coeffs, rel, rhs, objective=None):
 
 class TestBasics:
     def test_simple_bound(self):
-        sol = solve(LinearProgram([1.0], [[1.0]], ["<="], [1.0]))
+        sol = solve(LinearProgram([1.0], [[1.0]], ["<="], [1.0]), [1])
         assert sol.status == lp_core.OPTIMAL
         assert sol.objective_value == pytest.approx(1.0)
 
     def test_infeasible(self):
-        sol = solve(LinearProgram([1.0], [[1.0]], ["<="], [-1.0]))
-        assert sol.status == lp_core.INFEASIBLE
+        sol = cold_solve(LinearProgram([1.0], [[1.0]], ["<="], [-1.0]))
+        assert sol.status == INFEASIBLE
 
     def test_two_var_vertex(self):
         lp = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], ["<=", "<="],
                            [2.0, 1.0])
-        sol = solve(lp)
+        sol = solve(lp, [2, 3])
         assert sol.status == lp_core.OPTIMAL
         assert sol.objective_value == pytest.approx(2.0)
 
     def test_unbounded(self):
         # a program with no rows at all still solves
         lp = LinearProgram([1.0], np.zeros((0, 1)), [], [])
-        assert solve(lp).status == lp_core.UNBOUNDED
-        assert solve(LinearProgram([-1.0], np.zeros((0, 1)), [], [])) \
+        empty = np.zeros(0, dtype=int)
+        assert solve(lp, empty).status == lp_core.UNBOUNDED
+        assert solve(LinearProgram([-1.0], np.zeros((0, 1)), [], []), empty) \
             .objective_value == 0.0
+        # a program with rows reports its last basis
+        sol = solve(LinearProgram([1.0, 1.0], [[1.0, -1.0]], ["<="], [1.0]),
+                    [2])
+        assert sol.status == lp_core.UNBOUNDED
+        assert sol.basis.tolist() == [0]
 
     def test_programs_without_rows_or_columns(self):
         # keep their statuses; the pivot loop's argmax never sees an empty
-        # array (a phase 2 with no columns left, or no rows at all)
+        # array (a program with no columns, or no rows at all)
         for objective, A, rel, b, status in [
             ([], np.zeros((2, 0)), ["<=", ">="], [1.0, 0.0], lp_core.OPTIMAL),
-            ([], np.zeros((1, 0)), [">="], [1.0], lp_core.INFEASIBLE),
+            ([], np.zeros((1, 0)), [">="], [1.0], INFEASIBLE),
             ([], np.zeros((1, 0)), ["=="], [0.0], lp_core.OPTIMAL),
             ([], np.zeros((0, 0)), [], [], lp_core.OPTIMAL),
             ([1.0], np.zeros((0, 1)), [], [], lp_core.UNBOUNDED),
             ([-1.0], np.zeros((0, 1)), [], [], lp_core.OPTIMAL),
         ]:
-            sol = solve(LinearProgram(objective, A, rel, b))
+            sol = cold_solve(LinearProgram(objective, A, rel, b))
             assert sol.status == status, (A.shape, rel)
             if sol.is_optimal:
                 assert sol.objective_value == 0.0
@@ -74,17 +81,17 @@ class TestBasics:
     def test_iteration_cap_raises(self):
         lp = LinearProgram([1.0], [[1.0]], ["<="], [1.0])
         with pytest.raises(SolverError) as err:
-            solve(lp, max_iter=0)
+            solve(lp, [1], max_iter=0)
         assert err.value.code == "NUMERICAL_FAILURE"
 
     def test_counts_pivots(self):
         lp = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], ["<=", "<="],
                            [2.0, 1.0])
-        assert solve(lp).iterations == 2
+        assert solve(lp, [2, 3]).iterations == 2
         # the slack basis is already optimal, and phase 1 needs one pivot
-        assert solve(LinearProgram([-1.0], [[1.0]], ["<="], [1.0])) \
+        assert solve(LinearProgram([-1.0], [[1.0]], ["<="], [1.0]), [1]) \
             .iterations == 0
-        assert solve(LinearProgram([-1.0], [[1.0]], [">="], [1.0])) \
+        assert cold_solve(LinearProgram([-1.0], [[1.0]], [">="], [1.0])) \
             .iterations == 1
 
     def test_rejects_malformed(self):
@@ -118,9 +125,9 @@ class TestBasics:
             lp = with_row(lp, a, "==", a @ x0)
             before = (lp.objective.copy(), lp.A.copy(), lp.rel.copy(),
                       lp.b.copy())
-            first = solve(lp)
+            first = cold_solve(lp)
             assert first.is_optimal and first.basis is not None
-            solve(lp, basis=first.basis)
+            solve(lp, first.basis)
             lp_core.row_prices(lp, first)
             for kept, now in zip(before, (lp.objective, lp.A, lp.rel, lp.b)):
                 assert np.array_equal(kept, now)
@@ -268,67 +275,48 @@ class TestRowPrices:
         # x = (3, 1); rows 0 and 2 bind, row 1 has slack
         lp = LinearProgram([3.0, 2.0], [[1.0, 1.0], [1.0, 3.0], [1.0, 0.0]],
                            ["<="] * 3, [4.0, 7.0, 3.0])
-        sol = solve(lp)
+        sol = cold_solve(lp)
         assert np.allclose(lp_core.row_prices(lp, sol), [2.0, 0.0, 1.0])
 
     def test_equality_and_surplus_rows(self):
         # x = (2, 2); the >= row has slack, the equality row prices negative
         lp = LinearProgram([1.0, 1.0], [[1.0, -1.0], [1.0, 0.0], [2.0, 0.0]],
                            ["==", ">=", "<="], [0.0, 1.0, 4.0])
-        sol = solve(lp)
+        sol = cold_solve(lp)
         y = lp_core.row_prices(lp, sol)
         assert np.allclose(y, [-1.0, 0.0, 1.0])
         assert y @ [0.0, 1.0, 4.0] == pytest.approx(sol.objective_value)
 
     def test_redundant_row_has_no_basis(self):
-        # the second row doubles the first; phase 1 drops it
+        # the second row doubles the first; no column can replace its
+        # artificial, so cold_solve drops it and solves the other two rows
         lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0], [0.0, 1.0]],
                            ["==", "==", "<="], [3.0, 6.0, 1.0])
-        sol = solve(lp)
+        sol = cold_solve(lp)
+        assert sol.is_optimal
         assert sol.objective_value == pytest.approx(4.0)
+        assert sol.x == pytest.approx([2.0, 1.0])
         assert sol.basis is None
-        with pytest.raises(SolverError) as err:
-            lp_core.row_prices(lp, sol)
-        assert err.value.code == "NUMERICAL_FAILURE"
 
 
 class TestWarmStart:
-    # max x0 + x1 s.t. x0 + x1 <= 2, x0 <= 3, x1 == 0.5 (rows 0, 1, 2)
-    LP = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
-                       ["<=", "<=", "=="], [2.0, 3.0, 0.5])
-
     def test_added_floor_row_starts_from_old_basis(self):
         # the refine pattern: solve, add an objective floor, change the
         # objective; the old basis plus the floor's surplus is feasible
         rng = np.random.default_rng(5)
         for _ in range(10):
             lp, _ = random_lp(rng, n_vars=8, n_rows=6)
-            first = solve(lp)
+            first = cold_solve(lp)
             floor = first.objective_value - 1e-3
             refine = with_row(lp, lp.objective, ">=", floor,
                               objective=rng.normal(size=lp.num_vars))
             start = np.append(first.basis, lp.num_vars + lp.b.size)
-            cold = solve(refine)
-            warm = solve(refine, basis=start)
+            cold = cold_solve(refine)
+            warm = solve(refine, start)
             assert warm.objective_value == pytest.approx(
                 cold.objective_value, rel=0.0, abs=1e-9)
             assert warm.iterations < cold.iterations
             assert lp.objective @ warm.x >= floor - 1e-9
-
-    @pytest.mark.parametrize("start,reason", [
-        ([2, 0, 1], "infeasible"),          # x0 = 3 leaves row 0 short by 1.5
-        ([0, 0, 1], "singular"),
-        ([0, 1], "start entries"),
-        ([0, 3, 4], "== row"),              # row 2 has no logical column
-    ])
-    def test_unusable_start_falls_back_to_cold(self, start, reason, caplog):
-        cold = solve(self.LP)
-        with caplog.at_level(logging.DEBUG, logger="caldesign"):
-            sol = solve(self.LP, basis=start)
-        assert sol.objective_value == cold.objective_value
-        assert np.array_equal(sol.x, cold.x)
-        assert sol.iterations == cold.iterations
-        assert any(reason in r.getMessage() for r in caplog.records)
 
     # The tableau [A | logicals | rhs] of x0 + x1 <= 1, x0 - x1 >= 0.25,
     # x0 == 0.5 with its objective row; rows 0 and 1 own the logical
@@ -337,31 +325,32 @@ class TestWarmStart:
                   [1.0, -1.0, 0.0, -1.0, 0.25],
                   [1.0, 0.0, 0.0, 0.0, 0.5],
                   [0.0, 0.0, 0.0, 0.0, 0.0]])
+    # the program of T, which solve equilibrates back into T
+    T_LP = LinearProgram([0.0, 0.0], T[:3, :2], ["<=", ">=", "=="], T[:3, -1])
+    # one row, whose basis entry 1e-300 overflows B^-1
+    HUGE = np.array([[1e-300, 1e300, 1.0, 1.0],
+                     [0.0, 0.0, 0.0, 0.0]])
 
-    @pytest.mark.parametrize("start,reason", [
-        ([0, 1], "2 start entries for 3 rows"),
-        (np.array([0.0, 1.0, 2.0]), "3 start entries for 3 rows"),
-        ([0, 1, 5], "outside the program"),
-        ([0, 1, 4], "== row"),
-        ([1, 2, 3], "singular"),           # row 2 is zero on x1, s0, s1
-        ([3, 1, 0], "infeasible"),         # the surplus of row 1 is -0.25
-    ])
-    def test_rejection_leaves_the_tableau_unchanged(self, start, reason,
-                                                    caplog):
-        T = self.T.copy()
-        with caplog.at_level(logging.DEBUG, logger="caldesign"):
-            assert lp_core._warm_start(T, 2, start, np.array([0, 1])) is None
-        assert np.array_equal(T, self.T)
-        assert any(reason in r.getMessage() for r in caplog.records)
-
-    def test_non_finite_rejection_leaves_the_tableau_unchanged(self, caplog):
-        T = np.array([[1e-300, 1e300, 1.0, 1.0],
-                      [0.0, 0.0, 0.0, 0.0]])
-        kept = T.copy()
-        with caplog.at_level(logging.DEBUG, logger="caldesign"):
-            assert lp_core._warm_start(T, 2, [0], np.array([0])) is None
-        assert np.array_equal(T, kept)
-        assert any("non-finite" in r.getMessage() for r in caplog.records)
+    @pytest.mark.parametrize("tableau,start,reason", [
+        ("T", [0, 1], "2 start entries for 3 rows"),
+        ("T", np.array([0.0, 1.0, 2.0]), "3 start entries for 3 rows"),
+        ("T", [0, 1, 5], "outside the program"),
+        ("T", [0, 1, 4], "== row"),
+        ("T", [1, 2, 3], "singular"),      # row 2 is zero on x1, s0, s1
+        ("T", [3, 1, 0], "infeasible"),    # the surplus of row 1 is -0.25
+        ("HUGE", [0], "non-finite"),
+    ], ids=["length", "dtype", "outside", "eq-logical", "singular",
+            "infeasible", "non-finite"])
+    def test_rejected_start_raises(self, tableau, start, reason):
+        T = getattr(self, tableau).copy()
+        with pytest.raises(SolverError, match="start basis rejected: .*"
+                           + reason) as err:
+            lp_core._warm_start(T, 2, start, np.arange(T.shape[1] - 3))
+        assert err.value.code == "NUMERICAL_FAILURE"
+        if tableau == "T":
+            with pytest.raises(SolverError, match=reason) as err:
+                solve(self.T_LP, start)
+            assert err.value.code == "NUMERICAL_FAILURE"
 
     @pytest.mark.parametrize("start", [[2, 3, 0], [0, 1, 2]])
     def test_accepted_start_is_b_inverse_times_the_tableau(self, start):
@@ -375,15 +364,13 @@ class TestWarmStart:
         assert np.array_equal(T[:3, cols], np.eye(3))
         assert np.array_equal(T[3], self.T[3])
 
-    def test_logical_of_a_flipped_row_is_accepted(self, caplog):
+    def test_logical_of_a_flipped_row_is_accepted(self):
         # row 0 has b < 0, so the solver flips it into a >= row whose
         # logical is a surplus; x0 = 3 with both logicals basic is optimal
         lp = LinearProgram([1.0, 0.0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
                            ["<="] * 3, [-1.0, 3.0, 5.0])
-        cold = solve(lp)
-        with caplog.at_level(logging.DEBUG, logger="caldesign"):
-            warm = solve(lp, basis=[2, 0, 4])
-        assert not caplog.records
+        cold = cold_solve(lp)
+        warm = solve(lp, [2, 0, 4])
         assert warm.iterations == 0 < cold.iterations
         assert warm.objective_value == pytest.approx(3.0)
         assert sorted(warm.basis.tolist()) == [0, 2, 4]
@@ -394,7 +381,7 @@ class TestProperties:
         rng = np.random.default_rng(2)
         for _ in range(25):
             lp, x0 = random_lp(rng)
-            sol = solve(lp)
+            sol = cold_solve(lp)
             assert sol.status == lp_core.OPTIMAL
             # rejection-sample feasible points; none may beat the optimum
             best = lp.objective @ x0
@@ -414,8 +401,8 @@ class TestProperties:
             perm = rng.permutation(lp.num_vars)
             permuted = LinearProgram(lp.objective[perm], lp.A[:, perm], lp.rel,
                                      lp.b)
-            v1 = solve(lp).objective_value
-            v2 = solve(permuted).objective_value
+            v1 = cold_solve(lp).objective_value
+            v2 = cold_solve(permuted).objective_value
             assert v1 == pytest.approx(v2, abs=1e-7)
 
     def test_matches_scipy_linprog(self):
@@ -438,11 +425,11 @@ class TestProperties:
                 A_eq=lp.A[eq] if eq.any() else None,
                 b_eq=lp.b[eq] if eq.any() else None,
                 bounds=(0, None), method="highs")
-            sol = solve(lp)
+            sol = cold_solve(lp)
             if ref.status == 0:
                 assert sol.status == lp_core.OPTIMAL
                 assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-6)
             elif ref.status == 2:
-                assert sol.status == lp_core.INFEASIBLE
+                assert sol.status == INFEASIBLE
             elif ref.status == 3:
                 assert sol.status == lp_core.UNBOUNDED

@@ -6,7 +6,12 @@ from caldesign.exact import solve_exact
 from caldesign.model import INF, ece, kappa
 
 from conftest import make_instance, random_instance
-from oracle import SamplerConfig, exhaustive_best, sample_feasible
+from oracle import (
+    SamplerConfig,
+    exhaustive_best,
+    sample_calibrated_shifts,
+    sample_feasible,
+)
 
 
 class TestSampler:
@@ -34,6 +39,18 @@ class TestSampler:
             for k in np.flatnonzero(marg > 0):
                 assert kappa(pred, inst, pred.support[k]) == pytest.approx(
                     pred.support[k], abs=1e-12)
+
+    @pytest.mark.parametrize("norm", [1.0, INF])
+    def test_calibrated_shifts_reach_the_budget(self, golden, norm):
+        inst = golden.with_epsilon(0.1, norm=norm)
+        draws = list(sample_calibrated_shifts(inst, 200, 3, 0.05))
+        assert len(draws) == 200
+        # t = 1 spends the whole budget; t = inf draws each shift up to it
+        floor = 0.05 * (1 - 1e-6) if norm == 1.0 else 0.04
+        assert floor <= max(ece(pred, inst) for pred in draws) <= 0.05
+        again = sample_calibrated_shifts(inst, 200, 3, 0.05)
+        assert [p.to_json_dict() for p in again] == \
+            [p.to_json_dict() for p in draws]
 
     def test_bad_config(self):
         with pytest.raises(ValidationError):
