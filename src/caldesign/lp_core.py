@@ -240,7 +240,8 @@ def _warm_start(T, n, start, slack_rows):
     for, ``X = B⁻¹·T[:, nonbasic]``; the basic columns become the identity.
     The start is accepted only if ``X`` is finite and ``B⁻¹b >=
     -FEASIBILITY_TOL`` (tiny negatives are clamped to 0); otherwise
-    ``SolverError('NUMERICAL_FAILURE')`` names the reason.
+    ``SolverError('NUMERICAL_FAILURE')`` names the reason, and ``T`` is
+    left as it was.
     """
     rows = T.shape[0] - 1
 

@@ -571,26 +571,17 @@ def _edge_instances():
 
 
 class TestCrashStart:
-    """The first stage starts at the truthful scheme, and every package
-    solve from an accepted crash or warm basis.  A rejected start raises,
-    and the agent refine catches that and falls back, so the spy records
-    every SolverError before it propagates and these tests require none."""
+    """The first stage starts at the truthful scheme, an accepted crash
+    basis."""
 
     @staticmethod
-    def _solve_accepted(inst, solves, tie_break="agent"):
+    def _solve_accepted(inst, solves):
         """Solve; check that no start was rejected; return the pivots of
         the first stage."""
         solves.clear()
-        solve_exact(inst, tie_break=tie_break)
+        solve_exact(inst)
         assert not _errors(solves)
         return solves[0][2].iterations
-
-    def test_the_spy_sees_a_rejected_start(self, solves):
-        # the surplus alone puts x at -1
-        with pytest.raises(SolverError, match="start basis rejected"):
-            lp_core.solve(lp_core.LinearProgram([-1.0], [[1.0]], [">="],
-                                                [1.0]), [1])
-        assert len(_errors(solves)) == 1
 
     def test_golden_budgets(self, golden, solves):
         for k in range(81):
@@ -599,17 +590,8 @@ class TestCrashStart:
 
     def test_ladder(self, solves):
         # the first stage took 4,260 pivots over this list from phase 1
-        pivots = 0
-        for inst in _ladder():
-            pivots += self._solve_accepted(inst, solves)
-            self._solve_accepted(inst, solves, tie_break=None)
+        pivots = sum(self._solve_accepted(inst, solves) for inst in _ladder())
         assert pivots < 1200
-
-    def test_acc3_fptas(self, solves):
-        rng = np.random.default_rng(1003)
-        for k in range(25):
-            fptas_solve(random_instance(rng, (0.01, 0.1)[k % 2]), 0.1)
-        assert solves and not _errors(solves)
 
     @pytest.mark.parametrize("name", sorted(_edge_instances()))
     def test_edge_instances(self, name, solves):
@@ -637,6 +619,40 @@ class TestCrashStart:
         pi = x[:inst.n * inst.m].reshape(inst.n, inst.m)
         assert np.allclose(pi, np.eye(inst.m)[own])
         assert np.all(x[inst.n * inst.m:] == 0.0)
+
+
+class TestNoPhase1:
+    """Every package solve starts from an accepted crash or warm basis, so
+    none needs the phase 1 that ``tests/cold.py`` keeps for cold solves.
+    A rejected start raises, and the agent refine catches that and falls
+    back, so the spy records every SolverError before it propagates and
+    these tests require none: a start that began to be rejected would
+    cost that warm path silently."""
+
+    def test_the_spy_sees_a_cold_solve(self, solves):
+        # a start that only phase 1 could repair: the surplus alone puts
+        # x at -1
+        with pytest.raises(SolverError, match="start basis rejected"):
+            lp_core.solve(lp_core.LinearProgram([-1.0], [[1.0]], [">="],
+                                                [1.0]), [1])
+        assert len(_errors(solves)) == 1
+
+    def test_golden_budgets(self, golden, solves):
+        for k in range(81):
+            solve_exact(golden.with_epsilon(round(0.01 * k, 2)))
+        assert solves and not _errors(solves)
+
+    def test_ladder_both_tie_breaks(self, solves):
+        for inst in _ladder():
+            for tie_break in ("agent", None):
+                solve_exact(inst, tie_break=tie_break)
+        assert solves and not _errors(solves)
+
+    def test_acc3_fptas(self, solves):
+        rng = np.random.default_rng(1003)
+        for k in range(25):
+            fptas_solve(random_instance(rng, (0.01, 0.1)[k % 2]), 0.1)
+        assert solves and not _errors(solves)
 
 
 def _ladder_pin_csv():

@@ -318,6 +318,23 @@ class TestWarmStart:
             assert warm.iterations < cold.iterations
             assert lp.objective @ warm.x >= floor - 1e-9
 
+    # max x0 + x1 s.t. x0 + x1 <= 2, x0 <= 3, x1 == 0.5 (rows 0, 1, 2)
+    LP = LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+                       ["<=", "<=", "=="], [2.0, 3.0, 0.5])
+
+    @pytest.mark.parametrize("start,reason", [
+        ([2, 0, 1], "infeasible"),          # x0 = 3 leaves row 0 short by 1.5
+        ([0, 0, 1], "singular"),
+        ([0, 1], "start entries"),
+        ([0, 3, 4], "== row"),              # row 2 has no logical column
+    ])
+    def test_unusable_start_raises(self, start, reason):
+        # no cold solve follows: the caller is told why the start failed
+        with pytest.raises(SolverError,
+                           match="start basis rejected: .*" + reason) as err:
+            solve(self.LP, start)
+        assert err.value.code == "NUMERICAL_FAILURE"
+
     # The tableau [A | logicals | rhs] of x0 + x1 <= 1, x0 - x1 >= 0.25,
     # x0 == 0.5 with its objective row; rows 0 and 1 own the logical
     # columns 2 and 3 (start numbers 2 and 3; row 2 has none).
@@ -325,32 +342,32 @@ class TestWarmStart:
                   [1.0, -1.0, 0.0, -1.0, 0.25],
                   [1.0, 0.0, 0.0, 0.0, 0.5],
                   [0.0, 0.0, 0.0, 0.0, 0.0]])
-    # the program of T, which solve equilibrates back into T
-    T_LP = LinearProgram([0.0, 0.0], T[:3, :2], ["<=", ">=", "=="], T[:3, -1])
-    # one row, whose basis entry 1e-300 overflows B^-1
-    HUGE = np.array([[1e-300, 1e300, 1.0, 1.0],
-                     [0.0, 0.0, 0.0, 0.0]])
 
-    @pytest.mark.parametrize("tableau,start,reason", [
-        ("T", [0, 1], "2 start entries for 3 rows"),
-        ("T", np.array([0.0, 1.0, 2.0]), "3 start entries for 3 rows"),
-        ("T", [0, 1, 5], "outside the program"),
-        ("T", [0, 1, 4], "== row"),
-        ("T", [1, 2, 3], "singular"),      # row 2 is zero on x1, s0, s1
-        ("T", [3, 1, 0], "infeasible"),    # the surplus of row 1 is -0.25
-        ("HUGE", [0], "non-finite"),
-    ], ids=["length", "dtype", "outside", "eq-logical", "singular",
-            "infeasible", "non-finite"])
-    def test_rejected_start_raises(self, tableau, start, reason):
-        T = getattr(self, tableau).copy()
-        with pytest.raises(SolverError, match="start basis rejected: .*"
-                           + reason) as err:
-            lp_core._warm_start(T, 2, start, np.arange(T.shape[1] - 3))
+    @staticmethod
+    def _check_rejected(T, start, slack_rows, reason):
+        kept = T.copy()
+        with pytest.raises(SolverError,
+                           match="start basis rejected: .*" + reason) as err:
+            lp_core._warm_start(T, 2, start, slack_rows)
         assert err.value.code == "NUMERICAL_FAILURE"
-        if tableau == "T":
-            with pytest.raises(SolverError, match=reason) as err:
-                solve(self.T_LP, start)
-            assert err.value.code == "NUMERICAL_FAILURE"
+        assert np.array_equal(T, kept)
+
+    @pytest.mark.parametrize("start,reason", [
+        ([0, 1], "2 start entries for 3 rows"),
+        (np.array([0.0, 1.0, 2.0]), "3 start entries for 3 rows"),
+        ([0, 1, 5], "outside the program"),
+        ([0, 1, 4], "== row"),
+        ([1, 2, 3], "singular"),           # row 2 is zero on x1, s0, s1
+        ([3, 1, 0], "infeasible"),         # the surplus of row 1 is -0.25
+    ])
+    def test_rejection_leaves_the_tableau_unchanged(self, start, reason):
+        self._check_rejected(self.T.copy(), start, np.array([0, 1]), reason)
+
+    def test_non_finite_rejection_leaves_the_tableau_unchanged(self):
+        # one row, whose basis entry 1e-300 overflows B^-1
+        T = np.array([[1e-300, 1e300, 1.0, 1.0],
+                      [0.0, 0.0, 0.0, 0.0]])
+        self._check_rejected(T, [0], np.array([0]), "non-finite")
 
     @pytest.mark.parametrize("start", [[2, 3, 0], [0, 1, 2]])
     def test_accepted_start_is_b_inverse_times_the_tableau(self, start):
