@@ -13,15 +13,22 @@ Per-event rows (predictor ``mass``, scheme ``pi``, ``per_event_support``)
 are written and read in the instance file's order of events, whatever the
 order of their means.
 
+``sweep`` solves its budgets in forked worker processes, one per CPU in the
+affinity mask (``taskset -c 0`` makes it serial, in process).  Rows come
+back in the given order, so its output is identical whatever the worker
+count.  Every budget is checked before any worker starts.
+
 Exit codes: 0 success, 2 invalid input, 3 solver failure.  Set
-``CALDESIGN_LOG=debug|info|warning`` for logging verbosity.  All numeric
-output is printed with 12 significant digits so reruns are byte-identical.
+``CALDESIGN_LOG=debug|info|warning`` for logging verbosity; a sweep's
+solver debug logs come from its workers' stderr.  All numeric output is
+printed with 12 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -81,11 +88,11 @@ def _write_text(path, text):
         sys.stdout.write(text)
 
 
-def _run_method(inst, args):
-    if args.method == "exact":
+def _run_method(inst, method, delta):
+    if method == "exact":
         strat, pred, objective = exact.solve_exact(inst)
         return pred, objective, strat
-    pred, objective = fptas.fptas_solve(inst, args.delta)
+    pred, objective = fptas.fptas_solve(inst, delta)
     return pred, objective, None
 
 
@@ -106,7 +113,7 @@ def _summary(inst, pred, objective):
 def cmd_solve(args) -> int:
     """Predictor and scheme rows are written in the instance file's order."""
     inst = _load_instance(args)
-    pred, objective, strat = _run_method(inst, args)
+    pred, objective, strat = _run_method(inst, args.method, args.delta)
     summary = _summary(inst, pred, objective)
     if args.output:
         caller = model.Predictor(pred.support, inst.to_caller(pred.mass))
@@ -146,21 +153,54 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _sweep_row(sub, method, delta):
+    """One budget of a sweep: its CSV row, and the failure text (or None)."""
+    eps = sub.epsilon
+    try:
+        pred, objective, _ = _run_method(sub, method, delta)
+    except CaldesignError as exc:
+        return (",".join([_fmt(eps), "nan", "nan", "nan", f"error:{exc.code}"]),
+                str(exc))
+    return ",".join([_fmt(eps), _fmt(objective),
+                     _fmt(model.agent_payoff(pred, sub)),
+                     _fmt(model.ece(pred, sub)), "ok"]), None
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
+    """Budgets are solved in forked workers, one per CPU in the affinity
+    mask; rows come back in the given order, so the CSV does not depend on
+    the worker count."""
     inst = _load_instance(args)
+    # Every budget is checked here, before any worker starts.
+    subs = [inst.with_epsilon(float(tok)) for tok in args.eps.split(",")
+            if tok]
+    row = functools.partial(_sweep_row, method=args.method, delta=args.delta)
+    workers = min(len(subs), _usable_cpus())
+    if workers > 1 and hasattr(os, "fork"):
+        # Imported here: at module level they would slow every CLI start.
+        # Forked workers inherit the imported package; spawned ones would
+        # each import it again.
+        import concurrent.futures
+        import multiprocessing
+        # About four chunks per worker: few round trips through the pool's
+        # queues, and still room to even out budgets that solve slowly.
+        chunk = -(-len(subs) // (4 * workers))
+        with concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(row, subs, chunksize=chunk))
+    else:
+        results = list(map(row, subs))
     rows = ["epsilon,principal_payoff,agent_payoff,ece_of_solution,status"]
-    for eps in [float(tok) for tok in args.eps.split(",") if tok]:
-        sub = inst.with_epsilon(eps)
-        try:
-            pred, objective, _ = _run_method(sub, args)
-            rows.append(",".join([
-                _fmt(eps), _fmt(objective),
-                _fmt(model.agent_payoff(pred, sub)),
-                _fmt(model.ece(pred, sub)), "ok"]))
-        except CaldesignError as exc:
-            log.warning("budget %s failed: %s", eps, exc)
-            rows.append(",".join([_fmt(eps), "nan", "nan", "nan",
-                                  f"error:{exc.code}"]))
+    for sub, (text, failure) in zip(subs, results):
+        if failure is not None:
+            log.warning("budget %s failed: %s", sub.epsilon, failure)
+        rows.append(text)
     _write_text(args.output, "\n".join(rows) + "\n")
     return EXIT_OK
 

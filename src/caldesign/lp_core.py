@@ -123,12 +123,13 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
 
     ``basis`` names one column per row in :attr:`LpSolution.basis`'s
     numbering (structural ``j``, or ``num_vars + r`` for the slack or
-    surplus of row ``r``), in any order; its basic solution ``B⁻¹b`` must be
-    finite and nonnegative.  Any other start (wrong length, an ``==`` row's
-    logical column, which does not exist, a singular or infeasible basis)
-    raises ``SolverError('NUMERICAL_FAILURE', 'start basis rejected:
-    <reason>')``, as do a stall past ``max_iter`` pivots and a solution
-    that misses a row.
+    surplus of row ``r``), in any order, as integers (any empty sequence
+    for a program without rows); its basic solution ``B⁻¹b`` must be
+    finite and nonnegative.  Any other start (wrong length, non-integer
+    entries, an ``==`` row's logical column, which does not exist, a
+    singular or infeasible basis) raises ``SolverError('NUMERICAL_FAILURE',
+    'start basis rejected: <reason>')``, as do a stall past ``max_iter``
+    pivots and a solution that misses a row.
     """
     n = lp.num_vars
     rows = lp.b.size
@@ -250,8 +251,11 @@ def _warm_start(T, n, start, slack_rows):
                            f"start basis rejected: {reason}")
 
     start = np.asarray(start).ravel()
-    if start.size != rows or not np.issubdtype(start.dtype, np.integer):
+    if start.size != rows:
         raise rejected(f"{start.size} start entries for {rows} rows")
+    if rows and not np.issubdtype(start.dtype, np.integer):
+        raise rejected(f"start entries of dtype {start.dtype} are not "
+                       "column numbers")
     if np.any((start < 0) | (start >= n + rows)):
         raise rejected("start names a column outside the program")
     logical = np.full(rows, -1, dtype=np.int64)

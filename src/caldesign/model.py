@@ -14,6 +14,7 @@ calibration error, and both players' expected payoffs.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -64,6 +65,17 @@ def _parse_utility(value):
     return float(value)
 
 
+def _budget(epsilon, norm):
+    """The checked ``(epsilon, norm)`` pair of an instance, as floats."""
+    epsilon = float(epsilon)
+    if not epsilon >= 0:
+        raise ValidationError("BAD_BUDGET", "epsilon must be >= 0")
+    norm = float(norm)
+    if not (norm >= 1):
+        raise ValidationError("BAD_NORM", "norm exponent must be >= 1 or inf")
+    return epsilon, norm
+
+
 class Instance:
     """A validated, normalized problem instance.
 
@@ -112,12 +124,7 @@ class Instance:
         v = np.clip(v, -UTILITY_CAP, UTILITY_CAP)
         u = np.clip(u, 0.0, UTILITY_CAP)
 
-        epsilon = float(epsilon)
-        if not epsilon >= 0:
-            raise ValidationError("BAD_BUDGET", "epsilon must be >= 0")
-        norm = float(norm)
-        if not (norm >= 1):
-            raise ValidationError("BAD_NORM", "norm exponent must be >= 1 or inf")
+        epsilon, norm = _budget(epsilon, norm)
 
         order = np.argsort(theta, kind="stable")
         self.order = order
@@ -143,11 +150,12 @@ class Instance:
 
     def with_epsilon(self, epsilon, norm=None):
         """Copy of the instance with a different budget (and optionally norm);
-        it keeps the caller's event order."""
-        out = Instance(self.theta, self.lam, self.actions, self.agent_utility,
-                       self.principal_utility, epsilon,
-                       self.norm if norm is None else norm)
-        out.order = self.order
+        it keeps the caller's event order.  Only the new values are checked;
+        the read-only arrays are shared with this instance."""
+        epsilon, norm = _budget(epsilon, self.norm if norm is None else norm)
+        out = copy.copy(self)
+        out.epsilon = epsilon
+        out.norm = norm
         return out
 
     def to_caller(self, rows):

@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import logging
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -142,6 +145,77 @@ class TestSweep:
         run(capsys, "sweep", GOLDEN, "--eps", "0.01,0.04", "-o", str(a))
         run(capsys, "sweep", GOLDEN, "--eps", "0.01,0.04", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSweepWorkers:
+    """``sweep`` solves in a pool of forked workers when the affinity mask
+    holds more than one CPU, and in process when it holds one."""
+
+    GOLDEN_BUDGETS = ",".join(f"{0.01 * k:.2f}" for k in range(81))
+    PATHS = {"pool": {0, 1}, "in-process": {0}}
+
+    @staticmethod
+    def _sweep(monkeypatch, capsys, tmp_path, path, *argv):
+        """Run ``sweep`` on one path; returns the exit code, the CSV bytes
+        (None if no file was written) and stderr."""
+        cpus = TestSweepWorkers.PATHS[path]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        pools = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        out = tmp_path / f"{path}.csv"
+        code, _, err = run(capsys, "sweep", GOLDEN, *argv, "-o", str(out))
+        assert multiprocessing.active_children() == []
+        # a bad budget stops the sweep before any worker starts
+        assert len(pools) == (code == 0 and path == "pool")
+        return code, (out.read_bytes() if out.exists() else None), err
+
+    @pytest.mark.parametrize("argv", [
+        ("--eps", GOLDEN_BUDGETS),
+        ("--eps", "0.3,0.1,0.2", "--method", "fptas", "--delta", "0"),
+    ], ids=["golden", "bad-delta"])
+    def test_both_paths_write_the_same_bytes(self, monkeypatch, capsys,
+                                             tmp_path, argv):
+        pool = self._sweep(monkeypatch, capsys, tmp_path, "pool", *argv)
+        serial = self._sweep(monkeypatch, capsys, tmp_path, "in-process",
+                             *argv)
+        assert pool[0] == serial[0] == 0
+        assert pool[1] == serial[1]
+        if argv[1] == self.GOLDEN_BUDGETS:
+            assert pool[1] == (DATA / "golden_sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_error_rows_and_warnings_keep_the_given_order(
+            self, monkeypatch, capsys, tmp_path, caplog, path):
+        budgets = ["0.3", "0.1", "0.2", "0.05", "0", "0.25"]
+        caplog.set_level(logging.WARNING, logger="caldesign")
+        code, text, _ = self._sweep(
+            monkeypatch, capsys, tmp_path, path, "--eps", ",".join(budgets),
+            "--method", "fptas", "--delta", "0")
+        assert code == 0
+        rows = text.decode().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == [f"{float(b):.12g}"
+                                                   for b in budgets]
+        assert all(r.endswith(",nan,nan,nan,error:BAD_DELTA") for r in rows)
+        warned = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.WARNING]
+        assert [w.split()[1] for w in warned] == [str(float(b))
+                                                  for b in budgets]
+        assert all("BAD_DELTA" in w for w in warned)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_bad_budget_exits_2_before_solving(self, monkeypatch, capsys,
+                                               tmp_path, path):
+        code, text, err = self._sweep(monkeypatch, capsys, tmp_path, path,
+                                      "--eps", "0.1,-0.5,0.2")
+        assert code == 2
+        assert text is None
+        assert "BAD_BUDGET" in err
 
 
 class TestReliability:

@@ -4,7 +4,9 @@
 the package.  ``lp_core`` is the leaf engine, which an external solver may
 replace: it imports ``errors`` alone.  ``structure`` works on predictors
 and the agent's envelope from ``model``; it must not reach into the
-solvers.
+solvers.  The library is single-process: only ``cli`` starts worker
+processes, and it imports the pool modules inside the function that uses
+them, so that importing ``caldesign.cli`` does not load them.
 """
 
 import ast
@@ -55,3 +57,36 @@ def test_lp_core_imports_only_errors():
 
 def test_structure_imports_no_solver():
     assert not package_imports("structure") & {"fptas", "exact", "lp_core"}
+
+
+POOL_MODULES = {"concurrent", "multiprocessing"}
+
+
+def pool_imports(module):
+    """``module``'s imports of the process-pool modules, as two sets of
+    line numbers: at module level, and inside functions."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+    def imports_pool(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            return False
+        return any(name.split(".")[0] in POOL_MODULES for name in names)
+
+    everywhere = {node.lineno for node in ast.walk(tree) if imports_pool(node)}
+    inside = {node.lineno
+              for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func) if imports_pool(node)}
+    return everywhere - inside, inside
+
+
+def test_only_cli_imports_the_pool_modules_and_only_in_functions():
+    assert pool_imports("cli")[1]     # the reader sees cli's own imports
+    for path in sorted(SRC.glob("*.py")):
+        top, inside = pool_imports(path.stem)
+        assert not top, f"{path.stem} imports a pool module at lines {top}"
+        assert path.stem == "cli" or not inside, path.stem

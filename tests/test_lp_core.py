@@ -70,11 +70,15 @@ class TestBasics:
             ([1.0], np.zeros((0, 1)), [], [], lp_core.UNBOUNDED),
             ([-1.0], np.zeros((0, 1)), [], [], lp_core.OPTIMAL),
         ]:
-            sol = cold_solve(LinearProgram(objective, A, rel, b))
+            lp = LinearProgram(objective, A, rel, b)
+            sol = cold_solve(lp)
             assert sol.status == status, (A.shape, rel)
             if sol.is_optimal:
                 assert sol.objective_value == 0.0
                 assert sol.x.size == len(objective)
+            if not rel:
+                # an empty Python list is a start for a program without rows
+                assert solve(lp, []).status == status
         assert lp_core._pivot_loop(np.zeros((1, 1)),
                                    np.zeros(0, dtype=np.int64), 5) == (0, 0)
 
@@ -327,6 +331,7 @@ class TestWarmStart:
         ([0, 0, 1], "singular"),
         ([0, 1], "start entries"),
         ([0, 3, 4], "== row"),              # row 2 has no logical column
+        ([0.0, 1.0, 3.0], "dtype"),
     ])
     def test_unusable_start_raises(self, start, reason):
         # no cold solve follows: the caller is told why the start failed
@@ -354,7 +359,7 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("start,reason", [
         ([0, 1], "2 start entries for 3 rows"),
-        (np.array([0.0, 1.0, 2.0]), "3 start entries for 3 rows"),
+        (np.array([0.0, 1.0, 2.0]), "dtype"),
         ([0, 1, 5], "outside the program"),
         ([0, 1, 4], "== row"),
         ([1, 2, 3], "singular"),           # row 2 is zero on x1, s0, s1

@@ -478,6 +478,15 @@ class TestInstanceHelpers:
         assert other.epsilon == 0.5
         assert other.norm == INF
         assert golden.epsilon == 0.04
+        # only the budget is new: the read-only arrays are shared
+        for name in ("theta", "ubar", "order"):
+            assert getattr(other, name) is getattr(golden, name)
+        for eps, norm, code in [(-0.5, None, "BAD_BUDGET"),
+                                (math.nan, None, "BAD_BUDGET"),
+                                (0.1, 0.5, "BAD_NORM")]:
+            with pytest.raises(ValidationError) as err:
+                golden.with_epsilon(eps, norm=norm)
+            assert err.value.code == code
 
     def test_theta_bar(self, golden):
         assert golden.theta_bar == pytest.approx(0.7000025)
