@@ -13,9 +13,12 @@ Per-event rows (predictor ``mass``, scheme ``pi``, ``per_event_support``)
 are written and read in the instance file's order of events, whatever the
 order of their means.
 
-``sweep`` solves its budgets in forked worker processes, one per CPU in the
-affinity mask (``taskset -c 0`` makes it serial, in process).  Rows come
-back in the given order, so its output is identical whatever the worker
+On Linux, a ``sweep`` of 20 or more budgets solves them in forked worker
+processes: one per CPU in the affinity mask, but at most one per 10
+budgets, since starting two workers costs about as much as solving 7
+budgets of the golden instance (``taskset -c 0`` makes it serial).
+Shorter sweeps, and sweeps on other platforms, run in process.  Rows come
+back in the given order, so the output is identical whatever the worker
 count.  Every budget is checked before any worker starts.
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure.  Set
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import logging
 import math
@@ -166,23 +168,41 @@ def _sweep_row(sub, method, delta):
                      _fmt(model.ece(pred, sub)), "ok"]), None
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+# A sweep takes at most one worker per this many budgets.  On a 2-core host
+# the golden sweep breaks even with 2 workers at 14-16 budgets, so 20 is the
+# shortest sweep that forks.  Pools of more than 2 workers are unmeasured.
+_BUDGETS_PER_WORKER = 10
+
+_sweep = None  # (instance, method, delta) of a forked sweep worker
+
+
+def _start_sweep_worker(inst, method, delta):
+    global _sweep
+    _sweep = inst, method, delta
+
+
+def _sweep_budget(eps):
+    """A worker's row for budget ``eps``.  The instance is the one the worker
+    inherited at the fork, so only budgets and rows cross the pipes and the
+    instance's arrays stay read-only."""
+    inst, method, delta = _sweep
+    return _sweep_row(inst.with_epsilon(eps), method, delta)
 
 
 def cmd_sweep(args) -> int:
-    """Budgets are solved in forked workers, one per CPU in the affinity
-    mask; rows come back in the given order, so the CSV does not depend on
-    the worker count."""
+    """Long sweeps are solved in forked workers on Linux; rows come back in
+    the given order, so the CSV does not depend on the worker count."""
     inst = _load_instance(args)
     # Every budget is checked here, before any worker starts.
     subs = [inst.with_epsilon(float(tok)) for tok in args.eps.split(",")
             if tok]
-    row = functools.partial(_sweep_row, method=args.method, delta=args.delta)
-    workers = min(len(subs), _usable_cpus())
-    if workers > 1 and hasattr(os, "fork"):
+    # Fork only on Linux: on macOS a forked child of a process that loaded
+    # system frameworks may crash, and Windows has no fork.
+    workers = 0
+    if sys.platform == "linux":
+        workers = min(len(os.sched_getaffinity(0)),
+                      len(subs) // _BUDGETS_PER_WORKER)
+    if workers > 1:
         # Imported here: at module level they would slow every CLI start.
         # Forked workers inherit the imported package; spawned ones would
         # each import it again.
@@ -192,10 +212,14 @@ def cmd_sweep(args) -> int:
         # queues, and still room to even out budgets that solve slowly.
         chunk = -(-len(subs) // (4 * workers))
         with concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(row, subs, chunksize=chunk))
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_sweep_worker,
+                initargs=(inst, args.method, args.delta)) as pool:
+            results = list(pool.map(_sweep_budget,
+                                    [sub.epsilon for sub in subs],
+                                    chunksize=chunk))
     else:
-        results = list(map(row, subs))
+        results = [_sweep_row(sub, args.method, args.delta) for sub in subs]
     rows = ["epsilon,principal_payoff,agent_payoff,ece_of_solution,status"]
     for sub, (text, failure) in zip(subs, results):
         if failure is not None:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import caldesign
+from caldesign import cli
 from caldesign.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -148,32 +149,40 @@ class TestSweep:
 
 
 class TestSweepWorkers:
-    """``sweep`` solves in a pool of forked workers when the affinity mask
-    holds more than one CPU, and in process when it holds one."""
+    """On Linux, ``sweep`` solves in a pool of forked workers when the
+    affinity mask holds more than one CPU and there are enough budgets, and
+    in process otherwise.  ``path="pool"`` lifts the size rule, so that
+    short lists take the pool too."""
 
     GOLDEN_BUDGETS = ",".join(f"{0.01 * k:.2f}" for k in range(81))
     PATHS = {"pool": {0, 1}, "in-process": {0}}
 
     @staticmethod
-    def _sweep(monkeypatch, capsys, tmp_path, path, *argv):
+    def _sweep(monkeypatch, capsys, tmp_path, path, *argv, cpus=None):
         """Run ``sweep`` on one path; returns the exit code, the CSV bytes
-        (None if no file was written) and stderr."""
-        cpus = TestSweepWorkers.PATHS[path]
+        (None if no file was written), stderr and the worker counts of the
+        pools it started."""
+        if path == "pool":
+            monkeypatch.setattr(cli, "_BUDGETS_PER_WORKER", 1)
+        cpus = TestSweepWorkers.PATHS.get(path) if cpus is None else cpus
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         pools = []
 
         class Spy(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
+            def __init__(self, max_workers, *args, **kwargs):
+                super().__init__(max_workers, *args, **kwargs)
+                pools.append(max_workers)
+
+            def map(self, fn, budgets, **kwargs):
+                # only budgets cross to the workers, never an instance
+                assert all(type(b) is float for b in budgets)
+                return super().map(fn, budgets, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         out = tmp_path / f"{path}.csv"
         code, _, err = run(capsys, "sweep", GOLDEN, *argv, "-o", str(out))
         assert multiprocessing.active_children() == []
-        # a bad budget stops the sweep before any worker starts
-        assert len(pools) == (code == 0 and path == "pool")
-        return code, (out.read_bytes() if out.exists() else None), err
+        return code, (out.read_bytes() if out.exists() else None), err, pools
 
     @pytest.mark.parametrize("argv", [
         ("--eps", GOLDEN_BUDGETS),
@@ -186,6 +195,7 @@ class TestSweepWorkers:
                              *argv)
         assert pool[0] == serial[0] == 0
         assert pool[1] == serial[1]
+        assert pool[3] == [2] and serial[3] == []
         if argv[1] == self.GOLDEN_BUDGETS:
             assert pool[1] == (DATA / "golden_sweep.csv").read_bytes()
 
@@ -194,7 +204,7 @@ class TestSweepWorkers:
             self, monkeypatch, capsys, tmp_path, caplog, path):
         budgets = ["0.3", "0.1", "0.2", "0.05", "0", "0.25"]
         caplog.set_level(logging.WARNING, logger="caldesign")
-        code, text, _ = self._sweep(
+        code, text, _, _ = self._sweep(
             monkeypatch, capsys, tmp_path, path, "--eps", ",".join(budgets),
             "--method", "fptas", "--delta", "0")
         assert code == 0
@@ -211,11 +221,39 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_bad_budget_exits_2_before_solving(self, monkeypatch, capsys,
                                                tmp_path, path):
-        code, text, err = self._sweep(monkeypatch, capsys, tmp_path, path,
-                                      "--eps", "0.1,-0.5,0.2")
+        code, text, err, pools = self._sweep(
+            monkeypatch, capsys, tmp_path, path, "--eps", "0.1,-0.5,0.2")
         assert code == 2
         assert text is None
         assert "BAD_BUDGET" in err
+        assert pools == []
+
+    @pytest.mark.parametrize("budgets, cpus, workers", [
+        (19, {0, 1}, []),          # below two workers' break-even
+        (20, {0, 1}, [2]),
+        (81, {0, 1}, [2]),         # one worker per CPU
+        (30, {0, 1, 2, 3}, [3]),   # one worker per 10 budgets
+        (81, {0}, []),
+    ])
+    def test_size_rule(self, monkeypatch, capsys, tmp_path, budgets, cpus,
+                       workers):
+        eps = ",".join(f"{0.01 * k:.2f}" for k in range(budgets))
+        code, text, _, pools = self._sweep(
+            monkeypatch, capsys, tmp_path, "rule", "--eps", eps, cpus=cpus)
+        assert code == 0
+        assert pools == workers
+        pinned = (DATA / "golden_sweep.csv").read_bytes().splitlines(True)
+        assert text == b"".join(pinned[:budgets + 1])
+
+    def test_other_platforms_run_in_process(self, monkeypatch, capsys,
+                                            tmp_path):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        code, text, _, pools = self._sweep(
+            monkeypatch, capsys, tmp_path, "in-process", "--eps",
+            self.GOLDEN_BUDGETS, cpus={0, 1})
+        assert code == 0
+        assert pools == []
+        assert text == (DATA / "golden_sweep.csv").read_bytes()
 
 
 class TestReliability:
