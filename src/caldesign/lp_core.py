@@ -8,23 +8,25 @@ assemble ``A`` from row blocks; :func:`solve` works on a copy, so a program
 can be solved, edited in place (the exact solver lowers its budget that way)
 and solved again.
 
-The solver is a primal simplex on a dense numpy tableau ``[A | slacks and
-surpluses | b]`` that starts from a feasible basis the caller names: it
-solves ``B⁻¹`` against the nonbasic columns and the right-hand side once
-and pivots from there.  There is no phase 1; every caller knows a feasible
-vertex of its program.  The exact solver starts its first stage from a
-crash basis at the truthful scheme, and its agent tie-break, a program plus
-one added row, from the old optimal basis plus the new row's surplus.  The
-approximation scheme's column generation starts its first master from a
-crash basis at the calibrated diagonal and each later one, the same rows
-with columns added, from the previous optimal basis.  A start that is not a
-feasible basis of the program raises ``SolverError('NUMERICAL_FAILURE')``.
+The solver is a primal simplex that starts from a feasible basis the
+caller names.  It solves ``B⁻¹`` once against ``b`` and the nonbasic
+columns of ``[A | slacks and surpluses]``, keeps only that condensed
+tableau (the basic columns are the identity) and pivots it by a BLAS
+rank-one update that exchanges a basic and a nonbasic column.  There is no
+phase 1; every caller knows a feasible vertex of its program.  The exact
+solver starts its first stage from a crash basis at the truthful scheme,
+and its agent tie-break, a program plus one added row, from the old
+optimal basis plus the new row's surplus.  The approximation scheme's
+column generation starts its first master from a crash basis at the
+calibrated diagonal and each later one, the same rows with columns added,
+from the previous optimal basis.  A start that is not a feasible basis of
+the program raises ``SolverError('NUMERICAL_FAILURE')``.
 
-The entering column is the smallest-index improving one (Bland's rule); the
-leaving row comes from Harris's two-pass ratio test, which among
-near-minimal ratios pivots on the largest element, so degenerate rows with
-tiny entries do not blow the tableau up.  That leaving rule gives up
-Bland's finite termination guarantee; a pivot cap raises
+The entering column is the improving one of smallest column number
+(Bland's rule); the leaving row comes from Harris's two-pass ratio test,
+which among near-minimal ratios pivots on the largest element, so
+degenerate rows with tiny entries do not blow the tableau up.  That leaving
+rule gives up Bland's finite termination guarantee; a pivot cap raises
 ``SolverError('NUMERICAL_FAILURE')`` instead, so a solve never stalls
 silently.  Rows and columns are equilibrated (scaled to unit max-norm)
 before solving so that utility sentinels of size ~1e9 coexist with O(1)
@@ -164,24 +166,24 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
     cost_scale = max(1.0, np.abs(c).max()) if c.size else 1.0
     c_scaled = c / cost_scale
 
-    # --- assemble the tableau [A | slacks and surpluses | b] ---------------
+    # --- assemble [A | slacks and surpluses | b], condensed at the start ----
     le_rows = np.flatnonzero(le)
     ge_rows = np.flatnonzero(ge)
     # row k of slack_rows owns the logical column n + k
     slack_rows = np.concatenate([le_rows, ge_rows])
     n_total = n + slack_rows.size
 
-    T = np.zeros((rows + 1, n_total + 1))
-    T[:rows, :n] = A
-    T[:rows, n_total] = b
-    T[le_rows, n + np.arange(le_rows.size)] = 1.0
-    T[ge_rows, n + le_rows.size + np.arange(ge_rows.size)] = -1.0
+    full = np.zeros((rows + 1, n_total + 1))
+    full[:rows, :n] = A
+    full[:rows, n_total] = b
+    full[le_rows, n + np.arange(le_rows.size)] = 1.0
+    full[ge_rows, n + le_rows.size + np.arange(ge_rows.size)] = -1.0
 
-    cols = _warm_start(T, n, basis, slack_rows)
+    T, cols, ids = _warm_start(full, n, basis, slack_rows)
     cost = np.zeros(n_total)
     cost[:n] = c_scaled
-    _install_objective(T, cols, cost)
-    code, pivots = _pivot_loop(T, cols, max_iter)
+    _install_objective(T, cols, ids, cost)
+    code, pivots = _pivot_loop(T, cols, ids, max_iter)
     if code == 2:
         raise SolverError("NUMERICAL_FAILURE",
                           f"simplex exceeded {max_iter} pivots")
@@ -232,17 +234,19 @@ def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
 
 
 def _warm_start(T, n, start, slack_rows):
-    """Make the start basis ``start`` basic in ``T``; returns its tableau
-    columns.
+    """Condense the tableau ``T``, ``[A | logicals | b]`` over an objective
+    row, at the start basis ``start``; returns ``(tableau, cols, ids)``.
 
     ``start`` is in :attr:`LpSolution.basis` numbering; ``slack_rows[k]`` is
-    the row whose slack or surplus is tableau column ``n + k`` (an ``==`` row
-    has none).  Only the nonbasic columns and the right-hand side are solved
-    for, ``X = B⁻¹·T[:, nonbasic]``; the basic columns become the identity.
-    The start is accepted only if ``X`` is finite and ``B⁻¹b >=
-    -FEASIBILITY_TOL`` (tiny negatives are clamped to 0); otherwise
-    ``SolverError('NUMERICAL_FAILURE')`` names the reason, and ``T`` is
-    left as it was.
+    the row whose slack or surplus is column ``n + k`` of ``T`` (an ``==``
+    row has none).  ``cols`` lists the basic columns by row, ``ids`` the
+    nonbasic ones in increasing order.  Only those and the rhs are solved
+    for: the tableau is ``X = B⁻¹·T[:rows, nonbasic]`` over ``T``'s
+    objective row at the same columns, and its column ``j`` is ``T``'s
+    column ``ids[j]``.  The start is accepted only if ``X`` is finite and
+    ``B⁻¹b >= -FEASIBILITY_TOL`` (tiny negatives are clamped to 0); otherwise
+    ``SolverError('NUMERICAL_FAILURE')`` names the reason.  ``T`` is not
+    written.
     """
     rows = T.shape[0] - 1
 
@@ -277,79 +281,72 @@ def _warm_start(T, n, start, slack_rows):
     if not np.all(rhs >= -FEASIBILITY_TOL):
         raise rejected(f"infeasible start, min B^-1 b = {rhs.min():.3g}")
     np.maximum(rhs, 0.0, out=rhs)
-    T[:rows, nonbasic] = X
-    T[:rows, cols] = np.eye(rows)
-    return cols
+    ids = np.flatnonzero(nonbasic[:-1])
+    return np.vstack((X, T[rows, nonbasic])), cols, ids
 
 
-def _pivot_loop(T, basis, max_iter):
-    """Pivot ``T`` in place: smallest-index improving column in (Bland's
-    entering rule), leaving row by Harris's two-pass ratio test.
+def _pivot_loop(T, basis, ids, max_iter):
+    """Pivot the condensed tableau ``T`` in place: the improving column of
+    smallest number ``ids[j]`` enters (Bland's entering rule), the leaving
+    row comes from Harris's two-pass ratio test.
 
-    Pass 1 finds the step ``min (max(rhs, 0) + _RATIO_TIE_TOL) / col`` over
-    rows with ``col > _PIVOT_TOL``; pass 2 takes, among rows whose ratio
-    ``max(rhs, 0) / col`` is within that step, the one with the largest
-    ``col`` entry (the first such row on a tie).  On degenerate rows (rhs
-    0, many ratios tied at 0) this avoids pivoting on a tiny element, which
-    would blow the tableau up.  The leaving rule is not Bland's, so finite
-    termination is not guaranteed; the ``max_iter`` cap bounds the loop
-    instead.  Both passes divide under the ``col > _PIVOT_TOL`` mask into
-    buffers allocated once per call.
+    ``T``'s last column is the right-hand side of the rows, whose basic
+    columns ``basis`` lists, and its last row the reduced costs (optimal
+    when none is below ``-_COST_TOL``).  Pass 1 finds the step ``min
+    (max(rhs, 0) + _RATIO_TIE_TOL) / col`` over the eligible rows, those
+    with ``col > _PIVOT_TOL``; pass 2 takes, among eligible rows whose
+    ratio ``max(rhs, 0) / col`` is within that step, the one with the
+    largest ``col`` entry (the first such row on a tie).  On degenerate
+    rows (rhs 0, many ratios tied at 0) this avoids pivoting on a tiny
+    element, which would blow the tableau up.  The leaving rule is not
+    Bland's, so finite termination is not guaranteed; the ``max_iter`` cap
+    bounds the loop instead.
 
-    ``T``'s last row holds reduced costs (optimal when none is below
-    ``-_COST_TOL``), its last column the right-hand side.  Returns
-    ``(code, pivots)``: code 0 optimal, 1 unbounded, 2 iteration cap hit.
+    Returns ``(code, pivots)``: code 0 optimal, 1 unbounded, 2 iteration
+    cap hit.
     """
     rows = T.shape[0] - 1
-    cols = T.shape[1] - 1
-    cost, rhs = T[rows, :cols], T[:rows, cols]   # views, kept current
-    # one more, never improving, entry: argmax needs a nonempty array
-    improving = np.zeros(cols + 1, dtype=bool)
-    eligible = np.empty(rows, dtype=bool)
-    near = np.empty(rows, dtype=bool)
-    pos = np.empty(rows)
-    ratio = np.empty(rows)
-    largest = np.empty(rows)
-    work = np.empty_like(T)
+    cost, rhs = T[rows, :-1], T[:rows, -1]   # views, kept current
+    work = np.empty(T.shape)   # C order, as np.dot(out=) requires
     for it in range(max_iter):
-        np.less(cost, -_COST_TOL, out=improving[:cols])
-        enter = int(improving.argmax())
-        if not improving[enter]:
+        cand = (cost < -_COST_TOL).nonzero()[0]
+        if not cand.size:
             return 0, it
+        enter = int(cand[ids[cand].argmin()])
         col = T[:rows, enter]
-        np.greater(col, _PIVOT_TOL, out=eligible)
-        if not eligible.any():
+        eligible = (col > _PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
             return 1, it
-        np.maximum(rhs, 0.0, out=pos)
-        np.add(pos, _RATIO_TIE_TOL, out=ratio)
-        np.divide(ratio, col, out=ratio, where=eligible)
-        step = np.minimum.reduce(ratio, where=eligible, initial=np.inf)
-        np.divide(pos, col, out=ratio, where=eligible)
-        np.less_equal(ratio, step, out=near)
-        near &= eligible
-        largest.fill(-np.inf)
-        np.copyto(largest, col, where=near)
-        _pivot(T, basis, int(largest.argmax()), enter, work)
+        entries = col[eligible]
+        pos = np.maximum(rhs[eligible], 0.0)
+        step = ((pos + _RATIO_TIE_TOL) / entries).min()
+        near = pos / entries <= step
+        leave = eligible[np.where(near, entries, -np.inf).argmax()]
+        _pivot(T, basis, ids, int(leave), enter, work)
     return 2, max_iter
 
 
-def _pivot(T, basis, r, col, work=None):
-    """Make column ``col`` basic in row ``r``; ``work``, an array of ``T``'s
-    shape, holds the update instead of a new one."""
-    T[r] /= T[r, col]
-    factors = T[:, col].copy()
+def _pivot(T, basis, ids, r, s, work):
+    """Exchange row ``r``'s basic column with the condensed tableau's column
+    ``s``, which the leaving column then holds; ``work``, a C-order array
+    of ``T``'s shape, holds the rank-one update, whose inner dimension of
+    one makes each entry a single product, as the full tableau's was."""
+    p = T[r, s]
+    T[r] /= p
+    factors = T[:, s].copy()
     factors[r] = 0.0
-    T -= np.multiply(factors[:, None], T[r], out=work)
-    T[:, col] = 0.0
-    T[r, col] = 1.0
-    basis[r] = col
+    T[:, s] = 0.0
+    T[r, s] = 1.0 / p
+    T -= np.dot(factors[:, None], T[r:r + 1], out=work)
+    ids[s], basis[r] = basis[r], ids[s]
 
 
-def _install_objective(T, basis, cost):
-    """Set the reduced-cost row for ``cost`` given the current basis."""
+def _install_objective(T, basis, ids, cost):
+    """Set the condensed tableau's reduced-cost row for ``cost``, indexed
+    like ``basis`` and ``ids`` by full-tableau column."""
     rows = T.shape[0] - 1
     T[rows] = cost[basis] @ T[:rows]
-    T[rows, :cost.size] -= cost
+    T[rows, :-1] -= cost[ids]
 
 
 def _check_solution(lp, x):

@@ -621,6 +621,28 @@ class TestCrashStart:
         assert np.all(x[inst.n * inst.m:] == 0.0)
 
 
+class TestPivotCounts:
+    """The LP calls and pivots over fixed lists, pinned: a change to the
+    simplex's entering or leaving rule moves the counts."""
+
+    @staticmethod
+    def _counts(solves):
+        assert not _errors(solves)
+        return len(solves), sum(sol.iterations for _, _, sol in solves)
+
+    @pytest.mark.parametrize("tie_break, counts", [("agent", (52, 1038)),
+                                                   (None, (26, 629))])
+    def test_ladder(self, solves, tie_break, counts):
+        for inst in _ladder():
+            solve_exact(inst, tie_break=tie_break)
+        assert self._counts(solves) == counts
+
+    def test_golden_budgets(self, golden, solves):
+        for k in range(81):
+            solve_exact(golden.with_epsilon(round(0.01 * k, 2)))
+        assert self._counts(solves) == (162, 1433)
+
+
 class TestNoPhase1:
     """Every package solve starts from an accepted crash or warm basis, so
     none needs the phase 1 that ``tests/cold.py`` keeps for cold solves.

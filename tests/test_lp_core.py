@@ -79,8 +79,8 @@ class TestBasics:
             if not rel:
                 # an empty Python list is a start for a program without rows
                 assert solve(lp, []).status == status
-        assert lp_core._pivot_loop(np.zeros((1, 1)),
-                                   np.zeros(0, dtype=np.int64), 5) == (0, 0)
+        none = np.zeros(0, dtype=np.int64)
+        assert lp_core._pivot_loop(np.zeros((1, 1)), none, none, 5) == (0, 0)
 
     def test_iteration_cap_raises(self):
         lp = LinearProgram([1.0], [[1.0]], ["<="], [1.0])
@@ -211,67 +211,123 @@ class TestSolutionCheck:
         assert err.value.code == "NUMERICAL_FAILURE"
 
 
+def condense(T, basis):
+    """The condensed tableau of the full tableau ``T`` (rows over an
+    objective row, the rhs last) whose columns ``basis`` are the identity:
+    its other columns and the rhs, in C order as ``solve`` makes them, and
+    the full column number of each."""
+    ids = np.setdiff1d(np.arange(T.shape[1] - 1), basis)
+    return np.ascontiguousarray(T[:, np.append(ids, -1)]), ids
+
+
 class TestRatioTest:
     def test_degenerate_tie_takes_largest_pivot(self):
         # both rows tie at ratio 0; Bland's tie-break would take row 0 (basic
         # index 1) and divide by 1e-9, Harris takes row 1's unit entry
-        T = np.array([[1e-9, 1.0, 0.0, 0.0],
-                      [1.0, 0.0, 1.0, 0.0],
-                      [-1.0, 0.0, 0.0, 0.0]])
         basis = np.array([1, 2])
-        assert lp_core._pivot_loop(T, basis, 10) == (0, 1)
+        T, ids = condense(np.array([[1e-9, 1.0, 0.0, 0.0],
+                                    [1.0, 0.0, 1.0, 0.0],
+                                    [-1.0, 0.0, 0.0, 0.0]]), basis)
+        assert lp_core._pivot_loop(T, basis, ids, 10) == (0, 1)
         assert basis.tolist() == [1, 0]
+        assert ids.tolist() == [2]
         assert np.abs(T).max() == pytest.approx(1.0)
 
     def test_step_is_the_minimum_ratio(self):
         # the larger entry sits on the row with the larger ratio; the ratio
         # test must not overshoot to it
-        T = np.array([[0.5, 1.0, 0.0, 1.0],
-                      [2.0, 0.0, 1.0, 5.0],
-                      [-1.0, 0.0, 0.0, 0.0]])
         basis = np.array([1, 2])
-        lp_core._pivot_loop(T, basis, 10)
+        T, ids = condense(np.array([[0.5, 1.0, 0.0, 1.0],
+                                    [2.0, 0.0, 1.0, 5.0],
+                                    [-1.0, 0.0, 0.0, 0.0]]), basis)
+        lp_core._pivot_loop(T, basis, ids, 10)
         assert basis.tolist() == [0, 2]
         assert T[0, -1] == pytest.approx(2.0)
 
-
     def test_equal_largest_entries_take_the_first_row(self):
         # rows 0 and 1 tie in ratio and in entry; the first one leaves
-        T = np.array([[1.0, 1.0, 0.0, 0.0],
-                      [1.0, 0.0, 1.0, 0.0],
-                      [-1.0, 0.0, 0.0, 0.0]])
         basis = np.array([1, 2])
-        assert lp_core._pivot_loop(T, basis, 10) == (0, 1)
+        T, ids = condense(np.array([[1.0, 1.0, 0.0, 0.0],
+                                    [1.0, 0.0, 1.0, 0.0],
+                                    [-1.0, 0.0, 0.0, 0.0]]), basis)
+        assert lp_core._pivot_loop(T, basis, ids, 10) == (0, 1)
         assert basis.tolist() == [0, 2]
 
     def test_never_pivots_on_a_tiny_entry(self):
         # rows 0 and 1 have the smallest "ratios" (0), but their entries
         # (_PIVOT_TOL and -1) are not > _PIVOT_TOL; row 2 must leave
-        T = np.array([[lp_core._PIVOT_TOL, 1.0, 0.0, 0.0, 0.0],
-                      [-1.0, 0.0, 1.0, 0.0, 0.0],
-                      [0.5, 0.0, 0.0, 1.0, 5.0],
-                      [-1.0, 0.0, 0.0, 0.0, 0.0]])
         basis = np.array([1, 2, 3])
-        assert lp_core._pivot_loop(T, basis, 10) == (0, 1)
+        T, ids = condense(np.array([[lp_core._PIVOT_TOL, 1.0, 0.0, 0.0, 0.0],
+                                    [-1.0, 0.0, 1.0, 0.0, 0.0],
+                                    [0.5, 0.0, 0.0, 1.0, 5.0],
+                                    [-1.0, 0.0, 0.0, 0.0, 0.0]]), basis)
+        assert lp_core._pivot_loop(T, basis, ids, 10) == (0, 1)
         assert basis.tolist() == [1, 2, 0]
         assert T[2, -1] == 10.0
         # with no entry above _PIVOT_TOL the column is unbounded
-        T = np.array([[lp_core._PIVOT_TOL, 1.0, 0.0],
-                      [-1.0, 0.0, 0.0]])
-        assert lp_core._pivot_loop(T, np.array([1]), 10) == (1, 0)
+        basis = np.array([1])
+        T, ids = condense(np.array([[lp_core._PIVOT_TOL, 1.0, 0.0],
+                                    [-1.0, 0.0, 0.0]]), basis)
+        assert lp_core._pivot_loop(T, basis, ids, 10) == (1, 0)
 
     def test_objective_row_matches_row_by_row_sum(self):
+        # the condensed row is the full tableau's row at the nonbasic
+        # columns and the rhs
         rng = np.random.default_rng(3)
-        T = rng.normal(size=(5, 9))
+        full = rng.normal(size=(5, 9))
         basis = np.array([6, 1, 3, 7])
         cost = rng.normal(size=8)
         cost[3] = 0.0
         want = np.zeros(9)
         want[:8] = -cost
         for r in range(4):
-            want += cost[basis[r]] * T[r]
-        lp_core._install_objective(T, basis, cost)
-        assert np.allclose(T[4], want, rtol=0.0, atol=1e-13)
+            want += cost[basis[r]] * full[r]
+        T, ids = condense(full, basis)
+        lp_core._install_objective(T, basis, ids, cost)
+        assert np.allclose(T[4], want[np.append(ids, 8)], rtol=0.0,
+                           atol=1e-13)
+
+    def test_exchange_matches_full_tableau_gauss_jordan(self):
+        # the broadcast Gauss-Jordan step on the full tableau [A | I | b],
+        # as a reference; it reports whether its update held a -0.0
+        def gauss_jordan(T, r, col):
+            T[r] /= T[r, col]
+            factors = T[:, col].copy()
+            factors[r] = 0.0
+            update = factors[:, None] * T[r]
+            T -= update
+            T[:, col] = 0.0
+            T[r, col] = 1.0
+            return bool(np.any((update == 0.0) & np.signbit(update)))
+
+        # max x0 + 2 x1 + 3 x2: pivoting x0 in on row 0 meets row 0's zero
+        # entry in x1's column under row 1's negative factor, where the
+        # broadcast multiply forms -0.0 and the rank-one product +0.0
+        A = np.array([[1.0, 0.0, 2.0],
+                      [-1.0, 1.0, 0.0],
+                      [2.0, 1.0, 1.0],
+                      [0.0, 3.0, -1.0]])
+        b = np.array([4.0, 3.0, 10.0, 6.0])
+        rows, n = A.shape
+        full = np.zeros((rows + 1, n + rows + 1))
+        full[:rows, :n] = A
+        full[:rows, n:n + rows] = np.eye(rows)
+        full[:rows, -1] = b
+        full[rows, :n] = -np.array([1.0, 2.0, 3.0])
+        basis = n + np.arange(rows)
+        T, ids = condense(full, basis)
+        negative_zeros = pivots = 0
+        while True:
+            before = basis.copy()
+            code, made = lp_core._pivot_loop(T, basis, ids, 1)
+            if not made:
+                break
+            r = int(np.flatnonzero(basis != before)[0])
+            negative_zeros += gauss_jordan(full, r, int(basis[r]))
+            pivots += 1
+            assert np.array_equal(T + 0.0, full[:, np.append(ids, -1)] + 0.0)
+            assert np.array_equal(full[:rows, basis], np.eye(rows))
+        assert code == 0 and pivots >= 3 and negative_zeros
 
 
 class TestRowPrices:
@@ -376,15 +432,19 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("start", [[2, 3, 0], [0, 1, 2]])
     def test_accepted_start_is_b_inverse_times_the_tableau(self, start):
-        # only the nonbasic columns are solved for; the basic ones are set
-        # to the identity, which is what B^-1 gives them
+        # only the nonbasic columns and the rhs are solved for, and they are
+        # the condensed tableau; the basic ones, the identity that B^-1
+        # gives them, are not stored
         T = self.T.copy()
-        cols = lp_core._warm_start(T, 2, start, np.array([0, 1]))
+        C, cols, ids = lp_core._warm_start(T, 2, start, np.array([0, 1]))
         assert cols.tolist() == start
+        assert sorted(ids.tolist() + start) == [0, 1, 2, 3]
+        kept = np.append(ids, 4)
         full = np.linalg.solve(self.T[:3, cols], self.T[:3])
-        assert np.allclose(T[:3], full, rtol=0.0, atol=1e-15)
-        assert np.array_equal(T[:3, cols], np.eye(3))
-        assert np.array_equal(T[3], self.T[3])
+        assert np.allclose(C[:3], full[:, kept], rtol=0.0, atol=1e-15)
+        assert np.allclose(full[:, cols], np.eye(3), rtol=0.0, atol=1e-15)
+        assert np.array_equal(C[3], self.T[3, kept])
+        assert np.array_equal(T, self.T)
 
     def test_logical_of_a_flipped_row_is_accepted(self):
         # row 0 has b < 0, so the solver flips it into a >= row whose
