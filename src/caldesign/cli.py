@@ -13,12 +13,17 @@ Per-event rows (predictor ``mass``, scheme ``pi``, ``per_event_support``)
 are written and read in the instance file's order of events, whatever the
 order of their means.
 
-On Linux, a ``sweep`` of 20 or more budgets solves them in forked worker
-processes: one per CPU in the affinity mask, but at most one per 10
-budgets, since starting two workers costs about as much as solving 7
-budgets of the golden instance (``taskset -c 0`` makes it serial).
-Shorter sweeps, and sweeps on other platforms, run in process.  Rows come
-back in the given order, so the output is identical whatever the worker
+A ``sweep`` sorts its distinct budgets and cuts them into blocks of 10;
+an exact block is one walk of :func:`exact.solve_budgets`, which for t=1
+starts each budget from the previous one's optimal basis.  On Linux, a
+sweep of 20 or more budgets solves its blocks in forked worker processes:
+one per CPU in the affinity mask, but at most one per 10 budgets
+(``taskset -c 0`` makes it serial).  Starting two workers costs about as
+much as solving 5 budgets of the golden instance, and a worker takes whole
+blocks, so two break even at about 20 budgets.  Shorter sweeps, and sweeps
+on other platforms, run in process.  The blocks depend on neither the
+worker count nor the order of the budgets, and rows are written in the
+given order, so the output is identical whatever the order and the worker
 count.  Every budget is checked before any worker starts.
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure.  Set
@@ -155,22 +160,40 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(sub, method, delta):
-    """One budget of a sweep: its CSV row, and the failure text (or None)."""
-    eps = sub.epsilon
-    try:
-        pred, objective, _ = _run_method(sub, method, delta)
-    except CaldesignError as exc:
-        return (",".join([_fmt(eps), "nan", "nan", "nan", f"error:{exc.code}"]),
-                str(exc))
-    return ",".join([_fmt(eps), _fmt(objective),
-                     _fmt(model.agent_payoff(pred, sub)),
-                     _fmt(model.ece(pred, sub)), "ok"]), None
+def _sweep_block(inst, method, delta, budgets):
+    """Each budget's CSV fields after ``epsilon`` and its failure text (or
+    None), for a block of sorted budgets; an exact block is one walk of
+    :func:`exact.solve_budgets`."""
+    if method == "exact":
+        results = exact.solve_budgets(inst, budgets)
+    else:
+        results = []
+        for eps in budgets:
+            try:
+                results.append(fptas.fptas_solve(inst.with_epsilon(eps), delta))
+            except CaldesignError as exc:
+                results.append(exc)
+    rows = []
+    for result in results:
+        if isinstance(result, CaldesignError):
+            rows.append((f"nan,nan,nan,error:{result.code}", str(result)))
+            continue
+        pred, objective = result[-2:]
+        rows.append((",".join([_fmt(objective),
+                               _fmt(model.agent_payoff(pred, inst)),
+                               _fmt(model.ece(pred, inst)), "ok"]), None))
+    return rows
 
+
+# A sweep solves its sorted budgets in blocks of this many, each one walk of
+# exact.solve_budgets and, when the sweep forks, one task of the pool.  The
+# blocks do not depend on the worker count, and neither do the rows.
+_SWEEP_BLOCK = 10
 
 # A sweep takes at most one worker per this many budgets.  On a 2-core host
-# the golden sweep breaks even with 2 workers at 14-16 budgets, so 20 is the
-# shortest sweep that forks.  Pools of more than 2 workers are unmeasured.
+# the golden sweep, walked in blocks, breaks even with 2 workers at about 20
+# budgets, the shortest sweep that forks.  Pools of more than 2 workers are
+# unmeasured.
 _BUDGETS_PER_WORKER = 10
 
 _sweep = None  # (instance, method, delta) of a forked sweep worker
@@ -181,50 +204,52 @@ def _start_sweep_worker(inst, method, delta):
     _sweep = inst, method, delta
 
 
-def _sweep_budget(eps):
-    """A worker's row for budget ``eps``.  The instance is the one the worker
-    inherited at the fork, so only budgets and rows cross the pipes and the
-    instance's arrays stay read-only."""
+def _sweep_task(budgets):
+    """A worker's rows for a block of budgets.  The instance is the one the
+    worker inherited at the fork, so only budgets and rows cross the pipes
+    and the instance's arrays stay read-only."""
     inst, method, delta = _sweep
-    return _sweep_row(inst.with_epsilon(eps), method, delta)
+    return _sweep_block(inst, method, delta, budgets)
 
 
 def cmd_sweep(args) -> int:
-    """Long sweeps are solved in forked workers on Linux; rows come back in
-    the given order, so the CSV does not depend on the worker count."""
+    """Long sweeps are solved in forked workers on Linux; rows are written
+    in the given order, and the CSV depends on neither that order nor the
+    worker count."""
     inst = _load_instance(args)
     # Every budget is checked here, before any worker starts.
-    subs = [inst.with_epsilon(float(tok)) for tok in args.eps.split(",")
-            if tok]
+    budgets = [inst.with_epsilon(float(tok)).epsilon
+               for tok in args.eps.split(",") if tok]
+    distinct = sorted(set(budgets))
+    blocks = [tuple(distinct[k:k + _SWEEP_BLOCK])
+              for k in range(0, len(distinct), _SWEEP_BLOCK)]
     # Fork only on Linux: on macOS a forked child of a process that loaded
     # system frameworks may crash, and Windows has no fork.
     workers = 0
     if sys.platform == "linux":
         workers = min(len(os.sched_getaffinity(0)),
-                      len(subs) // _BUDGETS_PER_WORKER)
+                      len(distinct) // _BUDGETS_PER_WORKER)
     if workers > 1:
         # Imported here: at module level they would slow every CLI start.
         # Forked workers inherit the imported package; spawned ones would
         # each import it again.
         import concurrent.futures
         import multiprocessing
-        # About four chunks per worker: few round trips through the pool's
-        # queues, and still room to even out budgets that solve slowly.
-        chunk = -(-len(subs) // (4 * workers))
         with concurrent.futures.ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_start_sweep_worker,
                 initargs=(inst, args.method, args.delta)) as pool:
-            results = list(pool.map(_sweep_budget,
-                                    [sub.epsilon for sub in subs],
-                                    chunksize=chunk))
+            results = list(pool.map(_sweep_task, blocks))
     else:
-        results = [_sweep_row(sub, args.method, args.delta) for sub in subs]
+        results = [_sweep_block(inst, args.method, args.delta, block)
+                   for block in blocks]
+    solved = dict(zip(distinct, (row for block in results for row in block)))
     rows = ["epsilon,principal_payoff,agent_payoff,ece_of_solution,status"]
-    for sub, (text, failure) in zip(subs, results):
+    for eps in budgets:
+        fields, failure = solved[eps]
         if failure is not None:
-            log.warning("budget %s failed: %s", sub.epsilon, failure)
-        rows.append(text)
+            log.warning("budget %s failed: %s", eps, failure)
+        rows.append(f"{_fmt(eps)},{fields}")
     _write_text(args.output, "\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -23,6 +23,12 @@ strict choice at its own prediction.  Every
 solve ends with a certificate independent of the solver: the returned
 predictor's calibration error is within the budget and its payoff is the
 returned objective, or ``SolverError('UNCERTIFIED')`` is raised.
+
+:func:`solve_budgets` solves one instance at a list of budgets on one
+program, and :func:`solve_exact` is its one-budget case.  For t=1 the
+budget is a right-hand side only, so one optimal basis holds over an
+interval of budgets, and each budget's first stage starts from the previous
+budget's optimal basis when ``lp_core`` accepts it without a clamp.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import logging
 import numpy as np
 
 from . import lp_core
-from .errors import SolverError, ValidationError
+from .errors import CaldesignError, SolverError, ValidationError
 from .model import (
     INF,
     SUPPORT_MERGE_TOL,
@@ -206,7 +212,8 @@ def _strategy_from_solution(inst, x):
 
 
 def solve_exact(inst: Instance, tie_break="agent"):
-    """Optimal (strategy, predictor, objective) for t in {1, inf}.
+    """Optimal (strategy, predictor, objective) for t in {1, inf}: the
+    one-budget case of :func:`solve_budgets`, whose error it raises.
 
     The first stage starts its simplex at the truthful scheme
     (:func:`_truthful_basis`), a feasible vertex of every instance.  The
@@ -232,10 +239,56 @@ def solve_exact(inst: Instance, tie_break="agent"):
     back in ``inst``'s sorted event order, not the caller's;
     ``inst.to_caller`` maps them back.
     """
+    result = solve_budgets(inst, [inst.epsilon], tie_break)[0]
+    if isinstance(result, CaldesignError):
+        raise result
+    return result
+
+
+def solve_budgets(inst: Instance, budgets, tie_break="agent"):
+    """:func:`solve_exact` at each budget of ``budgets``, in the order
+    given: one ``(strategy, predictor, objective)``, or the
+    ``CaldesignError`` that budget's solve raised, per budget.
+
+    The program is built once and each budget written into it
+    (:func:`_set_budget`, which leaves the program a rebuild would give).
+    For t=1 the budget is only a right-hand side, so one optimal basis
+    holds over an interval of budgets: each first stage starts from the
+    previous budget's optimal basis (a walk), and a caller that passes the
+    budgets sorted keeps the walk short.  It starts from the truthful
+    scheme instead after a budget that failed, and falls back to it when
+    ``lp_core`` rejects the walk's start or had to clamp it (an
+    ill-conditioned basis reads ``B⁻¹b`` slightly negative at the new
+    budget, and the clamp moves the objective in its ninth digit).  For
+    t=inf the budget is in the matrix, and every budget starts from the
+    truthful scheme.
+    """
     if tie_break not in ("agent", None):
         raise ValidationError("BAD_FORMAT", f"unknown tie_break {tie_break!r}")
-    lp = build_actrec_lp(inst)
-    best, strat = _solve_stages(inst, lp, tie_break)
+    try:
+        lp = build_actrec_lp(inst)
+    except CaldesignError as err:
+        return [err] * len(budgets)
+    out = []
+    walk = None   # the last first stage's optimal basis, t=1 only
+    for budget in budgets:
+        try:
+            result, basis = _solve_budget(inst.with_epsilon(budget), lp,
+                                          tie_break, walk)
+        except CaldesignError as err:
+            result, basis = err, None
+        out.append(result)
+        if inst.norm == 1.0:
+            walk = basis
+    return out
+
+
+def _solve_budget(inst, lp, tie_break, walk):
+    """One budget of :func:`solve_budgets`, ``inst.epsilon``, on ``lp``;
+    returns the ``(strategy, predictor, objective)`` and the first stage's
+    optimal basis."""
+    _set_budget(lp, inst, inst.epsilon)
+    best, strat, basis = _solve_stages(inst, lp, tie_break, walk)
     merged = _lossy_merges(inst, strat)
     if merged:
         if inst.epsilon < SEPARATION:
@@ -245,17 +298,18 @@ def solve_exact(inst: Instance, tie_break="agent"):
                 f"budget of {inst.epsilon:.3g} leaves no room to separate "
                 f"them")
         _set_budget(lp, inst, inst.epsilon - SEPARATION)
-        best, strat = _solve_stages(inst, lp, tie_break)
+        best, strat, _ = _solve_stages(inst, lp, tie_break, None)
         _separate(inst, strat, _lossy_merges(inst, strat))
     predictor = strategy_to_predictor(strat, inst)
     certify(predictor, inst, best)
-    return strat, predictor, best
+    return (strat, predictor, best), basis
 
 
-def _solve_stages(inst, lp, tie_break):
-    """First stage from the truthful crash basis, then the agent refine;
-    returns the first stage's objective and the final vertex's strategy."""
-    sol = lp_core.solve(lp, basis=_truthful_basis(inst, lp))
+def _solve_stages(inst, lp, tie_break, walk):
+    """First stage, from ``walk`` (see :func:`_first_stage`), then the
+    agent refine; returns the first stage's objective, the final vertex's
+    strategy and the first stage's optimal basis."""
+    sol = _first_stage(inst, lp, walk)
     if not sol.is_optimal:
         raise SolverError(
             "NO_SOLUTION",
@@ -265,7 +319,24 @@ def _solve_stages(inst, lp, tie_break):
     x = sol.x
     if tie_break == "agent":
         x = _refine_for_agent(inst, lp, best, fallback=x, basis=sol.basis)
-    return best, _strategy_from_solution(inst, x)
+    return best, _strategy_from_solution(inst, x), sol.basis
+
+
+def _first_stage(inst, lp, walk):
+    """Solve ``lp`` from the basis ``walk`` if it is not None and
+    ``lp_core`` neither rejects nor clamps it, else from the truthful crash
+    basis (:func:`_truthful_basis`)."""
+    if walk is not None:
+        try:
+            sol = lp_core.solve(lp, basis=walk)
+        except SolverError as err:
+            log.debug("budget walk restarts at the truthful scheme: %s", err)
+        else:
+            if not sol.start_clamp:
+                return sol
+            log.debug("budget walk restarts at the truthful scheme: its "
+                      "start was clamped by %.3g", sol.start_clamp)
+    return lp_core.solve(lp, basis=_truthful_basis(inst, lp))
 
 
 def _truthful_basis(inst, lp):

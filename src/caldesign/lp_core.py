@@ -19,8 +19,12 @@ and its agent tie-break, a program plus one added row, from the old
 optimal basis plus the new row's surplus.  The approximation scheme's
 column generation starts its first master from a crash basis at the
 calibrated diagonal and each later one, the same rows with columns added,
-from the previous optimal basis.  A start that is not a feasible basis of
-the program raises ``SolverError('NUMERICAL_FAILURE')``.
+from the previous optimal basis.  A sweep of t=1 budgets starts each first
+stage from the previous budget's optimal basis.  A start that is not a
+feasible basis of the program raises ``SolverError('NUMERICAL_FAILURE')``;
+one whose ``B⁻¹b`` reads at most ``FEASIBILITY_TOL`` below 0 is clamped,
+and the solution reports by how much (``LpSolution.start_clamp``), so that
+a caller with another start at hand can decline it.
 
 The entering column is the improving one of smallest column number
 (Bland's rule); the leaving row comes from Harris's two-pass ratio test,
@@ -105,7 +109,10 @@ class LpSolution:
     ``basis`` lists the basic columns of the final vertex, numbering a
     structural variable ``j`` as ``j`` and the slack or surplus of row ``r``
     as ``num_vars + r``; :func:`row_prices` reads it.  ``iterations``
-    counts the pivots made from the start basis.
+    counts the pivots made from the start basis.  ``start_clamp`` is the
+    largest amount by which the start's ``B⁻¹b`` entries in
+    ``[-FEASIBILITY_TOL, 0)`` were raised to 0, and 0.0 when the start had
+    none: a caller that can choose another start can decline a clamped one.
     """
 
     status: str
@@ -113,6 +120,7 @@ class LpSolution:
     x: np.ndarray | None
     basis: np.ndarray
     iterations: int = 0
+    start_clamp: float = 0.0
 
     @property
     def is_optimal(self):
@@ -179,7 +187,7 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
     full[le_rows, n + np.arange(le_rows.size)] = 1.0
     full[ge_rows, n + le_rows.size + np.arange(ge_rows.size)] = -1.0
 
-    T, cols, ids = _warm_start(full, n, basis, slack_rows)
+    T, cols, ids, clamp = _warm_start(full, n, basis, slack_rows)
     cost = np.zeros(n_total)
     cost[:n] = c_scaled
     _install_objective(T, cols, ids, cost)
@@ -191,7 +199,7 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
     logical = cols >= n
     basic[logical] = n + slack_rows[cols[logical] - n]
     if code == 1:
-        return LpSolution(UNBOUNDED, math.inf, None, basic, pivots)
+        return LpSolution(UNBOUNDED, math.inf, None, basic, pivots, clamp)
 
     y = np.zeros(n_total)
     y[cols] = T[:rows, -1]
@@ -199,7 +207,8 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
     x = y[:n] / col_scale + 0.0
 
     _check_solution(lp, x)
-    return LpSolution(OPTIMAL, float(lp.objective @ x), x, basic, pivots)
+    return LpSolution(OPTIMAL, float(lp.objective @ x), x, basic, pivots,
+                      clamp)
 
 
 def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:
@@ -244,9 +253,10 @@ def _warm_start(T, n, start, slack_rows):
     for: the tableau is ``X = B⁻¹·T[:rows, nonbasic]`` over ``T``'s
     objective row at the same columns, and its column ``j`` is ``T``'s
     column ``ids[j]``.  The start is accepted only if ``X`` is finite and
-    ``B⁻¹b >= -FEASIBILITY_TOL`` (tiny negatives are clamped to 0); otherwise
-    ``SolverError('NUMERICAL_FAILURE')`` names the reason.  ``T`` is not
-    written.
+    ``B⁻¹b >= -FEASIBILITY_TOL``; otherwise ``SolverError('NUMERICAL_FAILURE')``
+    names the reason.  Tiny negatives are clamped to 0, and ``clamp``, the
+    fourth value returned, is the largest of them negated (0.0 for none).
+    ``T`` is not written.
     """
     rows = T.shape[0] - 1
 
@@ -278,11 +288,13 @@ def _warm_start(T, n, start, slack_rows):
     if not np.all(np.isfinite(X)):
         raise rejected("start basis gives non-finite entries")
     rhs = X[:, -1]
-    if not np.all(rhs >= -FEASIBILITY_TOL):
-        raise rejected(f"infeasible start, min B^-1 b = {rhs.min():.3g}")
+    low = float(rhs.min(initial=0.0))
+    if not low >= -FEASIBILITY_TOL:
+        raise rejected(f"infeasible start, min B^-1 b = {low:.3g}")
     np.maximum(rhs, 0.0, out=rhs)
     ids = np.flatnonzero(nonbasic[:-1])
-    return np.vstack((X, T[rows, nonbasic])), cols, ids
+    # 0.0 - low is 0.0, not -0.0, when nothing was clamped
+    return np.vstack((X, T[rows, nonbasic])), cols, ids, 0.0 - low
 
 
 def _pivot_loop(T, basis, ids, max_iter):

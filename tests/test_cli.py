@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import caldesign
-from caldesign import cli
+from caldesign import cli, lp_core
 from caldesign.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -173,10 +174,13 @@ class TestSweepWorkers:
                 super().__init__(max_workers, *args, **kwargs)
                 pools.append(max_workers)
 
-            def map(self, fn, budgets, **kwargs):
-                # only budgets cross to the workers, never an instance
-                assert all(type(b) is float for b in budgets)
-                return super().map(fn, budgets, **kwargs)
+            def map(self, fn, blocks, **kwargs):
+                # only blocks of budgets cross to the workers: tuples of
+                # floats, never an instance
+                assert all(type(block) is tuple
+                           and all(type(b) is float for b in block)
+                           for block in blocks)
+                return super().map(fn, blocks, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
         out = tmp_path / f"{path}.csv"
@@ -198,6 +202,44 @@ class TestSweepWorkers:
         assert pool[3] == [2] and serial[3] == []
         if argv[1] == self.GOLDEN_BUDGETS:
             assert pool[1] == (DATA / "golden_sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shuffled_budgets_write_the_pinned_rows(self, monkeypatch, capsys,
+                                                    tmp_path, path, seed):
+        # the budgets are walked sorted, so a shuffled list gets the pinned
+        # rows, in its own order
+        order = np.random.default_rng(seed).permutation(81)
+        budgets = self.GOLDEN_BUDGETS.split(",")
+        code, text, _, _ = self._sweep(
+            monkeypatch, capsys, tmp_path, path, "--eps",
+            ",".join(budgets[k] for k in order))
+        assert code == 0
+        header, *pinned = (DATA / "golden_sweep.csv").read_bytes().splitlines(
+            True)
+        assert text == header + b"".join(pinned[k] for k in order)
+
+    def test_shuffled_budgets_are_walked_sorted(self, monkeypatch, capsys,
+                                                tmp_path):
+        # in blocks of 10 sorted budgets the golden sweep takes 440 pivots
+        # (test_exact.py::TestPivotCounts::test_golden_walks), whatever the
+        # given order
+        pivots = []
+        real_solve = lp_core.solve
+
+        def count(lp, basis, max_iter=None):
+            sol = real_solve(lp, basis, max_iter)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(lp_core, "solve", count)
+        order = np.random.default_rng(1).permutation(81)
+        budgets = self.GOLDEN_BUDGETS.split(",")
+        code, _, _, _ = self._sweep(monkeypatch, capsys, tmp_path,
+                                    "in-process", "--eps",
+                                    ",".join(budgets[k] for k in order))
+        assert code == 0
+        assert sum(pivots) == 440
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_error_rows_and_warnings_keep_the_given_order(

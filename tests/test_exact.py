@@ -642,6 +642,115 @@ class TestPivotCounts:
             solve_exact(golden.with_epsilon(round(0.01 * k, 2)))
         assert self._counts(solves) == (162, 1433)
 
+    @pytest.mark.parametrize("block, counts", [(81, (167, 352, 4)),
+                                               (10, (165, 440, 2))])
+    def test_golden_walks(self, golden, solves, block, counts):
+        # the 81 budgets walked in blocks: (LP calls, pivots, rejected
+        # starts).  A walk start that crosses a breakpoint of V (0.025, 0.1,
+        # 0.45, 0.7) is rejected, and one, 0.04 -> 0.05, is clamped; both
+        # restart at the truthful scheme
+        budgets = [round(0.01 * k, 2) for k in range(81)]
+        for k in range(0, 81, block):
+            exact.solve_budgets(golden, budgets[k:k + block])
+        rejected = _errors(solves)
+        assert all("start basis rejected: infeasible" in str(err)
+                   for err in rejected)
+        pivots = sum(out.iterations for _, _, out in solves
+                     if not isinstance(out, SolverError))
+        assert (len(solves), pivots, len(rejected)) == counts
+
+    @staticmethod
+    def _check_fallback(golden, solves, results):
+        """The second budget's walk start was followed by a start at the
+        truthful scheme, and its row is ``solve_exact``'s, bit for bit."""
+        first_stages = [basis for lp, basis, _ in solves
+                        if lp.b.size == solves[0][0].b.size]
+        assert len(first_stages) == 3
+        inst = golden.with_epsilon(0.05)
+        truthful = exact._truthful_basis(inst, build_actrec_lp(inst))
+        assert first_stages[2].tolist() == truthful.tolist()
+        assert first_stages[1].tolist() != truthful.tolist()
+        assert _hex_row(inst, results[1]) == _hex_row(inst, _solve_or_error(
+            inst))
+
+    def test_clamped_walk_start_falls_back(self, golden, solves):
+        results = exact.solve_budgets(golden, [0.04, 0.05])
+        clamped = [sol.start_clamp for _, _, sol in solves]
+        assert clamped[2] == pytest.approx(3.3e-8, rel=1e-3)
+        assert clamped[:2] == clamped[3:] == [0.0, 0.0]
+        self._check_fallback(golden, solves, results)
+
+    def test_rejected_walk_start_falls_back(self, golden, solves,
+                                            monkeypatch):
+        spy = lp_core.solve
+
+        def reject_the_walk(lp, basis, max_iter=None):
+            if len(solves) == 2:   # the second budget's walk start
+                err = SolverError("NUMERICAL_FAILURE",
+                                  "start basis rejected: forced")
+                solves.append((lp, basis, err))
+                raise err
+            return spy(lp, basis, max_iter)
+
+        monkeypatch.setattr(lp_core, "solve", reject_the_walk)
+        results = exact.solve_budgets(golden, [0.03, 0.05])
+        assert len(_errors(solves)) == 1
+        self._check_fallback(golden, solves, results)
+
+
+def _solve_or_error(inst):
+    try:
+        return solve_exact(inst)
+    except (SolverError, ValidationError) as err:
+        return err
+
+
+def _row(inst, result, fmt=_fmt):
+    """A solve's objective, agent payoff and ece, or its error code."""
+    if isinstance(result, Exception):
+        return f"error:{result.code}"
+    _, pred, obj = result
+    return ",".join(fmt(float(v)) for v in (obj, agent_payoff(pred, inst),
+                                            ece(pred, inst)))
+
+
+def _hex_row(inst, result):
+    return _row(inst, result, float.hex)
+
+
+class TestSolveBudgets:
+    """``solve_budgets`` walks one basis along a t=1 budget list; t=inf
+    builds the program once and starts every budget afresh."""
+
+    BUDGETS = [round(0.02 * k, 2) for k in range(26)]
+
+    @staticmethod
+    def _instances(norm):
+        rng = np.random.default_rng(1003)
+        acc3 = [random_instance(rng, (0.01, 0.1)[k % 2]) for k in range(6)]
+        ladder = [inst for inst in _ladder() if inst.norm == norm]
+        return ladder + acc3 if norm == 1.0 else ladder
+
+    def _check(self, norm, row):
+        for inst in self._instances(norm):
+            walked = exact.solve_budgets(inst, self.BUDGETS)
+            for budget, result in zip(self.BUDGETS, walked):
+                sub = inst.with_epsilon(budget)
+                assert row(sub, result) == row(sub, _solve_or_error(sub))
+
+    def test_t1_walk_prints_the_per_budget_rows(self):
+        self._check(1.0, _row)
+
+    def test_tinf_is_bit_identical_to_per_budget_solves(self):
+        self._check(INF, _hex_row)
+
+    def test_errors_come_back_per_budget(self, golden):
+        t2 = golden.with_epsilon(0.1, norm=2.0)
+        results = exact.solve_budgets(t2, [0.1, 0.2])
+        assert [err.code for err in results] == ["UNSUPPORTED_NORM"] * 2
+        with pytest.raises(ValidationError, match="UNSUPPORTED_NORM"):
+            solve_exact(t2)
+
 
 class TestNoPhase1:
     """Every package solve starts from an accepted crash or warm basis, so

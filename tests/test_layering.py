@@ -4,7 +4,8 @@
 the package.  ``lp_core`` is the leaf engine, which an external solver may
 replace: it imports ``errors`` alone.  ``structure`` works on predictors
 and the agent's envelope from ``model``; it must not reach into the
-solvers.  The library is single-process: only ``cli`` starts worker
+solvers.  ``cli`` calls ``exact`` through its public names only.  The
+library is single-process: only ``cli`` starts worker
 processes, and it imports the pool modules inside the function that uses
 them, so that importing ``caldesign.cli`` does not load them.
 """
@@ -57,6 +58,34 @@ def test_lp_core_imports_only_errors():
 
 def test_structure_imports_no_solver():
     assert not package_imports("structure") & {"fptas", "exact", "lp_core"}
+
+
+def private_reads(source, of):
+    """The private names (``_x``) of the package module ``of`` that
+    ``source`` reads: as ``of._x``, or imported by ``from .of import _x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == of):
+            found.add(node.attr)
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == of):
+            found.update(alias.name for alias in node.names
+                         if alias.name.startswith("_"))
+    return found
+
+
+def test_the_private_reader_sees_both_forms():
+    source = ("from .exact import _set_budget, solve_exact\n"
+              "from caldesign.exact import _separate\n"
+              "exact._truthful_basis(exact.build_actrec_lp(inst))\n")
+    assert private_reads(source, "exact") == {"_set_budget", "_separate",
+                                              "_truthful_basis"}
+
+
+def test_cli_reads_no_private_name_of_exact():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert private_reads(source, "exact") == set()
 
 
 POOL_MODULES = {"concurrent", "multiprocessing"}

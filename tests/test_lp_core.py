@@ -436,7 +436,9 @@ class TestWarmStart:
         # the condensed tableau; the basic ones, the identity that B^-1
         # gives them, are not stored
         T = self.T.copy()
-        C, cols, ids = lp_core._warm_start(T, 2, start, np.array([0, 1]))
+        C, cols, ids, clamp = lp_core._warm_start(T, 2, start,
+                                                  np.array([0, 1]))
+        assert clamp == 0.0
         assert cols.tolist() == start
         assert sorted(ids.tolist() + start) == [0, 1, 2, 3]
         kept = np.append(ids, 4)
@@ -445,6 +447,24 @@ class TestWarmStart:
         assert np.allclose(full[:, cols], np.eye(3), rtol=0.0, atol=1e-15)
         assert np.array_equal(C[3], self.T[3, kept])
         assert np.array_equal(T, self.T)
+
+    # max x0 s.t. x0 + x1 <= 1, x0 <= 1 + 5e-8 (rows 0, 1): the basis of x0
+    # and row 1's slack reads B^-1 b = (1, 5e-8); x0 with row 0's slack
+    # reads (1 + 5e-8, -5e-8), inside the start's tolerance
+    NEAR = LinearProgram([1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], ["<=", "<="],
+                         [1.0, 1.0 + 5e-8])
+
+    def test_feasible_start_reports_no_clamp(self):
+        sol = solve(self.NEAR, [0, 3])
+        assert sol.start_clamp == 0.0
+        assert sol.objective_value == 1.0
+
+    def test_clamped_start_reports_the_amount_and_solves(self):
+        sol = solve(self.NEAR, [0, 2])
+        assert sol.start_clamp == pytest.approx(5e-8, rel=1e-6)
+        assert -lp_core.FEASIBILITY_TOL <= -sol.start_clamp < 0.0
+        assert sol.is_optimal
+        assert sol.objective_value == pytest.approx(1.0 + 5e-8, abs=1e-15)
 
     def test_logical_of_a_flipped_row_is_accepted(self):
         # row 0 has b < 0, so the solver flips it into a >= row whose
