@@ -95,14 +95,6 @@ def _write_text(path, text):
         sys.stdout.write(text)
 
 
-def _run_method(inst, method, delta):
-    if method == "exact":
-        strat, pred, objective = exact.solve_exact(inst)
-        return pred, objective, strat
-    pred, objective = fptas.fptas_solve(inst, delta)
-    return pred, objective, None
-
-
 def _summary(inst, pred, objective):
     per_event = inst.to_caller((pred.mass > 1e-12).sum(axis=1))
     return {
@@ -120,7 +112,11 @@ def _summary(inst, pred, objective):
 def cmd_solve(args) -> int:
     """Predictor and scheme rows are written in the instance file's order."""
     inst = _load_instance(args)
-    pred, objective, strat = _run_method(inst, args.method, args.delta)
+    if args.method == "exact":
+        strat, pred, objective = exact.solve_exact(inst)
+    else:
+        strat = None
+        pred, objective = fptas.fptas_solve(inst, args.delta)
     summary = _summary(inst, pred, objective)
     if args.output:
         caller = model.Predictor(pred.support, inst.to_caller(pred.mass))
