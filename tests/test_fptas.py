@@ -6,6 +6,7 @@ import pytest
 import dataclasses
 
 from caldesign import exact, lp_core
+from caldesign.cli import _fmt
 from caldesign.errors import SolverError, ValidationError
 from caldesign.fptas import (
     BiEventPlan,
@@ -15,11 +16,17 @@ from caldesign.fptas import (
     plan_to_predictor,
     solve_plan_lp,
 )
-from caldesign.model import ece, indirect_utility_matrix, payoff
+from caldesign.model import (
+    agent_payoff,
+    ece,
+    indirect_utility_matrix,
+    payoff,
+)
 from caldesign.exact import solve_exact
 
 from cold import cold_solve
 from conftest import (
+    DATA,
     dense_column_generation,
     full_columns,
     make_instance,
@@ -410,3 +417,31 @@ class TestFptasSolve:
             assert obj >= (1 - 0.1) * opt - 1e-9
             assert obj <= opt + 1e-6
             assert ece(pred, inst, 1.0) <= eps + 1e-7
+
+
+def _fptas_pin_csv():
+    """fptas_solve on acceptance 3's 50 instances (seed 1003) at delta 0.1
+    and on 30 seeded t = 2 instances at delta 0.05: objective, payoff,
+    agent payoff and ece per solve, printed as the CLI prints numbers."""
+    rows = ["set,index,objective,payoff,agent_payoff,ece"]
+    acc3 = np.random.default_rng(1003)
+    quadratic = np.random.default_rng(2002)
+    cases = [("acc3", random_instance(acc3, epsilon=(0.01, 0.1)[k % 2]), 0.1)
+             for k in range(50)]
+    cases += [("t2", random_instance(quadratic,
+                                     epsilon=(0.0, 0.05, 0.15)[k % 3],
+                                     norm=2.0), 0.05)
+              for k in range(30)]
+    for k, (name, inst, delta) in enumerate(cases):
+        pred, obj = fptas_solve(inst, delta)
+        rows.append(",".join([
+            name, str(k if name == "acc3" else k - 50), _fmt(obj),
+            _fmt(payoff(pred, inst)), _fmt(agent_payoff(pred, inst)),
+            _fmt(ece(pred, inst))]))
+    return "\n".join(rows) + "\n"
+
+
+def test_fptas_is_pinned():
+    # fptas_pin.csv holds _fptas_pin_csv()'s output; the solver must
+    # reproduce it byte for byte
+    assert _fptas_pin_csv().encode() == (DATA / "fptas_pin.csv").read_bytes()
