@@ -28,18 +28,21 @@ The plan LP has one budget row and one supply row per event, so an optimal
 vertex pools at most n + 1 of its (up to millions of) columns.  Neither the
 program nor its columns are ever built whole: :class:`PlanProgram` holds
 each event pair's slice of the grid and the utilities at each prediction,
-and :func:`solve_plan_lp` solves by column generation.  A restricted master
-of the active columns starts at the calibrated diagonal; each round prices
-a few candidates per pair and prediction, which stand for all of that
-pair's columns because the reduced cost is concave in q, the most
-profitable columns join the master, and the loop stops once no reduced cost
-exceeds ``PRICE_TOL`` relative to the largest objective.
+and :func:`solve_plan_lp` solves by column generation, priced at the
+calibrated plan, first master solved only once columns enter.  The
+restricted master of the calibrated diagonal has the calibrated plan as its
+one feasible point, so its row prices are known without an LP.  Each round
+prices a few candidates per pair and prediction, which stand for all of
+that pair's columns because the reduced cost is concave in q, the most
+profitable columns join the master, which is solved for the next prices,
+and the loop stops once no reduced cost exceeds ``PRICE_TOL`` relative to
+the largest objective.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -355,51 +358,79 @@ def plan_to_predictor(plan: BiEventPlan, inst: Instance) -> Predictor:
     return Predictor(support, out)
 
 
-def solve_plan_lp(inst: Instance, prog: PlanProgram):
-    """Solve the :func:`build_disc_lp` plan LP by column generation.
+def _master(inst: Instance, cols: PlanColumns):
+    """The restricted master on ``cols``: the plan LP's budget row and
+    supply rows over those columns only."""
+    size = cols.obj.size
+    at = np.arange(size)
+    supply = np.zeros((inst.n, size))
+    np.add.at(supply, (cols.i, at), cols.r)
+    np.add.at(supply, (cols.j, at), 1.0 - cols.r)
+    return lp_core.LinearProgram(
+        cols.obj, np.vstack([cols.err, supply]), ["<="] + ["=="] * inst.n,
+        np.concatenate([[inst.epsilon**inst.norm], inst.lam]))
 
-    An optimal vertex uses at most n + 1 columns.  The restricted master,
-    the LP on the active columns only, starts from each event's calibrated
-    diagonal column (i, i, theta_i, theta_i), whose zero error keeps it
-    feasible at any budget, and is solved and checked by
-    :func:`lp_core.solve`.  Each round prices the program with the master's
-    row prices (:meth:`PlanProgram.price`: a few candidates per pair and
-    prediction stand for every column) and adds the ``2(n + 1)`` new
-    candidates of largest reduced cost, until none exceeds ``PRICE_TOL``
-    times the largest utility, which is the largest objective of a diagonal
-    column; each round adds a new column, so the loop ends.  Every master
-    starts warm: the first from its crash basis (each diagonal column in
-    its event's supply row, the budget row's slack), each later one from
-    the previous optimal basis.  Returns the master's columns and its
-    optimal solution, whose ``iterations`` sum the pivots of every master.
+
+def _calibrated_plan(inst: Instance, prog: PlanProgram):
+    """The first restricted master, solved in closed form: its columns,
+    their indices into ``prog.fixed``, its solution and its row prices.
+
+    The master holds each event's diagonal column of least error (zero
+    unless theta_e merged with a prediction point within
+    ``GRID_MERGE_TOL``), (e, e, theta_e, p_e), the only column in supply
+    row e, with coefficient 1.  So its only feasible point is the
+    calibrated plan x = lam, the basis of the budget row's slack and the n
+    columns (the crash basis) is optimal, and it prices the rows at
+    y = (0, obj of the columns).  A plan that spends more than the budget
+    raises ``SolverError('NUMERICAL_FAILURE')``, as :func:`lp_core.solve`
+    does for an infeasible start.
     """
-    n = inst.n
-    # per event, the diagonal column of least error: zero unless theta_i
-    # merged with a prediction point within GRID_MERGE_TOL
-    npred = prog.ps.size
+    n, npred = inst.n, prog.ps.size
     err = prog.fixed.err[:n * npred].reshape(n, npred)
     start = np.arange(n) * npred + np.argmin(err, axis=1)
     cols = prog.fixed.take(start)
+    spent, budget = float(cols.err @ inst.lam), inst.epsilon**inst.norm
+    if not spent <= budget:
+        raise SolverError("NUMERICAL_FAILURE",
+                          f"start basis rejected: infeasible start, the "
+                          f"calibrated plan spends {spent:.3g} of the "
+                          f"budget {budget:.3g}")
+    sol = lp_core.LpSolution(lp_core.OPTIMAL, float(cols.obj @ inst.lam),
+                             inst.lam.copy(),
+                             np.concatenate([[n], np.arange(n)]))
+    return cols, start, sol, np.concatenate([[0.0], cols.obj])
+
+
+def solve_plan_lp(inst: Instance, prog: PlanProgram):
+    """Solve the :func:`build_disc_lp` plan LP by column generation,
+    priced at the calibrated plan, first master solved only once columns
+    enter.
+
+    An optimal vertex uses at most n + 1 columns.  The restricted master,
+    the LP on the active columns only, starts with each event's calibrated
+    diagonal column (i, i, theta_i, theta_i); that master's one feasible
+    point is the calibrated plan, and its row prices are known in closed
+    form (:func:`_calibrated_plan`).  Each round prices the program with
+    the current row prices (:meth:`PlanProgram.price`: a few candidates per
+    pair and prediction stand for every column), adds the ``2(n + 1)`` new
+    candidates of largest reduced cost, and solves and checks the grown
+    master by :func:`lp_core.solve` for the next prices, until no reduced
+    cost exceeds ``PRICE_TOL`` times the largest utility, which is the
+    largest objective of a diagonal column; each round adds a new column,
+    so the loop ends.  Every master starts warm: the first from the crash
+    basis (each diagonal column in its event's supply row, the budget row's
+    slack), each later one from the previous optimal basis.  When no column
+    enters at the calibrated prices, no LP is solved and the calibrated
+    plan is the optimum.  Returns the master's columns and its optimal
+    solution, whose ``iterations`` sum the pivots of every master.
+    """
+    cols, start, sol, y = _calibrated_plan(inst, prog)
     taken = set(prog.fixed_keys[start].tolist())
-    basis = np.concatenate([[n], np.arange(n)])
     tol = PRICE_TOL * float(np.abs(prog.U).max(initial=0.0))
-    batch = 2 * (n + 1)
+    batch = 2 * (inst.n + 1)
     pivots = 0
     while True:
-        size = cols.obj.size
-        at = np.arange(size)
-        supply = np.zeros((n, size))
-        np.add.at(supply, (cols.i, at), cols.r)
-        np.add.at(supply, (cols.j, at), 1.0 - cols.r)
-        master = lp_core.LinearProgram(
-            cols.obj, np.vstack([cols.err, supply]), ["<="] + ["=="] * n,
-            np.concatenate([[inst.epsilon**inst.norm], inst.lam]))
-        sol = lp_core.solve(master, basis=basis)
-        pivots += sol.iterations
-        if not sol.is_optimal:
-            raise SolverError("NO_SOLUTION",
-                              f"discretized plan program came back {sol.status}")
-        cand, keys, reduced = prog.price(lp_core.row_prices(master, sol))
+        cand, keys, reduced = prog.price(y)
         entering = np.flatnonzero(reduced > tol)
         entering = entering[np.fromiter(
             (key not in taken for key in keys[entering].tolist()), dtype=bool,
@@ -411,12 +442,19 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
             best = np.argpartition(reduced[entering], -batch)[-batch:]
             entering = entering[best]
         taken.update(keys[entering].tolist())
+        size = cols.obj.size
         cols = _join([cols, cand.take(entering)])
         # the logicals of the old master renumber past the new columns
         basis = np.where(sol.basis >= size, sol.basis + entering.size,
                          sol.basis)
-    sol.iterations = pivots
-    return cols, sol
+        master = _master(inst, cols)
+        sol = lp_core.solve(master, basis=basis)
+        pivots += sol.iterations
+        if not sol.is_optimal:
+            raise SolverError("NO_SOLUTION",
+                              f"discretized plan program came back {sol.status}")
+        y = lp_core.row_prices(master, sol)
+    return cols, replace(sol, iterations=pivots)
 
 
 def fptas_solve(inst: Instance, delta: float):
@@ -424,10 +462,12 @@ def fptas_solve(inst: Instance, delta: float):
 
     Builds the grid at precision delta/3 and the per-pair plan LP on it
     (:func:`build_disc_lp`), solves that LP by column generation
-    (:func:`solve_plan_lp`: warm-started restricted masters seeded with the
-    calibrated diagonal, priced a few candidates per pair and prediction
-    until no reduced cost exceeds the tolerance; neither the LP nor its
-    columns are ever built whole), and converts the optimal plan; the
+    (:func:`solve_plan_lp`: priced at the calibrated plan, first master
+    solved only once columns enter, each master warm-started, a few
+    candidates per pair and prediction priced until no reduced cost
+    exceeds the tolerance; neither the LP nor its columns are ever built
+    whole, and when no column pays no LP is solved), and converts the
+    optimal plan; the
     result keeps the calibration budget and loses at most a (1 - delta)
     factor of the optimal payoff.  The predictor is certified before it is
     returned (:func:`caldesign.exact.certify`): its calibration error is

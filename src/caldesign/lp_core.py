@@ -17,7 +17,8 @@ phase 1; every caller knows a feasible vertex of its program.  The exact
 solver starts its first stage from a crash basis at the truthful scheme,
 and its agent tie-break, a program plus one added row, from the old
 optimal basis plus the new row's surplus.  The approximation scheme's
-column generation starts its first master from a crash basis at the
+column generation is priced at the calibrated plan, first master solved
+only once columns enter: it solves that master from a crash basis at the
 calibrated diagonal and each later one, the same rows with columns added,
 from the previous optimal basis.  A sweep of t=1 budgets starts each first
 stage from the previous budget's optimal basis.  A start that is not a

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from caldesign import lp_core
+from caldesign.errors import SolverError
 from caldesign.fptas import PRICE_TOL, BiEventPlan, PlanColumns
 from caldesign.model import Instance, Predictor, envelope, validate_instance
 
@@ -45,6 +46,29 @@ def f_dagger():
 @pytest.fixture(scope="session")
 def f_ddagger():
     return Predictor.from_json_dict(load_fixture("f_ddagger.json"))
+
+
+_unpatched_solve = lp_core.solve   # taken before any spy replaces it
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every lp_core.solve as (program, start basis, solution or the
+    SolverError it raised).  An error is recorded before it propagates, so
+    the ones that the agent refine catches show too."""
+    seen = []
+
+    def spy(lp, basis, max_iter=None):
+        try:
+            sol = _unpatched_solve(lp, basis, max_iter)
+        except SolverError as err:
+            seen.append((lp, basis, err))
+            raise
+        seen.append((lp, basis, sol))
+        return sol
+
+    monkeypatch.setattr(lp_core, "solve", spy)
+    return seen
 
 
 def full_columns(prog):

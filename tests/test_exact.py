@@ -422,26 +422,6 @@ class TestLargerInstances:
 _real_solve = lp_core.solve   # the unpatched solver
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """Every lp_core.solve as (program, start basis, solution or the
-    SolverError it raised).  An error is recorded before it propagates, so
-    the ones that the agent refine catches show too."""
-    seen = []
-
-    def spy(lp, basis, max_iter=None):
-        try:
-            sol = _real_solve(lp, basis, max_iter)
-        except SolverError as err:
-            seen.append((lp, basis, err))
-            raise
-        seen.append((lp, basis, sol))
-        return sol
-
-    monkeypatch.setattr(lp_core, "solve", spy)
-    return seen
-
-
 def _errors(solves):
     return [out for _, _, out in solves if isinstance(out, SolverError)]
 

@@ -5,7 +5,7 @@ import pytest
 
 import dataclasses
 
-from caldesign import exact, lp_core
+from caldesign import exact, fptas, lp_core
 from caldesign.cli import _fmt
 from caldesign.errors import SolverError, ValidationError
 from caldesign.fptas import (
@@ -19,6 +19,7 @@ from caldesign.fptas import (
 from caldesign.model import (
     agent_payoff,
     ece,
+    envelope,
     indirect_utility_matrix,
     payoff,
 )
@@ -158,8 +159,9 @@ class TestDiscLp:
             for key, value in want.items():
                 assert abs(best[key] - value) <= 1e-12 * (1 + abs(value))
 
-    def test_column_generation_matches_full_lp(self):
+    def test_column_generation_matches_full_lp(self, solves):
         rng = np.random.default_rng(34)
+        pooled = 0
         for trial in range(12):
             t = (1.0, 2.0)[trial % 2]
             eps = 0.0 if trial < 2 else float(rng.uniform(0, 0.3))
@@ -167,7 +169,15 @@ class TestDiscLp:
             prog = build_disc_lp(inst, build_grid(inst, 0.25))
             everything = full_columns(prog)
             full = cold_solve(plan_program(inst, everything))
+            solves.clear()
             cols, sol = solve_plan_lp(inst, prog)
+            # masters are solved whenever a pooled column beats the
+            # calibrated plan
+            calibrated = fptas._calibrated_plan(inst, prog)[2]
+            pooling_pays = (full.objective_value
+                            > calibrated.objective_value + 1e-9)
+            assert len(solves) >= pooling_pays
+            pooled += pooling_pays
             assert sol.objective_value == pytest.approx(full.objective_value,
                                                         abs=1e-7)
             # the master holds distinct columns of the full LP, bit for bit
@@ -184,6 +194,7 @@ class TestDiscLp:
             assert np.allclose(plan.event_supply(inst), inst.lam, atol=1e-9)
             # a vertex of a program with n + 1 rows
             assert np.count_nonzero(sol.x > 0) <= inst.n + 1
+        assert 0 < pooled < 12
 
     def test_column_generation_matches_dense_references(self):
         # pricing a few candidates per pair enters other columns than
@@ -203,9 +214,10 @@ class TestDiscLp:
                 assert abs(value - want) <= 1e-12 * (1 + abs(want))
 
     def test_masters_start_warm(self):
-        # the first master starts from its crash basis, each later one from
-        # the previous optimal basis (a rejected start would raise); cold
-        # masters take 482 pivots here
+        # the column generation is priced at the calibrated plan and solves
+        # its first master only once columns enter, from the crash basis,
+        # each later one from the previous optimal basis (a rejected start
+        # would raise); cold masters take 482 pivots here
         rng = np.random.default_rng(1003)
         pivots = 0
         for trial in range(50):
@@ -226,6 +238,91 @@ class TestDiscLp:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def _acc3(count=25):
+    """Acceptance 3's first ``count`` instances (seed 1003)."""
+    rng = np.random.default_rng(1003)
+    return [random_instance(rng, epsilon=(0.01, 0.1)[k % 2])
+            for k in range(count)]
+
+
+def _merged_instance(epsilon):
+    """Two events; the first mean lies 5e-13 above the agent's breakpoint
+    at 0.4, so it merges with that prediction point and its diagonal
+    column's error is above 0."""
+    u = np.random.default_rng(40).uniform(0.0, 1.0, (2, 2, 2))
+    return make_instance([0.4 + 5e-13, 0.8], [0.5, 0.5],
+                         [[0.0, 0.0], [-0.4, 0.6]], u, epsilon)
+
+
+class TestCalibratedStart:
+    """Column generation is priced at the calibrated plan in closed form;
+    its first master is solved only once columns enter."""
+
+    def test_closed_form_matches_the_diagonal_master(self):
+        # the diagonal master solved from its crash basis, as the column
+        # generation once began, prices and solves as the closed form says
+        rng = np.random.default_rng(41)
+        cases = [_merged_instance(0.1)]
+        for trial in range(24):
+            eps = 0.0 if trial % 4 == 0 else float(rng.uniform(0, 0.3))
+            cases.append(random_instance(rng, epsilon=eps,
+                                         norm=(1.0, 2.0, 3.0)[trial % 3]))
+        for inst in cases:
+            prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
+            cols, _, sol, y = fptas._calibrated_plan(inst, prog)
+            master = fptas._master(inst, cols)
+            lp = lp_core.solve(master, basis=sol.basis)
+            assert np.abs(lp_core.row_prices(master, lp) - y).max() <= 1e-12
+            assert np.array_equal(lp.x, inst.lam)
+            assert np.array_equal(sol.x, inst.lam)
+            assert lp.objective_value == sol.objective_value
+            assert lp.basis.tolist() == sol.basis.tolist()
+            assert lp.iterations == sol.iterations == 0
+        assert fptas._calibrated_plan(cases[0], build_disc_lp(
+            cases[0], build_grid(cases[0], 0.1 / 3)))[0].err[0] > 0.0
+
+    def test_overspent_start_raises_as_lp_core_does(self):
+        # at a zero budget the merged event's diagonal column spends more
+        # than the budget; lp_core rejects that crash start the same way
+        inst = _merged_instance(0.0)
+        prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
+        with pytest.raises(SolverError) as err:
+            solve_plan_lp(inst, prog)
+        assert err.value.code == "NUMERICAL_FAILURE"
+        assert "start basis rejected: infeasible start" in str(err.value)
+        n, npred = inst.n, prog.ps.size
+        start = np.arange(n) * npred + np.argmin(
+            prog.fixed.err[:n * npred].reshape(n, npred), axis=1)
+        master = fptas._master(inst, prog.fixed.take(start))
+        with pytest.raises(SolverError) as lp_err:
+            lp_core.solve(master, basis=np.concatenate([[n], np.arange(n)]))
+        assert "start basis rejected: infeasible start" in str(lp_err.value)
+
+    def test_single_piece_envelope_solves_no_lp(self, solves):
+        # one best action on all of [0, 1]: no pooled column pays, so no
+        # LP is solved and the calibrated predictor comes back; 17 of
+        # acceptance 3's first 25 instances are such
+        single = [inst for inst in _acc3() if len(envelope(inst)[1]) == 1]
+        assert len(single) == 17
+        for inst in single:
+            pred, obj = fptas_solve(inst, 0.1)
+            assert np.array_equal(pred.support, inst.theta)
+            assert np.array_equal(pred.mass, np.eye(inst.n))
+            assert obj == pytest.approx(payoff(pred, inst), abs=1e-12)
+        assert solves == []
+
+    def test_lp_calls_and_pivots_are_pinned(self, solves):
+        # (lp_core.solve calls, pivots) over acceptance 3's first 25
+        # instances at delta 0.1.  A later change may only lower these
+        # counts, and each re-pin is recorded in CHANGES.md
+        for inst in _acc3():
+            fptas_solve(inst, 0.1)
+        assert not [out for _, _, out in solves
+                    if isinstance(out, SolverError)]
+        counts = len(solves), sum(sol.iterations for _, _, sol in solves)
+        assert counts == (12, 29)
 
 
 class TestPlanToPredictor:
