@@ -463,18 +463,16 @@ def fptas_solve(inst: Instance, delta: float):
     Builds the grid at precision delta/3 and the per-pair plan LP on it
     (:func:`build_disc_lp`), solves that LP by column generation
     (:func:`solve_plan_lp`: priced at the calibrated plan, first master
-    solved only once columns enter, each master warm-started, a few
-    candidates per pair and prediction priced until no reduced cost
-    exceeds the tolerance; neither the LP nor its columns are ever built
-    whole, and when no column pays no LP is solved), and converts the
-    optimal plan; the
-    result keeps the calibration budget and loses at most a (1 - delta)
-    factor of the optimal payoff.  The predictor is certified before it is
-    returned (:func:`caldesign.exact.certify`): its calibration error is
-    within the budget and its payoff is the returned objective, or
-    ``SolverError('UNCERTIFIED')`` is raised.  The predictor's ``mass``
-    rows come back in ``inst``'s sorted event order, not the caller's;
-    ``inst.to_caller`` maps them back.
+    solved only once columns enter, a few candidates per pair and
+    prediction priced until no reduced cost exceeds the tolerance; neither
+    the LP nor its columns are ever built whole), and converts the optimal
+    plan; the result keeps the calibration budget and loses at most a
+    (1 - delta) factor of the optimal payoff.  The predictor is certified
+    before it is returned (:func:`caldesign.exact.certify`): its
+    calibration error is within the budget and its payoff is the returned
+    objective, or ``SolverError('UNCERTIFIED')`` is raised.  The
+    predictor's ``mass`` rows come back in ``inst``'s sorted event order,
+    not the caller's; ``inst.to_caller`` maps them back.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:

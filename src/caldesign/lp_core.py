@@ -18,9 +18,9 @@ solver starts its first stage from a crash basis at the truthful scheme,
 and its agent tie-break, a program plus one added row, from the old
 optimal basis plus the new row's surplus.  The approximation scheme's
 column generation is priced at the calibrated plan, first master solved
-only once columns enter: it solves that master from a crash basis at the
-calibrated diagonal and each later one, the same rows with columns added,
-from the previous optimal basis.  A sweep of t=1 budgets starts each first
+only once columns enter, from a crash basis at the calibrated diagonal;
+each later master, the same rows with columns added, starts from the
+previous optimal basis.  A sweep of t=1 budgets starts each first
 stage from the previous budget's optimal basis.  A start that is not a
 feasible basis of the program raises ``SolverError('NUMERICAL_FAILURE')``;
 one whose ``B⁻¹b`` reads at most ``FEASIBILITY_TOL`` below 0 is clamped,

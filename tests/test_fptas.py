@@ -285,7 +285,9 @@ class TestCalibratedStart:
 
     def test_overspent_start_raises_as_lp_core_does(self):
         # at a zero budget the merged event's diagonal column spends more
-        # than the budget; lp_core rejects that crash start the same way
+        # than the budget; lp_core rejects that crash start the same way.
+        # The calibrated predictor is feasible here: the raise comes from
+        # the merge, and this case changes when the merge is mended
         inst = _merged_instance(0.0)
         prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
         with pytest.raises(SolverError) as err:
