@@ -269,9 +269,10 @@ class TestCalibratedStart:
             eps = 0.0 if trial % 4 == 0 else float(rng.uniform(0, 0.3))
             cases.append(random_instance(rng, epsilon=eps,
                                          norm=(1.0, 2.0, 3.0)[trial % 3]))
-        for inst in cases:
+        for k, inst in enumerate(cases):
             prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
             cols, _, sol, y = fptas._calibrated_plan(inst, prog)
+            assert (cols.err[0] > 0.0) == (k == 0)
             master = fptas._master(inst, cols)
             lp = lp_core.solve(master, basis=sol.basis)
             assert np.abs(lp_core.row_prices(master, lp) - y).max() <= 1e-12
@@ -280,8 +281,6 @@ class TestCalibratedStart:
             assert lp.objective_value == sol.objective_value
             assert lp.basis.tolist() == sol.basis.tolist()
             assert lp.iterations == sol.iterations == 0
-        assert fptas._calibrated_plan(cases[0], build_disc_lp(
-            cases[0], build_grid(cases[0], 0.1 / 3)))[0].err[0] > 0.0
 
     def test_overspent_start_raises_as_lp_core_does(self):
         # at a zero budget the merged event's diagonal column spends more
@@ -523,10 +522,8 @@ def _fptas_pin_csv():
     and on 30 seeded t = 2 instances at delta 0.05: objective, payoff,
     agent payoff and ece per solve, printed as the CLI prints numbers."""
     rows = ["set,index,objective,payoff,agent_payoff,ece"]
-    acc3 = np.random.default_rng(1003)
     quadratic = np.random.default_rng(2002)
-    cases = [("acc3", random_instance(acc3, epsilon=(0.01, 0.1)[k % 2]), 0.1)
-             for k in range(50)]
+    cases = [("acc3", inst, 0.1) for inst in _acc3(50)]
     cases += [("t2", random_instance(quadratic,
                                      epsilon=(0.0, 0.05, 0.15)[k % 3],
                                      norm=2.0), 0.05)
