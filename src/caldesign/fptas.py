@@ -25,18 +25,21 @@ plan never needs any other prediction, while the q-side keeps the full
 two-layer grid.
 
 The plan LP has one budget row and one supply row per event, so an optimal
-vertex pools at most n + 1 of its (up to millions of) columns.  Neither the
-program nor its columns are ever built whole: :class:`PlanProgram` holds
-each event pair's slice of the grid and the utilities at each prediction,
-and :func:`solve_plan_lp` solves by column generation, priced at the
-calibrated plan, first master solved only once columns enter.  The
-restricted master of the calibrated diagonal has the calibrated plan as its
-one feasible point, so its row prices are known without an LP.  Each round
-prices a few candidates per pair and prediction, which stand for all of
-that pair's columns because the reduced cost is concave in q, the most
-profitable columns join the master, which is solved for the next prices,
-and the loop stops once no reduced cost exceeds ``PRICE_TOL`` relative to
-the largest objective.
+vertex pools at most n + 1 of its (up to millions of) columns.  The
+calibrated plan is settled from the utilities; the grid and the program are
+built only when it can be improved.  The restricted master of the
+calibrated diagonal has the calibrated plan as its one feasible point, so
+its row prices are known without an LP (:class:`CalibratedPlan`), and when
+no event's utility rises at another prediction, no column of any grid can
+enter.  Otherwise, neither the program nor its columns are ever built
+whole: :class:`PlanProgram` holds each event pair's slice of the grid and
+the utilities at each prediction, and :func:`solve_plan_lp` solves by
+column generation, priced at the calibrated plan, first master solved only
+once columns enter.  Each round prices a few candidates per pair and
+prediction, which stand for all of that pair's columns because the reduced
+cost is concave in q, the most profitable columns join the master, which
+is solved for the next prices, and the loop stops once no reduced cost
+exceeds ``PRICE_TOL`` relative to the largest objective.
 """
 
 from __future__ import annotations
@@ -85,11 +88,12 @@ def _dedup_sorted(values, tol=GRID_MERGE_TOL):
     return values[runs(values, tol)]
 
 
-def build_grid(inst: Instance, delta: float) -> Grid:
+def build_grid(inst: Instance, delta: float, zs=None) -> Grid:
     """Instance-dependent two-layer grid with precision ``delta``.
 
     Layer one is the uniform delta mesh plus the outcome means and utility
-    breakpoints.  Layer two places geometric nets of radius
+    breakpoints ``zs`` (those of :func:`caldesign.model.envelope`, found
+    here unless given).  Layer two places geometric nets of radius
     (delta0 * (1+delta)^s)^(1/t), s = 0..S, around every anchor, where
     delta0 = eps^t * delta.  A zero budget collapses layer two.
     """
@@ -100,7 +104,8 @@ def build_grid(inst: Instance, delta: float) -> Grid:
     if t == INF:
         raise ValidationError("UNSUPPORTED_NORM",
                               "the approximation scheme needs a finite norm")
-    zs = envelope(inst)[0]
+    if zs is None:
+        zs = envelope(inst)[0]
     anchors = _dedup_sorted(np.concatenate([zs, inst.theta]))
     levels = int(math.ceil(2.0 / math.log1p(delta) * math.log(1.0 / delta)))
     delta0 = inst.epsilon**t * delta
@@ -198,25 +203,103 @@ def _join(parts):
 
 
 @dataclass
+class CalibratedPlan:
+    """The calibrated plan of an instance in closed form: where column
+    generation starts, and often where it ends.
+
+    ``ps`` is the reduced prediction set and ``U[e, c]`` event e's indirect
+    utility at ``ps[c]``.  ``diag`` holds the n x P diagonal entries
+    (e, e, theta_e, ps[c]) event by event; a mean within ``GRID_MERGE_TOL``
+    of a prediction point merged with it, so that entry spends nothing.
+    Each event's entry of least error, ``diag.take(start)``, is the only
+    column in supply row e, with coefficient 1, so the restricted master on
+    those columns has one feasible point, the calibrated plan x = lam.  Its
+    crash basis (the budget row's slack and the n columns) is optimal, as
+    ``sol``, and prices the rows at ``y = (0, U_e(p_e))``.
+
+    At these prices the budget price is 0, so a pooled column (i, j, q, p)
+    has reduced cost ``r (U_i(p) - y_i) + (1 - r) (U_j(p) - y_j)`` with r in
+    [0, 1], a convex combination of two diagonal reduced costs at the same
+    p.  When no diagonal reduced cost ``U_e(p) - U_e(p_e)`` is above 0
+    (``improvable`` is false), no column of any grid can enter, and the
+    calibrated plan is optimal on every grid; pricing such a program finds
+    nothing beyond rounding, far below ``PRICE_TOL``.
+    """
+
+    ps: np.ndarray
+    U: np.ndarray
+    diag: PlanColumns
+    start: np.ndarray
+    sol: lp_core.LpSolution
+    y: np.ndarray
+
+    @property
+    def cols(self):
+        return self.diag.take(self.start)
+
+    @property
+    def improvable(self):
+        return bool(np.any(self.U > self.y[1:, None]))
+
+
+def _predictions(inst: Instance, zs):
+    """The reduced prediction set of the envelope breakpoints ``zs``: the
+    edges and midpoints of the constant pieces of the indirect utilities,
+    and the outcome means."""
+    return _dedup_sorted(np.concatenate([piece_scan(zs), inst.theta]))
+
+
+def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
+    """The :class:`CalibratedPlan` of ``inst`` over the predictions ``ps``.
+    A plan that spends more than the budget raises
+    ``SolverError('NUMERICAL_FAILURE')``, as :func:`lp_core.solve` does for
+    an infeasible start.
+    """
+    if inst.norm == INF:
+        raise ValidationError("UNSUPPORTED_NORM",
+                              "the approximation scheme needs a finite norm")
+    U = indirect_utility_matrix(inst, ps)
+    n, npred = inst.n, ps.size
+    e = np.repeat(np.arange(n), npred)
+    c = np.tile(np.arange(npred), n)
+    gap = np.abs(inst.theta[e] - ps[c])
+    err = np.where(gap <= GRID_MERGE_TOL, 0.0, gap ** inst.norm)
+    diag = PlanColumns(e, e, inst.theta[e], ps[c], U[e, c], err,
+                       np.ones(e.size))
+    start = np.arange(n) * npred + np.argmin(err.reshape(n, npred), axis=1)
+    cols = diag.take(start)
+    spent, budget = float(cols.err @ inst.lam), inst.epsilon**inst.norm
+    if not spent <= budget:
+        raise SolverError("NUMERICAL_FAILURE",
+                          f"start basis rejected: infeasible start, the "
+                          f"calibrated plan spends {spent:.3g} of the "
+                          f"budget {budget:.3g}")
+    sol = lp_core.LpSolution(lp_core.OPTIMAL, float(cols.obj @ inst.lam),
+                             inst.lam.copy(),
+                             np.concatenate([[n], np.arange(n)]))
+    return CalibratedPlan(ps, U, diag, start, sol,
+                          np.concatenate([[0.0], cols.obj]))
+
+
+@dataclass
 class PlanProgram:
     """The discretized plan LP of ``inst`` by event pair; no column of it is
     built.
 
-    Its columns are the diagonal entries (e, e, theta_e, p) for every event
-    ``e`` and prediction ``p = ps[c]``, and the pooled entries
-    (i, j, points[g], p) for every pair ``i = i[k] < j = j[k]`` of distinct
-    means and grid index ``lo[k] <= g < hi[k]``.  ``U[e, c]`` is event e's
-    indirect utility at ``ps[c]``.  ``fixed`` holds the pricing candidates
-    that no row price moves (see :meth:`price`), opening with the n x P
-    diagonal entries event by event; ``fixed_keys`` names each candidate:
-    ``(k * points.size + g) * ps.size + c`` for a pooled entry,
+    Its columns are the diagonal entries of ``calibrated`` (e, e, theta_e,
+    p) for every event ``e`` and prediction ``p = ps[c]``, and the pooled
+    entries (i, j, points[g], p) for every pair ``i = i[k] < j = j[k]`` of
+    distinct means and grid index ``lo[k] <= g < hi[k]``.  ``U[e, c]`` is
+    event e's indirect utility at ``ps[c]``.  ``fixed`` holds the pricing
+    candidates that no row price moves (see :meth:`price`), opening with the
+    n x P diagonal entries event by event; ``fixed_keys`` names each
+    candidate: ``(k * points.size + g) * ps.size + c`` for a pooled entry,
     ``-1 - (e * ps.size + c)`` for a diagonal one.
     """
 
     inst: Instance
     points: np.ndarray
-    ps: np.ndarray
-    U: np.ndarray
+    calibrated: CalibratedPlan
     i: np.ndarray
     j: np.ndarray
     lo: np.ndarray
@@ -224,14 +307,16 @@ class PlanProgram:
     fixed: PlanColumns = field(init=False)
     fixed_keys: np.ndarray = field(init=False)
 
+    @property
+    def ps(self):
+        return self.calibrated.ps
+
+    @property
+    def U(self):
+        return self.calibrated.U
+
     def __post_init__(self):
-        inst, npred = self.inst, self.ps.size
-        e = np.repeat(np.arange(inst.n), npred)
-        c = np.tile(np.arange(npred), inst.n)
-        q = inst.theta[e]
-        diag = PlanColumns(e, e, q, self.ps[c], self.U[e, c],
-                           np.abs(q - self.ps[c]) ** inst.norm,
-                           np.ones(e.size))
+        diag = self.calibrated.diag
         # the ends of every slice (the clip maps 0 and points.size onto
         # them) and the grid neighbours of every prediction
         near = np.searchsorted(self.points, self.ps)
@@ -240,7 +325,8 @@ class PlanProgram:
                                           near - 1, near])[:, None])
         keys, first = np.unique(keys, return_index=True)
         self.fixed = _join([diag, pooled.take(first)])
-        self.fixed_keys = np.concatenate([-1 - (e * npred + c), keys])
+        self.fixed_keys = np.concatenate([-1 - np.arange(diag.obj.size),
+                                          keys])
 
     def _pooled(self, g):
         """Pooled entries at grid indices ``g``, a stack of (pair,
@@ -297,29 +383,27 @@ class PlanProgram:
         return cols, keys, reduced
 
 
-def build_disc_lp(inst: Instance, grid: Grid):
+def build_disc_lp(inst: Instance, grid: Grid, calibrated=None):
     """The discretized plan LP on ``grid``, as a :class:`PlanProgram`.
 
     The LP maximizes sum chi[i,j](q,p) * (r U_i(p) + (1-r) U_j(p)) subject
     to the budget row sum chi |q-p|^t <= eps^t and one supply row per event.
     q ranges over the grid points inside [theta_i, theta_j], one slice of
-    the grid per pair; p over the reduced prediction set.  Pairs with
-    equal means are routed through the diagonal entry.  Nothing is built
-    per column: the program holds the slices, the n x P utilities and the
-    fixed pricing candidates: the n x P diagonal entries and at most four
-    per pair and prediction.
+    the grid per pair; p over the reduced prediction set of ``calibrated``
+    (:func:`_calibrated_plan` on :func:`_predictions` of the grid's
+    breakpoints unless given).  Pairs with equal means are routed through
+    the diagonal entry.  Nothing is built per column: the program holds the
+    slices, the n x P utilities and the fixed pricing candidates: the n x P
+    diagonal entries and at most four per pair and prediction.
     """
-    if inst.norm == INF:
-        raise ValidationError("UNSUPPORTED_NORM",
-                              "the approximation scheme needs a finite norm")
-    ps = _dedup_sorted(np.concatenate([piece_scan(grid.discontinuities),
-                                       inst.theta]))
+    if calibrated is None:
+        calibrated = _calibrated_plan(
+            inst, _predictions(inst, grid.discontinuities))
     i, j = np.triu_indices(inst.n, k=1)
     lo = np.searchsorted(grid.points, inst.theta[i] - GRID_MERGE_TOL)
     hi = np.searchsorted(grid.points, inst.theta[j] + GRID_MERGE_TOL)
     keep = (inst.theta[j] - inst.theta[i] > 1e-15) & (hi > lo)
-    return PlanProgram(inst, grid.points, ps,
-                       indirect_utility_matrix(inst, ps),
+    return PlanProgram(inst, grid.points, calibrated,
                        i[keep], j[keep], lo[keep], hi[keep])
 
 
@@ -371,36 +455,6 @@ def _master(inst: Instance, cols: PlanColumns):
         np.concatenate([[inst.epsilon**inst.norm], inst.lam]))
 
 
-def _calibrated_plan(inst: Instance, prog: PlanProgram):
-    """The first restricted master, solved in closed form: its columns,
-    their indices into ``prog.fixed``, its solution and its row prices.
-
-    The master holds each event's diagonal column of least error (zero
-    unless theta_e merged with a prediction point within
-    ``GRID_MERGE_TOL``), (e, e, theta_e, p_e), the only column in supply
-    row e, with coefficient 1.  So its only feasible point is the
-    calibrated plan x = lam, the basis of the budget row's slack and the n
-    columns (the crash basis) is optimal, and it prices the rows at
-    y = (0, obj of the columns).  A plan that spends more than the budget
-    raises ``SolverError('NUMERICAL_FAILURE')``, as :func:`lp_core.solve`
-    does for an infeasible start.
-    """
-    n, npred = inst.n, prog.ps.size
-    err = prog.fixed.err[:n * npred].reshape(n, npred)
-    start = np.arange(n) * npred + np.argmin(err, axis=1)
-    cols = prog.fixed.take(start)
-    spent, budget = float(cols.err @ inst.lam), inst.epsilon**inst.norm
-    if not spent <= budget:
-        raise SolverError("NUMERICAL_FAILURE",
-                          f"start basis rejected: infeasible start, the "
-                          f"calibrated plan spends {spent:.3g} of the "
-                          f"budget {budget:.3g}")
-    sol = lp_core.LpSolution(lp_core.OPTIMAL, float(cols.obj @ inst.lam),
-                             inst.lam.copy(),
-                             np.concatenate([[n], np.arange(n)]))
-    return cols, start, sol, np.concatenate([[0.0], cols.obj])
-
-
 def solve_plan_lp(inst: Instance, prog: PlanProgram):
     """Solve the :func:`build_disc_lp` plan LP by column generation,
     priced at the calibrated plan, first master solved only once columns
@@ -410,22 +464,26 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
     the LP on the active columns only, starts with each event's calibrated
     diagonal column (i, i, theta_i, theta_i); that master's one feasible
     point is the calibrated plan, and its row prices are known in closed
-    form (:func:`_calibrated_plan`).  Each round prices the program with
-    the current row prices (:meth:`PlanProgram.price`: a few candidates per
-    pair and prediction stand for every column), adds the ``2(n + 1)`` new
-    candidates of largest reduced cost, and solves and checks the grown
-    master by :func:`lp_core.solve` for the next prices, until no reduced
-    cost exceeds ``PRICE_TOL`` times the largest utility, which is the
-    largest objective of a diagonal column; each round adds a new column,
-    so the loop ends.  Every master starts warm: the first from the crash
-    basis (each diagonal column in its event's supply row, the budget row's
-    slack), each later one from the previous optimal basis.  When no column
-    enters at the calibrated prices, no LP is solved and the calibrated
-    plan is the optimum.  Returns the master's columns and its optimal
-    solution, whose ``iterations`` sum the pivots of every master.
+    form (``prog.calibrated``, a :class:`CalibratedPlan`).  Each round
+    prices the program with the current row prices
+    (:meth:`PlanProgram.price`: a few candidates per pair and prediction
+    stand for every column), adds the ``2(n + 1)`` new candidates of
+    largest reduced cost, and solves and checks the grown master by
+    :func:`lp_core.solve` for the next prices, until no reduced cost exceeds
+    ``PRICE_TOL`` times the largest utility, which is the largest objective
+    of a diagonal column; each round adds a new column, so the loop ends.
+    Every master starts warm: the first from the crash basis (each diagonal
+    column in its event's supply row, the budget row's slack), each later
+    one from the previous optimal basis.  When no column enters at the
+    calibrated prices, no LP is solved and the calibrated plan is the
+    optimum.  :func:`fptas_solve` settles the calibrated plan from the
+    utilities first, and builds the grid and this program only when it can
+    be improved.  Returns the master's columns and its optimal solution,
+    whose ``iterations`` sum the pivots of every master.
     """
-    cols, start, sol, y = _calibrated_plan(inst, prog)
-    taken = set(prog.fixed_keys[start].tolist())
+    calibrated = prog.calibrated
+    cols, sol, y = calibrated.cols, calibrated.sol, calibrated.y
+    taken = set(prog.fixed_keys[calibrated.start].tolist())
     tol = PRICE_TOL * float(np.abs(prog.U).max(initial=0.0))
     batch = 2 * (inst.n + 1)
     pivots = 0
@@ -460,14 +518,18 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
 def fptas_solve(inst: Instance, delta: float):
     """(1 - delta)-approximate predictor for any finite norm.
 
-    Builds the grid at precision delta/3 and the per-pair plan LP on it
-    (:func:`build_disc_lp`), solves that LP by column generation
-    (:func:`solve_plan_lp`: priced at the calibrated plan, first master
-    solved only once columns enter, a few candidates per pair and
-    prediction priced until no reduced cost exceeds the tolerance; neither
-    the LP nor its columns are ever built whole), and converts the optimal
-    plan; the result keeps the calibration budget and loses at most a
-    (1 - delta) factor of the optimal payoff.  The predictor is certified
+    Settles the calibrated plan from the utilities first
+    (:func:`_calibrated_plan`, n x P work): when no diagonal reduced cost
+    at its prices is above 0, it is optimal on every grid
+    (:class:`CalibratedPlan`), and no grid or program is built.  Only when
+    it can be improved does the solver build the grid at precision delta/3
+    and the per-pair plan LP on it (:func:`build_disc_lp`) and solve that LP
+    by column generation (:func:`solve_plan_lp`: priced at the calibrated
+    plan, first master solved only once columns enter, a few candidates per
+    pair and prediction priced until no reduced cost exceeds the tolerance;
+    neither the LP nor its columns are ever built whole).  It converts the
+    optimal plan; the result keeps the calibration budget and loses at most
+    a (1 - delta) factor of the optimal payoff.  The predictor is certified
     before it is returned (:func:`caldesign.exact.certify`): its
     calibration error is within the budget and its payoff is the returned
     objective, or ``SolverError('UNCERTIFIED')`` is raised.  The
@@ -477,8 +539,13 @@ def fptas_solve(inst: Instance, delta: float):
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValidationError("BAD_DELTA", f"delta must be in (0, 1), got {delta}")
-    grid = build_grid(inst, delta / 3.0)
-    cols, sol = solve_plan_lp(inst, build_disc_lp(inst, grid))
+    zs = envelope(inst)[0]
+    calibrated = _calibrated_plan(inst, _predictions(inst, zs))
+    if calibrated.improvable:
+        grid = build_grid(inst, delta / 3.0, zs)
+        cols, sol = solve_plan_lp(inst, build_disc_lp(inst, grid, calibrated))
+    else:
+        cols, sol = calibrated.cols, calibrated.sol
     plan = cols.plan(sol.x)
     predictor = plan_to_predictor(plan, inst)
     objective = float(sol.objective_value)

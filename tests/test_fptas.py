@@ -37,6 +37,7 @@ from conftest import (
 )
 from plans import plan_from_records, plan_objective, plan_to_records
 from rounding import round_plan
+from test_exact import _sentinel_set
 
 
 class TestGrid:
@@ -124,8 +125,7 @@ class TestDiscLp:
             prog = build_disc_lp(inst, grid)
             # the literal all-grid program: every grid point a prediction
             every = dataclasses.replace(
-                prog, ps=grid.points,
-                U=indirect_utility_matrix(inst, grid.points))
+                prog, calibrated=fptas._calibrated_plan(inst, grid.points))
             red = full_columns(prog)
             full = full_columns(every)
             v_red = cold_solve(plan_program(inst, red)).objective_value
@@ -173,7 +173,7 @@ class TestDiscLp:
             cols, sol = solve_plan_lp(inst, prog)
             # masters are solved whenever a pooled column beats the
             # calibrated plan
-            calibrated = fptas._calibrated_plan(inst, prog)[2]
+            calibrated = prog.calibrated.sol
             pooling_pays = (full.objective_value
                             > calibrated.objective_value + 1e-9)
             assert len(solves) >= pooling_pays
@@ -249,16 +249,39 @@ def _acc3(count=25):
 
 def _merged_instance(epsilon):
     """Two events; the first mean lies 5e-13 above the agent's breakpoint
-    at 0.4, so it merges with that prediction point and its diagonal
-    column's error is above 0."""
+    at 0.4, so it merges with that prediction point."""
     u = np.random.default_rng(40).uniform(0.0, 1.0, (2, 2, 2))
     return make_instance([0.4 + 5e-13, 0.8], [0.5, 0.5],
                          [[0.0, 0.0], [-0.4, 0.6]], u, epsilon)
 
 
+def _early(inst):
+    """The calibrated plan as fptas_solve settles it, before any grid."""
+    return fptas._calibrated_plan(inst,
+                                  fptas._predictions(inst, envelope(inst)[0]))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The instances that fptas.build_grid and fptas.build_disc_lp are
+    called on, by name."""
+    def spy_on(name):
+        real, calls = getattr(fptas, name), []
+
+        def spy(inst, *args):
+            calls.append(inst)
+            return real(inst, *args)
+
+        monkeypatch.setattr(fptas, name, spy)
+        return calls
+
+    return {name: spy_on(name) for name in ("build_grid", "build_disc_lp")}
+
+
 class TestCalibratedStart:
-    """Column generation is priced at the calibrated plan in closed form;
-    its first master is solved only once columns enter."""
+    """The calibrated plan is settled from the n x P utilities; the grid and
+    the program are built, and column generation is priced at the
+    calibrated plan, only when it can be improved."""
 
     def test_closed_form_matches_the_diagonal_master(self):
         # the diagonal master solved from its crash basis, as the column
@@ -269,10 +292,12 @@ class TestCalibratedStart:
             eps = 0.0 if trial % 4 == 0 else float(rng.uniform(0, 0.3))
             cases.append(random_instance(rng, epsilon=eps,
                                          norm=(1.0, 2.0, 3.0)[trial % 3]))
-        for k, inst in enumerate(cases):
+        for inst in cases:
             prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
-            cols, _, sol, y = fptas._calibrated_plan(inst, prog)
-            assert (cols.err[0] > 0.0) == (k == 0)
+            calibrated = prog.calibrated
+            cols, sol, y = calibrated.cols, calibrated.sol, calibrated.y
+            # every start column spends nothing, the merged mean's too
+            assert not cols.err.any()
             master = fptas._master(inst, cols)
             lp = lp_core.solve(master, basis=sol.basis)
             assert np.abs(lp_core.row_prices(master, lp) - y).max() <= 1e-12
@@ -282,30 +307,103 @@ class TestCalibratedStart:
             assert lp.basis.tolist() == sol.basis.tolist()
             assert lp.iterations == sol.iterations == 0
 
-    def test_overspent_start_raises_as_lp_core_does(self):
-        # at a zero budget the merged event's diagonal column spends more
-        # than the budget; lp_core rejects that crash start the same way.
-        # The calibrated predictor is feasible here: the raise comes from
-        # the merge, and this case changes when the merge is mended
+    def test_merged_mean_solves_calibrated(self):
+        # at a zero budget the mean merged with the breakpoint 0.4 reports
+        # that point and spends nothing of the budget; the calibrated
+        # predictor comes back certified
         inst = _merged_instance(0.0)
-        prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
+        pred, obj = fptas_solve(inst, 0.1)
+        assert pred.support.tolist() == [0.4, 0.8]
+        assert np.array_equal(pred.mass, np.eye(2))
+        assert ece(pred, inst) <= 1e-12
+        assert obj == payoff(pred, inst)
+
+    def test_overspent_start_raises_as_lp_core_does(self):
+        # predictions that miss the means: the calibrated plan on them
+        # spends more than the zero budget, and lp_core rejects that
+        # master's crash start the same way
+        inst = _merged_instance(0.0)
+        ps = np.array([0.0, 0.6])
         with pytest.raises(SolverError) as err:
-            solve_plan_lp(inst, prog)
+            fptas._calibrated_plan(inst, ps)
         assert err.value.code == "NUMERICAL_FAILURE"
         assert "start basis rejected: infeasible start" in str(err.value)
-        n, npred = inst.n, prog.ps.size
-        start = np.arange(n) * npred + np.argmin(
-            prog.fixed.err[:n * npred].reshape(n, npred), axis=1)
-        master = fptas._master(inst, prog.fixed.take(start))
+        cols = fptas._calibrated_plan(inst.with_epsilon(0.5), ps).cols
+        assert cols.p.tolist() == [0.6, 0.6]
+        master = fptas._master(inst, cols)
         with pytest.raises(SolverError) as lp_err:
-            lp_core.solve(master, basis=np.concatenate([[n], np.arange(n)]))
+            lp_core.solve(master, basis=np.concatenate([[2], np.arange(2)]))
         assert "start basis rejected: infeasible start" in str(lp_err.value)
 
-    def test_single_piece_envelope_solves_no_lp(self, solves):
+    def test_early_check_agrees_with_the_full_path(self, solves):
+        # where no diagonal reduced cost is above 0, the grid program's
+        # first pricing round finds nothing above PRICE_TOL and its column
+        # generation returns the calibrated plan bit for bit
+        rng = np.random.default_rng(43)
+        seeded = []
+        for k in range(48):
+            eps = 0.0 if k % 3 == 0 else float(rng.uniform(0, 0.6))
+            seeded.append(random_instance(rng, epsilon=eps,
+                                          norm=(1.0, 1.5, 2.0, 3.0)[k % 4],
+                                          n_max=6, m_max=5))
+        sentinel = [inst for budget in ("wide", "tight")
+                    for inst in _sentinel_set(budget) if inst.norm == 1.0]
+        sets = {"acc3": _acc3(50), "seeded": seeded, "sentinel": sentinel}
+        fired = {}
+        for name, insts in sets.items():
+            fired[name] = 0
+            for inst in insts:
+                early = _early(inst)
+                if early.improvable:
+                    continue
+                fired[name] += 1
+                prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
+                y = prog.calibrated.y
+                assert np.array_equal(y, early.y)
+                reduced = prog.price(y)[2]
+                tol = fptas.PRICE_TOL * float(np.abs(prog.U).max(initial=0.0))
+                assert reduced.max() <= tol
+                cols, sol = solve_plan_lp(inst, prog)
+                for f in dataclasses.fields(cols):
+                    assert np.array_equal(getattr(cols, f.name),
+                                          getattr(early.cols, f.name))
+                assert np.array_equal(sol.x, early.sol.x)
+                assert sol.objective_value == early.sol.objective_value
+                full = plan_to_predictor(cols.plan(sol.x), inst)
+                pred, obj = fptas_solve(inst, 0.1)
+                assert np.array_equal(pred.support, full.support)
+                assert np.array_equal(pred.mass, full.mass)
+                assert obj == sol.objective_value
+        assert solves == []
+        assert fired == {"acc3": 33, "seeded": 24, "sentinel": 1}
+
+    @pytest.mark.parametrize("gain,improved", [(1e-12, False),
+                                               (1e-3, True)])
+    def test_any_gain_builds_the_program(self, solves, builds, gain,
+                                         improved):
+        # one event at 0.45; above the agent's breakpoint at 0.5 the
+        # designer gains ``gain``.  Any gain above 0 builds the grid and
+        # the program; one within PRICE_TOL enters no column there, so
+        # the calibrated plan comes back as before
+        u = np.ones((1, 2, 2))
+        u[0, 1] += gain
+        inst = make_instance([0.45], [1.0], [[0.0, 0.0], [-0.5, 0.5]], u,
+                             0.1)
+        assert _early(inst).improvable
+        obj = fptas_solve(inst, 0.1)[1]
+        assert [len(calls) for calls in builds.values()] == [1, 1]
+        assert bool(solves) == improved
+        assert obj == pytest.approx(1.0 + (gain if improved else 0.0),
+                                    abs=1e-15)
+
+    def test_single_piece_envelope_solves_no_lp(self, solves, builds):
         # one best action on all of [0, 1]: no pooled column pays, so no
         # LP is solved and the calibrated predictor comes back; 17 of
-        # acceptance 3's first 25 instances are such
-        single = [inst for inst in _acc3() if len(envelope(inst)[1]) == 1]
+        # acceptance 3's first 25 instances are such.  Two more have no
+        # misalignment either: neither builds a grid or a program, and
+        # each of the other six builds one of each
+        insts = _acc3()
+        single = [inst for inst in insts if len(envelope(inst)[1]) == 1]
         assert len(single) == 17
         for inst in single:
             pred, obj = fptas_solve(inst, 0.1)
@@ -313,6 +411,11 @@ class TestCalibratedStart:
             assert np.array_equal(pred.mass, np.eye(inst.n))
             assert obj == pytest.approx(payoff(pred, inst), abs=1e-12)
         assert solves == []
+        for inst in insts:
+            fptas_solve(inst, 0.1)
+        misaligned = [id(insts[k]) for k in (4, 7, 11, 20, 21, 24)]
+        for calls in builds.values():
+            assert [id(inst) for inst in calls] == misaligned
 
     def test_lp_calls_and_pivots_are_pinned(self, solves):
         # (lp_core.solve calls, pivots) over acceptance 3's first 25

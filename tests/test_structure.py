@@ -194,6 +194,18 @@ class TestAnalyzeStructure:
         assert not report.ok
         assert any("under-confident" in v for v in report.violations)
 
+    def test_exact_optima_have_the_shape(self):
+        # the structure theorem on solve_exact's raw optima (no agent
+        # tie-break): l1 budgets, event-independent designer utility,
+        # n in [3, 10] and m in [3, 6]
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            inst = random_instance(rng, rng.uniform(0.01, 0.3), 1.0,
+                                   n_min=3, n_max=10, m_min=3, m_max=6,
+                                   event_independent=True)
+            pred = solve_exact(inst, tie_break=None)[1]
+            assert analyze_structure(pred, inst).violations == []
+
 
 class TestCertificates:
     def test_certificate_validation(self):
