@@ -12,10 +12,12 @@ Discretization uses an instance-dependent two-layer grid: a uniform delta
 mesh joined with the outcome means, the breakpoints of the designer's
 indirect utility (the agent's envelope, :func:`caldesign.model.envelope`),
 and geometric micro-nets around each of those anchors whose radii start at
-(eps^t * delta)^(1/t).  Solving the plan LP on this grid loses at most a
-(1 - 3*delta) factor; the paper's rounding scheme realizes that bound
-constructively (it lives with the test-suite, which checks it; the solver
-needs no rounding).
+(eps^t * delta)^(1/t).  Grid points, predictions and supports merge by
+:func:`caldesign.model.runs`, and a value belongs to the first point of its
+run (:func:`_point_of`), so a mean is its own grid and prediction point.
+Solving the plan LP on this grid loses at most a (1 - 3*delta) factor; the
+paper's rounding scheme realizes that bound constructively (it lives with
+the test-suite, which checks it; the solver needs no rounding).
 
 One practical reduction: prediction columns in the LP are restricted to the
 utility breakpoints, the outcome means, and one interior point per constant
@@ -64,7 +66,6 @@ from .model import (
     runs,
 )
 
-GRID_MERGE_TOL = 1e-12
 PRICE_TOL = 1e-10
 
 
@@ -83,19 +84,26 @@ class Grid:
         return self.points.size
 
 
-def _dedup_sorted(values, tol=GRID_MERGE_TOL):
+def _dedup_sorted(values):
     values = np.sort(np.asarray(values, dtype=float))
-    return values[runs(values, tol)]
+    return values[runs(values, SUPPORT_MERGE_TOL)]
 
 
-def build_grid(inst: Instance, delta: float, zs=None) -> Grid:
+def _point_of(points, values):
+    """Index in ``points``, as kept by :func:`_dedup_sorted`, of the point
+    each of ``values`` belongs to: the first point of its run, which is the
+    last point at or below it.  Exact for values among those merged."""
+    return np.searchsorted(points, values, side="right") - 1
+
+
+def build_grid(inst: Instance, delta: float) -> Grid:
     """Instance-dependent two-layer grid with precision ``delta``.
 
     Layer one is the uniform delta mesh plus the outcome means and utility
-    breakpoints ``zs`` (those of :func:`caldesign.model.envelope`, found
-    here unless given).  Layer two places geometric nets of radius
-    (delta0 * (1+delta)^s)^(1/t), s = 0..S, around every anchor, where
-    delta0 = eps^t * delta.  A zero budget collapses layer two.
+    breakpoints ``zs`` of :func:`caldesign.model.envelope`.  Layer two
+    places geometric nets of radius (delta0 * (1+delta)^s)^(1/t), s = 0..S,
+    around every anchor, where delta0 = eps^t * delta.  A zero budget
+    collapses layer two.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0 / 3.0:
@@ -104,8 +112,7 @@ def build_grid(inst: Instance, delta: float, zs=None) -> Grid:
     if t == INF:
         raise ValidationError("UNSUPPORTED_NORM",
                               "the approximation scheme needs a finite norm")
-    if zs is None:
-        zs = envelope(inst)[0]
+    zs = envelope(inst)[0]
     anchors = _dedup_sorted(np.concatenate([zs, inst.theta]))
     levels = int(math.ceil(2.0 / math.log1p(delta) * math.log(1.0 / delta)))
     delta0 = inst.epsilon**t * delta
@@ -143,9 +150,9 @@ class BiEventPlan:
     def __len__(self):
         return self.w.size
 
-    def check_ranges(self, inst, tol=1e-9):
-        lo = inst.theta[self.i] - tol
-        hi = inst.theta[self.j] + tol
+    def check_ranges(self, inst):
+        lo = inst.theta[self.i] - 1e-9
+        hi = inst.theta[self.j] + 1e-9
         if np.any(self.q < lo) or np.any(self.q > hi):
             raise ValidationError("BAD_PLAN",
                                   "q outside the pooled events' mean range")
@@ -190,8 +197,8 @@ class PlanColumns:
         return PlanColumns(*(getattr(self, f.name)[idx]
                              for f in fields(self)))
 
-    def plan(self, weights, keep_tol=1e-12):
-        keep = np.flatnonzero(weights > keep_tol)
+    def plan(self, weights):
+        keep = np.flatnonzero(weights > 1e-12)
         return BiEventPlan(self.i[keep], self.j[keep], self.q[keep],
                            self.p[keep], weights[keep])
 
@@ -209,9 +216,9 @@ class CalibratedPlan:
 
     ``ps`` is the reduced prediction set and ``U[e, c]`` event e's indirect
     utility at ``ps[c]``.  ``diag`` holds the n x P diagonal entries
-    (e, e, theta_e, ps[c]) event by event; a mean within ``GRID_MERGE_TOL``
-    of a prediction point merged with it, so that entry spends nothing.
-    Each event's entry of least error, ``diag.take(start)``, is the only
+    (e, e, theta_e, ps[c]) event by event.  ``ps`` holds every mean, merged,
+    and each event starts at its mean's own point (:func:`_point_of`), whose
+    entry spends nothing.  That entry, ``diag.take(start)``, is the only
     column in supply row e, with coefficient 1, so the restricted master on
     those columns has one feasible point, the calibrated plan x = lam.  Its
     crash basis (the budget row's slack and the n columns) is optimal, as
@@ -250,11 +257,9 @@ def _predictions(inst: Instance, zs):
 
 
 def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
-    """The :class:`CalibratedPlan` of ``inst`` over the predictions ``ps``.
-    A plan that spends more than the budget raises
-    ``SolverError('NUMERICAL_FAILURE')``, as :func:`lp_core.solve` does for
-    an infeasible start.
-    """
+    """The :class:`CalibratedPlan` of ``inst`` over the predictions ``ps``,
+    which must hold every mean, merged (as :func:`_predictions` and a grid's
+    points do); the plan spends nothing of the budget."""
     if inst.norm == INF:
         raise ValidationError("UNSUPPORTED_NORM",
                               "the approximation scheme needs a finite norm")
@@ -262,18 +267,12 @@ def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
     n, npred = inst.n, ps.size
     e = np.repeat(np.arange(n), npred)
     c = np.tile(np.arange(npred), n)
-    gap = np.abs(inst.theta[e] - ps[c])
-    err = np.where(gap <= GRID_MERGE_TOL, 0.0, gap ** inst.norm)
+    err = np.abs(inst.theta[e] - ps[c]) ** inst.norm
+    start = np.arange(n) * npred + _point_of(ps, inst.theta)
+    err[start] = 0.0
     diag = PlanColumns(e, e, inst.theta[e], ps[c], U[e, c], err,
                        np.ones(e.size))
-    start = np.arange(n) * npred + np.argmin(err.reshape(n, npred), axis=1)
     cols = diag.take(start)
-    spent, budget = float(cols.err @ inst.lam), inst.epsilon**inst.norm
-    if not spent <= budget:
-        raise SolverError("NUMERICAL_FAILURE",
-                          f"start basis rejected: infeasible start, the "
-                          f"calibrated plan spends {spent:.3g} of the "
-                          f"budget {budget:.3g}")
     sol = lp_core.LpSolution(lp_core.OPTIMAL, float(cols.obj @ inst.lam),
                              inst.lam.copy(),
                              np.concatenate([[n], np.arange(n)]))
@@ -289,8 +288,9 @@ class PlanProgram:
     Its columns are the diagonal entries of ``calibrated`` (e, e, theta_e,
     p) for every event ``e`` and prediction ``p = ps[c]``, and the pooled
     entries (i, j, points[g], p) for every pair ``i = i[k] < j = j[k]`` of
-    distinct means and grid index ``lo[k] <= g < hi[k]``.  ``U[e, c]`` is
-    event e's indirect utility at ``ps[c]``.  ``fixed`` holds the pricing
+    means at distinct points and grid index ``lo[k] <= g < hi[k]``, from
+    mean i's point to mean j's (:func:`_point_of`).  ``U[e, c]`` is event
+    e's indirect utility at ``ps[c]``.  ``fixed`` holds the pricing
     candidates that no row price moves (see :meth:`price`), opening with the
     n x P diagonal entries event by event; ``fixed_keys`` names each
     candidate: ``(k * points.size + g) * ps.size + c`` for a pooled entry,
@@ -391,41 +391,40 @@ def build_disc_lp(inst: Instance, grid: Grid, calibrated=None):
     q ranges over the grid points inside [theta_i, theta_j], one slice of
     the grid per pair; p over the reduced prediction set of ``calibrated``
     (:func:`_calibrated_plan` on :func:`_predictions` of the grid's
-    breakpoints unless given).  Pairs with equal means are routed through
-    the diagonal entry.  Nothing is built per column: the program holds the
-    slices, the n x P utilities and the fixed pricing candidates: the n x P
+    breakpoints unless given).  A pair pools only means at distinct grid
+    points (:func:`_point_of`); means that share one meet in the diagonal
+    entry.  Nothing is built per column: the program holds the slices,
+    the n x P utilities and the fixed pricing candidates: the n x P
     diagonal entries and at most four per pair and prediction.
     """
     if calibrated is None:
         calibrated = _calibrated_plan(
             inst, _predictions(inst, grid.discontinuities))
-    i, j = np.triu_indices(inst.n, k=1)
-    lo = np.searchsorted(grid.points, inst.theta[i] - GRID_MERGE_TOL)
-    hi = np.searchsorted(grid.points, inst.theta[j] + GRID_MERGE_TOL)
-    keep = (inst.theta[j] - inst.theta[i] > 1e-15) & (hi > lo)
-    return PlanProgram(inst, grid.points, calibrated,
-                       i[keep], j[keep], lo[keep], hi[keep])
+    at = _point_of(grid.points, inst.theta)
+    # the means are sorted, so each such pair has i < j, in row order
+    i, j = np.nonzero(at[:, None] < at)
+    return PlanProgram(inst, grid.points, calibrated, i, j, at[i], at[j] + 1)
 
 
 def plan_to_predictor(plan: BiEventPlan, inst: Instance) -> Predictor:
     """Convert a feasible plan into the predictor it generates.
 
     Each entry hands r-weighted mass to its low event and the rest to its
-    high event at prediction p.  Raises ``SUPPLY_VIOLATION`` when the plan
-    does not conserve some event's prior mass within tolerance.
+    high event at the support point of prediction p (:func:`_point_of`).
+    Raises ``SUPPLY_VIOLATION`` when the plan does not conserve some event's
+    prior mass within tolerance.
     """
     plan.check_ranges(inst)
-    supply = plan.event_supply(inst)
-    if np.any(np.abs(supply - inst.lam) > SUPPLY_TOL):
-        worst = float(np.abs(supply - inst.lam).max())
-        raise ValidationError("SUPPLY_VIOLATION",
-                              f"plan supplies deviate from the prior by {worst:.3e}")
-    support = _dedup_sorted(plan.p, SUPPORT_MERGE_TOL)
-    col = np.searchsorted(support, plan.p - SUPPORT_MERGE_TOL)
+    support = _dedup_sorted(plan.p)
+    col = _point_of(support, plan.p)
     r = plan.contribution(inst)
     mass = np.zeros((inst.n, support.size))
     np.add.at(mass, (plan.i, col), plan.w * r)
     np.add.at(mass, (plan.j, col), plan.w * (1.0 - r))
+    miss = float(np.abs(mass.sum(axis=1) - inst.lam).max())
+    if miss > SUPPLY_TOL:
+        raise ValidationError("SUPPLY_VIOLATION",
+                              f"plan supplies deviate from the prior by {miss:.3e}")
     out = np.zeros_like(mass)
     for i in range(inst.n):
         if inst.lam[i] > 0:
@@ -539,10 +538,9 @@ def fptas_solve(inst: Instance, delta: float):
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValidationError("BAD_DELTA", f"delta must be in (0, 1), got {delta}")
-    zs = envelope(inst)[0]
-    calibrated = _calibrated_plan(inst, _predictions(inst, zs))
+    calibrated = _calibrated_plan(inst, _predictions(inst, envelope(inst)[0]))
     if calibrated.improvable:
-        grid = build_grid(inst, delta / 3.0, zs)
+        grid = build_grid(inst, delta / 3.0)
         cols, sol = solve_plan_lp(inst, build_disc_lp(inst, grid, calibrated))
     else:
         cols, sol = calibrated.cols, calibrated.sol

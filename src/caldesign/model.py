@@ -27,7 +27,8 @@ INF = math.inf
 # induced best responses (crossings move by O(|v|/UTILITY_CAP)).
 UTILITY_CAP = 1e9
 
-# Prediction values closer than this are the same support point.
+# Sorted values within this of the one before are one point (see runs):
+# a support's predictions, and the fptas grid points and means too.
 SUPPORT_MERGE_TOL = 1e-12
 
 # A plan may supply an event's prior mass up to this much off.

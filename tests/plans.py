@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from caldesign.errors import ValidationError
-from caldesign.fptas import GRID_MERGE_TOL, BiEventPlan, _dedup_sorted
+from caldesign.fptas import BiEventPlan, _dedup_sorted
 from caldesign.model import (
     SUPPLY_TOL,
+    SUPPORT_MERGE_TOL,
     Instance,
     Predictor,
     indirect_utility_matrix,
@@ -61,7 +62,7 @@ def plan_objective(plan: BiEventPlan, inst: Instance) -> float:
     """Designer payoff of the plan (pairwise-mixed indirect utility)."""
     ps = _dedup_sorted(plan.p)
     U = indirect_utility_matrix(inst, ps)
-    col = np.searchsorted(ps, plan.p - GRID_MERGE_TOL)
+    col = np.searchsorted(ps, plan.p - SUPPORT_MERGE_TOL)
     r = plan.contribution(inst)
     val = r * U[plan.i, col] + (1.0 - r) * U[plan.j, col]
     return float(plan.w @ val)

@@ -107,6 +107,16 @@ class TestDiscLp:
             want = float(inst.lam @ U.max(axis=1))
             assert sol.objective_value == pytest.approx(want, abs=1e-7)
 
+    def test_pairs_pool_means_at_distinct_points(self):
+        # the chained means share the point 0.4 and pool only with the mean
+        # at 0.9, over the slice from 0.4 to 0.9
+        inst = _merged_instance(0.1, CHAIN3 + (0.9,))
+        prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
+        assert list(zip(prog.i.tolist(), prog.j.tolist())) == [
+            (0, 3), (1, 3), (2, 3)]
+        assert prog.points[prog.lo].tolist() == [0.4] * 3
+        assert prog.points[prog.hi - 1].tolist() == [0.9] * 3
+
     def test_single_event_columns(self):
         inst = make_instance([0.3], [1.0], [[0.0, 0.0], [-0.5, 0.5]],
                              np.ones((1, 2, 2)), 0.1)
@@ -247,12 +257,20 @@ def _acc3(count=25):
             for k in range(count)]
 
 
-def _merged_instance(epsilon):
-    """Two events; the first mean lies 5e-13 above the agent's breakpoint
-    at 0.4, so it merges with that prediction point."""
-    u = np.random.default_rng(40).uniform(0.0, 1.0, (2, 2, 2))
-    return make_instance([0.4 + 5e-13, 0.8], [0.5, 0.5],
+def _merged_instance(epsilon, theta=(0.4 + 5e-13, 0.8)):
+    """Events of equal prior at the means ``theta`` and an agent whose one
+    breakpoint is 0.4; by default the first mean lies 5e-13 above it, so it
+    merges with that prediction point."""
+    n = len(theta)
+    u = np.random.default_rng(40).uniform(0.0, 1.0, (n, 2, 2))
+    return make_instance(list(theta), [1.0 / n] * n,
                          [[0.0, 0.0], [-0.4, 0.6]], u, epsilon)
+
+
+# means each within SUPPORT_MERGE_TOL of the one before, the last further
+# than it from the run's first point 0.4, so all merge into 0.4
+CHAINS = [(0.4 + 0.9e-12, 0.4 + 1.8e-12), (0.4 + 0.6e-12, 0.4 + 1.2e-12)]
+CHAIN3 = (0.4, 0.4 + 0.9e-12, 0.4 + 1.8e-12)
 
 
 def _early(inst):
@@ -318,22 +336,35 @@ class TestCalibratedStart:
         assert ece(pred, inst) <= 1e-12
         assert obj == payoff(pred, inst)
 
+    @pytest.mark.parametrize("theta", CHAINS)
+    def test_chained_means_solve_calibrated(self, theta):
+        # both means merge into the breakpoint 0.4, though the second lies
+        # further than SUPPORT_MERGE_TOL from it: at a zero budget both
+        # report 0.4 and the predictor comes back certified
+        inst = _merged_instance(0.0, theta)
+        assert not _early(inst).cols.err.any()
+        pred, obj = fptas_solve(inst, 0.1)
+        assert pred.support.tolist() == [0.4]
+        assert np.array_equal(pred.mass, np.ones((2, 1)))
+        assert ece(pred, inst) <= 1e-11
+        assert obj == payoff(pred, inst)
+
     def test_overspent_start_raises_as_lp_core_does(self):
-        # predictions that miss the means: the calibrated plan on them
-        # spends more than the zero budget, and lp_core rejects that
-        # master's crash start the same way
+        # the diagonal master at the prediction 0.6, which misses both
+        # means: its calibrated plan spends more than the zero budget, and
+        # lp_core rejects the crash start
         inst = _merged_instance(0.0)
-        ps = np.array([0.0, 0.6])
-        with pytest.raises(SolverError) as err:
-            fptas._calibrated_plan(inst, ps)
-        assert err.value.code == "NUMERICAL_FAILURE"
-        assert "start basis rejected: infeasible start" in str(err.value)
-        cols = fptas._calibrated_plan(inst.with_epsilon(0.5), ps).cols
-        assert cols.p.tolist() == [0.6, 0.6]
+        n = inst.n
+        at = np.arange(n)
+        U = indirect_utility_matrix(inst, np.array([0.6]))[:, 0]
+        cols = fptas.PlanColumns(at, at, inst.theta, np.full(n, 0.6), U,
+                                 np.abs(inst.theta - 0.6) ** inst.norm,
+                                 np.ones(n))
+        assert cols.err @ inst.lam > 0.0
         master = fptas._master(inst, cols)
-        with pytest.raises(SolverError) as lp_err:
-            lp_core.solve(master, basis=np.concatenate([[2], np.arange(2)]))
-        assert "start basis rejected: infeasible start" in str(lp_err.value)
+        with pytest.raises(SolverError) as err:
+            lp_core.solve(master, basis=np.concatenate([[n], at]))
+        assert "start basis rejected: infeasible start" in str(err.value)
 
     def test_early_check_agrees_with_the_full_path(self, solves):
         # where no diagonal reduced cost is above 0, the grid program's
@@ -437,6 +468,20 @@ class TestPlanToPredictor:
         pred = plan_to_predictor(plan, golden)
         assert ece(pred, golden, 1.0) <= 1e-12
         assert np.allclose(np.sort(pred.support), golden.theta)
+
+    @pytest.mark.parametrize("theta,support", [(CHAIN3, [0.4]),
+                                               (CHAIN3 + (0.9,), [0.4, 0.9])])
+    def test_chained_predictions_share_a_point(self, theta, support):
+        # the diagonal plan on chained means: each prediction's mass lands
+        # on the first point of its run, 0.4
+        inst = _merged_instance(0.0, theta)
+        n = inst.n
+        plan = BiEventPlan(range(n), range(n), inst.theta, inst.theta,
+                           inst.lam)
+        pred = plan_to_predictor(plan, inst)
+        assert pred.support.tolist() == support
+        at = [0, 0, 0, 1][:n]
+        assert np.array_equal(pred.mass, np.eye(len(support))[at])
 
     def test_equal_mean_pair_splits_half(self):
         inst = make_instance([0.5, 0.5], [0.5, 0.5], [[0.0, 0.0]],
