@@ -13,23 +13,29 @@ Per-event rows (predictor ``mass``, scheme ``pi``, ``per_event_support``)
 are written and read in the instance file's order of events, whatever the
 order of their means.
 
-A ``sweep`` sorts its distinct budgets and cuts them into blocks of 10;
-an exact block is one walk of :func:`exact.solve_budgets`, which for t=1
+A ``sweep`` sorts its distinct budgets and cuts them into blocks of 10; an
+exact block is one walk of :func:`exact.solve_budgets`, which for t=1
 starts each budget from the previous one's optimal basis.  On Linux, a
-sweep of 20 or more budgets solves its blocks in forked worker processes:
-one per CPU in the affinity mask, but at most one per 10 budgets
-(``taskset -c 0`` makes it serial).  Starting two workers costs about as
-much as solving 5 budgets of the golden instance, and a worker takes whole
-blocks, so two break even at about 20 budgets.  Shorter sweeps, and sweeps
-on other platforms, run in process.  The blocks depend on neither the
-worker count nor the order of the budgets, and rows are written in the
-given order, so the output is identical whatever the order and the worker
-count.  Every budget is checked before any worker starts.
+sweep of 16 or more budgets forks: it runs one process per CPU in the
+affinity mask, but at most one per 8 budgets and one per block (``taskset
+-c 0`` makes it serial).  With ``w`` processes, the calling process solves
+blocks ``0, w, 2w, ...`` itself while ``w - 1`` forked children solve the
+others.  A fork costs about 3 ms on a 2-core host, as much as solving 2 or
+3 budgets of the golden instance, so 2 processes break even at about 12
+budgets.  On that host the golden sweep through :func:`main` (medians of
+33) takes 16.1 ms at 10 budgets, one block, in process; with 2 processes
+it takes 19.4 ms at 20 budgets, 32.7 ms at 40 and 57.9 ms at 81, against
+26.4, 49.0 and 99.0 ms in process.  Shorter sweeps, and sweeps on other
+platforms, run in process.  The blocks depend on neither the process count
+nor the order of the budgets, and rows are written in the given order, so
+the output is identical whatever the order and the process count.  Every
+budget is checked before any child starts.
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure.  Set
-``CALDESIGN_LOG=debug|info|warning`` for logging verbosity; a sweep's
-solver debug logs come from its workers' stderr.  All numeric output is
-printed with 12 significant digits so reruns are byte-identical.
+``CALDESIGN_LOG=debug|info|warning`` for logging verbosity; a forked
+sweep's children write their solver debug logs to the same stderr.  All
+numeric output is printed with 12 significant digits so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ import json
 import logging
 import math
 import os
+import pickle
+import signal
 import sys
 
 import numpy as np
@@ -182,38 +190,82 @@ def _sweep_block(inst, method, delta, budgets):
 
 
 # A sweep solves its sorted budgets in blocks of this many, each one walk of
-# exact.solve_budgets and, when the sweep forks, one task of the pool.  The
-# blocks do not depend on the worker count, and neither do the rows.
+# exact.solve_budgets.  The blocks do not depend on the process count, and
+# neither do the rows.
 _SWEEP_BLOCK = 10
 
-# A sweep takes at most one worker per this many budgets.  On a 2-core host
-# the golden sweep, walked in blocks, breaks even with 2 workers at about 20
-# budgets, the shortest sweep that forks.  Pools of more than 2 workers are
-# unmeasured.
-_BUDGETS_PER_WORKER = 10
-
-_sweep = None  # (instance, method, delta) of a forked sweep worker
-
-
-def _start_sweep_worker(inst, method, delta):
-    global _sweep
-    _sweep = inst, method, delta
+# A sweep takes at most one process per this many budgets, and one per
+# block.  On a 2-core host a fork costs about 3 ms, as much as solving 2 or 3
+# budgets of the golden instance, so 2 processes break even at about 12
+# budgets and win from 16 (a tenth less wall time), the shortest sweep that
+# forks.  More than 2 processes are unmeasured.
+_BUDGETS_PER_WORKER = 8
 
 
-def _sweep_task(budgets):
-    """A worker's rows for a block of budgets.  The instance is the one the
-    worker inherited at the fork, so only budgets and rows cross the pipes
-    and the instance's arrays stay read-only."""
-    inst, method, delta = _sweep
-    return _sweep_block(inst, method, delta, budgets)
+def _solve_blocks(inst, method, delta, blocks, workers):
+    """The rows of each block, from ``workers`` processes: this one solves
+    blocks ``0, workers, 2 * workers, ...`` while ``workers - 1`` forked
+    children solve the others.  A child inherits the instance at the fork
+    and sends back only its rows, or the exception it hit, pickled over a
+    pipe; that exception is raised here.  Every child is reaped before
+    this returns or raises."""
+    rows = [None] * len(blocks)
+    children = []   # (pid, read end, first block) of the unreaped children
+    try:
+        for first in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child never returns into the caller's code or runs its
+                # exit hooks: it leaves by os._exit, 1 if it could not send.
+                try:
+                    os.close(read)
+                    try:
+                        data = pickle.dumps(
+                            [_sweep_block(inst, method, delta, block)
+                             for block in blocks[first::workers]])
+                    except BaseException as exc:  # raised by the parent
+                        data = pickle.dumps(exc)
+                    with open(write, "wb") as fh:
+                        fh.write(data)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, read, first))
+        for k in range(0, len(blocks), workers):
+            rows[k] = _sweep_block(inst, method, delta, blocks[k])
+        while children:
+            pid, read, first = children[0]
+            with open(read, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            os.close(read)
+            if not data:
+                raise RuntimeError(
+                    f"sweep child {pid} sent no rows (exit status "
+                    f"{os.waitstatus_to_exitcode(status)})")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            rows[first::workers] = result
+    finally:
+        # Only a failed sweep gets here with children left; their rows are
+        # not needed.
+        for pid, read, _ in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows
 
 
 def cmd_sweep(args) -> int:
-    """Long sweeps are solved in forked workers on Linux; rows are written
+    """Long sweeps are solved by forked processes on Linux; rows are written
     in the given order, and the CSV depends on neither that order nor the
-    worker count."""
+    process count."""
     inst = _load_instance(args)
-    # Every budget is checked here, before any worker starts.
+    # Every budget is checked here, before any child starts.
     budgets = [inst.with_epsilon(float(tok)).epsilon
                for tok in args.eps.split(",") if tok]
     distinct = sorted(set(budgets))
@@ -221,24 +273,11 @@ def cmd_sweep(args) -> int:
               for k in range(0, len(distinct), _SWEEP_BLOCK)]
     # Fork only on Linux: on macOS a forked child of a process that loaded
     # system frameworks may crash, and Windows has no fork.
-    workers = 0
+    workers = 1
     if sys.platform == "linux":
-        workers = min(len(os.sched_getaffinity(0)),
-                      len(distinct) // _BUDGETS_PER_WORKER)
-    if workers > 1:
-        # Imported here: at module level they would slow every CLI start.
-        # Forked workers inherit the imported package; spawned ones would
-        # each import it again.
-        import concurrent.futures
-        import multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_sweep_worker,
-                initargs=(inst, args.method, args.delta)) as pool:
-            results = list(pool.map(_sweep_task, blocks))
-    else:
-        results = [_sweep_block(inst, args.method, args.delta, block)
-                   for block in blocks]
+        workers = max(1, min(len(os.sched_getaffinity(0)), len(blocks),
+                             len(distinct) // _BUDGETS_PER_WORKER))
+    results = _solve_blocks(inst, args.method, args.delta, blocks, workers)
     solved = dict(zip(distinct, (row for block in results for row in block)))
     rows = ["epsilon,principal_payoff,agent_payoff,ece_of_solution,status"]
     for eps in budgets:

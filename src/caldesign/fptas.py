@@ -432,7 +432,12 @@ def plan_to_predictor(plan: BiEventPlan, inst: Instance) -> Predictor:
     row_sums = out.sum(axis=1)
     for i in range(inst.n):
         if inst.lam[i] == 0.0 or row_sums[i] <= 0:
-            # zero-prior events carry no plan mass; report their own mean
+            # The plan gives this event no mass (its prior is 0, or within
+            # SUPPLY_TOL of 0).  Put it on the support point nearest its
+            # mean, the first on a tie, so that the support stays the plan's
+            # predictions; exact.strategy_to_predictor adds the event's own
+            # mean instead.  With a zero prior the row adds no marginal mass
+            # to any point, so neither choice moves ece or payoff.
             out[i] = 0.0
             k = int(np.argmin(np.abs(support - inst.theta[i])))
             out[i, k] = 1.0

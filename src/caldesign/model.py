@@ -67,10 +67,11 @@ def _parse_utility(value):
 
 
 def _budget(epsilon, norm):
-    """The checked ``(epsilon, norm)`` pair of an instance, as floats."""
-    epsilon = float(epsilon)
-    if not epsilon >= 0:
-        raise ValidationError("BAD_BUDGET", "epsilon must be >= 0")
+    """The checked ``(epsilon, norm)`` pair of an instance, as floats; a
+    budget of ``-0`` is stored as ``0``."""
+    epsilon = float(epsilon) + 0.0
+    if not 0 <= epsilon < math.inf:
+        raise ValidationError("BAD_BUDGET", "epsilon must be finite and >= 0")
     norm = float(norm)
     if not (norm >= 1):
         raise ValidationError("BAD_NORM", "norm exponent must be >= 1 or inf")

@@ -1,10 +1,10 @@
-import concurrent.futures
 import json
 import logging
-import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,8 @@ import pytest
 
 import caldesign
 from caldesign import cli, lp_core
-from caldesign.cli import main
+from caldesign.cli import EXIT_SOLVER, main
+from caldesign.errors import SolverError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = str(DATA / "golden.json")
@@ -63,6 +64,15 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["summary"]["objective"] == pytest.approx(
             5.0, abs=1e-4)
+
+    @pytest.mark.parametrize("method", ["exact", "fptas"])
+    @pytest.mark.parametrize("eps", ["inf", "1e400"])
+    def test_non_finite_budget_exits_2(self, capsys, method, eps):
+        code, out, err = run(capsys, "solve", GOLDEN, "--eps-override", eps,
+                             "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "BAD_BUDGET" in err
 
     def test_malformed_instance_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -148,49 +158,71 @@ class TestSweep:
         run(capsys, "sweep", GOLDEN, "--eps", "0.01,0.04", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_zero_budget_is_written_as_zero(self, capsys):
+        code, out, _ = run(capsys, "sweep", GOLDEN, "--eps=-0,0")
+        assert code == 0
+        first, second = out.splitlines()[1:]
+        assert first == second and first.startswith("0,")
+
 
 class TestSweepWorkers:
-    """On Linux, ``sweep`` solves in a pool of forked workers when the
-    affinity mask holds more than one CPU and there are enough budgets, and
-    in process otherwise.  ``path="pool"`` lifts the size rule, so that
-    short lists take the pool too."""
+    """On Linux, ``sweep`` forks when the affinity mask holds more than one
+    CPU and there are enough budgets: this process solves its share of the
+    blocks and forked children solve the rest.  Otherwise it solves in
+    process.  ``path="pool"`` lifts the size rule, so that short lists
+    fork too if they fill two blocks."""
 
     GOLDEN_BUDGETS = ",".join(f"{0.01 * k:.2f}" for k in range(81))
+    # two blocks, so that the "pool" path forks
+    SHUFFLED_12 = ["0.3", "0.1", "0.2", "0.05", "0", "0.25",
+                   "0.55", "0.45", "0.5", "0.35", "0.15", "0.4"]
     PATHS = {"pool": {0, 1}, "in-process": {0}}
 
     @staticmethod
     def _sweep(monkeypatch, capsys, tmp_path, path, *argv, cpus=None):
         """Run ``sweep`` on one path; returns the exit code, the CSV bytes
-        (None if no file was written), stderr and the worker counts of the
-        pools it started."""
+        (None if no file was written), stderr and ``[process count]`` if
+        the sweep forked, else ``[]``.  No child may outlive the sweep, even
+        one that raised."""
         if path == "pool":
             monkeypatch.setattr(cli, "_BUDGETS_PER_WORKER", 1)
         cpus = TestSweepWorkers.PATHS.get(path) if cpus is None else cpus
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        pools = []
+        forks = []
+        real_fork, real_loads = os.fork, pickle.loads
 
-        class Spy(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, *args, **kwargs):
-                super().__init__(max_workers, *args, **kwargs)
-                pools.append(max_workers)
+        def fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
 
-            def map(self, fn, blocks, **kwargs):
-                # only blocks of budgets cross to the workers: tuples of
-                # floats, never an instance
-                assert all(type(block) is tuple
-                           and all(type(b) is float for b in block)
-                           for block in blocks)
-                return super().map(fn, blocks, **kwargs)
+        def loads(data):
+            # only rows come back from the children, or the exception one
+            # hit: per block, a (fields, failure text or None) pair per budget
+            result = real_loads(data)
+            assert isinstance(result, BaseException) or all(
+                type(block) is list
+                and all(type(row) is tuple and len(row) == 2
+                        and type(row[0]) is str
+                        and type(row[1]) in (str, type(None))
+                        for row in block)
+                for block in result)
+            return result
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(pickle, "loads", loads)
         out = tmp_path / f"{path}.csv"
-        code, _, err = run(capsys, "sweep", GOLDEN, *argv, "-o", str(out))
-        assert multiprocessing.active_children() == []
-        return code, (out.read_bytes() if out.exists() else None), err, pools
+        try:
+            code, _, err = run(capsys, "sweep", GOLDEN, *argv, "-o", str(out))
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        procs = [len(forks) + 1] if forks else []
+        return code, (out.read_bytes() if out.exists() else None), err, procs
 
     @pytest.mark.parametrize("argv", [
         ("--eps", GOLDEN_BUDGETS),
-        ("--eps", "0.3,0.1,0.2", "--method", "fptas", "--delta", "0"),
+        ("--eps", ",".join(SHUFFLED_12), "--method", "fptas", "--delta", "0"),
     ], ids=["golden", "bad-delta"])
     def test_both_paths_write_the_same_bytes(self, monkeypatch, capsys,
                                              tmp_path, argv):
@@ -244,12 +276,13 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_error_rows_and_warnings_keep_the_given_order(
             self, monkeypatch, capsys, tmp_path, caplog, path):
-        budgets = ["0.3", "0.1", "0.2", "0.05", "0", "0.25"]
+        budgets = self.SHUFFLED_12
         caplog.set_level(logging.WARNING, logger="caldesign")
-        code, text, _, _ = self._sweep(
+        code, text, _, procs = self._sweep(
             monkeypatch, capsys, tmp_path, path, "--eps", ",".join(budgets),
             "--method", "fptas", "--delta", "0")
         assert code == 0
+        assert procs == ([2] if path == "pool" else [])
         rows = text.decode().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == [f"{float(b):.12g}"
                                                    for b in budgets]
@@ -263,38 +296,100 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_bad_budget_exits_2_before_solving(self, monkeypatch, capsys,
                                                tmp_path, path):
-        code, text, err, pools = self._sweep(
+        code, text, err, procs = self._sweep(
             monkeypatch, capsys, tmp_path, path, "--eps", "0.1,-0.5,0.2")
         assert code == 2
         assert text is None
         assert "BAD_BUDGET" in err
-        assert pools == []
+        assert procs == []
+
+    @pytest.mark.parametrize("bad", ["inf", "1e400"])
+    def test_non_finite_budget_exits_2_before_forking(self, monkeypatch,
+                                                      capsys, tmp_path, bad):
+        code, text, err, procs = self._sweep(
+            monkeypatch, capsys, tmp_path, "pool", "--eps",
+            f"{self.GOLDEN_BUDGETS},{bad}")
+        assert code == 2
+        assert text is None
+        assert "BAD_BUDGET" in err
+        assert procs == []
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    @pytest.mark.parametrize("error, code", [
+        (SolverError("NUMERICAL_FAILURE", "injected"), EXIT_SOLVER),
+        (ZeroDivisionError("injected"), None),
+    ], ids=["solver-error", "other-error"])
+    def test_a_failing_process_fails_the_sweep(self, monkeypatch, capsys,
+                                               tmp_path, where, error, code):
+        # Whichever process raises, the exception reaches _dispatch as it was
+        # raised: a SolverError exits 3, any other leaves main.  No CSV is
+        # written, and _sweep checks that no child is left, including one
+        # still solving when this process raised.
+        parent = os.getpid()
+        real_block, real_cmd = cli._sweep_block, cli.cmd_sweep
+
+        def block(inst, method, delta, budgets):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise error
+            if where == "parent":
+                time.sleep(60)
+            return real_block(inst, method, delta, budgets)
+
+        dispatched = []
+
+        def cmd_sweep(args):
+            try:
+                return real_cmd(args)
+            except BaseException as exc:
+                dispatched.append(exc)
+                raise
+
+        monkeypatch.setattr(cli, "_sweep_block", block)
+        monkeypatch.setattr(cli, "cmd_sweep", cmd_sweep)
+        argv = ("--eps", self.GOLDEN_BUDGETS)
+        start = time.monotonic()
+        if code is None:
+            with pytest.raises(type(error), match="injected"):
+                self._sweep(monkeypatch, capsys, tmp_path, "pool", *argv)
+        else:
+            got, _, err, procs = self._sweep(monkeypatch, capsys, tmp_path,
+                                             "pool", *argv)
+            assert got == code
+            assert procs == [2]
+            assert err == f"solver error: {error}\n"
+        assert time.monotonic() - start < 30
+        assert not (tmp_path / "pool.csv").exists()
+        [exc] = dispatched
+        assert type(exc) is type(error) and str(exc) == str(error)
+        assert getattr(exc, "code", None) == getattr(error, "code", None)
 
     @pytest.mark.parametrize("budgets, cpus, workers", [
-        (19, {0, 1}, []),          # below two workers' break-even
+        (19, {0, 1}, [2]),         # two processes from 16 budgets
         (20, {0, 1}, [2]),
-        (81, {0, 1}, [2]),         # one worker per CPU
-        (30, {0, 1, 2, 3}, [3]),   # one worker per 10 budgets
+        (81, {0, 1}, [2]),         # one process per CPU
+        (30, {0, 1, 2, 3}, [3]),   # one process per 8 budgets
         (81, {0}, []),
+        (15, {0, 1}, []),          # below two processes' break-even
+        (40, set(range(8)), [4]),  # one process per block
     ])
     def test_size_rule(self, monkeypatch, capsys, tmp_path, budgets, cpus,
                        workers):
         eps = ",".join(f"{0.01 * k:.2f}" for k in range(budgets))
-        code, text, _, pools = self._sweep(
+        code, text, _, procs = self._sweep(
             monkeypatch, capsys, tmp_path, "rule", "--eps", eps, cpus=cpus)
         assert code == 0
-        assert pools == workers
+        assert procs == workers
         pinned = (DATA / "golden_sweep.csv").read_bytes().splitlines(True)
         assert text == b"".join(pinned[:budgets + 1])
 
     def test_other_platforms_run_in_process(self, monkeypatch, capsys,
                                             tmp_path):
         monkeypatch.setattr(sys, "platform", "darwin")
-        code, text, _, pools = self._sweep(
+        code, text, _, procs = self._sweep(
             monkeypatch, capsys, tmp_path, "in-process", "--eps",
             self.GOLDEN_BUDGETS, cpus={0, 1})
         assert code == 0
-        assert pools == []
+        assert procs == []
         assert text == (DATA / "golden_sweep.csv").read_bytes()
 
 

@@ -17,6 +17,7 @@ from caldesign.fptas import (
     solve_plan_lp,
 )
 from caldesign.model import (
+    Predictor,
     agent_payoff,
     ece,
     envelope,
@@ -482,6 +483,26 @@ class TestPlanToPredictor:
         assert pred.support.tolist() == support
         at = [0, 0, 0, 1][:n]
         assert np.array_equal(pred.mass, np.eye(len(support))[at])
+
+    def test_zero_prior_event_takes_the_nearest_point(self):
+        # the plan gives the zero-prior event at 0.9 no mass: it is put on
+        # the support point nearest its mean, 0.8, not on a point of its
+        # own as exact.strategy_to_predictor does; with no marginal mass
+        # it moves neither ece nor payoff, wherever it is put
+        inst = make_instance([0.2, 0.8, 0.9], [0.5, 0.5, 0.0],
+                             [[0.0, 0.0], [-0.5, 0.5]],
+                             np.tile([[1.0, 1.0], [0.0, 3.0]], (3, 1, 1)),
+                             0.0)
+        plan = BiEventPlan([0, 1], [0, 1], [0.2, 0.8], [0.2, 0.8],
+                           [0.5, 0.5])
+        pred = plan_to_predictor(plan, inst)
+        assert pred.support.tolist() == [0.2, 0.8]
+        assert pred.mass.tolist() == [[1, 0], [0, 1], [0, 1]]
+        elsewhere = Predictor(pred.support, [[1, 0], [0, 1], [1, 0]])
+        own_mean = Predictor([0.2, 0.8, 0.9], np.eye(3))
+        for other in (elsewhere, own_mean):
+            assert ece(other, inst) == ece(pred, inst)
+            assert payoff(other, inst) == payoff(pred, inst)
 
     def test_equal_mean_pair_splits_half(self):
         inst = make_instance([0.5, 0.5], [0.5, 0.5], [[0.0, 0.0]],

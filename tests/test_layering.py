@@ -5,9 +5,9 @@ the package.  ``lp_core`` is the leaf engine, which an external solver may
 replace: it imports ``errors`` alone.  ``structure`` works on predictors
 and the agent's envelope from ``model``; it must not reach into the
 solvers.  ``cli`` calls ``exact`` through its public names only.  The
-library is single-process: only ``cli`` starts worker
-processes, and it imports the pool modules inside the function that uses
-them, so that importing ``caldesign.cli`` does not load them.
+library is single-process: only ``cli`` starts processes, by ``os.fork``
+inside a function, so that importing a module starts none, and no module
+imports a process pool.
 """
 
 import ast
@@ -88,34 +88,43 @@ def test_cli_reads_no_private_name_of_exact():
     assert private_reads(source, "exact") == set()
 
 
-POOL_MODULES = {"concurrent", "multiprocessing"}
-
-
-def pool_imports(module):
-    """``module``'s imports of the process-pool modules, as two sets of
-    line numbers: at module level, and inside functions."""
+def forks(module):
+    """``module``'s calls of ``os.fork``, as two sets of line numbers: at
+    module level, and inside functions."""
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
 
-    def imports_pool(node):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
-        else:
-            return False
-        return any(name.split(".")[0] in POOL_MODULES for name in names)
+    def is_fork(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fork"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "os")
 
-    everywhere = {node.lineno for node in ast.walk(tree) if imports_pool(node)}
+    everywhere = {node.lineno for node in ast.walk(tree) if is_fork(node)}
     inside = {node.lineno
               for func in ast.walk(tree)
               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-              for node in ast.walk(func) if imports_pool(node)}
+              for node in ast.walk(func) if is_fork(node)}
     return everywhere - inside, inside
 
 
-def test_only_cli_imports_the_pool_modules_and_only_in_functions():
-    assert pool_imports("cli")[1]     # the reader sees cli's own imports
+def test_only_cli_forks_and_only_inside_a_function():
+    assert forks("cli")[1]     # the reader sees cli's own fork
     for path in sorted(SRC.glob("*.py")):
-        top, inside = pool_imports(path.stem)
-        assert not top, f"{path.stem} imports a pool module at lines {top}"
+        top, inside = forks(path.stem)
+        assert not top, f"{path.stem} forks at module level, lines {top}"
         assert path.stem == "cli" or not inside, path.stem
+
+
+def test_no_module_imports_a_process_pool():
+    pool_modules = {"concurrent", "multiprocessing"}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & pool_modules, \
+                f"{path.stem} line {node.lineno}"

@@ -483,10 +483,18 @@ class TestInstanceHelpers:
             assert getattr(other, name) is getattr(golden, name)
         for eps, norm, code in [(-0.5, None, "BAD_BUDGET"),
                                 (math.nan, None, "BAD_BUDGET"),
+                                (math.inf, None, "BAD_BUDGET"),
+                                ("1e400", None, "BAD_BUDGET"),
                                 (0.1, 0.5, "BAD_NORM")]:
             with pytest.raises(ValidationError) as err:
                 golden.with_epsilon(eps, norm=norm)
             assert err.value.code == code
+
+    def test_negative_zero_budget_is_zero(self, golden):
+        raw = golden.to_json_dict()
+        raw["epsilon"] = -0.0
+        for inst in (golden.with_epsilon(-0.0), validate_instance(raw)):
+            assert math.copysign(1.0, inst.epsilon) == 1.0
 
     def test_theta_bar(self, golden):
         assert golden.theta_bar == pytest.approx(0.7000025)
