@@ -119,11 +119,12 @@ def _summary(inst, pred, objective):
 
 def cmd_solve(args) -> int:
     """Predictor and scheme rows are written in the instance file's order."""
+    if args.strategy_out and args.method != "exact":
+        raise ValidationError("BAD_FORMAT", "--strategy-out needs --method exact")
     inst = _load_instance(args)
     if args.method == "exact":
         strat, pred, objective = exact.solve_exact(inst)
     else:
-        strat = None
         pred, objective = fptas.fptas_solve(inst, args.delta)
     summary = _summary(inst, pred, objective)
     if args.output:
@@ -133,9 +134,6 @@ def cmd_solve(args) -> int:
             fh.write("\n")
         log.info("wrote predictor to %s", args.output)
     if args.strategy_out:
-        if strat is None:
-            raise ValidationError("BAD_FORMAT",
-                                  "--strategy-out needs --method exact")
         scheme = strat.to_json_dict(inst)
         scheme["pi"] = inst.to_caller(strat.pi).tolist()
         with open(args.strategy_out, "w", encoding="utf-8") as fh:
@@ -268,6 +266,8 @@ def cmd_sweep(args) -> int:
     # Every budget is checked here, before any child starts.
     budgets = [inst.with_epsilon(float(tok)).epsilon
                for tok in args.eps.split(",") if tok]
+    if not budgets:
+        raise ValidationError("BAD_BUDGET", f"no budget in --eps {args.eps!r}")
     distinct = sorted(set(budgets))
     blocks = [tuple(distinct[k:k + _SWEEP_BLOCK])
               for k in range(0, len(distinct), _SWEEP_BLOCK)]

@@ -12,17 +12,20 @@ optimal predictor by predicting p(a) whenever action a would be recommended.
 
 Every predictor is a post-processed calibrated one, so the truthful scheme
 (no bias, each event recommends its own best response) is always feasible;
-the solve starts its simplex there (a crash basis), as ``lp_core``
-requires a feasible start.  The program's value is a supremum: two signals
-may recommend different actions at one biased mean, an indifference point
-of the agent, and a predictor cannot tell them apart there.  When an
-optimal scheme does that, the budget is lowered by ``SEPARATION``, the
-program re-solved, and each of the two signals moves ``SEPARATION`` away
-from the shared mean through its bias, so that each action is the agent's
-strict choice at its own prediction.  Every
-solve ends with a certificate independent of the solver: the returned
-predictor's calibration error is within the budget and its payoff is the
-returned objective, or ``SolverError('UNCERTIFIED')`` is raised.
+the solve starts its simplex there (a crash basis), as ``lp_core`` requires
+a feasible start.  Each ``lp_core`` solve returns an optimal vertex or
+raises; the program is bounded (``pi`` rows are stochastic and the bias is
+capped by the budget).  The agent tie-break re-solves once over the optimal
+face and keeps the first-stage vertex if that solve raises.  The program's
+value is a supremum: two signals may recommend different actions at one
+biased mean, an indifference point of the agent, and a predictor cannot tell
+them apart there.  When an optimal scheme does that, the budget is lowered
+by ``SEPARATION``, the program re-solved, and each of the two signals moves
+``SEPARATION`` away from the shared mean through its bias, so that each
+action is the agent's strict choice at its own prediction.  Every solve ends
+with a certificate independent of the solver: the returned predictor's
+calibration error is within the budget and its payoff is the returned
+objective, or ``SolverError('UNCERTIFIED')`` is raised.
 
 :func:`solve_budgets` solves one instance at a list of budgets on one
 program, and :func:`solve_exact` is its one-budget case.  For t=1 the
@@ -62,9 +65,9 @@ MERGE_TOL = 1e-9
 # The certificate (:func:`certify`): the calibration error may exceed the
 # budget by CERT_ECE_TOL, and the payoff may miss the objective by
 # CERT_PAYOFF_TOL * (1 + |objective|), which covers the agent tie-break's
-# widest payoff slack (1e-5).
+# payoff slack (1e-7) and the solver's round-off.
 CERT_ECE_TOL = 1e-7
-CERT_PAYOFF_TOL = 2e-5
+CERT_PAYOFF_TOL = 2e-7
 
 log = logging.getLogger("caldesign")
 
@@ -218,13 +221,13 @@ def solve_exact(inst: Instance, tie_break="agent"):
     The first stage starts its simplex at the truthful scheme
     (:func:`_truthful_basis`), a feasible vertex of every instance.  The
     optimal face is often degenerate (several schemes reach the same
-    designer payoff); with ``tie_break="agent"`` a second solve maximizes
+    designer payoff); with ``tie_break="agent"`` one second solve maximizes
     the agent's expected utility over that face, which keeps the selection
     deterministic and avoids gratuitously harmful recommendations.  Pass
     ``tie_break=None`` for the raw first-stage vertex.  The second solve
     starts from the first stage's optimal basis (see
     :func:`_refine_for_agent`), so it needs only the pivots that move along
-    the optimal face.
+    the optimal face; if it raises, the first-stage vertex stands.
 
     If two signals of the optimal scheme meet at one biased mean and the
     predictor would lose payoff by merging them (:func:`_lossy_merges`), the
@@ -310,11 +313,6 @@ def _solve_stages(inst, lp, tie_break, walk):
     agent refine; returns the first stage's objective, the final vertex's
     strategy and the first stage's optimal basis."""
     sol = _first_stage(inst, lp, walk)
-    if not sol.is_optimal:
-        raise SolverError(
-            "NO_SOLUTION",
-            f"recommendation program came back {sol.status}; the truthful "
-            f"scheme is feasible, so data is likely malformed")
     best = float(sol.objective_value)
     x = sol.x
     if tie_break == "agent":
@@ -426,36 +424,27 @@ def _refine_for_agent(inst, lp, best, fallback, basis):
     """Re-solve over the (slightly slackened) optimal face for agent welfare.
 
     The refine program is ``lp`` plus the payoff floor ``objective @ x >=
-    best - slack``.  The first-stage vertex is feasible for it, so each
-    solve starts from the first stage's optimal ``basis`` plus the floor
-    row's surplus, whose value there is the slack itself.  A solve that
-    fails, a rejected start included (on an ill-conditioned basis ``B⁻¹b``
-    can read slightly negative), is logged with its slack and retried at
-    the wider slack; when both fail, ``fallback``, the first-stage vertex,
-    comes back.
+    best - 1e-7 * (1 + |best|)``.  The first-stage vertex is feasible for
+    it, so the one solve starts from the first stage's optimal ``basis``
+    plus the floor row's surplus, whose value there is the slack itself.
+    If that solve raises (on an ill-conditioned basis ``B⁻¹b`` can read
+    slightly negative, and the start is rejected), the error is logged and
+    ``fallback``, the first-stage vertex, comes back.
     """
     nm = inst.n * inst.m
     agent_obj = np.zeros(lp.num_vars)
     agent_obj[:nm] = (inst.lam[:, None] * inst.vbar_events).ravel()
+    slack = 1e-7 * (1.0 + abs(best))
+    refined = lp_core.LinearProgram(
+        agent_obj, np.vstack([lp.A, lp.objective]), np.append(lp.rel, ">="),
+        np.append(lp.b, best - slack))
     start = np.append(basis, lp.num_vars + lp.b.size)
-    A = np.vstack([lp.A, lp.objective])
-    rel = np.append(lp.rel, ">=")
-    for slack_scale in (1e-7, 1e-5):
-        slack = slack_scale * (1.0 + abs(best))
-        refined = lp_core.LinearProgram(agent_obj, A, rel,
-                                        np.append(lp.b, best - slack))
-        try:
-            sol2 = lp_core.solve(refined, basis=start)
-        except SolverError as err:
-            log.debug("agent tie-break refine failed at slack %.3g: %s",
-                      slack, err)
-            continue
-        if sol2.is_optimal:
-            return sol2.x
-        log.debug("agent tie-break refine came back %s at slack %.3g",
-                  sol2.status, slack)
-    log.debug("agent tie-break fell back to the first-stage vertex")
-    return fallback
+    try:
+        return lp_core.solve(refined, basis=start).x
+    except SolverError as err:
+        log.debug("agent tie-break refine failed at slack %.3g: %s; the "
+                  "first-stage vertex stands", slack, err)
+        return fallback
 
 
 def strategy_to_predictor(strat: SenderStrategy, inst: Instance) -> Predictor:

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import lp_core
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .exact import certify
 from .model import (
     INF,
@@ -273,8 +273,7 @@ def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
     diag = PlanColumns(e, e, inst.theta[e], ps[c], U[e, c], err,
                        np.ones(e.size))
     cols = diag.take(start)
-    sol = lp_core.LpSolution(lp_core.OPTIMAL, float(cols.obj @ inst.lam),
-                             inst.lam.copy(),
+    sol = lp_core.LpSolution(float(cols.obj @ inst.lam), inst.lam.copy(),
                              np.concatenate([[n], np.arange(n)]))
     return CalibratedPlan(ps, U, diag, start, sol,
                           np.concatenate([[0.0], cols.obj]))
@@ -425,24 +424,22 @@ def plan_to_predictor(plan: BiEventPlan, inst: Instance) -> Predictor:
     if miss > SUPPLY_TOL:
         raise ValidationError("SUPPLY_VIOLATION",
                               f"plan supplies deviate from the prior by {miss:.3e}")
-    out = np.zeros_like(mass)
-    for i in range(inst.n):
-        if inst.lam[i] > 0:
-            out[i] = mass[i] / inst.lam[i]
-    row_sums = out.sum(axis=1)
-    for i in range(inst.n):
-        if inst.lam[i] == 0.0 or row_sums[i] <= 0:
-            # The plan gives this event no mass (its prior is 0, or within
-            # SUPPLY_TOL of 0).  Put it on the support point nearest its
-            # mean, the first on a tie, so that the support stays the plan's
-            # predictions; exact.strategy_to_predictor adds the event's own
-            # mean instead.  With a zero prior the row adds no marginal mass
-            # to any point, so neither choice moves ece or payoff.
-            out[i] = 0.0
-            k = int(np.argmin(np.abs(support - inst.theta[i])))
-            out[i, k] = 1.0
-        else:
-            out[i] /= row_sums[i]
+    lam = inst.lam[:, None]
+    out = np.divide(mass, lam, out=np.zeros_like(mass), where=lam > 0)
+    row_sums = out.sum(axis=1, keepdims=True)
+    dead = (lam == 0.0) | (row_sums <= 0)
+    np.divide(out, row_sums, out=out, where=~dead)
+    dead = np.flatnonzero(dead)
+    if dead.size:
+        # The plan gives these events no mass (their prior is 0, or within
+        # SUPPLY_TOL of 0).  Put each on the support point nearest its mean,
+        # the first on a tie, so that the support stays the plan's
+        # predictions; exact.strategy_to_predictor adds the event's own mean
+        # instead.  With a zero prior the row adds no marginal mass to any
+        # point, so neither choice moves ece or payoff.
+        near = np.abs(support - inst.theta[dead, None]).argmin(axis=1)
+        out[dead] = 0.0
+        out[dead, near] = 1.0
     return Predictor(support, out)
 
 
@@ -512,9 +509,6 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
         master = _master(inst, cols)
         sol = lp_core.solve(master, basis=basis)
         pivots += sol.iterations
-        if not sol.is_optimal:
-            raise SolverError("NO_SOLUTION",
-                              f"discretized plan program came back {sol.status}")
         y = lp_core.row_prices(master, sol)
     return cols, replace(sol, iterations=pivots)
 

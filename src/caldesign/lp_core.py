@@ -37,9 +37,11 @@ rule gives up Bland's finite termination guarantee; a pivot cap raises
 ``SolverError('NUMERICAL_FAILURE')`` instead, so a solve never stalls
 silently.  Rows and columns are equilibrated (scaled to unit max-norm)
 before solving so that utility sentinels of size ~1e9 coexist with O(1)
-data.  An optimal solution carries its basis, from which
-:func:`row_prices` computes the row prices on demand (column generation
-prices with them) and which can start the next solve.
+data.  A solve ends one of two ways: it returns an optimal solution,
+checked against every row, or it raises :class:`SolverError` (an
+unbounded program raises ``NO_SOLUTION``).  The solution carries its
+basis, from which :func:`row_prices` computes the row prices on demand
+(column generation prices with them) and which can start the next solve.
 
 Problems here are small: the exact path's are square, up to about 90 rows,
 and the approximation scheme's restricted masters have n + 1 rows by a few
@@ -51,15 +53,11 @@ external solver can be swapped in by replacing :func:`solve`; the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
-
-OPTIMAL = "OPTIMAL"
-UNBOUNDED = "UNBOUNDED"
 
 FEASIBILITY_TOL = 1e-7
 _COST_TOL = 1e-10
@@ -118,21 +116,17 @@ class LpSolution:
     none: a caller that can choose another start can decline a clamped one.
     """
 
-    status: str
     objective_value: float
-    x: np.ndarray | None
+    x: np.ndarray
     basis: np.ndarray
     iterations: int = 0
     start_clamp: float = 0.0
 
-    @property
-    def is_optimal(self):
-        return self.status == OPTIMAL
-
 
 def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
-    """Solve the program from the start basis ``basis``; the result is
-    OPTIMAL or UNBOUNDED.
+    """Solve the program from the start basis ``basis``: the result is an
+    optimal solution that meets every row, or :class:`SolverError` is
+    raised.
 
     ``basis`` names one column per row in :attr:`LpSolution.basis`'s
     numbering (structural ``j``, or ``num_vars + r`` for the slack or
@@ -142,7 +136,9 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
     entries, an ``==`` row's logical column, which does not exist, a
     singular or infeasible basis) raises ``SolverError('NUMERICAL_FAILURE',
     'start basis rejected: <reason>')``, as do a stall past ``max_iter``
-    pivots and a solution that misses a row.
+    pivots and a solution that misses a row.  An unbounded program raises
+    ``SolverError('NO_SOLUTION', 'program is unbounded')``; every program
+    the package poses has a bounded feasible set.
     """
     n = lp.num_vars
     rows = lp.b.size
@@ -198,11 +194,11 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
     if code == 2:
         raise SolverError("NUMERICAL_FAILURE",
                           f"simplex exceeded {max_iter} pivots")
+    if code == 1:
+        raise SolverError("NO_SOLUTION", "program is unbounded")
     basic = cols.copy()
     logical = cols >= n
     basic[logical] = n + slack_rows[cols[logical] - n]
-    if code == 1:
-        return LpSolution(UNBOUNDED, math.inf, None, basic, pivots, clamp)
 
     y = np.zeros(n_total)
     y[cols] = T[:rows, -1]
@@ -210,8 +206,7 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
     x = y[:n] / col_scale + 0.0
 
     _check_solution(lp, x)
-    return LpSolution(OPTIMAL, float(lp.objective @ x), x, basic, pivots,
-                      clamp)
+    return LpSolution(float(lp.objective @ x), x, basic, pivots, clamp)
 
 
 def row_prices(lp: LinearProgram, sol: LpSolution) -> np.ndarray:

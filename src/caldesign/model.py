@@ -251,7 +251,7 @@ class Predictor:
     ``SUPPORT_MERGE_TOL`` are merged on ingestion.
     """
 
-    def __init__(self, support, mass, merge_tol=SUPPORT_MERGE_TOL):
+    def __init__(self, support, mass):
         support = _as_float_array(support, "support", "BAD_SUPPORT").ravel()
         mass = np.atleast_2d(_as_float_array(mass, "mass", "BAD_MASS"))
         if mass.shape[1] != support.size:
@@ -266,7 +266,7 @@ class Predictor:
         mass = np.clip(mass, 0.0, None)
 
         order = np.argsort(support, kind="stable")
-        starts = runs(support[order], merge_tol)
+        starts = runs(support[order], SUPPORT_MERGE_TOL)
         self.support = support[order][starts]
         self.mass = np.add.reduceat(mass[:, order], starts, axis=1)
         rows = self.mass.sum(axis=1)

@@ -117,9 +117,7 @@ def recalibrate(pred: Predictor, inst: Instance):
                         zip(np.split(weight, cuts), np.split(kap, cuts))])
     gmass = np.add.reduceat(pred.mass[:, cols], starts, axis=1)
     sizes = np.diff(starts, append=cols.size)
-    # group means are strictly increasing, so disable support merging to keep
-    # the calibrated support aligned with the plan's q-marginal one-to-one
-    gtilde = Predictor(q_atoms, gmass, merge_tol=0.0)
+    gtilde = Predictor(q_atoms, gmass)
     plan = EventIndependentPlan(np.repeat(q_atoms, sizes), pred.support[cols],
                                 weight)
     return gtilde, plan

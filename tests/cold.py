@@ -9,13 +9,11 @@ package solve knows a feasible vertex of its program.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from caldesign import lp_core
+from caldesign.errors import SolverError
 
-INFEASIBLE = "INFEASIBLE"
 # phase 1 leaves the program infeasible when an artificial stays above this,
 # relative to the largest entry of A and b
 PHASE1_TOL = 1e-8
@@ -39,8 +37,10 @@ def cold_solve(lp, max_iter=None):
     the basis that results.  An artificial that no column can replace marks
     its row as redundant: the row is dropped, the rest is solved, and the
     solution's ``basis`` is None, since it does not number ``lp``'s rows.
-    Status ``INFEASIBLE`` when phase 1 ends above zero.  ``iterations`` sums
-    the pivots of both phases.
+    Raises ``SolverError('NO_SOLUTION', 'program is infeasible ...')`` when
+    phase 1 ends above zero, as ``lp_core.solve`` raises ``NO_SOLUTION``
+    with ``'program is unbounded'``.  ``iterations`` sums the pivots of both
+    phases.
     """
     n, rows = lp.num_vars, lp.b.size
     flip = lp.b < 0
@@ -64,8 +64,8 @@ def cold_solve(lp, max_iter=None):
     phase1 = _solve(aux, start, max_iter)
     scale = max(1.0, np.abs(A).max(initial=0.0), b.max(initial=0.0))
     if np.any(phase1.x[n:] > PHASE1_TOL * scale):
-        return lp_core.LpSolution(INFEASIBLE, math.nan, None, None,
-                                  phase1.iterations)
+        raise SolverError("NO_SOLUTION", "program is infeasible: phase 1 "
+                          f"ends at {-phase1.objective_value:.3g}")
 
     basis = phase1.basis.copy()
     usable = np.ones(full.shape[1], dtype=bool)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from caldesign import lp_core
-from caldesign.errors import ValidationError
+from caldesign.errors import SolverError, ValidationError
 from caldesign.model import INF, Instance, Predictor, ece, indirect_utility_matrix, payoff
 
 from cold import cold_solve
@@ -166,8 +166,11 @@ def exhaustive_best(inst: Instance, grid_step: float):
     for subset in subsets:
         support = grid[list(subset)]
         lp = _fixed_support_lp(inst, support)
-        sol = cold_solve(lp)
-        if not sol.is_optimal:
+        try:
+            sol = cold_solve(lp)
+        except SolverError as err:
+            if err.code != "NO_SOLUTION":
+                raise
             continue
         K = support.size
         mass = sol.x[:inst.n * K].reshape(inst.n, K).clip(min=0.0)

@@ -51,6 +51,20 @@ class TestSolve:
         total_bias = sum(abs(b) for b in scheme["bias"].values())
         assert total_bias <= 0.04 + 1e-7
 
+    def test_strategy_out_with_fptas_exits_2_before_solving(
+            self, monkeypatch, capsys, tmp_path):
+        def refuse(*args):
+            raise AssertionError("solved before the flags were checked")
+
+        monkeypatch.setattr(cli.fptas, "fptas_solve", refuse)
+        pred, scheme = tmp_path / "pred.json", tmp_path / "scheme.json"
+        code, out, err = run(capsys, "solve", GOLDEN, "--method", "fptas",
+                             "-o", str(pred), "--strategy-out", str(scheme))
+        assert code == 2
+        assert out == ""
+        assert "BAD_FORMAT" in err
+        assert not pred.exists() and not scheme.exists()
+
     def test_fptas_guarantee(self, capsys):
         code, out, _ = run(capsys, "solve", GOLDEN, "--method", "fptas",
                            "--delta", "0.1")
@@ -298,6 +312,16 @@ class TestSweepWorkers:
                                                tmp_path, path):
         code, text, err, procs = self._sweep(
             monkeypatch, capsys, tmp_path, path, "--eps", "0.1,-0.5,0.2")
+        assert code == 2
+        assert text is None
+        assert "BAD_BUDGET" in err
+        assert procs == []
+
+    @pytest.mark.parametrize("eps", [",", ""])
+    def test_empty_budget_list_exits_2(self, monkeypatch, capsys, tmp_path,
+                                       eps):
+        code, text, err, procs = self._sweep(
+            monkeypatch, capsys, tmp_path, "pool", "--eps", eps)
         assert code == 2
         assert text is None
         assert "BAD_BUDGET" in err
