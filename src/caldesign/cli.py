@@ -264,7 +264,7 @@ def cmd_sweep(args) -> int:
     process count."""
     inst = _load_instance(args)
     # Every budget is checked here, before any child starts.
-    budgets = [inst.with_epsilon(float(tok)).epsilon
+    budgets = [inst.with_epsilon(tok).epsilon
                for tok in args.eps.split(",") if tok]
     if not budgets:
         raise ValidationError("BAD_BUDGET", f"no budget in --eps {args.eps!r}")

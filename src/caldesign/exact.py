@@ -75,12 +75,12 @@ log = logging.getLogger("caldesign")
 class SenderStrategy:
     """Signaling scheme plus per-signal belief bias.
 
-    ``pi`` is (n_events, n_signals) with rows summing to 1, ``bias`` has one
-    entry per signal, and ``signal_actions`` labels each signal with the
-    action index it induces (identity for direct strategies).
+    ``pi`` is (n_events, n_signals) with rows summing to 1 and ``bias`` has
+    one entry per signal.  The scheme is direct: signal ``k`` recommends
+    action ``k``.
     """
 
-    def __init__(self, pi, bias, signal_actions=None):
+    def __init__(self, pi, bias):
         pi = np.atleast_2d(np.asarray(pi, dtype=float))
         bias = np.asarray(bias, dtype=float).ravel()
         if pi.shape[1] != bias.size:
@@ -91,14 +91,8 @@ class SenderStrategy:
         if np.any(np.abs(rows - 1.0) > 1e-9):
             raise ValidationError("BAD_STRATEGY",
                                   f"per-event signal mass sums {rows} are not 1")
-        if signal_actions is None:
-            signal_actions = np.arange(bias.size)
-        signal_actions = np.asarray(signal_actions, dtype=int).ravel()
-        if signal_actions.size != bias.size:
-            raise ValidationError("BAD_STRATEGY", "one action label per signal")
         self.pi = np.clip(pi, 0.0, None)
         self.bias = bias
-        self.signal_actions = signal_actions
 
     @property
     def n_signals(self):
@@ -119,9 +113,9 @@ class SenderStrategy:
     def to_json_dict(self, inst):
         return {
             "pi": [row.tolist() for row in self.pi],
-            "bias": {inst.actions[a] if 0 <= a < inst.m else str(a): float(b)
-                     for a, b in zip(self.signal_actions, self.bias)},
-            "signal_actions": [int(a) for a in self.signal_actions],
+            "bias": {inst.actions[a] if a < inst.m else str(a): float(b)
+                     for a, b in enumerate(self.bias)},
+            "signal_actions": list(range(self.n_signals)),
         }
 
 
@@ -372,7 +366,7 @@ def _lossy_merges(inst, strat):
             continue
         signals = live[group]
         w = weights[:, signals]
-        own = float(np.sum(w * inst.ubar[:, strat.signal_actions[signals]]))
+        own = float(np.sum(w * inst.ubar[:, signals]))
         pooled = w.sum(axis=1)
         act = action_profile(inst, means[group[:1]], pooled[:, None])[0]
         if pooled @ inst.ubar[:, act] < own - MERGE_TOL * (1.0 + abs(own)):
@@ -397,7 +391,7 @@ def _separate(inst, strat, merged):
                 f"{max(tied, signals.size)} actions meet at biased mean "
                 f"{p:.9g}; two can be pulled apart, more cannot")
         up, down = signals
-        if slope[strat.signal_actions[up]] < slope[strat.signal_actions[down]]:
+        if slope[up] < slope[down]:
             up, down = down, up
         strat.bias[up] += min(SEPARATION, 1.0 - p) * mass[up]
         strat.bias[down] -= min(SEPARATION, p) * mass[down]

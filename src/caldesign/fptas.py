@@ -6,7 +6,9 @@ The solver optimizes over pairwise ("bi-event") post-processing plans: mass
 ratio r = (theta_j - q) / (theta_j - theta_i) says how much of the pooled
 mass event ``i`` supplies.  Feasible plans conserve each event's prior mass
 and keep sum chi |q - p|^t within the budget; any such plan converts into a
-predictor with no worse calibration error and identical payoff.
+predictor with no worse calibration error and identical payoff
+(:func:`plan_to_predictor`).  A plan is one type, the plan LP's own
+:class:`PlanColumns` with the mass on each column.
 
 Discretization uses an instance-dependent two-layer grid: a uniform delta
 mesh joined with the outcome means, the breakpoints of the designer's
@@ -47,7 +49,7 @@ exceeds ``PRICE_TOL`` relative to the largest objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,61 +131,12 @@ def build_grid(inst: Instance, delta: float) -> Grid:
     return Grid(points, delta, delta0, levels, zs)
 
 
-class BiEventPlan:
-    """Finitely supported mass over (event pair, outcome q, prediction p)."""
-
-    def __init__(self, i, j, q, p, w):
-        self.i = np.asarray(i, dtype=int).ravel()
-        self.j = np.asarray(j, dtype=int).ravel()
-        self.q = np.asarray(q, dtype=float).ravel()
-        self.p = np.asarray(p, dtype=float).ravel()
-        self.w = np.asarray(w, dtype=float).ravel()
-        sizes = {arr.size for arr in (self.i, self.j, self.q, self.p, self.w)}
-        if len(sizes) != 1:
-            raise ValidationError("BAD_PLAN", "ragged plan arrays")
-        if np.any(self.i > self.j):
-            raise ValidationError("BAD_PLAN", "event pairs need i <= j")
-        if np.any(self.w < -1e-12):
-            raise ValidationError("BAD_PLAN", "negative plan mass")
-        self.w = np.clip(self.w, 0.0, None)
-
-    def __len__(self):
-        return self.w.size
-
-    def check_ranges(self, inst):
-        lo = inst.theta[self.i] - 1e-9
-        hi = inst.theta[self.j] + 1e-9
-        if np.any(self.q < lo) or np.any(self.q > hi):
-            raise ValidationError("BAD_PLAN",
-                                  "q outside the pooled events' mean range")
-
-    def contribution(self, inst):
-        """Fraction of each entry's mass supplied by its low event."""
-        ti = inst.theta[self.i]
-        tj = inst.theta[self.j]
-        r = np.ones(len(self))
-        wide = tj > ti + 1e-15
-        r[wide] = (tj[wide] - self.q[wide]) / (tj[wide] - ti[wide])
-        return np.clip(r, 0.0, 1.0)
-
-    def raw_error(self, t):
-        """sum chi |q - p|^t (the budget-side quantity, before the 1/t root)."""
-        return float(self.w @ np.abs(self.q - self.p) ** t)
-
-    def event_supply(self, inst):
-        """Per-event mass the plan consumes; feasible plans match the prior."""
-        r = self.contribution(inst)
-        supply = np.zeros(inst.n)
-        np.add.at(supply, self.i, self.w * r)
-        np.add.at(supply, self.j, self.w * (1.0 - r))
-        return supply
-
-
 @dataclass
 class PlanColumns:
     """Columns of the plan LP: entry (i, j, q, p) earns ``obj``, spends
     ``err`` = |q - p|^t of the budget, and draws the share ``r`` of its
-    mass from event i and ``1 - r`` from event j."""
+    mass from event i and ``1 - r`` from event j.  A plan is such columns
+    with their mass ``w`` (:meth:`plan`)."""
 
     i: np.ndarray
     j: np.ndarray
@@ -192,21 +145,27 @@ class PlanColumns:
     obj: np.ndarray
     err: np.ndarray
     r: np.ndarray
+    w: np.ndarray | None = None
+
+    def __len__(self):
+        return self.obj.size
 
     def take(self, idx):
-        return PlanColumns(*(getattr(self, f.name)[idx]
-                             for f in fields(self)))
+        return PlanColumns(*(getattr(self, name)[idx] for name in _COLUMN))
 
     def plan(self, weights):
+        """The plan that puts ``weights`` on these columns: the columns of
+        mass above 1e-12, with that mass."""
         keep = np.flatnonzero(weights > 1e-12)
-        return BiEventPlan(self.i[keep], self.j[keep], self.q[keep],
-                           self.p[keep], weights[keep])
+        return replace(self.take(keep), w=weights[keep])
+
+
+_COLUMN = ("i", "j", "q", "p", "obj", "err", "r")
 
 
 def _join(parts):
-    return PlanColumns(*(np.concatenate([getattr(part, f.name)
-                                         for part in parts])
-                         for f in fields(PlanColumns)))
+    return PlanColumns(*(np.concatenate([getattr(part, name) for part in parts])
+                         for name in _COLUMN))
 
 
 @dataclass
@@ -405,18 +364,19 @@ def build_disc_lp(inst: Instance, grid: Grid, calibrated=None):
     return PlanProgram(inst, grid.points, calibrated, i, j, at[i], at[j] + 1)
 
 
-def plan_to_predictor(plan: BiEventPlan, inst: Instance) -> Predictor:
-    """Convert a feasible plan into the predictor it generates.
+def plan_to_predictor(plan: PlanColumns, inst: Instance) -> Predictor:
+    """Convert a feasible plan (:meth:`PlanColumns.plan`) into the
+    predictor it generates.
 
-    Each entry hands r-weighted mass to its low event and the rest to its
-    high event at the support point of prediction p (:func:`_point_of`).
-    Raises ``SUPPLY_VIOLATION`` when the plan does not conserve some event's
-    prior mass within tolerance.
+    Each column hands the share r of its mass ``w`` to its low event and
+    the rest to its high event at the support point of prediction p
+    (:func:`_point_of`); r is clipped to [0, 1], as it may stray by
+    rounding.  Raises ``SUPPLY_VIOLATION`` when the plan does not conserve
+    some event's prior mass within tolerance.
     """
-    plan.check_ranges(inst)
     support = _dedup_sorted(plan.p)
     col = _point_of(support, plan.p)
-    r = plan.contribution(inst)
+    r = np.clip(plan.r, 0.0, 1.0)
     mass = np.zeros((inst.n, support.size))
     np.add.at(mass, (plan.i, col), plan.w * r)
     np.add.at(mass, (plan.j, col), plan.w * (1.0 - r))
@@ -543,8 +503,7 @@ def fptas_solve(inst: Instance, delta: float):
         cols, sol = solve_plan_lp(inst, build_disc_lp(inst, grid, calibrated))
     else:
         cols, sol = calibrated.cols, calibrated.sol
-    plan = cols.plan(sol.x)
-    predictor = plan_to_predictor(plan, inst)
+    predictor = plan_to_predictor(cols.plan(sol.x), inst)
     objective = float(sol.objective_value)
     certify(predictor, inst, objective)
     return predictor, objective

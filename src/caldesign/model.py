@@ -58,21 +58,23 @@ def _as_float_array(x, name, code):
     return arr
 
 
-def _parse_utility(value):
-    # JSON cannot carry +/-inf portably, so the strings "inf"/"-inf" are
-    # accepted and saturate at the cap like any other oversized value.
-    if isinstance(value, str):
-        value = float(value)
-    return float(value)
+def _number(value, code, what):
+    """``value`` as a float, or ``ValidationError(code)``; a string such as
+    ``"0.1"`` or ``"-inf"`` is read as the number it spells."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(code, f"{what} must be a number, got "
+                                    f"{value!r}") from None
 
 
 def _budget(epsilon, norm):
     """The checked ``(epsilon, norm)`` pair of an instance, as floats; a
     budget of ``-0`` is stored as ``0``."""
-    epsilon = float(epsilon) + 0.0
+    epsilon = _number(epsilon, "BAD_BUDGET", "epsilon") + 0.0
     if not 0 <= epsilon < math.inf:
         raise ValidationError("BAD_BUDGET", "epsilon must be finite and >= 0")
-    norm = float(norm)
+    norm = _number(norm, "BAD_NORM", "the norm exponent")
     if not (norm >= 1):
         raise ValidationError("BAD_NORM", "norm exponent must be >= 1 or inf")
     return epsilon, norm
@@ -215,6 +217,8 @@ def validate_instance(raw):
         principal_raw = raw["principal_utility"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("BAD_FORMAT", f"missing field {exc}") from None
+    if not isinstance(theta, (list, tuple, np.ndarray)):
+        raise ValidationError("BAD_FORMAT", "theta must be a list of means")
 
     def table(mapping, what):
         if not isinstance(mapping, dict):
@@ -224,9 +228,13 @@ def validate_instance(raw):
             if str(a) not in mapping:
                 raise ValidationError("BAD_FORMAT", f"{what} missing action {a!r}")
             pair = mapping[str(a)]
-            if len(pair) != 2:
+            if not isinstance(pair, (list, tuple, np.ndarray)) or len(pair) != 2:
                 raise ValidationError("BAD_FORMAT", f"{what}[{a!r}] needs [y=0, y=1]")
-            rows.append([_parse_utility(pair[0]), _parse_utility(pair[1])])
+            # JSON cannot carry +/-inf portably, so the strings "inf"/"-inf"
+            # are accepted and saturate at the cap like any other oversized
+            # value.
+            rows.append([_number(x, "BAD_FORMAT", f"{what}[{a!r}]")
+                         for x in pair])
         return rows
 
     v = table(agent_raw, "agent_utility")
@@ -254,8 +262,9 @@ class Predictor:
     def __init__(self, support, mass):
         support = _as_float_array(support, "support", "BAD_SUPPORT").ravel()
         mass = np.atleast_2d(_as_float_array(mass, "mass", "BAD_MASS"))
-        if mass.shape[1] != support.size:
-            raise ValidationError("BAD_MASS", "mass columns must match support")
+        if mass.ndim != 2 or mass.shape[1] != support.size:
+            raise ValidationError("BAD_MASS", "mass must be a matrix whose "
+                                  "columns match support")
         if support.size == 0:
             raise ValidationError("BAD_SUPPORT", "empty support")
         if np.any(support < -1e-12) or np.any(support > 1 + 1e-12):

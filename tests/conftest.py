@@ -6,10 +6,11 @@ import pytest
 
 from caldesign import lp_core
 from caldesign.errors import SolverError
-from caldesign.fptas import PRICE_TOL, BiEventPlan, PlanColumns
+from caldesign.fptas import PRICE_TOL, PlanColumns
 from caldesign.model import Instance, Predictor, envelope, validate_instance
 
 from cold import cold_solve
+from plans import make_plan
 
 DATA = Path(__file__).parent / "data"
 
@@ -242,6 +243,4 @@ def random_feasible_plan(rng, inst, moves=6, anchors_only=True):
         if w > 0:
             entries[key] = entries.get(key, 0.0) + w
     keys = list(entries)
-    return BiEventPlan([k[0] for k in keys], [k[1] for k in keys],
-                       [k[2] for k in keys], [k[3] for k in keys],
-                       [entries[k] for k in keys])
+    return make_plan(inst, *zip(*keys), [entries[k] for k in keys])

@@ -2,9 +2,13 @@
 
 :func:`apply_plan` is the inverse of :func:`caldesign.structure.recalibrate`:
 it blurs the calibrated core back through the event-independent plan.
-:func:`plan_objective` is a :class:`caldesign.fptas.BiEventPlan`'s
-designer payoff; :func:`plan_to_records` and :func:`plan_from_records` give
-such a plan a list-of-dicts form.
+:func:`make_plan` builds a hand-made bi-event plan as the package's plan
+type, :class:`caldesign.fptas.PlanColumns` with mass ``w``, whose columns
+carry each entry's designer payoff ``obj`` and budget spend ``err``, so a
+plan's objective is ``w @ obj`` and its raw error ``w @ err``;
+:func:`plan_supply` is the per-event mass it consumes.
+:func:`plan_to_records` and :func:`plan_from_records` give such a plan a
+list-of-dicts form.
 """
 
 from __future__ import annotations
@@ -12,10 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from caldesign.errors import ValidationError
-from caldesign.fptas import BiEventPlan, _dedup_sorted
+from caldesign.fptas import PlanColumns, _dedup_sorted, _point_of
 from caldesign.model import (
     SUPPLY_TOL,
-    SUPPORT_MERGE_TOL,
     Instance,
     Predictor,
     indirect_utility_matrix,
@@ -58,24 +61,44 @@ def apply_plan(gtilde: Predictor, plan: EventIndependentPlan,
     return Predictor(support, mass)
 
 
-def plan_objective(plan: BiEventPlan, inst: Instance) -> float:
-    """Designer payoff of the plan (pairwise-mixed indirect utility)."""
-    ps = _dedup_sorted(plan.p)
+def make_plan(inst: Instance, i, j, q, p, w) -> PlanColumns:
+    """Mass ``w`` on the entries (i, j, q, p), as plan columns of ``inst``.
+
+    ``r`` is the low event's share (theta_j - q) / (theta_j - theta_i),
+    clipped to [0, 1], or 1 where the means meet; ``err`` is |q - p|^t in
+    ``inst``'s norm; ``obj`` is the pairwise-mixed indirect utility at the
+    plan's own predictions, merged.
+    """
+    i = np.asarray(i, dtype=int).ravel()
+    j = np.asarray(j, dtype=int).ravel()
+    q, p, w = (np.asarray(a, dtype=float).ravel() for a in (q, p, w))
+    ti, tj = inst.theta[i], inst.theta[j]
+    r = np.ones(i.size)
+    wide = tj > ti + 1e-15
+    r[wide] = (tj[wide] - q[wide]) / (tj[wide] - ti[wide])
+    r = np.clip(r, 0.0, 1.0)
+    ps = _dedup_sorted(p)
     U = indirect_utility_matrix(inst, ps)
-    col = np.searchsorted(ps, plan.p - SUPPORT_MERGE_TOL)
-    r = plan.contribution(inst)
-    val = r * U[plan.i, col] + (1.0 - r) * U[plan.j, col]
-    return float(plan.w @ val)
+    col = _point_of(ps, p)
+    obj = r * U[i, col] + (1.0 - r) * U[j, col]
+    return PlanColumns(i, j, q, p, obj, np.abs(q - p) ** inst.norm, r, w)
 
 
-def plan_to_records(plan: BiEventPlan):
+def plan_supply(plan: PlanColumns, n) -> np.ndarray:
+    """Per-event mass the plan consumes; feasible plans match the prior."""
+    supply = np.zeros(n)
+    np.add.at(supply, plan.i, plan.w * plan.r)
+    np.add.at(supply, plan.j, plan.w * (1.0 - plan.r))
+    return supply
+
+
+def plan_to_records(plan: PlanColumns):
     """One ``{"i", "j", "q", "p", "mass"}`` dict per plan entry."""
     return [{"i": int(i), "j": int(j), "q": float(q), "p": float(p),
              "mass": float(w)}
             for i, j, q, p, w in zip(plan.i, plan.j, plan.q, plan.p, plan.w)]
 
 
-def plan_from_records(records) -> BiEventPlan:
-    return BiEventPlan([r["i"] for r in records], [r["j"] for r in records],
-                       [r["q"] for r in records], [r["p"] for r in records],
-                       [r["mass"] for r in records])
+def plan_from_records(records, inst: Instance) -> PlanColumns:
+    return make_plan(inst, *([r[key] for r in records]
+                             for key in ("i", "j", "q", "p", "mass")))

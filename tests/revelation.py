@@ -6,15 +6,30 @@ into one (:func:`contract_signals`) without raising the aggregated bias
 (:func:`aggregated_bias`); and a scheme is recommendation-optimal when each
 signal's biased mean makes its own action a best response
 (:func:`recommendation_ok`).  ``caldesign.exact`` solves over direct schemes
-and never needs these maps, so they live with the tests that check them.
+and never needs these maps, so they live with the tests that check them, as
+do the multi-signal schemes the contraction takes
+(:class:`LabelledStrategy`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from caldesign.errors import ValidationError
 from caldesign.exact import ZERO_MASS_TOL, SenderStrategy
 from caldesign.model import INF, Instance, Predictor, action_profile
+
+
+class LabelledStrategy(SenderStrategy):
+    """A scheme whose signal ``k`` recommends action ``signal_actions[k]``;
+    several signals may recommend one action.  A :class:`SenderStrategy`
+    is direct: its signal ``k`` recommends action ``k``."""
+
+    def __init__(self, pi, bias, signal_actions):
+        super().__init__(pi, bias)
+        self.signal_actions = np.asarray(signal_actions, dtype=int).ravel()
+        if self.signal_actions.size != self.n_signals:
+            raise ValidationError("BAD_STRATEGY", "one action label per signal")
 
 
 def aggregated_bias(strat: SenderStrategy, inst: Instance, t=None) -> float:
@@ -53,7 +68,8 @@ def predictor_to_strategy(pred: Predictor, inst: Instance) -> SenderStrategy:
     return SenderStrategy(pi, bias)
 
 
-def contract_signals(strat: SenderStrategy, inst: Instance) -> SenderStrategy:
+def contract_signals(strat: LabelledStrategy,
+                     inst: Instance) -> LabelledStrategy:
     """Merge signals that induce the same action (revelation step).
 
     Signal probabilities and biases add; the per-event action distribution
@@ -66,12 +82,13 @@ def contract_signals(strat: SenderStrategy, inst: Instance) -> SenderStrategy:
         cols = strat.signal_actions == a
         pi[:, k] = strat.pi[:, cols].sum(axis=1)
         bias[k] = strat.bias[cols].sum()
-    return SenderStrategy(pi, bias, labels)
+    return LabelledStrategy(pi, bias, labels)
 
 
 def recommendation_ok(strat: SenderStrategy, inst: Instance, tol=1e-7) -> bool:
-    """True if every positive-mass signal's biased mean makes its own action
-    an agent best response."""
+    """True if every positive-mass signal ``k`` of the direct scheme
+    ``strat`` has a biased mean at which action ``k`` is an agent best
+    response."""
     mass = strat.signal_mass(inst)
     means = strat.biased_means(inst)
     for k in range(strat.n_signals):
@@ -79,8 +96,7 @@ def recommendation_ok(strat: SenderStrategy, inst: Instance, tol=1e-7) -> bool:
             continue
         p = min(max(float(means[k]), 0.0), 1.0)
         scores = inst.agent_scores(p)
-        a = strat.signal_actions[k]
         scale = max(1.0, float(np.abs(inst.agent_utility).max()))
-        if scores[a] < scores.max() - tol * scale:
+        if scores[k] < scores.max() - tol * scale:
             return False
     return True

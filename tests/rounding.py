@@ -16,8 +16,10 @@ import math
 import numpy as np
 
 from caldesign.errors import SolverError, ValidationError
-from caldesign.fptas import BiEventPlan, Grid
+from caldesign.fptas import Grid, PlanColumns
 from caldesign.model import INF, Instance
+
+from plans import make_plan
 
 
 def _snap(values, grid_points):
@@ -32,7 +34,7 @@ def _snap(values, grid_points):
     return snapped
 
 
-def round_plan(plan: BiEventPlan, inst: Instance, grid: Grid) -> BiEventPlan:
+def round_plan(plan: PlanColumns, inst: Instance, grid: Grid) -> PlanColumns:
     """Round a feasible plan onto the grid, preserving budget and most payoff.
 
     Requires input predictions on the utility breakpoints or outcome means.
@@ -44,7 +46,10 @@ def round_plan(plan: BiEventPlan, inst: Instance, grid: Grid) -> BiEventPlan:
     stays within the calibration budget, and keeps at least a
     (1 - 3*delta) fraction of the input objective when utilities are >= 0.
     """
-    plan.check_ranges(inst)
+    if np.any(plan.q < inst.theta[plan.i] - 1e-9) or \
+            np.any(plan.q > inst.theta[plan.j] + 1e-9):
+        raise ValidationError("BAD_PLAN",
+                              "q outside the pooled events' mean range")
     t = inst.norm
     if t == INF:
         raise ValidationError("UNSUPPORTED_NORM", "finite norms only")
@@ -70,14 +75,13 @@ def round_plan(plan: BiEventPlan, inst: Instance, grid: Grid) -> BiEventPlan:
         key = (int(i), int(j), float(q), float(p))
         acc[key] = acc.get(key, 0.0) + float(w)
 
-    r_all = plan.contribution(inst)
     for idx in range(len(plan)):
         i, j = int(plan.i[idx]), int(plan.j[idx])
         q, p, w = float(plan.q[idx]), float(plan.p[idx]), float(plan.w[idx])
         if w <= 0.0:
             continue
         ti, tj = float(inst.theta[i]), float(inst.theta[j])
-        r = float(r_all[idx])
+        r = float(plan.r[idx])
         # step 1: reserve calibrated diagonal mass
         put(i, i, ti, ti, (1.0 - keep_frac) * w * r)
         put(j, j, tj, tj, (1.0 - keep_frac) * w * (1.0 - r))
@@ -122,8 +126,7 @@ def round_plan(plan: BiEventPlan, inst: Instance, grid: Grid) -> BiEventPlan:
             put(i, j, far, p, rem * (1.0 - share_near))
 
     keys = list(acc.keys())
-    out = BiEventPlan([k[0] for k in keys], [k[1] for k in keys],
-                      _snap(np.array([k[2] for k in keys]), grid.points),
-                      _snap(np.array([k[3] for k in keys]), grid.points),
-                      [acc[k] for k in keys])
-    return out
+    return make_plan(inst, [k[0] for k in keys], [k[1] for k in keys],
+                     _snap(np.array([k[2] for k in keys]), grid.points),
+                     _snap(np.array([k[3] for k in keys]), grid.points),
+                     [acc[k] for k in keys])

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from caldesign.exact import SenderStrategy, solve_exact
+from caldesign.exact import solve_exact
 from caldesign.fptas import build_grid, fptas_solve, plan_to_predictor
 from caldesign.model import INF, agent_payoff, ece, payoff
 from caldesign.structure import (
@@ -25,8 +25,13 @@ from conftest import (
     random_predictor,
 )
 from oracle import SamplerConfig, exhaustive_best, sample_feasible
-from plans import apply_plan, plan_objective
-from revelation import aggregated_bias, contract_signals, predictor_to_strategy
+from plans import apply_plan
+from revelation import (
+    LabelledStrategy,
+    aggregated_bias,
+    contract_signals,
+    predictor_to_strategy,
+)
 from rounding import round_plan
 
 
@@ -115,7 +120,7 @@ class TestAcceptance:
                 inst = random_instance(rng, epsilon=0.5, n_min=2, norm=t)
                 plan = random_feasible_plan(rng, inst, anchors_only=False)
                 pred = plan_to_predictor(plan, inst)
-                gap = ece(pred, inst, t) ** t - plan.raw_error(t)
+                gap = ece(pred, inst, t) ** t - plan.w @ plan.err
                 worst = max(worst, gap)
                 assert gap <= 1e-7
                 count += 1
@@ -157,8 +162,8 @@ class TestAcceptance:
                 for s in shares:
                     pis.append(base.pi[:, k] * s)
                     biases.append(base.bias[k] * s)
-                    labels.append(base.signal_actions[k])
-            lifted = SenderStrategy(np.column_stack(pis), biases, labels)
+                    labels.append(k)
+            lifted = LabelledStrategy(np.column_stack(pis), biases, labels)
             merged = contract_signals(lifted, inst)
             for a in np.unique(lifted.signal_actions):
                 want = lifted.pi[:, lifted.signal_actions == a].sum(axis=1)
@@ -181,7 +186,7 @@ class TestAcceptance:
             delta = (0.05, 0.1)[trial % 2]
             inst = random_instance(rng, epsilon=0.0, n_min=2)
             plan = random_feasible_plan(rng, inst)
-            raw = plan.raw_error(1.0)
+            raw = plan.w @ plan.err
             inst = inst.with_epsilon(raw if raw > 0 else 0.05)
             grid = build_grid(inst, delta)
             rounded = round_plan(plan, inst, grid)
@@ -189,9 +194,9 @@ class TestAcceptance:
                 assert np.min(np.abs(grid.points - q)) <= 1e-12
             for p in rounded.p:
                 assert np.min(np.abs(grid.points - p)) <= 1e-12
-            assert rounded.raw_error(1.0) <= plan.raw_error(1.0) + 1e-12
-            before = plan_objective(plan, inst)
-            after = plan_objective(rounded, inst)
+            assert rounded.w @ rounded.err <= plan.w @ plan.err + 1e-12
+            before = plan.w @ plan.obj
+            after = rounded.w @ rounded.obj
             assert after >= (1 - 3 * delta) * before - 1e-9
             if before > 1e-12:
                 worst_ratio = min(worst_ratio, after / before)

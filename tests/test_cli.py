@@ -114,6 +114,46 @@ class TestSolve:
         assert "UNSUPPORTED_NORM" in err
 
 
+class TestMalformedInput:
+    # (the keys of one field of golden.json and its new value, or None; the
+    # command and its arguments after the instance, where MASS3D names a
+    # predictor whose mass has three dimensions; the error code)
+    CASES = [
+        ((("epsilon",), None), ("solve",), "BAD_BUDGET"),
+        ((("epsilon",), [0.1]), ("solve",), "BAD_BUDGET"),
+        ((("epsilon",), "abc"), ("solve",), "BAD_BUDGET"),
+        ((("norm",), None), ("solve",), "BAD_NORM"),
+        ((("theta",), None), ("solve",), "BAD_FORMAT"),
+        ((("agent_utility", "a1"), 1), ("solve",), "BAD_FORMAT"),
+        ((("agent_utility", "a1"), ["abc", 1]), ("solve",), "BAD_FORMAT"),
+        (None, ("sweep", "--eps", "0.1,abc"), "BAD_BUDGET"),
+        (None, ("eval", "MASS3D"), "BAD_MASS"),
+    ]
+
+    @pytest.mark.parametrize("edit,argv,code", CASES, ids=[
+        "epsilon-null", "epsilon-list", "epsilon-text", "norm-null",
+        "theta-null", "utility-number", "utility-text", "sweep-text",
+        "mass-3d"])
+    def test_exits_2_with_a_code(self, capsys, tmp_path, edit, argv, code):
+        raw = json.loads(Path(GOLDEN).read_text())
+        if edit is not None:
+            (*keys, last), value = edit
+            field = raw
+            for key in keys:
+                field = field[key]
+            field[last] = value
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(raw))
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"support": [0.5], "mass": [[[1.0]]] * 3}))
+        command, *rest = argv
+        rest = [str(pred) if arg == "MASS3D" else arg for arg in rest]
+        exit_code, out, err = run(capsys, command, str(inst), *rest)
+        assert exit_code == 2
+        assert out == ""
+        assert err.startswith(f"error: {code}:")
+
+
 class TestEval:
     def test_golden_lines(self, capsys):
         code, out, _ = run(capsys, "eval", TWO_EVENT, F_DDAGGER)

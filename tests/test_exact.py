@@ -26,6 +26,7 @@ from cold import cold_solve
 from conftest import DATA, make_instance, random_instance, random_predictor
 from oracle import SamplerConfig, sample_calibrated_shifts, sample_feasible
 from revelation import (
+    LabelledStrategy,
     aggregated_bias,
     contract_signals,
     predictor_to_strategy,
@@ -216,15 +217,15 @@ class TestContractSignals:
             for s in shares:
                 pis.append(base.pi[:, k] * s)
                 biases.append(base.bias[k] * s)
-                labels.append(base.signal_actions[k])
-        return SenderStrategy(np.column_stack(pis), biases, labels)
+                labels.append(k)
+        return LabelledStrategy(np.column_stack(pis), biases, labels)
 
     def test_identical_signals_merge(self):
         inst = make_instance([0.3, 0.9], [0.5, 0.5],
                              [[0.0, 0.0], [-0.5, 0.5]],
                              np.ones((2, 2, 2)), 0.1)
-        strat = SenderStrategy(np.array([[0.5, 0.5], [0.5, 0.5]]),
-                               [0.01, 0.01], [1, 1])
+        strat = LabelledStrategy(np.array([[0.5, 0.5], [0.5, 0.5]]),
+                                 [0.01, 0.01], [1, 1])
         merged = contract_signals(strat, inst)
         assert merged.n_signals == 1
         assert merged.bias[0] == pytest.approx(0.02)
@@ -233,7 +234,7 @@ class TestContractSignals:
         inst = make_instance([0.3, 0.9], [0.5, 0.5],
                              [[0.0, 0.0], [-0.5, 0.5]],
                              np.ones((2, 2, 2)), 0.1)
-        strat = SenderStrategy(np.eye(2), [0.0, 0.01], [0, 1])
+        strat = LabelledStrategy(np.eye(2), [0.0, 0.01], [0, 1])
         merged = contract_signals(strat, inst)
         assert merged.n_signals == 2
         assert np.allclose(merged.pi, strat.pi)

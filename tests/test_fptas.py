@@ -9,7 +9,6 @@ from caldesign import exact, fptas, lp_core
 from caldesign.cli import _fmt
 from caldesign.errors import SolverError, ValidationError
 from caldesign.fptas import (
-    BiEventPlan,
     build_disc_lp,
     build_grid,
     fptas_solve,
@@ -36,7 +35,7 @@ from conftest import (
     random_feasible_plan,
     random_instance,
 )
-from plans import plan_from_records, plan_objective, plan_to_records
+from plans import make_plan, plan_from_records, plan_supply, plan_to_records
 from rounding import round_plan
 from test_exact import _sentinel_set
 
@@ -94,7 +93,7 @@ class TestDiscLp:
             cols = full_columns(build_disc_lp(inst, grid))
             sol = cold_solve(plan_program(inst, cols))
             plan = cols.plan(sol.x)
-            assert np.allclose(plan.event_supply(inst), inst.lam, atol=1e-7)
+            assert np.allclose(plan_supply(plan, inst.n), inst.lam, atol=1e-7)
 
     def test_large_budget_decouples_events(self):
         rng = np.random.default_rng(21)
@@ -200,8 +199,8 @@ class TestDiscLp:
             assert sol.x.shape == (cols.obj.size,)
             assert np.all(sol.x >= -1e-12)
             plan = cols.plan(sol.x)
-            assert plan.raw_error(t) <= inst.epsilon**t + 1e-9
-            assert np.allclose(plan.event_supply(inst), inst.lam, atol=1e-9)
+            assert plan.w @ plan.err <= inst.epsilon**t + 1e-9
+            assert np.allclose(plan_supply(plan, inst.n), inst.lam, atol=1e-9)
             # a vertex of a program with n + 1 rows
             assert np.count_nonzero(sol.x > 0) <= inst.n + 1
         assert 0 < pooled < 12
@@ -463,8 +462,8 @@ class TestCalibratedStart:
 class TestPlanToPredictor:
     def test_diagonal_plan_reveals(self, golden):
         n = golden.n
-        plan = BiEventPlan(range(n), range(n), golden.theta, golden.theta,
-                           golden.lam)
+        plan = make_plan(golden, range(n), range(n), golden.theta,
+                         golden.theta, golden.lam)
         pred = plan_to_predictor(plan, golden)
         assert ece(pred, golden, 1.0) <= 1e-12
         assert np.allclose(np.sort(pred.support), golden.theta)
@@ -476,8 +475,8 @@ class TestPlanToPredictor:
         # on the first point of its run, 0.4
         inst = _merged_instance(0.0, theta)
         n = inst.n
-        plan = BiEventPlan(range(n), range(n), inst.theta, inst.theta,
-                           inst.lam)
+        plan = make_plan(inst, range(n), range(n), inst.theta, inst.theta,
+                         inst.lam)
         pred = plan_to_predictor(plan, inst)
         assert pred.support.tolist() == support
         at = [0, 0, 0, 1][:n]
@@ -492,8 +491,8 @@ class TestPlanToPredictor:
                              [[0.0, 0.0], [-0.5, 0.5]],
                              np.tile([[1.0, 1.0], [0.0, 3.0]], (3, 1, 1)),
                              0.0)
-        plan = BiEventPlan([0, 1], [0, 1], [0.2, 0.8], [0.2, 0.8],
-                           [0.5, 0.5])
+        plan = make_plan(inst, [0, 1], [0, 1], [0.2, 0.8], [0.2, 0.8],
+                         [0.5, 0.5])
         pred = plan_to_predictor(plan, inst)
         assert pred.support.tolist() == [0.2, 0.8]
         assert pred.mass.tolist() == [[1, 0], [0, 1], [0, 1]]
@@ -506,8 +505,8 @@ class TestPlanToPredictor:
     def test_equal_mean_pair_splits_half(self):
         inst = make_instance([0.5, 0.5], [0.5, 0.5], [[0.0, 0.0]],
                              np.zeros((2, 1, 2)), 0.5)
-        plan = BiEventPlan([0, 1], [0, 1], [0.5, 0.5], [0.125, 0.875],
-                           [0.5, 0.5])
+        plan = make_plan(inst, [0, 1], [0, 1], [0.5, 0.5], [0.125, 0.875],
+                         [0.5, 0.5])
         pred = plan_to_predictor(plan, inst)
         assert np.allclose(pred.support, [0.125, 0.875])
         assert pred.mass[0, 0] == pytest.approx(1.0)
@@ -520,10 +519,32 @@ class TestPlanToPredictor:
             plan = random_feasible_plan(rng, inst, anchors_only=False)
             pred = plan_to_predictor(plan, inst)
             assert payoff(pred, inst) == pytest.approx(
-                plan_objective(plan, inst), abs=1e-9)
+                plan.w @ plan.obj, abs=1e-9)
+
+    def test_plan_keeps_the_columns_with_mass(self, golden):
+        # perfbench's tracer counts the columns a plan uses as len(plan)
+        at = [0, 1, 2, 2]
+        cols = make_plan(golden, at, at, golden.theta[at], golden.theta[at],
+                         np.zeros(4))
+        weights = np.array([0.25, 1e-12, 0.0, 0.75])
+        plan = cols.plan(weights)
+        assert len(plan) == np.count_nonzero(weights > 1e-12) == 2
+        assert plan.w.tolist() == [0.25, 0.75]
+        assert plan.i.tolist() == [0, 2] and len(cols) == 4
+
+    def test_share_is_clipped(self):
+        # a share a rounding ulp above 1 would hand the high event a
+        # negative mass, which a small prior blows up past BAD_MASS's 1e-12
+        inst = make_instance([0.2, 0.8], [1.0 - 1e-6, 1e-6],
+                             [[0.0, 0.0]], np.zeros((2, 1, 2)), 0.0)
+        plan = make_plan(inst, [0, 1], [1, 1], [0.2, 0.8], [0.2, 0.8],
+                         inst.lam)
+        plan = dataclasses.replace(plan, r=np.array([1.0 + 1e-12, 1.0]))
+        pred = plan_to_predictor(plan, inst)
+        assert pred.mass.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_supply_violation(self, golden):
-        plan = BiEventPlan([0], [0], [golden.theta[0]], [0.5], [1.0])
+        plan = make_plan(golden, [0], [0], [golden.theta[0]], [0.5], [1.0])
         with pytest.raises(ValidationError) as err:
             plan_to_predictor(plan, golden)
         assert err.value.code == "SUPPLY_VIOLATION"
@@ -536,7 +557,7 @@ class TestPlanToPredictor:
                 inst = random_instance(rng, epsilon=0.5, n_min=2, norm=t)
                 plan = random_feasible_plan(rng, inst, anchors_only=False)
                 pred = plan_to_predictor(plan, inst)
-                assert ece(pred, inst, t) ** t <= plan.raw_error(t) + 1e-7
+                assert ece(pred, inst, t) ** t <= plan.w @ plan.err + 1e-7
 
     def test_record_round_trip(self):
         rng = np.random.default_rng(33)
@@ -544,17 +565,18 @@ class TestPlanToPredictor:
         plan = random_feasible_plan(rng, inst)
         records = plan_to_records(plan)
         assert all(set(r) == {"i", "j", "q", "p", "mass"} for r in records)
-        again = plan_from_records(records)
-        assert np.allclose(again.event_supply(inst), plan.event_supply(inst))
-        assert again.raw_error(1.0) == pytest.approx(plan.raw_error(1.0))
+        again = plan_from_records(records, inst)
+        assert np.allclose(plan_supply(again, inst.n),
+                           plan_supply(plan, inst.n))
+        assert again.w @ again.err == pytest.approx(plan.w @ plan.err)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(26)
         for _ in range(20):
             inst = random_instance(rng, epsilon=0.5, n_min=2)
             plan = random_feasible_plan(rng, inst)
-            assert plan.event_supply(inst).sum() == pytest.approx(1.0,
-                                                                  abs=1e-12)
+            assert plan_supply(plan, inst.n).sum() == pytest.approx(
+                1.0, abs=1e-12)
 
 
 class TestRoundPlan:
@@ -562,11 +584,11 @@ class TestRoundPlan:
         inst = golden.with_epsilon(0.1)
         grid = build_grid(inst, 0.1)
         n = inst.n
-        plan = BiEventPlan(range(n), range(n), inst.theta, inst.theta,
-                           inst.lam)
+        plan = make_plan(inst, range(n), range(n), inst.theta, inst.theta,
+                         inst.lam)
         rounded = round_plan(plan, inst, grid)
-        assert rounded.raw_error(1.0) <= 1e-15
-        assert np.allclose(rounded.event_supply(inst), inst.lam, atol=1e-12)
+        assert rounded.w @ rounded.err <= 1e-15
+        assert np.allclose(plan_supply(rounded, inst.n), inst.lam, atol=1e-12)
 
     def test_small_gap_case_traced_by_hand(self):
         # two events at 0.2 / 0.8; miscalibrate the pooled outcome q = 0.41
@@ -583,9 +605,9 @@ class TestRoundPlan:
         grid = build_grid(inst, 0.1)
         # r = (0.8 - 0.41) / 0.6 = 0.65, so the pooled entry consumes 0.065
         # of event 0 and 0.035 of event 1
-        plan = BiEventPlan([0, 0, 1], [1, 0, 1], [0.41, 0.2, 0.8],
-                           [0.4, 0.2, 0.8], [0.1, 0.435, 0.465])
-        assert np.allclose(plan.event_supply(inst), inst.lam, atol=1e-12)
+        plan = make_plan(inst, [0, 0, 1], [1, 0, 1], [0.41, 0.2, 0.8],
+                         [0.4, 0.2, 0.8], [0.1, 0.435, 0.465])
+        assert np.allclose(plan_supply(plan, inst.n), inst.lam, atol=1e-12)
         rounded = round_plan(plan, inst, grid)
         keep = 1 / 1.2
         moved = {}
@@ -594,13 +616,13 @@ class TestRoundPlan:
             moved[(i, j, round(q, 12), round(p, 12))] = w
         assert moved[(0, 1, 0.4, 0.4)] == pytest.approx(keep * 0.1 * 0.5)
         assert moved[(0, 1, 0.42, 0.4)] == pytest.approx(keep * 0.1 * 0.5)
-        assert rounded.raw_error(1.0) <= plan.raw_error(1.0) + 1e-15
+        assert rounded.w @ rounded.err <= plan.w @ plan.err + 1e-15
 
     def test_requires_anchor_predictions(self, golden):
         inst = golden.with_epsilon(0.1)
         grid = build_grid(inst, 0.1)
-        plan = BiEventPlan([0, 1, 2], [0, 1, 2], inst.theta,
-                           [0.5, 0.9, 1.0], [0.25, 0.5, 0.25])
+        plan = make_plan(inst, [0, 1, 2], [0, 1, 2], inst.theta,
+                         [0.5, 0.9, 1.0], [0.25, 0.5, 0.25])
         with pytest.raises(ValidationError) as err:
             round_plan(plan, inst, grid)
         assert err.value.code == "PRECONDITION_VIOLATION"
@@ -611,16 +633,16 @@ class TestRoundPlan:
             delta = (0.05, 0.1)[trial % 2]
             inst = random_instance(rng, epsilon=0.0, n_min=2)
             plan = random_feasible_plan(rng, inst)
-            raw = plan.raw_error(1.0)
+            raw = plan.w @ plan.err
             inst = inst.with_epsilon(raw if raw > 0 else 0.05)
             grid = build_grid(inst, delta)
             rounded = round_plan(plan, inst, grid)
             for q in rounded.q:
                 assert np.min(np.abs(grid.points - q)) <= 1e-12
-            assert rounded.raw_error(1.0) <= plan.raw_error(1.0) + 1e-12
-            assert plan_objective(rounded, inst) >= \
-                (1 - 3 * delta) * plan_objective(plan, inst) - 1e-9
-            assert np.allclose(rounded.event_supply(inst), inst.lam,
+            assert rounded.w @ rounded.err <= plan.w @ plan.err + 1e-12
+            assert rounded.w @ rounded.obj >= \
+                (1 - 3 * delta) * (plan.w @ plan.obj) - 1e-9
+            assert np.allclose(plan_supply(rounded, inst.n), inst.lam,
                                atol=1e-7)
 
     def test_budget_preserved_for_quadratic_norm(self):
@@ -628,11 +650,11 @@ class TestRoundPlan:
         for _ in range(30):
             inst = random_instance(rng, epsilon=0.0, n_min=2, norm=2.0)
             plan = random_feasible_plan(rng, inst)
-            raw = plan.raw_error(2.0)
+            raw = plan.w @ plan.err
             inst = inst.with_epsilon(max(raw ** 0.5, 0.05))
             grid = build_grid(inst, 0.1)
             rounded = round_plan(plan, inst, grid)
-            assert rounded.raw_error(2.0) <= inst.epsilon ** 2 + 1e-9
+            assert rounded.w @ rounded.err <= inst.epsilon ** 2 + 1e-9
 
 
 class TestFptasSolve:
