@@ -33,11 +33,13 @@ vertex pools at most n + 1 of its (up to millions of) columns.  The
 calibrated plan is settled from the utilities; the grid and the program are
 built only when it can be improved.  The restricted master of the
 calibrated diagonal has the calibrated plan as its one feasible point, so
-its row prices are known without an LP (:class:`CalibratedPlan`), and when
-no event's utility rises at another prediction, no column of any grid can
-enter.  Otherwise, neither the program nor its columns are ever built
-whole: :class:`PlanProgram` holds each event pair's slice of the grid and
-the utilities at each prediction, and :func:`solve_plan_lp` solves by
+its row prices are known without an LP (:class:`CalibratedPlan`, which
+holds the utilities and the n start columns only), and when no event's
+utility rises at another prediction, no column of any grid can enter.
+Otherwise, neither the program nor its columns are ever built whole:
+:class:`PlanProgram` builds the n x P diagonal entries and holds each event
+pair's slice of the grid and the utilities at each prediction, and
+:func:`solve_plan_lp` solves by
 column generation, priced at the calibrated plan, first master solved only
 once columns enter.  Each round prices a few candidates per pair and
 prediction, which stand for all of that pair's columns because the reduced
@@ -150,14 +152,15 @@ class PlanColumns:
     def __len__(self):
         return self.obj.size
 
-    def take(self, idx):
-        return PlanColumns(*(getattr(self, name)[idx] for name in _COLUMN))
+    def take(self, idx, w=None):
+        return PlanColumns(*(getattr(self, name)[idx] for name in _COLUMN),
+                           w=w)
 
     def plan(self, weights):
         """The plan that puts ``weights`` on these columns: the columns of
         mass above 1e-12, with that mass."""
         keep = np.flatnonzero(weights > 1e-12)
-        return replace(self.take(keep), w=weights[keep])
+        return self.take(keep, weights[keep])
 
 
 _COLUMN = ("i", "j", "q", "p", "obj", "err", "r")
@@ -174,14 +177,15 @@ class CalibratedPlan:
     generation starts, and often where it ends.
 
     ``ps`` is the reduced prediction set and ``U[e, c]`` event e's indirect
-    utility at ``ps[c]``.  ``diag`` holds the n x P diagonal entries
-    (e, e, theta_e, ps[c]) event by event.  ``ps`` holds every mean, merged,
-    and each event starts at its mean's own point (:func:`_point_of`), whose
-    entry spends nothing.  That entry, ``diag.take(start)``, is the only
-    column in supply row e, with coefficient 1, so the restricted master on
-    those columns has one feasible point, the calibrated plan x = lam.  Its
-    crash basis (the budget row's slack and the n columns) is optimal, as
-    ``sol``, and prices the rows at ``y = (0, U_e(p_e))``.
+    utility at ``ps[c]``.  ``ps`` holds every mean, merged, and each event
+    starts at its mean's own point (:func:`_point_of`), whose diagonal entry
+    (e, e, theta_e, p_e) spends nothing.  ``cols`` holds these n start
+    columns, and ``start`` their indices among the n x P diagonal entries
+    event by event, which only :class:`PlanProgram` builds.  A start column
+    is the only column in supply row e, with coefficient 1, so the
+    restricted master on them has one feasible point, the calibrated plan
+    x = lam.  Its crash basis (the budget row's slack and the n columns) is
+    optimal, as ``sol``, and prices the rows at ``y = (0, U_e(p_e))``.
 
     At these prices the budget price is 0, so a pooled column (i, j, q, p)
     has reduced cost ``r (U_i(p) - y_i) + (1 - r) (U_j(p) - y_j)`` with r in
@@ -194,14 +198,10 @@ class CalibratedPlan:
 
     ps: np.ndarray
     U: np.ndarray
-    diag: PlanColumns
     start: np.ndarray
+    cols: PlanColumns
     sol: lp_core.LpSolution
     y: np.ndarray
-
-    @property
-    def cols(self):
-        return self.diag.take(self.start)
 
     @property
     def improvable(self):
@@ -223,18 +223,14 @@ def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
         raise ValidationError("UNSUPPORTED_NORM",
                               "the approximation scheme needs a finite norm")
     U = indirect_utility_matrix(inst, ps)
-    n, npred = inst.n, ps.size
-    e = np.repeat(np.arange(n), npred)
-    c = np.tile(np.arange(npred), n)
-    err = np.abs(inst.theta[e] - ps[c]) ** inst.norm
-    start = np.arange(n) * npred + _point_of(ps, inst.theta)
-    err[start] = 0.0
-    diag = PlanColumns(e, e, inst.theta[e], ps[c], U[e, c], err,
-                       np.ones(e.size))
-    cols = diag.take(start)
+    n = inst.n
+    e = np.arange(n)
+    c = _point_of(ps, inst.theta)
+    cols = PlanColumns(e, e, inst.theta.copy(), ps[c], U[e, c], np.zeros(n),
+                       np.ones(n))
     sol = lp_core.LpSolution(float(cols.obj @ inst.lam), inst.lam.copy(),
-                             np.concatenate([[n], np.arange(n)]))
-    return CalibratedPlan(ps, U, diag, start, sol,
+                             np.concatenate([[n], e]))
+    return CalibratedPlan(ps, U, e * ps.size + c, cols, sol,
                           np.concatenate([[0.0], cols.obj]))
 
 
@@ -243,15 +239,17 @@ class PlanProgram:
     """The discretized plan LP of ``inst`` by event pair; no column of it is
     built.
 
-    Its columns are the diagonal entries of ``calibrated`` (e, e, theta_e,
-    p) for every event ``e`` and prediction ``p = ps[c]``, and the pooled
+    Its columns are the diagonal entries (e, e, theta_e, p) for every event
+    ``e`` and prediction ``p = ps[c]`` of ``calibrated``, and the pooled
     entries (i, j, points[g], p) for every pair ``i = i[k] < j = j[k]`` of
     means at distinct points and grid index ``lo[k] <= g < hi[k]``, from
     mean i's point to mean j's (:func:`_point_of`).  ``U[e, c]`` is event
     e's indirect utility at ``ps[c]``.  ``fixed`` holds the pricing
     candidates that no row price moves (see :meth:`price`), opening with the
-    n x P diagonal entries event by event; ``fixed_keys`` names each
-    candidate: ``(k * points.size + g) * ps.size + c`` for a pooled entry,
+    n x P diagonal entries event by event, which the program builds (the
+    calibrated plan holds only its n start columns, at ``calibrated.start``
+    among them); ``fixed_keys`` names each candidate:
+    ``(k * points.size + g) * ps.size + c`` for a pooled entry,
     ``-1 - (e * ps.size + c)`` for a diagonal one.
     """
 
@@ -274,7 +272,12 @@ class PlanProgram:
         return self.calibrated.U
 
     def __post_init__(self):
-        diag = self.calibrated.diag
+        inst, ps = self.inst, self.ps
+        e = np.repeat(np.arange(inst.n), ps.size)
+        err = (np.abs(inst.theta[:, None] - ps) ** inst.norm).ravel()
+        err[self.calibrated.start] = 0.0
+        diag = PlanColumns(e, e, inst.theta[e], np.tile(ps, inst.n),
+                           self.U.ravel(), err, np.ones(e.size))
         # the ends of every slice (the clip maps 0 and points.size onto
         # them) and the grid neighbours of every prediction
         near = np.searchsorted(self.points, self.ps)

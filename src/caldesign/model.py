@@ -44,7 +44,7 @@ def runs(values, tol):
     lies within ``tol`` of the one before it."""
     starts = np.empty(len(values), dtype=bool)
     starts[:1] = True
-    starts[1:] = np.diff(values) > tol
+    starts[1:] = values[1:] - values[:-1] > tol
     return np.flatnonzero(starts)
 
 
@@ -53,7 +53,7 @@ def _as_float_array(x, name, code):
         arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(code, f"{name} is not numeric: {exc}") from None
-    if arr.size and not np.all(np.isfinite(arr) | np.isinf(arr)):
+    if np.isnan(arr).any():
         raise ValidationError(code, f"{name} contains NaN")
     return arr
 
@@ -147,9 +147,13 @@ class Instance:
         # Agent's expected utility per (event, action) under the true mean.
         self.vbar_events = (np.outer(1.0 - self.theta, v[:, 0])
                             + np.outer(self.theta, v[:, 1]))
+        # Sizes and slopes of the agent's scores (see tied_action_sets).
+        self.agent_size = np.abs(v)
+        self.agent_slope = v[:, 1] - v[:, 0]
         self.theta_bar = float(self.lam @ self.theta)
         for arr in (self.order, self.theta, self.lam, self.agent_utility,
-                    self.principal_utility, self.ubar, self.vbar_events):
+                    self.principal_utility, self.ubar, self.vbar_events,
+                    self.agent_size, self.agent_slope):
             arr.setflags(write=False)
 
     def with_epsilon(self, epsilon, norm=None):
@@ -275,8 +279,9 @@ class Predictor:
         mass = np.clip(mass, 0.0, None)
 
         order = np.argsort(support, kind="stable")
-        starts = runs(support[order], SUPPORT_MERGE_TOL)
-        self.support = support[order][starts]
+        support = support[order]
+        starts = runs(support, SUPPORT_MERGE_TOL)
+        self.support = support[starts]
         self.mass = np.add.reduceat(mass[:, order], starts, axis=1)
         rows = self.mass.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-9):
@@ -393,18 +398,21 @@ def tied_action_sets(inst, ps):
     at most ``TIE_TOL · max(1, |v_a0|(1-p) + |v_a1|p, the same for b)``, the
     size of the terms summed at ``p``, or at most ``SUPPORT_MERGE_TOL`` times
     the difference of their slopes: ``p`` lies within ``SUPPORT_MERGE_TOL``
-    of where the two lines cross.
+    of where the two lines cross.  The scores and sizes are formed for all
+    of ``ps`` at once by broadcasting ``p`` and ``1 - p`` against the
+    instance's ``agent_utility`` and ``agent_size`` (``|v|``); the slopes
+    are its ``agent_slope``.
     """
-    ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    v = inst.agent_utility
-    scores = inst.agent_scores(ps)
+    p = np.atleast_1d(np.asarray(ps, dtype=float))[:, None]
+    q = 1.0 - p
+    v, size = inst.agent_utility, inst.agent_size
+    scores = p * v[:, 1] + q * v[:, 0]
     best = scores.argmax(axis=1)
-    rows = np.arange(ps.size)
-    gap = scores[rows, best][:, None] - scores
-    size = np.outer(ps, np.abs(v[:, 1])) + np.outer(1.0 - ps, np.abs(v[:, 0]))
-    window = TIE_TOL * np.maximum(np.maximum(size, size[rows, best][:, None]),
-                                  1.0)
-    slope = v[:, 1] - v[:, 0]
+    at = np.arange(best.size), best
+    gap = scores[at][:, None] - scores
+    size = p * size[:, 1] + q * size[:, 0]
+    window = TIE_TOL * np.maximum(np.maximum(size, size[at][:, None]), 1.0)
+    slope = inst.agent_slope
     crossing = SUPPORT_MERGE_TOL * np.abs(slope - slope[best][:, None])
     return gap <= np.maximum(window, crossing)
 
@@ -418,8 +426,7 @@ def action_profile(inst, ps, weight_matrix=None):
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     tied = tied_action_sets(inst, ps)
     if weight_matrix is None:
-        gains = np.broadcast_to((inst.lam @ inst.ubar)[:, None],
-                                (inst.m, ps.size))
+        gains = (inst.lam @ inst.ubar)[:, None]
     else:
         gains = inst.ubar.T @ np.asarray(weight_matrix, dtype=float)  # (m, P)
     masked = np.where(tied.T, gains, -np.inf)
@@ -488,7 +495,7 @@ def ece(pred, inst, t=None):
     pos = marg > 0
     if not np.any(pos):
         raise ValidationError("BAD_MASS", "predictor carries no mass")
-    kap = kappa_values(pred, inst)[pos]
+    kap = ((inst.lam * inst.theta) @ pred.mass)[pos] / marg[pos]
     dev = np.abs(kap - pred.support[pos])
     if t == INF:
         return float(dev.max())
@@ -498,19 +505,19 @@ def ece(pred, inst, t=None):
 
 
 def _support_actions(pred, inst):
+    """The event weights ``lam_e * mass[e, k]`` of ``pred`` and the action
+    chosen at each support point, ties broken by those weights."""
     weight = inst.lam[:, None] * pred.mass
-    return action_profile(inst, pred.support, weight_matrix=weight)
+    return weight, action_profile(inst, pred.support, weight_matrix=weight)
 
 
 def payoff(pred, inst):
     """Designer's expected utility under ``pred`` with best-responding agent."""
-    acts = _support_actions(pred, inst)
-    weight = inst.lam[:, None] * pred.mass
+    weight, acts = _support_actions(pred, inst)
     return float(np.einsum("ik,ik->", weight, inst.ubar[:, acts]))
 
 
 def agent_payoff(pred, inst):
     """Agent's expected utility under ``pred`` (true outcome distribution)."""
-    acts = _support_actions(pred, inst)
-    weight = inst.lam[:, None] * pred.mass
+    weight, acts = _support_actions(pred, inst)
     return float(np.einsum("ik,ik->", weight, inst.vbar_events[:, acts]))
