@@ -57,7 +57,7 @@ import numpy as np
 
 from . import lp_core
 from .errors import ValidationError
-from .exact import certify
+from .exact import SEPARATION, certify
 from .model import (
     INF,
     SUPPLY_TOL,
@@ -211,8 +211,18 @@ class CalibratedPlan:
 def _predictions(inst: Instance, zs):
     """The reduced prediction set of the envelope breakpoints ``zs``: the
     edges and midpoints of the constant pieces of the indirect utilities,
-    and the outcome means."""
-    return _dedup_sorted(np.concatenate([piece_scan(zs), inst.theta]))
+    the outcome means, and each breakpoint split into ``z - SEPARATION``
+    and ``z + SEPARATION``, clipped to [0, 1].
+
+    At a breakpoint the agent ties; the plan LP values a prediction there
+    by the prior-weighted tie-break, but :func:`caldesign.model.payoff`
+    breaks the tie by the mass actually sent there, so the LP could neither
+    see nor correctly value a plan that moves mass to a tie point.  Each
+    split point is a strict best response of one side, and the plan LP
+    pays for the shift inside its own budget row."""
+    split = np.clip(np.concatenate([zs - SEPARATION, zs + SEPARATION]),
+                    0.0, 1.0)
+    return _dedup_sorted(np.concatenate([piece_scan(zs), split, inst.theta]))
 
 
 def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
