@@ -60,12 +60,14 @@ def _as_float_array(x, name, code):
 
 def _number(value, code, what):
     """``value`` as a float, or ``ValidationError(code)``; a string such as
-    ``"0.1"`` or ``"-inf"`` is read as the number it spells."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(code, f"{what} must be a number, got "
-                                    f"{value!r}") from None
+    ``"0.1"`` or ``"-inf"`` is read as the number it spells, a boolean is
+    not a number."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(code, f"{what} must be a number, got {value!r}")
 
 
 def _budget(epsilon, norm):
@@ -214,15 +216,27 @@ def validate_instance(raw):
     if not isinstance(raw, dict):
         raise ValidationError("BAD_FORMAT", "instance description must be a mapping")
     try:
-        actions = list(raw["actions"])
+        actions = raw["actions"]
         theta = raw["theta"]
         lam = raw["lambda"]
         agent_raw = raw["agent_utility"]
         principal_raw = raw["principal_utility"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValidationError("BAD_FORMAT", f"missing field {exc}") from None
-    if not isinstance(theta, (list, tuple, np.ndarray)):
-        raise ValidationError("BAD_FORMAT", "theta must be a list of means")
+    for name, value, code, what in (
+            ("actions", actions, "BAD_FORMAT", "action names"),
+            ("theta", theta, "BAD_FORMAT", "means"),
+            ("lambda", lam, "BAD_PRIOR", "probabilities")):
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise ValidationError(code, f"{name} must be a list of {what}, "
+                                        f"got {value!r}")
+    for name, value, code in (("theta", theta, "BAD_MEAN"),
+                              ("lambda", lam, "BAD_PRIOR")):
+        for x in value:
+            if isinstance(x, (bool, np.bool_)):
+                raise ValidationError(code, f"{name} must hold numbers, "
+                                            f"got {x!r}")
+    actions = list(actions)
 
     def table(mapping, what):
         if not isinstance(mapping, dict):

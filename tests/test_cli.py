@@ -117,7 +117,8 @@ class TestSolve:
 class TestMalformedInput:
     # (the keys of one field of golden.json and its new value, or None; the
     # command and its arguments after the instance, where MASS3D names a
-    # predictor whose mass has three dimensions; the error code)
+    # predictor whose mass has three dimensions; the error code).  A JSON
+    # boolean is not a number, and a null list is not a list
     CASES = [
         ((("epsilon",), None), ("solve",), "BAD_BUDGET"),
         ((("epsilon",), [0.1]), ("solve",), "BAD_BUDGET"),
@@ -128,12 +129,22 @@ class TestMalformedInput:
         ((("agent_utility", "a1"), ["abc", 1]), ("solve",), "BAD_FORMAT"),
         (None, ("sweep", "--eps", "0.1,abc"), "BAD_BUDGET"),
         (None, ("eval", "MASS3D"), "BAD_MASS"),
+        ((("epsilon",), True), ("solve",), "BAD_BUDGET"),
+        ((("epsilon",), False), ("solve",), "BAD_BUDGET"),
+        ((("norm",), True), ("solve",), "BAD_NORM"),
+        ((("lambda",), [True, 0, 0]), ("solve",), "BAD_PRIOR"),
+        ((("theta",), [True, 0.5, 0.9]), ("solve",), "BAD_MEAN"),
+        ((("agent_utility", "a1"), [True, 1]), ("solve",), "BAD_FORMAT"),
+        ((("actions",), None), ("solve",), "BAD_FORMAT"),
+        ((("lambda",), None), ("solve",), "BAD_PRIOR"),
     ]
 
     @pytest.mark.parametrize("edit,argv,code", CASES, ids=[
         "epsilon-null", "epsilon-list", "epsilon-text", "norm-null",
         "theta-null", "utility-number", "utility-text", "sweep-text",
-        "mass-3d"])
+        "mass-3d", "epsilon-true", "epsilon-false", "norm-true",
+        "lambda-bool", "theta-bool", "utility-bool", "actions-null",
+        "lambda-null"])
     def test_exits_2_with_a_code(self, capsys, tmp_path, edit, argv, code):
         raw = json.loads(Path(GOLDEN).read_text())
         if edit is not None:
@@ -152,6 +163,9 @@ class TestMalformedInput:
         assert exit_code == 2
         assert out == ""
         assert err.startswith(f"error: {code}:")
+        if edit is not None and edit[1] is None and edit[0][0] in (
+                "actions", "lambda"):
+            assert "must be a list" in err
 
 
 class TestEval:
