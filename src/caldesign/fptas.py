@@ -282,12 +282,7 @@ class PlanProgram:
         return self.calibrated.U
 
     def __post_init__(self):
-        inst, ps = self.inst, self.ps
-        e = np.repeat(np.arange(inst.n), ps.size)
-        err = (np.abs(inst.theta[:, None] - ps) ** inst.norm).ravel()
-        err[self.calibrated.start] = 0.0
-        diag = PlanColumns(e, e, inst.theta[e], np.tile(ps, inst.n),
-                           self.U.ravel(), err, np.ones(e.size))
+        diag = self._diagonal()
         # the ends of every slice (the clip maps 0 and points.size onto
         # them) and the grid neighbours of every prediction
         near = np.searchsorted(self.points, self.ps)
@@ -298,6 +293,16 @@ class PlanProgram:
         self.fixed = _join([diag, pooled.take(first)])
         self.fixed_keys = np.concatenate([-1 - np.arange(diag.obj.size),
                                           keys])
+
+    def _diagonal(self):
+        """The n x P diagonal entries (e, e, theta_e, ps[c]) event by event;
+        each event's start column (``calibrated.start``) spends nothing."""
+        inst, ps = self.inst, self.ps
+        e = np.repeat(np.arange(inst.n), ps.size)
+        err = (np.abs(inst.theta[:, None] - ps) ** inst.norm).ravel()
+        err[self.calibrated.start] = 0.0
+        return PlanColumns(e, e, inst.theta[e], np.tile(ps, inst.n),
+                           self.U.ravel(), err, np.ones(e.size))
 
     def _pooled(self, g):
         """Pooled entries at grid indices ``g``, a stack of (pair,

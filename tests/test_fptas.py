@@ -447,6 +447,38 @@ class TestCalibratedStart:
         for calls in builds.values():
             assert [id(inst) for inst in calls] == misaligned
 
+    def test_settled_solves_build_no_diagonal(self, monkeypatch):
+        # only the plan program builds the n x P diagonal: none of
+        # acceptance 3's 19 settled solves does, and none of them makes
+        # columns beyond its n start columns; each of the six that build a
+        # program builds it once
+        diagonals, widest = [], []
+        real_diagonal, real_columns = (fptas.PlanProgram._diagonal,
+                                       fptas.PlanColumns)
+
+        def diagonal(prog):
+            diagonals[-1] += 1
+            return real_diagonal(prog)
+
+        def columns(*args, **kwargs):
+            cols = real_columns(*args, **kwargs)
+            widest[-1] = max(widest[-1], len(cols))
+            return cols
+
+        monkeypatch.setattr(fptas.PlanProgram, "_diagonal", diagonal)
+        monkeypatch.setattr(fptas, "PlanColumns", columns)
+        insts = _acc3()
+        for inst in insts:
+            diagonals.append(0)
+            widest.append(0)
+            fptas_solve(inst, 0.1)
+        programs = [4, 7, 11, 20, 21, 24]
+        assert [k for k, count in enumerate(diagonals) if count] == programs
+        assert {diagonals[k] for k in programs} == {1}
+        settled = [k for k in range(len(insts)) if k not in programs]
+        assert len(settled) == 19
+        assert all(widest[k] == insts[k].n for k in settled)
+
     def test_lp_calls_and_pivots_are_pinned(self, solves):
         # (lp_core.solve calls, pivots) over acceptance 3's first 25
         # instances at delta 0.1.  A later change may only lower these
@@ -706,6 +738,34 @@ class TestFptasSolve:
             assert obj >= (1 - 0.1) * opt - 1e-9
             assert obj <= opt + 1e-6
             assert ece(pred, inst, 1.0) <= eps + 1e-7
+
+    @pytest.mark.parametrize("name", ["acc3", "t1-draws"])
+    def test_bracket_at_delta_001(self, name):
+        # the (1 - delta) bracket at delta 0.01 against the exact optimum.
+        # Before the split tie points (fptas._predictions) the plan LP could
+        # not see a plan that moves mass to a tie point: acceptance 3 missed
+        # on #11, #34 and #46 (down to 0.964), the t = 1 draws on 19 (down
+        # to 0.900), and one raised UNCERTIFIED
+        if name == "acc3":
+            insts = _acc3(50)
+        else:
+            insts = []
+            for seed in (0, 1):
+                rng = np.random.default_rng(seed)
+                insts += [random_instance(rng, rng.uniform(0, 0.3), 1.0,
+                                          n_min=1, n_max=8, m_min=1, m_max=6)
+                          for _ in range(300)]
+        misses = []
+        for k, inst in enumerate(insts):
+            _, _, opt = solve_exact(inst, tie_break=None)
+            try:
+                obj = fptas_solve(inst, 0.01)[1]
+            except SolverError as err:
+                misses.append((k, err.code))
+                continue
+            if not 0.99 * opt - 1e-9 <= obj <= opt + 1e-6:
+                misses.append((k, obj / opt))
+        assert misses == []
 
 
 def _fptas_pin_csv():
