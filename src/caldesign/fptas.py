@@ -22,11 +22,15 @@ paper's rounding scheme realizes that bound constructively (it lives with
 the test-suite, which checks it; the solver needs no rounding).
 
 One practical reduction: prediction columns in the LP are restricted to the
-utility breakpoints, the outcome means, and one interior point per constant
-piece of the indirect utilities.  Since the indirect utilities are piecewise
-constant with upper-semicontinuous maxima at the breakpoints, an optimal
-plan never needs any other prediction, while the q-side keeps the full
-two-layer grid.
+utility breakpoints, the outcome means, one interior point per constant
+piece of the indirect utilities, and each breakpoint split into two strict
+predictions ``SEPARATION`` to either side (:func:`_predictions`).  Since the
+indirect utilities are piecewise constant, an optimal plan never needs any
+other prediction, while the q-side keeps the full two-layer grid.  At a
+breakpoint itself the agent ties, and the plan LP values it by the
+prior-weighted tie-break where :func:`caldesign.model.payoff` uses the mass
+sent there; the split points are strict best responses valued alike by
+both.
 
 The plan LP has one budget row and one supply row per event, so an optimal
 vertex pools at most n + 1 of its (up to millions of) columns.  The
@@ -39,13 +43,13 @@ utility rises at another prediction, no column of any grid can enter.
 Otherwise, neither the program nor its columns are ever built whole:
 :class:`PlanProgram` builds the n x P diagonal entries and holds each event
 pair's slice of the grid and the utilities at each prediction, and
-:func:`solve_plan_lp` solves by
-column generation, priced at the calibrated plan, first master solved only
-once columns enter.  Each round prices a few candidates per pair and
-prediction, which stand for all of that pair's columns because the reduced
-cost is concave in q, the most profitable columns join the master, which
-is solved for the next prices, and the loop stops once no reduced cost
-exceeds ``PRICE_TOL`` relative to the largest objective.
+:func:`solve_plan_lp` solves by column generation, priced at the calibrated
+plan, first master solved only once columns enter.  Each round prices a few
+candidates per pair and prediction, which stand for all of that pair's
+columns because the reduced cost is concave in q, the most profitable
+columns join the master, which is solved for the next prices, and the loop
+stops once no reduced cost exceeds ``PRICE_TOL`` relative to the largest
+objective.
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
     n = inst.n
     e = np.arange(n)
     c = _point_of(ps, inst.theta)
-    cols = PlanColumns(e, e, inst.theta.copy(), ps[c], U[e, c], np.zeros(n),
+    cols = PlanColumns(e, e, inst.theta, ps[c], U[e, c], np.zeros(n),
                        np.ones(n))
     sol = lp_core.LpSolution(float(cols.obj @ inst.lam), inst.lam.copy(),
                              np.concatenate([[n], e]))

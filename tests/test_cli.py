@@ -163,8 +163,7 @@ class TestMalformedInput:
         assert exit_code == 2
         assert out == ""
         assert err.startswith(f"error: {code}:")
-        if edit is not None and edit[1] is None and edit[0][0] in (
-                "actions", "lambda"):
+        if edit in ((("actions",), None), (("lambda",), None)):
             assert "must be a list" in err
 
 
