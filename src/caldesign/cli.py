@@ -44,7 +44,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import pickle
 import signal
@@ -63,8 +62,6 @@ EXIT_SOLVER = 3
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.12g}"
 
 
@@ -74,7 +71,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError("BAD_FORMAT", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # not JSON, or not UTF-8
         raise ValidationError("BAD_FORMAT", f"{path} is not valid JSON: {exc}") from None
 
 
@@ -134,8 +131,9 @@ def cmd_solve(args) -> int:
             fh.write("\n")
         log.info("wrote predictor to %s", args.output)
     if args.strategy_out:
-        scheme = strat.to_json_dict(inst)
-        scheme["pi"] = inst.to_caller(strat.pi).tolist()
+        scheme = {"pi": inst.to_caller(strat.pi).tolist(),
+                  "bias": dict(zip(inst.actions, strat.bias.tolist())),
+                  "signal_actions": list(range(strat.n_signals))}
         with open(args.strategy_out, "w", encoding="utf-8") as fh:
             json.dump(scheme, fh, indent=1)
             fh.write("\n")

@@ -20,12 +20,12 @@ face and keeps the first-stage vertex if that solve raises.  The program's
 value is a supremum: two signals may recommend different actions at one
 biased mean, an indifference point of the agent, and a predictor cannot tell
 them apart there.  When an optimal scheme does that, the budget is lowered
-by ``SEPARATION``, the program re-solved, and each of the two signals moves
-``SEPARATION`` away from the shared mean through its bias, so that each
-action is the agent's strict choice at its own prediction.  Every solve ends
-with a certificate independent of the solver: the returned predictor's
-calibration error is within the budget and its payoff is the returned
-objective, or ``SolverError('UNCERTIFIED')`` is raised.
+by ``model.SEPARATION``, the program re-solved, and each of the two signals
+moves ``SEPARATION`` away from the shared mean through its bias, so that
+each action is the agent's strict choice at its own prediction.  Every
+solve ends with ``model.certify``, independent of the solver: the returned
+predictor's calibration error is within the budget and its payoff is the
+returned objective, or ``SolverError('UNCERTIFIED')`` is raised.
 
 :func:`solve_budgets` solves one instance at a list of budgets on one
 program, and :func:`solve_exact` is its one-budget case.  For t=1 the
@@ -44,30 +44,21 @@ from . import lp_core
 from .errors import CaldesignError, SolverError, ValidationError
 from .model import (
     INF,
+    SEPARATION,
     SUPPORT_MERGE_TOL,
     Instance,
     Predictor,
     action_profile,
-    ece,
-    payoff,
+    certify,
+    read_numbers,
     runs,
     tied_action_sets,
 )
 
 ZERO_MASS_TOL = 1e-12
 
-# Budget given up to pull apart two signals that meet at one biased mean;
-# each moves this far from the meeting point.
-SEPARATION = 1e-6
 # A merge of signals loses payoff when it costs more than this, relative.
 MERGE_TOL = 1e-9
-
-# The certificate (:func:`certify`): the calibration error may exceed the
-# budget by CERT_ECE_TOL, and the payoff may miss the objective by
-# CERT_PAYOFF_TOL * (1 + |objective|), which covers the agent tie-break's
-# payoff slack (1e-7) and the solver's round-off.
-CERT_ECE_TOL = 1e-7
-CERT_PAYOFF_TOL = 2e-7
 
 log = logging.getLogger("caldesign")
 
@@ -81,8 +72,8 @@ class SenderStrategy:
     """
 
     def __init__(self, pi, bias):
-        pi = np.atleast_2d(np.asarray(pi, dtype=float))
-        bias = np.asarray(bias, dtype=float).ravel()
+        pi = np.atleast_2d(read_numbers(pi, "BAD_STRATEGY", "pi"))
+        bias = read_numbers(bias, "BAD_STRATEGY", "bias").ravel()
         if pi.shape[1] != bias.size:
             raise ValidationError("BAD_STRATEGY", "pi columns must match bias")
         if np.any(pi < -1e-12):
@@ -109,14 +100,6 @@ class SenderStrategy:
         pos = mass > ZERO_MASS_TOL
         out[pos] = num[pos] / mass[pos]
         return out
-
-    def to_json_dict(self, inst):
-        return {
-            "pi": [row.tolist() for row in self.pi],
-            "bias": {inst.actions[a] if a < inst.m else str(a): float(b)
-                     for a, b in enumerate(self.bias)},
-            "signal_actions": list(range(self.n_signals)),
-        }
 
 
 def build_actrec_lp(inst: Instance) -> lp_core.LinearProgram:
@@ -395,23 +378,6 @@ def _separate(inst, strat, merged):
             up, down = down, up
         strat.bias[up] += min(SEPARATION, 1.0 - p) * mass[up]
         strat.bias[down] -= min(SEPARATION, p) * mass[down]
-
-
-def certify(predictor, inst, objective):
-    """Check a solver's answer independently of the solver: ``predictor``
-    keeps the budget (``ece <= epsilon`` in the instance's norm) and earns
-    ``objective``.  Raises ``SolverError('UNCERTIFIED')`` when either fails,
-    so that no solve returns a predictor that does less than it reports.
-    Both solvers end with it (``fptas_solve`` too)."""
-    gap = ece(predictor, inst) - inst.epsilon
-    if not gap <= CERT_ECE_TOL:
-        raise SolverError("UNCERTIFIED",
-                          f"predictor exceeds the budget by {gap:.3e}")
-    miss = payoff(predictor, inst) - objective
-    if not abs(miss) <= CERT_PAYOFF_TOL * (1.0 + abs(objective)):
-        raise SolverError(
-            "UNCERTIFIED",
-            f"predictor payoff misses the objective by {miss:.3e}")
 
 
 def _refine_for_agent(inst, lp, best, fallback, basis):

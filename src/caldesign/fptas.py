@@ -24,7 +24,7 @@ the test-suite, which checks it; the solver needs no rounding).
 One practical reduction: prediction columns in the LP are restricted to the
 utility breakpoints, the outcome means, one interior point per constant
 piece of the indirect utilities, and each breakpoint split into two strict
-predictions ``SEPARATION`` to either side (:func:`_predictions`).  Since the
+predictions ``model.SEPARATION`` to either side (:func:`_predictions`).  Since the
 indirect utilities are piecewise constant, an optimal plan never needs any
 other prediction, while the q-side keeps the full two-layer grid.  At a
 breakpoint itself the agent ties, and the plan LP values it by the
@@ -61,13 +61,14 @@ import numpy as np
 
 from . import lp_core
 from .errors import ValidationError
-from .exact import SEPARATION, certify
 from .model import (
     INF,
+    SEPARATION,
     SUPPLY_TOL,
     SUPPORT_MERGE_TOL,
     Instance,
     Predictor,
+    certify,
     envelope,
     indirect_utility_matrix,
     piece_scan,
@@ -510,7 +511,7 @@ def fptas_solve(inst: Instance, delta: float):
     neither the LP nor its columns are ever built whole).  It converts the
     optimal plan; the result keeps the calibration budget and loses at most
     a (1 - delta) factor of the optimal payoff.  The predictor is certified
-    before it is returned (:func:`caldesign.exact.certify`): its
+    before it is returned (:func:`caldesign.model.certify`): its
     calibration error is within the budget and its payoff is the returned
     objective, or ``SolverError('UNCERTIFIED')`` is raised.  The
     predictor's ``mass`` rows come back in ``inst``'s sorted event order,

@@ -123,7 +123,7 @@ class LpSolution:
     start_clamp: float = 0.0
 
 
-def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
+def solve(lp: LinearProgram, basis) -> LpSolution:
     """Solve the program from the start basis ``basis``: the result is an
     optimal solution that meets every row, or :class:`SolverError` is
     raised.
@@ -135,15 +135,13 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
     finite and nonnegative.  Any other start (wrong length, non-integer
     entries, an ``==`` row's logical column, which does not exist, a
     singular or infeasible basis) raises ``SolverError('NUMERICAL_FAILURE',
-    'start basis rejected: <reason>')``, as do a stall past ``max_iter``
-    pivots and a solution that misses a row.  An unbounded program raises
-    ``SolverError('NO_SOLUTION', 'program is unbounded')``; every program
-    the package poses has a bounded feasible set.
+    'start basis rejected: <reason>')``, as do a stall past ``10 (num_vars
+    + rows)² + 100`` pivots and a solution that misses a row.  An unbounded
+    program raises ``SolverError('NO_SOLUTION', 'program is unbounded')``;
+    every program the package poses has a bounded feasible set.
     """
     n = lp.num_vars
     rows = lp.b.size
-    if max_iter is None:
-        max_iter = int(10 * (n + rows) ** 2) + 100
 
     A = lp.A.copy()
     b = lp.b.copy()
@@ -190,12 +188,7 @@ def solve(lp: LinearProgram, basis, max_iter=None) -> LpSolution:
     cost = np.zeros(n_total)
     cost[:n] = c_scaled
     _install_objective(T, cols, ids, cost)
-    code, pivots = _pivot_loop(T, cols, ids, max_iter)
-    if code == 2:
-        raise SolverError("NUMERICAL_FAILURE",
-                          f"simplex exceeded {max_iter} pivots")
-    if code == 1:
-        raise SolverError("NO_SOLUTION", "program is unbounded")
+    pivots = _pivot_loop(T, cols, ids, 10 * (n + rows) ** 2 + 100)
     basic = cols.copy()
     logical = cols >= n
     basic[logical] = n + slack_rows[cols[logical] - n]
@@ -312,8 +305,9 @@ def _pivot_loop(T, basis, ids, max_iter):
     Bland's, so finite termination is not guaranteed; the ``max_iter`` cap
     bounds the loop instead.
 
-    Returns ``(code, pivots)``: code 0 optimal, 1 unbounded, 2 iteration
-    cap hit.
+    Returns the pivots made; raises ``SolverError('NO_SOLUTION')`` when an
+    entering column has no eligible row (the program is unbounded), and
+    ``SolverError('NUMERICAL_FAILURE')`` after ``max_iter`` pivots.
     """
     rows = T.shape[0] - 1
     cost, rhs = T[rows, :-1], T[:rows, -1]   # views, kept current
@@ -321,19 +315,20 @@ def _pivot_loop(T, basis, ids, max_iter):
     for it in range(max_iter):
         cand = (cost < -_COST_TOL).nonzero()[0]
         if not cand.size:
-            return 0, it
+            return it
         enter = int(cand[ids[cand].argmin()])
         col = T[:rows, enter]
         eligible = (col > _PIVOT_TOL).nonzero()[0]
         if not eligible.size:
-            return 1, it
+            raise SolverError("NO_SOLUTION", "program is unbounded")
         entries = col[eligible]
         pos = np.maximum(rhs[eligible], 0.0)
         step = ((pos + _RATIO_TIE_TOL) / entries).min()
         near = pos / entries <= step
         leave = eligible[np.where(near, entries, -np.inf).argmax()]
         _pivot(T, basis, ids, int(leave), enter, work)
-    return 2, max_iter
+    raise SolverError("NUMERICAL_FAILURE",
+                      f"simplex exceeded {max_iter} pivots")
 
 
 def _pivot(T, basis, ids, r, s, work):

@@ -9,7 +9,9 @@ A predictor assigns each event a discrete distribution over prediction
 values in [0, 1].  All evaluations here are pure functions: the decision
 maker's best response, the designer's indirect utility, the posterior
 outcome mean ``kappa`` conditional on a prediction, the expected
-calibration error, and both players' expected payoffs.
+calibration error, and both players' expected payoffs.  Both solvers end
+with :func:`certify` and give up ``SEPARATION`` at the agent's ties, and
+every number taken from outside goes through :func:`read_numbers`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 
 INF = math.inf
 
@@ -38,6 +40,16 @@ SUPPLY_TOL = 1e-7
 # terms summed in a score (see tied_action_sets).
 TIE_TOL = 1e-9
 
+# Both solvers move a prediction or a signal this far to either side of an
+# indifference point of the agent, where each action is its strict choice.
+SEPARATION = 1e-6
+
+# The certificate (:func:`certify`) allows the calibration error CERT_ECE_TOL
+# above the budget and the payoff CERT_PAYOFF_TOL * (1 + |objective|) off the
+# objective: the exact agent tie-break's payoff slack (1e-7) and round-off.
+CERT_ECE_TOL = 1e-7
+CERT_PAYOFF_TOL = 2e-7
+
 
 def runs(values, tol):
     """Start index of each run of the sorted ``values`` in which every value
@@ -48,35 +60,47 @@ def runs(values, tol):
     return np.flatnonzero(starts)
 
 
-def _as_float_array(x, name, code):
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(code, f"{name} is not numeric: {exc}") from None
-    if np.isnan(arr).any():
-        raise ValidationError(code, f"{name} contains NaN")
-    return arr
-
-
-def _number(value, code, what):
-    """``value`` as a float, or ``ValidationError(code)``; a string such as
-    ``"0.1"`` or ``"-inf"`` is read as the number it spells, a boolean is
-    not a number."""
-    if not isinstance(value, (bool, np.bool_)):
+def read_numbers(value, code, what, scalar=False):
+    """``value``, a number or nested lists or an array of numbers, as a float
+    array (a float if ``scalar``), or ``ValidationError(code)``.  Every
+    number the package takes from outside is read here: a number or a
+    string that spells one (``"0.1"``, ``"-inf"``), never a boolean,
+    ``None`` or NaN.  Float and int arrays are converted whole, other values
+    entry by entry.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        arr = np.asarray(value, dtype=float)
+        if np.isnan(arr).any():
+            raise ValidationError(code, f"{what} contains NaN")
+    else:
         try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValidationError(code, f"{what} must be a number, got {value!r}")
+            items = np.array(value, dtype=object)
+        except ValueError:   # a list of arrays of unequal shapes
+            raise ValidationError(code, f"{what} is ragged") from None
+        flat = []
+        for x in items.flat:
+            number = math.nan
+            if not isinstance(x, (bool, np.bool_)):
+                try:
+                    number = float(x)
+                except (TypeError, ValueError, OverflowError):
+                    pass
+            if number != number:   # NaN, or not a number
+                raise ValidationError(code, f"{what}: {x!r} is not a number")
+            flat.append(number)
+        arr = np.array(flat).reshape(items.shape)
+    if scalar and arr.ndim:
+        raise ValidationError(code, f"{what}: {value!r} is not a number")
+    return float(arr) if scalar else arr
 
 
 def _budget(epsilon, norm):
     """The checked ``(epsilon, norm)`` pair of an instance, as floats; a
     budget of ``-0`` is stored as ``0``."""
-    epsilon = _number(epsilon, "BAD_BUDGET", "epsilon") + 0.0
+    epsilon = read_numbers(epsilon, "BAD_BUDGET", "epsilon", scalar=True) + 0.0
     if not 0 <= epsilon < math.inf:
         raise ValidationError("BAD_BUDGET", "epsilon must be finite and >= 0")
-    norm = _number(norm, "BAD_NORM", "the norm exponent")
+    norm = read_numbers(norm, "BAD_NORM", "the norm exponent", scalar=True)
     if not (norm >= 1):
         raise ValidationError("BAD_NORM", "norm exponent must be >= 1 or inf")
     return epsilon, norm
@@ -94,10 +118,10 @@ class Instance:
 
     def __init__(self, theta, lam, actions, agent_utility, principal_utility,
                  epsilon=0.0, norm=1.0):
-        theta = _as_float_array(theta, "theta", "BAD_MEAN")
-        lam = _as_float_array(lam, "lambda", "BAD_PRIOR")
-        v = _as_float_array(agent_utility, "agent_utility", "BAD_UTILITY")
-        u = _as_float_array(principal_utility, "principal_utility", "BAD_UTILITY")
+        theta = read_numbers(theta, "BAD_MEAN", "theta")
+        lam = read_numbers(lam, "BAD_PRIOR", "lambda")
+        v = read_numbers(agent_utility, "BAD_UTILITY", "agent_utility")
+        u = read_numbers(principal_utility, "BAD_UTILITY", "principal_utility")
 
         if theta.ndim != 1 or theta.size == 0:
             raise ValidationError("BAD_MEAN", "theta must be a non-empty vector")
@@ -209,7 +233,8 @@ def validate_instance(raw):
 
     The description holds ``theta``, ``lambda``, ``actions``,
     ``agent_utility`` (action name -> [v(a,0), v(a,1)]), ``principal_utility``
-    (one such table per event), ``epsilon`` and ``norm`` (number or "inf").
+    (one such table per event), ``epsilon`` and ``norm``, every number read
+    by :func:`read_numbers` (so ``"inf"`` is a norm and a utility).
     """
     if isinstance(raw, Instance):
         return raw
@@ -230,12 +255,6 @@ def validate_instance(raw):
         if not isinstance(value, (list, tuple, np.ndarray)):
             raise ValidationError(code, f"{name} must be a list of {what}, "
                                         f"got {value!r}")
-    for name, value, code in (("theta", theta, "BAD_MEAN"),
-                              ("lambda", lam, "BAD_PRIOR")):
-        for x in value:
-            if isinstance(x, (bool, np.bool_)):
-                raise ValidationError(code, f"{name} must hold numbers, "
-                                            f"got {x!r}")
     actions = list(actions)
 
     def table(mapping, what):
@@ -245,28 +264,19 @@ def validate_instance(raw):
         for a in actions:
             if str(a) not in mapping:
                 raise ValidationError("BAD_FORMAT", f"{what} missing action {a!r}")
-            pair = mapping[str(a)]
-            if not isinstance(pair, (list, tuple, np.ndarray)) or len(pair) != 2:
+            pair = read_numbers(mapping[str(a)], "BAD_FORMAT", f"{what}[{a!r}]")
+            if pair.shape != (2,):
                 raise ValidationError("BAD_FORMAT", f"{what}[{a!r}] needs [y=0, y=1]")
-            # JSON cannot carry +/-inf portably, so the strings "inf"/"-inf"
-            # are accepted and saturate at the cap like any other oversized
-            # value.
-            rows.append([_number(x, "BAD_FORMAT", f"{what}[{a!r}]")
-                         for x in pair])
-        return rows
+            rows.append(pair)
+        return np.array(rows)
 
     v = table(agent_raw, "agent_utility")
     if not isinstance(principal_raw, list) or len(principal_raw) != len(theta):
         raise ValidationError("BAD_FORMAT",
                               "principal_utility needs one table per event")
-    u = [table(entry, "principal_utility") for entry in principal_raw]
-    norm = raw.get("norm", 1)
-    if isinstance(norm, str):
-        if norm.lower() not in ("inf", "infinity"):
-            raise ValidationError("BAD_NORM", f"unknown norm {norm!r}")
-        norm = INF
+    u = np.array([table(entry, "principal_utility") for entry in principal_raw])
     return Instance(theta, lam, actions, v, u,
-                    epsilon=raw.get("epsilon", 0.0), norm=norm)
+                    epsilon=raw.get("epsilon", 0.0), norm=raw.get("norm", 1))
 
 
 class Predictor:
@@ -278,8 +288,8 @@ class Predictor:
     """
 
     def __init__(self, support, mass):
-        support = _as_float_array(support, "support", "BAD_SUPPORT").ravel()
-        mass = np.atleast_2d(_as_float_array(mass, "mass", "BAD_MASS"))
+        support = read_numbers(support, "BAD_SUPPORT", "support").ravel()
+        mass = np.atleast_2d(read_numbers(mass, "BAD_MASS", "mass"))
         if mass.ndim != 2 or mass.shape[1] != support.size:
             raise ValidationError("BAD_MASS", "mass must be a matrix whose "
                                   "columns match support")
@@ -535,3 +545,25 @@ def agent_payoff(pred, inst):
     """Agent's expected utility under ``pred`` (true outcome distribution)."""
     weight, acts = _support_actions(pred, inst)
     return float(np.einsum("ik,ik->", weight, inst.vbar_events[:, acts]))
+
+
+# certify's own names for ece and payoff: a wrapper put on model.ece or
+# model.payoff (perfbench's tracer) counts the solvers' callers only
+_ece, _payoff = ece, payoff
+
+
+def certify(predictor, inst, objective):
+    """Check a solver's answer independently of the solver: ``predictor``
+    keeps the budget (``ece <= epsilon`` in the instance's norm) and earns
+    ``objective``.  Raises ``SolverError('UNCERTIFIED')`` when either fails,
+    so that no solve returns a predictor that does less than it reports.
+    Both solvers end with it."""
+    gap = _ece(predictor, inst) - inst.epsilon
+    if not gap <= CERT_ECE_TOL:
+        raise SolverError("UNCERTIFIED",
+                          f"predictor exceeds the budget by {gap:.3e}")
+    miss = _payoff(predictor, inst) - objective
+    if not abs(miss) <= CERT_PAYOFF_TOL * (1.0 + abs(objective)):
+        raise SolverError(
+            "UNCERTIFIED",
+            f"predictor payoff misses the objective by {miss:.3e}")

@@ -30,6 +30,7 @@ from .model import (
     kappa_values,
     piece_scan,
     point_mass,
+    read_numbers,
     runs,
 )
 
@@ -226,16 +227,20 @@ class GammaCertificate:
     """
 
     def __init__(self, knots, alpha, x_low, x_high):
-        knots = sorted((float(x), float(y)) for x, y in knots)
-        self.knots_x = np.array([k[0] for k in knots])
-        self.knots_y = np.array([k[1] for k in knots])
+        knots = read_numbers(knots, "BAD_CERTIFICATE", "knots")
+        if knots.ndim != 2 or knots.shape[1] != 2:
+            raise ValidationError("BAD_CERTIFICATE",
+                                  "knots must be a list of [x, y] pairs")
+        order = np.lexsort((knots[:, 1], knots[:, 0]))   # by x, then y
+        self.knots_x, self.knots_y = knots[order].T
         if self.knots_x.size < 2 or self.knots_x[0] > 1e-12 \
                 or self.knots_x[-1] < 1 - 1e-12:
             raise ValidationError("BAD_CERTIFICATE",
                                   "knots must span [0, 1]")
-        self.alpha = float(alpha)
-        self.x_low = float(x_low)
-        self.x_high = float(x_high)
+        self.alpha, self.x_low, self.x_high = (
+            read_numbers(value, "BAD_CERTIFICATE", name, scalar=True)
+            for value, name in ((alpha, "alpha"), (x_low, "x_low"),
+                                (x_high, "x_high")))
         if self.alpha < 0 or not 0 <= self.x_low <= self.x_high <= 1:
             raise ValidationError("BAD_CERTIFICATE", "bad tail parameters")
         slopes = np.diff(self.knots_y) / np.diff(self.knots_x)
@@ -266,11 +271,11 @@ class GammaCertificate:
 
     @classmethod
     def from_json_dict(cls, raw):
-        try:
-            return cls(raw["knots"], raw["alpha"], raw["x_low"], raw["x_high"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError("BAD_CERTIFICATE",
-                                  f"missing field {exc}") from None
+        fields = ("knots", "alpha", "x_low", "x_high")
+        if not isinstance(raw, dict) or not all(f in raw for f in fields):
+            raise ValidationError("BAD_CERTIFICATE", "certificate must be a "
+                                  "mapping with " + ", ".join(fields))
+        return cls(*(raw[f] for f in fields))
 
 
 @dataclass

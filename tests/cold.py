@@ -26,7 +26,7 @@ SWAP_TOL = 1e-9
 _solve = lp_core.solve
 
 
-def cold_solve(lp, max_iter=None):
+def cold_solve(lp):
     """Solve ``lp`` from no start basis; returns an :class:`LpSolution`.
 
     Phase 1 flips the rows with ``b < 0`` and maximizes ``-sum(art)`` over
@@ -61,7 +61,7 @@ def cold_solve(lp, max_iter=None):
     start[art] = n + np.arange(k)
     aux = lp_core.LinearProgram(np.repeat([0.0, -1.0], [n, k]),
                                 full[:, :n + k], rel, b)
-    phase1 = _solve(aux, start, max_iter)
+    phase1 = _solve(aux, start)
     scale = max(1.0, np.abs(A).max(initial=0.0), b.max(initial=0.0))
     if np.any(phase1.x[n:] > PHASE1_TOL * scale):
         raise SolverError("NO_SOLUTION", "program is infeasible: phase 1 "
@@ -91,11 +91,11 @@ def cold_solve(lp, max_iter=None):
     logical = basis >= n
     basis[logical] = renumber[basis[logical] - n - k]
     if kept_rows.all():
-        sol = _solve(lp, basis, max_iter)
+        sol = _solve(lp, basis)
     else:
         sol = _solve(lp_core.LinearProgram(lp.objective, lp.A[kept_rows],
                                            lp.rel[kept_rows],
-                                           lp.b[kept_rows]), basis, max_iter)
+                                           lp.b[kept_rows]), basis)
         sol.basis = None
     sol.iterations += phase1.iterations
     return sol

@@ -59,9 +59,9 @@ def solves(monkeypatch):
     the ones that the agent refine catches show too."""
     seen = []
 
-    def spy(lp, basis, max_iter=None):
+    def spy(lp, basis):
         try:
-            sol = _unpatched_solve(lp, basis, max_iter)
+            sol = _unpatched_solve(lp, basis)
         except SolverError as err:
             seen.append((lp, basis, err))
             raise

@@ -115,56 +115,144 @@ class TestSolve:
 
 
 class TestMalformedInput:
-    # (the keys of one field of golden.json and its new value, or None; the
-    # command and its arguments after the instance, where MASS3D names a
-    # predictor whose mass has three dimensions; the error code).  A JSON
-    # boolean is not a number, and a null list is not a list
-    CASES = [
-        ((("epsilon",), None), ("solve",), "BAD_BUDGET"),
-        ((("epsilon",), [0.1]), ("solve",), "BAD_BUDGET"),
-        ((("epsilon",), "abc"), ("solve",), "BAD_BUDGET"),
-        ((("norm",), None), ("solve",), "BAD_NORM"),
-        ((("theta",), None), ("solve",), "BAD_FORMAT"),
-        ((("agent_utility", "a1"), 1), ("solve",), "BAD_FORMAT"),
-        ((("agent_utility", "a1"), ["abc", 1]), ("solve",), "BAD_FORMAT"),
-        (None, ("sweep", "--eps", "0.1,abc"), "BAD_BUDGET"),
-        (None, ("eval", "MASS3D"), "BAD_MASS"),
-        ((("epsilon",), True), ("solve",), "BAD_BUDGET"),
-        ((("epsilon",), False), ("solve",), "BAD_BUDGET"),
-        ((("norm",), True), ("solve",), "BAD_NORM"),
-        ((("lambda",), [True, 0, 0]), ("solve",), "BAD_PRIOR"),
-        ((("theta",), [True, 0.5, 0.9]), ("solve",), "BAD_MEAN"),
-        ((("agent_utility", "a1"), [True, 1]), ("solve",), "BAD_FORMAT"),
-        ((("actions",), None), ("solve",), "BAD_FORMAT"),
-        ((("lambda",), None), ("solve",), "BAD_PRIOR"),
-    ]
+    # (the instance file: None for golden.json, the keys of one of its
+    # fields and their new value, or the file's whole text, or NO_FILE for a
+    # path with no file; the command and its arguments after the instance,
+    # where a dict or list is written to a JSON file and its path passed;
+    # the error code).  Every number in an instance, predictor or
+    # certificate file is read by one rule: a JSON boolean is not a number,
+    # and a null list is not a list
+    NO_FILE = "(no file)"
+    MASS3D = {"support": [0.5], "mass": [[[1.0]]] * 3}
+    TABLE = {"a1": [5, 5], "a2": [0, 0], "a3": [1, 1], "a4": [2, 2]}
+    CERT = {"knots": [[0, 0], [1, 1]], "alpha": 0, "x_low": 0, "x_high": 1}
+    CASES = {
+        "epsilon-null": ((("epsilon",), None), ("solve",), "BAD_BUDGET"),
+        "epsilon-list": ((("epsilon",), [0.1]), ("solve",), "BAD_BUDGET"),
+        "epsilon-text": ((("epsilon",), "abc"), ("solve",), "BAD_BUDGET"),
+        "norm-null": ((("norm",), None), ("solve",), "BAD_NORM"),
+        "theta-null": ((("theta",), None), ("solve",), "BAD_FORMAT"),
+        "utility-number": ((("agent_utility", "a1"), 1), ("solve",),
+                           "BAD_FORMAT"),
+        "utility-text": ((("agent_utility", "a1"), ["abc", 1]), ("solve",),
+                         "BAD_FORMAT"),
+        "sweep-text": (None, ("sweep", "--eps", "0.1,abc"), "BAD_BUDGET"),
+        "mass-3d": (None, ("eval", MASS3D), "BAD_MASS"),
+        "epsilon-true": ((("epsilon",), True), ("solve",), "BAD_BUDGET"),
+        "epsilon-false": ((("epsilon",), False), ("solve",), "BAD_BUDGET"),
+        "norm-true": ((("norm",), True), ("solve",), "BAD_NORM"),
+        "lambda-bool": ((("lambda",), [True, 0, 0]), ("solve",),
+                        "BAD_PRIOR"),
+        "theta-bool": ((("theta",), [True, 0.5, 0.9]), ("solve",),
+                       "BAD_MEAN"),
+        "utility-bool": ((("agent_utility", "a1"), [True, 1]), ("solve",),
+                         "BAD_FORMAT"),
+        "actions-null": ((("actions",), None), ("solve",), "BAD_FORMAT"),
+        "lambda-null": ((("lambda",), None), ("solve",), "BAD_PRIOR"),
+        # "inf" and "Infinity" read as the max-norm, which fptas rejects
+        "norm-text": ((("norm",), "two"), ("solve",), "BAD_NORM"),
+        "norm-inf-fptas": ((("norm",), "inf"), ("solve", "--method", "fptas"),
+                           "UNSUPPORTED_NORM"),
+        "norm-infinity-grid": ((("norm",), "Infinity"), ("grid",),
+                               "UNSUPPORTED_NORM"),
+        "no-file": (NO_FILE, ("solve",), "BAD_FORMAT"),
+        "not-json": ("{theta: [0.5]}", ("solve",), "BAD_FORMAT"),
+        "not-utf8": (b"\xff\xfe{}", ("solve",), "BAD_FORMAT"),
+        "not-a-mapping": ("[1, 2]", ("solve",), "BAD_FORMAT"),
+        "table-list": ((("agent_utility",), [[0, 0]]), ("solve",),
+                       "BAD_FORMAT"),
+        "table-missing-action": ((("principal_utility", 0), {"a1": [5, 5]}),
+                                 ("solve",), "BAD_FORMAT"),
+        "tables-too-few": ((("principal_utility",), [TABLE]), ("solve",),
+                           "BAD_FORMAT"),
+        "predictor-bool": (None, ("eval", {"support": [True, 0.5], "mass": [
+            [1, 0], [0, True], [1, False]]}), "BAD_SUPPORT"),
+        "predictor-null-support": (None, ("eval", {
+            "support": None, "mass": [[1.0]] * 3}), "BAD_SUPPORT"),
+        "predictor-mass-bool": (None, ("eval", {
+            "support": [0.5], "mass": [[True]] * 3}), "BAD_MASS"),
+        "predictor-outside": (None, ("eval", {
+            "support": [1.5], "mass": [[1.0]] * 3}), "BAD_SUPPORT"),
+        "predictor-negative": (None, ("eval", {
+            "support": [0.2, 0.8], "mass": [[1.5, -0.5]] * 3}), "BAD_MASS"),
+        "predictor-empty": (None, ("eval", {
+            "support": [], "mass": [[]] * 3}), "BAD_SUPPORT"),
+        "predictor-no-support": (None, ("eval", {"mass": [[1.0]] * 3}),
+                                 "BAD_FORMAT"),
+        "certificate-text": (None, ("verify-structure", CASE1,
+                                    "--certificate", {**CERT, "x_high": "x"}),
+                             "BAD_CERTIFICATE"),
+        "certificate-3-columns": (None, ("verify-structure", CASE1,
+                                         "--certificate",
+                                         {**CERT, "knots": [[0, 0, 0],
+                                                            [1, 1, 1]]}),
+                                  "BAD_CERTIFICATE"),
+        "certificate-bool": (None, ("verify-structure", CASE1,
+                                    "--certificate",
+                                    {**CERT, "knots": [[0, 0], [True, 1]],
+                                     "alpha": False}),
+                             "BAD_CERTIFICATE"),
+        "certificate-null-knot": (None, ("verify-structure", CASE1,
+                                         "--certificate",
+                                         {**CERT, "knots": [None, [1, 1]]}),
+                                  "BAD_CERTIFICATE"),
+        "certificate-list": (None, ("verify-structure", CASE1,
+                                    "--certificate", [1, 2]),
+                             "BAD_CERTIFICATE"),
+        "certificate-no-alpha": (None, ("verify-structure", CASE1,
+                                        "--certificate",
+                                        {"knots": CERT["knots"]}),
+                                 "BAD_CERTIFICATE"),
+    }
+    # words the message must hold, where the code alone does not tell the
+    # fault
+    MESSAGES = {
+        "actions-null": "must be a list",
+        "lambda-null": "must be a list",
+        "predictor-null-support": "support: None is not a number",
+        "certificate-null-knot": "knots: None is not a number",
+        "certificate-list": "certificate must be a mapping",
+        "certificate-no-alpha": "certificate must be a mapping with knots, "
+                                "alpha, x_low, x_high",
+    }
 
-    @pytest.mark.parametrize("edit,argv,code", CASES, ids=[
-        "epsilon-null", "epsilon-list", "epsilon-text", "norm-null",
-        "theta-null", "utility-number", "utility-text", "sweep-text",
-        "mass-3d", "epsilon-true", "epsilon-false", "norm-true",
-        "lambda-bool", "theta-bool", "utility-bool", "actions-null",
-        "lambda-null"])
-    def test_exits_2_with_a_code(self, capsys, tmp_path, edit, argv, code):
-        raw = json.loads(Path(GOLDEN).read_text())
-        if edit is not None:
-            (*keys, last), value = edit
-            field = raw
-            for key in keys:
-                field = field[key]
-            field[last] = value
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_2_with_a_code(self, capsys, tmp_path, case):
+        edit, argv, code = self.CASES[case]
         inst = tmp_path / "inst.json"
-        inst.write_text(json.dumps(raw))
-        pred = tmp_path / "pred.json"
-        pred.write_text(json.dumps({"support": [0.5], "mass": [[[1.0]]] * 3}))
+        if isinstance(edit, bytes):
+            inst.write_bytes(edit)
+        elif isinstance(edit, str):
+            if edit != self.NO_FILE:
+                inst.write_text(edit)
+        else:
+            raw = json.loads(Path(GOLDEN).read_text())
+            if edit is not None:
+                (*keys, last), value = edit
+                field = raw
+                for key in keys:
+                    field = field[key]
+                field[last] = value
+            inst.write_text(json.dumps(raw))
         command, *rest = argv
-        rest = [str(pred) if arg == "MASS3D" else arg for arg in rest]
-        exit_code, out, err = run(capsys, command, str(inst), *rest)
+        for k, arg in enumerate(rest):
+            if not isinstance(arg, str):
+                rest[k] = tmp_path / f"arg{k}.json"
+                rest[k].write_text(json.dumps(arg))
+        exit_code, out, err = run(capsys, command, str(inst), *map(str, rest))
         assert exit_code == 2
         assert out == ""
         assert err.startswith(f"error: {code}:")
-        if edit in ((("actions",), None), (("lambda",), None)):
-            assert "must be a list" in err
+        assert self.MESSAGES.get(case, "") in err
+
+    def test_the_certificate_cases_differ_from_a_valid_file(self, capsys,
+                                                             tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(self.CERT))
+        code, out, _ = run(capsys, "verify-structure", GOLDEN, CASE1,
+                           "--certificate", str(cert))
+        assert code == 0
+        assert "optimality" in json.loads(out)
 
 
 class TestEval:
@@ -326,8 +414,8 @@ class TestSweepWorkers:
         pivots = []
         real_solve = lp_core.solve
 
-        def count(lp, basis, max_iter=None):
-            sol = real_solve(lp, basis, max_iter)
+        def count(lp, basis):
+            sol = real_solve(lp, basis)
             pivots.append(sol.iterations)
             return sol
 

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from caldesign import exact, lp_core
+from caldesign import exact, lp_core, model
 from caldesign.cli import _fmt
 from caldesign.errors import SolverError, ValidationError
 from caldesign.exact import (
@@ -431,11 +431,11 @@ class TestAgentRefine:
         # first-stage vertex comes back and the failure is logged once
         calls = []
 
-        def flaky(lp, basis, max_iter=None):
+        def flaky(lp, basis):
             calls.append(lp)
             if len(calls) > 1:
                 raise SolverError("NUMERICAL_FAILURE", "forced")
-            return _real_solve(lp, basis, max_iter)
+            return _real_solve(lp, basis)
 
         monkeypatch.setattr(lp_core, "solve", flaky)
         inst = golden.with_epsilon(0.04)
@@ -660,13 +660,13 @@ class TestPivotCounts:
                                             monkeypatch):
         spy = lp_core.solve
 
-        def reject_the_walk(lp, basis, max_iter=None):
+        def reject_the_walk(lp, basis):
             if len(solves) == 2:   # the second budget's walk start
                 err = SolverError("NUMERICAL_FAILURE",
                                   "start basis rejected: forced")
                 solves.append((lp, basis, err))
                 raise err
-            return spy(lp, basis, max_iter)
+            return spy(lp, basis)
 
         monkeypatch.setattr(lp_core, "solve", reject_the_walk)
         results = exact.solve_budgets(golden, [0.03, 0.05])
@@ -853,7 +853,8 @@ class TestCertifiedSolves:
     ])
     def test_certificate_failure_raises(self, golden, monkeypatch, check,
                                         fake):
-        monkeypatch.setattr(exact, check, fake)
+        # model.certify evaluates through model._ece and model._payoff
+        monkeypatch.setattr(model, f"_{check}", fake)
         with pytest.raises(SolverError) as err:
             solve_exact(golden.with_epsilon(0.04))
         assert err.value.code == "UNCERTIFIED"

@@ -5,7 +5,7 @@ import pytest
 
 import dataclasses
 
-from caldesign import exact, fptas, lp_core
+from caldesign import fptas, lp_core, model
 from caldesign.cli import _fmt
 from caldesign.errors import SolverError, ValidationError
 from caldesign.fptas import (
@@ -721,9 +721,10 @@ class TestFptasSolve:
     ])
     def test_certificate_failure_raises(self, golden, monkeypatch, check,
                                         fake):
-        # the certificate fptas_solve ends with is solve_exact's
+        # the certificate fptas_solve ends with is solve_exact's,
+        # model.certify, which evaluates through model._ece and model._payoff
         fptas_solve(golden, 0.1)
-        monkeypatch.setattr(exact, check, fake)
+        monkeypatch.setattr(model, f"_{check}", fake)
         with pytest.raises(SolverError) as err:
             fptas_solve(golden, 0.1)
         assert err.value.code == "UNCERTIFIED"

@@ -4,10 +4,11 @@
 the package.  ``lp_core`` is the leaf engine, which an external solver may
 replace: it imports ``errors`` alone.  ``structure`` works on predictors
 and the agent's envelope from ``model``; it must not reach into the
-solvers.  ``cli`` calls ``exact`` through its public names only.  The
-library is single-process: only ``cli`` starts processes, by ``os.fork``
-inside a function, so that importing a module starts none, and no module
-imports a process pool.
+solvers.  ``fptas`` builds on ``model`` and ``lp_core`` alone, not on the
+exact solver or ``structure``.  ``cli`` calls ``exact`` through its public
+names only.  The library is single-process: only ``cli`` starts processes,
+by ``os.fork`` inside a function, so that importing a module starts none,
+and no module imports a process pool.
 """
 
 import ast
@@ -42,8 +43,8 @@ def package_imports(module):
 
 
 def test_the_reader_sees_every_import_form():
-    assert package_imports("fptas") >= {"lp_core", "errors", "exact",
-                                        "model"}
+    # from . import x, and from .x import y
+    assert package_imports("fptas") >= {"lp_core", "errors", "model"}
     assert package_imports("cli") >= {"exact", "fptas", "model",
                                       "structure", "errors"}
 
@@ -58,6 +59,10 @@ def test_lp_core_imports_only_errors():
 
 def test_structure_imports_no_solver():
     assert not package_imports("structure") & {"fptas", "exact", "lp_core"}
+
+
+def test_fptas_imports_no_other_solver():
+    assert not package_imports("fptas") & {"exact", "structure"}
 
 
 def private_reads(source, of):

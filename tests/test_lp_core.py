@@ -90,12 +90,15 @@ class TestBasics:
                 assert sol.objective_value == 0.0, (A.shape, rel)
                 assert sol.x.size == len(objective)
         none = np.zeros(0, dtype=np.int64)
-        assert lp_core._pivot_loop(np.zeros((1, 1)), none, none, 5) == (0, 0)
+        assert lp_core._pivot_loop(np.zeros((1, 1)), none, none, 5) == 0
 
     def test_iteration_cap_raises(self):
-        lp = LinearProgram([1.0], [[1.0]], ["<="], [1.0])
-        with pytest.raises(SolverError) as err:
-            solve(lp, [1], max_iter=0)
+        # max x s.t. x <= 1 needs one pivot from the slack's basis
+        basis = np.array([1])
+        T, ids = condense(np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]),
+                          basis)
+        with pytest.raises(SolverError, match="exceeded 0 pivots") as err:
+            lp_core._pivot_loop(T, basis, ids, 0)
         assert err.value.code == "NUMERICAL_FAILURE"
 
     def test_counts_pivots(self):
@@ -238,7 +241,7 @@ class TestRatioTest:
         T, ids = condense(np.array([[1e-9, 1.0, 0.0, 0.0],
                                     [1.0, 0.0, 1.0, 0.0],
                                     [-1.0, 0.0, 0.0, 0.0]]), basis)
-        assert lp_core._pivot_loop(T, basis, ids, 10) == (0, 1)
+        assert lp_core._pivot_loop(T, basis, ids, 10) == 1
         assert basis.tolist() == [1, 0]
         assert ids.tolist() == [2]
         assert np.abs(T).max() == pytest.approx(1.0)
@@ -260,7 +263,7 @@ class TestRatioTest:
         T, ids = condense(np.array([[1.0, 1.0, 0.0, 0.0],
                                     [1.0, 0.0, 1.0, 0.0],
                                     [-1.0, 0.0, 0.0, 0.0]]), basis)
-        assert lp_core._pivot_loop(T, basis, ids, 10) == (0, 1)
+        assert lp_core._pivot_loop(T, basis, ids, 10) == 1
         assert basis.tolist() == [0, 2]
 
     def test_never_pivots_on_a_tiny_entry(self):
@@ -271,14 +274,16 @@ class TestRatioTest:
                                     [-1.0, 0.0, 1.0, 0.0, 0.0],
                                     [0.5, 0.0, 0.0, 1.0, 5.0],
                                     [-1.0, 0.0, 0.0, 0.0, 0.0]]), basis)
-        assert lp_core._pivot_loop(T, basis, ids, 10) == (0, 1)
+        assert lp_core._pivot_loop(T, basis, ids, 10) == 1
         assert basis.tolist() == [1, 2, 0]
         assert T[2, -1] == 10.0
         # with no entry above _PIVOT_TOL the column is unbounded
         basis = np.array([1])
         T, ids = condense(np.array([[lp_core._PIVOT_TOL, 1.0, 0.0],
                                     [-1.0, 0.0, 0.0]]), basis)
-        assert lp_core._pivot_loop(T, basis, ids, 10) == (1, 0)
+        with pytest.raises(SolverError, match="unbounded") as err:
+            lp_core._pivot_loop(T, basis, ids, 10)
+        assert err.value.code == "NO_SOLUTION"
 
     def test_objective_row_matches_row_by_row_sum(self):
         # the condensed row is the full tableau's row at the nonbasic
@@ -329,15 +334,17 @@ class TestRatioTest:
         negative_zeros = pivots = 0
         while True:
             before = basis.copy()
-            code, made = lp_core._pivot_loop(T, basis, ids, 1)
-            if not made:
+            try:   # a cap of one pivot: returns only at the optimum
+                lp_core._pivot_loop(T, basis, ids, 1)
                 break
+            except SolverError as err:
+                assert err.code == "NUMERICAL_FAILURE"
             r = int(np.flatnonzero(basis != before)[0])
             negative_zeros += gauss_jordan(full, r, int(basis[r]))
             pivots += 1
             assert np.array_equal(T + 0.0, full[:, np.append(ids, -1)] + 0.0)
             assert np.array_equal(full[:rows, basis], np.eye(rows))
-        assert code == 0 and pivots >= 3 and negative_zeros
+        assert pivots >= 3 and negative_zeros
 
 
 class TestRowPrices:

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caldesign.errors import ValidationError
+from caldesign.exact import SenderStrategy, solve_exact, strategy_to_predictor
+from caldesign.fptas import build_grid, fptas_solve
 from caldesign.model import (
     INF,
     SUPPORT_MERGE_TOL,
     TIE_TOL,
+    Instance,
     Predictor,
     agent_payoff,
     best_response,
@@ -23,11 +26,95 @@ from caldesign.model import (
     tied_action_sets,
     validate_instance,
 )
+from caldesign.structure import GammaCertificate
 
 from conftest import make_instance, random_instance, random_predictor
 
 
+def _one_event(epsilon=0.1, norm=1.0):
+    return make_instance([0.8], [1.0], [[0, 0]], [[[1, 1]]], epsilon, norm)
+
+
+def _silent_strategy():
+    """A strategy whose signals carry no mass, set after its checks."""
+    strat = SenderStrategy([[1.0]], [0.0])
+    strat.pi[:] = 0.0
+    return strategy_to_predictor(strat, _one_event())
+
+
 class TestValidation:
+    # (a call that reads malformed input, the error code it raises)
+    MALFORMED = {
+        "theta-empty": (lambda: Instance([], [], ["a"], [[0, 0]],
+                                         np.zeros((0, 1, 2))), "BAD_MEAN"),
+        "theta-bool": (lambda: Instance([True], [1.0], ["a"], [[0, 0]],
+                                        [[[0, 0]]]), "BAD_MEAN"),
+        "lambda-length": (lambda: make_instance(
+            [0.3, 0.9], [1.0], [[0, 0]], [[[0, 0]]] * 2, 0.1), "BAD_PRIOR"),
+        "lambda-negative": (lambda: make_instance(
+            [0.3, 0.9], [1.5, -0.5], [[0, 0]], [[[0, 0]]] * 2, 0.1),
+            "BAD_PRIOR"),
+        "no-action": (lambda: Instance([0.5], [1.0], [], np.zeros((0, 2)),
+                                       np.zeros((1, 0, 2))), "BAD_UTILITY"),
+        "duplicate-actions": (lambda: Instance(
+            [0.5], [1.0], ["a", "a"], [[0, 0]] * 2, [[[0, 0]] * 2]),
+            "BAD_UTILITY"),
+        "agent-shape": (lambda: Instance([0.5], [1.0], ["a"], [[0, 0, 0]],
+                                         [[[0, 0]]]), "BAD_UTILITY"),
+        "principal-shape": (lambda: Instance([0.5], [1.0], ["a"], [[0, 0]],
+                                             [[0, 0]]), "BAD_UTILITY"),
+        "description-list": (lambda: validate_instance([1, 2]), "BAD_FORMAT"),
+        "support-bool": (lambda: Predictor([0.5, True], [[0.5, 0.5]]),
+                         "BAD_SUPPORT"),
+        "support-outside": (lambda: Predictor([1.5], [[1.0]]), "BAD_SUPPORT"),
+        "support-empty": (lambda: Predictor([], np.zeros((1, 0))),
+                          "BAD_SUPPORT"),
+        "mass-null": (lambda: Predictor([0.5], [[None]]), "BAD_MASS"),
+        "mass-ragged": (lambda: Predictor([0.5, 0.5], [np.ones((2, 2)),
+                                                        np.ones((2, 3))]),
+                        "BAD_MASS"),
+        "mass-negative": (lambda: Predictor([0.2, 0.8], [[1.5, -0.5]]),
+                          "BAD_MASS"),
+        "predictor-no-support": (lambda: Predictor.from_json_dict(
+            {"mass": [[1.0]]}), "BAD_FORMAT"),
+        "knots-bool": (lambda: GammaCertificate([[0, 0], [True, 1]], 0, 0, 1),
+                       "BAD_CERTIFICATE"),
+        "alpha-bool": (lambda: GammaCertificate([[0, 0], [1, 1]], False, 0,
+                                                1), "BAD_CERTIFICATE"),
+        "certificate-list": (lambda: GammaCertificate.from_json_dict([1, 2]),
+                             "BAD_CERTIFICATE"),
+        "tie-break": (lambda: solve_exact(_one_event(), tie_break="x"),
+                      "BAD_FORMAT"),
+        "fptas-max-norm": (lambda: fptas_solve(_one_event(norm=INF), 0.1),
+                           "UNSUPPORTED_NORM"),
+        "grid-max-norm": (lambda: build_grid(_one_event(norm=INF), 0.1),
+                          "UNSUPPORTED_NORM"),
+        "bias-short": (lambda: SenderStrategy([[1.0, 0.0]], [0.0]),
+                       "BAD_STRATEGY"),
+        "pi-negative": (lambda: SenderStrategy([[1.5, -0.5]], [0.0, 0.0]),
+                        "BAD_STRATEGY"),
+        "pi-rows": (lambda: SenderStrategy([[0.5, 0.4]], [0.0, 0.0]),
+                    "BAD_STRATEGY"),
+        "pi-nan": (lambda: SenderStrategy([[math.nan]], [0.0]),
+                   "BAD_STRATEGY"),
+        "strategy-silent": (_silent_strategy, "BAD_STRATEGY"),
+        "biased-mean-outside": (lambda: strategy_to_predictor(
+            SenderStrategy([[1.0]], [0.5]), _one_event()), "BAD_STRATEGY"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_rejects_with_a_code(self, case):
+        call, code = self.MALFORMED[case]
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == code
+
+    @pytest.mark.parametrize("norm", ["inf", "Infinity", "INF"])
+    def test_norm_strings_read_as_the_max_norm(self, golden, norm):
+        raw = golden.to_json_dict()
+        raw["norm"] = norm
+        assert validate_instance(raw).norm == INF
+
     def test_accepts_two_event_instance(self, two_event):
         assert two_event.n == 2
         assert two_event.theta.tolist() == [0.3, 0.9]

@@ -194,6 +194,34 @@ class TestAnalyzeStructure:
         assert not report.ok
         assert any("under-confident" in v for v in report.violations)
 
+    # golden's indirect utility is 5 below 1e-5, 0 below 0.9 and 1 up to
+    # about 1.  (support, each event's row of mass, the report's violation)
+    VIOLATIONS = {
+        # three under-confident points, (0, 5), (0.5, 0) and (0.6, 0)
+        "under-not-collinear": ([0.0, 0.5, 0.6], np.eye(3),
+                                "under tail not collinear"),
+        # the middle event over-confident at 0.86, 0.95 and 0.97
+        "over-not-collinear": ([0.10001, 0.86, 0.95, 0.97, 1.0],
+                               [[1, 0, 0, 0, 0], [0, 0.25, 0.25, 0.5, 0],
+                                [0, 0, 0, 0, 1]],
+                               "over tail not collinear"),
+        # under slope -10 through (0, 5) and (0.5, 0), over slope 0
+        "slopes-differ": ([0.0, 0.5, 0.95, 0.97],
+                          [[1, 0, 0, 0], [0, 0, 0.5, 0.5], [0, 1, 0, 0]],
+                          "tail slope magnitudes differ"),
+        # (0.5, 0), (0.95, 1), (0.97, 1) bend down
+        "not-convex": ([0.5, 0.95, 0.97], np.eye(3),
+                       "touched utility points are not convex"),
+    }
+
+    @pytest.mark.parametrize("case", VIOLATIONS)
+    def test_violations_reported(self, golden, case):
+        support, mass, violation = self.VIOLATIONS[case]
+        report = analyze_structure(Predictor(support, mass), golden)
+        assert any(v.startswith(violation) for v in report.violations), \
+            report.violations
+        assert not report.ok
+
     def test_exact_optima_have_the_shape(self):
         # the structure theorem on solve_exact's raw optima (no agent
         # tie-break): l1 budgets, event-independent designer utility,
