@@ -10,8 +10,8 @@ Subcommands:
 - ``grid``         dump the discretization grid for a given precision
 
 Per-event rows (predictor ``mass``, scheme ``pi``, ``per_event_support``)
-are written and read in the instance file's order of events, whatever the
-order of their means.
+follow the instance file's order of events, as the library's rows follow
+the caller's; the order of the means does not matter.
 
 A ``sweep`` sorts its distinct budgets and cuts them into blocks of 10; an
 exact block is one walk of :func:`exact.solve_budgets`, which for t=1
@@ -83,13 +83,13 @@ def _load_instance(args) -> model.Instance:
 
 
 def _load_predictor(path, inst) -> model.Predictor:
-    """Read a predictor whose rows follow the instance file's events."""
+    """Read a predictor with one row per event of the instance."""
     pred = model.Predictor.from_json_dict(_load_json(path))
     if pred.n_events != inst.n:
         raise ValidationError(
             "BAD_MASS",
             f"predictor has {pred.n_events} event rows, instance has {inst.n}")
-    return model.Predictor(pred.support, pred.mass[inst.order])
+    return pred
 
 
 def _write_text(path, text):
@@ -101,7 +101,7 @@ def _write_text(path, text):
 
 
 def _summary(inst, pred, objective):
-    per_event = inst.to_caller((pred.mass > 1e-12).sum(axis=1))
+    per_event = (pred.mass > 1e-12).sum(axis=1)
     return {
         "objective": objective,
         "payoff": model.payoff(pred, inst),
@@ -115,7 +115,6 @@ def _summary(inst, pred, objective):
 
 
 def cmd_solve(args) -> int:
-    """Predictor and scheme rows are written in the instance file's order."""
     if args.strategy_out and args.method != "exact":
         raise ValidationError("BAD_FORMAT", "--strategy-out needs --method exact")
     inst = _load_instance(args)
@@ -125,13 +124,12 @@ def cmd_solve(args) -> int:
         pred, objective = fptas.fptas_solve(inst, args.delta)
     summary = _summary(inst, pred, objective)
     if args.output:
-        caller = model.Predictor(pred.support, inst.to_caller(pred.mass))
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(caller.to_json_dict(), fh, indent=1)
+            json.dump(pred.to_json_dict(), fh, indent=1)
             fh.write("\n")
         log.info("wrote predictor to %s", args.output)
     if args.strategy_out:
-        scheme = {"pi": inst.to_caller(strat.pi).tolist(),
+        scheme = {"pi": strat.pi.tolist(),
                   "bias": dict(zip(inst.actions, strat.bias.tolist())),
                   "signal_actions": list(range(strat.n_signals))}
         with open(args.strategy_out, "w", encoding="utf-8") as fh:

@@ -214,10 +214,6 @@ def solve_exact(inst: Instance, tie_break="agent"):
     earns.  Three or more actions tied at such a mean, or a budget below
     ``SEPARATION``, raise ``SolverError('UNCERTIFIED')``, as does a
     predictor that fails the final certificate (:func:`certify`).
-
-    Per-event rows (the strategy's ``pi``, the predictor's ``mass``) come
-    back in ``inst``'s sorted event order, not the caller's;
-    ``inst.to_caller`` maps them back.
     """
     result = solve_budgets(inst, [inst.epsilon], tie_break)[0]
     if isinstance(result, CaldesignError):

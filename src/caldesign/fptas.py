@@ -1,11 +1,12 @@
 """Approximation scheme for general finite-norm budgets.
 
 The solver optimizes over pairwise ("bi-event") post-processing plans: mass
-``chi[i, j](q, p)`` pools events ``i <= j`` into a true expected outcome
-``q`` between their means and reports prediction ``p``.  The contribution
-ratio r = (theta_j - q) / (theta_j - theta_i) says how much of the pooled
-mass event ``i`` supplies.  Feasible plans conserve each event's prior mass
-and keep sum chi |q - p|^t within the budget; any such plan converts into a
+``chi[i, j](q, p)`` pools a low-mean event ``i`` and a high-mean event ``j``
+(or one event, ``i = j``) into a true expected outcome ``q`` between their
+means and reports prediction ``p``.  The contribution ratio
+r = (theta_j - q) / (theta_j - theta_i) says how much of the pooled mass
+event ``i`` supplies.  Feasible plans conserve each event's prior mass and
+keep sum chi |q - p|^t within the budget; any such plan converts into a
 predictor with no worse calibration error and identical payoff
 (:func:`plan_to_predictor`).  A plan is one type, the plan LP's own
 :class:`PlanColumns` with the mass on each column.
@@ -256,10 +257,11 @@ class PlanProgram:
 
     Its columns are the diagonal entries (e, e, theta_e, p) for every event
     ``e`` and prediction ``p = ps[c]`` of ``calibrated``, and the pooled
-    entries (i, j, points[g], p) for every pair ``i = i[k] < j = j[k]`` of
-    means at distinct points and grid index ``lo[k] <= g < hi[k]``, from
-    mean i's point to mean j's (:func:`_point_of`).  ``U[e, c]`` is event
-    e's indirect utility at ``ps[c]``.  ``fixed`` holds the pricing
+    entries (i, j, points[g], p) for every pair of events ``i = i[k]`` and
+    ``j = j[k]`` whose means lie at distinct points, i's below j's, and grid
+    index ``lo[k] <= g < hi[k]``, from mean i's point to mean j's
+    (:func:`_point_of`).  ``U[e, c]`` is event e's indirect utility at
+    ``ps[c]``.  ``fixed`` holds the pricing
     candidates that no row price moves (see :meth:`price`), opening with the
     n x P diagonal entries event by event, which the program builds (the
     calibrated plan holds only its n start columns, at ``calibrated.start``
@@ -382,7 +384,7 @@ def build_disc_lp(inst: Instance, grid: Grid, calibrated=None):
         calibrated = _calibrated_plan(
             inst, _predictions(inst, grid.discontinuities))
     at = _point_of(grid.points, inst.theta)
-    # the means are sorted, so each such pair has i < j, in row order
+    # each pair's low-mean event first, whatever the order of the events
     i, j = np.nonzero(at[:, None] < at)
     return PlanProgram(inst, grid.points, calibrated, i, j, at[i], at[j] + 1)
 
@@ -513,9 +515,7 @@ def fptas_solve(inst: Instance, delta: float):
     a (1 - delta) factor of the optimal payoff.  The predictor is certified
     before it is returned (:func:`caldesign.model.certify`): its
     calibration error is within the budget and its payoff is the returned
-    objective, or ``SolverError('UNCERTIFIED')`` is raised.  The
-    predictor's ``mass`` rows come back in ``inst``'s sorted event order,
-    not the caller's; ``inst.to_caller`` maps them back.
+    objective, or ``SolverError('UNCERTIFIED')`` is raised.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import math
+import reprlib
 
 import numpy as np
 
@@ -65,8 +66,10 @@ def read_numbers(value, code, what, scalar=False):
     array (a float if ``scalar``), or ``ValidationError(code)``.  Every
     number the package takes from outside is read here: a number or a
     string that spells one (``"0.1"``, ``"-inf"``), never a boolean,
-    ``None`` or NaN.  Float and int arrays are converted whole, other values
-    entry by entry.
+    ``None`` or NaN; an integer too large for a float reads as ``inf`` or
+    ``-inf``, as its float literal does.  Float and int arrays are converted
+    whole, other values entry by entry.  A bad value is echoed shortened
+    (``reprlib.repr``).
     """
     if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
         arr = np.asarray(value, dtype=float)
@@ -83,37 +86,38 @@ def read_numbers(value, code, what, scalar=False):
             if not isinstance(x, (bool, np.bool_)):
                 try:
                     number = float(x)
-                except (TypeError, ValueError, OverflowError):
+                except OverflowError:   # an integer beyond the float range
+                    number = math.inf if x > 0 else -math.inf
+                except (TypeError, ValueError):
                     pass
             if number != number:   # NaN, or not a number
-                raise ValidationError(code, f"{what}: {x!r} is not a number")
+                raise ValidationError(
+                    code, f"{what}: {reprlib.repr(x)} is not a number")
             flat.append(number)
         arr = np.array(flat).reshape(items.shape)
     if scalar and arr.ndim:
-        raise ValidationError(code, f"{what}: {value!r} is not a number")
+        raise ValidationError(
+            code, f"{what}: {reprlib.repr(value)} is not a number")
     return float(arr) if scalar else arr
 
 
-def _budget(epsilon, norm):
-    """The checked ``(epsilon, norm)`` pair of an instance, as floats; a
-    budget of ``-0`` is stored as ``0``."""
+def _budget(epsilon):
+    """The checked budget of an instance, as a float; a budget of ``-0`` is
+    stored as ``0``."""
     epsilon = read_numbers(epsilon, "BAD_BUDGET", "epsilon", scalar=True) + 0.0
     if not 0 <= epsilon < math.inf:
         raise ValidationError("BAD_BUDGET", "epsilon must be finite and >= 0")
-    norm = read_numbers(norm, "BAD_NORM", "the norm exponent", scalar=True)
-    if not (norm >= 1):
-        raise ValidationError("BAD_NORM", "norm exponent must be >= 1 or inf")
-    return epsilon, norm
+    return epsilon
 
 
 class Instance:
     """A validated, normalized problem instance.
 
-    Events are sorted by non-decreasing outcome mean on construction; the
-    prior and the designer utility table are permuted consistently, and
-    ``order[k]`` keeps the caller's index of sorted event ``k``, so that
-    per-event output can be given back in the caller's order.  Immutable
-    after construction (arrays are set read-only).
+    Events keep the caller's order, whatever the order of their means: row
+    ``i`` of ``theta``, ``lam``, ``principal_utility``, ``ubar`` and
+    ``vbar_events``, and of every per-event output of the solvers, is the
+    caller's event ``i``.  Immutable after construction (arrays are set
+    read-only).
     """
 
     def __init__(self, theta, lam, actions, agent_utility, principal_utility,
@@ -154,15 +158,16 @@ class Instance:
         v = np.clip(v, -UTILITY_CAP, UTILITY_CAP)
         u = np.clip(u, 0.0, UTILITY_CAP)
 
-        epsilon, norm = _budget(epsilon, norm)
+        epsilon = _budget(epsilon)
+        norm = read_numbers(norm, "BAD_NORM", "the norm exponent", scalar=True)
+        if not (norm >= 1):
+            raise ValidationError("BAD_NORM", "norm exponent must be >= 1 or inf")
 
-        order = np.argsort(theta, kind="stable")
-        self.order = order
-        self.theta = theta[order]
-        self.lam = lam[order]
+        self.theta = theta
+        self.lam = lam
         self.actions = actions
         self.agent_utility = v
-        self.principal_utility = u[order]
+        self.principal_utility = u
         self.epsilon = epsilon
         self.norm = norm
         self.n = n
@@ -177,26 +182,16 @@ class Instance:
         self.agent_size = np.abs(v)
         self.agent_slope = v[:, 1] - v[:, 0]
         self.theta_bar = float(self.lam @ self.theta)
-        for arr in (self.order, self.theta, self.lam, self.agent_utility,
+        for arr in (self.theta, self.lam, self.agent_utility,
                     self.principal_utility, self.ubar, self.vbar_events,
                     self.agent_size, self.agent_slope):
             arr.setflags(write=False)
 
-    def with_epsilon(self, epsilon, norm=None):
-        """Copy of the instance with a different budget (and optionally norm);
-        it keeps the caller's event order.  Only the new values are checked;
-        the read-only arrays are shared with this instance."""
-        epsilon, norm = _budget(epsilon, self.norm if norm is None else norm)
+    def with_epsilon(self, epsilon):
+        """Copy of the instance with a different budget.  Only the new budget
+        is checked; the read-only arrays are shared with this instance."""
         out = copy.copy(self)
-        out.epsilon = epsilon
-        out.norm = norm
-        return out
-
-    def to_caller(self, rows):
-        """Per-event ``rows`` (one per sorted event) in the caller's order."""
-        rows = np.asarray(rows)
-        out = np.empty_like(rows)
-        out[self.order] = rows
+        out.epsilon = _budget(epsilon)
         return out
 
     def agent_scores(self, ps):
@@ -210,12 +205,11 @@ class Instance:
         return scores
 
     def to_json_dict(self):
-        """The description :func:`validate_instance` reads, events in the
-        caller's order."""
-        u = self.to_caller(self.principal_utility)
+        """The description :func:`validate_instance` reads."""
+        u = self.principal_utility
         return {
-            "theta": self.to_caller(self.theta).tolist(),
-            "lambda": self.to_caller(self.lam).tolist(),
+            "theta": self.theta.tolist(),
+            "lambda": self.lam.tolist(),
             "actions": list(self.actions),
             "agent_utility": {a: self.agent_utility[k].tolist()
                               for k, a in enumerate(self.actions)},

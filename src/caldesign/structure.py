@@ -73,8 +73,10 @@ def check_mpc(g, lam, tol=1e-9) -> bool:
 
 def prior_on_means(inst: Instance):
     """The event prior as a distribution over outcome means (ties merged)."""
-    starts = runs(inst.theta, SUPPORT_MERGE_TOL)
-    return inst.theta[starts], np.add.reduceat(inst.lam, starts)
+    by_mean = np.argsort(inst.theta, kind="stable")
+    theta, lam = inst.theta[by_mean], inst.lam[by_mean]
+    starts = runs(theta, SUPPORT_MERGE_TOL)
+    return theta[starts], np.add.reduceat(lam, starts)
 
 
 class EventIndependentPlan:
@@ -402,11 +404,13 @@ def binary_action_optimal(inst: Instance) -> Predictor:
     """
     _, _, p_star = _binary_shape(inst)
     eps = inst.epsilon
-    theta, lam = inst.theta, inst.lam
     n = inst.n
     if eps >= p_star - inst.theta_bar:
         return point_mass(max(inst.theta_bar, p_star), n)
 
+    # the scan runs over the events by mean: event by_mean[k] is k-th lowest
+    by_mean = np.argsort(inst.theta, kind="stable")
+    theta, lam = inst.theta[by_mean], inst.lam[by_mean]
     # tail(k) = sum_{i > k} lam_i (p* - theta_i); scan k = n..1 for the
     # window tail(k) <= eps < tail(k) + lam_k (p* - theta_k)
     tail = 0.0
@@ -422,12 +426,10 @@ def binary_action_optimal(inst: Instance) -> Predictor:
     split = (eps - tail) / (lam[cut] * (p_star - theta[cut]))
     support = list(theta[:cut]) + [theta[cut], p_star]
     mass = np.zeros((n, len(support)))
-    for i in range(cut):
-        mass[i, i] = 1.0
-    mass[cut, cut] = 1.0 - split
-    mass[cut, cut + 1] = split
-    for i in range(cut + 1, n):
-        mass[i, cut + 1] = 1.0
+    mass[by_mean[:cut], np.arange(cut)] = 1.0
+    mass[by_mean[cut], cut] = 1.0 - split
+    mass[by_mean[cut], cut + 1] = split
+    mass[by_mean[cut + 1:], cut + 1] = 1.0
     return Predictor(support, mass)
 
 
@@ -445,8 +447,9 @@ def binary_action_certificate(inst: Instance) -> GammaCertificate:
     if err < inst.epsilon - 1e-12 or err <= 1e-12:
         # slack (or a perfectly calibrated solution): flat certificate
         return GammaCertificate([(0.0, c), (1.0, c)], 0.0, 0.0, 0.0)
+    lowest = float(inst.theta.min())
     if inst.epsilon >= p_star - inst.theta_bar:
-        anchor = float(inst.theta[0])
+        anchor = lowest
         alpha = c / (p_star - anchor)
         knots = [(0.0, alpha * anchor), (anchor, 0.0),
                  (1.0, alpha * (1.0 - anchor))]
@@ -454,7 +457,7 @@ def binary_action_certificate(inst: Instance) -> GammaCertificate:
     marg = pred.marginal(inst.lam)
     keep = pred.support[marg > 0]
     anchored = keep[keep < p_star - 1e-12]
-    anchor = float(anchored.max()) if anchored.size else float(inst.theta[0])
+    anchor = float(anchored.max()) if anchored.size else lowest
     alpha = c / (p_star - anchor)
     knots = [(0.0, 0.0), (anchor, 0.0), (1.0, alpha * (1.0 - anchor))]
     if anchor <= 1e-12:

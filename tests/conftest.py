@@ -162,6 +162,13 @@ def make_instance(theta, lam, agent_utility, principal_utility, epsilon,
                     epsilon, norm)
 
 
+def with_norm(inst, epsilon, norm):
+    """``inst`` at budget ``epsilon`` in the ``norm``-norm, built anew
+    (``Instance.with_epsilon`` changes the budget alone)."""
+    return Instance(inst.theta, inst.lam, inst.actions, inst.agent_utility,
+                    inst.principal_utility, epsilon, norm)
+
+
 def random_instance(rng, epsilon, norm=1.0, n_max=4, m_max=3, n_min=1,
                     m_min=1, event_independent=False, utility_scale=1.0):
     n = int(rng.integers(n_min, n_max + 1))

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -11,9 +12,12 @@ import numpy as np
 import pytest
 
 import caldesign
-from caldesign import cli, lp_core
+from caldesign import cli, exact, fptas, lp_core
 from caldesign.cli import EXIT_SOLVER, main
 from caldesign.errors import SolverError
+from caldesign.model import INF, Instance, Predictor, certify
+
+from conftest import random_instance
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = str(DATA / "golden.json")
@@ -244,6 +248,32 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith(f"error: {code}:")
         assert self.MESSAGES.get(case, "") in err
+
+    def test_integers_beyond_the_float_range(self, capsys, tmp_path):
+        # JSON reads 1e400 as a float, inf, but 10**400 as an integer; both
+        # read as inf, and a bad entry is echoed shortened
+        raw = json.loads(Path(GOLDEN).read_text())
+        path = tmp_path / "inst.json"
+        for value, words in ((10**400, "outcome means must lie in [0, 1]"),
+                             ("9" * 400 + "x", "is not a number")):
+            raw["theta"][0] = value
+            path.write_text(json.dumps(raw))
+            code, out, err = run(capsys, "solve", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: BAD_MEAN:")
+            assert words in err and len(err) < 100
+        raw = json.loads(Path(GOLDEN).read_text())
+        raw["agent_utility"]["a4"][0] = "LOW"
+        raw["principal_utility"][1]["a4"][1] = "HIGH"
+        text = json.dumps(raw)
+        got = []
+        for low, high in (("-1e400", "1e400"),
+                          (str(-10**400), str(10**400))):
+            path.write_text(text.replace('"LOW"', low)
+                            .replace('"HIGH"', high))
+            got.append(run(capsys, "solve", str(path)))
+        assert got[0][0] == 0
+        assert got[1] == got[0]
 
     def test_the_certificate_cases_differ_from_a_valid_file(self, capsys,
                                                              tmp_path):
@@ -639,9 +669,38 @@ class TestVerifyStructure:
         assert "NOT_EVENT_INDEPENDENT" in err
 
 
+def _assert_close(got, want, tol=1e-9):
+    """``got`` and ``want``, numbers nested in dicts and lists, agree
+    within ``tol``."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_close(got[key], want[key], tol)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_close(g, w, tol)
+    else:
+        assert got == pytest.approx(want, rel=0.0, abs=tol)
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def _assert_text_close(got, want, tol=1e-9):
+    """The texts ``got`` and ``want`` differ only in numbers that agree
+    within ``tol``."""
+    assert _NUMBER.sub("#", got) == _NUMBER.sub("#", want)
+    _assert_close([float(x) for x in _NUMBER.findall(got)],
+                  [float(x) for x in _NUMBER.findall(want)], tol)
+
+
 class TestEventOrder:
-    """Per-event rows, written and read, follow the instance file's order
-    of events, which need not be sorted by theta."""
+    """Per-event rows follow the caller's order of events, which need not
+    be sorted by theta: the rows the CLI writes and reads follow the
+    instance file's, and the rows the solvers return follow the
+    instance's.  A permuted instance gives its sorted twin's answer within
+    rounding: the events are summed in another order."""
 
     @staticmethod
     def _permuted(path, perm, tmp_path):
@@ -673,12 +732,15 @@ class TestEventOrder:
         per_event = summary.pop("per_event_support")
         assert p_summary.pop("per_event_support") == [per_event[k]
                                                       for k in perm]
-        assert p_summary == summary       # objective, payoff, ece, support
-        assert p_pred["support"] == pred["support"]
-        assert p_pred["mass"] == [pred["mass"][k] for k in perm]
-        assert p_pred["mass"] != pred["mass"]
-        assert p_scheme["pi"] == [scheme["pi"][k] for k in perm]
-        assert p_read == read
+        _assert_close(p_summary, summary)   # objective, payoff, ece, support
+        _assert_close(p_pred["support"], pred["support"])
+        _assert_close(p_pred["mass"], [pred["mass"][k] for k in perm])
+        assert not np.allclose(p_pred["mass"], pred["mass"])
+        _assert_close(p_scheme, {**scheme,
+                                 "pi": [scheme["pi"][k] for k in perm]})
+        for (p_code, p_out, p_err), (code, out, err) in zip(p_read, read):
+            assert (p_code, p_err) == (code, err)
+            _assert_text_close(p_out, out)
 
     def test_permuted_structure_check(self, capsys, tmp_path):
         # f_ddagger sends each event of two_event to its own prediction;
@@ -691,6 +753,61 @@ class TestEventOrder:
         for cmd in ("eval", "reliability", "verify-structure"):
             assert run(capsys, cmd, inst, str(pred)) == \
                 run(capsys, cmd, TWO_EVENT, F_DDAGGER)
+
+    @staticmethod
+    def _draws(seed, norm, count):
+        """``count`` seeded pairs (permutation, permuted instance, sorted
+        twin); no permutation keeps every event in place."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            twin = random_instance(rng, rng.uniform(0.0, 0.3), norm,
+                                   n_min=2, n_max=5, m_max=4)
+            perm = rng.permutation(twin.n)
+            if np.array_equal(perm, np.arange(twin.n)):
+                perm = perm[::-1].copy()
+            inst = Instance(twin.theta[perm], twin.lam[perm], twin.actions,
+                            twin.agent_utility, twin.principal_utility[perm],
+                            twin.epsilon, norm)
+            yield perm, inst, twin
+
+    @staticmethod
+    def _check_exact(perm, inst, got, want):
+        """``got``, the exact answer for ``inst``, certifies against it and
+        is ``want``, the twin's answer, with the rows permuted alike."""
+        (strat, pred, objective), (w_strat, w_pred, w_objective) = got, want
+        certify(pred, inst, objective)
+        assert objective == pytest.approx(w_objective, rel=0.0, abs=1e-9)
+        assert pred.support == pytest.approx(w_pred.support, abs=1e-6)
+        assert pred.mass == pytest.approx(w_pred.mass[perm], abs=1e-6)
+        assert strat.pi == pytest.approx(w_strat.pi[perm], abs=1e-6)
+
+    @pytest.mark.parametrize("norm", [1.0, INF])
+    def test_solve_exact_in_process(self, norm):
+        for perm, inst, twin in self._draws(21, norm, 15):
+            self._check_exact(perm, inst, exact.solve_exact(inst),
+                              exact.solve_exact(twin))
+
+    @pytest.mark.parametrize("norm", [1.0, INF])
+    def test_solve_budgets_in_process(self, norm):
+        budgets = [0.0, 0.05, 0.1, 0.3]
+        for perm, inst, twin in self._draws(22, norm, 8):
+            for budget, got, want in zip(
+                    budgets, exact.solve_budgets(inst, budgets),
+                    exact.solve_budgets(twin, budgets)):
+                self._check_exact(perm, inst.with_epsilon(budget), got, want)
+
+    @pytest.mark.parametrize("norm", [1.0, 1.5, 2.0, 3.0])
+    def test_fptas_solve_in_process(self, norm):
+        # the plan LP is degenerate, so the permuted program may stop at
+        # another optimal plan than its twin's; row k is the twin's event
+        # perm[k], so the rows put back in the twin's order certify there
+        for perm, inst, twin in self._draws(23, norm, 24):
+            pred, objective = fptas.fptas_solve(inst, 0.1)
+            certify(pred, inst, objective)
+            certify(Predictor(pred.support, pred.mass[np.argsort(perm)]),
+                    twin, objective)
+            assert objective == pytest.approx(
+                fptas.fptas_solve(twin, 0.1)[1], rel=0.0, abs=1e-9)
 
 
 class TestGrid:

@@ -23,7 +23,13 @@ from caldesign.model import (
 )
 
 from cold import cold_solve
-from conftest import DATA, make_instance, random_instance, random_predictor
+from conftest import (
+    DATA,
+    make_instance,
+    random_instance,
+    random_predictor,
+    with_norm,
+)
 from oracle import SamplerConfig, sample_calibrated_shifts, sample_feasible
 from revelation import (
     LabelledStrategy,
@@ -41,7 +47,7 @@ class TestProgramShape:
 
     def test_rejects_finite_other_norms(self, golden):
         with pytest.raises(ValidationError) as err:
-            build_actrec_lp(golden.with_epsilon(0.1, norm=2.0))
+            build_actrec_lp(with_norm(golden, 0.1, 2.0))
         assert err.value.code == "UNSUPPORTED_NORM"
 
     @pytest.mark.parametrize("norm", [1.0, INF])
@@ -49,7 +55,7 @@ class TestProgramShape:
         # solve_exact lowers the budget of a built program in place; the
         # result must be the program built at that budget, bit for bit
         for inst in (golden, _ladder()[0]):
-            inst = inst.with_epsilon(0.1, norm=norm)
+            inst = with_norm(inst, 0.1, norm)
             for budget in (0.1 - exact.SEPARATION, 0.0, 0.45):
                 lp = build_actrec_lp(inst)
                 exact._set_budget(lp, inst, budget)
@@ -577,7 +583,7 @@ class TestCrashStart:
     def test_truthful_basis_is_a_feasible_basis(self, golden, norm):
         # B is nonsingular and B^-1 b puts each event on its own best
         # response with weight 1 and every logical at its row's surplus
-        inst = golden.with_epsilon(0.1, norm=norm)
+        inst = with_norm(golden, 0.1, norm)
         lp = build_actrec_lp(inst)
         basis = exact._truthful_basis(inst, lp)
         B = np.zeros((lp.b.size, lp.b.size))
@@ -721,7 +727,7 @@ class TestSolveBudgets:
         self._check(INF, _hex_row)
 
     def test_errors_come_back_per_budget(self, golden):
-        t2 = golden.with_epsilon(0.1, norm=2.0)
+        t2 = with_norm(golden, 0.1, 2.0)
         results = exact.solve_budgets(t2, [0.1, 0.2])
         assert [err.code for err in results] == ["UNSUPPORTED_NORM"] * 2
         with pytest.raises(ValidationError, match="UNSUPPORTED_NORM"):

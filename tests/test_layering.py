@@ -8,10 +8,14 @@ solvers.  ``fptas`` builds on ``model`` and ``lp_core`` alone, not on the
 exact solver or ``structure``.  ``cli`` calls ``exact`` through its public
 names only.  The library is single-process: only ``cli`` starts processes,
 by ``os.fork`` inside a function, so that importing a module starts none,
-and no module imports a process pool.
+and no module imports a process pool.  Outside the package, a module
+imports numpy and the standard library alone: scipy stays a test
+dependency, since importing ``scipy.optimize`` costs about half a second
+and 49 MB.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "caldesign"
@@ -121,15 +125,42 @@ def test_only_cli_forks_and_only_inside_a_function():
         assert path.stem == "cli" or not inside, path.stem
 
 
-def test_no_module_imports_a_process_pool():
-    pool_modules = {"concurrent", "multiprocessing"}
+def absolute_imports(source):
+    """``(line, top-level module)`` of each absolute import in ``source``,
+    at any depth of its syntax tree."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name.split(".")[0]
+
+
+def package_sources():
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            assert not {name.split(".")[0] for name in names} & pool_modules, \
-                f"{path.stem} line {node.lineno}"
+        yield path.stem, path.read_text(encoding="utf-8")
+
+
+def test_the_absolute_reader_sees_both_forms():
+    source = ("import scipy.optimize\n"
+              "def f():\n"
+              "    from numpy import linalg\n"
+              "from . import model\n")
+    assert sorted(absolute_imports(source)) == [(1, "scipy"), (3, "numpy")]
+
+
+def test_no_module_imports_a_process_pool():
+    for module, source in package_sources():
+        for line, name in absolute_imports(source):
+            assert name not in {"concurrent", "multiprocessing"}, \
+                f"{module} line {line}"
+
+
+def test_only_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "caldesign"}
+    for module, source in package_sources():
+        for line, name in absolute_imports(source):
+            assert name in allowed, f"{module} line {line} imports {name}"

@@ -126,13 +126,13 @@ class TestValidation:
         assert err.value.code == "BAD_PRIOR"
 
     def test_unsorted_theta_is_normalized(self):
+        # unsorted means are kept as given, with their prior and utilities
         inst = make_instance([0.9, 0.3], [0.25, 0.75], [[0, 0]],
                              [[[1, 1]], [[2, 2]]], 0.1)
-        assert inst.theta.tolist() == [0.3, 0.9]
-        assert inst.lam.tolist() == [0.75, 0.25]
-        # utility rows permuted with their events
-        assert inst.principal_utility[0, 0, 0] == 2
-        assert inst.principal_utility[1, 0, 0] == 1
+        assert inst.theta.tolist() == [0.9, 0.3]
+        assert inst.lam.tolist() == [0.25, 0.75]
+        assert inst.principal_utility[:, 0, 0].tolist() == [1, 2]
+        assert inst.ubar[:, 0].tolist() == [1, 2]
 
     def test_negative_utility(self):
         with pytest.raises(ValidationError) as err:
@@ -163,13 +163,12 @@ class TestValidation:
         for key in ("theta", "lambda", "principal_utility"):
             raw[key] = raw[key][::-1]
         inst = validate_instance(raw)
-        assert np.array_equal(inst.theta, golden.theta)
-        assert inst.order.tolist() == [2, 1, 0]
-        assert inst.with_epsilon(0.3, norm=INF).order.tolist() == [2, 1, 0]
-        assert validate_instance(inst.to_json_dict()).order.tolist() == \
-            [2, 1, 0]
+        for name in ("theta", "lam", "principal_utility", "ubar",
+                     "vbar_events"):
+            assert np.array_equal(getattr(inst, name),
+                                  getattr(golden, name)[::-1]), name
         assert inst.to_json_dict() == raw
-        assert inst.to_caller(inst.theta).tolist() == raw["theta"]
+        assert validate_instance(inst.to_json_dict()).to_json_dict() == raw
 
 
 class TestPredictor:
@@ -561,21 +560,17 @@ class TestPayoffs:
 
 class TestInstanceHelpers:
     def test_with_epsilon(self, golden):
-        other = golden.with_epsilon(0.5, norm=INF)
+        other = golden.with_epsilon(0.5)
         assert other.epsilon == 0.5
-        assert other.norm == INF
+        assert other.norm == golden.norm
         assert golden.epsilon == 0.04
         # only the budget is new: the read-only arrays are shared
-        for name in ("theta", "ubar", "order"):
+        for name in ("theta", "ubar"):
             assert getattr(other, name) is getattr(golden, name)
-        for eps, norm, code in [(-0.5, None, "BAD_BUDGET"),
-                                (math.nan, None, "BAD_BUDGET"),
-                                (math.inf, None, "BAD_BUDGET"),
-                                ("1e400", None, "BAD_BUDGET"),
-                                (0.1, 0.5, "BAD_NORM")]:
+        for eps in (-0.5, math.nan, math.inf, "1e400"):
             with pytest.raises(ValidationError) as err:
-                golden.with_epsilon(eps, norm=norm)
-            assert err.value.code == code
+                golden.with_epsilon(eps)
+            assert err.value.code == "BAD_BUDGET"
 
     def test_negative_zero_budget_is_zero(self, golden):
         raw = golden.to_json_dict()

@@ -5,7 +5,7 @@ from caldesign.errors import ValidationError
 from caldesign.exact import solve_exact
 from caldesign.model import INF, ece, kappa
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, random_instance, with_norm
 from oracle import (
     SamplerConfig,
     exhaustive_best,
@@ -42,7 +42,7 @@ class TestSampler:
 
     @pytest.mark.parametrize("norm", [1.0, INF])
     def test_calibrated_shifts_reach_the_budget(self, golden, norm):
-        inst = golden.with_epsilon(0.1, norm=norm)
+        inst = with_norm(golden, 0.1, norm)
         draws = list(sample_calibrated_shifts(inst, 200, 3, 0.05))
         assert len(draws) == 200
         # t = 1 spends the whole budget; t = inf draws each shift up to it

@@ -69,6 +69,13 @@ class TestMpc:
         assert not check_mpc(g, lam)
         assert check_mpc(lam, g)
 
+    def test_prior_on_means_merges_unsorted_ties(self):
+        inst = make_instance([0.5, 0.2, 0.5], [0.2, 0.3, 0.5], [[0.0, 0.0]],
+                             np.ones((3, 1, 2)), 0.1)
+        means, probs = prior_on_means(inst)
+        assert means.tolist() == [0.2, 0.5]
+        assert probs == pytest.approx([0.3, 0.7])
+
 
 class TestRecalibrate:
     def test_constant_pool(self, two_event, f_dagger):
@@ -322,6 +329,37 @@ class TestBinaryClosedForm:
             _, _, opt = solve_exact(inst, tie_break=None)
             assert payoff(pred, inst) == pytest.approx(opt, abs=1e-7)
             assert ece(pred, inst, 1.0) <= inst.epsilon + 1e-9
+
+    def test_unsorted_events(self):
+        # the cut-off scan runs by mean and the certificate anchors at the
+        # lowest mean, whatever the order of the events; the lowest mean
+        # anchors a pool of every event on a budget that the pool exhausts
+        from caldesign.structure import _binary_shape
+        rng = np.random.default_rng(49)
+        for _ in range(40):
+            twin = random_binary_instance(rng)
+            perm = rng.permutation(twin.n)[::-1]
+            inst = make_instance(twin.theta[perm], twin.lam[perm],
+                                 twin.agent_utility,
+                                 twin.principal_utility[perm],
+                                 twin.epsilon, actions=twin.actions)
+            pred = binary_action_optimal(inst)
+            want = binary_action_optimal(twin)
+            assert pred.support == pytest.approx(want.support, abs=1e-9)
+            assert pred.mass == pytest.approx(want.mass[perm], abs=1e-9)
+            _, _, opt = solve_exact(inst, tie_break=None)
+            assert payoff(pred, inst) == pytest.approx(opt, abs=1e-7)
+            assert ece(pred, inst, 1.0) <= inst.epsilon + 1e-9
+            cert = binary_action_certificate(inst)
+            verdict = verify_optimality(pred, inst, cert)
+            assert verdict.all_pass, verdict.to_json_dict()
+            _, _, p_star = _binary_shape(inst)
+            if p_star > inst.theta_bar:
+                pooled = inst.with_epsilon(p_star - inst.theta_bar)
+                verdict = verify_optimality(
+                    binary_action_optimal(pooled), pooled,
+                    binary_action_certificate(pooled))
+                assert verdict.all_pass, verdict.to_json_dict()
 
     def test_shape_rejections(self, golden):
         with pytest.raises(ValidationError) as err:
