@@ -20,12 +20,12 @@ sweep of 16 or more budgets forks: it runs one process per CPU in the
 affinity mask, but at most one per 8 budgets and one per block (``taskset
 -c 0`` makes it serial).  With ``w`` processes, the calling process solves
 blocks ``0, w, 2w, ...`` itself while ``w - 1`` forked children solve the
-others.  A fork costs about 3 ms on a 2-core host, as much as solving 2 or
-3 budgets of the golden instance, so 2 processes break even at about 12
+others.  A fork costs 2 to 3 ms on a 2-core host, as much as solving 4 to 6
+budgets of the golden instance, so 2 processes break even at about 13
 budgets.  On that host the golden sweep through :func:`main` (medians of
-33) takes 16.1 ms at 10 budgets, one block, in process; with 2 processes
-it takes 19.4 ms at 20 budgets, 32.7 ms at 40 and 57.9 ms at 81, against
-26.4, 49.0 and 99.0 ms in process.  Shorter sweeps, and sweeps on other
+33) takes 6.6 ms at 10 budgets, one block, in process; with 2 processes it
+takes 8.6 ms at 20 budgets, 13.4 ms at 40 and 23.2 ms at 81, against 11.3,
+20.6 and 39.7 ms in process.  Shorter sweeps, and sweeps on other
 platforms, run in process.  The blocks depend on neither the process count
 nor the order of the budgets, and rows are written in the given order, so
 the output is identical whatever the order and the process count.  Every
@@ -130,8 +130,7 @@ def cmd_solve(args) -> int:
         log.info("wrote predictor to %s", args.output)
     if args.strategy_out:
         scheme = {"pi": strat.pi.tolist(),
-                  "bias": dict(zip(inst.actions, strat.bias.tolist())),
-                  "signal_actions": list(range(strat.n_signals))}
+                  "bias": dict(zip(inst.actions, strat.bias.tolist()))}
         with open(args.strategy_out, "w", encoding="utf-8") as fh:
             json.dump(scheme, fh, indent=1)
             fh.write("\n")
@@ -161,14 +160,20 @@ def cmd_eval(args) -> int:
 def _sweep_block(inst, method, delta, budgets):
     """Each budget's CSV fields after ``epsilon`` and its failure text (or
     None), for a block of sorted budgets; an exact block is one walk of
-    :func:`exact.solve_budgets`."""
+    :func:`exact.walk_budgets`, and its rows print the evaluation that
+    certified each predictor."""
     if method == "exact":
-        results = exact.solve_budgets(inst, budgets)
+        results = [result if isinstance(result, CaldesignError) else
+                   (result[2], result[3].agent_payoff(inst), result[3].ece)
+                   for result in exact.walk_budgets(inst, budgets)]
     else:
         results = []
         for eps in budgets:
             try:
-                results.append(fptas.fptas_solve(inst.with_epsilon(eps), delta))
+                pred, objective = fptas.fptas_solve(inst.with_epsilon(eps),
+                                                    delta)
+                results.append((objective, model.agent_payoff(pred, inst),
+                                model.ece(pred, inst)))
             except CaldesignError as exc:
                 results.append(exc)
     rows = []
@@ -176,10 +181,7 @@ def _sweep_block(inst, method, delta, budgets):
         if isinstance(result, CaldesignError):
             rows.append((f"nan,nan,nan,error:{result.code}", str(result)))
             continue
-        pred, objective = result[-2:]
-        rows.append((",".join([_fmt(objective),
-                               _fmt(model.agent_payoff(pred, inst)),
-                               _fmt(model.ece(pred, inst)), "ok"]), None))
+        rows.append((",".join([*map(_fmt, result), "ok"]), None))
     return rows
 
 
@@ -189,10 +191,9 @@ def _sweep_block(inst, method, delta, budgets):
 _SWEEP_BLOCK = 10
 
 # A sweep takes at most one process per this many budgets, and one per
-# block.  On a 2-core host a fork costs about 3 ms, as much as solving 2 or 3
-# budgets of the golden instance, so 2 processes break even at about 12
-# budgets and win from 16 (a tenth less wall time), the shortest sweep that
-# forks.  More than 2 processes are unmeasured.
+# block.  On a 2-core host 2 processes break even at about 13 budgets of the
+# golden instance and win from 16 (a tenth less wall time; 6% at 14), the
+# shortest sweep that forks.  More than 2 processes are unmeasured.
 _BUDGETS_PER_WORKER = 8
 
 

@@ -85,9 +85,12 @@ class SenderStrategy:
         self.pi = np.clip(pi, 0.0, None)
         self.bias = bias
 
-    @property
-    def n_signals(self):
-        return self.bias.size
+    @classmethod
+    def _built(cls, pi, bias):
+        """A scheme that meets every check of the constructor, as built."""
+        strat = cls.__new__(cls)
+        strat.pi, strat.bias = pi, bias
+        return strat
 
     def signal_mass(self, inst):
         return inst.lam @ self.pi
@@ -188,7 +191,7 @@ def _strategy_from_solution(inst, x):
     bias = x[nm:nm + m] - x[nm + m:]
     mass = inst.lam @ pi
     bias[mass <= ZERO_MASS_TOL] = 0.0
-    return SenderStrategy(pi, bias)
+    return SenderStrategy._built(pi, bias)
 
 
 def solve_exact(inst: Instance, tie_break="agent"):
@@ -222,8 +225,16 @@ def solve_exact(inst: Instance, tie_break="agent"):
 
 
 def solve_budgets(inst: Instance, budgets, tie_break="agent"):
+    """The results of :func:`walk_budgets` as a list, each solution
+    without its evaluation: ``(strategy, predictor, objective)``."""
+    return [result if isinstance(result, CaldesignError) else result[:3]
+            for result in walk_budgets(inst, budgets, tie_break)]
+
+
+def walk_budgets(inst: Instance, budgets, tie_break="agent"):
     """:func:`solve_exact` at each budget of ``budgets``, in the order
-    given: one ``(strategy, predictor, objective)``, or the
+    given: yields ``(strategy, predictor, objective, evaluation)``, with
+    the :class:`model.Evaluation` that certified the predictor, or the
     ``CaldesignError`` that budget's solve raised, per budget.
 
     The program is built once and each budget written into it
@@ -244,8 +255,8 @@ def solve_budgets(inst: Instance, budgets, tie_break="agent"):
     try:
         lp = build_actrec_lp(inst)
     except CaldesignError as err:
-        return [err] * len(budgets)
-    out = []
+        yield from [err] * len(budgets)
+        return
     walk = None   # the last first stage's optimal basis, t=1 only
     for budget in budgets:
         try:
@@ -253,16 +264,15 @@ def solve_budgets(inst: Instance, budgets, tie_break="agent"):
                                           tie_break, walk)
         except CaldesignError as err:
             result, basis = err, None
-        out.append(result)
+        yield result
         if inst.norm == 1.0:
             walk = basis
-    return out
 
 
 def _solve_budget(inst, lp, tie_break, walk):
-    """One budget of :func:`solve_budgets`, ``inst.epsilon``, on ``lp``;
-    returns the ``(strategy, predictor, objective)`` and the first stage's
-    optimal basis."""
+    """One budget of :func:`walk_budgets`, ``inst.epsilon``, on ``lp``;
+    returns its ``(strategy, predictor, objective, evaluation)`` and the
+    first stage's optimal basis."""
     _set_budget(lp, inst, inst.epsilon)
     best, strat, basis = _solve_stages(inst, lp, tie_break, walk)
     merged = _lossy_merges(inst, strat)
@@ -277,8 +287,7 @@ def _solve_budget(inst, lp, tie_break, walk):
         best, strat, _ = _solve_stages(inst, lp, tie_break, None)
         _separate(inst, strat, _lossy_merges(inst, strat))
     predictor = strategy_to_predictor(strat, inst)
-    certify(predictor, inst, best)
-    return (strat, predictor, best), basis
+    return (strat, predictor, best, certify(predictor, inst, best)), basis
 
 
 def _solve_stages(inst, lp, tie_break, walk):
@@ -333,23 +342,23 @@ def _lossy_merges(inst, strat):
     where the merge loses payoff: a predictor cannot tell them apart, so the
     agent takes one action at ``p`` for all of their mass (the designer-best
     of the actions tied there), which earns less than each signal's own."""
-    live = np.flatnonzero(strat.signal_mass(inst) > ZERO_MASS_TOL)
-    means = np.clip(strat.biased_means(inst)[live], 0.0, 1.0)
+    means = strat.biased_means(inst)   # NaN at the signals without mass
+    live = np.flatnonzero(~np.isnan(means))
+    means = np.clip(means[live], 0.0, 1.0)
     order = np.argsort(means, kind="stable")
     live, means = live[order], means[order]
-    weights = inst.lam[:, None] * strat.pi
     lossy = []
-    for group in np.split(np.arange(live.size),
-                          runs(means, SUPPORT_MERGE_TOL)[1:]):
-        if group.size < 2:
+    bounds = [*runs(means, SUPPORT_MERGE_TOL).tolist(), live.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo < 2:
             continue
-        signals = live[group]
-        w = weights[:, signals]
+        signals = live[lo:hi]
+        w = inst.lam[:, None] * strat.pi[:, signals]
         own = float(np.sum(w * inst.ubar[:, signals]))
         pooled = w.sum(axis=1)
-        act = action_profile(inst, means[group[:1]], pooled[:, None])[0]
+        act = action_profile(inst, means[lo:lo + 1], pooled[:, None])[0]
         if pooled @ inst.ubar[:, act] < own - MERGE_TOL * (1.0 + abs(own)):
-            lossy.append((float(means[group[0]]), signals))
+            lossy.append((float(means[lo]), signals))
     return lossy
 
 
@@ -414,11 +423,11 @@ def strategy_to_predictor(strat: SenderStrategy, inst: Instance) -> Predictor:
     the predictor's payoff can fall short of the LP objective.
     :func:`solve_exact` pulls such signals apart before converting.
     """
-    mass = strat.signal_mass(inst)
-    keep = np.flatnonzero(mass > ZERO_MASS_TOL)
+    means = strat.biased_means(inst)   # NaN at the signals without mass
+    keep = np.flatnonzero(~np.isnan(means))
     if keep.size == 0:
         raise ValidationError("BAD_STRATEGY", "strategy sends no signal")
-    means = strat.biased_means(inst)[keep]
+    means = means[keep]
     if np.any(means < -1e-7) or np.any(means > 1 + 1e-7):
         raise ValidationError("BAD_STRATEGY", "biased mean outside [0, 1]")
     means = np.clip(means, 0.0, 1.0)

@@ -70,7 +70,8 @@ class LinearProgram:
 
     ``A`` is ``(rows, num_vars)``, ``rel`` holds one of ``<=``, ``==``,
     ``>=`` per row and ``b`` the finite right-hand sides.  The arrays are
-    held as given (converted to float and str arrays), not copied.
+    held as given (converted to float and str arrays), not copied; ``rel``
+    is set read-only, as its masks are taken once, here.
     """
 
     def __init__(self, objective, A, rel, b):
@@ -84,7 +85,9 @@ class LinearProgram:
             raise ValidationError(
                 "BAD_LP", f"objective, A, rel and b of shapes {shapes} do "
                 f"not fit together")
-        known = (self.rel == "<=") | (self.rel == "==") | (self.rel == ">=")
+        self.rel.setflags(write=False)
+        self._le, self._ge = self.rel == "<=", self.rel == ">="
+        known = self._le | (self.rel == "==") | self._ge
         if not known.all():
             raise ValidationError(
                 "BAD_LP", f"unknown relation {self.rel[~known][0]!r}")
@@ -143,50 +146,40 @@ def solve(lp: LinearProgram, basis) -> LpSolution:
     n = lp.num_vars
     rows = lp.b.size
 
-    A = lp.A.copy()
-    b = lp.b.copy()
-    le = lp.rel == "<="
-    ge = lp.rel == ">="
-
-    # --- equilibration and sign normalization -----------------------------
-    # Rows first, then columns, then rows again: sentinel-sized utilities can
-    # put nine orders of magnitude inside a single row, and the tableau loses
-    # precision fast unless both dimensions are brought near unit scale.
-    col_scale = np.ones(n)
-    if rows:
-        for _ in range(2):
-            rs = np.maximum(np.abs(A).max(axis=1, initial=0.0), np.abs(b))
-            rs[rs < 1e-300] = 1.0
-            A /= rs[:, None]
-            b /= rs
-            cs = np.abs(A).max(axis=0)
-            cs[cs < 1e-6] = 1.0
-            A /= cs
-            col_scale *= cs
-        flip = b < 0
-        A[flip] *= -1
-        b[flip] = -b[flip]
-        le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
-    c = lp.objective / col_scale
-    cost_scale = max(1.0, np.abs(c).max()) if c.size else 1.0
-    c_scaled = c / cost_scale
-
-    # --- assemble [A | slacks and surpluses | b], condensed at the start ----
-    le_rows = np.flatnonzero(le)
-    ge_rows = np.flatnonzero(ge)
+    # --- assemble [A | slacks and surpluses | b], rows with b < 0 negated ---
+    flip = lp.b < 0
+    le_rows = np.flatnonzero(np.where(flip, lp._ge, lp._le))
+    ge_rows = np.flatnonzero(np.where(flip, lp._le, lp._ge))
     # row k of slack_rows owns the logical column n + k
     slack_rows = np.concatenate([le_rows, ge_rows])
     n_total = n + slack_rows.size
-
     full = np.zeros((rows + 1, n_total + 1))
-    full[:rows, :n] = A
-    full[:rows, n_total] = b
+    body, A = full[:rows], full[:rows, :n]
+    sign = np.where(flip, -1.0, 1.0)[:, None]
+    np.multiply(lp.A, sign, out=A)
+    np.multiply(lp.b[:, None], sign, out=body[:, n_total:])
+
+    # --- equilibration, in place in the tableau ----------------------------
+    # Rows, then columns: sentinel-sized utilities can put nine orders of
+    # magnitude inside a single row, and the tableau loses precision fast
+    # unless both dimensions are brought near unit scale.  One pass does it
+    # (a second would divide by exactly 1); the logicals are still 0 here.
+    rs = np.abs(body).max(axis=1, initial=0.0)
+    rs[rs < 1e-300] = 1.0
+    body /= rs[:, None]
+    col_scale = np.abs(A).max(axis=0, initial=0.0)
+    col_scale[col_scale < 1e-6] = 1.0
+    A /= col_scale
+    c = lp.objective / col_scale
+    cost_scale = max(1.0, np.abs(c).max()) if c.size else 1.0
+
+    # --- logicals, then the tableau condensed at the start -----------------
     full[le_rows, n + np.arange(le_rows.size)] = 1.0
     full[ge_rows, n + le_rows.size + np.arange(ge_rows.size)] = -1.0
 
     T, cols, ids, clamp = _warm_start(full, n, basis, slack_rows)
     cost = np.zeros(n_total)
-    cost[:n] = c_scaled
+    cost[:n] = c / cost_scale
     _install_objective(T, cols, ids, cost)
     pivots = _pivot_loop(T, cols, ids, 10 * (n + rows) ** 2 + 100)
     basic = cols.copy()
@@ -362,8 +355,8 @@ def _check_solution(lp, x):
     tol = FEASIBILITY_TOL
     A, rel, b = lp.A, lp.rel, lp.b
     lhs = A @ x
-    gap = np.where(rel == "<=", lhs - b,
-                   np.where(rel == ">=", b - lhs, np.abs(lhs - b)))
+    gap = np.where(lp._le, lhs - b,
+                   np.where(lp._ge, b - lhs, np.abs(lhs - b)))
     scale = np.maximum(np.maximum(1.0, np.abs(b)),
                        np.abs(A).max(axis=1, initial=0.0))
     bad = np.flatnonzero(~(gap <= tol * scale))

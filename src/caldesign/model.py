@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import math
 import reprlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -529,35 +530,64 @@ def _support_actions(pred, inst):
     return weight, action_profile(inst, pred.support, weight_matrix=weight)
 
 
+def _expected(weight, acts, table):
+    """Sum of ``weight[e, k] * table[e, acts[k]]``: a player's expected
+    utility when the agent takes ``acts[k]`` at support point ``k``."""
+    return float(np.einsum("ik,ik->", weight, table[:, acts]))
+
+
 def payoff(pred, inst):
     """Designer's expected utility under ``pred`` with best-responding agent."""
-    weight, acts = _support_actions(pred, inst)
-    return float(np.einsum("ik,ik->", weight, inst.ubar[:, acts]))
+    return _expected(*_support_actions(pred, inst), inst.ubar)
 
 
 def agent_payoff(pred, inst):
     """Agent's expected utility under ``pred`` (true outcome distribution)."""
+    return _expected(*_support_actions(pred, inst), inst.vbar_events)
+
+
+class Evaluation(NamedTuple):
+    """What :func:`certify` computed of a predictor: its ``ece`` in the
+    instance's norm, its ``payoff``, and the ``weight`` and ``actions`` of
+    :func:`_support_actions` that the payoffs sum over."""
+
+    ece: float
+    payoff: float
+    weight: np.ndarray
+    actions: np.ndarray
+
+    def agent_payoff(self, inst):
+        """The predictor's :func:`agent_payoff`, on request."""
+        return _expected(self.weight, self.actions, inst.vbar_events)
+
+
+# certify's own name for ece: a wrapper put on model.ece (perfbench's
+# tracer) counts the solvers' callers only
+_ece = ece
+
+
+def _evaluate(pred, inst):
+    """The :class:`Evaluation` of ``pred`` that :func:`certify` checks."""
     weight, acts = _support_actions(pred, inst)
-    return float(np.einsum("ik,ik->", weight, inst.vbar_events[:, acts]))
-
-
-# certify's own names for ece and payoff: a wrapper put on model.ece or
-# model.payoff (perfbench's tracer) counts the solvers' callers only
-_ece, _payoff = ece, payoff
+    return Evaluation(_ece(pred, inst), _expected(weight, acts, inst.ubar),
+                      weight, acts)
 
 
 def certify(predictor, inst, objective):
     """Check a solver's answer independently of the solver: ``predictor``
     keeps the budget (``ece <= epsilon`` in the instance's norm) and earns
     ``objective``.  Raises ``SolverError('UNCERTIFIED')`` when either fails,
-    so that no solve returns a predictor that does less than it reports.
-    Both solvers end with it."""
-    gap = _ece(predictor, inst) - inst.epsilon
+    so that no solve returns a predictor that does less than it reports,
+    and returns the :class:`Evaluation` it checked.  Both solvers end with
+    it."""
+    checked = _evaluate(predictor, inst)
+    gap = checked.ece - inst.epsilon
     if not gap <= CERT_ECE_TOL:
         raise SolverError("UNCERTIFIED",
                           f"predictor exceeds the budget by {gap:.3e}")
-    miss = _payoff(predictor, inst) - objective
+    miss = checked.payoff - objective
     if not abs(miss) <= CERT_PAYOFF_TOL * (1.0 + abs(objective)):
         raise SolverError(
             "UNCERTIFIED",
             f"predictor payoff misses the objective by {miss:.3e}")
+    return checked

@@ -28,7 +28,7 @@ class LabelledStrategy(SenderStrategy):
     def __init__(self, pi, bias, signal_actions):
         super().__init__(pi, bias)
         self.signal_actions = np.asarray(signal_actions, dtype=int).ravel()
-        if self.signal_actions.size != self.n_signals:
+        if self.signal_actions.size != self.bias.size:
             raise ValidationError("BAD_STRATEGY", "one action label per signal")
 
 
@@ -91,7 +91,7 @@ def recommendation_ok(strat: SenderStrategy, inst: Instance, tol=1e-7) -> bool:
     response."""
     mass = strat.signal_mass(inst)
     means = strat.biased_means(inst)
-    for k in range(strat.n_signals):
+    for k in range(strat.bias.size):
         if mass[k] <= ZERO_MASS_TOL:
             continue
         p = min(max(float(means[k]), 0.0), 1.0)

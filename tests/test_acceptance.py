@@ -157,7 +157,7 @@ class TestAcceptance:
             pred = random_predictor(rng, inst)
             base = predictor_to_strategy(pred, inst)
             pis, biases, labels = [], [], []
-            for k in range(base.n_signals):
+            for k in range(base.bias.size):
                 shares = rng.dirichlet(np.ones(3))
                 for s in shares:
                     pis.append(base.pi[:, k] * s)

@@ -50,6 +50,7 @@ class TestSolve:
                          "--strategy-out", str(strat_file))
         assert code == 0
         scheme = json.loads(strat_file.read_text())
+        assert set(scheme) == {"pi", "bias"}
         assert len(scheme["pi"]) == 3
         assert set(scheme["bias"]) <= {"a1", "a2", "a3", "a4"}
         total_bias = sum(abs(b) for b in scheme["bias"].values())

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from caldesign import exact, lp_core, model
+from caldesign import cli, exact, lp_core, model
 from caldesign.cli import _fmt
 from caldesign.errors import SolverError, ValidationError
 from caldesign.exact import (
@@ -218,7 +218,7 @@ class TestContractSignals:
         """Random multi-signal strategy: split each action's signal."""
         base = predictor_to_strategy(pred, inst)
         pis, biases, labels = [], [], []
-        for k in range(base.n_signals):
+        for k in range(base.bias.size):
             shares = rng.dirichlet(np.ones(copies))
             for s in shares:
                 pis.append(base.pi[:, k] * s)
@@ -233,7 +233,7 @@ class TestContractSignals:
         strat = LabelledStrategy(np.array([[0.5, 0.5], [0.5, 0.5]]),
                                  [0.01, 0.01], [1, 1])
         merged = contract_signals(strat, inst)
-        assert merged.n_signals == 1
+        assert merged.bias.size == 1
         assert merged.bias[0] == pytest.approx(0.02)
 
     def test_distinct_actions_unchanged(self):
@@ -242,7 +242,7 @@ class TestContractSignals:
                              np.ones((2, 2, 2)), 0.1)
         strat = LabelledStrategy(np.eye(2), [0.0, 0.01], [0, 1])
         merged = contract_signals(strat, inst)
-        assert merged.n_signals == 2
+        assert merged.bias.size == 2
         assert np.allclose(merged.pi, strat.pi)
 
     def test_six_signals_to_three_actions(self):
@@ -250,10 +250,10 @@ class TestContractSignals:
         inst = random_instance(rng, epsilon=0.3, n_max=3, m_max=3, m_min=3)
         _, pred, _ = solve_exact(inst)
         lifted = self._lift(rng, inst, pred, copies=2)
-        assert lifted.n_signals == 2 * inst.m
+        assert lifted.bias.size == 2 * inst.m
         merged = contract_signals(lifted, inst)
-        assert merged.n_signals == len(set(lifted.signal_actions.tolist()))
-        assert merged.n_signals <= 3
+        assert merged.bias.size == len(set(lifted.signal_actions.tolist()))
+        assert merged.bias.size <= 3
         for t in (1.0, 2.0, INF):
             assert aggregated_bias(merged, inst, t) <= \
                 aggregated_bias(lifted, inst, t) + 1e-12
@@ -734,6 +734,61 @@ class TestSolveBudgets:
             solve_exact(t2)
 
 
+class TestTakenAsBuilt:
+    """The exact path reuses what it built and checked: a sweep row prints
+    the evaluation that certified its predictor, and the strategies the
+    solver builds skip the checks of ``SenderStrategy()``, which they
+    meet."""
+
+    def test_sweep_rows_print_the_certified_evaluation(self, golden):
+        tinf = next(inst for inst in _ladder() if inst.norm == INF)
+        solved = 0
+        for inst, budgets in (
+                (golden, [round(0.01 * k, 2) for k in range(81)]),
+                (tinf, TestSolveBudgets.BUDGETS)):
+            rows = cli._sweep_block(inst, "exact", 0.1, budgets)
+            for result, (fields, _) in zip(exact.walk_budgets(inst, budgets),
+                                           rows):
+                if isinstance(result, (SolverError, ValidationError)):
+                    assert fields.endswith(f"error:{result.code}")
+                    continue
+                _, pred, _, checked = result
+                assert checked.agent_payoff(inst).hex() == \
+                    agent_payoff(pred, inst).hex()
+                assert checked.ece.hex() == ece(pred, inst).hex()
+                assert fields == _row(inst, result[:3]) + ",ok"
+                solved += 1
+        assert solved >= 81 + 20
+
+    def test_solver_strategies_meet_the_constructor_checks(self, golden,
+                                                           monkeypatch):
+        built = []
+        spy = exact._strategy_from_solution
+
+        def record(inst, x):
+            built.append((inst, spy(inst, x)))
+            return built[-1][1]
+
+        monkeypatch.setattr(exact, "_strategy_from_solution", record)
+        rng = np.random.default_rng(1003)
+        acc3 = [random_instance(rng, (0.01, 0.1)[k % 2]) for k in range(25)]
+        for inst in _ladder() + acc3:
+            solve_exact(inst)
+        exact.solve_budgets(golden, [round(0.01 * k, 2) for k in range(81)])
+        assert len(built) >= 24 + 25 + 81
+        for inst, strat in built:
+            pi, bias = strat.pi, strat.bias
+            assert pi.shape == (inst.n, inst.m) and bias.shape == (inst.m,)
+            assert pi.dtype == bias.dtype == np.float64
+            assert np.all(pi >= 0.0)
+            assert np.all(np.abs(pi.sum(axis=1) - 1.0) <= 1e-9)
+            assert np.all(bias[inst.lam @ pi <= exact.ZERO_MASS_TOL] == 0.0)
+            # the public constructor takes them as they are
+            checked = SenderStrategy(pi, bias)
+            assert np.array_equal(checked.pi, pi)
+            assert np.array_equal(checked.bias, bias)
+
+
 class TestNoPhase1:
     """Every package solve starts from an accepted crash or warm basis, so
     none needs the phase 1 that ``tests/cold.py`` keeps for cold solves.
@@ -859,8 +914,10 @@ class TestCertifiedSolves:
     ])
     def test_certificate_failure_raises(self, golden, monkeypatch, check,
                                         fake):
-        # model.certify evaluates through model._ece and model._payoff
-        monkeypatch.setattr(model, f"_{check}", fake)
+        # model.certify checks the one evaluation model._evaluate makes
+        evaluate = model._evaluate
+        monkeypatch.setattr(model, "_evaluate", lambda pred, inst: evaluate(
+            pred, inst)._replace(**{check: fake(pred, inst)}))
         with pytest.raises(SolverError) as err:
             solve_exact(golden.with_epsilon(0.04))
         assert err.value.code == "UNCERTIFIED"

@@ -722,9 +722,11 @@ class TestFptasSolve:
     def test_certificate_failure_raises(self, golden, monkeypatch, check,
                                         fake):
         # the certificate fptas_solve ends with is solve_exact's,
-        # model.certify, which evaluates through model._ece and model._payoff
+        # model.certify, which checks the one evaluation model._evaluate makes
         fptas_solve(golden, 0.1)
-        monkeypatch.setattr(model, f"_{check}", fake)
+        evaluate = model._evaluate
+        monkeypatch.setattr(model, "_evaluate", lambda pred, inst: evaluate(
+            pred, inst)._replace(**{check: fake(pred, inst)}))
         with pytest.raises(SolverError) as err:
             fptas_solve(golden, 0.1)
         assert err.value.code == "UNCERTIFIED"

@@ -150,6 +150,53 @@ class TestBasics:
                 assert np.array_equal(kept, now)
 
 
+class TestSetUpBits:
+    """The set-up (row flips, equilibration, assembly) pinned bit for bit:
+    ``x``, the final basis and the pivot count of programs with ``b < 0``
+    rows, ``==`` rows, all-zero rows and a sentinel-sized row, as the
+    set-up that scaled copies of ``A`` and ``b`` and flipped rows after
+    scaling solved them."""
+
+    @staticmethod
+    def _programs():
+        hand = LinearProgram(
+            [1.0, 2.0, -1.0, 3.0],
+            [[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 2.0, 0.0],
+             [0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0],
+             [1e9, 0.0, 3.0, 1.0], [0.0, 0.0, 0.0, 0.0]],
+            ["<=", ">=", "<=", "==", "<=", ">="],
+            [4.0, -3.0, 0.0, 0.0, 5e9, -2.0])
+        rng = np.random.default_rng(25)
+        n = 6
+        A = np.vstack([rng.normal(size=(5, n)), np.eye(n), np.zeros((1, n)),
+                       np.eye(n)[0] - np.eye(n)[1]])
+        A[0] *= 1e9
+        b = np.concatenate([rng.uniform(1.0, 2.0, 3),
+                            -rng.uniform(0.5, 1.0, 2), np.full(n, 3.0),
+                            [0.0, 0.0]])
+        b[0] *= 1e9
+        rel = ["<="] * 3 + [">="] * 2 + ["<="] * (n + 1) + ["=="]
+        drawn = LinearProgram(rng.normal(size=n), A, rel, b)
+        # x = 0 is feasible: every inequality's logical, and x0 for the
+        # == row, at 0
+        return [(hand, [4, 5, 6, 0, 8, 9]),
+                (drawn, [n + r for r in range(b.size - 1)] + [0])]
+
+    PINNED = [
+        (["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+2"],
+         [3, 5, 6, 0, 8, 9], 2),
+        (["0x1.11e15d92ee4dap+1", "0x1.11e15d92ee4dap+1", "0x0.0p+0",
+          "0x1.d0eb70b2104aap-2", "0x0.0p+0", "0x1.972e0d165a42bp+0"],
+         [10, 5, 8, 1, 3, 11, 12, 13, 14, 15, 16, 17, 0], 8),
+    ]
+
+    def test_solutions_are_pinned(self):
+        for (lp, start), pinned in zip(self._programs(), self.PINNED):
+            sol = solve(lp, start)
+            assert ([v.hex() for v in sol.x], sol.basis.tolist(),
+                    sol.iterations) == pinned
+
+
 class TestSolutionCheck:
     LP = LinearProgram([1.0, 1.0], [[1.0, 1.0]], ["<="], [2.0])
 
