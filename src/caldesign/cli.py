@@ -14,7 +14,7 @@ follow the instance file's order of events, as the library's rows follow
 the caller's; the order of the means does not matter.
 
 A ``sweep`` sorts its distinct budgets and cuts them into blocks of 10; an
-exact block is one walk of :func:`exact.solve_budgets`, which for t=1
+exact block is one walk of :func:`exact.walk_budgets`, which for t=1
 starts each budget from the previous one's optimal basis.  On Linux, a
 sweep of 16 or more budgets forks: it runs one process per CPU in the
 affinity mask, but at most one per 8 budgets and one per block (``taskset
@@ -186,7 +186,7 @@ def _sweep_block(inst, method, delta, budgets):
 
 
 # A sweep solves its sorted budgets in blocks of this many, each one walk of
-# exact.solve_budgets.  The blocks do not depend on the process count, and
+# exact.walk_budgets.  The blocks do not depend on the process count, and
 # neither do the rows.
 _SWEEP_BLOCK = 10
 

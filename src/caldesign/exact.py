@@ -27,11 +27,9 @@ solve ends with ``model.certify``, independent of the solver: the returned
 predictor's calibration error is within the budget and its payoff is the
 returned objective, or ``SolverError('UNCERTIFIED')`` is raised.
 
-:func:`solve_budgets` solves one instance at a list of budgets on one
-program, and :func:`solve_exact` is its one-budget case.  For t=1 the
-budget is a right-hand side only, so one optimal basis holds over an
-interval of budgets, and each budget's first stage starts from the previous
-budget's optimal basis when ``lp_core`` accepts it without a clamp.
+:func:`walk_budgets` solves one instance at a list of budgets on one
+program, each t=1 budget from the last one's optimal basis, and
+:func:`solve_exact` is its one-budget case.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ from .model import (
     Predictor,
     action_profile,
     certify,
+    freeze,
     read_numbers,
     runs,
     tied_action_sets,
@@ -67,8 +66,8 @@ class SenderStrategy:
     """Signaling scheme plus per-signal belief bias.
 
     ``pi`` is (n_events, n_signals) with rows summing to 1 and ``bias`` has
-    one entry per signal.  The scheme is direct: signal ``k`` recommends
-    action ``k``.
+    one entry per signal, both read-only.  The scheme is direct: signal
+    ``k`` recommends action ``k``.
     """
 
     def __init__(self, pi, bias):
@@ -82,14 +81,13 @@ class SenderStrategy:
         if np.any(np.abs(rows - 1.0) > 1e-9):
             raise ValidationError("BAD_STRATEGY",
                                   f"per-event signal mass sums {rows} are not 1")
-        self.pi = np.clip(pi, 0.0, None)
-        self.bias = bias
+        self.pi, self.bias = freeze(np.clip(pi, 0.0, None), bias)
 
     @classmethod
     def _built(cls, pi, bias):
-        """A scheme that meets every check of the constructor, as built."""
+        """A scheme that meets every check of the constructor, frozen."""
         strat = cls.__new__(cls)
-        strat.pi, strat.bias = pi, bias
+        strat.pi, strat.bias = freeze(pi, bias)
         return strat
 
     def signal_mass(self, inst):
@@ -196,7 +194,7 @@ def _strategy_from_solution(inst, x):
 
 def solve_exact(inst: Instance, tie_break="agent"):
     """Optimal (strategy, predictor, objective) for t in {1, inf}: the
-    one-budget case of :func:`solve_budgets`, whose error it raises.
+    one-budget case of :func:`walk_budgets`, whose error it raises.
 
     The first stage starts its simplex at the truthful scheme
     (:func:`_truthful_basis`), a feasible vertex of every instance.  The
@@ -218,17 +216,10 @@ def solve_exact(inst: Instance, tie_break="agent"):
     ``SEPARATION``, raise ``SolverError('UNCERTIFIED')``, as does a
     predictor that fails the final certificate (:func:`certify`).
     """
-    result = solve_budgets(inst, [inst.epsilon], tie_break)[0]
+    [result] = walk_budgets(inst, [inst.epsilon], tie_break)
     if isinstance(result, CaldesignError):
         raise result
-    return result
-
-
-def solve_budgets(inst: Instance, budgets, tie_break="agent"):
-    """The results of :func:`walk_budgets` as a list, each solution
-    without its evaluation: ``(strategy, predictor, objective)``."""
-    return [result if isinstance(result, CaldesignError) else result[:3]
-            for result in walk_budgets(inst, budgets, tie_break)]
+    return result[:3]
 
 
 def walk_budgets(inst: Instance, budgets, tie_break="agent"):
@@ -285,7 +276,7 @@ def _solve_budget(inst, lp, tie_break, walk):
                 f"them")
         _set_budget(lp, inst, inst.epsilon - SEPARATION)
         best, strat, _ = _solve_stages(inst, lp, tie_break, None)
-        _separate(inst, strat, _lossy_merges(inst, strat))
+        strat = _separate(inst, strat, _lossy_merges(inst, strat))
     predictor = strategy_to_predictor(strat, inst)
     return (strat, predictor, best, certify(predictor, inst, best)), basis
 
@@ -363,14 +354,14 @@ def _lossy_merges(inst, strat):
 
 
 def _separate(inst, strat, merged):
-    """Move each pair of signals that meets at ``p`` apart through their
-    biases, in place: the steeper action's signal (larger ``v(a,1) -
+    """``strat`` with each pair of signals that meets at ``p`` moved apart
+    through their biases: the steeper action's signal (larger ``v(a,1) -
     v(a,0)``) to ``p + SEPARATION`` and the other to ``p - SEPARATION``
     (clipped to [0, 1]), where each action is the agent's strict choice.
     The extra bias is ``SEPARATION`` times the signals' mass, which the
     lowered budget left free."""
-    slope = inst.agent_utility[:, 1] - inst.agent_utility[:, 0]
     mass = strat.signal_mass(inst)
+    bias = strat.bias.copy()
     for p, signals in merged:
         tied = int(tied_action_sets(inst, [p])[0].sum())
         if max(tied, signals.size) > 2:
@@ -379,10 +370,11 @@ def _separate(inst, strat, merged):
                 f"{max(tied, signals.size)} actions meet at biased mean "
                 f"{p:.9g}; two can be pulled apart, more cannot")
         up, down = signals
-        if slope[up] < slope[down]:
+        if inst.agent_slope[up] < inst.agent_slope[down]:
             up, down = down, up
-        strat.bias[up] += min(SEPARATION, 1.0 - p) * mass[up]
-        strat.bias[down] -= min(SEPARATION, p) * mass[down]
+        bias[up] += min(SEPARATION, 1.0 - p) * mass[up]
+        bias[down] -= min(SEPARATION, p) * mass[down]
+    return SenderStrategy._built(strat.pi, bias)
 
 
 def _refine_for_agent(inst, lp, best, fallback, basis):
@@ -444,4 +436,4 @@ def strategy_to_predictor(strat: SenderStrategy, inst: Instance) -> Predictor:
     else:
         support = means
         massmat = pi / rows[:, None]
-    return Predictor(support, massmat)
+    return Predictor._built(support, massmat)

@@ -71,6 +71,7 @@ from .model import (
     Predictor,
     certify,
     envelope,
+    freeze,
     indirect_utility_matrix,
     piece_scan,
     runs,
@@ -81,13 +82,18 @@ PRICE_TOL = 1e-10
 
 @dataclass
 class Grid:
-    """Two-layer discretization of [0, 1] for plan variables."""
+    """Two-layer discretization of [0, 1] for plan variables (read-only)."""
 
     points: np.ndarray
     delta: float
     delta0: float
     levels: int
     discontinuities: np.ndarray
+
+    def __post_init__(self):
+        self.points, self.discontinuities = freeze(
+            np.array(self.points, dtype=float),
+            np.array(self.discontinuities, dtype=float))
 
     @property
     def size(self):
@@ -425,7 +431,7 @@ def plan_to_predictor(plan: PlanColumns, inst: Instance) -> Predictor:
         near = np.abs(support - inst.theta[dead, None]).argmin(axis=1)
         out[dead] = 0.0
         out[dead, near] = 1.0
-    return Predictor(support, out)
+    return Predictor._built(support, out)
 
 
 def _master(inst: Instance, cols: PlanColumns):

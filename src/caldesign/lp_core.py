@@ -13,17 +13,9 @@ caller names.  It solves ``B⁻¹`` once against ``b`` and the nonbasic
 columns of ``[A | slacks and surpluses]``, keeps only that condensed
 tableau (the basic columns are the identity) and pivots it by a BLAS
 rank-one update that exchanges a basic and a nonbasic column.  There is no
-phase 1; every caller knows a feasible vertex of its program.  The exact
-solver starts its first stage from a crash basis at the truthful scheme,
-and its agent tie-break, a program plus one added row, from the old
-optimal basis plus the new row's surplus.  The approximation scheme
-settles the calibrated plan from the utilities; its grid and program are
-built only when that plan can be improved.  Its column generation is then
-priced at the calibrated plan, first master solved only once columns
-enter, from a crash basis at the calibrated diagonal; each later master,
-the same rows with columns added, starts from the previous optimal
-basis.  A sweep of t=1 budgets starts each first
-stage from the previous budget's optimal basis.  A start that is not a
+phase 1; every caller knows a feasible vertex of its program (the exact
+solver's truthful scheme, the approximation scheme's calibrated plan, a
+previous optimal basis; their modules say which).  A start that is not a
 feasible basis of the program raises ``SolverError('NUMERICAL_FAILURE')``;
 one whose ``B⁻¹b`` reads at most ``FEASIBILITY_TOL`` below 0 is clamped,
 and the solution reports by how much (``LpSolution.start_clamp``), so that
@@ -191,7 +183,7 @@ def solve(lp: LinearProgram, basis) -> LpSolution:
     # Adding 0.0 turns -0.0 into 0.0, so a zero entry never prints as -0.0.
     x = y[:n] / col_scale + 0.0
 
-    _check_solution(lp, x)
+    _check_solution(lp, x, np.maximum(rs, 1.0))
     return LpSolution(float(lp.objective @ x), x, basic, pivots, clamp)
 
 
@@ -347,19 +339,18 @@ def _install_objective(T, basis, ids, cost):
     T[rows, :-1] -= cost[ids]
 
 
-def _check_solution(lp, x):
+def _check_solution(lp, x, row_size):
     """Raise ``SolverError('NUMERICAL_FAILURE')`` unless ``x`` meets every row
     and ``x >= 0`` within tolerance; a non-finite ``x`` fails.
 
-    Row ``r`` may miss by ``FEASIBILITY_TOL * max(1, |rhs_r|, max|a_r|)``."""
+    Row ``r`` may miss by ``FEASIBILITY_TOL * row_size[r]``, where
+    :func:`solve` passes ``row_size[r] = max(1, |rhs_r|, max|a_r|)``."""
     tol = FEASIBILITY_TOL
     A, rel, b = lp.A, lp.rel, lp.b
     lhs = A @ x
     gap = np.where(lp._le, lhs - b,
                    np.where(lp._ge, b - lhs, np.abs(lhs - b)))
-    scale = np.maximum(np.maximum(1.0, np.abs(b)),
-                       np.abs(A).max(axis=1, initial=0.0))
-    bad = np.flatnonzero(~(gap <= tol * scale))
+    bad = np.flatnonzero(~(gap <= tol * row_size))
     if bad.size:
         r = bad[0]
         raise SolverError(

@@ -62,9 +62,16 @@ def runs(values, tol):
     return np.flatnonzero(starts)
 
 
+def freeze(*arrays):
+    """``arrays``, which a value object owns, set read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def read_numbers(value, code, what, scalar=False):
-    """``value``, a number or nested lists or an array of numbers, as a float
-    array (a float if ``scalar``), or ``ValidationError(code)``.  Every
+    """``value``, a number or nested lists or an array of numbers, as a new
+    float array (a float if ``scalar``), or ``ValidationError(code)``.  Every
     number the package takes from outside is read here: a number or a
     string that spells one (``"0.1"``, ``"-inf"``), never a boolean,
     ``None`` or NaN; an integer too large for a float reads as ``inf`` or
@@ -73,7 +80,7 @@ def read_numbers(value, code, what, scalar=False):
     (``reprlib.repr``).
     """
     if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
-        arr = np.asarray(value, dtype=float)
+        arr = np.array(value, dtype=float)
         if np.isnan(arr).any():
             raise ValidationError(code, f"{what} contains NaN")
     else:
@@ -183,10 +190,9 @@ class Instance:
         self.agent_size = np.abs(v)
         self.agent_slope = v[:, 1] - v[:, 0]
         self.theta_bar = float(self.lam @ self.theta)
-        for arr in (self.theta, self.lam, self.agent_utility,
-                    self.principal_utility, self.ubar, self.vbar_events,
-                    self.agent_size, self.agent_slope):
-            arr.setflags(write=False)
+        freeze(self.theta, self.lam, self.agent_utility,
+               self.principal_utility, self.ubar, self.vbar_events,
+               self.agent_size, self.agent_slope)
 
     def with_epsilon(self, epsilon):
         """Copy of the instance with a different budget.  Only the new budget
@@ -279,7 +285,7 @@ class Predictor:
 
     ``support`` is the sorted union of all per-event supports; ``mass`` has
     one row per event aligned to ``support``.  Values closer than
-    ``SUPPORT_MERGE_TOL`` are merged on ingestion.
+    ``SUPPORT_MERGE_TOL`` are merged on ingestion; both are read-only.
     """
 
     def __init__(self, support, mass):
@@ -295,19 +301,23 @@ class Predictor:
         support = np.clip(support, 0.0, 1.0)
         if np.any(mass < -1e-12):
             raise ValidationError("BAD_MASS", "negative probability mass")
-        mass = np.clip(mass, 0.0, None)
-
-        order = np.argsort(support, kind="stable")
-        support = support[order]
-        starts = runs(support, SUPPORT_MERGE_TOL)
-        self.support = support[starts]
-        self.mass = np.add.reduceat(mass[:, order], starts, axis=1)
-        rows = self.mass.sum(axis=1)
+        built = self._built(support, np.clip(mass, 0.0, None))
+        rows = built.mass.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-9):
             raise ValidationError("BAD_MASS",
                                   f"per-event mass sums {rows} are not 1")
-        self.support.setflags(write=False)
-        self.mass.setflags(write=False)
+        self.support, self.mass = built.support, built.mass
+
+    @classmethod
+    def _built(cls, support, mass):
+        """A solver's predictor, past the checks: sorted, merged, frozen."""
+        pred = cls.__new__(cls)
+        order = np.argsort(support, kind="stable")
+        support = support[order]
+        starts = runs(support, SUPPORT_MERGE_TOL)
+        pred.support, pred.mass = freeze(
+            support[starts], np.add.reduceat(mass[:, order], starts, axis=1))
+        return pred
 
     @property
     def n_events(self):
@@ -549,7 +559,7 @@ def agent_payoff(pred, inst):
 class Evaluation(NamedTuple):
     """What :func:`certify` computed of a predictor: its ``ece`` in the
     instance's norm, its ``payoff``, and the ``weight`` and ``actions`` of
-    :func:`_support_actions` that the payoffs sum over."""
+    :func:`_support_actions` that the payoffs sum over, read-only."""
 
     ece: float
     payoff: float
@@ -568,7 +578,7 @@ _ece = ece
 
 def _evaluate(pred, inst):
     """The :class:`Evaluation` of ``pred`` that :func:`certify` checks."""
-    weight, acts = _support_actions(pred, inst)
+    weight, acts = freeze(*_support_actions(pred, inst))
     return Evaluation(_ece(pred, inst), _expected(weight, acts, inst.ubar),
                       weight, acts)
 

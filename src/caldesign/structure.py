@@ -26,6 +26,7 @@ from .model import (
     Predictor,
     ece,
     envelope,
+    freeze,
     indirect_utility_matrix,
     kappa_values,
     piece_scan,
@@ -83,17 +84,17 @@ class EventIndependentPlan:
     """Joint mass over (true expected outcome q, prediction p) pairs."""
 
     def __init__(self, q, p, w):
-        self.q = np.asarray(q, dtype=float).ravel()
-        self.p = np.asarray(p, dtype=float).ravel()
-        self.w = np.asarray(w, dtype=float).ravel()
-        if not (self.q.size == self.p.size == self.w.size):
+        q, p, w = (read_numbers(values, "BAD_PLAN", name).ravel()
+                   for values, name in ((q, "q"), (p, "p"), (w, "w")))
+        if not (q.size == p.size == w.size):
             raise ValidationError("BAD_PLAN", "ragged plan arrays")
-        if np.any(self.w < -1e-12):
+        if np.any(w < -1e-12):
             raise ValidationError("BAD_PLAN", "negative plan mass")
-        self.w = np.clip(self.w, 0.0, None)
-        if abs(self.w.sum() - 1.0) > 1e-9:
+        w = np.clip(w, 0.0, None)
+        if abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError("BAD_PLAN",
-                                  f"plan mass sums to {self.w.sum()!r}, not 1")
+                                  f"plan mass sums to {w.sum()!r}, not 1")
+        self.q, self.p, self.w = freeze(q, p, w)
 
     def raw_error(self, t):
         return float(self.w @ np.abs(self.q - self.p) ** t)
@@ -234,7 +235,7 @@ class GammaCertificate:
             raise ValidationError("BAD_CERTIFICATE",
                                   "knots must be a list of [x, y] pairs")
         order = np.lexsort((knots[:, 1], knots[:, 0]))   # by x, then y
-        self.knots_x, self.knots_y = knots[order].T
+        self.knots_x, self.knots_y = freeze(*knots[order].T)
         if self.knots_x.size < 2 or self.knots_x[0] > 1e-12 \
                 or self.knots_x[-1] < 1 - 1e-12:
             raise ValidationError("BAD_CERTIFICATE",

@@ -793,9 +793,10 @@ class TestEventOrder:
         budgets = [0.0, 0.05, 0.1, 0.3]
         for perm, inst, twin in self._draws(22, norm, 8):
             for budget, got, want in zip(
-                    budgets, exact.solve_budgets(inst, budgets),
-                    exact.solve_budgets(twin, budgets)):
-                self._check_exact(perm, inst.with_epsilon(budget), got, want)
+                    budgets, exact.walk_budgets(inst, budgets),
+                    exact.walk_budgets(twin, budgets)):
+                self._check_exact(perm, inst.with_epsilon(budget), got[:3],
+                                  want[:3])
 
     @pytest.mark.parametrize("norm", [1.0, 1.5, 2.0, 3.0])
     def test_fptas_solve_in_process(self, norm):

@@ -633,7 +633,7 @@ class TestPivotCounts:
         # restart at the truthful scheme
         budgets = [round(0.01 * k, 2) for k in range(81)]
         for k in range(0, 81, block):
-            exact.solve_budgets(golden, budgets[k:k + block])
+            list(exact.walk_budgets(golden, budgets[k:k + block]))
         rejected = _errors(solves)
         assert all("start basis rejected: infeasible" in str(err)
                    for err in rejected)
@@ -656,7 +656,7 @@ class TestPivotCounts:
             inst))
 
     def test_clamped_walk_start_falls_back(self, golden, solves):
-        results = exact.solve_budgets(golden, [0.04, 0.05])
+        results = list(exact.walk_budgets(golden, [0.04, 0.05]))
         clamped = [sol.start_clamp for _, _, sol in solves]
         assert clamped[2] == pytest.approx(3.3e-8, rel=1e-3)
         assert clamped[:2] == clamped[3:] == [0.0, 0.0]
@@ -675,7 +675,7 @@ class TestPivotCounts:
             return spy(lp, basis)
 
         monkeypatch.setattr(lp_core, "solve", reject_the_walk)
-        results = exact.solve_budgets(golden, [0.03, 0.05])
+        results = list(exact.walk_budgets(golden, [0.03, 0.05]))
         assert len(_errors(solves)) == 1
         self._check_fallback(golden, solves, results)
 
@@ -688,10 +688,11 @@ def _solve_or_error(inst):
 
 
 def _row(inst, result, fmt=_fmt):
-    """A solve's objective, agent payoff and ece, or its error code."""
+    """A solve's objective, agent payoff and ece, or its error code; a
+    result of ``walk_budgets`` drops its evaluation."""
     if isinstance(result, Exception):
         return f"error:{result.code}"
-    _, pred, obj = result
+    _, pred, obj = result[:3]
     return ",".join(fmt(float(v)) for v in (obj, agent_payoff(pred, inst),
                                             ece(pred, inst)))
 
@@ -701,7 +702,7 @@ def _hex_row(inst, result):
 
 
 class TestSolveBudgets:
-    """``solve_budgets`` walks one basis along a t=1 budget list; t=inf
+    """``walk_budgets`` walks one basis along a t=1 budget list; t=inf
     builds the program once and starts every budget afresh."""
 
     BUDGETS = [round(0.02 * k, 2) for k in range(26)]
@@ -715,7 +716,7 @@ class TestSolveBudgets:
 
     def _check(self, norm, row):
         for inst in self._instances(norm):
-            walked = exact.solve_budgets(inst, self.BUDGETS)
+            walked = exact.walk_budgets(inst, self.BUDGETS)
             for budget, result in zip(self.BUDGETS, walked):
                 sub = inst.with_epsilon(budget)
                 assert row(sub, result) == row(sub, _solve_or_error(sub))
@@ -728,7 +729,7 @@ class TestSolveBudgets:
 
     def test_errors_come_back_per_budget(self, golden):
         t2 = with_norm(golden, 0.1, 2.0)
-        results = exact.solve_budgets(t2, [0.1, 0.2])
+        results = list(exact.walk_budgets(t2, [0.1, 0.2]))
         assert [err.code for err in results] == ["UNSUPPORTED_NORM"] * 2
         with pytest.raises(ValidationError, match="UNSUPPORTED_NORM"):
             solve_exact(t2)
@@ -736,9 +737,9 @@ class TestSolveBudgets:
 
 class TestTakenAsBuilt:
     """The exact path reuses what it built and checked: a sweep row prints
-    the evaluation that certified its predictor, and the strategies the
-    solver builds skip the checks of ``SenderStrategy()``, which they
-    meet."""
+    the evaluation that certified its predictor, and the strategies and
+    predictors the solvers build skip the checks of ``SenderStrategy()``
+    and ``Predictor()``, which they meet."""
 
     def test_sweep_rows_print_the_certified_evaluation(self, golden):
         tinf = next(inst for inst in _ladder() if inst.norm == INF)
@@ -756,7 +757,7 @@ class TestTakenAsBuilt:
                 assert checked.agent_payoff(inst).hex() == \
                     agent_payoff(pred, inst).hex()
                 assert checked.ece.hex() == ece(pred, inst).hex()
-                assert fields == _row(inst, result[:3]) + ",ok"
+                assert fields == _row(inst, result) + ",ok"
                 solved += 1
         assert solved >= 81 + 20
 
@@ -769,13 +770,34 @@ class TestTakenAsBuilt:
             built.append((inst, spy(inst, x)))
             return built[-1][1]
 
+        # every predictor a solver builds, with the arrays it was built of
+        predictors = []
+        build = Predictor._built
+
+        def record_predictor(cls, support, mass):
+            pred = build(support, mass)
+            predictors.append((support.copy(), mass.copy(), pred))
+            return pred
+
         monkeypatch.setattr(exact, "_strategy_from_solution", record)
+        monkeypatch.setattr(Predictor, "_built",
+                            classmethod(record_predictor))
         rng = np.random.default_rng(1003)
         acc3 = [random_instance(rng, (0.01, 0.1)[k % 2]) for k in range(25)]
         for inst in _ladder() + acc3:
             solve_exact(inst)
-        exact.solve_budgets(golden, [round(0.01 * k, 2) for k in range(81)])
+        for inst in acc3:
+            fptas_solve(inst, 0.1)
+        list(exact.walk_budgets(golden, [round(0.01 * k, 2)
+                                         for k in range(81)]))
+        monkeypatch.undo()
         assert len(built) >= 24 + 25 + 81
+        assert len(predictors) >= 24 + 2 * 25 + 81
+        for support, mass, pred in predictors:
+            # the public constructor reads, checks and merges them alike
+            checked = Predictor(support, mass)
+            assert checked.support.tobytes() == pred.support.tobytes()
+            assert checked.mass.tobytes() == pred.mass.tobytes()
         for inst, strat in built:
             pi, bias = strat.pi, strat.bias
             assert pi.shape == (inst.n, inst.m) and bias.shape == (inst.m,)
@@ -873,8 +895,9 @@ class TestCertifiedSolves:
         assert p == 0.5 and signals.tolist() == [1, 2]
         pooled = SenderStrategy([[0, 1, 0], [0, 1, 0]], [0.0, 0.0, 0.0])
         assert exact._lossy_merges(inst, pooled) == []
-        exact._separate(inst, split, [(p, signals)])
-        assert split.biased_means(inst)[1:].tolist() == pytest.approx(
+        moved = exact._separate(inst, split, [(p, signals)])
+        assert split.bias.tolist() == [0.0, 0.0, 0.0]
+        assert moved.biased_means(inst)[1:].tolist() == pytest.approx(
             [0.5 - exact.SEPARATION, 0.5 + exact.SEPARATION], abs=1e-15)
 
     # two instances whose optimal vertex merges signals that cannot be

@@ -6,7 +6,9 @@ replace: it imports ``errors`` alone.  ``structure`` works on predictors
 and the agent's envelope from ``model``; it must not reach into the
 solvers.  ``fptas`` builds on ``model`` and ``lp_core`` alone, not on the
 exact solver or ``structure``.  ``cli`` calls ``exact`` through its public
-names only.  The library is single-process: only ``cli`` starts processes,
+names only.  The solvers take what they build as built (``_built``) and
+never call the checking constructors of ``Predictor`` or
+``SenderStrategy``.  The library is single-process: only ``cli`` starts processes,
 by ``os.fork`` inside a function, so that importing a module starts none,
 and no module imports a process pool.  Outside the package, a module
 imports numpy and the standard library alone: scipy stays a test
@@ -95,6 +97,34 @@ def test_the_private_reader_sees_both_forms():
 def test_cli_reads_no_private_name_of_exact():
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert private_reads(source, "exact") == set()
+
+
+def checked_constructions(source, classes=("Predictor", "SenderStrategy")):
+    """Line numbers of ``source``'s calls of the public constructor of one
+    of ``classes``, by its name or as an attribute (``model.Predictor(``)."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name in classes:
+                lines.add(node.lineno)
+    return lines
+
+
+def test_the_constructor_reader_sees_both_forms():
+    source = ("Predictor(s, m)\n"
+              "model.SenderStrategy(pi, b)\n"
+              "Predictor._built(s, m)\n"
+              "SenderStrategy._built(pi, b)\n")
+    assert checked_constructions(source) == {1, 2}
+
+
+def test_solvers_build_their_output():
+    for module in ("exact", "fptas"):
+        source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+        assert checked_constructions(source) == set(), module
 
 
 def forks(module):

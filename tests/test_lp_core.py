@@ -29,6 +29,13 @@ def with_row(lp, coeffs, rel, rhs, objective=None):
                          np.append(lp.b, rhs))
 
 
+def row_size(lp):
+    """Each row's ``max(1, |rhs|, max|a|)``, the scale of the tolerance of
+    ``lp_core._check_solution``, computed from the program alone."""
+    return np.maximum(np.maximum(1.0, np.abs(lp.b)),
+                      np.abs(lp.A).max(axis=1, initial=0.0))
+
+
 def no_solution(kind, solver, *args):
     """Assert that ``solver(*args)`` raises ``NO_SOLUTION`` for a program
     that is ``kind``, "infeasible" (``cold_solve``'s phase 1) or
@@ -202,7 +209,8 @@ class TestSolutionCheck:
 
     def test_rejects_nan(self):
         with pytest.raises(SolverError) as err:
-            lp_core._check_solution(self.LP, np.array([math.nan, 0.0]))
+            lp_core._check_solution(self.LP, np.array([math.nan, 0.0]),
+                                    row_size(self.LP))
         assert err.value.code == "NUMERICAL_FAILURE"
 
     @pytest.mark.parametrize("rel,rhs,x", [
@@ -216,9 +224,9 @@ class TestSolutionCheck:
         lp = LinearProgram([1.0, 1.0], [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
                            [">=", rel, "<="], [0.0, rhs, 5.0])
         with pytest.raises(SolverError, match=f"violates {rel} row") as err:
-            lp_core._check_solution(lp, np.array(x))
+            lp_core._check_solution(lp, np.array(x), row_size(lp))
         assert err.value.code == "NUMERICAL_FAILURE"
-        lp_core._check_solution(lp, np.array([1.0, 1.0]))
+        lp_core._check_solution(lp, np.array([1.0, 1.0]), row_size(lp))
 
     def test_matches_row_by_row_reference(self):
         # the per-row loop the vectorized check replaced, as the reference
@@ -247,7 +255,7 @@ class TestSolutionCheck:
                 b.append(float(coeffs @ x) + miss)
             lp = LinearProgram(np.zeros(n), A, rels, b)
             try:
-                lp_core._check_solution(lp, x)
+                lp_core._check_solution(lp, x, row_size(lp))
                 ok = True
             except SolverError:
                 ok = False
@@ -258,16 +266,43 @@ class TestSolutionCheck:
     def test_row_scale_tolerance(self):
         # a row of norm 1e6 may miss by 1e-7 * 1e6; a unit row may not
         lp = LinearProgram([1.0], [[1e6]], ["<="], [1e6])
-        lp_core._check_solution(lp, np.array([1.0 + 5e-8]))
+        lp_core._check_solution(lp, np.array([1.0 + 5e-8]), row_size(lp))
         with pytest.raises(SolverError):
-            lp_core._check_solution(lp, np.array([1.0 + 2e-7]))
+            lp_core._check_solution(lp, np.array([1.0 + 2e-7]), row_size(lp))
+
+    def test_solve_hands_over_the_row_size(self, monkeypatch):
+        # the row scale that solve takes before equilibrating is row_size
+        # bit for bit, sentinel-sized, zero and negative-rhs rows included
+        seen = []
+        check = lp_core._check_solution
+
+        def spy(lp, x, size):
+            seen.append((lp, size))
+            check(lp, x, size)
+
+        monkeypatch.setattr(lp_core, "_check_solution", spy)
+        rng = np.random.default_rng(11)
+        for k in range(40):
+            lp, _ = random_lp(rng)
+            A, b = lp.A.copy(), lp.b.copy()
+            A[0] *= (1.0, 1e9, 1e-9, 0.0)[k % 4]
+            b[0] = (b[0], -b[0], 0.0, 0.0)[k // 4 % 4]
+            lp = LinearProgram(lp.objective, A, lp.rel, b)
+            try:
+                cold_solve(lp)
+            except SolverError:
+                pass
+        assert len(seen) >= 40
+        assert any(size.max() >= 1e9 for _, size in seen)
+        for lp, size in seen:
+            assert size.tobytes() == row_size(lp).tobytes()
 
     def test_rejects_negative_entry(self):
         # x meets the row; only the sign of its second entry is wrong
         x = np.array([1.0, -2 * lp_core.FEASIBILITY_TOL])
-        lp_core._check_solution(self.LP, np.abs(x))
+        lp_core._check_solution(self.LP, np.abs(x), row_size(self.LP))
         with pytest.raises(SolverError, match="nonnegative") as err:
-            lp_core._check_solution(self.LP, x)
+            lp_core._check_solution(self.LP, x, row_size(self.LP))
         assert err.value.code == "NUMERICAL_FAILURE"
 
 

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caldesign.errors import ValidationError
-from caldesign.exact import SenderStrategy, solve_exact, strategy_to_predictor
-from caldesign.fptas import build_grid, fptas_solve
+from caldesign.exact import (
+    SenderStrategy,
+    solve_exact,
+    strategy_to_predictor,
+    walk_budgets,
+)
+from caldesign.fptas import Grid, build_grid, fptas_solve
 from caldesign.model import (
     INF,
     SUPPORT_MERGE_TOL,
@@ -16,6 +21,7 @@ from caldesign.model import (
     Predictor,
     agent_payoff,
     best_response,
+    certify,
     ece,
     envelope,
     indirect_utility,
@@ -26,7 +32,11 @@ from caldesign.model import (
     tied_action_sets,
     validate_instance,
 )
-from caldesign.structure import GammaCertificate
+from caldesign.structure import (
+    EventIndependentPlan,
+    GammaCertificate,
+    recalibrate,
+)
 
 from conftest import make_instance, random_instance, random_predictor
 
@@ -36,9 +46,9 @@ def _one_event(epsilon=0.1, norm=1.0):
 
 
 def _silent_strategy():
-    """A strategy whose signals carry no mass, set after its checks."""
-    strat = SenderStrategy([[1.0]], [0.0])
-    strat.pi[:] = 0.0
+    """A strategy whose signals carry no mass, which only a scheme taken
+    as built, past the constructor's checks, can be."""
+    strat = SenderStrategy._built(np.zeros((1, 1)), np.zeros(1))
     return strategy_to_predictor(strat, _one_event())
 
 
@@ -580,3 +590,73 @@ class TestInstanceHelpers:
 
     def test_theta_bar(self, golden):
         assert golden.theta_bar == pytest.approx(0.7000025)
+
+
+INSTANCE_ARRAYS = ("theta", "lam", "agent_utility", "principal_utility",
+                   "ubar", "vbar_events", "agent_size", "agent_slope")
+
+
+class TestReadOnlyArrays:
+    """Every value object holds read-only arrays, whether a public
+    constructor read them or a solver built them, and none of them is a
+    caller's own array: the caller's stays writable, and writing into it
+    leaves the object as it was."""
+
+    @staticmethod
+    def _refuse_writes(obj, names):
+        for name in names:
+            arr = getattr(obj, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = arr.flat[0]
+
+    def test_public_constructors_copy_and_freeze(self):
+        given = {
+            "theta": np.array([0.2, 0.8]), "lam": np.array([0.5, 0.5]),
+            "v": np.array([[0.0, 0.0], [-1.0, 1.0]]), "u": np.ones((2, 2, 2)),
+            "support": np.array([0.2, 0.8]), "mass": np.eye(2),
+            "pi": np.eye(2), "bias": np.zeros(2),
+            "knots": np.array([[0.0, 1.0], [1.0, 1.0]]),
+            "q": np.array([0.3, 0.9]), "p": np.array([0.4, 0.7]),
+            "w": np.array([0.5, 0.5]),
+            "points": np.linspace(0.0, 1.0, 5), "zs": np.array([0.5]),
+        }
+        g = given
+        made = [
+            (Instance(g["theta"], g["lam"], ["a", "b"], g["v"], g["u"], 0.1),
+             INSTANCE_ARRAYS),
+            (Predictor(g["support"], g["mass"]), ("support", "mass")),
+            (SenderStrategy(g["pi"], g["bias"]), ("pi", "bias")),
+            (GammaCertificate(g["knots"], 0.0, 0.0, 0.0),
+             ("knots_x", "knots_y")),
+            (EventIndependentPlan(g["q"], g["p"], g["w"]), ("q", "p", "w")),
+            (Grid(g["points"], 0.25, 0.0, 0, g["zs"]),
+             ("points", "discontinuities")),
+        ]
+        held = [[getattr(obj, name).tobytes() for name in names]
+                for obj, names in made]
+        for obj, names in made:
+            self._refuse_writes(obj, names)
+        for arr in given.values():
+            assert arr.flags.writeable
+            arr += 0.125
+        assert held == [[getattr(obj, name).tobytes() for name in names]
+                        for obj, names in made]
+
+    def test_built_objects_are_frozen(self, golden):
+        strat, pred, objective = solve_exact(golden)
+        [(_, _, _, walked)] = walk_budgets(golden, [golden.epsilon])
+        approx, _ = fptas_solve(golden, 0.1)
+        calibrated, plan = recalibrate(pred, golden)
+        for obj, names in [
+                (validate_instance(golden.to_json_dict()), INSTANCE_ARRAYS),
+                (golden.with_epsilon(0.2), INSTANCE_ARRAYS),
+                (strat, ("pi", "bias")),
+                (pred, ("support", "mass")),
+                (approx, ("support", "mass")),
+                (calibrated, ("support", "mass")),
+                (plan, ("q", "p", "w")),
+                (certify(pred, golden, objective), ("weight", "actions")),
+                (walked, ("weight", "actions")),
+                (build_grid(golden, 0.1), ("points", "discontinuities"))]:
+            self._refuse_writes(obj, names)

@@ -104,6 +104,20 @@ class TestRecalibrate:
                                                         abs=1e-12)
 
 
+class TestEventIndependentPlan:
+    @pytest.mark.parametrize("q, p, w", [
+        ([0.3], [0.4, 0.7], [0.5, 0.5]),         # ragged
+        ([0.3, 0.9], [0.4, 0.7], [1.5, -0.5]),   # negative mass
+        ([0.3, 0.9], [0.4, 0.7], [0.5, 0.4]),    # mass sums to 0.9
+        ([float("nan")], [0.4], [1.0]),          # NaN is not a number
+        ([0.3], [True], [1.0]),                  # nor is a boolean
+    ])
+    def test_rejects_with_bad_plan(self, q, p, w):
+        with pytest.raises(ValidationError) as err:
+            EventIndependentPlan(q, p, w)
+        assert err.value.code == "BAD_PLAN"
+
+
 class TestApplyPlan:
     def test_reconstructs_constant_pool(self, two_event, f_dagger):
         gtilde = point_mass(0.6, 2)
