@@ -10,8 +10,8 @@ Subpackages:
   certificates and structural diagnostics for event-independent utilities.
 - :mod:`caldesign.cli` -- command-line front end.
 
-The brute-force cross-checks (feasible-rule sampler, tiny-grid enumeration)
-live with the tests, in ``tests/oracle.py``.
+The brute-force cross-checks (feasible-rule sampler, tiny-grid enumeration,
+the 1-norm plan-LP optimum) live with the tests, in ``tests/oracle.py``.
 """
 
 from .errors import CaldesignError, SolverError, ValidationError

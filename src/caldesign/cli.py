@@ -49,8 +49,6 @@ import pickle
 import signal
 import sys
 
-import numpy as np
-
 from . import exact, fptas, model, structure
 from .errors import CaldesignError, SolverError, ValidationError
 
@@ -100,15 +98,20 @@ def _write_text(path, text):
         sys.stdout.write(text)
 
 
+def _scores(inst, pred):
+    """What ``solve`` and ``eval`` print of ``pred``: its payoff, its agent
+    payoff and its ece in the norms 1, 2 and inf."""
+    return {"payoff": model.payoff(pred, inst),
+            "agent_payoff": model.agent_payoff(pred, inst),
+            "ece": {t: model.ece(pred, inst, float(t))
+                    for t in ("1", "2", "inf")}}
+
+
 def _summary(inst, pred, objective):
     per_event = (pred.mass > 1e-12).sum(axis=1)
     return {
         "objective": objective,
-        "payoff": model.payoff(pred, inst),
-        "agent_payoff": model.agent_payoff(pred, inst),
-        "ece": {"1": model.ece(pred, inst, 1.0),
-                "2": model.ece(pred, inst, 2.0),
-                "inf": model.ece(pred, inst, model.INF)},
+        **_scores(inst, pred),
         "support_size": int(pred.support.size),
         "per_event_support": [int(k) for k in per_event],
     }
@@ -144,12 +147,11 @@ def cmd_eval(args) -> int:
     inst = _load_instance(args)
     pred = _load_predictor(args.predictor, inst)
     counts = structure.count_predictions(pred, inst)
+    scores = _scores(inst, pred)
     lines = [
-        f"ece t=1: {_fmt(model.ece(pred, inst, 1.0))}",
-        f"ece t=2: {_fmt(model.ece(pred, inst, 2.0))}",
-        f"ece t=inf: {_fmt(model.ece(pred, inst, model.INF))}",
-        f"payoff: {_fmt(model.payoff(pred, inst))}",
-        f"agent_payoff: {_fmt(model.agent_payoff(pred, inst))}",
+        *(f"ece t={t}: {_fmt(e)}" for t, e in scores["ece"].items()),
+        f"payoff: {_fmt(scores['payoff'])}",
+        f"agent_payoff: {_fmt(scores['agent_payoff'])}",
         f"support: total={counts.total} per_event_max={counts.per_event_max} "
         f"per_outcome_max={counts.per_outcome_max}",
     ]
@@ -289,13 +291,9 @@ def cmd_sweep(args) -> int:
 def cmd_reliability(args) -> int:
     inst = _load_instance(args)
     pred = _load_predictor(args.predictor, inst)
-    marg = pred.marginal(inst.lam)
-    kap = model.kappa_values(pred, inst)
     rows = ["p,kappa,marginal_mass"]
-    for k in np.argsort(pred.support):
-        if marg[k] <= 0:
-            continue
-        rows.append(f"{_fmt(pred.support[k])},{_fmt(kap[k])},{_fmt(marg[k])}")
+    for k, marg, kap in zip(*model.live_points(pred, inst)):
+        rows.append(f"{_fmt(pred.support[k])},{_fmt(kap)},{_fmt(marg)}")
     _write_text(args.output, "\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -408,12 +408,14 @@ def strategy_to_predictor(strat: SenderStrategy, inst: Instance) -> Predictor:
     """Predict each signal's biased mean whenever that signal would be sent.
 
     Zero-mass signals are dropped; signals sharing a biased mean merge into
-    one support point.  Payoff is preserved when every support point carries
-    one recommendation.  It is not when two signals recommend different
-    actions at the same biased mean (an indifference point of the agent):
-    after the merge the agent takes one action for the whole merged mass, and
-    the predictor's payoff can fall short of the LP objective.
-    :func:`solve_exact` pulls such signals apart before converting.
+    one support point; an event that sends no live signal takes the live
+    prediction nearest its mean (``Predictor._from_rows``).  Payoff is
+    preserved when every support point carries one recommendation.  It is
+    not when two signals recommend different actions at the same biased
+    mean (an indifference point of the agent): after the merge the agent
+    takes one action for the whole merged mass, and the predictor's payoff
+    can fall short of the LP objective.  :func:`solve_exact` pulls such
+    signals apart before converting.
     """
     means = strat.biased_means(inst)   # NaN at the signals without mass
     keep = np.flatnonzero(~np.isnan(means))
@@ -422,18 +424,5 @@ def strategy_to_predictor(strat: SenderStrategy, inst: Instance) -> Predictor:
     means = means[keep]
     if np.any(means < -1e-7) or np.any(means > 1 + 1e-7):
         raise ValidationError("BAD_STRATEGY", "biased mean outside [0, 1]")
-    means = np.clip(means, 0.0, 1.0)
-    pi = strat.pi[:, keep]
-    # Events that never reach a kept signal (possible only with zero prior)
-    # fall back to an honest point prediction at their own mean.
-    rows = pi.sum(axis=1)
-    dead = rows < 1e-9
-    if np.any(dead):
-        support = np.concatenate([means, inst.theta[dead]])
-        extra = np.zeros((inst.n, int(dead.sum())))
-        extra[np.flatnonzero(dead), np.arange(int(dead.sum()))] = 1.0
-        massmat = np.hstack([pi, extra])
-    else:
-        support = means
-        massmat = pi / rows[:, None]
-    return Predictor._built(support, massmat)
+    return Predictor._from_rows(np.clip(means, 0.0, 1.0), strat.pi[:, keep],
+                                inst.theta)

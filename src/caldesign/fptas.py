@@ -402,8 +402,10 @@ def plan_to_predictor(plan: PlanColumns, inst: Instance) -> Predictor:
     Each column hands the share r of its mass ``w`` to its low event and
     the rest to its high event at the support point of prediction p
     (:func:`_point_of`); r is clipped to [0, 1], as it may stray by
-    rounding.  Raises ``SUPPLY_VIOLATION`` when the plan does not conserve
-    some event's prior mass within tolerance.
+    rounding.  Each event's mass per unit of prior goes to
+    ``Predictor._from_rows``, exact's rule too.  Raises
+    ``SUPPLY_VIOLATION`` when the plan does not conserve some event's prior
+    mass within tolerance.
     """
     support = _dedup_sorted(plan.p)
     col = _point_of(support, plan.p)
@@ -416,22 +418,8 @@ def plan_to_predictor(plan: PlanColumns, inst: Instance) -> Predictor:
         raise ValidationError("SUPPLY_VIOLATION",
                               f"plan supplies deviate from the prior by {miss:.3e}")
     lam = inst.lam[:, None]
-    out = np.divide(mass, lam, out=np.zeros_like(mass), where=lam > 0)
-    row_sums = out.sum(axis=1, keepdims=True)
-    dead = (lam == 0.0) | (row_sums <= 0)
-    np.divide(out, row_sums, out=out, where=~dead)
-    dead = np.flatnonzero(dead)
-    if dead.size:
-        # The plan gives these events no mass (their prior is 0, or within
-        # SUPPLY_TOL of 0).  Put each on the support point nearest its mean,
-        # the first on a tie, so that the support stays the plan's
-        # predictions; exact.strategy_to_predictor adds the event's own mean
-        # instead.  With a zero prior the row adds no marginal mass to any
-        # point, so neither choice moves ece or payoff.
-        near = np.abs(support - inst.theta[dead, None]).argmin(axis=1)
-        out[dead] = 0.0
-        out[dead, near] = 1.0
-    return Predictor._built(support, out)
+    rows = np.divide(mass, lam, out=np.zeros_like(mass), where=lam > 0)
+    return Predictor._from_rows(support, rows, inst.theta)
 
 
 def _master(inst: Instance, cols: PlanColumns):
@@ -518,21 +506,28 @@ def fptas_solve(inst: Instance, delta: float):
     pair and prediction priced until no reduced cost exceeds the tolerance;
     neither the LP nor its columns are ever built whole).  It converts the
     optimal plan; the result keeps the calibration budget and loses at most
-    a (1 - delta) factor of the optimal payoff.  The predictor is certified
-    before it is returned (:func:`caldesign.model.certify`): its
-    calibration error is within the budget and its payoff is the returned
-    objective, or ``SolverError('UNCERTIFIED')`` is raised.
+    a (1 - delta) factor of the optimal payoff.  It solves on the events
+    sorted by mean (equal means keep the caller's order), so the order of
+    distinct means does not pick among the degenerate LP's optimal plans.
+    The predictor is certified before it is returned
+    (:func:`caldesign.model.certify`): its calibration error is within the
+    budget and its payoff is the returned objective, or
+    ``SolverError('UNCERTIFIED')`` is raised.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValidationError("BAD_DELTA", f"delta must be in (0, 1), got {delta}")
-    calibrated = _calibrated_plan(inst, _predictions(inst, envelope(inst)[0]))
+    order = np.argsort(inst.theta, kind="stable")
+    view = inst._in_order(order)
+    calibrated = _calibrated_plan(view, _predictions(view, envelope(view)[0]))
     if calibrated.improvable:
-        grid = build_grid(inst, delta / 3.0)
-        cols, sol = solve_plan_lp(inst, build_disc_lp(inst, grid, calibrated))
+        grid = build_grid(view, delta / 3.0)
+        cols, sol = solve_plan_lp(view, build_disc_lp(view, grid, calibrated))
     else:
         cols, sol = calibrated.cols, calibrated.sol
-    predictor = plan_to_predictor(cols.plan(sol.x), inst)
+    plan = cols.plan(sol.x)
+    plan.i, plan.j = order[plan.i], order[plan.j]   # the caller's events
+    predictor = plan_to_predictor(plan, inst)
     objective = float(sol.objective_value)
     certify(predictor, inst, objective)
     return predictor, objective

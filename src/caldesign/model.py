@@ -201,6 +201,18 @@ class Instance:
         out.epsilon = _budget(epsilon)
         return out
 
+    def _in_order(self, order):
+        """Copy of the instance with its events in the order ``order``: the
+        per-event arrays permuted and read-only, nothing checked again.  The
+        instance itself when ``order`` keeps every event in place."""
+        if np.all(order[1:] > order[:-1]):
+            return self
+        out = copy.copy(self)
+        for name in ("theta", "lam", "principal_utility", "ubar",
+                     "vbar_events"):
+            setattr(out, name, freeze(getattr(self, name)[order])[0])
+        return out
+
     def agent_scores(self, ps):
         """Agent expected utility of each action when trusting prediction(s) p.
 
@@ -318,6 +330,21 @@ class Predictor:
         pred.support, pred.mass = freeze(
             support[starts], np.add.reduceat(mass[:, order], starts, axis=1))
         return pred
+
+    @classmethod
+    def _from_rows(cls, support, rows, theta):
+        """Both solvers' predictor of per-event mass ``rows`` on ``support``:
+        a row with mass is divided by its sum, and an event whose row sums
+        to at most 1e-9 (a zero or near-zero prior, so no ece or payoff
+        moves) goes to the point nearest its mean ``theta``, first on a
+        tie."""
+        sums = rows.sum(axis=1, keepdims=True)
+        mass = np.divide(rows, sums, out=np.zeros_like(rows),
+                         where=sums > 1e-9)
+        dead = np.flatnonzero(sums <= 1e-9)
+        if dead.size:
+            mass[dead, np.abs(support - theta[dead, None]).argmin(axis=1)] = 1.0
+        return cls._built(support, mass)
 
     @property
     def n_events(self):
@@ -491,14 +518,14 @@ def indirect_utility_matrix(inst, ps):
     return inst.ubar[:, acts]
 
 
-def kappa_values(pred, inst):
-    """Posterior outcome mean at each support point; NaN where no mass lands."""
+def live_points(pred, inst):
+    """The support points of ``pred`` that carry mass under the prior:
+    their indices, in support order, marginal mass and posterior outcome
+    mean, the one computation of kappa."""
     marg = pred.marginal(inst.lam)
-    num = (inst.lam * inst.theta) @ pred.mass
-    out = np.full(pred.support.shape, np.nan)
-    pos = marg > 0
-    out[pos] = num[pos] / marg[pos]
-    return out
+    live = np.flatnonzero(marg > 0)
+    kap = ((inst.lam * inst.theta) @ pred.mass)[live] / marg[live]
+    return live, marg[live], kap
 
 
 def kappa(pred, inst, p):
@@ -506,11 +533,11 @@ def kappa(pred, inst, p):
     hits = np.flatnonzero(np.abs(pred.support - float(p)) <= SUPPORT_MERGE_TOL)
     if hits.size == 0:
         raise ValidationError("ZERO_MASS", f"prediction {p} not in support")
-    k = int(hits[0])
-    marg = pred.marginal(inst.lam)
-    if marg[k] <= 0:
+    live, _, kap = live_points(pred, inst)
+    at = np.flatnonzero(live == hits[0])
+    if at.size == 0:
         raise ValidationError("ZERO_MASS", f"prediction {p} has no marginal mass")
-    return float(((inst.lam * inst.theta) @ pred.mass[:, k]) / marg[k])
+    return float(kap[at[0]])
 
 
 def ece(pred, inst, t=None):
@@ -520,17 +547,13 @@ def ece(pred, inst, t=None):
     ``t = inf``: worst-case |kappa(p) - p| over supported predictions.
     """
     t = inst.norm if t is None else float(t)
-    marg = pred.marginal(inst.lam)
-    pos = marg > 0
-    if not np.any(pos):
-        raise ValidationError("BAD_MASS", "predictor carries no mass")
-    kap = ((inst.lam * inst.theta) @ pred.mass)[pos] / marg[pos]
-    dev = np.abs(kap - pred.support[pos])
+    live, marg, kap = live_points(pred, inst)
+    dev = np.abs(kap - pred.support[live])
     if t == INF:
         return float(dev.max())
     if t == 1.0:
-        return float(marg[pos] @ dev)
-    return float((marg[pos] @ dev**t) ** (1.0 / t))
+        return float(marg @ dev)
+    return float((marg @ dev**t) ** (1.0 / t))
 
 
 def _support_actions(pred, inst):

@@ -28,7 +28,7 @@ from .model import (
     envelope,
     freeze,
     indirect_utility_matrix,
-    kappa_values,
+    live_points,
     piece_scan,
     point_mass,
     read_numbers,
@@ -37,6 +37,9 @@ from .model import (
 
 KAPPA_GROUP_TOL = 1e-9
 CLASSIFY_TOL = 1e-7
+# Slack of the contraction test (check_mpc) and of a certificate's tails.
+MPC_TOL = 1e-9
+TAIL_TOL = 1e-9
 
 
 def is_event_independent(inst: Instance) -> bool:
@@ -50,26 +53,21 @@ def is_event_independent(inst: Instance) -> bool:
     return bool(np.all(np.abs(U - U[0][None, :]) <= 1e-9))
 
 
-def _integrated_cdf(values, probs, s):
-    """Integral of the CDF from 0 to s for a finite distribution."""
-    return float(np.sum(probs * np.clip(s - values, 0.0, None)))
-
-
-def check_mpc(g, lam, tol=1e-9) -> bool:
+def check_mpc(g, lam) -> bool:
     """Mean-preserving-contraction test between finite distributions.
 
     ``g`` and ``lam`` are (values, probabilities) pairs on [0, 1].  True iff
     the integrated CDF of g sits below that of lam at every support
     breakpoint (the only places the piecewise-linear integrals can touch)
-    with equality at s = 1.
+    with equality at s = 1, the last breakpoint, within ``MPC_TOL``.
     """
-    gv, gp = (np.asarray(a, dtype=float) for a in g)
-    lv, lp = (np.asarray(a, dtype=float) for a in lam)
+    (gv, gp), (lv, lp) = ([np.asarray(a, dtype=float) for a in pair]
+                          for pair in (g, lam))
     breaks = np.unique(np.concatenate([gv, lv, [1.0]]))
-    for s in breaks:
-        if _integrated_cdf(gv, gp, s) > _integrated_cdf(lv, lp, s) + tol:
-            return False
-    return abs(_integrated_cdf(gv, gp, 1.0) - _integrated_cdf(lv, lp, 1.0)) <= tol
+    # the integral of each CDF from 0 to every breakpoint
+    ig, il = ((p * np.clip(breaks[:, None] - v, 0.0, None)).sum(axis=1)
+              for v, p in ((gv, gp), (lv, lp)))
+    return bool(np.all(ig <= il + MPC_TOL) and abs(ig[-1] - il[-1]) <= MPC_TOL)
 
 
 def prior_on_means(inst: Instance):
@@ -109,13 +107,10 @@ def recalibrate(pred: Predictor, inst: Instance):
     has (numerically) zero error, its marginal is a contraction of the
     prior-on-means, and replaying the plan reproduces the original payoff.
     """
-    marg = pred.marginal(inst.lam)
-    keep = np.flatnonzero(marg > 0)
-    kap = kappa_values(pred, inst)[keep]
+    live, marg, kap = live_points(pred, inst)
     order = np.argsort(kap, kind="stable")
-    cols, kap = keep[order], kap[order]
+    cols, weight, kap = live[order], marg[order], kap[order]
     starts = runs(kap, KAPPA_GROUP_TOL)
-    weight = marg[cols]
     cuts = starts[1:]
     q_atoms = np.array([w @ k / w.sum() for w, k in
                         zip(np.split(weight, cuts), np.split(kap, cuts))])
@@ -170,10 +165,8 @@ def analyze_structure(pred: Predictor, inst: Instance) -> StructureReport:
     if not is_event_independent(inst):
         raise ValidationError("NOT_EVENT_INDEPENDENT",
                               "structure analysis needs event-independent utility")
-    marg = pred.marginal(inst.lam)
-    keep = np.flatnonzero(marg > 0)
-    ps = pred.support[keep]
-    kap = kappa_values(pred, inst)[keep]
+    live, _, kap = live_points(pred, inst)
+    ps = pred.support[live]
     gap = kap - ps
     labels = np.where(gap > CLASSIFY_TOL, "UNDER",
                       np.where(gap < -CLASSIFY_TOL, "OVER", "CALIBRATED"))
@@ -204,15 +197,10 @@ def analyze_structure(pred: Predictor, inst: Instance) -> StructureReport:
         if slope_gap > 1e-6:
             violations.append(f"tail slope magnitudes differ by {slope_gap:.2e}")
 
-    order = np.argsort(ps)
-    xs, ys = ps[order], U[order]
-    convex = True
-    for k in range(1, xs.size - 1):
-        left = (ys[k] - ys[k - 1]) * (xs[k + 1] - xs[k])
-        right = (ys[k + 1] - ys[k]) * (xs[k] - xs[k - 1])
-        if left > right + 1e-9 * max(1.0, abs(ys[k])):
-            convex = False
-            break
+    # the slopes between neighbouring points (ps is sorted) do not fall
+    left = (U[1:-1] - U[:-2]) * (ps[2:] - ps[1:-1])
+    right = (U[2:] - U[1:-1]) * (ps[1:-1] - ps[:-2])
+    convex = not np.any(left > right + 1e-9 * np.maximum(1.0, np.abs(U[1:-1])))
     if not convex:
         violations.append("touched utility points are not convex")
 
@@ -264,8 +252,8 @@ class GammaCertificate:
     def __call__(self, x):
         return np.interp(x, self.knots_x, self.knots_y)
 
-    def in_tails(self, x, tol=1e-9):
-        return (x <= self.x_low + tol) | (x >= self.x_high - tol)
+    def in_tails(self, x):
+        return (x <= self.x_low + TAIL_TOL) | (x >= self.x_high - TAIL_TOL)
 
     def to_json_dict(self):
         return {"knots": [[float(x), float(y)] for x, y in
@@ -322,9 +310,8 @@ def verify_optimality(pred: Predictor, inst: Instance,
     err = ece(pred, inst, 1.0)
     cond_budget = abs(cert.alpha * (err - inst.epsilon)) <= 1e-7
 
-    marg = pred.marginal(inst.lam)
-    keep = np.flatnonzero(marg > 0)
-    ps = pred.support[keep]
+    live, _, kap = live_points(pred, inst)
+    ps = pred.support[live]
     U_support = indirect_utility_matrix(inst, ps)[0]
     cond_touch = bool(np.all(np.abs(cert(ps) - U_support) <= 1e-7))
 
@@ -343,7 +330,6 @@ def verify_optimality(pred: Predictor, inst: Instance,
     dom_slack = 1e-9 * (2.0 + cert.alpha)
     cond_dom = bool(np.all(cert(grid) >= U_grid - dom_slack))
 
-    kap = kappa_values(pred, inst)[keep]
     miscal = np.abs(kap - ps) > CLASSIFY_TOL
     cond_tails = bool(np.all(cert.in_tails(ps[miscal]))
                       and np.all(cert.in_tails(kap[miscal])))
@@ -455,8 +441,7 @@ def binary_action_certificate(inst: Instance) -> GammaCertificate:
         knots = [(0.0, alpha * anchor), (anchor, 0.0),
                  (1.0, alpha * (1.0 - anchor))]
         return GammaCertificate(knots, alpha, anchor, anchor)
-    marg = pred.marginal(inst.lam)
-    keep = pred.support[marg > 0]
+    keep = pred.support[live_points(pred, inst)[0]]
     anchored = keep[keep < p_star - 1e-12]
     anchor = float(anchored.max()) if anchored.size else lowest
     alpha = c / (p_star - anchor)
@@ -478,10 +463,8 @@ class PredictionCounts:
 def count_predictions(pred: Predictor, inst: Instance) -> PredictionCounts:
     """Counts behind the support-size bounds: overall, per event, and per
     shared posterior mean."""
-    marg = pred.marginal(inst.lam)
-    keep = np.flatnonzero(marg > 0)
-    total = keep.size
-    per_event = int(np.max((pred.mass[:, keep] > 1e-12).sum(axis=1), initial=0))
-    kap = np.sort(kappa_values(pred, inst)[keep])
+    live, _, kap = live_points(pred, inst)
+    per_event = int(np.max((pred.mass[:, live] > 1e-12).sum(axis=1), initial=0))
+    kap = np.sort(kap)
     sizes = np.diff(runs(kap, KAPPA_GROUP_TOL), append=kap.size)
-    return PredictionCounts(total, per_event, int(sizes.max(initial=0)))
+    return PredictionCounts(live.size, per_event, int(sizes.max(initial=0)))

@@ -1,9 +1,11 @@
 """Brute-force cross-checks used by the test suite to validate the solvers.
 
-Two independent routes: seeded samplers that spew feasible predictors
-(their payoffs must never beat the exact optimum), and an exhaustive search
+Three independent routes: seeded samplers that spew feasible predictors
+(their payoffs must never beat the exact optimum), an exhaustive search
 over tiny grids that enumerates support sets and optimizes the masses
-exactly on each, giving a tight grid-restricted optimum to compare against.
+exactly on each, giving a tight grid-restricted optimum to compare against,
+and the 1-norm optimum of the paper's plan LP on a finite grid that loses
+nothing (:func:`l1_plan_optimum`), which reaches n, m >= 10.
 :func:`sample_feasible` draws random predictors on a grid and keeps those
 within the budget, which a tight budget rarely admits;
 :func:`sample_calibrated_shifts` shifts calibrated predictors out to the
@@ -16,9 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from caldesign import lp_core
+from caldesign import fptas, lp_core
 from caldesign.errors import SolverError, ValidationError
-from caldesign.model import INF, Instance, Predictor, ece, indirect_utility_matrix, payoff
+from caldesign.model import (
+    INF,
+    Instance,
+    Predictor,
+    ece,
+    envelope,
+    indirect_utility_matrix,
+    payoff,
+)
 
 from cold import cold_solve
 
@@ -185,3 +195,24 @@ def exhaustive_best(inst: Instance, grid_step: float):
     if best_pred is None:
         raise ValidationError("TOO_LARGE", "no feasible support found")
     return best_pred, float(best_val)
+
+
+def l1_plan_optimum(inst: Instance) -> float:
+    """The t = 1 optimum of the plan LP on the grid of the means, the
+    envelope breakpoints ``zs``, the fptas prediction set (the breakpoints
+    split by ``SEPARATION`` included) and {0, 1}.
+
+    At t = 1 a column's reduced cost is piecewise linear in q, with kinks
+    only at the ends of its slice and at q = p, so no finer grid gains
+    anything, and the value is the optimum itself, from the paper's plan
+    framework rather than the action-recommendation LP.  The premise needs
+    every tie of the agent to lie at a split breakpoint: the plan LP values
+    a prediction by the prior-weighted tie-break, where ``payoff`` breaks a
+    tie by the mass sent there.
+    """
+    zs = envelope(inst)[0]
+    points = fptas._dedup_sorted(np.concatenate(
+        [inst.theta, zs, fptas._predictions(inst, zs), [0.0, 1.0]]))
+    grid = fptas.Grid(points, 0.0, 0.0, 0, zs)
+    _, sol = fptas.solve_plan_lp(inst, fptas.build_disc_lp(inst, grid))
+    return float(sol.objective_value)

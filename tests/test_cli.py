@@ -15,7 +15,14 @@ import caldesign
 from caldesign import cli, exact, fptas, lp_core
 from caldesign.cli import EXIT_SOLVER, main
 from caldesign.errors import SolverError
-from caldesign.model import INF, Instance, Predictor, certify
+from caldesign.model import (
+    INF,
+    Instance,
+    agent_payoff,
+    certify,
+    ece,
+    validate_instance,
+)
 
 from conftest import random_instance
 
@@ -421,6 +428,29 @@ class TestSweepWorkers:
         if argv[1] == self.GOLDEN_BUDGETS:
             assert pool[1] == (DATA / "golden_sweep.csv").read_bytes()
 
+    def test_fptas_rows_are_its_solves(self, monkeypatch, capsys, tmp_path):
+        # 16 budgets fork under the size rule itself; each row is
+        # fptas_solve's answer at its budget, printed
+        budgets = [f"{0.05 * k:.2f}" for k in range(16)]
+        argv = ("--eps", ",".join(budgets), "--method", "fptas", "--delta",
+                "0.1")
+        forked = self._sweep(monkeypatch, capsys, tmp_path, "forked", *argv,
+                             cpus={0, 1})
+        serial = self._sweep(monkeypatch, capsys, tmp_path, "in-process",
+                             *argv)
+        assert forked[0] == serial[0] == 0
+        assert forked[1] == serial[1]
+        assert forked[3] == [2] and serial[3] == []
+        inst = validate_instance(json.loads(Path(GOLDEN).read_text()))
+        rows = serial[1].decode().splitlines()[1:]
+        assert len(rows) == len(budgets)
+        for budget, row in zip(budgets, rows):
+            pred, objective = fptas.fptas_solve(
+                inst.with_epsilon(budget), 0.1)
+            fields = (float(budget), objective, agent_payoff(pred, inst),
+                      ece(pred, inst))
+            assert row == ",".join([*(f"{x:.12g}" for x in fields), "ok"])
+
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("seed", [1, 2])
     def test_shuffled_budgets_write_the_pinned_rows(self, monkeypatch, capsys,
@@ -598,6 +628,16 @@ class TestReliability:
         assert rows[1] == "0.4,0.3,0.5"
         assert rows[2] == "0.7,0.9,0.5"
 
+    def test_points_without_mass_are_skipped(self, capsys, tmp_path):
+        # no event sends 0.5, so it has no posterior mean and no row
+        pred = {"support": [0.3, 0.5, 0.9], "mass": [[1, 0, 0], [0, 0, 1]]}
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(pred))
+        code, out, _ = run(capsys, "reliability", TWO_EVENT, str(path))
+        assert code == 0
+        assert out.splitlines() == ["p,kappa,marginal_mass", "0.3,0.3,0.5",
+                                    "0.9,0.9,0.5"]
+
     def test_calibrated_diagonal(self, capsys, tmp_path):
         pred = {"support": [0.3, 0.9], "mass": [[1, 0], [0, 1]]}
         path = tmp_path / "cal.json"
@@ -700,8 +740,9 @@ class TestEventOrder:
     """Per-event rows follow the caller's order of events, which need not
     be sorted by theta: the rows the CLI writes and reads follow the
     instance file's, and the rows the solvers return follow the
-    instance's.  A permuted instance gives its sorted twin's answer within
-    rounding: the events are summed in another order."""
+    instance's.  A permuted instance gives its sorted twin's exact answer
+    within rounding, as the events are summed in another order, and its
+    fptas answer bit for bit, as fptas solves in the means' order."""
 
     @staticmethod
     def _permuted(path, perm, tmp_path):
@@ -800,16 +841,16 @@ class TestEventOrder:
 
     @pytest.mark.parametrize("norm", [1.0, 1.5, 2.0, 3.0])
     def test_fptas_solve_in_process(self, norm):
-        # the plan LP is degenerate, so the permuted program may stop at
-        # another optimal plan than its twin's; row k is the twin's event
-        # perm[k], so the rows put back in the twin's order certify there
+        # the plan LP is degenerate, but fptas solves on the events sorted
+        # by mean, so a permuted instance whose means differ gets its
+        # twin's plan: row k is the twin's event perm[k], bit for bit
         for perm, inst, twin in self._draws(23, norm, 24):
+            assert np.unique(twin.theta).size == twin.n
             pred, objective = fptas.fptas_solve(inst, 0.1)
-            certify(pred, inst, objective)
-            certify(Predictor(pred.support, pred.mass[np.argsort(perm)]),
-                    twin, objective)
-            assert objective == pytest.approx(
-                fptas.fptas_solve(twin, 0.1)[1], rel=0.0, abs=1e-9)
+            w_pred, w_objective = fptas.fptas_solve(twin, 0.1)
+            assert objective == w_objective
+            assert np.array_equal(pred.support, w_pred.support)
+            assert np.array_equal(pred.mass, w_pred.mass[perm])
 
 
 class TestGrid:

@@ -443,9 +443,12 @@ class TestCalibratedStart:
         assert solves == []
         for inst in insts:
             fptas_solve(inst, 0.1)
-        misaligned = [id(insts[k]) for k in (4, 7, 11, 20, 21, 24)]
+        # the builds run on each instance's events sorted by mean
+        misaligned = [np.sort(insts[k].theta) for k in (4, 7, 11, 20, 21, 24)]
         for calls in builds.values():
-            assert [id(inst) for inst in calls] == misaligned
+            assert len(calls) == len(misaligned)
+            for inst, theta in zip(calls, misaligned):
+                assert np.array_equal(inst.theta, theta)
 
     def test_settled_solves_build_no_diagonal(self, monkeypatch):
         # only the plan program builds the n x P diagonal: none of
@@ -517,9 +520,9 @@ class TestPlanToPredictor:
 
     def test_zero_prior_event_takes_the_nearest_point(self):
         # the plan gives the zero-prior event at 0.9 no mass: it is put on
-        # the support point nearest its mean, 0.8, not on a point of its
-        # own as exact.strategy_to_predictor does; with no marginal mass
-        # it moves neither ece nor payoff, wherever it is put
+        # the support point nearest its mean, 0.8, by the rule that
+        # exact.strategy_to_predictor follows too; with no marginal mass it
+        # moves neither ece nor payoff, wherever it is put
         inst = make_instance([0.2, 0.8, 0.9], [0.5, 0.5, 0.0],
                              [[0.0, 0.0], [-0.5, 0.5]],
                              np.tile([[1.0, 1.0], [0.0, 3.0]], (3, 1, 1)),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -445,6 +446,22 @@ class TestRowPrices:
         y = lp_core.row_prices(lp, sol)
         assert np.allclose(y, [-1.0, 0.0, 1.0])
         assert y @ [0.0, 1.0, 4.0] == pytest.approx(sol.objective_value)
+
+    def test_unpriceable_bases_raise(self):
+        lp = LinearProgram([3.0, 2.0], [[1.0, 1.0], [1.0, 3.0], [1.0, 0.0]],
+                           ["<="] * 3, [4.0, 7.0, 3.0])
+        sol = cold_solve(lp)
+        cases = {
+            # column 0 twice: the basis matrix is singular
+            "cannot be priced": replace(sol, basis=np.array([0, 0, 3])),
+            # prices of the optimal basis against another objective value
+            "miss the objective": replace(
+                sol, objective_value=sol.objective_value + 1.0),
+        }
+        for reason, bad in cases.items():
+            with pytest.raises(SolverError, match=reason) as err:
+                lp_core.row_prices(lp, bad)
+            assert err.value.code == "NUMERICAL_FAILURE"
 
     def test_redundant_row_has_no_basis(self):
         # the second row doubles the first; no column can replace its

@@ -59,6 +59,9 @@ class TestValidation:
                                          np.zeros((0, 1, 2))), "BAD_MEAN"),
         "theta-bool": (lambda: Instance([True], [1.0], ["a"], [[0, 0]],
                                         [[[0, 0]]]), "BAD_MEAN"),
+        "theta-nan-array": (lambda: Instance(np.array([0.5, math.nan]),
+                                             [0.5, 0.5], ["a"], [[0, 0]],
+                                             [[[0, 0]]] * 2), "BAD_MEAN"),
         "lambda-length": (lambda: make_instance(
             [0.3, 0.9], [1.0], [[0, 0]], [[[0, 0]]] * 2, 0.1), "BAD_PRIOR"),
         "lambda-negative": (lambda: make_instance(
@@ -472,6 +475,16 @@ class TestKappa:
         with pytest.raises(ValidationError) as err:
             kappa(f_ddagger, two_event, 0.55)
         assert err.value.code == "ZERO_MASS"
+
+    def test_zero_marginal_point(self):
+        # 0.8 is in the support, but only the zero-prior event sends it
+        inst = make_instance([0.2, 0.8], [1.0, 0.0], [[0, 0]],
+                             [[[0, 0]]] * 2, 0.1)
+        pred = Predictor([0.2, 0.8], np.eye(2))
+        with pytest.raises(ValidationError, match="no marginal mass") as err:
+            kappa(pred, inst, 0.8)
+        assert err.value.code == "ZERO_MASS"
+        assert kappa(pred, inst, 0.2) == 0.2
 
     def test_kappa_within_mean_range(self):
         rng = np.random.default_rng(11)

@@ -5,7 +5,13 @@ import pytest
 
 from caldesign.errors import ValidationError
 from caldesign.exact import solve_exact
-from caldesign.model import Predictor, ece, payoff, point_mass
+from caldesign.model import (
+    Predictor,
+    ece,
+    indirect_utility_matrix,
+    payoff,
+    point_mass,
+)
 from caldesign.structure import (
     EventIndependentPlan,
     GammaCertificate,
@@ -48,7 +54,50 @@ class TestEventIndependence:
         assert not is_event_independent(inst)
 
 
+def _mpc_by_loop(g, lam, tol=1e-9):
+    """:func:`check_mpc` one breakpoint at a time, the reference for its
+    array form."""
+    def integrated(values, probs, s):
+        return float(np.sum(probs * np.clip(s - values, 0.0, None)))
+
+    for s in np.unique(np.concatenate([g[0], lam[0], [1.0]])):
+        if integrated(*g, s) > integrated(*lam, s) + tol:
+            return False
+    return abs(integrated(*g, 1.0) - integrated(*lam, 1.0)) <= tol
+
+
+def _convex_by_loop(xs, ys):
+    """``analyze_structure``'s convexity test on sorted points one point at
+    a time, the reference for its array form."""
+    for k in range(1, xs.size - 1):
+        left = (ys[k] - ys[k - 1]) * (xs[k + 1] - xs[k])
+        right = (ys[k + 1] - ys[k]) * (xs[k] - xs[k - 1])
+        if left > right + 1e-9 * max(1.0, abs(ys[k])):
+            return False
+    return True
+
+
 class TestMpc:
+    def test_matches_the_loop_over_breakpoints(self):
+        # g pools random groups of lam's atoms at their means, a
+        # contraction; every third draw then moves one atom of g
+        rng = np.random.default_rng(17)
+        seen = set()
+        for k in range(300):
+            values = rng.uniform(0.0, 1.0, int(rng.integers(4, 7)))
+            probs = rng.dirichlet(np.ones(values.size))
+            groups = rng.integers(0, 3, values.size)
+            gp = np.bincount(groups, probs, minlength=3)
+            gv = np.bincount(groups, probs * values, minlength=3)[gp > 0]
+            gp = gp[gp > 0]
+            gv /= gp
+            if k % 3 == 0:
+                gv[0] = np.clip(gv[0] + rng.uniform(-0.05, 0.05), 0.0, 1.0)
+            got = check_mpc((gv, gp), (values, probs))
+            assert got == _mpc_by_loop((gv, gp), (values, probs))
+            seen.add(got)
+        assert seen == {True, False}
+
     def test_point_mass_at_mean(self):
         lam = (np.array([0.3, 0.9]), np.array([0.5, 0.5]))
         g = (np.array([0.6]), np.array([1.0]))
@@ -189,6 +238,19 @@ class TestAnalyzeStructure:
         assert "OVER" in report.classification or \
             ece(pred, inst, 1.0) <= 1e-9
 
+    def test_convexity_matches_the_loop(self):
+        rng = np.random.default_rng(19)
+        seen = set()
+        for _ in range(200):
+            inst = random_instance(rng, 0.1, m_max=4, event_independent=True)
+            pred = random_predictor(rng, inst)
+            ps = pred.support[pred.marginal(inst.lam) > 0]
+            got = analyze_structure(pred, inst).convex_points
+            assert got == _convex_by_loop(
+                ps, indirect_utility_matrix(inst, ps)[0])
+            seen.add(got)
+        assert seen == {True, False}
+
     def test_perfectly_calibrated_all_calibrated(self, two_event):
         pred = Predictor([0.3, 0.9], np.eye(2))
         report = analyze_structure(pred, two_event)
@@ -264,6 +326,20 @@ class TestCertificates:
             GammaCertificate([(0, 1.0), (0.5, 0.0), (1, 0.5)], 3.0, 0.3, 0.9)
         cert = GammaCertificate([(0, 0.5), (0.5, 0.0), (1, 0.5)], 1.0, 0.5, 0.5)
         assert cert(0.25) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("knots, tails, reason", [
+        ([(0.1, 0.0), (1, 0.0)], (0.0, 0.0, 0.0), "span"),
+        ([(0, 0.0), (0.9, 0.0)], (0.0, 0.0, 0.0), "span"),
+        ([(0, 0.0)], (0.0, 0.0, 0.0), "span"),
+        ([(0, 0.0), (1, 0.0)], (-1.0, 0.0, 0.0), "tail parameters"),
+        ([(0, 0.0), (1, 0.0)], (0.0, 0.6, 0.4), "tail parameters"),
+        ([(0, 0.0), (1, 0.0)], (0.0, 0.0, 1.5), "tail parameters"),
+    ], ids=["low-end", "high-end", "one-knot", "negative-alpha",
+            "crossed-tails", "tail-past-1"])
+    def test_certificate_rejections(self, knots, tails, reason):
+        with pytest.raises(ValidationError, match=reason) as err:
+            GammaCertificate(knots, *tails)
+        assert err.value.code == "BAD_CERTIFICATE"
 
     def test_binary_certificates_verify(self):
         rng = np.random.default_rng(44)
@@ -387,6 +463,20 @@ class TestBinaryClosedForm:
                              [[0.0, 0.0], [-0.5, 0.5]], u, 0.1)
         with pytest.raises(ValidationError):
             binary_action_optimal(inst)
+
+    @pytest.mark.parametrize("agent, pays, norm, reason", [
+        ([[0.0, 0.0], [-0.5, 0.5]], (0.0, 1.0), 2.0, "t=1"),
+        ([[0.0, 0.0], [-0.5, 0.5]], (1.0, 1.0), 1.0, "positive constant"),
+        ([[0.0, 0.0], [-0.5, 0.5]], (0.0, 0.0), 1.0, "positive constant"),
+        ([[-0.5, 0.5], [0.0, 0.0]], (0.0, 1.0), 1.0, "large predictions"),
+    ], ids=["norm-2", "both-pay", "none-pays", "high-loses-at-1"])
+    def test_binary_shape_rejections(self, agent, pays, norm, reason):
+        u = np.zeros((2, 2, 2))
+        u[:, 0], u[:, 1] = pays
+        inst = make_instance([0.2, 0.7], [0.5, 0.5], agent, u, 0.1, norm)
+        with pytest.raises(ValidationError, match=reason) as err:
+            binary_action_optimal(inst)
+        assert err.value.code == "NOT_BINARY_SHAPE"
 
 
 class TestCounts:
