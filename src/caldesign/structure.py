@@ -61,12 +61,12 @@ def check_mpc(g, lam) -> bool:
     breakpoint (the only places the piecewise-linear integrals can touch)
     with equality at s = 1, the last breakpoint, within ``MPC_TOL``.
     """
-    (gv, gp), (lv, lp) = ([np.asarray(a, dtype=float) for a in pair]
-                          for pair in (g, lam))
-    breaks = np.unique(np.concatenate([gv, lv, [1.0]]))
+    gv, gp = (np.asarray(a, dtype=float) for a in g)
+    lv, lp = (np.asarray(a, dtype=float) for a in lam)
+    breaks = np.unique(np.concatenate([gv, lv, [1.0]]))[:, None]
     # the integral of each CDF from 0 to every breakpoint
-    ig, il = ((p * np.clip(breaks[:, None] - v, 0.0, None)).sum(axis=1)
-              for v, p in ((gv, gp), (lv, lp)))
+    ig = (gp * np.clip(breaks - gv, 0.0, None)).sum(axis=1)
+    il = (lp * np.clip(breaks - lv, 0.0, None)).sum(axis=1)
     return bool(np.all(ig <= il + MPC_TOL) and abs(ig[-1] - il[-1]) <= MPC_TOL)
 
 
