@@ -7,7 +7,8 @@ Subpackages:
 - :mod:`caldesign.exact` -- exact optimum for the 1-norm and max-norm budgets.
 - :mod:`caldesign.fptas` -- grid-based approximation scheme for general norms.
 - :mod:`caldesign.structure` -- recalibration, contraction checks, optimality
-  certificates and structural diagnostics for event-independent utilities.
+  certificates by weak duality and structural diagnostics for
+  event-independent utilities.
 - :mod:`caldesign.cli` -- command-line front end.
 
 The brute-force cross-checks (feasible-rule sampler, tiny-grid enumeration,

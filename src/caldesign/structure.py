@@ -4,12 +4,14 @@ When the designer's indirect utility does not depend on the event, optimal
 predictors have a sharp shape: a low interval of under-confident
 predictions, a perfectly calibrated middle, and a high interval of
 over-confident ones, with the miscalibrated points collinear against the
-indirect utility and covered by a convex "certificate" function with
-symmetric linear tails.  This module checks membership in that shape,
+indirect utility.  The dual of the design problem is a convex function
+Gamma above the indirect utility whose slopes stay within +/-alpha, the
+price of a unit of budget; a predictor that keeps the budget and earns the
+dual value is optimal.  This module checks membership in that shape,
 recalibrates arbitrary predictors through event-independent post-processing
-plans, verifies optimality certificates, and carries the closed form for
-the binary-action special case.  The indirect utility's breakpoints and the
-binary threshold come from the agent's envelope
+plans, verifies optimality certificates by that duality, and carries the
+closed form for the binary-action special case.  The indirect utility's
+breakpoints and the binary threshold come from the agent's envelope
 (:func:`caldesign.model.envelope`); this module imports no solver.
 """
 
@@ -21,7 +23,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import (
-    SUPPORT_MERGE_TOL,
+    CERT_ECE_TOL,
+    CERT_PAYOFF_TOL,
     Instance,
     Predictor,
     ece,
@@ -29,17 +32,18 @@ from .model import (
     freeze,
     indirect_utility_matrix,
     live_points,
+    payoff,
     piece_scan,
     point_mass,
     read_numbers,
     runs,
+    tied_action_sets,
 )
 
 KAPPA_GROUP_TOL = 1e-9
 CLASSIFY_TOL = 1e-7
-# Slack of the contraction test (check_mpc) and of a certificate's tails.
+# Slack of the contraction test (check_mpc).
 MPC_TOL = 1e-9
-TAIL_TOL = 1e-9
 
 
 def is_event_independent(inst: Instance) -> bool:
@@ -70,14 +74,6 @@ def check_mpc(g, lam) -> bool:
     return bool(np.all(ig <= il + MPC_TOL) and abs(ig[-1] - il[-1]) <= MPC_TOL)
 
 
-def prior_on_means(inst: Instance):
-    """The event prior as a distribution over outcome means (ties merged)."""
-    by_mean = np.argsort(inst.theta, kind="stable")
-    theta, lam = inst.theta[by_mean], inst.lam[by_mean]
-    starts = runs(theta, SUPPORT_MERGE_TOL)
-    return theta[starts], np.add.reduceat(lam, starts)
-
-
 class EventIndependentPlan:
     """Joint mass over (true expected outcome q, prediction p) pairs."""
 
@@ -106,6 +102,8 @@ def recalibrate(pred: Predictor, inst: Instance):
     mass each atom sends to each original prediction.  The calibrated part
     has (numerically) zero error, its marginal is a contraction of the
     prior-on-means, and replaying the plan reproduces the original payoff.
+    The core is built by ``Predictor._from_rows``, so an event with no mass
+    on a live point (a zero prior) goes to the atom nearest its mean.
     """
     live, marg, kap = live_points(pred, inst)
     order = np.argsort(kap, kind="stable")
@@ -116,7 +114,7 @@ def recalibrate(pred: Predictor, inst: Instance):
                         zip(np.split(weight, cuts), np.split(kap, cuts))])
     gmass = np.add.reduceat(pred.mass[:, cols], starts, axis=1)
     sizes = np.diff(starts, append=cols.size)
-    gtilde = Predictor(q_atoms, gmass)
+    gtilde = Predictor._from_rows(q_atoms, gmass, inst.theta)
     plan = EventIndependentPlan(np.repeat(q_atoms, sizes), pred.support[cols],
                                 weight)
     return gtilde, plan
@@ -147,8 +145,6 @@ def _fit_line(xs, ys):
     """(slope, max residual) of the least-squares line, or (nan, 0) if short."""
     if xs.size < 2:
         return float("nan"), 0.0
-    if np.ptp(xs) <= 1e-15:
-        return float("nan"), float(np.ptp(ys))
     coeffs = np.polyfit(xs, ys, 1)
     resid = np.abs(np.polyval(coeffs, xs) - ys)
     return float(coeffs[0]), float(resid.max())
@@ -210,14 +206,11 @@ def analyze_structure(pred: Predictor, inst: Instance) -> StructureReport:
 
 
 class GammaCertificate:
-    """Piecewise-linear convex function with symmetric linear tails.
+    """A dual solution for the 1-norm budget: the convex piecewise-linear
+    Gamma through ``knots`` on [0, 1], whose slopes lie within +/-``alpha``
+    (so alpha >= 0).  :func:`verify_optimality` reads it."""
 
-    Knots define the function on [0, 1]; the designated tails
-    [0, x_low] and [x_high, 1] must be linear with slopes -alpha and +alpha
-    (degenerate tails are allowed and vacuous).
-    """
-
-    def __init__(self, knots, alpha, x_low, x_high):
+    def __init__(self, knots, alpha):
         knots = read_numbers(knots, "BAD_CERTIFICATE", "knots")
         if knots.ndim != 2 or knots.shape[1] != 2:
             raise ValidationError("BAD_CERTIFICATE",
@@ -228,57 +221,41 @@ class GammaCertificate:
                 or self.knots_x[-1] < 1 - 1e-12:
             raise ValidationError("BAD_CERTIFICATE",
                                   "knots must span [0, 1]")
-        self.alpha, self.x_low, self.x_high = (
-            read_numbers(value, "BAD_CERTIFICATE", name, scalar=True)
-            for value, name in ((alpha, "alpha"), (x_low, "x_low"),
-                                (x_high, "x_high")))
-        if self.alpha < 0 or not 0 <= self.x_low <= self.x_high <= 1:
-            raise ValidationError("BAD_CERTIFICATE", "bad tail parameters")
+        if np.any(np.diff(self.knots_x) <= 0.0):
+            raise ValidationError("BAD_CERTIFICATE", "knots repeat an x")
+        self.alpha = read_numbers(alpha, "BAD_CERTIFICATE", "alpha",
+                                  scalar=True)
         slopes = np.diff(self.knots_y) / np.diff(self.knots_x)
         if np.any(np.diff(slopes) < -1e-9):
             raise ValidationError("BAD_CERTIFICATE", "knots are not convex")
-        for lo, hi, want in ((0.0, self.x_low, -self.alpha),
-                             (self.x_high, 1.0, self.alpha)):
-            if hi - lo <= 1e-12:
-                continue
-            got = (self(hi) - self(lo)) / (hi - lo)
-            inner = self.knots_x[(self.knots_x > lo + 1e-12)
-                                 & (self.knots_x < hi - 1e-12)]
-            on_line = np.abs(self(inner) - (self(lo) + got * (inner - lo)))
-            if abs(got - want) > 1e-9 or np.any(on_line > 1e-9):
-                raise ValidationError("BAD_CERTIFICATE",
-                                      "tail is not linear with slope +/-alpha")
+        if slopes[0] < -self.alpha - 1e-9 or slopes[-1] > self.alpha + 1e-9:
+            raise ValidationError("BAD_CERTIFICATE",
+                                  "end slopes must lie within +/-alpha")
 
     def __call__(self, x):
         return np.interp(x, self.knots_x, self.knots_y)
 
-    def in_tails(self, x):
-        return (x <= self.x_low + TAIL_TOL) | (x >= self.x_high - TAIL_TOL)
-
     def to_json_dict(self):
         return {"knots": [[float(x), float(y)] for x, y in
                           zip(self.knots_x, self.knots_y)],
-                "alpha": self.alpha, "x_low": self.x_low, "x_high": self.x_high}
+                "alpha": self.alpha}
 
     @classmethod
     def from_json_dict(cls, raw):
-        fields = ("knots", "alpha", "x_low", "x_high")
-        if not isinstance(raw, dict) or not all(f in raw for f in fields):
+        """Read ``{"knots", "alpha"}``; other keys are ignored."""
+        if not (isinstance(raw, dict) and "knots" in raw and "alpha" in raw):
             raise ValidationError("BAD_CERTIFICATE", "certificate must be a "
-                                  "mapping with " + ", ".join(fields))
-        return cls(*(raw[f] for f in fields))
+                                  "mapping with knots, alpha")
+        return cls(raw["knots"], raw["alpha"])
 
 
 @dataclass
 class OptimalityVerdict:
     """Per-condition outcome of the certificate check; all-pass certifies."""
 
-    budget_complementarity: bool
-    touches_support: bool
+    within_budget: bool
     dominates_utility: bool
-    miscalibrated_in_tails: bool
-    expected_value_match: bool
-    contraction: bool
+    gap_closed: bool
     details: dict = field(default_factory=dict)
 
     @property
@@ -294,64 +271,46 @@ class OptimalityVerdict:
 
 def verify_optimality(pred: Predictor, inst: Instance,
                       cert: GammaCertificate) -> OptimalityVerdict:
-    """Check the five certificate conditions for 1-norm optimality.
+    """Certify ``pred`` optimal under the 1-norm budget by weak duality.
 
-    (i) the tail slope is complementary to budget slack; (ii) the
-    certificate touches the utility on the support and dominates it
-    everywhere (dense scan plus exact per-piece endpoint checks); (iii)
-    every miscalibrated prediction and its posterior mean lie in the linear
-    tails; (iv) the certificate has equal expectation under the recalibrated
-    marginal and the prior-on-means; (v) that marginal is a contraction of
-    the prior-on-means.  All passing certifies the predictor optimal.
+    Let Ubar(x) be the best designer utility over the actions the agent
+    ties at x and over the events, so that a predictor with marginal
+    ``marg_k`` on ``p_k`` pays at most sum_k marg_k Ubar(p_k).  If Gamma
+    dominates Ubar, then with the posterior means ``kappa_k``
+
+        payoff <= sum_k marg_k Gamma(p_k)
+               <= sum_k marg_k Gamma(kappa_k) + alpha * ece
+               <= sum_e lam_e Gamma(theta_e) + alpha * epsilon = D,
+
+    the second line as Gamma's slopes lie within +/-alpha, the third by
+    Jensen at each ``kappa_k`` and the budget.  So no predictor within the
+    budget pays more than D, and one that keeps the budget and earns D is
+    optimal: the three conditions, with the tolerances of
+    :func:`caldesign.model.certify`.  Dominance is checked at Gamma's knots
+    and at the edges and midpoints of the pieces between the agent's
+    breakpoints, which is exact: Ubar is constant on each piece and Gamma
+    is linear between its knots.
     """
     if not is_event_independent(inst):
         raise ValidationError("NOT_EVENT_INDEPENDENT",
                               "certificates apply to event-independent utility")
     err = ece(pred, inst, 1.0)
-    cond_budget = abs(cert.alpha * (err - inst.epsilon)) <= 1e-7
-
-    live, _, kap = live_points(pred, inst)
-    ps = pred.support[live]
-    U_support = indirect_utility_matrix(inst, ps)[0]
-    cond_touch = bool(np.all(np.abs(cert(ps) - U_support) <= 1e-7))
-
-    zs = envelope(inst)[0]
-    scan = [np.arange(0.0, 1.0 + 1e-12, 1e-4), zs, cert.knots_x, ps]
-    for z in zs:
-        scan.append(np.array([z - 1e-9, z + 1e-9]))
-    # exact per-piece check: utility is constant between breakpoints, so the
-    # certificate (convex) only needs checking at piece ends and its own knots
-    scan.append(piece_scan(zs))
-    grid = np.unique(np.clip(np.concatenate(scan), 0.0, 1.0))
-    U_grid = indirect_utility_matrix(inst, grid)[0]
-    # Scan offsets at z +/- 1e-9 sit inside the agent's indifference window,
-    # where the utility takes its upper value; allow the certificate to dip
-    # below by its slope times that offset.
-    dom_slack = 1e-9 * (2.0 + cert.alpha)
-    cond_dom = bool(np.all(cert(grid) >= U_grid - dom_slack))
-
-    miscal = np.abs(kap - ps) > CLASSIFY_TOL
-    cond_tails = bool(np.all(cert.in_tails(ps[miscal]))
-                      and np.all(cert.in_tails(kap[miscal])))
-
-    gtilde, _ = recalibrate(pred, inst)
-    gmarg = gtilde.marginal(inst.lam)
-    lam_vals, lam_probs = prior_on_means(inst)
-    e_g = float(gmarg @ cert(gtilde.support))
-    e_lam = float(lam_probs @ cert(lam_vals))
-    cond_expect = abs(e_g - e_lam) <= 1e-7
-    cond_mpc = check_mpc((gtilde.support, gmarg), (lam_vals, lam_probs))
-
+    xs = np.concatenate([cert.knots_x, piece_scan(envelope(inst)[0])])
+    ubar = np.where(tied_action_sets(inst, xs), inst.ubar.max(axis=0),
+                    -np.inf).max(axis=1)
+    cover = cert(xs) - ubar
+    # a knot inside the agent's tie window at a breakpoint sees the larger
+    # of the two pieces' utilities: Gamma may dip below it by its slope
+    # times that window
+    dominates = bool(np.all(cover >= -1e-9 * (2.0 + cert.alpha)))
+    dual = cert.alpha * inst.epsilon + float(inst.lam @ cert(inst.theta))
+    gap = dual - payoff(pred, inst)
     return OptimalityVerdict(
-        budget_complementarity=cond_budget,
-        touches_support=cond_touch,
-        dominates_utility=cond_dom,
-        miscalibrated_in_tails=cond_tails,
-        expected_value_match=cond_expect,
-        contraction=cond_mpc,
-        details={"ece": err, "alpha": cert.alpha,
-                 "certificate_gap": float(np.min(cert(grid) - U_grid)),
-                 "expected_gamma_gap": e_g - e_lam},
+        within_budget=err <= inst.epsilon + CERT_ECE_TOL,
+        dominates_utility=dominates,
+        gap_closed=gap <= CERT_PAYOFF_TOL * (1.0 + abs(dual)),
+        details={"ece": err, "alpha": cert.alpha, "dual_value": dual,
+                 "duality_gap": gap, "certificate_gap": float(cover.min())},
     )
 
 
@@ -421,34 +380,31 @@ def binary_action_optimal(inst: Instance) -> Predictor:
 
 
 def binary_action_certificate(inst: Instance) -> GammaCertificate:
-    """Natural certificate for the binary closed form.
+    """The dual solution that certifies :func:`binary_action_optimal`.
 
-    With budget slack the certificate is flat at the winning payoff; with
-    the budget exhausted it rises linearly from the anchor (the cut-off
-    event's mean, or the lowest mean when everything pools) through
-    (threshold, payoff).
+    With budget slack it is flat at the winning payoff, with alpha 0.  With
+    the budget exhausted it is 0 at the anchor (the cut-off event's mean,
+    or the lowest mean when everything pools) and rises at slope alpha
+    through (threshold, payoff); below the anchor it is flat, or falls at
+    slope -alpha when everything pools.
     """
     _, c, p_star = _binary_shape(inst)
     pred = binary_action_optimal(inst)
     err = ece(pred, inst, 1.0)
     if err < inst.epsilon - 1e-12 or err <= 1e-12:
         # slack (or a perfectly calibrated solution): flat certificate
-        return GammaCertificate([(0.0, c), (1.0, c)], 0.0, 0.0, 0.0)
-    lowest = float(inst.theta.min())
-    if inst.epsilon >= p_star - inst.theta_bar:
-        anchor = lowest
-        alpha = c / (p_star - anchor)
-        knots = [(0.0, alpha * anchor), (anchor, 0.0),
-                 (1.0, alpha * (1.0 - anchor))]
-        return GammaCertificate(knots, alpha, anchor, anchor)
+        return GammaCertificate([(0.0, c), (1.0, c)], 0.0)
+    # everything pooled at the threshold keeps no point below it, and the
+    # anchor is the lowest mean
     keep = pred.support[live_points(pred, inst)[0]]
     anchored = keep[keep < p_star - 1e-12]
-    anchor = float(anchored.max()) if anchored.size else lowest
+    anchor = float(anchored.max() if anchored.size else inst.theta.min())
     alpha = c / (p_star - anchor)
-    knots = [(0.0, 0.0), (anchor, 0.0), (1.0, alpha * (1.0 - anchor))]
+    low = alpha * anchor if inst.epsilon >= p_star - inst.theta_bar else 0.0
+    knots = [(0.0, low), (anchor, 0.0), (1.0, alpha * (1.0 - anchor))]
     if anchor <= 1e-12:
         knots = [(0.0, 0.0), (1.0, alpha)]
-    return GammaCertificate(knots, alpha, 0.0, anchor)
+    return GammaCertificate(knots, alpha)
 
 
 @dataclass

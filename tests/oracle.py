@@ -5,7 +5,9 @@ Three independent routes: seeded samplers that spew feasible predictors
 over tiny grids that enumerates support sets and optimizes the masses
 exactly on each, giving a tight grid-restricted optimum to compare against,
 and the 1-norm optimum of the paper's plan LP on a finite grid that loses
-nothing (:func:`l1_plan_optimum`), which reaches n, m >= 10.
+nothing (:func:`l1_plan_optimum`), which reaches n, m >= 10.  For an
+event-independent 1-norm instance, :func:`gamma_certificate` solves the
+dual LP, whose value is the optimum too.
 :func:`sample_feasible` draws random predictors on a grid and keeps those
 within the budget, which a tight budget rarely admits;
 :func:`sample_calibrated_shifts` shifts calibrated predictors out to the
@@ -28,7 +30,9 @@ from caldesign.model import (
     envelope,
     indirect_utility_matrix,
     payoff,
+    tied_action_sets,
 )
+from caldesign.structure import GammaCertificate
 
 from cold import cold_solve
 
@@ -216,3 +220,39 @@ def l1_plan_optimum(inst: Instance) -> float:
     grid = fptas.Grid(points, 0.0, 0.0, 0, zs)
     _, sol = fptas.solve_plan_lp(inst, fptas.build_disc_lp(inst, grid))
     return float(sol.objective_value)
+
+
+def gamma_certificate(inst: Instance):
+    """The best :class:`caldesign.structure.GammaCertificate` of an
+    event-independent 1-norm instance and its dual value, by scipy's HiGHS.
+
+    Gamma is linear between the points ``xs`` of {0, 1}, the envelope
+    breakpoints and the means.  The LP minimizes ``alpha * epsilon +
+    sum_e lam_e Gamma(theta_e)`` over ``alpha >= 0`` and ``Gamma(x) >=
+    Ubar(x)`` at ``xs``, with slopes that do not decrease and end slopes
+    within +/-alpha.  Ubar, the best designer utility over the agent's tied
+    actions and the events, is constant between breakpoints, so Gamma
+    dominates it everywhere; and the value is the optimum, by strong
+    duality.
+    """
+    from scipy.optimize import linprog
+    xs = np.unique(np.concatenate([[0.0, 1.0], envelope(inst)[0],
+                                   inst.theta]))
+    ubar = np.where(tied_action_sets(inst, xs), inst.ubar.max(axis=0),
+                    -np.inf).max(axis=1)
+    # the variables are alpha, then Gamma at xs; row k of slope is the
+    # slope of Gamma from xs[k] to xs[k + 1]
+    slope = (np.eye(xs.size, k=1) - np.eye(xs.size))[:-1] \
+        / np.diff(xs)[:, None]
+    rows = np.vstack([
+        np.column_stack([np.zeros(xs.size - 2), slope[:-1] - slope[1:]]),
+        np.concatenate([[-1.0], -slope[0]]),
+        np.concatenate([[-1.0], slope[-1]])])
+    cost = np.concatenate([[inst.epsilon], np.bincount(
+        np.searchsorted(xs, inst.theta), inst.lam, xs.size)])
+    res = linprog(cost, A_ub=rows, b_ub=np.zeros(len(rows)),
+                  bounds=[(0.0, None)] + [(u, None) for u in ubar],
+                  method="highs")
+    assert res.status == 0, res.message
+    return (GammaCertificate(np.column_stack([xs, res.x[1:]]), res.x[0]),
+            float(res.fun))

@@ -1,7 +1,9 @@
 """Plan helpers that only the tests use.
 
 :func:`apply_plan` is the inverse of :func:`caldesign.structure.recalibrate`:
-it blurs the calibrated core back through the event-independent plan.
+it blurs the calibrated core back through the event-independent plan, and
+:func:`prior_on_means` is the distribution that the core's marginal
+contracts.
 :func:`make_plan` builds a hand-made bi-event plan as the package's plan
 type, :class:`caldesign.fptas.PlanColumns` with mass ``w``, whose columns
 carry each entry's designer payoff ``obj`` and budget spend ``err``, so a
@@ -19,9 +21,11 @@ from caldesign.errors import ValidationError
 from caldesign.fptas import PlanColumns, _dedup_sorted, _point_of
 from caldesign.model import (
     SUPPLY_TOL,
+    SUPPORT_MERGE_TOL,
     Instance,
     Predictor,
     indirect_utility_matrix,
+    runs,
 )
 from caldesign.structure import EventIndependentPlan
 
@@ -59,6 +63,14 @@ def apply_plan(gtilde: Predictor, plan: EventIndependentPlan,
     rows = mass.sum(axis=1)
     mass = mass / rows[:, None]
     return Predictor(support, mass)
+
+
+def prior_on_means(inst: Instance):
+    """The event prior as a distribution over outcome means (ties merged)."""
+    by_mean = np.argsort(inst.theta, kind="stable")
+    theta, lam = inst.theta[by_mean], inst.lam[by_mean]
+    starts = runs(theta, SUPPORT_MERGE_TOL)
+    return theta[starts], np.add.reduceat(lam, starts)
 
 
 def make_plan(inst: Instance, i, j, q, p, w) -> PlanColumns:

@@ -14,7 +14,6 @@ from caldesign.structure import (
     binary_action_optimal,
     check_mpc,
     count_predictions,
-    prior_on_means,
     recalibrate,
 )
 
@@ -25,7 +24,7 @@ from conftest import (
     random_predictor,
 )
 from oracle import SamplerConfig, exhaustive_best, sample_feasible
-from plans import apply_plan
+from plans import apply_plan, prior_on_means
 from revelation import (
     LabelledStrategy,
     aggregated_bias,

@@ -137,7 +137,7 @@ class TestMalformedInput:
     NO_FILE = "(no file)"
     MASS3D = {"support": [0.5], "mass": [[[1.0]]] * 3}
     TABLE = {"a1": [5, 5], "a2": [0, 0], "a3": [1, 1], "a4": [2, 2]}
-    CERT = {"knots": [[0, 0], [1, 1]], "alpha": 0, "x_low": 0, "x_high": 1}
+    CERT = {"knots": [[0, 0], [1, 1]], "alpha": 1}
     CASES = {
         "epsilon-null": ((("epsilon",), None), ("solve",), "BAD_BUDGET"),
         "epsilon-list": ((("epsilon",), [0.1]), ("solve",), "BAD_BUDGET"),
@@ -192,7 +192,7 @@ class TestMalformedInput:
         "predictor-no-support": (None, ("eval", {"mass": [[1.0]] * 3}),
                                  "BAD_FORMAT"),
         "certificate-text": (None, ("verify-structure", CASE1,
-                                    "--certificate", {**CERT, "x_high": "x"}),
+                                    "--certificate", {**CERT, "alpha": "x"}),
                              "BAD_CERTIFICATE"),
         "certificate-3-columns": (None, ("verify-structure", CASE1,
                                          "--certificate",
@@ -225,7 +225,7 @@ class TestMalformedInput:
         "certificate-null-knot": "knots: None is not a number",
         "certificate-list": "certificate must be a mapping",
         "certificate-no-alpha": "certificate must be a mapping with knots, "
-                                "alpha, x_low, x_high",
+                                "alpha",
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -664,7 +664,10 @@ class TestReliability:
 
 
 class TestVerifyStructure:
-    def test_report_and_certificate(self, capsys, tmp_path):
+    @staticmethod
+    def _binary_check(capsys, tmp_path, **cert_keys):
+        """``verify-structure`` on a binary instance's closed form with its
+        certificate, ``cert_keys`` added to the certificate file."""
         from caldesign.structure import binary_action_certificate
         from caldesign.model import validate_instance
         from caldesign.structure import binary_action_optimal
@@ -683,13 +686,25 @@ class TestVerifyStructure:
         pred_path.write_text(json.dumps(pred.to_json_dict()))
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps(
-            binary_action_certificate(inst).to_json_dict()))
-        code, out, _ = run(capsys, "verify-structure", str(inst_path),
-                           str(pred_path), "--certificate", str(cert_path))
+            {**binary_action_certificate(inst).to_json_dict(), **cert_keys}))
+        return run(capsys, "verify-structure", str(inst_path),
+                   str(pred_path), "--certificate", str(cert_path))
+
+    def test_report_and_certificate(self, capsys, tmp_path):
+        code, out, _ = self._binary_check(capsys, tmp_path)
         assert code == 0
         payload = json.loads(out)
         assert payload["structure"]["violations"] == []
         assert payload["optimality"]["all_pass"] is True
+
+    def test_older_certificate_keys_are_ignored(self, capsys, tmp_path):
+        # certificate files once declared their linear tails [0, x_low] and
+        # [x_high, 1]; here wrong ones, which the duality check never reads
+        code, out, _ = self._binary_check(capsys, tmp_path, x_low=0.9,
+                                          x_high=0.1)
+        assert code == 0
+        assert json.loads(out)["optimality"]["all_pass"] is True
+        assert out == self._binary_check(capsys, tmp_path)[1]
 
     def test_event_dependent_instance_exits_2(self, capsys, tmp_path):
         raw = {"theta": [0.2, 0.8], "lambda": [0.5, 0.5],

@@ -90,10 +90,10 @@ class TestValidation:
                           "BAD_MASS"),
         "predictor-no-support": (lambda: Predictor.from_json_dict(
             {"mass": [[1.0]]}), "BAD_FORMAT"),
-        "knots-bool": (lambda: GammaCertificate([[0, 0], [True, 1]], 0, 0, 1),
+        "knots-bool": (lambda: GammaCertificate([[0, 0], [True, 1]], 1),
                        "BAD_CERTIFICATE"),
-        "alpha-bool": (lambda: GammaCertificate([[0, 0], [1, 1]], False, 0,
-                                                1), "BAD_CERTIFICATE"),
+        "alpha-bool": (lambda: GammaCertificate([[0, 0], [1, 1]], False),
+                       "BAD_CERTIFICATE"),
         "certificate-list": (lambda: GammaCertificate.from_json_dict([1, 2]),
                              "BAD_CERTIFICATE"),
         "tie-break": (lambda: solve_exact(_one_event(), tie_break="x"),
@@ -640,7 +640,7 @@ class TestReadOnlyArrays:
              INSTANCE_ARRAYS),
             (Predictor(g["support"], g["mass"]), ("support", "mass")),
             (SenderStrategy(g["pi"], g["bias"]), ("pi", "bias")),
-            (GammaCertificate(g["knots"], 0.0, 0.0, 0.0),
+            (GammaCertificate(g["knots"], 0.0),
              ("knots_x", "knots_y")),
             (EventIndependentPlan(g["q"], g["p"], g["w"]), ("q", "p", "w")),
             (Grid(g["points"], 0.25, 0.0, 0, g["zs"]),

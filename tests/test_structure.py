@@ -21,7 +21,6 @@ from caldesign.structure import (
     check_mpc,
     count_predictions,
     is_event_independent,
-    prior_on_means,
     recalibrate,
     verify_optimality,
 )
@@ -32,7 +31,16 @@ from conftest import (
     random_instance,
     random_predictor,
 )
-from plans import apply_plan
+from oracle import gamma_certificate
+from plans import apply_plan, prior_on_means
+
+
+def _event_dependent():
+    """Two events whose designer values the high action 1 and 4."""
+    u = np.ones((2, 2, 2))
+    u[1, 1, :] = 4.0
+    return make_instance([0.2, 0.7], [0.5, 0.5], [[0.0, 0.0], [-0.5, 0.5]],
+                         u, 0.1)
 
 
 class TestEventIndependence:
@@ -47,11 +55,7 @@ class TestEventIndependence:
         assert is_event_independent(golden)
 
     def test_event_dependent_utility_detected(self):
-        u = np.ones((2, 2, 2))
-        u[1, 1, :] = 4.0
-        inst = make_instance([0.2, 0.7], [0.5, 0.5],
-                             [[0.0, 0.0], [-0.5, 0.5]], u, 0.1)
-        assert not is_event_independent(inst)
+        assert not is_event_independent(_event_dependent())
 
 
 def _mpc_by_loop(g, lam, tol=1e-9):
@@ -152,6 +156,17 @@ class TestRecalibrate:
             assert plan.raw_error(1.0) == pytest.approx(ece(pred, inst, 1.0),
                                                         abs=1e-12)
 
+    def test_zero_prior_event_alone_on_a_point(self):
+        # the event of mean 0.9 has no prior and predicts 0.9 alone, a point
+        # without marginal mass; in the core it goes to the nearest atom
+        inst = make_instance([0.2, 0.5, 0.9], [0.5, 0.5, 0.0], [[0.0, 0.0]],
+                             np.ones((3, 1, 2)), 0.1)
+        gtilde, plan = recalibrate(Predictor([0.2, 0.5, 0.9], np.eye(3)),
+                                   inst)
+        assert gtilde.support.tolist() == [0.2, 0.5]
+        assert gtilde.mass.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+        assert plan.q.tolist() == plan.p.tolist() == [0.2, 0.5]
+
 
 class TestEventIndependentPlan:
     @pytest.mark.parametrize("q, p, w", [
@@ -220,12 +235,8 @@ class TestApplyPlan:
 
 class TestAnalyzeStructure:
     def test_requires_event_independence(self):
-        u = np.ones((2, 2, 2))
-        u[1, 1, :] = 4.0
-        inst = make_instance([0.2, 0.7], [0.5, 0.5],
-                             [[0.0, 0.0], [-0.5, 0.5]], u, 0.1)
         with pytest.raises(ValidationError) as err:
-            analyze_structure(point_mass(0.5, 2), inst)
+            analyze_structure(point_mass(0.5, 2), _event_dependent())
         assert err.value.code == "NOT_EVENT_INDEPENDENT"
 
     def test_binary_low_budget_shape(self):
@@ -306,61 +317,94 @@ class TestAnalyzeStructure:
         assert not report.ok
 
     def test_exact_optima_have_the_shape(self):
-        # the structure theorem on solve_exact's raw optima (no agent
-        # tie-break): l1 budgets, event-independent designer utility,
-        # n in [3, 10] and m in [3, 6]
+        # the structure theorem on solve_exact's optima: l1 budgets,
+        # event-independent designer utility, n in [3, 10] and m in [3, 6].
+        # Both optima earn the dual LP's value and verify against its
+        # certificate; the raw one (no agent tie-break) has the shape
         rng = np.random.default_rng(2024)
         for _ in range(200):
             inst = random_instance(rng, rng.uniform(0.01, 0.3), 1.0,
                                    n_min=3, n_max=10, m_min=3, m_max=6,
                                    event_independent=True)
-            pred = solve_exact(inst, tie_break=None)[1]
+            cert, value = gamma_certificate(inst)
+            for tie_break in ("agent", None):
+                _, pred, objective = solve_exact(inst, tie_break=tie_break)
+                assert abs(value - objective) <= 1e-7 * (1.0 + abs(objective))
+                verdict = verify_optimality(pred, inst, cert)
+                assert verdict.all_pass, verdict.to_json_dict()
             assert analyze_structure(pred, inst).violations == []
 
 
 class TestCertificates:
     def test_certificate_validation(self):
         with pytest.raises(ValidationError):  # concave knots
-            GammaCertificate([(0, 0.0), (0.5, 1.0), (1, 0.0)], 2.0, 0.0, 1.0)
-        with pytest.raises(ValidationError):  # declared tail slope mismatch
-            GammaCertificate([(0, 1.0), (0.5, 0.0), (1, 0.5)], 3.0, 0.3, 0.9)
-        cert = GammaCertificate([(0, 0.5), (0.5, 0.0), (1, 0.5)], 1.0, 0.5, 0.5)
+            GammaCertificate([(0, 0.0), (0.5, 1.0), (1, 0.0)], 2.0)
+        with pytest.raises(ValidationError):  # first slope -2 below -alpha
+            GammaCertificate([(0, 1.0), (0.5, 0.0), (1, 0.5)], 1.0)
+        cert = GammaCertificate([(0, 0.5), (0.5, 0.0), (1, 0.5)], 1.0)
         assert cert(0.25) == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("knots, tails, reason", [
-        ([(0.1, 0.0), (1, 0.0)], (0.0, 0.0, 0.0), "span"),
-        ([(0, 0.0), (0.9, 0.0)], (0.0, 0.0, 0.0), "span"),
-        ([(0, 0.0)], (0.0, 0.0, 0.0), "span"),
-        ([(0, 0.0), (1, 0.0)], (-1.0, 0.0, 0.0), "tail parameters"),
-        ([(0, 0.0), (1, 0.0)], (0.0, 0.6, 0.4), "tail parameters"),
-        ([(0, 0.0), (1, 0.0)], (0.0, 0.0, 1.5), "tail parameters"),
+    @pytest.mark.parametrize("knots, alpha, reason", [
+        ([(0.1, 0.0), (1, 0.0)], 0.0, "span"),
+        ([(0, 0.0), (0.9, 0.0)], 0.0, "span"),
+        ([(0, 0.0)], 0.0, "span"),
+        ([(0, 0.0), (1, 0.0)], -1.0, "end slopes"),
+        ([(0, 0.0), (0.5, 0.0), (1, 2.0)], 1.0, "end slopes"),
+        # a repeated knot would hide the last slope, 3, from the bound
+        ([(0, 0.0), (1, 3.0), (1, 3.0)], 0.0, "repeat"),
     ], ids=["low-end", "high-end", "one-knot", "negative-alpha",
-            "crossed-tails", "tail-past-1"])
-    def test_certificate_rejections(self, knots, tails, reason):
+            "steep-end", "repeated-x"])
+    def test_certificate_rejections(self, knots, alpha, reason):
         with pytest.raises(ValidationError, match=reason) as err:
-            GammaCertificate(knots, *tails)
+            GammaCertificate(knots, alpha)
         assert err.value.code == "BAD_CERTIFICATE"
 
+    def test_requires_event_independence(self):
+        cert = GammaCertificate([(0.0, 4.0), (1.0, 4.0)], 0.0)
+        with pytest.raises(ValidationError) as err:
+            verify_optimality(point_mass(0.5, 2), _event_dependent(), cert)
+        assert err.value.code == "NOT_EVENT_INDEPENDENT"
+
     def test_binary_certificates_verify(self):
+        # the closed form and solve_exact's optimum, agent tie-break
         rng = np.random.default_rng(44)
         for _ in range(40):
             inst = random_binary_instance(rng)
+            cert = binary_action_certificate(inst)
+            for pred in (binary_action_optimal(inst), solve_exact(inst)[1]):
+                verdict = verify_optimality(pred, inst, cert)
+                assert verdict.all_pass, verdict.to_json_dict()
+
+    def test_certificate_anchored_at_zero(self):
+        # the cut-off event's mean is 0, so the certificate rises from the
+        # origin, and the split earns its dual value 0.9
+        u = np.zeros((2, 2, 2))
+        u[:, 1, :] = 1.0
+        inst = make_instance([0.0, 0.8], [0.5, 0.5],
+                             [[0.0, 0.0], [-0.5, 0.5]], u, 0.05)
+        cert = binary_action_certificate(inst)
+        assert cert.to_json_dict() == {"knots": [[0.0, 0.0], [1.0, 2.0]],
+                                       "alpha": 2.0}
+        verdict = verify_optimality(binary_action_optimal(inst), inst, cert)
+        assert verdict.all_pass, verdict.to_json_dict()
+        assert verdict.details["dual_value"] == pytest.approx(0.9)
+
+    def test_within_budget_fails_when_over_budget(self):
+        # a certified closed form is refused on a budget below what it spends
+        rng = np.random.default_rng(45)
+        refused = 0
+        for _ in range(20):
+            inst = random_binary_instance(rng, epsilon=0.05)
             pred = binary_action_optimal(inst)
             cert = binary_action_certificate(inst)
-            verdict = verify_optimality(pred, inst, cert)
-            assert verdict.all_pass, verdict.to_json_dict()
-
-    def test_budget_complementarity_fails_when_over_budget(self):
-        rng = np.random.default_rng(45)
-        inst = random_binary_instance(rng, epsilon=0.05)
-        cert = binary_action_certificate(inst)
-        if cert.alpha == 0.0:
-            inst2 = inst.with_epsilon(0.0)
-            cert = binary_action_certificate(inst2)
-        over = binary_action_optimal(inst)
-        tight = inst.with_epsilon(max(ece(over, inst, 1.0) - 0.03, 0.0))
-        verdict = verify_optimality(over, tight, cert)
-        assert not verdict.budget_complementarity or cert.alpha == 0.0
+            assert verify_optimality(pred, inst, cert).all_pass
+            spent = ece(pred, inst, 1.0)
+            if spent > 0.03:
+                tight = inst.with_epsilon(spent - 0.03)
+                verdict = verify_optimality(pred, tight, cert)
+                assert not verdict.within_budget and not verdict.all_pass
+                refused += 1
+        assert refused
 
     def test_all_pass_is_sound_against_sampler(self):
         # a certified predictor must dominate every sampled feasible one
@@ -375,14 +419,32 @@ class TestCertificates:
         for sample in sample_feasible(inst, cfg):
             assert payoff(sample, inst) <= best + 1e-6
 
+    def test_no_predictor_beats_the_dual_value(self):
+        # weak duality: a random predictor, on its own ece as the budget,
+        # pays at most the dual value of the dual LP's certificate
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            inst = random_instance(rng, rng.uniform(0.0, 0.3), 1.0, n_max=6,
+                                   m_max=4, event_independent=True)
+            cert, _ = gamma_certificate(inst)
+            for _ in range(5):
+                pred = random_predictor(rng, inst)
+                own = inst.with_epsilon(ece(pred, inst, 1.0))
+                verdict = verify_optimality(pred, own, cert)
+                assert verdict.within_budget and verdict.dominates_utility
+                dual = verdict.details["dual_value"]
+                assert verdict.details["duality_gap"] >= \
+                    -1e-12 * (1.0 + abs(dual))
+
     def test_flat_certificate_must_touch_support(self, golden):
-        # flat cover above everything never touches low-utility predictions
+        # a flat cover above everything never touches the low-utility
+        # predictions, so its dual value 5 exceeds the payoff 0.75
         inst = golden.with_epsilon(0.0)
         pred = Predictor([0.10001, 0.9], [[1, 0], [0, 1], [0, 1]])
-        cert = GammaCertificate([(0.0, 5.0), (1.0, 5.0)], 0.0, 0.0, 0.0)
+        cert = GammaCertificate([(0.0, 5.0), (1.0, 5.0)], 0.0)
         verdict = verify_optimality(pred, inst, cert)
-        assert verdict.dominates_utility
-        assert not verdict.touches_support
+        assert verdict.within_budget and verdict.dominates_utility
+        assert not verdict.gap_closed
         assert not verdict.all_pass
 
 
