@@ -29,7 +29,7 @@ takes 8.6 ms at 20 budgets, 13.4 ms at 40 and 23.2 ms at 81, against 11.3,
 platforms, run in process.  The blocks depend on neither the process count
 nor the order of the budgets, and rows are written in the given order, so
 the output is identical whatever the order and the process count.  Every
-budget is checked before any child starts.
+budget, and an fptas sweep's delta, is checked before any child starts.
 
 Exit codes: 0 success, 2 invalid input, 3 solver failure.  Set
 ``CALDESIGN_LOG=debug|info|warning`` for logging verbosity; a forked
@@ -262,11 +262,13 @@ def cmd_sweep(args) -> int:
     in the given order, and the CSV depends on neither that order nor the
     process count."""
     inst = _load_instance(args)
-    # Every budget is checked here, before any child starts.
+    # Budgets and an fptas sweep's delta are checked before any child starts.
     budgets = [inst.with_epsilon(tok).epsilon
                for tok in args.eps.split(",") if tok]
     if not budgets:
         raise ValidationError("BAD_BUDGET", f"no budget in --eps {args.eps!r}")
+    if args.method == "fptas":
+        fptas.read_delta(args.delta)
     distinct = sorted(set(budgets))
     blocks = [tuple(distinct[k:k + _SWEEP_BLOCK])
               for k in range(0, len(distinct), _SWEEP_BLOCK)]
@@ -381,7 +383,8 @@ def _build_parser():
     p = sub.add_parser("grid", help="dump the discretization grid")
     p.set_defaults(run=cmd_grid)
     common(p)
-    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--delta", type=float, default=0.1, help="grid precision "
+                   "d < 1/3; solve --method fptas --delta d uses d/3")
     return parser
 
 

@@ -25,32 +25,20 @@ the test-suite, which checks it; the solver needs no rounding).
 One practical reduction: prediction columns in the LP are restricted to the
 utility breakpoints, the outcome means, one interior point per constant
 piece of the indirect utilities, and each breakpoint split into two strict
-predictions ``model.SEPARATION`` to either side (:func:`_predictions`).  Since the
-indirect utilities are piecewise constant, an optimal plan never needs any
-other prediction, while the q-side keeps the full two-layer grid.  At a
-breakpoint itself the agent ties, and the plan LP values it by the
-prior-weighted tie-break where :func:`caldesign.model.payoff` uses the mass
-sent there; the split points are strict best responses valued alike by
-both.
+predictions ``model.SEPARATION`` to either side (:func:`_predictions`, which
+says why the split points stand in for the tie at the breakpoint).  Since
+the indirect utilities are piecewise constant, an optimal plan never needs
+any other prediction, while the q-side keeps the full two-layer grid.
 
 The plan LP has one budget row and one supply row per event, so an optimal
 vertex pools at most n + 1 of its (up to millions of) columns.  The
-calibrated plan is settled from the utilities; the grid and the program are
-built only when it can be improved.  The restricted master of the
-calibrated diagonal has the calibrated plan as its one feasible point, so
-its row prices are known without an LP (:class:`CalibratedPlan`, which
-holds the utilities and the n start columns only), and when no event's
-utility rises at another prediction, no column of any grid can enter.
-Otherwise, neither the program nor its columns are ever built whole:
-:class:`PlanProgram` builds the n x P diagonal entries and holds each event
-pair's slice of the grid and the utilities at each prediction, and
-:func:`solve_plan_lp` solves by column generation, priced at the calibrated
-plan, first master solved only once columns enter.  Each round prices a few
-candidates per pair and prediction, which stand for all of that pair's
-columns because the reduced cost is concave in q, the most profitable
-columns join the master, which is solved for the next prices, and the loop
-stops once no reduced cost exceeds ``PRICE_TOL`` relative to the largest
-objective.
+calibrated plan (:class:`CalibratedPlan`) is settled from the utilities
+alone.  When no event's utility rises at another prediction, no column of
+any grid can enter, and the calibrated predictor is read off the plan: no
+grid, program, column or LP is built.  Otherwise :class:`PlanProgram`
+holds each event pair's slice of the grid and the utilities at each
+prediction, never the program's columns whole, and :func:`solve_plan_lp`
+solves it by column generation from the calibrated plan.
 """
 
 from __future__ import annotations
@@ -74,6 +62,7 @@ from .model import (
     freeze,
     indirect_utility_matrix,
     piece_scan,
+    read_numbers,
     runs,
 )
 
@@ -112,6 +101,14 @@ def _point_of(points, values):
     return np.searchsorted(points, values, side="right") - 1
 
 
+def read_delta(delta, top=1.0):
+    """``delta`` read as a number in (0, ``top``), or BAD_DELTA."""
+    delta = read_numbers(delta, "BAD_DELTA", "delta", scalar=True)
+    if not 0.0 < delta < top:
+        raise ValidationError("BAD_DELTA", f"delta must be in (0, {top:.6g}), got {delta}")
+    return delta
+
+
 def build_grid(inst: Instance, delta: float) -> Grid:
     """Instance-dependent two-layer grid with precision ``delta``.
 
@@ -121,9 +118,7 @@ def build_grid(inst: Instance, delta: float) -> Grid:
     around every anchor, where delta0 = eps^t * delta.  A zero budget
     collapses layer two.
     """
-    delta = float(delta)
-    if not 0.0 < delta < 1.0 / 3.0:
-        raise ValidationError("BAD_DELTA", f"delta must be in (0, 1/3), got {delta}")
+    delta = read_delta(delta, 1.0 / 3.0)
     t = inst.norm
     if t == INF:
         raise ValidationError("UNSUPPORTED_NORM",
@@ -190,34 +185,68 @@ class CalibratedPlan:
 
     ``ps`` is the reduced prediction set and ``U[e, c]`` event e's indirect
     utility at ``ps[c]``.  ``ps`` holds every mean, merged, and each event
-    starts at its mean's own point (:func:`_point_of`), whose diagonal entry
-    (e, e, theta_e, p_e) spends nothing.  ``cols`` holds these n start
-    columns, and ``start`` their indices among the n x P diagonal entries
-    event by event, which only :class:`PlanProgram` builds.  A start column
-    is the only column in supply row e, with coefficient 1, so the
-    restricted master on them has one feasible point, the calibrated plan
-    x = lam.  Its crash basis (the budget row's slack and the n columns) is
-    optimal, as ``sol``, and prices the rows at ``y = (0, U_e(p_e))``.
+    starts at its mean's point ``ps[at[e]]`` (:func:`_point_of`), whose
+    diagonal entry (e, e, theta_e, p_e) spends nothing and earns ``own[e]``.
+    Only column generation reads the rest, built on use: ``cols``, these n
+    start columns, and ``start``, their indices among the n x P diagonal
+    entries, which only :class:`PlanProgram` builds.  A start column is the
+    only one in supply row e, with coefficient 1, so the restricted master
+    on them has one feasible point, the calibrated plan x = lam.  Its crash
+    basis (the budget row's slack and the n columns) is optimal, as
+    ``sol``, and prices the rows at ``y = (0, own)``.
 
     At these prices the budget price is 0, so a pooled column (i, j, q, p)
     has reduced cost ``r (U_i(p) - y_i) + (1 - r) (U_j(p) - y_j)`` with r in
     [0, 1], a convex combination of two diagonal reduced costs at the same
-    p.  When no diagonal reduced cost ``U_e(p) - U_e(p_e)`` is above 0
+    p.  When no diagonal reduced cost ``U_e(p) - own[e]`` is above 0
     (``improvable`` is false), no column of any grid can enter, and the
-    calibrated plan is optimal on every grid; pricing such a program finds
-    nothing beyond rounding, far below ``PRICE_TOL``.
+    calibrated plan is optimal on every grid, its predictor read off the
+    plan (:meth:`settled`); pricing such a program finds nothing beyond
+    rounding, far below ``PRICE_TOL``.
     """
 
+    inst: Instance
     ps: np.ndarray
     U: np.ndarray
-    start: np.ndarray
-    cols: PlanColumns
-    sol: lp_core.LpSolution
-    y: np.ndarray
+    at: np.ndarray
+    own: np.ndarray
 
     @property
     def improvable(self):
-        return bool(np.any(self.U > self.y[1:, None]))
+        return bool((self.U > self.own[:, None]).any())
+
+    @property
+    def start(self):
+        return np.arange(self.inst.n) * self.ps.size + self.at
+
+    @property
+    def cols(self):
+        e = np.arange(self.inst.n)
+        return PlanColumns(e, e, self.inst.theta, self.ps[self.at], self.own,
+                           np.zeros(e.size), np.ones(e.size))
+
+    @property
+    def sol(self):
+        n, lam = self.inst.n, self.inst.lam
+        return lp_core.LpSolution(float(self.own @ lam), lam.copy(),
+                                  np.concatenate([[n], np.arange(n)]))
+
+    @property
+    def y(self):
+        return np.concatenate([[0.0], self.own])
+
+    def settled(self, inst):
+        """What :func:`plan_to_predictor` makes of :attr:`cols` for ``inst``
+        (this plan's events in any order), read off: an event of prior above
+        1e-12 reports its mean's point and ``_from_rows`` places the rest;
+        and the payoff ``own @ lam``, summed in this plan's order."""
+        live = np.flatnonzero(inst.lam > 1e-12)
+        at = _point_of(self.ps, inst.theta[live])
+        points = np.flatnonzero(np.bincount(at, minlength=self.ps.size))
+        rows = np.zeros((inst.n, points.size))
+        rows[live, np.searchsorted(points, at)] = 1.0
+        return (Predictor._from_rows(self.ps[points], rows, inst.theta),
+                float(self.own @ self.inst.lam))
 
 
 def _predictions(inst: Instance, zs):
@@ -245,15 +274,8 @@ def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
         raise ValidationError("UNSUPPORTED_NORM",
                               "the approximation scheme needs a finite norm")
     U = indirect_utility_matrix(inst, ps)
-    n = inst.n
-    e = np.arange(n)
-    c = _point_of(ps, inst.theta)
-    cols = PlanColumns(e, e, inst.theta, ps[c], U[e, c], np.zeros(n),
-                       np.ones(n))
-    sol = lp_core.LpSolution(float(cols.obj @ inst.lam), inst.lam.copy(),
-                             np.concatenate([[n], e]))
-    return CalibratedPlan(ps, U, e * ps.size + c, cols, sol,
-                          np.concatenate([[0.0], cols.obj]))
+    at = _point_of(ps, inst.theta)
+    return CalibratedPlan(inst, ps, U, at, U[np.arange(inst.n), at])
 
 
 @dataclass
@@ -270,8 +292,8 @@ class PlanProgram:
     ``ps[c]``.  ``fixed`` holds the pricing
     candidates that no row price moves (see :meth:`price`), opening with the
     n x P diagonal entries event by event, which the program builds (the
-    calibrated plan holds only its n start columns, at ``calibrated.start``
-    among them); ``fixed_keys`` names each candidate:
+    calibrated plan's n start columns are at ``calibrated.start`` among
+    them); ``fixed_keys`` names each candidate:
     ``(k * points.size + g) * ps.size + c`` for a pooled entry,
     ``-1 - (e * ps.size + c)`` for a diagonal one.
     """
@@ -442,24 +464,21 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
 
     An optimal vertex uses at most n + 1 columns.  The restricted master,
     the LP on the active columns only, starts with each event's calibrated
-    diagonal column (i, i, theta_i, theta_i); that master's one feasible
-    point is the calibrated plan, and its row prices are known in closed
-    form (``prog.calibrated``, a :class:`CalibratedPlan`).  Each round
-    prices the program with the current row prices
-    (:meth:`PlanProgram.price`: a few candidates per pair and prediction
-    stand for every column), adds the ``2(n + 1)`` new candidates of
-    largest reduced cost, and solves and checks the grown master by
-    :func:`lp_core.solve` for the next prices, until no reduced cost exceeds
-    ``PRICE_TOL`` times the largest utility, which is the largest objective
-    of a diagonal column; each round adds a new column, so the loop ends.
-    Every master starts warm: the first from the crash basis (each diagonal
-    column in its event's supply row, the budget row's slack), each later
-    one from the previous optimal basis.  When no column enters at the
-    calibrated prices, no LP is solved and the calibrated plan is the
-    optimum.  :func:`fptas_solve` settles the calibrated plan from the
-    utilities first, and builds the grid and this program only when it can
-    be improved.  Returns the master's columns and its optimal solution,
-    whose ``iterations`` sum the pivots of every master.
+    diagonal column (``prog.calibrated.cols``); that master's one feasible
+    point is the calibrated plan, whose row prices are known in closed form
+    (:class:`CalibratedPlan`).  Each round prices the program with the
+    current row prices (:meth:`PlanProgram.price`: a few candidates per
+    pair and prediction stand for every column), adds the ``2(n + 1)`` new
+    candidates of largest reduced cost, and solves and checks the grown
+    master by :func:`lp_core.solve` for the next prices, until no reduced
+    cost exceeds ``PRICE_TOL`` times the largest utility, which is the
+    largest objective of a diagonal column; each round adds a new column,
+    so the loop ends.  Every master starts warm: the first from the crash
+    basis (each diagonal column in its event's supply row, the budget row's
+    slack), each later one from the previous optimal basis; when no column
+    enters at the calibrated prices, no LP is solved.  Returns the master's
+    columns and its optimal solution, whose ``iterations`` sum the pivots
+    of every master.
     """
     calibrated = prog.calibrated
     cols, sol, y = calibrated.cols, calibrated.sol, calibrated.y
@@ -493,41 +512,37 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
 
 
 def fptas_solve(inst: Instance, delta: float):
-    """(1 - delta)-approximate predictor for any finite norm.
+    """(1 - delta)-approximate predictor for any finite norm; ``delta``
+    must lie in (0, 1) (:func:`read_delta`).
 
     Settles the calibrated plan from the utilities first
-    (:func:`_calibrated_plan`, n x P work): when no diagonal reduced cost
-    at its prices is above 0, it is optimal on every grid
-    (:class:`CalibratedPlan`), and no grid or program is built.  Only when
-    it can be improved does the solver build the grid at precision delta/3
-    and the per-pair plan LP on it (:func:`build_disc_lp`) and solve that LP
-    by column generation (:func:`solve_plan_lp`: priced at the calibrated
-    plan, first master solved only once columns enter, a few candidates per
-    pair and prediction priced until no reduced cost exceeds the tolerance;
-    neither the LP nor its columns are ever built whole).  It converts the
-    optimal plan; the result keeps the calibration budget and loses at most
-    a (1 - delta) factor of the optimal payoff.  It solves on the events
-    sorted by mean (equal means keep the caller's order), so the order of
-    distinct means does not pick among the degenerate LP's optimal plans.
-    The predictor is certified before it is returned
-    (:func:`caldesign.model.certify`): its calibration error is within the
-    budget and its payoff is the returned objective, or
+    (:func:`_calibrated_plan`, n x P work).  When no diagonal reduced cost
+    at its prices is above 0, it is optimal on every grid, and its
+    predictor is read off the plan (:meth:`CalibratedPlan.settled`).
+    Otherwise the solver builds the grid at precision delta/3 and the
+    per-pair plan LP on it (:func:`build_disc_lp`), solves that LP by
+    column generation (:func:`solve_plan_lp`) and converts the optimal plan
+    (:func:`plan_to_predictor`).  The result keeps the calibration budget
+    and loses at most a (1 - delta) factor of the optimal payoff.  It
+    solves on the events sorted by mean (equal means keep the caller's
+    order), so the order of distinct means does not pick among the
+    degenerate LP's optimal plans.  The predictor is certified before it is
+    returned (:func:`caldesign.model.certify`): its calibration error is
+    within the budget and its payoff is the returned objective, or
     ``SolverError('UNCERTIFIED')`` is raised.
     """
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValidationError("BAD_DELTA", f"delta must be in (0, 1), got {delta}")
+    delta = read_delta(delta)
     order = np.argsort(inst.theta, kind="stable")
     view = inst._in_order(order)
     calibrated = _calibrated_plan(view, _predictions(view, envelope(view)[0]))
-    if calibrated.improvable:
+    if not calibrated.improvable:
+        predictor, objective = calibrated.settled(inst)
+    else:
         grid = build_grid(view, delta / 3.0)
         cols, sol = solve_plan_lp(view, build_disc_lp(view, grid, calibrated))
-    else:
-        cols, sol = calibrated.cols, calibrated.sol
-    plan = cols.plan(sol.x)
-    plan.i, plan.j = order[plan.i], order[plan.j]   # the caller's events
-    predictor = plan_to_predictor(plan, inst)
-    objective = float(sol.objective_value)
+        plan = cols.plan(sol.x)
+        plan.i, plan.j = order[plan.i], order[plan.j]   # the caller's events
+        predictor = plan_to_predictor(plan, inst)
+        objective = float(sol.objective_value)
     certify(predictor, inst, objective)
     return predictor, objective

@@ -156,7 +156,9 @@ def analyze_structure(pred: Predictor, inst: Instance) -> StructureReport:
     Reports, never raises, on shape violations: interval ordering of the
     under-confident / calibrated / over-confident points, collinearity of
     each miscalibrated tail against the indirect utility, equal tail-slope
-    magnitudes, and convexity of the touched (p, U(p)) points.
+    magnitudes, and convexity of the touched (p, U(p)) points: the shape
+    the theorem gives one optimum, not every optimum, so an optimal
+    predictor may report violations; :func:`verify_optimality` judges.
     """
     if not is_event_independent(inst):
         raise ValidationError("NOT_EVENT_INDEPENDENT",

@@ -372,8 +372,10 @@ class TestSweepWorkers:
     PATHS = {"pool": {0, 1}, "in-process": {0}}
 
     @staticmethod
-    def _sweep(monkeypatch, capsys, tmp_path, path, *argv, cpus=None):
-        """Run ``sweep`` on one path; returns the exit code, the CSV bytes
+    def _sweep(monkeypatch, capsys, tmp_path, path, *argv, cpus=None,
+               instance=GOLDEN):
+        """Run ``sweep`` of ``instance`` on one path; returns the exit code,
+        the CSV bytes
         (None if no file was written), stderr and ``[process count]`` if
         the sweep forked, else ``[]``.  No child may outlive the sweep, even
         one that raised."""
@@ -406,22 +408,35 @@ class TestSweepWorkers:
         monkeypatch.setattr(pickle, "loads", loads)
         out = tmp_path / f"{path}.csv"
         try:
-            code, _, err = run(capsys, "sweep", GOLDEN, *argv, "-o", str(out))
+            code, _, err = run(capsys, "sweep", instance, *argv, "-o",
+                               str(out))
         finally:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
         procs = [len(forks) + 1] if forks else []
         return code, (out.read_bytes() if out.exists() else None), err, procs
 
-    @pytest.mark.parametrize("argv", [
-        ("--eps", GOLDEN_BUDGETS),
-        ("--eps", ",".join(SHUFFLED_12), "--method", "fptas", "--delta", "0"),
-    ], ids=["golden", "bad-delta"])
+    @staticmethod
+    def _max_norm(tmp_path):
+        """golden.json in the max-norm, which fptas refuses at every
+        budget: each row of an fptas sweep of it is an error row."""
+        raw = json.loads(Path(GOLDEN).read_text())
+        raw["norm"] = "inf"
+        path = tmp_path / "max-norm.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    @pytest.mark.parametrize("max_norm,argv", [
+        (False, ("--eps", GOLDEN_BUDGETS)),
+        (True, ("--eps", ",".join(SHUFFLED_12), "--method", "fptas")),
+    ], ids=["golden", "max-norm"])
     def test_both_paths_write_the_same_bytes(self, monkeypatch, capsys,
-                                             tmp_path, argv):
-        pool = self._sweep(monkeypatch, capsys, tmp_path, "pool", *argv)
+                                             tmp_path, max_norm, argv):
+        instance = self._max_norm(tmp_path) if max_norm else GOLDEN
+        pool = self._sweep(monkeypatch, capsys, tmp_path, "pool", *argv,
+                           instance=instance)
         serial = self._sweep(monkeypatch, capsys, tmp_path, "in-process",
-                             *argv)
+                             *argv, instance=instance)
         assert pool[0] == serial[0] == 0
         assert pool[1] == serial[1]
         assert pool[3] == [2] and serial[3] == []
@@ -496,18 +511,39 @@ class TestSweepWorkers:
         caplog.set_level(logging.WARNING, logger="caldesign")
         code, text, _, procs = self._sweep(
             monkeypatch, capsys, tmp_path, path, "--eps", ",".join(budgets),
-            "--method", "fptas", "--delta", "0")
+            "--method", "fptas", instance=self._max_norm(tmp_path))
         assert code == 0
         assert procs == ([2] if path == "pool" else [])
         rows = text.decode().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == [f"{float(b):.12g}"
                                                    for b in budgets]
-        assert all(r.endswith(",nan,nan,nan,error:BAD_DELTA") for r in rows)
+        assert all(r.endswith(",nan,nan,nan,error:UNSUPPORTED_NORM")
+                   for r in rows)
         warned = [r.getMessage() for r in caplog.records
                   if r.levelno == logging.WARNING]
         assert [w.split()[1] for w in warned] == [str(float(b))
                                                   for b in budgets]
-        assert all("BAD_DELTA" in w for w in warned)
+        assert all("UNSUPPORTED_NORM" in w for w in warned)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("delta", ["2", "nan", "0"])
+    def test_bad_fptas_delta_exits_2_before_solving(
+            self, monkeypatch, capsys, tmp_path, path, delta):
+        # as solve --method fptas does, an fptas sweep refuses the delta
+        # once, before any block or fork, and writes no CSV; an exact sweep
+        # ignores --delta
+        assert run(capsys, "solve", GOLDEN, "--method", "fptas", "--delta",
+                   delta)[0] == 2
+        budgets = ",".join(self.SHUFFLED_12)
+        code, text, err, procs = self._sweep(
+            monkeypatch, capsys, tmp_path, path, "--eps", budgets,
+            "--method", "fptas", "--delta", delta)
+        assert (code, text, procs) == (2, None, [])
+        assert err.startswith("error: BAD_DELTA: ")
+        code, text, _, _ = self._sweep(monkeypatch, capsys, tmp_path, path,
+                                       "--eps", budgets, "--delta", delta)
+        assert code == 0
+        assert all(r.endswith(",ok") for r in text.decode().splitlines()[1:])
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_bad_budget_exits_2_before_solving(self, monkeypatch, capsys,

@@ -34,6 +34,7 @@ from conftest import (
     plan_program,
     random_feasible_plan,
     random_instance,
+    with_norm,
 )
 from plans import make_plan, plan_from_records, plan_supply, plan_to_records
 from rounding import round_plan
@@ -66,6 +67,20 @@ class TestGrid:
             with pytest.raises(ValidationError) as err:
                 build_grid(golden, bad)
             assert err.value.code == "BAD_DELTA"
+
+    @pytest.mark.parametrize("bad", [None, [0.1], "x", True, float("nan")],
+                             ids=["none", "list", "text", "true", "nan"])
+    def test_delta_is_read_at_the_boundary(self, golden, bad):
+        # delta is read as every number from outside is
+        # (model.read_numbers): no TypeError or ValueError, and True is no
+        # 1.0; on a max-norm instance BAD_DELTA still comes first
+        max_norm = with_norm(golden, golden.epsilon, np.inf)
+        for call in (build_grid, fptas_solve):
+            for inst in (golden, max_norm):
+                with pytest.raises(ValidationError) as err:
+                    call(inst, bad)
+                assert err.value.code == "BAD_DELTA"
+        assert build_grid(golden, "0.2").delta == 0.2
 
     def test_zero_budget_collapses_local_layer(self, golden):
         g = build_grid(golden.with_epsilon(0.0), 0.1)
@@ -452,10 +467,10 @@ class TestCalibratedStart:
 
     def test_settled_solves_build_no_diagonal(self, monkeypatch):
         # only the plan program builds the n x P diagonal: none of
-        # acceptance 3's 19 settled solves does, and none of them makes
-        # columns beyond its n start columns; each of the six that build a
-        # program builds it once
-        diagonals, widest = [], []
+        # acceptance 3's 19 settled solves does, and none of them makes any
+        # column, not even the n start columns; each of the six that build
+        # a program builds it once
+        diagonals, made = [], []
         real_diagonal, real_columns = (fptas.PlanProgram._diagonal,
                                        fptas.PlanColumns)
 
@@ -464,23 +479,85 @@ class TestCalibratedStart:
             return real_diagonal(prog)
 
         def columns(*args, **kwargs):
-            cols = real_columns(*args, **kwargs)
-            widest[-1] = max(widest[-1], len(cols))
-            return cols
+            made[-1] += 1
+            return real_columns(*args, **kwargs)
 
         monkeypatch.setattr(fptas.PlanProgram, "_diagonal", diagonal)
         monkeypatch.setattr(fptas, "PlanColumns", columns)
         insts = _acc3()
         for inst in insts:
             diagonals.append(0)
-            widest.append(0)
+            made.append(0)
             fptas_solve(inst, 0.1)
         programs = [4, 7, 11, 20, 21, 24]
         assert [k for k, count in enumerate(diagonals) if count] == programs
         assert {diagonals[k] for k in programs} == {1}
-        settled = [k for k in range(len(insts)) if k not in programs]
-        assert len(settled) == 19
-        assert all(widest[k] == insts[k].n for k in settled)
+        assert [k for k, count in enumerate(made) if count] == programs
+
+    def test_settled_solves_convert_nothing(self, monkeypatch, solves,
+                                            builds):
+        # a settled solve reads its predictor off the calibrated plan: no
+        # LpSolution, grid, program, LP or plan conversion
+        calls = {"plan_to_predictor": [], "LpSolution": []}
+        for owner, name in ((fptas, "plan_to_predictor"),
+                            (lp_core, "LpSolution")):
+            def spy(*args, real=getattr(owner, name), seen=calls[name]):
+                seen.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        settled = [inst for inst in _acc3(50) if not _early(inst).improvable]
+        assert len(settled) == 33
+        for inst in settled:
+            fptas_solve(inst, 0.1)
+        assert calls == {"plan_to_predictor": [], "LpSolution": []}
+        assert solves == [] and builds == {"build_grid": [],
+                                           "build_disc_lp": []}
+
+    def test_settled_predictor_is_the_converted_plan(self):
+        # the closed form is plan_to_predictor on the calibrated plan's
+        # columns, bit for bit: zero and tiny priors, equal and chained
+        # means, events in any order, t in {1, 2, 3}, a zero budget
+        rng = np.random.default_rng(47)
+        cases = [_merged_instance(0.0, theta) for theta in CHAINS]
+        cases.append(_merged_instance(0.0, CHAIN3))
+        for k in range(240):
+            inst = random_instance(rng, 0.0, (1.0, 2.0, 3.0)[k % 3],
+                                   n_max=6, m_max=4)
+            theta, lam = inst.theta.copy(), inst.lam.copy()
+            if k % 4 == 1 and inst.n > 1:
+                theta[rng.integers(0, inst.n, 2)] = theta[0]
+            if k % 4 == 2:
+                theta[:3] = np.array(CHAIN3)[:inst.n]
+            if k % 3 == 0 and inst.n > 1:
+                lam[rng.integers(0, inst.n)] = (0.0, 1e-13)[k % 2]
+                lam /= lam.sum()
+            u = inst.principal_utility
+            if k % 2:   # integer utilities tie often, and settle
+                u = np.floor(3.0 * u)
+            order = rng.permutation(inst.n)
+            cases.append(make_instance(theta[order], lam[order],
+                                       inst.agent_utility, u[order], 0.0,
+                                       inst.norm))
+        settled = 0
+        for inst in cases:
+            order = np.argsort(inst.theta, kind="stable")
+            view = inst._in_order(order)
+            early = _early(view)
+            plan = early.cols.plan(early.sol.x)
+            plan.i, plan.j = order[plan.i], order[plan.j]
+            want = plan_to_predictor(plan, inst)
+            pred, value = early.settled(inst)
+            assert np.array_equal(pred.support, want.support)
+            assert np.array_equal(pred.mass, want.mass)
+            assert value == early.sol.objective_value
+            if not early.improvable:
+                settled += 1
+                got, obj = fptas_solve(inst, 0.1)
+                assert np.array_equal(got.support, want.support)
+                assert np.array_equal(got.mass, want.mass)
+                assert obj == float(early.cols.obj @ view.lam)
+        assert settled == 149
 
     def test_lp_calls_and_pivots_are_pinned(self, solves):
         # (lp_core.solve calls, pivots) over acceptance 3's first 25

@@ -334,6 +334,24 @@ class TestAnalyzeStructure:
                 assert verdict.all_pass, verdict.to_json_dict()
             assert analyze_structure(pred, inst).violations == []
 
+    def test_an_optimum_off_the_shape_still_certifies(self):
+        # the shape is the theorem's for one optimum, not every optimum:
+        # draw 6 of the set above (n = 5, m = 4) has an agent-tie-break
+        # optimum with an under-confident point above an over-confident
+        # one, and verify_optimality, the judge of optimality, passes it
+        rng = np.random.default_rng(2024)
+        for _ in range(7):
+            inst = random_instance(rng, rng.uniform(0.01, 0.3), 1.0,
+                                   n_min=3, n_max=10, m_min=3, m_max=6,
+                                   event_independent=True)
+        assert (inst.n, inst.m) == (5, 4)
+        _, pred, _ = solve_exact(inst, tie_break="agent")
+        report = analyze_structure(pred, inst)
+        assert report.violations == [
+            "under-confident point above an over-confident one"]
+        verdict = verify_optimality(pred, inst, gamma_certificate(inst)[0])
+        assert verdict.all_pass, verdict.to_json_dict()
+
 
 class TestCertificates:
     def test_certificate_validation(self):
