@@ -20,22 +20,20 @@ sweep of 16 or more budgets forks: it runs one process per CPU in the
 affinity mask, but at most one per 8 budgets and one per block (``taskset
 -c 0`` makes it serial).  With ``w`` processes, the calling process solves
 blocks ``0, w, 2w, ...`` itself while ``w - 1`` forked children solve the
-others.  A fork costs 2 to 3 ms on a 2-core host, as much as solving 4 to 6
-budgets of the golden instance, so 2 processes break even at about 13
-budgets.  On that host the golden sweep through :func:`main` (medians of
-33) takes 6.6 ms at 10 budgets, one block, in process; with 2 processes it
-takes 8.6 ms at 20 budgets, 13.4 ms at 40 and 23.2 ms at 81, against 11.3,
-20.6 and 39.7 ms in process.  Shorter sweeps, and sweeps on other
-platforms, run in process.  The blocks depend on neither the process count
-nor the order of the budgets, and rows are written in the given order, so
-the output is identical whatever the order and the process count.  Every
-budget, and an fptas sweep's delta, is checked before any child starts.
+others.  A fork costs as much as solving 4 to 6 budgets of the golden
+instance, so 2 processes break even at about 13 budgets (README gives the
+measured times).  Shorter sweeps, and sweeps on other platforms, run in
+process.  The blocks depend on neither the process count nor the order of
+the budgets, and rows are written in the given order, so the output is
+identical whatever the order and the process count.  Every budget, an
+fptas sweep's delta and the instance's norm are checked before any child
+starts.
 
-Exit codes: 0 success, 2 invalid input, 3 solver failure.  Set
-``CALDESIGN_LOG=debug|info|warning`` for logging verbosity; a forked
-sweep's children write their solver debug logs to the same stderr.  All
-numeric output is printed with 12 significant digits so reruns are
-byte-identical.
+Exit codes: 0 success, 2 invalid input or an output file that cannot be
+written, 3 solver failure.  Set ``CALDESIGN_LOG=debug|info|warning`` for
+logging verbosity; a forked sweep's children write their solver debug logs
+to the same stderr.  All numeric output is printed with 12 significant
+digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -91,11 +89,16 @@ def _load_predictor(path, inst) -> model.Predictor:
 
 
 def _write_text(path, text):
-    if path:
+    """The one writer of every output: to the file ``path``, or stdout;
+    an unwritable file is BAD_FORMAT, as an unreadable one is."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValidationError("BAD_FORMAT", f"cannot write {path}: {exc}") from None
 
 
 def _scores(inst, pred):
@@ -127,16 +130,13 @@ def cmd_solve(args) -> int:
         pred, objective = fptas.fptas_solve(inst, args.delta)
     summary = _summary(inst, pred, objective)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(pred.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        _write_text(args.output,
+                    json.dumps(pred.to_json_dict(), indent=1) + "\n")
         log.info("wrote predictor to %s", args.output)
     if args.strategy_out:
         scheme = {"pi": strat.pi.tolist(),
                   "bias": dict(zip(inst.actions, strat.bias.tolist()))}
-        with open(args.strategy_out, "w", encoding="utf-8") as fh:
-            json.dump(scheme, fh, indent=1)
-            fh.write("\n")
+        _write_text(args.strategy_out, json.dumps(scheme, indent=1) + "\n")
         log.info("wrote recommendation scheme to %s", args.strategy_out)
     print(json.dumps({"predictor": (args.output or "(not saved)"),
                       "summary": summary}, indent=1))
@@ -223,7 +223,7 @@ def _solve_blocks(inst, method, delta, blocks, workers):
                              for block in blocks[first::workers]])
                     except BaseException as exc:  # raised by the parent
                         data = pickle.dumps(exc)
-                    with open(write, "wb") as fh:
+                    with os.fdopen(write, "wb") as fh:
                         fh.write(data)
                     os._exit(0)
                 finally:
@@ -262,13 +262,17 @@ def cmd_sweep(args) -> int:
     in the given order, and the CSV depends on neither that order nor the
     process count."""
     inst = _load_instance(args)
-    # Budgets and an fptas sweep's delta are checked before any child starts.
+    # Budgets, an fptas sweep's delta and the norm are checked before any
+    # child starts.
     budgets = [inst.with_epsilon(tok).epsilon
                for tok in args.eps.split(",") if tok]
     if not budgets:
         raise ValidationError("BAD_BUDGET", f"no budget in --eps {args.eps!r}")
     if args.method == "fptas":
         fptas.read_delta(args.delta)
+        fptas.check_norm(inst)
+    else:
+        exact.check_norm(inst)
     distinct = sorted(set(budgets))
     blocks = [tuple(distinct[k:k + _SWEEP_BLOCK])
               for k in range(0, len(distinct), _SWEEP_BLOCK)]

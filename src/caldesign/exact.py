@@ -103,6 +103,14 @@ class SenderStrategy:
         return out
 
 
+def check_norm(inst: Instance):
+    """Raise UNSUPPORTED_NORM unless ``inst``'s norm is 1 or inf."""
+    t = inst.norm
+    if t != 1.0 and t != INF:
+        raise ValidationError("UNSUPPORTED_NORM",
+                              f"exact solver needs t in {{1, inf}}, got {t}")
+
+
 def build_actrec_lp(inst: Instance) -> lp_core.LinearProgram:
     """Action-recommendation LP; linear only for t in {1, inf}.
 
@@ -112,10 +120,8 @@ def build_actrec_lp(inst: Instance) -> lp_core.LinearProgram:
     mean inside [0, 1], and for t=inf a's bias budget), then per-event row
     stochasticity, then for t=1 the total bias budget.
     """
+    check_norm(inst)
     t = inst.norm
-    if t != 1.0 and t != INF:
-        raise ValidationError("UNSUPPORTED_NORM",
-                              f"exact solver needs t in {{1, inf}}, got {t}")
     n, m = inst.n, inst.m
     nm = n * m
     total = nm + 2 * m

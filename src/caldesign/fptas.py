@@ -37,8 +37,10 @@ alone.  When no event's utility rises at another prediction, no column of
 any grid can enter, and the calibrated predictor is read off the plan: no
 grid, program, column or LP is built.  Otherwise :class:`PlanProgram`
 holds each event pair's slice of the grid and the utilities at each
-prediction, never the program's columns whole, and :func:`solve_plan_lp`
-solves it by column generation from the calibrated plan.
+prediction, never the program's columns whole, and builds the column
+generation's start, the calibrated plan's columns among its own diagonal
+entries, once; :func:`solve_plan_lp` solves it by column generation from
+that start.
 """
 
 from __future__ import annotations
@@ -109,6 +111,13 @@ def read_delta(delta, top=1.0):
     return delta
 
 
+def check_norm(inst: Instance):
+    """Raise UNSUPPORTED_NORM unless ``inst``'s norm is finite."""
+    if inst.norm == INF:
+        raise ValidationError("UNSUPPORTED_NORM",
+                              "the approximation scheme needs a finite norm")
+
+
 def build_grid(inst: Instance, delta: float) -> Grid:
     """Instance-dependent two-layer grid with precision ``delta``.
 
@@ -119,10 +128,8 @@ def build_grid(inst: Instance, delta: float) -> Grid:
     collapses layer two.
     """
     delta = read_delta(delta, 1.0 / 3.0)
+    check_norm(inst)
     t = inst.norm
-    if t == INF:
-        raise ValidationError("UNSUPPORTED_NORM",
-                              "the approximation scheme needs a finite norm")
     zs = envelope(inst)[0]
     anchors = _dedup_sorted(np.concatenate([zs, inst.theta]))
     levels = int(math.ceil(2.0 / math.log1p(delta) * math.log(1.0 / delta)))
@@ -180,25 +187,19 @@ def _join(parts):
 
 @dataclass
 class CalibratedPlan:
-    """The calibrated plan of an instance in closed form: where column
-    generation starts, and often where it ends.
+    """The calibrated plan of an instance in closed form, and whether
+    column generation can improve it.
 
     ``ps`` is the reduced prediction set and ``U[e, c]`` event e's indirect
     utility at ``ps[c]``.  ``ps`` holds every mean, merged, and each event
-    starts at its mean's point ``ps[at[e]]`` (:func:`_point_of`), whose
-    diagonal entry (e, e, theta_e, p_e) spends nothing and earns ``own[e]``.
-    Only column generation reads the rest, built on use: ``cols``, these n
-    start columns, and ``start``, their indices among the n x P diagonal
-    entries, which only :class:`PlanProgram` builds.  A start column is the
-    only one in supply row e, with coefficient 1, so the restricted master
-    on them has one feasible point, the calibrated plan x = lam.  Its crash
-    basis (the budget row's slack and the n columns) is optimal, as
-    ``sol``, and prices the rows at ``y = (0, own)``.
+    reports its mean's point ``ps[at[e]]`` (:func:`_point_of`), where it
+    spends nothing and earns ``own[e]``.  In the plan LP this plan prices
+    the rows at ``(0, own)`` (:class:`PlanProgram` builds that start).
 
     At these prices the budget price is 0, so a pooled column (i, j, q, p)
-    has reduced cost ``r (U_i(p) - y_i) + (1 - r) (U_j(p) - y_j)`` with r in
-    [0, 1], a convex combination of two diagonal reduced costs at the same
-    p.  When no diagonal reduced cost ``U_e(p) - own[e]`` is above 0
+    has reduced cost ``r (U_i(p) - own_i) + (1 - r) (U_j(p) - own_j)`` with
+    r in [0, 1], a convex combination of two diagonal reduced costs at the
+    same p.  When no diagonal reduced cost ``U_e(p) - own[e]`` is above 0
     (``improvable`` is false), no column of any grid can enter, and the
     calibrated plan is optimal on every grid, its predictor read off the
     plan (:meth:`settled`); pricing such a program finds nothing beyond
@@ -215,28 +216,8 @@ class CalibratedPlan:
     def improvable(self):
         return bool((self.U > self.own[:, None]).any())
 
-    @property
-    def start(self):
-        return np.arange(self.inst.n) * self.ps.size + self.at
-
-    @property
-    def cols(self):
-        e = np.arange(self.inst.n)
-        return PlanColumns(e, e, self.inst.theta, self.ps[self.at], self.own,
-                           np.zeros(e.size), np.ones(e.size))
-
-    @property
-    def sol(self):
-        n, lam = self.inst.n, self.inst.lam
-        return lp_core.LpSolution(float(self.own @ lam), lam.copy(),
-                                  np.concatenate([[n], np.arange(n)]))
-
-    @property
-    def y(self):
-        return np.concatenate([[0.0], self.own])
-
     def settled(self, inst):
-        """What :func:`plan_to_predictor` makes of :attr:`cols` for ``inst``
+        """What :func:`plan_to_predictor` makes of this plan for ``inst``
         (this plan's events in any order), read off: an event of prior above
         1e-12 reports its mean's point and ``_from_rows`` places the rest;
         and the payoff ``own @ lam``, summed in this plan's order."""
@@ -270,9 +251,7 @@ def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
     """The :class:`CalibratedPlan` of ``inst`` over the predictions ``ps``,
     which must hold every mean, merged (as :func:`_predictions` and a grid's
     points do); the plan spends nothing of the budget."""
-    if inst.norm == INF:
-        raise ValidationError("UNSUPPORTED_NORM",
-                              "the approximation scheme needs a finite norm")
+    check_norm(inst)
     U = indirect_utility_matrix(inst, ps)
     at = _point_of(ps, inst.theta)
     return CalibratedPlan(inst, ps, U, at, U[np.arange(inst.n), at])
@@ -280,8 +259,8 @@ def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
 
 @dataclass
 class PlanProgram:
-    """The discretized plan LP of ``inst`` by event pair; no column of it is
-    built.
+    """The discretized plan LP of ``inst`` by event pair, and the start of
+    its column generation; no column of it is built whole.
 
     Its columns are the diagonal entries (e, e, theta_e, p) for every event
     ``e`` and prediction ``p = ps[c]`` of ``calibrated``, and the pooled
@@ -289,13 +268,17 @@ class PlanProgram:
     ``j = j[k]`` whose means lie at distinct points, i's below j's, and grid
     index ``lo[k] <= g < hi[k]``, from mean i's point to mean j's
     (:func:`_point_of`).  ``U[e, c]`` is event e's indirect utility at
-    ``ps[c]``.  ``fixed`` holds the pricing
-    candidates that no row price moves (see :meth:`price`), opening with the
-    n x P diagonal entries event by event, which the program builds (the
-    calibrated plan's n start columns are at ``calibrated.start`` among
-    them); ``fixed_keys`` names each candidate:
+    ``ps[c]``.  ``fixed`` holds the pricing candidates that no row price
+    moves (see :meth:`price`), opening with the n x P diagonal entries
+    event by event; ``fixed_keys`` names each candidate:
     ``(k * points.size + g) * ps.size + c`` for a pooled entry,
     ``-1 - (e * ps.size + c)`` for a diagonal one.
+
+    Column generation starts at the calibrated plan's n columns, each
+    event's diagonal entry at its mean's point, at ``start`` in ``fixed``:
+    their master's one feasible point x = lam has an optimal crash basis
+    (the budget row's slack and the n columns), ``crash``, which prices the
+    rows at ``prices = (0, calibrated.own)``.
     """
 
     inst: Instance
@@ -307,6 +290,9 @@ class PlanProgram:
     hi: np.ndarray
     fixed: PlanColumns = field(init=False)
     fixed_keys: np.ndarray = field(init=False)
+    start: np.ndarray = field(init=False)
+    crash: lp_core.LpSolution = field(init=False)
+    prices: np.ndarray = field(init=False)
 
     @property
     def ps(self):
@@ -317,6 +303,11 @@ class PlanProgram:
         return self.calibrated.U
 
     def __post_init__(self):
+        n, lam, own = self.inst.n, self.inst.lam, self.calibrated.own
+        self.start = np.arange(n) * self.ps.size + self.calibrated.at
+        self.crash = lp_core.LpSolution(float(own @ lam), lam.copy(),
+                                        np.concatenate([[n], np.arange(n)]))
+        self.prices = np.concatenate([[0.0], own])
         diag = self._diagonal()
         # the ends of every slice (the clip maps 0 and points.size onto
         # them) and the grid neighbours of every prediction
@@ -331,11 +322,11 @@ class PlanProgram:
 
     def _diagonal(self):
         """The n x P diagonal entries (e, e, theta_e, ps[c]) event by event;
-        each event's start column (``calibrated.start``) spends nothing."""
+        each event's start column (at ``start``) spends nothing."""
         inst, ps = self.inst, self.ps
         e = np.repeat(np.arange(inst.n), ps.size)
         err = (np.abs(inst.theta[:, None] - ps) ** inst.norm).ravel()
-        err[self.calibrated.start] = 0.0
+        err[self.start] = 0.0
         return PlanColumns(e, e, inst.theta[e], np.tile(ps, inst.n),
                            self.U.ravel(), err, np.ones(e.size))
 
@@ -394,23 +385,20 @@ class PlanProgram:
         return cols, keys, reduced
 
 
-def build_disc_lp(inst: Instance, grid: Grid, calibrated=None):
+def build_disc_lp(inst: Instance, grid: Grid, calibrated: CalibratedPlan):
     """The discretized plan LP on ``grid``, as a :class:`PlanProgram`.
 
     The LP maximizes sum chi[i,j](q,p) * (r U_i(p) + (1-r) U_j(p)) subject
     to the budget row sum chi |q-p|^t <= eps^t and one supply row per event.
     q ranges over the grid points inside [theta_i, theta_j], one slice of
-    the grid per pair; p over the reduced prediction set of ``calibrated``
-    (:func:`_calibrated_plan` on :func:`_predictions` of the grid's
-    breakpoints unless given).  A pair pools only means at distinct grid
-    points (:func:`_point_of`); means that share one meet in the diagonal
-    entry.  Nothing is built per column: the program holds the slices,
+    the grid per pair; p over the reduced prediction set of ``calibrated``,
+    the instance's :func:`_calibrated_plan`, where column generation
+    starts.  A pair pools only means at distinct grid points
+    (:func:`_point_of`); means that share one meet in the diagonal entry.
+    Nothing is built per column: the program holds the slices,
     the n x P utilities and the fixed pricing candidates: the n x P
     diagonal entries and at most four per pair and prediction.
     """
-    if calibrated is None:
-        calibrated = _calibrated_plan(
-            inst, _predictions(inst, grid.discontinuities))
     at = _point_of(grid.points, inst.theta)
     # each pair's low-mean event first, whatever the order of the events
     i, j = np.nonzero(at[:, None] < at)
@@ -464,9 +452,9 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
 
     An optimal vertex uses at most n + 1 columns.  The restricted master,
     the LP on the active columns only, starts with each event's calibrated
-    diagonal column (``prog.calibrated.cols``); that master's one feasible
-    point is the calibrated plan, whose row prices are known in closed form
-    (:class:`CalibratedPlan`).  Each round prices the program with the
+    diagonal column (``prog.start``); that master's one feasible point is
+    the calibrated plan, whose row prices are known in closed form
+    (:class:`PlanProgram`).  Each round prices the program with the
     current row prices (:meth:`PlanProgram.price`: a few candidates per
     pair and prediction stand for every column), adds the ``2(n + 1)`` new
     candidates of largest reduced cost, and solves and checks the grown
@@ -480,9 +468,8 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
     columns and its optimal solution, whose ``iterations`` sum the pivots
     of every master.
     """
-    calibrated = prog.calibrated
-    cols, sol, y = calibrated.cols, calibrated.sol, calibrated.y
-    taken = set(prog.fixed_keys[calibrated.start].tolist())
+    cols, sol, y = prog.fixed.take(prog.start), prog.crash, prog.prices
+    taken = set(prog.fixed_keys[prog.start].tolist())
     tol = PRICE_TOL * float(np.abs(prog.U).max(initial=0.0))
     batch = 2 * (inst.n + 1)
     pivots = 0

@@ -273,7 +273,7 @@ class OptimalityVerdict:
 
 def verify_optimality(pred: Predictor, inst: Instance,
                       cert: GammaCertificate) -> OptimalityVerdict:
-    """Certify ``pred`` optimal under the 1-norm budget by weak duality.
+    """Certify ``pred`` optimal under the instance's budget by weak duality.
 
     Let Ubar(x) be the best designer utility over the actions the agent
     ties at x and over the events, so that a predictor with marginal
@@ -281,22 +281,22 @@ def verify_optimality(pred: Predictor, inst: Instance,
     dominates Ubar, then with the posterior means ``kappa_k``
 
         payoff <= sum_k marg_k Gamma(p_k)
-               <= sum_k marg_k Gamma(kappa_k) + alpha * ece
+               <= sum_k marg_k Gamma(kappa_k) + alpha * ece_1
                <= sum_e lam_e Gamma(theta_e) + alpha * epsilon = D,
 
     the second line as Gamma's slopes lie within +/-alpha, the third by
-    Jensen at each ``kappa_k`` and the budget.  So no predictor within the
-    budget pays more than D, and one that keeps the budget and earns D is
-    optimal: the three conditions, with the tolerances of
-    :func:`caldesign.model.certify`.  Dominance is checked at Gamma's knots
-    and at the edges and midpoints of the pieces between the agent's
-    breakpoints, which is exact: Ubar is constant on each piece and Gamma
-    is linear between its knots.
+    Jensen at each ``kappa_k`` and the budget, as ece_1 <= ece_t for t >= 1.
+    So no predictor within the budget pays more than D, and one that keeps
+    the budget (in the instance's norm) and earns D is optimal: the three
+    conditions, with the tolerances of :func:`caldesign.model.certify`.
+    Dominance is checked at Gamma's knots and at the edges and midpoints of
+    the pieces between the agent's breakpoints, which is exact: Ubar is
+    constant on each piece and Gamma is linear between its knots.
     """
     if not is_event_independent(inst):
         raise ValidationError("NOT_EVENT_INDEPENDENT",
                               "certificates apply to event-independent utility")
-    err = ece(pred, inst, 1.0)
+    err = ece(pred, inst)
     xs = np.concatenate([cert.knots_x, piece_scan(envelope(inst)[0])])
     ubar = np.where(tied_action_sets(inst, xs), inst.ubar.max(axis=0),
                     -np.inf).max(axis=1)

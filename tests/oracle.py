@@ -218,7 +218,9 @@ def l1_plan_optimum(inst: Instance) -> float:
     points = fptas._dedup_sorted(np.concatenate(
         [inst.theta, zs, fptas._predictions(inst, zs), [0.0, 1.0]]))
     grid = fptas.Grid(points, 0.0, 0.0, 0, zs)
-    _, sol = fptas.solve_plan_lp(inst, fptas.build_disc_lp(inst, grid))
+    calibrated = fptas._calibrated_plan(inst, fptas._predictions(inst, zs))
+    _, sol = fptas.solve_plan_lp(inst,
+                                 fptas.build_disc_lp(inst, grid, calibrated))
     return float(sol.objective_value)
 
 

@@ -126,6 +126,25 @@ class TestSolve:
         assert "UNSUPPORTED_NORM" in err
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ("solve", GOLDEN, "-o"),
+        ("solve", GOLDEN, "--strategy-out"),
+        ("sweep", GOLDEN, "--eps", "0.1,0.2", "-o"),
+        ("grid", GOLDEN, "-o"),
+    ], ids=["solve", "strategy-out", "sweep", "grid"])
+    def test_exits_2_with_bad_format(self, capsys, tmp_path, argv):
+        # a file in a missing directory is refused as an unreadable input
+        # is: exit 2 with BAD_FORMAT, no traceback and no summary
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == 2
+        assert err.startswith(f"error: BAD_FORMAT: cannot write {target}: ")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not target.parent.exists()
+
+
 class TestMalformedInput:
     # (the instance file: None for golden.json, the keys of one of its
     # fields and their new value, or the file's whole text, or NO_FILE for a
@@ -416,31 +435,49 @@ class TestSweepWorkers:
         procs = [len(forks) + 1] if forks else []
         return code, (out.read_bytes() if out.exists() else None), err, procs
 
+    # budgets of SHUFFLED_12 in both of its blocks, so that the pool path
+    # fails in the calling process and in the forked child
+    FAILING = {0.05, 0.3, 0.55}
+
     @staticmethod
-    def _max_norm(tmp_path):
-        """golden.json in the max-norm, which fptas refuses at every
-        budget: each row of an fptas sweep of it is an error row."""
+    def _fail_at(monkeypatch, budgets):
+        """Make fptas_solve raise a SolverError at ``budgets``; patched
+        before any fork, so a forked child fails at them too."""
+        real = fptas.fptas_solve
+
+        def solve(inst, delta):
+            if inst.epsilon in budgets:
+                raise SolverError("UNCERTIFIED", f"injected at {inst.epsilon}")
+            return real(inst, delta)
+
+        monkeypatch.setattr(fptas, "fptas_solve", solve)
+
+    @staticmethod
+    def _renormed(tmp_path, norm):
+        """golden.json in the norm ``norm``."""
         raw = json.loads(Path(GOLDEN).read_text())
-        raw["norm"] = "inf"
-        path = tmp_path / "max-norm.json"
+        raw["norm"] = norm
+        path = tmp_path / f"norm-{norm}.json"
         path.write_text(json.dumps(raw))
         return str(path)
 
-    @pytest.mark.parametrize("max_norm,argv", [
+    @pytest.mark.parametrize("failing,argv", [
         (False, ("--eps", GOLDEN_BUDGETS)),
         (True, ("--eps", ",".join(SHUFFLED_12), "--method", "fptas")),
-    ], ids=["golden", "max-norm"])
+    ], ids=["golden", "fptas-errors"])
     def test_both_paths_write_the_same_bytes(self, monkeypatch, capsys,
-                                             tmp_path, max_norm, argv):
-        instance = self._max_norm(tmp_path) if max_norm else GOLDEN
-        pool = self._sweep(monkeypatch, capsys, tmp_path, "pool", *argv,
-                           instance=instance)
+                                             tmp_path, failing, argv):
+        if failing:
+            self._fail_at(monkeypatch, self.FAILING)
+        pool = self._sweep(monkeypatch, capsys, tmp_path, "pool", *argv)
         serial = self._sweep(monkeypatch, capsys, tmp_path, "in-process",
-                             *argv, instance=instance)
+                             *argv)
         assert pool[0] == serial[0] == 0
         assert pool[1] == serial[1]
         assert pool[3] == [2] and serial[3] == []
-        if argv[1] == self.GOLDEN_BUDGETS:
+        if failing:
+            assert pool[1].count(b",error:UNCERTIFIED\n") == len(self.FAILING)
+        else:
             assert pool[1] == (DATA / "golden_sweep.csv").read_bytes()
 
     def test_fptas_rows_are_its_solves(self, monkeypatch, capsys, tmp_path):
@@ -508,22 +545,46 @@ class TestSweepWorkers:
     def test_error_rows_and_warnings_keep_the_given_order(
             self, monkeypatch, capsys, tmp_path, caplog, path):
         budgets = self.SHUFFLED_12
+        self._fail_at(monkeypatch, self.FAILING)
         caplog.set_level(logging.WARNING, logger="caldesign")
         code, text, _, procs = self._sweep(
             monkeypatch, capsys, tmp_path, path, "--eps", ",".join(budgets),
-            "--method", "fptas", instance=self._max_norm(tmp_path))
+            "--method", "fptas")
         assert code == 0
         assert procs == ([2] if path == "pool" else [])
         rows = text.decode().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == [f"{float(b):.12g}"
                                                    for b in budgets]
-        assert all(r.endswith(",nan,nan,nan,error:UNSUPPORTED_NORM")
-                   for r in rows)
+        failed = [b for b in budgets if float(b) in self.FAILING]
+        assert [r.split(",")[0] for r in rows
+                if r.endswith(",nan,nan,nan,error:UNCERTIFIED")] == [
+                    f"{float(b):.12g}" for b in failed]
+        ok = [r for r in rows if r.endswith(",ok")]
+        assert len(ok) == len(budgets) - len(failed)
         warned = [r.getMessage() for r in caplog.records
                   if r.levelno == logging.WARNING]
         assert [w.split()[1] for w in warned] == [str(float(b))
-                                                  for b in budgets]
-        assert all("UNSUPPORTED_NORM" in w for w in warned)
+                                                  for b in failed]
+        assert all("UNCERTIFIED: injected" in w for w in warned)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("norm,method", [("inf", "fptas"),
+                                             (2, "exact")])
+    def test_unsupported_norm_exits_2_before_solving(
+            self, monkeypatch, capsys, tmp_path, solves, path, norm, method):
+        # as solve does, a sweep refuses a norm its method cannot solve
+        # once, before any block or fork, with the solver's message; it
+        # solves no LP and writes no CSV
+        instance = self._renormed(tmp_path, norm)
+        code, _, want = run(capsys, "solve", instance, "--method", method)
+        assert code == 2 and want.startswith("error: UNSUPPORTED_NORM: ")
+        solves.clear()
+        code, text, err, procs = self._sweep(
+            monkeypatch, capsys, tmp_path, path, "--eps",
+            ",".join(self.SHUFFLED_12), "--method", method,
+            instance=instance)
+        assert (code, text, err, procs) == (2, None, want, [])
+        assert solves == []
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("delta", ["2", "nan", "0"])

@@ -104,8 +104,7 @@ class TestDiscLp:
         rng = np.random.default_rng(20)
         for _ in range(10):
             inst = random_instance(rng, epsilon=float(rng.uniform(0, 0.3)))
-            grid = build_grid(inst, 0.2)
-            cols = full_columns(build_disc_lp(inst, grid))
+            cols = full_columns(_program(inst, 0.2))
             sol = cold_solve(plan_program(inst, cols))
             plan = cols.plan(sol.x)
             assert np.allclose(plan_supply(plan, inst.n), inst.lam, atol=1e-7)
@@ -114,10 +113,10 @@ class TestDiscLp:
         rng = np.random.default_rng(21)
         for _ in range(10):
             inst = random_instance(rng, epsilon=1.0)
-            grid = build_grid(inst, 0.2)
-            cols = full_columns(build_disc_lp(inst, grid))
+            prog = _program(inst, 0.2)
+            cols = full_columns(prog)
             sol = cold_solve(plan_program(inst, cols))
-            U = indirect_utility_matrix(inst, grid.points)
+            U = indirect_utility_matrix(inst, prog.points)
             want = float(inst.lam @ U.max(axis=1))
             assert sol.objective_value == pytest.approx(want, abs=1e-7)
 
@@ -125,7 +124,7 @@ class TestDiscLp:
         # the chained means share the point 0.4 and pool only with the mean
         # at 0.9, over the slice from 0.4 to 0.9
         inst = _merged_instance(0.1, CHAIN3 + (0.9,))
-        prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
+        prog = _program(inst, 0.1 / 3)
         assert list(zip(prog.i.tolist(), prog.j.tolist())) == [
             (0, 3), (1, 3), (2, 3)]
         assert prog.points[prog.lo].tolist() == [0.4] * 3
@@ -134,7 +133,7 @@ class TestDiscLp:
     def test_single_event_columns(self):
         inst = make_instance([0.3], [1.0], [[0.0, 0.0], [-0.5, 0.5]],
                              np.ones((1, 2, 2)), 0.1)
-        prog = build_disc_lp(inst, build_grid(inst, 0.2))
+        prog = _program(inst, 0.2)
         assert prog.i.size == 0
         for cols in (prog.fixed, full_columns(prog)):
             assert np.all(cols.i == 0) and np.all(cols.j == 0)
@@ -145,11 +144,10 @@ class TestDiscLp:
         for _ in range(6):
             inst = random_instance(rng, epsilon=float(rng.uniform(0, 0.3)),
                                    n_max=3)
-            grid = build_grid(inst, 0.25)
-            prog = build_disc_lp(inst, grid)
+            prog = _program(inst, 0.25)
             # the literal all-grid program: every grid point a prediction
             every = dataclasses.replace(
-                prog, calibrated=fptas._calibrated_plan(inst, grid.points))
+                prog, calibrated=fptas._calibrated_plan(inst, prog.points))
             red = full_columns(prog)
             full = full_columns(every)
             v_red = cold_solve(plan_program(inst, red)).objective_value
@@ -164,7 +162,7 @@ class TestDiscLp:
             t = (1.0, 1.5, 2.0, 3.0)[trial % 4]
             eps = 0.0 if trial % 12 < 4 else float(rng.uniform(0, 0.3))
             inst = random_instance(rng, epsilon=eps, n_max=4, norm=t)
-            prog = build_disc_lp(inst, build_grid(inst, 0.2))
+            prog = _program(inst, 0.2)
             full = full_columns(prog)
             y = rng.uniform(-1.0, 1.0, inst.n + 1)
             y[0] = (0.0, 10.0 ** rng.uniform(-3, 2))[trial % 3 > 0]
@@ -190,16 +188,15 @@ class TestDiscLp:
             t = (1.0, 2.0)[trial % 2]
             eps = 0.0 if trial < 2 else float(rng.uniform(0, 0.3))
             inst = random_instance(rng, epsilon=eps, n_max=3, norm=t)
-            prog = build_disc_lp(inst, build_grid(inst, 0.25))
+            prog = _program(inst, 0.25)
             everything = full_columns(prog)
             full = cold_solve(plan_program(inst, everything))
             solves.clear()
             cols, sol = solve_plan_lp(inst, prog)
             # masters are solved whenever a pooled column beats the
             # calibrated plan
-            calibrated = prog.calibrated.sol
             pooling_pays = (full.objective_value
-                            > calibrated.objective_value + 1e-9)
+                            > prog.crash.objective_value + 1e-9)
             assert len(solves) >= pooling_pays
             pooled += pooling_pays
             assert sol.objective_value == pytest.approx(full.objective_value,
@@ -228,7 +225,7 @@ class TestDiscLp:
             t = (1.0, 2.0)[trial % 2]
             eps = 0.0 if trial % 6 < 2 else float(rng.uniform(0, 0.3))
             inst = random_instance(rng, epsilon=eps, n_max=4, norm=t)
-            prog = build_disc_lp(inst, build_grid(inst, 0.2))
+            prog = _program(inst, 0.2)
             cols = full_columns(prog)
             lp = plan_program(inst, cols)
             dense = cold_solve(lp).objective_value
@@ -246,7 +243,7 @@ class TestDiscLp:
         pivots = 0
         for trial in range(50):
             inst = random_instance(rng, epsilon=(0.01, 0.1)[trial % 2])
-            prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
+            prog = _program(inst, 0.1 / 3)
             pivots += solve_plan_lp(inst, prog)[1].iterations
         assert pivots < 300
 
@@ -293,6 +290,12 @@ def _early(inst):
                                   fptas._predictions(inst, envelope(inst)[0]))
 
 
+def _program(inst, delta):
+    """The plan LP on ``inst``'s grid at precision ``delta``, built from
+    its calibrated plan as fptas_solve builds it."""
+    return build_disc_lp(inst, build_grid(inst, delta), _early(inst))
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """The instances that fptas.build_grid and fptas.build_disc_lp are
@@ -325,9 +328,8 @@ class TestCalibratedStart:
             cases.append(random_instance(rng, epsilon=eps,
                                          norm=(1.0, 2.0, 3.0)[trial % 3]))
         for inst in cases:
-            prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
-            calibrated = prog.calibrated
-            cols, sol, y = calibrated.cols, calibrated.sol, calibrated.y
+            prog = _program(inst, 0.1 / 3)
+            cols, sol, y = prog.fixed.take(prog.start), prog.crash, prog.prices
             # every start column spends nothing, the merged mean's too
             assert not cols.err.any()
             master = fptas._master(inst, cols)
@@ -356,7 +358,8 @@ class TestCalibratedStart:
         # further than SUPPORT_MERGE_TOL from it: at a zero budget both
         # report 0.4 and the predictor comes back certified
         inst = _merged_instance(0.0, theta)
-        assert not _early(inst).cols.err.any()
+        early = _early(inst)
+        assert early.ps[early.at].tolist() == [0.4, 0.4]
         pred, obj = fptas_solve(inst, 0.1)
         assert pred.support.tolist() == [0.4]
         assert np.array_equal(pred.mass, np.ones((2, 1)))
@@ -383,7 +386,7 @@ class TestCalibratedStart:
     def test_early_check_agrees_with_the_full_path(self, solves):
         # where no diagonal reduced cost is above 0, the grid program's
         # first pricing round finds nothing above PRICE_TOL and its column
-        # generation returns the calibrated plan bit for bit
+        # generation returns its start, the calibrated plan, bit for bit
         rng = np.random.default_rng(43)
         seeded = []
         for k in range(48):
@@ -402,18 +405,18 @@ class TestCalibratedStart:
                 if early.improvable:
                     continue
                 fired[name] += 1
-                prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3))
-                y = prog.calibrated.y
-                assert np.array_equal(y, early.y)
-                reduced = prog.price(y)[2]
+                prog = build_disc_lp(inst, build_grid(inst, 0.1 / 3), early)
+                assert np.array_equal(prog.prices[1:], early.own)
+                reduced = prog.price(prog.prices)[2]
                 tol = fptas.PRICE_TOL * float(np.abs(prog.U).max(initial=0.0))
                 assert reduced.max() <= tol
                 cols, sol = solve_plan_lp(inst, prog)
+                start = prog.fixed.take(prog.start)
                 for f in dataclasses.fields(cols):
                     assert np.array_equal(getattr(cols, f.name),
-                                          getattr(early.cols, f.name))
-                assert np.array_equal(sol.x, early.sol.x)
-                assert sol.objective_value == early.sol.objective_value
+                                          getattr(start, f.name))
+                assert np.array_equal(sol.x, prog.crash.x)
+                assert sol.objective_value == prog.crash.objective_value
                 full = plan_to_predictor(cols.plan(sol.x), inst)
                 pred, obj = fptas_solve(inst, 0.1)
                 assert np.array_equal(pred.support, full.support)
@@ -516,7 +519,7 @@ class TestCalibratedStart:
 
     def test_settled_predictor_is_the_converted_plan(self):
         # the closed form is plan_to_predictor on the calibrated plan's
-        # columns, bit for bit: zero and tiny priors, equal and chained
+        # columns, the program's start, bit for bit: zero and tiny priors, equal and chained
         # means, events in any order, t in {1, 2, 3}, a zero budget
         rng = np.random.default_rng(47)
         cases = [_merged_instance(0.0, theta) for theta in CHAINS]
@@ -544,19 +547,21 @@ class TestCalibratedStart:
             order = np.argsort(inst.theta, kind="stable")
             view = inst._in_order(order)
             early = _early(view)
-            plan = early.cols.plan(early.sol.x)
+            prog = build_disc_lp(view, build_grid(view, 0.1 / 3), early)
+            start = prog.fixed.take(prog.start)
+            plan = start.plan(prog.crash.x)
             plan.i, plan.j = order[plan.i], order[plan.j]
             want = plan_to_predictor(plan, inst)
             pred, value = early.settled(inst)
             assert np.array_equal(pred.support, want.support)
             assert np.array_equal(pred.mass, want.mass)
-            assert value == early.sol.objective_value
+            assert value == prog.crash.objective_value
             if not early.improvable:
                 settled += 1
                 got, obj = fptas_solve(inst, 0.1)
                 assert np.array_equal(got.support, want.support)
                 assert np.array_equal(got.mass, want.mass)
-                assert obj == float(early.cols.obj @ view.lam)
+                assert obj == float(start.obj @ view.lam)
         assert settled == 149
 
     def test_lp_calls_and_pivots_are_pinned(self, solves):

@@ -6,7 +6,8 @@ replace: it imports ``errors`` alone.  ``structure`` works on predictors
 and the agent's envelope from ``model``; it must not reach into the
 solvers.  ``fptas`` builds on ``model`` and ``lp_core`` alone, not on the
 exact solver or ``structure``.  ``cli`` calls ``exact`` through its public
-names only.  The solvers take what they build as built (``_built``) and
+names only, and opens files for writing only in its one writer,
+``_write_text``.  The solvers take what they build as built (``_built``) and
 never call the checking constructors of ``Predictor`` or
 ``SenderStrategy``.  The library is single-process: only ``cli`` starts processes,
 by ``os.fork`` inside a function, so that importing a module starts none,
@@ -97,6 +98,63 @@ def test_the_private_reader_sees_both_forms():
 def test_cli_reads_no_private_name_of_exact():
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert private_reads(source, "exact") == set()
+
+
+def file_writes(source):
+    """``(line, innermost enclosing function or None)`` of each call in
+    ``source`` that opens a file for writing: ``open`` or ``x.open`` with a
+    mode that writes (or one not written out), ``x.write_text`` and
+    ``x.write_bytes``.  The descriptor calls of ``os`` are not counted:
+    ``cli`` writes a forked sweep child's rows to a pipe by ``os.fdopen``,
+    and points a closed stdout at ``os.devnull`` by ``os.open``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = func
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                call = child.func
+                name = getattr(call, "id", None)
+                if isinstance(call, ast.Attribute) and not (
+                        isinstance(call.value, ast.Name)
+                        and call.value.id == "os"):
+                    name = call.attr
+                mode = child.args[1] if len(child.args) > 1 else next(
+                    (kw.value for kw in child.keywords if kw.arg == "mode"),
+                    None)
+                writing = mode is not None and not (
+                    isinstance(mode, ast.Constant)
+                    and not set(str(mode.value)) & set("wax+"))
+                if name in ("write_text", "write_bytes") or (
+                        name == "open" and writing):
+                    found.append((child.lineno, func))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_the_write_reader_sees_every_form():
+    source = ("def f(path, fd, mode):\n"
+              "    open(path, 'w')\n"
+              "    io.open(path, mode='ab')\n"
+              "    open(path)\n"
+              "    open(path, 'rb')\n"
+              "    Path(path).write_text('x')\n"
+              "    os.fdopen(fd, 'wb')\n"
+              "    os.open(path, os.O_WRONLY)\n"
+              "    def g():\n"
+              "        open(path, mode)\n"
+              "open(path, 'r+')\n")
+    assert file_writes(source) == [(2, "f"), (3, "f"), (6, "f"), (10, "g"),
+                                   (11, None)]
+
+
+def test_cli_opens_files_for_writing_only_in_its_writer():
+    found = file_writes((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert found and {func for _, func in found} == {"_write_text"}, found
 
 
 def checked_constructions(source, classes=("Predictor", "SenderStrategy")):

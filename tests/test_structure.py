@@ -6,6 +6,8 @@ import pytest
 from caldesign.errors import ValidationError
 from caldesign.exact import solve_exact
 from caldesign.model import (
+    CERT_ECE_TOL,
+    INF,
     Predictor,
     ece,
     indirect_utility_matrix,
@@ -423,6 +425,28 @@ class TestCertificates:
                 assert not verdict.within_budget and not verdict.all_pass
                 refused += 1
         assert refused
+
+    def test_budget_is_checked_in_the_instance_norm(self):
+        # the 1-norm closed form verified on its twin in the 2-norm and the
+        # max-norm: the dual bound holds in every norm, so the verdict
+        # passes exactly where the predictor keeps the twin's budget in the
+        # twin's norm (30 of these 80 twins it does not)
+        rng = np.random.default_rng(44)
+        over = 0
+        for _ in range(40):
+            inst = random_binary_instance(rng)
+            pred = binary_action_optimal(inst)
+            cert = binary_action_certificate(inst)
+            for t in (2.0, INF):
+                twin = make_instance(inst.theta, inst.lam,
+                                     inst.agent_utility,
+                                     inst.principal_utility, inst.epsilon,
+                                     t)
+                kept = ece(pred, twin) <= twin.epsilon + CERT_ECE_TOL
+                verdict = verify_optimality(pred, twin, cert)
+                assert verdict.within_budget == verdict.all_pass == kept
+                over += not kept
+        assert over == 30
 
     def test_all_pass_is_sound_against_sampler(self):
         # a certified predictor must dominate every sampled feasible one
