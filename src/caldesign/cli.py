@@ -388,7 +388,7 @@ def _build_parser():
     p.set_defaults(run=cmd_grid)
     common(p)
     p.add_argument("--delta", type=float, default=0.1, help="grid precision "
-                   "d < 1/3; solve --method fptas --delta d uses d/3")
+                   "d < 1/3, whose plan LP fptas --delta 3d dominates")
     return parser
 
 

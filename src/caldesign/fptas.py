@@ -11,36 +11,38 @@ predictor with no worse calibration error and identical payoff
 (:func:`plan_to_predictor`).  A plan is one type, the plan LP's own
 :class:`PlanColumns` with the mass on each column.
 
-Discretization uses an instance-dependent two-layer grid: a uniform delta
-mesh joined with the outcome means, the breakpoints of the designer's
-indirect utility (the agent's envelope, :func:`caldesign.model.envelope`),
-and geometric micro-nets around each of those anchors whose radii start at
-(eps^t * delta)^(1/t).  Grid points, predictions and supports merge by
-:func:`caldesign.model.runs`, and a value belongs to the first point of its
-run (:func:`_point_of`), so a mean is its own grid and prediction point.
-Solving the plan LP on this grid loses at most a (1 - 3*delta) factor; the
-paper's rounding scheme realizes that bound constructively (it lives with
-the test-suite, which checks it; the solver needs no rounding).
+The plan LP ranges over every q in [theta_i, theta_j]: column generation
+finds each pair's best q in closed form (:meth:`PlanProgram.price`).  The
+paper discretizes q on an instance-dependent two-layer grid
+(:func:`build_grid`: a uniform delta mesh joined with the outcome means,
+the envelope breakpoints of :func:`caldesign.model.envelope`, and
+geometric micro-nets around those anchors whose radii start at
+(eps^t * delta)^(1/t)), on which the plan LP loses at most a
+(1 - 3*delta) factor; the paper's rounding scheme realizes that bound (it
+lives with the test-suite, which checks it).  The plan LP over every q
+holds each column of the grid LP on the same predictions, so for every
+delta it does at least as well; the solver builds no grid.
 
-One practical reduction: prediction columns in the LP are restricted to the
-utility breakpoints, the outcome means, one interior point per constant
-piece of the indirect utilities, and each breakpoint split into two strict
-predictions ``model.SEPARATION`` to either side (:func:`_predictions`, which
-says why the split points stand in for the tie at the breakpoint).  Since
-the indirect utilities are piecewise constant, an optimal plan never needs
-any other prediction, while the q-side keeps the full two-layer grid.
+Predictions, supports and grid points merge by
+:func:`caldesign.model.runs`, and a value belongs to the first point of its
+run (:func:`_point_of`), so a mean is its own prediction point.  Prediction
+columns in the LP are restricted to the utility breakpoints, the outcome
+means, one interior point per constant piece of the indirect utilities,
+and each breakpoint split into two strict predictions ``model.SEPARATION``
+to either side (:func:`_predictions`, which says why the split points stand
+in for the tie at the breakpoint).  Since the indirect utilities are
+piecewise constant, an optimal plan never needs any other prediction.
 
 The plan LP has one budget row and one supply row per event, so an optimal
-vertex pools at most n + 1 of its (up to millions of) columns.  The
+vertex pools at most n + 1 of its (infinitely many) columns.  The
 calibrated plan (:class:`CalibratedPlan`) is settled from the utilities
-alone.  When no event's utility rises at another prediction, no column of
-any grid can enter, and the calibrated predictor is read off the plan: no
-grid, program, column or LP is built.  Otherwise :class:`PlanProgram`
-holds each event pair's slice of the grid and the utilities at each
-prediction, never the program's columns whole, and builds the column
-generation's start, the calibrated plan's columns among its own diagonal
-entries, once; :func:`solve_plan_lp` solves it by column generation from
-that start.
+alone.  When no event's utility rises at another prediction, no column can
+enter, and the calibrated predictor is read off the plan: no program,
+column or LP is built.  Otherwise :class:`PlanProgram` holds the event
+pairs and the utilities at each prediction, never the program's columns
+whole, and builds the column generation's start, the calibrated plan's
+columns among its own diagonal entries, once; :func:`solve_plan_lp` solves
+it by column generation from that start.
 """
 
 from __future__ import annotations
@@ -68,12 +70,13 @@ from .model import (
     runs,
 )
 
-PRICE_TOL = 1e-10
+PRICE_TOL = 1e-9
 
 
 @dataclass
 class Grid:
-    """Two-layer discretization of [0, 1] for plan variables (read-only)."""
+    """Two-layer discretization of [0, 1] for the outcome q of the plan
+    LP's columns, which carries the (1 - delta) bound (read-only)."""
 
     points: np.ndarray
     delta: float
@@ -200,9 +203,9 @@ class CalibratedPlan:
     has reduced cost ``r (U_i(p) - own_i) + (1 - r) (U_j(p) - own_j)`` with
     r in [0, 1], a convex combination of two diagonal reduced costs at the
     same p.  When no diagonal reduced cost ``U_e(p) - own[e]`` is above 0
-    (``improvable`` is false), no column of any grid can enter, and the
-    calibrated plan is optimal on every grid, its predictor read off the
-    plan (:meth:`settled`); pricing such a program finds nothing beyond
+    (``improvable`` is false), no column can enter, at any q, and the
+    calibrated plan is optimal, its predictor read off the plan
+    (:meth:`settled`); pricing such a program finds nothing beyond
     rounding, far below ``PRICE_TOL``.
     """
 
@@ -259,20 +262,22 @@ def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
 
 @dataclass
 class PlanProgram:
-    """The discretized plan LP of ``inst`` by event pair, and the start of
-    its column generation; no column of it is built whole.
+    """The plan LP of ``inst`` over the continuum of q, by event pair, and
+    the start of its column generation; no column of it is built whole.
 
     Its columns are the diagonal entries (e, e, theta_e, p) for every event
     ``e`` and prediction ``p = ps[c]`` of ``calibrated``, and the pooled
-    entries (i, j, points[g], p) for every pair of events ``i = i[k]`` and
-    ``j = j[k]`` whose means lie at distinct points, i's below j's, and grid
-    index ``lo[k] <= g < hi[k]``, from mean i's point to mean j's
-    (:func:`_point_of`).  ``U[e, c]`` is event e's indirect utility at
-    ``ps[c]``.  ``fixed`` holds the pricing candidates that no row price
-    moves (see :meth:`price`), opening with the n x P diagonal entries
-    event by event; ``fixed_keys`` names each candidate:
-    ``(k * points.size + g) * ps.size + c`` for a pooled entry,
-    ``-1 - (e * ps.size + c)`` for a diagonal one.
+    entries (i, j, q, p) for every pair of events ``i = i[k]`` and
+    ``j = j[k]`` whose means lie at distinct points of ``ps``
+    (:func:`_point_of`), i's below j's, and every q in
+    ``[theta_i, theta_j]``; at either end a pooled entry is a diagonal one.
+    ``U[e, c]`` is event e's indirect utility at ``ps[c]``.  ``fixed``
+    holds the pricing candidates that no row price moves (see
+    :meth:`price`): the n x P diagonal entries event by event, then the
+    calibrated pools (i, j, p, p) of every pair and prediction with
+    ``theta_i < p < theta_j``, which spend nothing.  At a zero budget it
+    keeps only the candidates that spend nothing; no other column can carry
+    mass.
 
     Column generation starts at the calibrated plan's n columns, each
     event's diagonal entry at its mean's point, at ``start`` in ``fixed``:
@@ -282,14 +287,10 @@ class PlanProgram:
     """
 
     inst: Instance
-    points: np.ndarray
     calibrated: CalibratedPlan
     i: np.ndarray
     j: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     fixed: PlanColumns = field(init=False)
-    fixed_keys: np.ndarray = field(init=False)
     start: np.ndarray = field(init=False)
     crash: lp_core.LpSolution = field(init=False)
     prices: np.ndarray = field(init=False)
@@ -304,21 +305,18 @@ class PlanProgram:
 
     def __post_init__(self):
         n, lam, own = self.inst.n, self.inst.lam, self.calibrated.own
+        theta = self.inst.theta
         self.start = np.arange(n) * self.ps.size + self.calibrated.at
         self.crash = lp_core.LpSolution(float(own @ lam), lam.copy(),
                                         np.concatenate([[n], np.arange(n)]))
         self.prices = np.concatenate([[0.0], own])
-        diag = self._diagonal()
-        # the ends of every slice (the clip maps 0 and points.size onto
-        # them) and the grid neighbours of every prediction
-        near = np.searchsorted(self.points, self.ps)
-        pooled, keys = self._pooled(np.stack([np.zeros_like(near),
-                                          np.full_like(near, self.points.size),
-                                          near - 1, near])[:, None])
-        keys, first = np.unique(keys, return_index=True)
-        self.fixed = _join([diag, pooled.take(first)])
-        self.fixed_keys = np.concatenate([-1 - np.arange(diag.obj.size),
-                                          keys])
+        k, c = np.nonzero((theta[self.i][:, None] < self.ps)
+                          & (self.ps < theta[self.j][:, None]))
+        self.fixed = _join([self._diagonal(), self._pooled(k, c, self.ps[c])])
+        if self.inst.epsilon == 0.0:
+            free = np.flatnonzero(self.fixed.err == 0.0)
+            self.start = np.searchsorted(free, self.start)
+            self.fixed = self.fixed.take(free)
 
     def _diagonal(self):
         """The n x P diagonal entries (e, e, theta_e, ps[c]) event by event;
@@ -330,79 +328,72 @@ class PlanProgram:
         return PlanColumns(e, e, inst.theta[e], np.tile(ps, inst.n),
                            self.U.ravel(), err, np.ones(e.size))
 
-    def _pooled(self, g):
-        """Pooled entries at grid indices ``g``, a stack of (pair,
-        prediction) planes, each index clipped into its pair's slice, and
-        their keys."""
-        inst, npred = self.inst, self.ps.size
-        g = np.clip(g, self.lo[:, None], self.hi[:, None] - 1).ravel()
-        at = np.arange(g.size)
-        k, c = at // npred % self.i.size, at % npred
-        i, j = self.i[k], self.j[k]
-        q = self.points[g]
-        p = self.ps[c]
+    def _pooled(self, k, c, q):
+        """The pooled entries (i[k], j[k], q, ps[c])."""
+        inst = self.inst
+        i, j, p = self.i[k], self.j[k], self.ps[c]
         r = (inst.theta[j] - q) / (inst.theta[j] - inst.theta[i])
-        cols = PlanColumns(i, j, q, p,
+        return PlanColumns(i, j, q, p,
                            r * self.U[i, c] + (1.0 - r) * self.U[j, c],
                            np.abs(q - p) ** inst.norm, r)
-        return cols, (k * self.points.size + g) * npred + c
 
     def price(self, y):
         """Pricing candidates for the row prices ``y`` (budget row first,
-        then one supply row per event), their keys and reduced costs.
+        then one supply row per event) and their reduced costs.
 
         With ``A_e = U_e(p) - y_e`` the reduced cost of (i, j, q, p) is
         ``r(q) A_i + (1 - r(q)) A_j - y_0 |q - p|^t``, an affine function of
         q minus ``y_0 |q - p|^t``, so concave in q when ``y_0 >= 0`` and
-        convex when ``y_0 <= 0``.  For every pair and prediction the best
-        grid point of the slice is thus an end of the slice, or a grid
-        neighbour of the stationary point
-        ``q* = p + sign(s) (|s| / (y_0 t))^(1/(t-1))``,
+        convex when ``y_0 <= 0``.  For every pair and prediction the best q
+        is thus an end of the slice, which is a diagonal entry, or the
+        stationary point ``q* = p + sign(s) (|s| / (y_0 t))^(1/(t-1))``,
         ``s = (A_j - A_i) / (theta_j - theta_i)``, which is the kink
-        ``q* = p`` for t = 1.  The fixed candidates are the ends, the
-        neighbours of every p and the diagonal entries; for t > 1 and
-        ``y_0 > 0`` the neighbours of q* join them.  So no column has a
-        larger reduced cost than the best candidate of its pair and
-        prediction.
+        ``q* = p`` for t = 1, a calibrated pool.  The fixed candidates are
+        the diagonal entries and the calibrated pools; for t > 1, ``y_0 > 0``
+        and a budget above 0, every other q* strictly inside its slice joins
+        them.  So no column has a larger reduced cost than the best
+        candidate of its pair and prediction.
         """
-        cols, keys = self.fixed, self.fixed_keys
-        t = self.inst.norm
-        if t > 1.0 and y[0] > 0.0 and self.i.size:
-            theta = self.inst.theta
+        cols, inst = self.fixed, self.inst
+        t = inst.norm
+        if t > 1.0 and y[0] > 0.0 and inst.epsilon > 0.0:
+            lo, hi = inst.theta[self.i][:, None], inst.theta[self.j][:, None]
             A = self.U - y[1:, None]
-            width = theta[self.j] - theta[self.i]
-            s = (A[self.j] - A[self.i]) / width[:, None]
+            s = (A[self.j] - A[self.i]) / (hi - lo)
             with np.errstate(over="ignore"):
-                step = (np.abs(s) / (y[0] * t)) ** (1.0 / (t - 1.0))
-            near = np.searchsorted(self.points, self.ps + np.sign(s) * step)
-            more, more_keys = self._pooled(np.stack([near - 1, near]))
-            cols = _join([cols, more])
-            keys = np.concatenate([keys, more_keys])
-        # the subtraction order matches pricing against the rows one by one
-        reduced = cols.obj - y[0] * cols.err
-        reduced -= y[1:][cols.i] * cols.r
-        reduced -= y[1:][cols.j] * (1.0 - cols.r)
-        return cols, keys, reduced
+                q = self.ps + np.sign(s) * (np.abs(s) / (y[0] * t)) ** (
+                    1.0 / (t - 1.0))
+            k, c = np.nonzero((lo < q) & (q < hi) & (q != self.ps))
+            cols = _join([cols, self._pooled(k, c, q[k, c])])
+        return cols, _reduced(cols, y)
 
 
-def build_disc_lp(inst: Instance, grid: Grid, calibrated: CalibratedPlan):
-    """The discretized plan LP on ``grid``, as a :class:`PlanProgram`.
+def _reduced(cols: PlanColumns, y):
+    """Reduced costs of ``cols`` at the row prices ``y``."""
+    # the subtraction order matches pricing against the rows one by one
+    reduced = cols.obj - y[0] * cols.err
+    reduced -= y[1:][cols.i] * cols.r
+    reduced -= y[1:][cols.j] * (1.0 - cols.r)
+    return reduced
+
+
+def build_disc_lp(inst: Instance, calibrated: CalibratedPlan):
+    """The plan LP of ``inst`` over every q, as a :class:`PlanProgram`.
 
     The LP maximizes sum chi[i,j](q,p) * (r U_i(p) + (1-r) U_j(p)) subject
     to the budget row sum chi |q-p|^t <= eps^t and one supply row per event.
-    q ranges over the grid points inside [theta_i, theta_j], one slice of
-    the grid per pair; p over the reduced prediction set of ``calibrated``,
-    the instance's :func:`_calibrated_plan`, where column generation
-    starts.  A pair pools only means at distinct grid points
-    (:func:`_point_of`); means that share one meet in the diagonal entry.
-    Nothing is built per column: the program holds the slices,
-    the n x P utilities and the fixed pricing candidates: the n x P
-    diagonal entries and at most four per pair and prediction.
+    q ranges over all of [theta_i, theta_j] for each pair; p over the
+    reduced prediction set of ``calibrated``, the instance's
+    :func:`_calibrated_plan`, where column generation starts.  A pair pools
+    only means at distinct prediction points (:func:`_point_of`); means that
+    share one meet in the diagonal entry.  Nothing is built per column: the
+    program holds the pairs, the n x P utilities and the fixed pricing
+    candidates, the n x P diagonal entries and the calibrated pools.
     """
-    at = _point_of(grid.points, inst.theta)
+    at = calibrated.at
     # each pair's low-mean event first, whatever the order of the events
     i, j = np.nonzero(at[:, None] < at)
-    return PlanProgram(inst, grid.points, calibrated, i, j, at[i], at[j] + 1)
+    return PlanProgram(inst, calibrated, i, j)
 
 
 def plan_to_predictor(plan: PlanColumns, inst: Instance) -> Predictor:
@@ -455,37 +446,38 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
     diagonal column (``prog.start``); that master's one feasible point is
     the calibrated plan, whose row prices are known in closed form
     (:class:`PlanProgram`).  Each round prices the program with the
-    current row prices (:meth:`PlanProgram.price`: a few candidates per
-    pair and prediction stand for every column), adds the ``2(n + 1)`` new
-    candidates of largest reduced cost, and solves and checks the grown
-    master by :func:`lp_core.solve` for the next prices, until no reduced
-    cost exceeds ``PRICE_TOL`` times the largest utility, which is the
-    largest objective of a diagonal column; each round adds a new column,
-    so the loop ends.  Every master starts warm: the first from the crash
-    basis (each diagonal column in its event's supply row, the budget row's
-    slack), each later one from the previous optimal basis; when no column
-    enters at the calibrated prices, no LP is solved.  Returns the master's
-    columns and its optimal solution, whose ``iterations`` sum the pivots
-    of every master.
+    current row prices y (:meth:`PlanProgram.price`: a few candidates per
+    pair and prediction stand for every column), adds the ``2(n + 1)``
+    candidates of largest reduced cost above the tolerance, largest first,
+    and solves and checks the grown master by :func:`lp_core.solve` for
+    the next prices; it stops when no candidate is above the tolerance.
+    That is ``PRICE_TOL * (1 + |objective|)``, or a master column's
+    reduced cost if higher: an optimal master prices its columns at 0 up to
+    its rounding, which on a budget row of about 1e-18 (eps^t at t = 3) can
+    exceed ``PRICE_TOL``, and no column may enter twice.  Every column
+    draws one unit of supply and the supplies sum to 1, so ``y @ b +
+    max(0, largest reduced cost)`` bounds the plan LP (for ``y_0 >= 0``):
+    at the stop the objective is within the tolerance of the optimum.
+    Every master starts warm: the first from the crash basis (each diagonal
+    column in its event's supply row, the budget row's slack), each later
+    one from the previous optimal basis; when no column enters at the
+    calibrated prices, no LP is solved.  Returns the master's columns and
+    its optimal solution, whose ``iterations`` sum the pivots of every
+    master.
     """
     cols, sol, y = prog.fixed.take(prog.start), prog.crash, prog.prices
-    taken = set(prog.fixed_keys[prog.start].tolist())
-    tol = PRICE_TOL * float(np.abs(prog.U).max(initial=0.0))
     batch = 2 * (inst.n + 1)
     pivots = 0
     while True:
-        cand, keys, reduced = prog.price(y)
+        cand, reduced = prog.price(y)
+        tol = max(PRICE_TOL * (1.0 + abs(sol.objective_value)),
+                  _reduced(cols, y).max())
         entering = np.flatnonzero(reduced > tol)
-        entering = entering[np.fromiter(
-            (key not in taken for key in keys[entering].tolist()), dtype=bool,
-            count=entering.size)]
-        entering = entering[np.unique(keys[entering], return_index=True)[1]]
         if entering.size == 0:
             break
-        if entering.size > batch:
-            best = np.argpartition(reduced[entering], -batch)[-batch:]
-            entering = entering[best]
-        taken.update(keys[entering].tolist())
+        # largest first: the master's Bland rule tries them in that order
+        entering = entering[np.argsort(-reduced[entering],
+                                       kind="stable")[:batch]]
         size = cols.obj.size
         cols = _join([cols, cand.take(entering)])
         # the logicals of the old master renumber past the new columns
@@ -504,29 +496,29 @@ def fptas_solve(inst: Instance, delta: float):
 
     Settles the calibrated plan from the utilities first
     (:func:`_calibrated_plan`, n x P work).  When no diagonal reduced cost
-    at its prices is above 0, it is optimal on every grid, and its
-    predictor is read off the plan (:meth:`CalibratedPlan.settled`).
-    Otherwise the solver builds the grid at precision delta/3 and the
-    per-pair plan LP on it (:func:`build_disc_lp`), solves that LP by
+    at its prices is above 0, it is optimal, and its predictor is read off
+    the plan (:meth:`CalibratedPlan.settled`).  Otherwise the solver builds
+    the per-pair plan LP over every q (:func:`build_disc_lp`), solves it by
     column generation (:func:`solve_plan_lp`) and converts the optimal plan
-    (:func:`plan_to_predictor`).  The result keeps the calibration budget
-    and loses at most a (1 - delta) factor of the optimal payoff.  It
-    solves on the events sorted by mean (equal means keep the caller's
-    order), so the order of distinct means does not pick among the
-    degenerate LP's optimal plans.  The predictor is certified before it is
-    returned (:func:`caldesign.model.certify`): its calibration error is
-    within the budget and its payoff is the returned objective, or
+    (:func:`plan_to_predictor`).  That LP holds each column of the plan
+    LP on the grid at precision delta/3 (:func:`build_grid`), so the result
+    keeps the budget and loses at most a (1 - delta) factor of the optimal
+    payoff, whatever delta; no grid is built.  It solves on
+    the events sorted by mean (equal means keep the caller's order), so the
+    order of distinct means does not pick among the degenerate LP's optimal
+    plans.  The predictor is certified before it is returned
+    (:func:`caldesign.model.certify`): its calibration error is within the
+    budget and its payoff is the returned objective, or
     ``SolverError('UNCERTIFIED')`` is raised.
     """
-    delta = read_delta(delta)
+    read_delta(delta)
     order = np.argsort(inst.theta, kind="stable")
     view = inst._in_order(order)
     calibrated = _calibrated_plan(view, _predictions(view, envelope(view)[0]))
     if not calibrated.improvable:
         predictor, objective = calibrated.settled(inst)
     else:
-        grid = build_grid(view, delta / 3.0)
-        cols, sol = solve_plan_lp(view, build_disc_lp(view, grid, calibrated))
+        cols, sol = solve_plan_lp(view, build_disc_lp(view, calibrated))
         plan = cols.plan(sol.x)
         plan.i, plan.j = order[plan.i], order[plan.j]   # the caller's events
         predictor = plan_to_predictor(plan, inst)

@@ -72,10 +72,11 @@ def solves(monkeypatch):
     return seen
 
 
-def full_columns(prog):
-    """Reference for ``build_disc_lp``: every column of the plan LP
-    ``prog``, materialized pair by pair in the order (i, j, q, p), with the
-    pair slices found again from the grid."""
+def full_columns(prog, points):
+    """Reference for ``build_disc_lp`` on a grid: every column of the plan
+    LP ``prog`` whose outcome q lies on ``points``, materialized pair by
+    pair in the order (i, j, q, p), with the pair slices found from the
+    grid."""
     inst, ps, U = prog.inst, prog.ps, prog.U
     t = inst.norm
     parts = {name: [] for name in ("i", "j", "q", "p", "obj", "err", "r")}
@@ -86,9 +87,9 @@ def full_columns(prog):
             if i == j:
                 qs, r = inst.theta[i:i + 1], np.ones(1)
             else:
-                lo = np.searchsorted(prog.points, inst.theta[i] - 1e-12)
-                hi = np.searchsorted(prog.points, inst.theta[j] + 1e-12)
-                qs = prog.points[lo:hi]
+                lo = np.searchsorted(points, inst.theta[i] - 1e-12)
+                hi = np.searchsorted(points, inst.theta[j] + 1e-12)
+                qs = points[lo:hi]
                 r = (inst.theta[j] - qs) / (inst.theta[j] - inst.theta[i])
             if qs.size == 0:
                 continue
@@ -122,12 +123,11 @@ def plan_program(inst, cols):
 def dense_column_generation(lp, cols):
     """Reference for ``solve_plan_lp``: the same column generation, with each
     master sliced from the rows of the dense ``lp`` and every column priced
-    against those rows one at a time."""
+    against those rows one at a time, and the same stop rule."""
     err = lp.A[0]
     diag = np.flatnonzero(cols.i == cols.j)
     order = diag[np.lexsort((err[diag], cols.i[diag]))]
     active = order[np.unique(cols.i[order], return_index=True)[1]]
-    tol = PRICE_TOL * float(np.abs(lp.objective).max(initial=0.0))
     batch = 2 * lp.b.size
     pivots = 0
     while True:
@@ -140,7 +140,8 @@ def dense_column_generation(lp, cols):
         for price, coeffs in zip(y, lp.A):
             reduced -= price * coeffs
         reduced[active] = -np.inf
-        entering = np.flatnonzero(reduced > tol)
+        entering = np.flatnonzero(
+            reduced > PRICE_TOL * (1.0 + abs(sol.objective_value)))
         if entering.size == 0:
             break
         if entering.size > batch:

@@ -4,8 +4,8 @@ Three independent routes: seeded samplers that spew feasible predictors
 (their payoffs must never beat the exact optimum), an exhaustive search
 over tiny grids that enumerates support sets and optimizes the masses
 exactly on each, giving a tight grid-restricted optimum to compare against,
-and the 1-norm optimum of the paper's plan LP on a finite grid that loses
-nothing (:func:`l1_plan_optimum`), which reaches n, m >= 10.  For an
+and the 1-norm optimum of the paper's plan LP on the finitely many columns
+that can pay (:func:`l1_plan_optimum`), which reaches n, m >= 10.  For an
 event-independent 1-norm instance, :func:`gamma_certificate` solves the
 dual LP, whose value is the optimum too.
 :func:`sample_feasible` draws random predictors on a grid and keeps those
@@ -20,16 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from caldesign import fptas, lp_core
+from caldesign import lp_core
 from caldesign.errors import SolverError, ValidationError
 from caldesign.model import (
     INF,
+    SEPARATION,
     Instance,
     Predictor,
     ece,
     envelope,
     indirect_utility_matrix,
     payoff,
+    piece_scan,
     tied_action_sets,
 )
 from caldesign.structure import GammaCertificate
@@ -202,26 +204,48 @@ def exhaustive_best(inst: Instance, grid_step: float):
 
 
 def l1_plan_optimum(inst: Instance) -> float:
-    """The t = 1 optimum of the plan LP on the grid of the means, the
-    envelope breakpoints ``zs``, the fptas prediction set (the breakpoints
-    split by ``SEPARATION`` included) and {0, 1}.
+    """The t = 1 optimum of the paper's plan LP over every outcome q, by
+    scipy's HiGHS on explicit columns.
 
-    At t = 1 a column's reduced cost is piecewise linear in q, with kinks
-    only at the ends of its slice and at q = p, so no finer grid gains
-    anything, and the value is the optimum itself, from the paper's plan
-    framework rather than the action-recommendation LP.  The premise needs
-    every tie of the agent to lie at a split breakpoint: the plan LP values
-    a prediction by the prior-weighted tie-break, where ``payoff`` breaks a
+    The predictions are those of the approximation scheme: the edges and
+    midpoints of the indirect utility's constant pieces, each envelope
+    breakpoint split by ``SEPARATION`` (clipped to [0, 1]), and the means.
+    At t = 1 a pooled column's reduced cost is piecewise linear in q, with
+    kinks only at the ends of its slice and at q = p, so the columns that
+    can pay are finitely many: every event's diagonal entry (e, e, theta_e,
+    p) at every prediction, and the calibrated pool (i, j, p, p) of every
+    pair with ``theta_i < p < theta_j``.  The value is the optimum itself,
+    from the plan framework rather than the action-recommendation LP, and
+    it shares no code with either solver's LP.  The premise needs every tie
+    of the agent to lie at a split breakpoint: the plan LP values a
+    prediction by the prior-weighted tie-break, where ``payoff`` breaks a
     tie by the mass sent there.
     """
+    from scipy.optimize import linprog
     zs = envelope(inst)[0]
-    points = fptas._dedup_sorted(np.concatenate(
-        [inst.theta, zs, fptas._predictions(inst, zs), [0.0, 1.0]]))
-    grid = fptas.Grid(points, 0.0, 0.0, 0, zs)
-    calibrated = fptas._calibrated_plan(inst, fptas._predictions(inst, zs))
-    _, sol = fptas.solve_plan_lp(inst,
-                                 fptas.build_disc_lp(inst, grid, calibrated))
-    return float(sol.objective_value)
+    ps = np.unique(np.concatenate([
+        piece_scan(zs), np.clip(zs - SEPARATION, 0.0, 1.0),
+        np.clip(zs + SEPARATION, 0.0, 1.0), inst.theta]))
+    U = indirect_utility_matrix(inst, ps)
+    n, theta = inst.n, inst.theta
+    value, err, supply = [], [], []
+    for e in range(n):
+        value.append(U[e])
+        err.append(np.abs(theta[e] - ps))
+        supply.append(np.outer(np.eye(n)[e], np.ones(ps.size)))
+    for i in range(n):
+        for j in range(n):
+            inside = (theta[i] < ps) & (ps < theta[j])
+            r = (theta[j] - ps[inside]) / (theta[j] - theta[i])
+            value.append(r * U[i, inside] + (1.0 - r) * U[j, inside])
+            err.append(np.zeros(r.size))
+            supply.append(np.outer(np.eye(n)[i], r)
+                          + np.outer(np.eye(n)[j], 1.0 - r))
+    res = linprog(-np.concatenate(value), A_ub=np.concatenate(err)[None],
+                  b_ub=[inst.epsilon], A_eq=np.hstack(supply), b_eq=inst.lam,
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun)
 
 
 def gamma_certificate(inst: Instance):

@@ -9,7 +9,9 @@ exact solver or ``structure``.  ``cli`` calls ``exact`` through its public
 names only, and opens files for writing only in its one writer,
 ``_write_text``.  The solvers take what they build as built (``_built``) and
 never call the checking constructors of ``Predictor`` or
-``SenderStrategy``.  The library is single-process: only ``cli`` starts processes,
+``SenderStrategy``.  Only ``cli.cmd_grid`` calls ``build_grid``: the
+approximation scheme prices its plan LP over the continuum of q, and the
+grid serves the ``caldesign grid`` dump.  The library is single-process: only ``cli`` starts processes,
 by ``os.fork`` inside a function, so that importing a module starts none,
 and no module imports a process pool.  Outside the package, a module
 imports numpy and the standard library alone: scipy stays a test
@@ -183,6 +185,46 @@ def test_solvers_build_their_output():
     for module in ("exact", "fptas"):
         source = (SRC / f"{module}.py").read_text(encoding="utf-8")
         assert checked_constructions(source) == set(), module
+
+
+def callers(source, name):
+    """``(line, innermost enclosing function or None)`` of each call in
+    ``source`` of ``name``, by its name or as an attribute
+    (``fptas.build_grid(``)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = func
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                call = child.func
+                called = call.attr if isinstance(call, ast.Attribute) else \
+                    getattr(call, "id", None)
+                if called == name:
+                    found.append((child.lineno, func))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_the_caller_reader_sees_both_forms():
+    source = ("def f(inst):\n"
+              "    build_grid(inst, 0.1)\n"
+              "    def g():\n"
+              "        fptas.build_grid(inst, 0.1)\n"
+              "    build_grid_of(inst)\n"
+              "build_grid(inst, 0.2)\n")
+    assert callers(source, "build_grid") == [(2, "f"), (4, "g"), (6, None)]
+
+
+def test_only_the_grid_command_builds_a_grid():
+    found = {module: callers(source, "build_grid")
+             for module, source in package_sources()}
+    assert [func for _, func in found.pop("cli")] == ["cmd_grid"]
+    assert not any(found.values()), found
 
 
 def forks(module):
