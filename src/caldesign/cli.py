@@ -16,18 +16,17 @@ the caller's; the order of the means does not matter.
 A ``sweep`` sorts its distinct budgets and cuts them into blocks of 10; an
 exact block is one walk of :func:`exact.walk_budgets`, which for t=1
 starts each budget from the previous one's optimal basis.  On Linux, a
-sweep of 16 or more budgets forks: it runs one process per CPU in the
-affinity mask, but at most one per 8 budgets and one per block (``taskset
--c 0`` makes it serial).  With ``w`` processes, the calling process solves
-blocks ``0, w, 2w, ...`` itself while ``w - 1`` forked children solve the
-others.  A fork costs as much as solving 4 to 6 budgets of the golden
-instance, so 2 processes break even at about 13 budgets (README gives the
-measured times).  Shorter sweeps, and sweeps on other platforms, run in
-process.  The blocks depend on neither the process count nor the order of
-the budgets, and rows are written in the given order, so the output is
-identical whatever the order and the process count.  Every budget, an
-fptas sweep's delta and the instance's norm are checked before any child
-starts.
+sweep of 20 or more budgets forks: it runs one process per CPU in the
+affinity mask, but at most one per 10 budgets, so at most one per block
+(``taskset -c 0`` makes it serial).  With ``w`` processes, the calling
+process solves blocks ``0, w, 2w, ...`` itself while ``w - 1`` forked
+children solve the others.  On the golden instance 2 processes break even
+at about 20 budgets (README gives the measured times).  Shorter sweeps, and
+sweeps on other platforms, run in process.  The blocks depend on neither
+the process count nor the order of the budgets, and rows are written in the
+given order, so the output is identical whatever the order and the process
+count.  Every budget, an fptas sweep's delta and the instance's norm are
+checked before any child starts.
 
 Exit codes: 0 success, 2 invalid input or an output file that cannot be
 written, 3 solver failure.  Set ``CALDESIGN_LOG=debug|info|warning`` for
@@ -192,11 +191,13 @@ def _sweep_block(inst, method, delta, budgets):
 # neither do the rows.
 _SWEEP_BLOCK = 10
 
-# A sweep takes at most one process per this many budgets, and one per
-# block.  On a 2-core host 2 processes break even at about 13 budgets of the
-# golden instance and win from 16 (a tenth less wall time; 6% at 14), the
-# shortest sweep that forks.  More than 2 processes are unmeasured.
-_BUDGETS_PER_WORKER = 8
+# A sweep takes at most one process per this many budgets, so at most one
+# per block too.  On a 2-core host shared with other work, 2 processes on
+# the golden instance break even at 20 budgets, the shortest sweep that
+# forks (faster in 19 of 40 alternating pairs of calls), lose at 16 (16 of
+# 40) and win from 24 (19 of 28; 21, 22 and 23 of 26 at 30, 40 and 60).
+# More than 2 processes are unmeasured.
+_BUDGETS_PER_WORKER = 10
 
 
 def _solve_blocks(inst, method, delta, blocks, workers):
@@ -280,7 +281,7 @@ def cmd_sweep(args) -> int:
     # system frameworks may crash, and Windows has no fork.
     workers = 1
     if sys.platform == "linux":
-        workers = max(1, min(len(os.sched_getaffinity(0)), len(blocks),
+        workers = max(1, min(len(os.sched_getaffinity(0)),
                              len(distinct) // _BUDGETS_PER_WORKER))
     results = _solve_blocks(inst, args.method, args.delta, blocks, workers)
     solved = dict(zip(distinct, (row for block in results for row in block)))

@@ -34,21 +34,22 @@ in for the tie at the breakpoint).  Since the indirect utilities are
 piecewise constant, an optimal plan never needs any other prediction.
 
 The plan LP has one budget row and one supply row per event, so an optimal
-vertex pools at most n + 1 of its (infinitely many) columns.  The
-calibrated plan (:class:`CalibratedPlan`) is settled from the utilities
-alone.  When no event's utility rises at another prediction, no column can
-enter, and the calibrated predictor is read off the plan: no program,
-column or LP is built.  Otherwise :class:`PlanProgram` holds the event
-pairs and the utilities at each prediction, never the program's columns
-whole, and builds the column generation's start, the calibrated plan's
-columns among its own diagonal entries, once; :func:`solve_plan_lp` solves
-it by column generation from that start.
+vertex pools at most n + 1 of its (infinitely many) columns.  One
+:class:`PlanProgram` per solve holds the n x P utilities and the
+calibrated plan, settled from them alone (:func:`build_disc_lp`).  When no
+event's utility rises at another prediction, no column can enter, and the
+calibrated predictor is read off the plan: no pair, column or LP is built.
+Otherwise the program builds its event pairs and fixed pricing candidates,
+never the program's columns whole, and :func:`solve_plan_lp` solves it by
+column generation from the calibrated plan's n columns
+(:meth:`PlanProgram.start`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,6 +72,12 @@ from .model import (
 )
 
 PRICE_TOL = 1e-9
+
+# Most points build_grid may allocate before merging them.  The net alone
+# holds about 2 ln(1/delta)/delta points per anchor side, which passes 10^7
+# near delta = 1e-5 on a few anchors, and the merge holds a few copies of
+# the points at 8 bytes each; a smaller delta would allocate gigabytes.
+GRID_CAP = 10**7
 
 
 @dataclass
@@ -137,6 +144,12 @@ def build_grid(inst: Instance, delta: float) -> Grid:
     anchors = _dedup_sorted(np.concatenate([zs, inst.theta]))
     levels = int(math.ceil(2.0 / math.log1p(delta) * math.log(1.0 / delta)))
     delta0 = inst.epsilon**t * delta
+    bound = (math.floor(1.0 / delta) + 2 + inst.n + zs.size
+             + (2 * anchors.size * (levels + 1) if delta0 > 0.0 else 0))
+    if bound > GRID_CAP:
+        raise ValidationError(
+            "BAD_DELTA", f"delta {delta} asks for a grid of up to {bound:.3g} "
+            f"points, above the cap of {GRID_CAP:.0e}")
     mesh = np.arange(0.0, 1.0 + 1e-12, delta)
     pieces = [mesh, inst.theta, zs]
     if delta0 > 0.0:
@@ -188,51 +201,6 @@ def _join(parts):
                          for name in _COLUMN))
 
 
-@dataclass
-class CalibratedPlan:
-    """The calibrated plan of an instance in closed form, and whether
-    column generation can improve it.
-
-    ``ps`` is the reduced prediction set and ``U[e, c]`` event e's indirect
-    utility at ``ps[c]``.  ``ps`` holds every mean, merged, and each event
-    reports its mean's point ``ps[at[e]]`` (:func:`_point_of`), where it
-    spends nothing and earns ``own[e]``.  In the plan LP this plan prices
-    the rows at ``(0, own)`` (:class:`PlanProgram` builds that start).
-
-    At these prices the budget price is 0, so a pooled column (i, j, q, p)
-    has reduced cost ``r (U_i(p) - own_i) + (1 - r) (U_j(p) - own_j)`` with
-    r in [0, 1], a convex combination of two diagonal reduced costs at the
-    same p.  When no diagonal reduced cost ``U_e(p) - own[e]`` is above 0
-    (``improvable`` is false), no column can enter, at any q, and the
-    calibrated plan is optimal, its predictor read off the plan
-    (:meth:`settled`); pricing such a program finds nothing beyond
-    rounding, far below ``PRICE_TOL``.
-    """
-
-    inst: Instance
-    ps: np.ndarray
-    U: np.ndarray
-    at: np.ndarray
-    own: np.ndarray
-
-    @property
-    def improvable(self):
-        return bool((self.U > self.own[:, None]).any())
-
-    def settled(self, inst):
-        """What :func:`plan_to_predictor` makes of this plan for ``inst``
-        (this plan's events in any order), read off: an event of prior above
-        1e-12 reports its mean's point and ``_from_rows`` places the rest;
-        and the payoff ``own @ lam``, summed in this plan's order."""
-        live = np.flatnonzero(inst.lam > 1e-12)
-        at = _point_of(self.ps, inst.theta[live])
-        points = np.flatnonzero(np.bincount(at, minlength=self.ps.size))
-        rows = np.zeros((inst.n, points.size))
-        rows[live, np.searchsorted(points, at)] = 1.0
-        return (Predictor._from_rows(self.ps[points], rows, inst.theta),
-                float(self.own @ self.inst.lam))
-
-
 def _predictions(inst: Instance, zs):
     """The reduced prediction set of the envelope breakpoints ``zs``: the
     edges and midpoints of the constant pieces of the indirect utilities,
@@ -250,88 +218,105 @@ def _predictions(inst: Instance, zs):
     return _dedup_sorted(np.concatenate([piece_scan(zs), split, inst.theta]))
 
 
-def _calibrated_plan(inst: Instance, ps) -> CalibratedPlan:
-    """The :class:`CalibratedPlan` of ``inst`` over the predictions ``ps``,
-    which must hold every mean, merged (as :func:`_predictions` and a grid's
-    points do); the plan spends nothing of the budget."""
-    check_norm(inst)
-    U = indirect_utility_matrix(inst, ps)
-    at = _point_of(ps, inst.theta)
-    return CalibratedPlan(inst, ps, U, at, U[np.arange(inst.n), at])
-
-
 @dataclass
 class PlanProgram:
     """The plan LP of ``inst`` over the continuum of q, by event pair, and
-    the start of its column generation; no column of it is built whole.
+    the calibrated plan that starts its column generation; no column of the
+    LP is built whole.
 
-    Its columns are the diagonal entries (e, e, theta_e, p) for every event
-    ``e`` and prediction ``p = ps[c]`` of ``calibrated``, and the pooled
-    entries (i, j, q, p) for every pair of events ``i = i[k]`` and
-    ``j = j[k]`` whose means lie at distinct points of ``ps``
-    (:func:`_point_of`), i's below j's, and every q in
+    ``ps`` is the reduced prediction set and ``U[e, c]`` event e's indirect
+    utility at ``ps[c]``.  ``ps`` holds every mean, merged, and in the
+    calibrated plan each event reports its mean's point ``ps[at[e]]``
+    (:func:`_point_of`), where it spends nothing and earns ``own[e]``.
+
+    The LP's columns are the diagonal entries (e, e, theta_e, p) for every
+    event ``e`` and prediction ``p`` in ``ps``, and the pooled entries
+    (i, j, q, p) for every pair of events whose means lie at distinct
+    points of ``ps`` (``pairs``, i's below j's) and every q in
     ``[theta_i, theta_j]``; at either end a pooled entry is a diagonal one.
-    ``U[e, c]`` is event e's indirect utility at ``ps[c]``.  ``fixed``
-    holds the pricing candidates that no row price moves (see
+    ``fixed`` holds the pricing candidates that no row price moves (see
     :meth:`price`): the n x P diagonal entries event by event, then the
     calibrated pools (i, j, p, p) of every pair and prediction with
     ``theta_i < p < theta_j``, which spend nothing.  At a zero budget it
     keeps only the candidates that spend nothing; no other column can carry
-    mass.
+    mass.  ``pairs`` and ``fixed`` are built on first use, which a settled
+    plan never makes.
 
-    Column generation starts at the calibrated plan's n columns, each
-    event's diagonal entry at its mean's point, at ``start`` in ``fixed``:
-    their master's one feasible point x = lam has an optimal crash basis
-    (the budget row's slack and the n columns), ``crash``, which prices the
-    rows at ``prices = (0, calibrated.own)``.
+    The calibrated plan prices the rows at ``(0, own)`` (:meth:`start`).
+    At these prices a pooled column (i, j, q, p) has reduced cost
+    ``r (U_i(p) - own_i) + (1 - r) (U_j(p) - own_j)`` with r in [0, 1], a
+    convex combination of two diagonal reduced costs at the same p.  When
+    no diagonal reduced cost ``U_e(p) - own[e]`` is above 0 (``improvable``
+    is false), no column can enter, at any q, and the calibrated plan is
+    optimal, its predictor read off the plan (:meth:`settled`); pricing
+    such a program finds nothing beyond rounding, far below ``PRICE_TOL``.
     """
 
     inst: Instance
-    calibrated: CalibratedPlan
-    i: np.ndarray
-    j: np.ndarray
-    fixed: PlanColumns = field(init=False)
-    start: np.ndarray = field(init=False)
-    crash: lp_core.LpSolution = field(init=False)
-    prices: np.ndarray = field(init=False)
+    ps: np.ndarray
+    U: np.ndarray
+    at: np.ndarray
+    own: np.ndarray
 
     @property
-    def ps(self):
-        return self.calibrated.ps
+    def improvable(self):
+        return bool((self.U > self.own[:, None]).any())
 
-    @property
-    def U(self):
-        return self.calibrated.U
+    def settled(self, inst):
+        """What :func:`plan_to_predictor` makes of the calibrated plan for
+        ``inst`` (this program's events in any order), read off: an event of
+        prior above 1e-12 reports its mean's point and ``_from_rows`` places
+        the rest; and the payoff ``own @ lam``, summed in this program's
+        order."""
+        live = np.flatnonzero(inst.lam > 1e-12)
+        at = _point_of(self.ps, inst.theta[live])
+        points = np.flatnonzero(np.bincount(at, minlength=self.ps.size))
+        rows = np.zeros((inst.n, points.size))
+        rows[live, np.searchsorted(points, at)] = 1.0
+        return (Predictor._from_rows(self.ps[points], rows, inst.theta),
+                float(self.own @ self.inst.lam))
 
-    def __post_init__(self):
-        n, lam, own = self.inst.n, self.inst.lam, self.calibrated.own
-        theta = self.inst.theta
-        self.start = np.arange(n) * self.ps.size + self.calibrated.at
-        self.crash = lp_core.LpSolution(float(own @ lam), lam.copy(),
-                                        np.concatenate([[n], np.arange(n)]))
-        self.prices = np.concatenate([[0.0], own])
-        k, c = np.nonzero((theta[self.i][:, None] < self.ps)
-                          & (self.ps < theta[self.j][:, None]))
-        self.fixed = _join([self._diagonal(), self._pooled(k, c, self.ps[c])])
+    def start(self):
+        """The calibrated plan's n columns, each event's diagonal entry at
+        its mean's point; their master's one feasible point x = lam has an
+        optimal crash basis (the budget row's slack and the n columns),
+        returned with them, which prices the rows at ``(0, own)``."""
+        n, lam = self.inst.n, self.inst.lam
+        e = np.arange(n)
+        cols = PlanColumns(e, e, self.inst.theta, self.ps[self.at], self.own,
+                           np.zeros(n), np.ones(n))
+        crash = lp_core.LpSolution(float(self.own @ lam), lam.copy(),
+                                   np.concatenate([[n], e]))
+        return cols, crash, np.concatenate([[0.0], self.own])
+
+    @functools.cached_property
+    def pairs(self):
+        # each pair's low-mean event first, whatever the order of the events
+        return np.nonzero(self.at[:, None] < self.at)
+
+    @functools.cached_property
+    def fixed(self):
+        (i, j), ps, theta = self.pairs, self.ps, self.inst.theta
+        k, c = np.nonzero((theta[i][:, None] < ps) & (ps < theta[j][:, None]))
+        fixed = _join([self._diagonal(), self._pooled(k, c, ps[c])])
         if self.inst.epsilon == 0.0:
-            free = np.flatnonzero(self.fixed.err == 0.0)
-            self.start = np.searchsorted(free, self.start)
-            self.fixed = self.fixed.take(free)
+            fixed = fixed.take(np.flatnonzero(fixed.err == 0.0))
+        return fixed
 
     def _diagonal(self):
         """The n x P diagonal entries (e, e, theta_e, ps[c]) event by event;
-        each event's start column (at ``start``) spends nothing."""
+        each event's entry at its mean's point spends nothing."""
         inst, ps = self.inst, self.ps
         e = np.repeat(np.arange(inst.n), ps.size)
-        err = (np.abs(inst.theta[:, None] - ps) ** inst.norm).ravel()
-        err[self.start] = 0.0
+        err = np.abs(inst.theta[:, None] - ps) ** inst.norm
+        err[np.arange(inst.n), self.at] = 0.0
         return PlanColumns(e, e, inst.theta[e], np.tile(ps, inst.n),
-                           self.U.ravel(), err, np.ones(e.size))
+                           self.U.ravel(), err.ravel(), np.ones(e.size))
 
     def _pooled(self, k, c, q):
-        """The pooled entries (i[k], j[k], q, ps[c])."""
+        """The pooled entries (i[k], j[k], q, ps[c]) of ``pairs``."""
         inst = self.inst
-        i, j, p = self.i[k], self.j[k], self.ps[c]
+        i, j, p = self.pairs[0][k], self.pairs[1][k], self.ps[c]
         r = (inst.theta[j] - q) / (inst.theta[j] - inst.theta[i])
         return PlanColumns(i, j, q, p,
                            r * self.U[i, c] + (1.0 - r) * self.U[j, c],
@@ -357,9 +342,10 @@ class PlanProgram:
         cols, inst = self.fixed, self.inst
         t = inst.norm
         if t > 1.0 and y[0] > 0.0 and inst.epsilon > 0.0:
-            lo, hi = inst.theta[self.i][:, None], inst.theta[self.j][:, None]
+            i, j = self.pairs
+            lo, hi = inst.theta[i][:, None], inst.theta[j][:, None]
             A = self.U - y[1:, None]
-            s = (A[self.j] - A[self.i]) / (hi - lo)
+            s = (A[j] - A[i]) / (hi - lo)
             with np.errstate(over="ignore"):
                 q = self.ps + np.sign(s) * (np.abs(s) / (y[0] * t)) ** (
                     1.0 / (t - 1.0))
@@ -377,23 +363,22 @@ def _reduced(cols: PlanColumns, y):
     return reduced
 
 
-def build_disc_lp(inst: Instance, calibrated: CalibratedPlan):
-    """The plan LP of ``inst`` over every q, as a :class:`PlanProgram`.
+def build_disc_lp(inst: Instance, ps) -> PlanProgram:
+    """The plan LP of ``inst`` over every q, as a :class:`PlanProgram`, and
+    its calibrated plan; ``ps`` must hold every mean, merged (as
+    :func:`_predictions` and a grid's points do).
 
     The LP maximizes sum chi[i,j](q,p) * (r U_i(p) + (1-r) U_j(p)) subject
     to the budget row sum chi |q-p|^t <= eps^t and one supply row per event.
-    q ranges over all of [theta_i, theta_j] for each pair; p over the
-    reduced prediction set of ``calibrated``, the instance's
-    :func:`_calibrated_plan`, where column generation starts.  A pair pools
-    only means at distinct prediction points (:func:`_point_of`); means that
-    share one meet in the diagonal entry.  Nothing is built per column: the
-    program holds the pairs, the n x P utilities and the fixed pricing
-    candidates, the n x P diagonal entries and the calibrated pools.
+    q ranges over all of [theta_i, theta_j] for each pair, and p over
+    ``ps``.  A pair pools only means at distinct prediction points
+    (:func:`_point_of`); means that share one meet in the diagonal entry.
+    Only the n x P utilities are built here, nothing per column or pair.
     """
-    at = calibrated.at
-    # each pair's low-mean event first, whatever the order of the events
-    i, j = np.nonzero(at[:, None] < at)
-    return PlanProgram(inst, calibrated, i, j)
+    check_norm(inst)
+    U = indirect_utility_matrix(inst, ps)
+    at = _point_of(ps, inst.theta)
+    return PlanProgram(inst, ps, U, at, U[np.arange(inst.n), at])
 
 
 def plan_to_predictor(plan: PlanColumns, inst: Instance) -> Predictor:
@@ -436,18 +421,18 @@ def _master(inst: Instance, cols: PlanColumns):
         np.concatenate([[inst.epsilon**inst.norm], inst.lam]))
 
 
-def solve_plan_lp(inst: Instance, prog: PlanProgram):
+def solve_plan_lp(prog: PlanProgram):
     """Solve the :func:`build_disc_lp` plan LP by column generation,
     priced at the calibrated plan, first master solved only once columns
     enter.
 
     An optimal vertex uses at most n + 1 columns.  The restricted master,
     the LP on the active columns only, starts with each event's calibrated
-    diagonal column (``prog.start``); that master's one feasible point is
-    the calibrated plan, whose row prices are known in closed form
-    (:class:`PlanProgram`).  Each round prices the program with the
-    current row prices y (:meth:`PlanProgram.price`: a few candidates per
-    pair and prediction stand for every column), adds the ``2(n + 1)``
+    diagonal column (:meth:`PlanProgram.start`); that master's one feasible
+    point is the calibrated plan, whose row prices are known in closed
+    form.  Each round prices the program with the current row prices y
+    (:meth:`PlanProgram.price`: a few candidates per pair and prediction
+    stand for every column), adds the ``2(n + 1)``
     candidates of largest reduced cost above the tolerance, largest first,
     and solves and checks the grown master by :func:`lp_core.solve` for
     the next prices; it stops when no candidate is above the tolerance.
@@ -465,7 +450,8 @@ def solve_plan_lp(inst: Instance, prog: PlanProgram):
     its optimal solution, whose ``iterations`` sum the pivots of every
     master.
     """
-    cols, sol, y = prog.fixed.take(prog.start), prog.crash, prog.prices
+    inst = prog.inst
+    cols, sol, y = prog.start()
     batch = 2 * (inst.n + 1)
     pivots = 0
     while True:
@@ -494,19 +480,18 @@ def fptas_solve(inst: Instance, delta: float):
     """(1 - delta)-approximate predictor for any finite norm; ``delta``
     must lie in (0, 1) (:func:`read_delta`).
 
-    Settles the calibrated plan from the utilities first
-    (:func:`_calibrated_plan`, n x P work).  When no diagonal reduced cost
-    at its prices is above 0, it is optimal, and its predictor is read off
-    the plan (:meth:`CalibratedPlan.settled`).  Otherwise the solver builds
-    the per-pair plan LP over every q (:func:`build_disc_lp`), solves it by
-    column generation (:func:`solve_plan_lp`) and converts the optimal plan
-    (:func:`plan_to_predictor`).  That LP holds each column of the plan
-    LP on the grid at precision delta/3 (:func:`build_grid`), so the result
-    keeps the budget and loses at most a (1 - delta) factor of the optimal
-    payoff, whatever delta; no grid is built.  It solves on
-    the events sorted by mean (equal means keep the caller's order), so the
-    order of distinct means does not pick among the degenerate LP's optimal
-    plans.  The predictor is certified before it is returned
+    Builds the plan LP over every q with its calibrated plan
+    (:func:`build_disc_lp`, n x P work).  When no diagonal reduced cost at
+    the calibrated prices is above 0, that plan is optimal, and its
+    predictor is read off it (:meth:`PlanProgram.settled`).  Otherwise the
+    solver solves the LP by column generation (:func:`solve_plan_lp`) and
+    converts the optimal plan (:func:`plan_to_predictor`).  That LP holds
+    each column of the plan LP on the grid at precision delta/3
+    (:func:`build_grid`), so the result keeps the budget and loses at most
+    a (1 - delta) factor of the optimal payoff, whatever delta; no grid is
+    built.  It solves on the events sorted by mean (equal means keep the
+    caller's order), so the order of distinct means does not pick among the
+    degenerate LP's optimal plans.  The predictor is certified before it is returned
     (:func:`caldesign.model.certify`): its calibration error is within the
     budget and its payoff is the returned objective, or
     ``SolverError('UNCERTIFIED')`` is raised.
@@ -514,11 +499,11 @@ def fptas_solve(inst: Instance, delta: float):
     read_delta(delta)
     order = np.argsort(inst.theta, kind="stable")
     view = inst._in_order(order)
-    calibrated = _calibrated_plan(view, _predictions(view, envelope(view)[0]))
-    if not calibrated.improvable:
-        predictor, objective = calibrated.settled(inst)
+    prog = build_disc_lp(view, _predictions(view, envelope(view)[0]))
+    if not prog.improvable:
+        predictor, objective = prog.settled(inst)
     else:
-        cols, sol = solve_plan_lp(view, build_disc_lp(view, calibrated))
+        cols, sol = solve_plan_lp(prog)
         plan = cols.plan(sol.x)
         plan.i, plan.j = order[plan.i], order[plan.j]   # the caller's events
         predictor = plan_to_predictor(plan, inst)

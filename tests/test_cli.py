@@ -382,7 +382,7 @@ class TestSweepWorkers:
     CPU and there are enough budgets: this process solves its share of the
     blocks and forked children solve the rest.  Otherwise it solves in
     process.  ``path="pool"`` lifts the size rule, so that short lists
-    fork too if they fill two blocks."""
+    fork too."""
 
     GOLDEN_BUDGETS = ",".join(f"{0.01 * k:.2f}" for k in range(81))
     # two blocks, so that the "pool" path forks
@@ -481,9 +481,9 @@ class TestSweepWorkers:
             assert pool[1] == (DATA / "golden_sweep.csv").read_bytes()
 
     def test_fptas_rows_are_its_solves(self, monkeypatch, capsys, tmp_path):
-        # 16 budgets fork under the size rule itself; each row is
+        # 20 budgets fork under the size rule itself; each row is
         # fptas_solve's answer at its budget, printed
-        budgets = [f"{0.05 * k:.2f}" for k in range(16)]
+        budgets = [f"{0.04 * k:.2f}" for k in range(20)]
         argv = ("--eps", ",".join(budgets), "--method", "fptas", "--delta",
                 "0.1")
         forked = self._sweep(monkeypatch, capsys, tmp_path, "forked", *argv,
@@ -687,13 +687,13 @@ class TestSweepWorkers:
         assert getattr(exc, "code", None) == getattr(error, "code", None)
 
     @pytest.mark.parametrize("budgets, cpus, workers", [
-        (19, {0, 1}, [2]),         # two processes from 16 budgets
-        (20, {0, 1}, [2]),
+        (20, {0, 1}, [2]),         # two processes from 20 budgets
+        (29, {0, 1}, [2]),
         (81, {0, 1}, [2]),         # one process per CPU
-        (30, {0, 1, 2, 3}, [3]),   # one process per 8 budgets
+        (30, {0, 1, 2, 3}, [3]),   # one process per 10 budgets
         (81, {0}, []),
-        (15, {0, 1}, []),          # below two processes' break-even
-        (40, set(range(8)), [4]),  # one process per block
+        (19, {0, 1}, []),          # below two processes' break-even
+        (45, set(range(8)), [4]),  # five blocks, four processes
     ])
     def test_size_rule(self, monkeypatch, capsys, tmp_path, budgets, cpus,
                        workers):
@@ -979,6 +979,12 @@ class TestGrid:
         code, _, err = run(capsys, "grid", GOLDEN, "--delta", "0.5")
         assert code == 2
         assert "BAD_DELTA" in err
+
+    def test_grid_rejects_a_delta_too_fine_to_allocate(self, capsys):
+        # at 1e-9 the mesh alone would hold 1e9 points
+        code, out, err = run(capsys, "grid", GOLDEN, "--delta", "1e-9")
+        assert code == 2 and out == ""
+        assert err.startswith("error: BAD_DELTA: ") and "cap" in err
 
 
 class TestClosedStdout:

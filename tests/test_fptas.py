@@ -99,6 +99,22 @@ class TestGrid:
             cap = 4 * (1 / delta + (inst.m + inst.n) * g.levels)
             assert g.size <= cap
 
+    def test_too_fine_a_delta_allocates_nothing(self, golden):
+        # the point bound is checked before any point is made: delta 1e-9
+        # would ask for gigabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as err:
+                build_grid(golden, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.code == "BAD_DELTA"
+        assert "cap" in str(err.value)
+        assert peak < 2**20
+        # the finest grid the suite dumps stays under the cap
+        assert build_grid(golden, 0.0005).size == 183057
+
 
 class TestDiscLp:
     """The plan LP over the continuum of q against the finite plan LPs on
@@ -114,7 +130,7 @@ class TestDiscLp:
             sol = cold_solve(plan_program(inst, cols))
             plan = cols.plan(sol.x)
             assert np.allclose(plan_supply(plan, inst.n), inst.lam, atol=1e-7)
-            cols, sol = solve_plan_lp(inst, prog)
+            cols, sol = solve_plan_lp(prog)
             plan = cols.plan(sol.x)
             assert np.allclose(plan_supply(plan, inst.n), inst.lam, atol=1e-9)
 
@@ -127,7 +143,7 @@ class TestDiscLp:
             for value in (
                     cold_solve(plan_program(inst, full_columns(
                         prog, build_grid(inst, 0.2).points))).objective_value,
-                    solve_plan_lp(inst, prog)[1].objective_value):
+                    solve_plan_lp(prog)[1].objective_value):
                 assert value == pytest.approx(want, abs=1e-7)
 
     def test_pairs_pool_means_at_distinct_points(self):
@@ -135,8 +151,8 @@ class TestDiscLp:
         # at 0.9, calibrated at the predictions strictly between them
         inst = _merged_instance(0.1, CHAIN3 + (0.9,))
         prog = _program(inst)
-        assert list(zip(prog.i.tolist(), prog.j.tolist())) == [
-            (0, 3), (1, 3), (2, 3)]
+        i, j = prog.pairs
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 3), (1, 3), (2, 3)]
         pooled = prog.fixed.take(np.flatnonzero(prog.fixed.i != prog.fixed.j))
         inside = prog.ps[(prog.ps > 0.4 + 1.8e-12) & (prog.ps < 0.9)]
         assert inside.size
@@ -150,7 +166,7 @@ class TestDiscLp:
         inst = make_instance([0.3], [1.0], [[0.0, 0.0], [-0.5, 0.5]],
                              np.ones((1, 2, 2)), 0.1)
         prog = _program(inst)
-        assert prog.i.size == 0
+        assert prog.pairs[0].size == 0
         for cols in (prog.fixed,
                      full_columns(prog, build_grid(inst, 0.2).points)):
             assert np.all(cols.i == 0) and np.all(cols.j == 0)
@@ -163,7 +179,7 @@ class TestDiscLp:
                                    n_max=3)
             points = build_grid(inst, 0.25).points
             # the literal all-grid program: every grid point a prediction
-            every = build_disc_lp(inst, fptas._calibrated_plan(inst, points))
+            every = build_disc_lp(inst, points)
             red = full_columns(_program(inst), points)
             full = full_columns(every, points)
             v_red = cold_solve(plan_program(inst, red)).objective_value
@@ -236,11 +252,11 @@ class TestDiscLp:
             lp = plan_program(inst, everything)
             full = cold_solve(lp)
             solves.clear()
-            cols, sol = solve_plan_lp(inst, prog)
+            cols, sol = solve_plan_lp(prog)
             # masters are solved whenever a pooled column beats the
             # calibrated plan
             pooling_pays = (full.objective_value
-                            > prog.crash.objective_value + 1e-9)
+                            > prog.start()[1].objective_value + 1e-9)
             assert len(solves) >= pooling_pays
             pooled += pooling_pays
             gap = fptas.PRICE_TOL * (1.0 + abs(sol.objective_value))
@@ -291,7 +307,7 @@ class TestDiscLp:
             lp = plan_program(inst, cols)
             dense = cold_solve(lp).objective_value
             generated, _, _ = dense_column_generation(lp, cols)
-            value = solve_plan_lp(inst, prog)[1].objective_value
+            value = solve_plan_lp(prog)[1].objective_value
             gap = fptas.PRICE_TOL * (1.0 + abs(value))
             for want in (dense, generated):
                 if t == 1.0:
@@ -309,7 +325,7 @@ class TestDiscLp:
         for trial in range(50):
             inst = random_instance(rng, epsilon=(0.01, 0.1)[trial % 2])
             prog = _program(inst)
-            pivots += solve_plan_lp(inst, prog)[1].iterations
+            pivots += solve_plan_lp(prog)[1].iterations
         assert pivots < 300
 
     def test_peak_memory_holds_no_columns(self):
@@ -349,39 +365,37 @@ CHAINS = [(0.4 + 0.9e-12, 0.4 + 1.8e-12), (0.4 + 0.6e-12, 0.4 + 1.2e-12)]
 CHAIN3 = (0.4, 0.4 + 0.9e-12, 0.4 + 1.8e-12)
 
 
-def _early(inst):
-    """The calibrated plan as fptas_solve settles it, before any grid."""
-    return fptas._calibrated_plan(inst,
-                                  fptas._predictions(inst, envelope(inst)[0]))
-
-
 def _program(inst):
-    """The plan LP of ``inst``, built from its calibrated plan as
-    fptas_solve builds it."""
-    return build_disc_lp(inst, _early(inst))
+    """The plan LP of ``inst`` and its calibrated plan, as fptas_solve
+    builds them."""
+    return build_disc_lp(inst, fptas._predictions(inst, envelope(inst)[0]))
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The instances that fptas.build_grid and fptas.build_disc_lp are
-    called on, by name."""
-    def spy_on(name):
-        real, calls = getattr(fptas, name), []
+    """The instances that fptas.build_grid is called on, and that the plan
+    program builds its diagonal entries and its pooled entries of, by
+    name."""
+    def spy_on(owner, name):
+        real, calls = getattr(owner, name), []
 
-        def spy(inst, *args):
-            calls.append(inst)
-            return real(inst, *args)
+        def spy(first, *args):
+            calls.append(getattr(first, "inst", first))
+            return real(first, *args)
 
-        monkeypatch.setattr(fptas, name, spy)
+        monkeypatch.setattr(owner, name, spy)
         return calls
 
-    return {name: spy_on(name) for name in ("build_grid", "build_disc_lp")}
+    return {"build_grid": spy_on(fptas, "build_grid"),
+            "_diagonal": spy_on(fptas.PlanProgram, "_diagonal"),
+            "_pooled": spy_on(fptas.PlanProgram, "_pooled")}
 
 
 class TestCalibratedStart:
-    """The calibrated plan is settled from the n x P utilities; the grid and
-    the program are built, and column generation is priced at the
-    calibrated plan, only when it can be improved."""
+    """The calibrated plan is settled from the n x P utilities; the
+    program's pairs and candidates are built, and column generation is
+    priced at the calibrated plan, only when it can be improved; no grid is
+    built."""
 
     def test_closed_form_matches_the_diagonal_master(self):
         # the diagonal master solved from its crash basis, as the column
@@ -394,9 +408,16 @@ class TestCalibratedStart:
                                          norm=(1.0, 2.0, 3.0)[trial % 3]))
         for inst in cases:
             prog = _program(inst)
-            cols, sol, y = prog.fixed.take(prog.start), prog.crash, prog.prices
-            # every start column spends nothing, the merged mean's too
+            cols, sol, y = prog.start()
+            # every start column spends nothing, the merged mean's too, and
+            # is the program's diagonal candidate at its mean's point, bit
+            # for bit
             assert not cols.err.any()
+            diagonal = prog._diagonal().take(
+                np.arange(inst.n) * prog.ps.size + prog.at)
+            for f in dataclasses.fields(cols):
+                assert np.array_equal(getattr(cols, f.name),
+                                      getattr(diagonal, f.name))
             master = fptas._master(inst, cols)
             lp = lp_core.solve(master, basis=sol.basis)
             assert np.abs(lp_core.row_prices(master, lp) - y).max() <= 1e-12
@@ -423,8 +444,8 @@ class TestCalibratedStart:
         # further than SUPPORT_MERGE_TOL from it: at a zero budget both
         # report 0.4 and the predictor comes back certified
         inst = _merged_instance(0.0, theta)
-        early = _early(inst)
-        assert early.ps[early.at].tolist() == [0.4, 0.4]
+        prog = _program(inst)
+        assert prog.ps[prog.at].tolist() == [0.4, 0.4]
         pred, obj = fptas_solve(inst, 0.1)
         assert pred.support.tolist() == [0.4]
         assert np.array_equal(pred.mass, np.ones((2, 1)))
@@ -466,22 +487,21 @@ class TestCalibratedStart:
         for name, insts in sets.items():
             fired[name] = 0
             for inst in insts:
-                early = _early(inst)
-                if early.improvable:
+                prog = _program(inst)
+                if prog.improvable:
                     continue
                 fired[name] += 1
-                prog = build_disc_lp(inst, early)
-                assert np.array_equal(prog.prices[1:], early.own)
-                reduced = prog.price(prog.prices)[1]
-                tol = fptas.PRICE_TOL * (1.0 + abs(prog.crash.objective_value))
+                start, crash, prices = prog.start()
+                assert np.array_equal(prices[1:], prog.own)
+                reduced = prog.price(prices)[1]
+                tol = fptas.PRICE_TOL * (1.0 + abs(crash.objective_value))
                 assert reduced.max() <= tol
-                cols, sol = solve_plan_lp(inst, prog)
-                start = prog.fixed.take(prog.start)
+                cols, sol = solve_plan_lp(prog)
                 for f in dataclasses.fields(cols):
                     assert np.array_equal(getattr(cols, f.name),
                                           getattr(start, f.name))
-                assert np.array_equal(sol.x, prog.crash.x)
-                assert sol.objective_value == prog.crash.objective_value
+                assert np.array_equal(sol.x, crash.x)
+                assert sol.objective_value == crash.objective_value
                 full = plan_to_predictor(cols.plan(sol.x), inst)
                 pred, obj = fptas_solve(inst, 0.1)
                 assert np.array_equal(pred.support, full.support)
@@ -495,17 +515,18 @@ class TestCalibratedStart:
     def test_any_gain_builds_the_program(self, solves, builds, gain,
                                          improved):
         # one event at 0.45; above the agent's breakpoint at 0.5 the
-        # designer gains ``gain``.  Any gain above 0 builds the program,
-        # and no grid; one within the stop tolerance enters no column
-        # there, so the calibrated plan comes back as before
+        # designer gains ``gain``.  Any gain above 0 builds the program's
+        # candidates, once, and no grid; one within the stop tolerance
+        # enters no column there, so the calibrated plan comes back as
+        # before
         u = np.ones((1, 2, 2))
         u[0, 1] += gain
         inst = make_instance([0.45], [1.0], [[0.0, 0.0], [-0.5, 0.5]], u,
                              0.1)
-        assert _early(inst).improvable
+        assert _program(inst).improvable
         obj = fptas_solve(inst, 0.1)[1]
         assert {name: len(calls) for name, calls in builds.items()} == {
-            "build_grid": 0, "build_disc_lp": 1}
+            "build_grid": 0, "_diagonal": 1, "_pooled": 1}
         assert bool(solves) == improved
         assert obj == pytest.approx(1.0 + (gain if improved else 0.0),
                                     abs=1e-15)
@@ -514,8 +535,8 @@ class TestCalibratedStart:
         # one best action on all of [0, 1]: no pooled column pays, so no
         # LP is solved and the calibrated predictor comes back; 17 of
         # acceptance 3's first 25 instances are such.  Two more have no
-        # misalignment either: neither builds a program, each of the other
-        # six builds one, and none builds a grid
+        # misalignment either: neither builds the program's candidates,
+        # each of the other six builds them once, and none builds a grid
         insts = _acc3()
         single = [inst for inst in insts if len(envelope(inst)[1]) == 1]
         assert len(single) == 17
@@ -530,16 +551,17 @@ class TestCalibratedStart:
         # the builds run on each instance's events sorted by mean
         misaligned = [np.sort(insts[k].theta) for k in (4, 7, 11, 20, 21, 24)]
         assert builds["build_grid"] == []
-        calls = builds["build_disc_lp"]
+        assert builds["_pooled"] == builds["_diagonal"]
+        calls = builds["_diagonal"]
         assert len(calls) == len(misaligned)
         for inst, theta in zip(calls, misaligned):
             assert np.array_equal(inst.theta, theta)
 
     def test_settled_solves_build_no_diagonal(self, monkeypatch):
-        # only the plan program builds the n x P diagonal: none of
-        # acceptance 3's 19 settled solves does, and none of them makes any
-        # column, not even the n start columns; each of the six that build
-        # a program builds it once
+        # only the plan program's candidates hold the n x P diagonal: none
+        # of acceptance 3's 19 settled solves builds them, and none of them
+        # makes any column, not even the n start columns; each of the six
+        # that price builds the diagonal once
         diagonals, made = [], []
         real_diagonal, real_columns = (fptas.PlanProgram._diagonal,
                                        fptas.PlanColumns)
@@ -567,7 +589,7 @@ class TestCalibratedStart:
     def test_settled_solves_convert_nothing(self, monkeypatch, solves,
                                             builds):
         # a settled solve reads its predictor off the calibrated plan: no
-        # LpSolution, grid, program, LP or plan conversion
+        # LpSolution, grid, pair, candidate, LP or plan conversion
         calls = {"plan_to_predictor": [], "LpSolution": []}
         for owner, name in ((fptas, "plan_to_predictor"),
                             (lp_core, "LpSolution")):
@@ -576,13 +598,26 @@ class TestCalibratedStart:
                 return real(*args)
 
             monkeypatch.setattr(owner, name, spy)
-        settled = [inst for inst in _acc3(50) if not _early(inst).improvable]
+        programs = []
+
+        def build(*args, real=fptas.build_disc_lp):
+            programs.append(real(*args))
+            return programs[-1]
+
+        monkeypatch.setattr(fptas, "build_disc_lp", build)
+        settled = [inst for inst in _acc3(50)
+                   if not _program(inst).improvable]
         assert len(settled) == 33
+        programs.clear()
         for inst in settled:
             fptas_solve(inst, 0.1)
         assert calls == {"plan_to_predictor": [], "LpSolution": []}
-        assert solves == [] and builds == {"build_grid": [],
-                                           "build_disc_lp": []}
+        assert solves == [] and builds == {"build_grid": [], "_diagonal": [],
+                                           "_pooled": []}
+        # the lazy parts of each program were never asked for
+        assert len(programs) == 33
+        assert not any({"pairs", "fixed"} & set(vars(prog))
+                       for prog in programs)
 
     def test_settled_predictor_is_the_converted_plan(self):
         # the closed form is plan_to_predictor on the calibrated plan's
@@ -613,17 +648,16 @@ class TestCalibratedStart:
         for inst in cases:
             order = np.argsort(inst.theta, kind="stable")
             view = inst._in_order(order)
-            early = _early(view)
-            prog = build_disc_lp(view, early)
-            start = prog.fixed.take(prog.start)
-            plan = start.plan(prog.crash.x)
+            prog = _program(view)
+            start, crash, _ = prog.start()
+            plan = start.plan(crash.x)
             plan.i, plan.j = order[plan.i], order[plan.j]
             want = plan_to_predictor(plan, inst)
-            pred, value = early.settled(inst)
+            pred, value = prog.settled(inst)
             assert np.array_equal(pred.support, want.support)
             assert np.array_equal(pred.mass, want.mass)
-            assert value == prog.crash.objective_value
-            if not early.improvable:
+            assert value == crash.objective_value
+            if not prog.improvable:
                 settled += 1
                 got, obj = fptas_solve(inst, 0.1)
                 assert np.array_equal(got.support, want.support)
@@ -988,7 +1022,7 @@ class TestEdgeDraws:
             return real(lp, basis)
 
         monkeypatch.setattr(lp_core, "solve", solve)
-        cols, _ = solve_plan_lp(inst, _program(inst))
+        cols, _ = solve_plan_lp(_program(inst))
         mine = list(zip(cols.i, cols.j, cols.q, cols.p))
         assert len(set(mine)) == len(mine)
         assert 3 <= len(masters) <= 10

@@ -16,10 +16,12 @@ by ``os.fork`` inside a function, so that importing a module starts none,
 and no module imports a process pool.  Outside the package, a module
 imports numpy and the standard library alone: scipy stays a test
 dependency, since importing ``scipy.optimize`` costs about half a second
-and 49 MB.
+and 49 MB.  Every name that the benchmark's tracer (``perfbench/tracer.py``)
+wraps exists, and each but ``cli.main`` is called inside the package.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -225,6 +227,41 @@ def test_only_the_grid_command_builds_a_grid():
              for module, source in package_sources()}
     assert [func for _, func in found.pop("cli")] == ["cmd_grid"]
     assert not any(found.values()), found
+
+
+TRACER = SRC.parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_targets():
+    """The ``(module path, attribute)`` pairs that the benchmark's tracer
+    wraps, read from its ``LAYERS`` and ``ENTRY_SPANS`` literals."""
+    found = {}
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("LAYERS", "ENTRY_SPANS"):
+                found[name] = ast.literal_eval(node.value)
+    return ([pair for pairs in found["LAYERS"].values() for pair in pairs]
+            + list(found["ENTRY_SPANS"].values()))
+
+
+def test_every_name_the_tracer_wraps_is_defined_and_called():
+    # the tracer replaces each attribute in its owner's namespace; a name
+    # that is renamed away breaks the benchmark, and one the package no
+    # longer calls leaves its layer reading 0.  cli.main is the entry that
+    # the command line and the benchmark call from outside
+    targets = tracer_targets()
+    assert ("fptas", "build_disc_lp") in targets
+    sources = dict(package_sources())
+    for path, attr in targets:
+        module, _, owner = path.partition(".")
+        namespace = vars(importlib.import_module(f"caldesign.{module}"))
+        if owner:
+            namespace = vars(namespace[owner])
+        assert attr in namespace, f"{path}.{attr}"
+        if (path, attr) != ("cli", "main"):
+            assert any(callers(source, attr) for source in sources.values()), \
+                f"nothing in the package calls {path}.{attr}"
 
 
 def forks(module):
