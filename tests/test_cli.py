@@ -687,12 +687,14 @@ class TestSweepWorkers:
         assert getattr(exc, "code", None) == getattr(error, "code", None)
 
     @pytest.mark.parametrize("budgets, cpus, workers", [
+        (19, {0, 1}, []),          # below two processes' break-even
         (20, {0, 1}, [2]),         # two processes from 20 budgets
-        (29, {0, 1}, [2]),
         (81, {0, 1}, [2]),         # one process per CPU
         (30, {0, 1, 2, 3}, [3]),   # one process per 10 budgets
         (81, {0}, []),
-        (19, {0, 1}, []),          # below two processes' break-even
+        (15, {0, 1}, []),
+        (40, set(range(8)), [4]),  # one process per block
+        (29, {0, 1}, [2]),
         (45, set(range(8)), [4]),  # five blocks, four processes
     ])
     def test_size_rule(self, monkeypatch, capsys, tmp_path, budgets, cpus,
