@@ -20,13 +20,14 @@ sweep of 20 or more budgets forks: it runs one process per CPU in the
 affinity mask, but at most one per 10 budgets, so at most one per block
 (``taskset -c 0`` makes it serial).  With ``w`` processes, the calling
 process solves blocks ``0, w, 2w, ...`` itself while ``w - 1`` forked
-children solve the others.  On the golden instance 2 processes break even
-at about 20 budgets (README gives the measured times).  Shorter sweeps, and
-sweeps on other platforms, run in process.  The blocks depend on neither
-the process count nor the order of the budgets, and rows are written in the
-given order, so the output is identical whatever the order and the process
-count.  Every budget, an fptas sweep's delta and the instance's norm are
-checked before any child starts.
+children solve the others.  On exact sweeps of the golden instance 2
+processes break even at about 20 budgets; fptas sweeps win from 16, so the
+rule is set by the exact ones (README gives the measured times).  Shorter
+sweeps, and sweeps on other platforms, run in process.  The blocks depend
+on neither the process count nor the order of the budgets, and rows are
+written in the given order, so the output is identical whatever the order
+and the process count.  Every budget, an fptas sweep's delta and the
+instance's norm are checked before any child starts.
 
 Exit codes: 0 success, 2 invalid input or an output file that cannot be
 written, 3 solver failure.  Set ``CALDESIGN_LOG=debug|info|warning`` for
@@ -191,13 +192,20 @@ def _sweep_block(inst, method, delta, budgets):
 # neither do the rows.
 _SWEEP_BLOCK = 10
 
-# A sweep takes at most one process per this many budgets, so at most one
-# per block too.  On a 2-core host shared with other work, 2 processes on
-# the golden instance break even at 20 budgets, the shortest sweep that
-# forks (faster in 19 of 40 alternating pairs of calls), lose at 16 (16 of
-# 40) and win from 24 (19 of 28; 21, 22 and 23 of 26 at 30, 40 and 60).
-# More than 2 processes are unmeasured.
-_BUDGETS_PER_WORKER = 10
+
+def _sweep_workers(budgets):
+    """Processes for a sweep of ``budgets`` distinct budgets: one per CPU of
+    the affinity mask, but at most one per full block, and at least one.
+
+    On a 2-core host shared with other work, 2 processes on exact sweeps of
+    the golden instance break even at 20 budgets, the shortest sweep that
+    forks (faster in 19 of 40 alternating pairs of calls), lose at 16 (16 of
+    40) and win from 24 (19 of 28; 21, 22 and 23 of 26 at 30, 40 and 60).
+    fptas sweeps (delta 0.1) cost more per budget, and 2 processes won at
+    16, 20 and 24 budgets (16, 19 and 16 of 20 pairs in the second of two
+    runs), so the rule leaves fptas sweeps of 16 to 19 budgets serial where
+    a fork would win.  More than 2 processes are unmeasured."""
+    return max(1, min(len(os.sched_getaffinity(0)), budgets // _SWEEP_BLOCK))
 
 
 def _solve_blocks(inst, method, delta, blocks, workers):
@@ -279,10 +287,7 @@ def cmd_sweep(args) -> int:
               for k in range(0, len(distinct), _SWEEP_BLOCK)]
     # Fork only on Linux: on macOS a forked child of a process that loaded
     # system frameworks may crash, and Windows has no fork.
-    workers = 1
-    if sys.platform == "linux":
-        workers = max(1, min(len(os.sched_getaffinity(0)),
-                             len(distinct) // _BUDGETS_PER_WORKER))
+    workers = _sweep_workers(len(distinct)) if sys.platform == "linux" else 1
     results = _solve_blocks(inst, args.method, args.delta, blocks, workers)
     solved = dict(zip(distinct, (row for block in results for row in block)))
     rows = ["epsilon,principal_payoff,agent_payoff,ece_of_solution,status"]

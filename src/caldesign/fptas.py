@@ -142,14 +142,17 @@ def build_grid(inst: Instance, delta: float) -> Grid:
     t = inst.norm
     zs = envelope(inst)[0]
     anchors = _dedup_sorted(np.concatenate([zs, inst.theta]))
-    levels = int(math.ceil(2.0 / math.log1p(delta) * math.log(1.0 / delta)))
+    # in floats, so that a delta below about 1e-308 reads as an infinite
+    # bound rather than overflowing an int conversion
+    levels = 2.0 / math.log1p(delta) * math.log(1.0 / delta)
     delta0 = inst.epsilon**t * delta
-    bound = (math.floor(1.0 / delta) + 2 + inst.n + zs.size
-             + (2 * anchors.size * (levels + 1) if delta0 > 0.0 else 0))
+    bound = (1.0 / delta + 2 + inst.n + zs.size
+             + (2 * anchors.size * (levels + 2) if delta0 > 0.0 else 0))
     if bound > GRID_CAP:
         raise ValidationError(
             "BAD_DELTA", f"delta {delta} asks for a grid of up to {bound:.3g} "
             f"points, above the cap of {GRID_CAP:.0e}")
+    levels = int(math.ceil(levels))
     mesh = np.arange(0.0, 1.0 + 1e-12, delta)
     pieces = [mesh, inst.theta, zs]
     if delta0 > 0.0:

@@ -203,10 +203,7 @@ class Instance:
 
     def _in_order(self, order):
         """Copy of the instance with its events in the order ``order``: the
-        per-event arrays permuted and read-only, nothing checked again.  The
-        identity order returns the instance itself, which is read-only."""
-        if np.array_equal(order, np.arange(self.n)):
-            return self
+        per-event arrays permuted and read-only, nothing checked again."""
         out = copy.copy(self)
         for name in ("theta", "lam", "principal_utility", "ubar",
                      "vbar_events"):

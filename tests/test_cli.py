@@ -399,7 +399,8 @@ class TestSweepWorkers:
         the sweep forked, else ``[]``.  No child may outlive the sweep, even
         one that raised."""
         if path == "pool":
-            monkeypatch.setattr(cli, "_BUDGETS_PER_WORKER", 1)
+            monkeypatch.setattr(cli, "_sweep_workers",
+                                lambda budgets: len(os.sched_getaffinity(0)))
         cpus = TestSweepWorkers.PATHS.get(path) if cpus is None else cpus
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         forks = []
@@ -982,9 +983,11 @@ class TestGrid:
         assert code == 2
         assert "BAD_DELTA" in err
 
-    def test_grid_rejects_a_delta_too_fine_to_allocate(self, capsys):
-        # at 1e-9 the mesh alone would hold 1e9 points
-        code, out, err = run(capsys, "grid", GOLDEN, "--delta", "1e-9")
+    # at 1e-9 the mesh alone would hold 1e9 points; below about 1e-308 the
+    # bound itself is infinite
+    @pytest.mark.parametrize("delta", ["1e-9", "1e-320"])
+    def test_grid_rejects_a_delta_too_fine_to_allocate(self, capsys, delta):
+        code, out, err = run(capsys, "grid", GOLDEN, "--delta", delta)
         assert code == 2 and out == ""
         assert err.startswith("error: BAD_DELTA: ") and "cap" in err
 
