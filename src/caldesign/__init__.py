@@ -22,10 +22,7 @@ from .model import (
     Instance,
     Predictor,
     agent_payoff,
-    best_response,
     ece,
-    indirect_utility,
-    kappa,
     payoff,
     point_mass,
     validate_instance,
@@ -46,14 +43,11 @@ __all__ = [
     "ValidationError",
     "agent_payoff",
     "analyze_structure",
-    "best_response",
     "binary_action_optimal",
     "build_grid",
     "check_mpc",
     "ece",
     "fptas_solve",
-    "indirect_utility",
-    "kappa",
     "payoff",
     "point_mass",
     "recalibrate",

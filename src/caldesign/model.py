@@ -6,12 +6,15 @@ designer's per-event utility table, the error budget ``epsilon`` and the
 norm exponent ``t`` used by the calibration metric.
 
 A predictor assigns each event a discrete distribution over prediction
-values in [0, 1].  All evaluations here are pure functions: the decision
-maker's best response, the designer's indirect utility, the posterior
-outcome mean ``kappa`` conditional on a prediction, the expected
-calibration error, and both players' expected payoffs.  Both solvers end
-with :func:`certify` and give up ``SEPARATION`` at the agent's ties, and
-every number taken from outside goes through :func:`read_numbers`.
+values in [0, 1].  Each evaluation here is a pure function of a list of
+predictions, and each primitive has one path: the decision maker's best
+response is :func:`tied_action_sets` (the tie set) with
+:func:`action_profile` (the action taken), the designer's indirect utility
+:func:`indirect_utility_matrix`, and the posterior outcome mean ``kappa``
+of each supported prediction :func:`live_points`.  On them stand the
+expected calibration error and both players' expected payoffs.  Both
+solvers end with :func:`certify` and give up ``SEPARATION`` at the agent's
+ties, and every number taken from outside goes through :func:`read_numbers`.
 """
 
 from __future__ import annotations
@@ -368,21 +371,6 @@ def point_mass(value, n_events):
     return Predictor([value], np.ones((n_events, 1)))
 
 
-class AgentResponse:
-    """Best response at a prediction: the chosen action plus the full tie set."""
-
-    __slots__ = ("prediction", "action", "tied_actions")
-
-    def __init__(self, prediction, action, tied_actions):
-        self.prediction = float(prediction)
-        self.action = int(action)
-        self.tied_actions = tuple(int(a) for a in tied_actions)
-
-    def __repr__(self):
-        return (f"AgentResponse(p={self.prediction!r}, action={self.action}, "
-                f"tied={self.tied_actions})")
-
-
 def envelope(inst):
     """The agent's best response as a step function of the prediction.
 
@@ -451,19 +439,18 @@ def tied_action_sets(inst, ps):
     at most ``TIE_TOL · max(1, |v_a0|(1-p) + |v_a1|p, the same for b)``, the
     size of the terms summed at ``p``, or at most ``SUPPORT_MERGE_TOL`` times
     the difference of their slopes: ``p`` lies within ``SUPPORT_MERGE_TOL``
-    of where the two lines cross.  The scores and sizes are formed for all
-    of ``ps`` at once by broadcasting ``p`` and ``1 - p`` against the
-    instance's ``agent_utility`` and ``agent_size`` (``|v|``); the slopes
-    are its ``agent_slope``.
+    of where the two lines cross.  The scores are
+    :meth:`Instance.agent_scores`; the sizes are formed the same way for
+    all of ``ps`` at once, from the instance's ``agent_size`` (``|v|``);
+    the slopes are its ``agent_slope``.
     """
-    p = np.atleast_1d(np.asarray(ps, dtype=float))[:, None]
-    q = 1.0 - p
-    v, size = inst.agent_utility, inst.agent_size
-    scores = p * v[:, 1] + q * v[:, 0]
+    ps = np.atleast_1d(np.asarray(ps, dtype=float))
+    scores = inst.agent_scores(ps)
     best = scores.argmax(axis=1)
     at = np.arange(best.size), best
     gap = scores[at][:, None] - scores
-    size = p * size[:, 1] + q * size[:, 0]
+    p, size = ps[:, None], inst.agent_size
+    size = p * size[:, 1] + (1.0 - p) * size[:, 0]
     window = TIE_TOL * np.maximum(np.maximum(size, size[at][:, None]), 1.0)
     slope = inst.agent_slope
     crossing = SUPPORT_MERGE_TOL * np.abs(slope - slope[best][:, None])
@@ -474,7 +461,8 @@ def action_profile(inst, ps, weight_matrix=None):
     """Chosen action index at each prediction, breaking ties for the designer.
 
     ``weight_matrix`` (n, len(ps)) supplies the event weights used to rank
-    tied actions; by default the prior is used (the bare-prediction rule).
+    tied actions, lowest index first on equal ranks; by default the prior
+    is used (the bare-prediction rule).
     """
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     tied = tied_action_sets(inst, ps)
@@ -484,29 +472,6 @@ def action_profile(inst, ps, weight_matrix=None):
         gains = inst.ubar.T @ np.asarray(weight_matrix, dtype=float)  # (m, P)
     masked = np.where(tied.T, gains, -np.inf)
     return np.argmax(masked, axis=0)
-
-
-def best_response(inst, p, weights=None):
-    """Agent's optimal action at prediction ``p``.
-
-    Ties are broken in the designer's favor: among utility-maximizing
-    actions, the one with the largest ``weights``-averaged designer utility
-    wins (smallest index on exact ties).  ``weights`` defaults to the prior.
-    """
-    p = float(p)
-    if not -1e-12 <= p <= 1 + 1e-12:
-        raise ValidationError("BAD_SUPPORT", f"prediction {p} outside [0, 1]")
-    w = None if weights is None else np.asarray(weights, dtype=float)[:, None]
-    tied = tied_action_sets(inst, [p])[0]
-    return AgentResponse(p, action_profile(inst, [p], w)[0],
-                         np.flatnonzero(tied))
-
-
-def indirect_utility(inst, i, p):
-    """Designer utility in event ``i`` when the agent best-responds to ``p``."""
-    if not 0 <= i < inst.n:
-        raise ValidationError("BAD_FORMAT", f"event index {i} out of range")
-    return float(inst.ubar[i, best_response(inst, p).action])
 
 
 def indirect_utility_matrix(inst, ps):
@@ -523,18 +488,6 @@ def live_points(pred, inst):
     live = np.flatnonzero(marg > 0)
     kap = ((inst.lam * inst.theta) @ pred.mass)[live] / marg[live]
     return live, marg[live], kap
-
-
-def kappa(pred, inst, p):
-    """Posterior outcome mean conditional on prediction ``p``."""
-    hits = np.flatnonzero(np.abs(pred.support - float(p)) <= SUPPORT_MERGE_TOL)
-    if hits.size == 0:
-        raise ValidationError("ZERO_MASS", f"prediction {p} not in support")
-    live, _, kap = live_points(pred, inst)
-    at = np.flatnonzero(live == hits[0])
-    if at.size == 0:
-        raise ValidationError("ZERO_MASS", f"prediction {p} has no marginal mass")
-    return float(kap[at[0]])
 
 
 def ece(pred, inst, t=None):

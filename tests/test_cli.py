@@ -687,6 +687,26 @@ class TestSweepWorkers:
         assert type(exc) is type(error) and str(exc) == str(error)
         assert getattr(exc, "code", None) == getattr(error, "code", None)
 
+    def test_a_child_that_dies_fails_the_sweep(self, monkeypatch):
+        # A child that exits without sending its rows, as one killed from
+        # outside would: the sweep names its exit status and leaves no child.
+        parent, real_block = os.getpid(), cli._sweep_block
+
+        def block(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real_block(*args)
+
+        monkeypatch.setattr(cli, "_sweep_block", block)
+        inst = validate_instance(json.loads(Path(GOLDEN).read_text()))
+        budgets = [0.01 * k for k in range(2 * cli._SWEEP_BLOCK)]
+        blocks = [tuple(budgets[:cli._SWEEP_BLOCK]),
+                  tuple(budgets[cli._SWEEP_BLOCK:])]
+        with pytest.raises(RuntimeError, match="exit status 7"):
+            cli._solve_blocks(inst, "exact", 0.1, blocks, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("budgets, cpus, workers", [
         (19, {0, 1}, []),          # below two processes' break-even
         (20, {0, 1}, [2]),         # two processes from 20 budgets

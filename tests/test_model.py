@@ -19,13 +19,13 @@ from caldesign.model import (
     TIE_TOL,
     Instance,
     Predictor,
+    action_profile,
     agent_payoff,
-    best_response,
     certify,
     ece,
     envelope,
-    indirect_utility,
-    kappa,
+    indirect_utility_matrix,
+    live_points,
     payoff,
     point_mass,
     runs,
@@ -183,6 +183,9 @@ class TestValidation:
         assert inst.to_json_dict() == raw
         assert validate_instance(inst.to_json_dict()).to_json_dict() == raw
 
+    def test_an_instance_is_returned_as_itself(self, golden):
+        assert validate_instance(golden) is golden
+
 
 class TestPredictor:
     def test_support_merging(self):
@@ -201,41 +204,43 @@ class TestPredictor:
 
 
 class TestBestResponse:
+    """The best response at one prediction: ``tied_action_sets`` and
+    ``action_profile`` on a one-element list."""
+
     def test_golden_midrange(self, golden):
         # at p = 0.5 the safe action dominates: a1 ~ -5, a3 = -0.4, a4 huge-
-        assert best_response(golden, 0.5).action == 1
+        assert action_profile(golden, [0.5])[0] == 1
 
     def test_golden_certain_outcome(self, golden):
-        assert best_response(golden, 1.0).action == 3
+        assert action_profile(golden, [1.0])[0] == 3
 
     def test_tie_at_low_threshold_favors_designer(self, golden):
-        resp = best_response(golden, 1e-5)
-        assert set(resp.tied_actions) >= {0, 1}
-        assert resp.action == 0  # payoff 5 beats 0
+        tied = np.flatnonzero(tied_action_sets(golden, [1e-5])[0])
+        assert set(tied) >= {0, 1}
+        assert action_profile(golden, [1e-5])[0] == 0  # payoff 5 beats 0
 
     def test_single_action(self):
         inst = make_instance([0.5], [1.0], [[0.3, -0.2]], [[[1, 1]]], 0.1)
-        for p in (0.0, 0.33, 1.0):
-            assert best_response(inst, p).action == 0
+        assert action_profile(inst, [0.0, 0.33, 1.0]).tolist() == [0, 0, 0]
 
     def test_tied_set_matches_enumeration(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             inst = random_instance(rng, epsilon=0.1)
             p = float(rng.uniform(0, 1))
-            resp = best_response(inst, p)
+            tied = tied_action_sets(inst, [p])[0]
             scores = inst.agent_scores(p)
-            assert resp.action in resp.tied_actions
+            assert tied[action_profile(inst, [p])[0]]
             exact_ties = set(np.flatnonzero(scores >= scores.max() - 1e-12))
-            assert exact_ties <= set(resp.tied_actions)
+            assert exact_ties <= set(np.flatnonzero(tied))
 
     def test_weights_rank_the_tied_actions(self, golden):
         # a1 and a2 tie at p = 1e-5; each event's own designer utility
         # picks among them
+        tied = np.flatnonzero(tied_action_sets(golden, [1e-5])[0])
         for i in range(golden.n):
-            resp = best_response(golden, 1e-5, weights=np.eye(golden.n)[i])
-            tied = list(resp.tied_actions)
-            assert resp.action == tied[np.argmax(golden.ubar[i, tied])]
+            act = action_profile(golden, [1e-5], np.eye(golden.n)[i][:, None])
+            assert act[0] == tied[np.argmax(golden.ubar[i, tied])]
 
 
 class TestTieRule:
@@ -442,59 +447,61 @@ class TestRuns:
 class TestIndirectUtility:
     def test_golden_table(self, golden):
         # payoff levels 5 / 0 / 1 / 2 on the four segments
-        for p in (0.0, 1e-5 / 2, 1e-5):
-            assert indirect_utility(golden, 0, p) == pytest.approx(5.0)
-        assert indirect_utility(golden, 1, 0.5) == pytest.approx(0.0)
-        assert indirect_utility(golden, 1, 0.9) == pytest.approx(1.0)
-        assert indirect_utility(golden, 2, 0.95) == pytest.approx(1.0)
-        assert indirect_utility(golden, 0, 1.0) == pytest.approx(2.0)
+        ps = [0.0, 1e-5 / 2, 1e-5, 0.5, 0.9, 0.95, 1.0]
+        U = indirect_utility_matrix(golden, ps)
+        assert U[0, :3] == pytest.approx([5.0] * 3)
+        assert U[1, 3] == pytest.approx(0.0)
+        assert U[1, 4] == pytest.approx(1.0)
+        assert U[2, 5] == pytest.approx(1.0)
+        assert U[0, 6] == pytest.approx(2.0)
 
     def test_constant_utility(self):
         inst = make_instance([0.2, 0.7], [0.5, 0.5], [[1, 0], [0, 1]],
                              np.full((2, 2, 2), 3.0), 0.1)
-        for p in np.linspace(0, 1, 7):
-            assert indirect_utility(inst, 0, p) == pytest.approx(3.0)
+        U = indirect_utility_matrix(inst, np.linspace(0, 1, 7))
+        assert U[0] == pytest.approx([3.0] * 7)
 
 
 class TestKappa:
+    """The posterior mean at each supported prediction: ``live_points``."""
+
     def test_full_pooling_is_calibrated(self, two_event):
-        pred = point_mass(0.6, 2)
-        assert kappa(pred, two_event, 0.6) == pytest.approx(0.6)
+        live, _, kap = live_points(point_mass(0.6, 2), two_event)
+        assert live.tolist() == [0]
+        assert kap == pytest.approx([0.6])
 
     def test_single_event(self):
         inst = make_instance([0.35], [1.0], [[0, 0]], [[[0, 0]]], 0.1)
         pred = Predictor([0.1, 0.9], [[0.5, 0.5]])
-        assert kappa(pred, inst, 0.1) == pytest.approx(0.35)
-        assert kappa(pred, inst, 0.9) == pytest.approx(0.35)
+        live, _, kap = live_points(pred, inst)
+        assert pred.support[live].tolist() == [0.1, 0.9]
+        assert kap == pytest.approx([0.35, 0.35])
 
     def test_revealing_pair(self, two_event, f_ddagger):
-        assert kappa(f_ddagger, two_event, 0.4) == pytest.approx(0.3)
-        assert kappa(f_ddagger, two_event, 0.7) == pytest.approx(0.9)
-
-    def test_zero_mass(self, two_event, f_ddagger):
-        with pytest.raises(ValidationError) as err:
-            kappa(f_ddagger, two_event, 0.55)
-        assert err.value.code == "ZERO_MASS"
+        live, _, kap = live_points(f_ddagger, two_event)
+        assert f_ddagger.support[live].tolist() == [0.4, 0.7]
+        assert kap == pytest.approx([0.3, 0.9])
 
     def test_zero_marginal_point(self):
         # 0.8 is in the support, but only the zero-prior event sends it
         inst = make_instance([0.2, 0.8], [1.0, 0.0], [[0, 0]],
                              [[[0, 0]]] * 2, 0.1)
         pred = Predictor([0.2, 0.8], np.eye(2))
-        with pytest.raises(ValidationError, match="no marginal mass") as err:
-            kappa(pred, inst, 0.8)
-        assert err.value.code == "ZERO_MASS"
-        assert kappa(pred, inst, 0.2) == 0.2
+        live, marg, kap = live_points(pred, inst)
+        assert live.tolist() == [0]
+        assert marg.tolist() == [1.0]
+        assert kap.tolist() == [0.2]
 
     def test_kappa_within_mean_range(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             inst = random_instance(rng, epsilon=0.1)
             pred = random_predictor(rng, inst)
-            marg = pred.marginal(inst.lam)
-            for k in np.flatnonzero(marg > 0):
-                val = kappa(pred, inst, pred.support[k])
-                assert inst.theta[0] - 1e-12 <= val <= inst.theta[-1] + 1e-12
+            live, _, kap = live_points(pred, inst)
+            assert live.tolist() == np.flatnonzero(
+                pred.marginal(inst.lam) > 0).tolist()
+            assert np.all(kap >= inst.theta[0] - 1e-12)
+            assert np.all(kap <= inst.theta[-1] + 1e-12)
 
 
 class TestEce:

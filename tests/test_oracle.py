@@ -3,7 +3,7 @@ import pytest
 
 from caldesign.errors import ValidationError
 from caldesign.exact import solve_exact
-from caldesign.model import INF, ece, kappa
+from caldesign.model import INF, ece, live_points
 
 from conftest import make_instance, random_instance, with_norm
 from oracle import (
@@ -35,10 +35,8 @@ class TestSampler:
         accepted = list(sample_feasible(inst, cfg))
         assert accepted
         for pred in accepted:
-            marg = pred.marginal(inst.lam)
-            for k in np.flatnonzero(marg > 0):
-                assert kappa(pred, inst, pred.support[k]) == pytest.approx(
-                    pred.support[k], abs=1e-12)
+            live, _, kap = live_points(pred, inst)
+            assert kap == pytest.approx(pred.support[live], abs=1e-12)
 
     @pytest.mark.parametrize("norm", [1.0, INF])
     def test_calibrated_shifts_reach_the_budget(self, golden, norm):
