@@ -29,11 +29,11 @@ written in the given order, so the output is identical whatever the order
 and the process count.  Every budget, an fptas sweep's delta and the
 instance's norm are checked before any child starts.
 
-Exit codes: 0 success, 2 invalid input or an output file that cannot be
-written, 3 solver failure.  Set ``CALDESIGN_LOG=debug|info|warning`` for
-logging verbosity; a forked sweep's children write their solver debug logs
-to the same stderr.  All numeric output is printed with 12 significant
-digits so reruns are byte-identical.
+Exit codes: 0 success, 2 invalid input or an unwritable output file, 3 solver
+failure; any other status (1, with a traceback) is a bug in caldesign.  Set
+``CALDESIGN_LOG=debug|info|warning`` for logging verbosity; a forked sweep's
+children write their solver debug logs to the same stderr.  All numeric output
+is printed with 12 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _scores(inst, pred):
 
 
 def _summary(inst, pred, objective):
-    per_event = (pred.mass > 1e-12).sum(axis=1)
+    per_event = (pred.mass > model.ZERO_MASS_TOL).sum(axis=1)
     return {
         "objective": objective,
         **_scores(inst, pred),
@@ -426,9 +426,6 @@ def _dispatch(args) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

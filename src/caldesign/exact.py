@@ -44,6 +44,7 @@ from .model import (
     INF,
     SEPARATION,
     SUPPORT_MERGE_TOL,
+    ZERO_MASS_TOL,
     Instance,
     Predictor,
     action_profile,
@@ -53,8 +54,6 @@ from .model import (
     runs,
     tied_action_sets,
 )
-
-ZERO_MASS_TOL = 1e-12
 
 # A merge of signals loses payoff when it costs more than this, relative.
 MERGE_TOL = 1e-9
@@ -328,7 +327,7 @@ def _truthful_basis(inst, lp):
     response pool to a mean inside that action's best-response interval,
     with no bias.
     """
-    own = np.argmax(inst.agent_scores(inst.theta), axis=1)
+    own = np.argmax(inst.vbar_events, axis=1)
     logical = lp.num_vars + np.flatnonzero(lp.rel != "==")
     return np.concatenate([np.arange(inst.n) * inst.m + own, logical])
 
@@ -425,8 +424,6 @@ def strategy_to_predictor(strat: SenderStrategy, inst: Instance) -> Predictor:
     """
     means = strat.biased_means(inst)   # NaN at the signals without mass
     keep = np.flatnonzero(~np.isnan(means))
-    if keep.size == 0:
-        raise ValidationError("BAD_STRATEGY", "strategy sends no signal")
     means = means[keep]
     if np.any(means < -1e-7) or np.any(means > 1 + 1e-7):
         raise ValidationError("BAD_STRATEGY", "biased mean outside [0, 1]")

@@ -60,6 +60,7 @@ from .model import (
     SEPARATION,
     SUPPLY_TOL,
     SUPPORT_MERGE_TOL,
+    ZERO_MASS_TOL,
     Instance,
     Predictor,
     certify,
@@ -190,9 +191,8 @@ class PlanColumns:
                            w=w)
 
     def plan(self, weights):
-        """The plan that puts ``weights`` on these columns: the columns of
-        mass above 1e-12, with that mass."""
-        keep = np.flatnonzero(weights > 1e-12)
+        """The plan of ``weights``: the columns that carry mass, with it."""
+        keep = np.flatnonzero(weights > ZERO_MASS_TOL)
         return self.take(keep, weights[keep])
 
 
@@ -267,11 +267,10 @@ class PlanProgram:
 
     def settled(self, inst):
         """What :func:`plan_to_predictor` makes of the calibrated plan for
-        ``inst`` (this program's events in any order), read off: an event of
-        prior above 1e-12 reports its mean's point and ``_from_rows`` places
-        the rest; and the payoff ``own @ lam``, summed in this program's
-        order."""
-        live = np.flatnonzero(inst.lam > 1e-12)
+        ``inst`` (this program's events in any order), read off: an event with
+        prior reports its mean's point, ``_from_rows`` places the rest; and
+        the payoff ``own @ lam``, summed in this program's order."""
+        live = np.flatnonzero(inst.lam > ZERO_MASS_TOL)
         at = _point_of(self.ps, inst.theta[live])
         points = np.flatnonzero(np.bincount(at, minlength=self.ps.size))
         rows = np.zeros((inst.n, points.size))

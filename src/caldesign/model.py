@@ -38,6 +38,9 @@ UTILITY_CAP = 1e9
 # a support's predictions, and the fptas grid points and means too.
 SUPPORT_MERGE_TOL = 1e-12
 
+# A probability mass at or below this is none.
+ZERO_MASS_TOL = 1e-12
+
 # A plan may supply an event's prior mass up to this much off.
 SUPPLY_TOL = 1e-7
 
@@ -186,9 +189,8 @@ class Instance:
         # Designer's expected utility per (event, action) under the true mean.
         self.ubar = ((1.0 - self.theta)[:, None] * self.principal_utility[:, :, 0]
                      + self.theta[:, None] * self.principal_utility[:, :, 1])
-        # Agent's expected utility per (event, action) under the true mean.
-        self.vbar_events = (np.outer(1.0 - self.theta, v[:, 0])
-                            + np.outer(self.theta, v[:, 1]))
+        # Agent's scores per (event, action) at the event's mean.
+        self.vbar_events = self.agent_scores(self.theta)
         # Sizes and slopes of the agent's scores (see tied_action_sets).
         self.agent_size = np.abs(v)
         self.agent_slope = v[:, 1] - v[:, 0]
@@ -220,8 +222,7 @@ class Instance:
         """
         ps = np.asarray(ps, dtype=float)
         v = self.agent_utility
-        scores = ps[..., None] * v[:, 1] + (1.0 - ps[..., None]) * v[:, 0]
-        return scores
+        return ps[..., None] * v[:, 1] + (1.0 - ps[..., None]) * v[:, 0]
 
     def to_json_dict(self):
         """The description :func:`validate_instance` reads."""
@@ -501,8 +502,6 @@ def ece(pred, inst, t=None):
     dev = np.abs(kap - pred.support[live])
     if t == INF:
         return float(dev.max())
-    if t == 1.0:
-        return float(marg @ dev)
     return float((marg @ dev**t) ** (1.0 / t))
 
 

@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .model import (
     CERT_ECE_TOL,
     CERT_PAYOFF_TOL,
+    ZERO_MASS_TOL,
     Instance,
     Predictor,
     ece,
@@ -89,9 +90,6 @@ class EventIndependentPlan:
             raise ValidationError("BAD_PLAN",
                                   f"plan mass sums to {w.sum()!r}, not 1")
         self.q, self.p, self.w = freeze(q, p, w)
-
-    def raw_error(self, t):
-        return float(self.w @ np.abs(self.q - self.p) ** t)
 
 
 def recalibrate(pred: Predictor, inst: Instance):
@@ -422,7 +420,8 @@ def count_predictions(pred: Predictor, inst: Instance) -> PredictionCounts:
     """Counts behind the support-size bounds: overall, per event, and per
     shared posterior mean."""
     live, _, kap = live_points(pred, inst)
-    per_event = int(np.max((pred.mass[:, live] > 1e-12).sum(axis=1), initial=0))
+    per_event = int(np.max((pred.mass[:, live] > ZERO_MASS_TOL).sum(axis=1),
+                           initial=0))
     kap = np.sort(kap)
     sizes = np.diff(runs(kap, KAPPA_GROUP_TOL), append=kap.size)
     return PredictionCounts(live.size, per_event, int(sizes.max(initial=0)))

@@ -4,8 +4,9 @@ Three independent routes: seeded samplers that spew feasible predictors
 (their payoffs must never beat the exact optimum), an exhaustive search
 over tiny grids that enumerates support sets and optimizes the masses
 exactly on each, giving a tight grid-restricted optimum to compare against,
-and the 1-norm optimum of the paper's plan LP on the finitely many columns
-that can pay (:func:`l1_plan_optimum`), which reaches n, m >= 10.  For an
+and the optimum of the paper's plan LP on the finitely many columns that
+can pay, for the 1-norm (:func:`l1_plan_optimum`) and the max-norm
+(:func:`linf_plan_optimum`), which reaches n, m >= 10.  For an
 event-independent 1-norm instance, :func:`gamma_certificate` solves the
 dual LP, whose value is the optimum too.
 :func:`sample_feasible` draws random predictors on a grid and keeps those
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from caldesign import lp_core
+from caldesign import fptas, lp_core
 from caldesign.errors import SolverError, ValidationError
 from caldesign.model import (
     INF,
@@ -244,6 +245,50 @@ def l1_plan_optimum(inst: Instance) -> float:
     res = linprog(-np.concatenate(value), A_ub=np.concatenate(err)[None],
                   b_ub=[inst.epsilon], A_eq=np.hstack(supply), b_eq=inst.lam,
                   method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun)
+
+
+def linf_plan_optimum(inst: Instance) -> float:
+    """The t = inf optimum of the paper's plan LP over every outcome q, by
+    scipy's HiGHS on explicit columns.
+
+    A predictor has ECE_inf <= epsilon exactly when it comes from a plan
+    whose every column (i, j, q, p) has ``|q - p| <= epsilon``: a pool at p
+    of mean kappa splits into two-point pools of mean kappa.  So the LP has
+    no budget row, only one supply row per event, and only the columns
+    within the budget.  A pooled column's value and supply draws are linear
+    in q, so for each pair ``theta_i < theta_j`` and prediction p the two
+    ends of ``[max(theta_i, p - eps), min(theta_j, p + eps)]`` suffice, with
+    the diagonal entry (e, e, theta_e, p) wherever ``|theta_e - p| <=
+    eps``.  The predictions are the approximation scheme's
+    (``fptas._predictions``); the LP shares no code with either solver's.
+    Like :func:`l1_plan_optimum`, it gives up about ``SEPARATION`` at the
+    agent's ties.
+    """
+    from scipy.optimize import linprog
+    eps = inst.epsilon
+    ps = fptas._predictions(inst, envelope(inst)[0])
+    U = indirect_utility_matrix(inst, ps)
+    n, theta, eye = inst.n, inst.theta, np.eye(inst.n)
+    value, supply = [], []
+    for e in range(n):
+        near = np.abs(theta[e] - ps) <= eps
+        value.append(U[e, near])
+        supply.append(np.outer(eye[e], np.ones(near.sum())))
+    for i in range(n):
+        for j in range(n):
+            if not theta[i] < theta[j]:
+                continue
+            lo = np.maximum(theta[i], ps - eps)
+            hi = np.minimum(theta[j], ps + eps)
+            ok = lo <= hi
+            for q in (lo[ok], hi[ok]):
+                r = (theta[j] - q) / (theta[j] - theta[i])
+                value.append(r * U[i, ok] + (1.0 - r) * U[j, ok])
+                supply.append(np.outer(eye[i], r) + np.outer(eye[j], 1.0 - r))
+    res = linprog(-np.concatenate(value), A_eq=np.hstack(supply),
+                  b_eq=inst.lam, method="highs")
     assert res.status == 0, res.message
     return float(-res.fun)
 

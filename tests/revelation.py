@@ -16,8 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from caldesign.errors import ValidationError
-from caldesign.exact import ZERO_MASS_TOL, SenderStrategy
-from caldesign.model import INF, Instance, Predictor, action_profile
+from caldesign.exact import SenderStrategy
+from caldesign.model import (
+    INF,
+    ZERO_MASS_TOL,
+    Instance,
+    Predictor,
+    action_profile,
+)
 
 
 class LabelledStrategy(SenderStrategy):

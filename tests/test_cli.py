@@ -77,6 +77,17 @@ class TestSolve:
         assert "BAD_FORMAT" in err
         assert not pred.exists() and not scheme.exists()
 
+    def test_a_bare_value_error_escapes(self, monkeypatch, capsys):
+        # only a ValidationError exits 2 and only a SolverError exits 3; any
+        # other error, such as numpy's on a write into a read-only array, is
+        # a bug and leaves main with its traceback
+        def broken(*args):
+            raise ValueError("assignment destination is read-only")
+
+        monkeypatch.setattr(cli.exact, "solve_exact", broken)
+        with pytest.raises(ValueError, match="read-only"):
+            main(["solve", GOLDEN])
+
     def test_fptas_guarantee(self, capsys):
         code, out, _ = run(capsys, "solve", GOLDEN, "--method", "fptas",
                            "--delta", "0.1")

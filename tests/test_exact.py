@@ -33,6 +33,7 @@ from conftest import (
 from oracle import (
     SamplerConfig,
     l1_plan_optimum,
+    linf_plan_optimum,
     sample_calibrated_shifts,
     sample_feasible,
 )
@@ -477,9 +478,10 @@ def _oracle_set(seed=1109, count=60):
 
 
 class TestPlanOracle:
-    """``solve_exact`` at t = 1 against :func:`oracle.l1_plan_optimum`, the
-    plan LP's optimum from the paper's other framework.  The largest
-    relative gap on the set is 5.3e-7: both routes give up about
+    """``solve_exact`` against the plan LP's optimum from the paper's other
+    framework: at t = 1 :func:`oracle.l1_plan_optimum`, whose largest
+    relative gap on the set is 5.3e-7, and at t = inf
+    :func:`oracle.linf_plan_optimum`.  Both routes give up about
     ``SEPARATION`` at the agent's ties."""
 
     @pytest.mark.parametrize("k", [
@@ -491,6 +493,20 @@ class TestPlanOracle:
         objective = solve_exact(inst, tie_break=None)[2]
         assert objective == pytest.approx(l1_plan_optimum(inst), rel=1e-6,
                                           abs=1e-6)
+
+    # (seed, draws, least and most events and actions; None: 1 to 4 and 3)
+    @pytest.mark.parametrize("seed, count, low, high", [
+        (1, 300, None, None), (2, 100, 6, 10), (3, 30, 12, 16)])
+    def test_max_norm_meets_the_plan_optimum(self, seed, count, low, high):
+        # the worst relative gaps are 8.5e-7, 6.4e-7 and 3.3e-7, either way
+        rng = np.random.default_rng(seed)
+        sizes = {} if low is None else dict(n_min=low, n_max=high,
+                                            m_min=low, m_max=high)
+        for _ in range(count):
+            inst = random_instance(rng, rng.uniform(0.0, 0.3), INF, **sizes)
+            objective = solve_exact(inst, tie_break=None)[2]
+            assert abs(objective - linf_plan_optimum(inst)) \
+                <= 2 * model.SEPARATION * (1.0 + abs(objective))
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=END_TIE)
     def test_end_tie_fptas_within_guarantee(self):
@@ -884,7 +900,7 @@ class TestTakenAsBuilt:
             assert pi.dtype == bias.dtype == np.float64
             assert np.all(pi >= 0.0)
             assert np.all(np.abs(pi.sum(axis=1) - 1.0) <= 1e-9)
-            assert np.all(bias[inst.lam @ pi <= exact.ZERO_MASS_TOL] == 0.0)
+            assert np.all(bias[inst.lam @ pi <= model.ZERO_MASS_TOL] == 0.0)
             # the public constructor takes them as they are
             checked = SenderStrategy(pi, bias)
             assert np.array_equal(checked.pi, pi)

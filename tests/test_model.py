@@ -45,13 +45,6 @@ def _one_event(epsilon=0.1, norm=1.0):
     return make_instance([0.8], [1.0], [[0, 0]], [[[1, 1]]], epsilon, norm)
 
 
-def _silent_strategy():
-    """A strategy whose signals carry no mass, which only a scheme taken
-    as built, past the constructor's checks, can be."""
-    strat = SenderStrategy._built(np.zeros((1, 1)), np.zeros(1))
-    return strategy_to_predictor(strat, _one_event())
-
-
 class TestValidation:
     # (a call that reads malformed input, the error code it raises)
     MALFORMED = {
@@ -110,7 +103,6 @@ class TestValidation:
                     "BAD_STRATEGY"),
         "pi-nan": (lambda: SenderStrategy([[math.nan]], [0.0]),
                    "BAD_STRATEGY"),
-        "strategy-silent": (_silent_strategy, "BAD_STRATEGY"),
         "biased-mean-outside": (lambda: strategy_to_predictor(
             SenderStrategy([[1.0]], [0.5]), _one_event()), "BAD_STRATEGY"),
     }

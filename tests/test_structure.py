@@ -155,8 +155,8 @@ class TestRecalibrate:
             assert ece(gtilde, inst, 1.0) <= 1e-9
             marg = (gtilde.support, gtilde.marginal(inst.lam))
             assert check_mpc(marg, prior_on_means(inst))
-            assert plan.raw_error(1.0) == pytest.approx(ece(pred, inst, 1.0),
-                                                        abs=1e-12)
+            raw = plan.w @ np.abs(plan.q - plan.p)
+            assert raw == pytest.approx(ece(pred, inst, 1.0), abs=1e-12)
 
     def test_zero_prior_event_alone_on_a_point(self):
         # the event of mean 0.9 has no prior and predicts 0.9 alone, a point
@@ -232,7 +232,8 @@ class TestApplyPlan:
                 pred = random_predictor(rng, inst)
                 gtilde, plan = recalibrate(pred, inst)
                 out = apply_plan(gtilde, plan, inst)
-                assert ece(out, inst, t) ** t <= plan.raw_error(t) + 1e-7
+                raw = plan.w @ np.abs(plan.q - plan.p) ** t
+                assert ece(out, inst, t) ** t <= raw + 1e-7
 
 
 class TestAnalyzeStructure:
@@ -505,6 +506,28 @@ class TestBinaryClosedForm:
                 max(inst.theta_bar, p_star))
             assert ece(pred, inst, 1.0) == pytest.approx(
                 max(p_star - inst.theta_bar, 0.0), abs=1e-12)
+
+    def test_budget_at_the_scans_own_tail_pools(self):
+        # the scan's summed tail falls one ulp short of p* - mean, so the
+        # budget misses the high-budget case yet the scan finds no cut; the
+        # closed form then pools at max(mean, p*), which the certificate
+        # proves optimal
+        from caldesign.structure import _binary_shape
+        inst = random_binary_instance(np.random.default_rng(0), epsilon=0.0)
+        _, _, p_star = _binary_shape(inst)
+        eps = 0.0
+        for k in np.argsort(inst.theta, kind="stable")[::-1]:
+            eps += inst.lam[k] * (p_star - inst.theta[k])
+        assert eps < p_star - inst.theta_bar
+        inst = inst.with_epsilon(eps)
+        pred = binary_action_optimal(inst)
+        assert pred.support.tolist() == [max(inst.theta_bar, p_star)]
+        assert pred.support[0] == pytest.approx(0.7842682)
+        verdict = verify_optimality(pred, inst,
+                                    binary_action_certificate(inst))
+        assert verdict.all_pass, verdict.to_json_dict()
+        _, _, opt = solve_exact(inst, tie_break=None)
+        assert payoff(pred, inst) == pytest.approx(opt, abs=1e-7)
 
     def test_zero_budget_matches_exact_solver(self):
         rng = np.random.default_rng(47)
