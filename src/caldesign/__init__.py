@@ -5,7 +5,7 @@ Subpackages:
 - :mod:`caldesign.model` -- instances, predictors, primitive evaluations.
 - :mod:`caldesign.lp_core` -- dense LP container and simplex from a feasible start.
 - :mod:`caldesign.exact` -- exact optimum for the 1-norm and max-norm budgets.
-- :mod:`caldesign.fptas` -- grid-based approximation scheme for general norms.
+- :mod:`caldesign.fptas` -- plan-LP approximation scheme for finite norms.
 - :mod:`caldesign.structure` -- recalibration, contraction checks, optimality
   certificates by weak duality and structural diagnostics for
   event-independent utilities.

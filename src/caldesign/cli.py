@@ -13,21 +13,21 @@ Per-event rows (predictor ``mass``, scheme ``pi``, ``per_event_support``)
 follow the instance file's order of events, as the library's rows follow
 the caller's; the order of the means does not matter.
 
-A ``sweep`` sorts its distinct budgets and cuts them into blocks of 10; an
-exact block is one walk of :func:`exact.walk_budgets`, which for t=1
-starts each budget from the previous one's optimal basis.  On Linux, a
-sweep of 20 or more budgets forks: it runs one process per CPU in the
-affinity mask, but at most one per 10 budgets, so at most one per block
-(``taskset -c 0`` makes it serial).  With ``w`` processes, the calling
-process solves blocks ``0, w, 2w, ...`` itself while ``w - 1`` forked
-children solve the others.  On exact sweeps of the golden instance 2
-processes break even at about 20 budgets; fptas sweeps win from 16, so the
-rule is set by the exact ones (README gives the measured times).  Shorter
-sweeps, and sweeps on other platforms, run in process.  The blocks depend
-on neither the process count nor the order of the budgets, and rows are
-written in the given order, so the output is identical whatever the order
-and the process count.  Every budget, an fptas sweep's delta and the
-instance's norm are checked before any child starts.
+A ``sweep`` sorts its distinct budgets and cuts them into blocks of 10; a
+block of either method is one walk of its ``walk_budgets``, which builds
+its program once, and each row prints the evaluation that certified its
+predictor.  On Linux, a sweep of 20 or more budgets forks: it runs one
+process per CPU in the affinity mask, but at most one per 10 budgets, so
+at most one per block (``taskset -c 0`` makes it serial).  With ``w``
+processes, the calling process solves blocks ``0, w, 2w, ...`` itself
+while ``w - 1`` forked children solve the others.  On sweeps of the golden
+instance 2 processes break even at about 20 budgets, exact or fptas
+(README gives the measured times).  Shorter sweeps, and sweeps on other
+platforms, run in process.  The blocks depend on neither the process count
+nor the order of the budgets, and rows are written in the given order, so
+the output is identical whatever the order and the process count.  Every
+budget, an fptas sweep's delta and the instance's norm are checked before
+any child starts.
 
 Exit codes: 0 success, 2 invalid input or an unwritable output file, 3 solver
 failure; any other status (1, with a traceback) is a bug in caldesign.  Set
@@ -161,35 +161,25 @@ def cmd_eval(args) -> int:
 
 def _sweep_block(inst, method, delta, budgets):
     """Each budget's CSV fields after ``epsilon`` and its failure text (or
-    None), for a block of sorted budgets; an exact block is one walk of
-    :func:`exact.walk_budgets`, and its rows print the evaluation that
-    certified each predictor."""
-    if method == "exact":
-        results = [result if isinstance(result, CaldesignError) else
-                   (result[2], result[3].agent_payoff(inst), result[3].ece)
-                   for result in exact.walk_budgets(inst, budgets)]
-    else:
-        results = []
-        for eps in budgets:
-            try:
-                pred, objective = fptas.fptas_solve(inst.with_epsilon(eps),
-                                                    delta)
-                results.append((objective, model.agent_payoff(pred, inst),
-                                model.ece(pred, inst)))
-            except CaldesignError as exc:
-                results.append(exc)
+    None), for a block of sorted budgets: one walk of the method's
+    ``walk_budgets``, whose rows print the evaluation that certified each
+    predictor."""
+    results = (exact.walk_budgets(inst, budgets) if method == "exact"
+               else fptas.walk_budgets(inst, budgets, delta))
     rows = []
     for result in results:
         if isinstance(result, CaldesignError):
             rows.append((f"nan,nan,nan,error:{result.code}", str(result)))
             continue
-        rows.append((",".join([*map(_fmt, result), "ok"]), None))
+        *_, objective, checked = result
+        fields = (objective, checked.agent_payoff(inst), checked.ece)
+        rows.append((",".join([*map(_fmt, fields), "ok"]), None))
     return rows
 
 
 # A sweep solves its sorted budgets in blocks of this many, each one walk of
-# exact.walk_budgets.  The blocks do not depend on the process count, and
-# neither do the rows.
+# the method's walk_budgets.  The blocks do not depend on the process count,
+# and neither do the rows.
 _SWEEP_BLOCK = 10
 
 
@@ -201,10 +191,9 @@ def _sweep_workers(budgets):
     the golden instance break even at 20 budgets, the shortest sweep that
     forks (faster in 19 of 40 alternating pairs of calls), lose at 16 (16 of
     40) and win from 24 (19 of 28; 21, 22 and 23 of 26 at 30, 40 and 60).
-    fptas sweeps (delta 0.1) cost more per budget, and 2 processes won at
-    16, 20 and 24 budgets (16, 19 and 16 of 20 pairs in the second of two
-    runs), so the rule leaves fptas sweeps of 16 to 19 budgets serial where
-    a fork would win.  More than 2 processes are unmeasured."""
+    On fptas sweeps (delta 0.1) they were faster in 5, 7, 8 and 9 of 12
+    pairs at 16, 18, 20 and 24 budgets.  More than 2 processes are
+    unmeasured."""
     return max(1, min(len(os.sched_getaffinity(0)), budgets // _SWEEP_BLOCK))
 
 

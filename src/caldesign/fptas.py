@@ -34,15 +34,15 @@ in for the tie at the breakpoint).  Since the indirect utilities are
 piecewise constant, an optimal plan never needs any other prediction.
 
 The plan LP has one budget row and one supply row per event, so an optimal
-vertex pools at most n + 1 of its (infinitely many) columns.  One
-:class:`PlanProgram` per solve holds the n x P utilities and the
-calibrated plan, settled from them alone (:func:`build_disc_lp`).  When no
-event's utility rises at another prediction, no column can enter, and the
-calibrated predictor is read off the plan: no pair, column or LP is built.
-Otherwise the program builds its event pairs and fixed pricing candidates,
-never the program's columns whole, and :func:`solve_plan_lp` solves it by
-column generation from the calibrated plan's n columns
-(:meth:`PlanProgram.start`).
+vertex pools at most n + 1 of its (infinitely many) columns.  A
+:class:`PlanProgram` holds the n x P utilities and the calibrated plan,
+settled from them alone (:func:`build_disc_lp`), and no budget, so one
+serves a whole :func:`walk_budgets`.  When no event's utility rises at
+another prediction, no column can enter, and the calibrated predictor is
+read off the plan: no pair, column or LP is built.  Otherwise the program
+builds its event pairs and fixed pricing candidates, never its columns
+whole, and :func:`solve_plan_lp` solves it at a budget by column
+generation from the calibrated plan's n columns (:meth:`PlanProgram.start`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lp_core
-from .errors import ValidationError
+from .errors import CaldesignError, ValidationError
 from .model import (
     INF,
     SEPARATION,
@@ -225,7 +225,8 @@ def _predictions(inst: Instance, zs):
 class PlanProgram:
     """The plan LP of ``inst`` over the continuum of q, by event pair, and
     the calibrated plan that starts its column generation; no column of the
-    LP is built whole.
+    LP is built whole.  It holds no budget: :meth:`price` and
+    :func:`solve_plan_lp` take one, by default ``inst.epsilon``.
 
     ``ps`` is the reduced prediction set and ``U[e, c]`` event e's indirect
     utility at ``ps[c]``.  ``ps`` holds every mean, merged, and in the
@@ -240,10 +241,8 @@ class PlanProgram:
     ``fixed`` holds the pricing candidates that no row price moves (see
     :meth:`price`): the n x P diagonal entries event by event, then the
     calibrated pools (i, j, p, p) of every pair and prediction with
-    ``theta_i < p < theta_j``, which spend nothing.  At a zero budget it
-    keeps only the candidates that spend nothing; no other column can carry
-    mass.  ``pairs`` and ``fixed`` are built on first use, which a settled
-    plan never makes.
+    ``theta_i < p < theta_j``, which spend nothing.  ``pairs`` and
+    ``fixed`` are built on first use, which a settled plan never makes.
 
     The calibrated plan prices the rows at ``(0, own)`` (:meth:`start`).
     At these prices a pooled column (i, j, q, p) has reduced cost
@@ -261,7 +260,7 @@ class PlanProgram:
     at: np.ndarray
     own: np.ndarray
 
-    @property
+    @functools.cached_property
     def improvable(self):
         return bool((self.U > self.own[:, None]).any())
 
@@ -300,10 +299,7 @@ class PlanProgram:
     def fixed(self):
         (i, j), ps, theta = self.pairs, self.ps, self.inst.theta
         k, c = np.nonzero((theta[i][:, None] < ps) & (ps < theta[j][:, None]))
-        fixed = _join([self._diagonal(), self._pooled(k, c, ps[c])])
-        if self.inst.epsilon == 0.0:
-            fixed = fixed.take(np.flatnonzero(fixed.err == 0.0))
-        return fixed
+        return _join([self._diagonal(), self._pooled(k, c, ps[c])])
 
     def _diagonal(self):
         """The n x P diagonal entries (e, e, theta_e, ps[c]) event by event;
@@ -324,9 +320,9 @@ class PlanProgram:
                            r * self.U[i, c] + (1.0 - r) * self.U[j, c],
                            np.abs(q - p) ** inst.norm, r)
 
-    def price(self, y):
+    def price(self, y, budget=None):
         """Pricing candidates for the row prices ``y`` (budget row first,
-        then one supply row per event) and their reduced costs.
+        then one supply row per event) at ``budget`` and their reduced costs.
 
         With ``A_e = U_e(p) - y_e`` the reduced cost of (i, j, q, p) is
         ``r(q) A_i + (1 - r(q)) A_j - y_0 |q - p|^t``, an affine function of
@@ -336,14 +332,16 @@ class PlanProgram:
         stationary point ``q* = p + sign(s) (|s| / (y_0 t))^(1/(t-1))``,
         ``s = (A_j - A_i) / (theta_j - theta_i)``, which is the kink
         ``q* = p`` for t = 1, a calibrated pool.  The fixed candidates are
-        the diagonal entries and the calibrated pools; for t > 1, ``y_0 > 0``
-        and a budget above 0, every other q* strictly inside its slice joins
-        them.  So no column has a larger reduced cost than the best
-        candidate of its pair and prediction.
-        """
+        the diagonal entries and the calibrated pools, at a zero budget only
+        those that spend nothing, as no other column can carry mass; for
+        t > 1, ``y_0 > 0`` and a budget above 0, every other q* strictly
+        inside its slice joins them.  So no column has a larger reduced cost
+        than the best candidate of its pair and prediction."""
         cols, inst = self.fixed, self.inst
         t = inst.norm
-        if t > 1.0 and y[0] > 0.0 and inst.epsilon > 0.0:
+        if (inst.epsilon if budget is None else budget) == 0.0:
+            cols = cols.take(np.flatnonzero(cols.err == 0.0))
+        elif t > 1.0 and y[0] > 0.0:
             i, j = self.pairs
             lo, hi = inst.theta[i][:, None], inst.theta[j][:, None]
             A = self.U - y[1:, None]
@@ -410,9 +408,10 @@ def plan_to_predictor(plan: PlanColumns, inst: Instance) -> Predictor:
     return Predictor._from_rows(support, rows, inst.theta)
 
 
-def _master(inst: Instance, cols: PlanColumns):
-    """The restricted master on ``cols``: the plan LP's budget row and
-    supply rows over those columns only."""
+def _master(inst: Instance, cols: PlanColumns, budget=None):
+    """The restricted master on ``cols``: the plan LP's budget row (by
+    default at ``inst.epsilon``) and supply rows over those columns only."""
+    budget = inst.epsilon if budget is None else budget
     size = cols.obj.size
     at = np.arange(size)
     supply = np.zeros((inst.n, size))
@@ -420,13 +419,13 @@ def _master(inst: Instance, cols: PlanColumns):
     np.add.at(supply, (cols.j, at), 1.0 - cols.r)
     return lp_core.LinearProgram(
         cols.obj, np.vstack([cols.err, supply]), ["<="] + ["=="] * inst.n,
-        np.concatenate([[inst.epsilon**inst.norm], inst.lam]))
+        np.concatenate([[budget**inst.norm], inst.lam]))
 
 
-def solve_plan_lp(prog: PlanProgram):
-    """Solve the :func:`build_disc_lp` plan LP by column generation,
-    priced at the calibrated plan, first master solved only once columns
-    enter.
+def solve_plan_lp(prog: PlanProgram, budget=None):
+    """Solve the :func:`build_disc_lp` plan LP at ``budget`` (by default
+    ``prog.inst.epsilon``) by column generation, priced at the calibrated
+    plan, first master solved only once columns enter.
 
     An optimal vertex uses at most n + 1 columns.  The restricted master,
     the LP on the active columns only, starts with each event's calibrated
@@ -457,7 +456,7 @@ def solve_plan_lp(prog: PlanProgram):
     batch = 2 * (inst.n + 1)
     pivots = 0
     while True:
-        cand, reduced = prog.price(y)
+        cand, reduced = prog.price(y, budget)
         tol = max(PRICE_TOL * (1.0 + abs(sol.objective_value)),
                   _reduced(cols, y).max())
         entering = np.flatnonzero(reduced > tol)
@@ -471,44 +470,67 @@ def solve_plan_lp(prog: PlanProgram):
         # the logicals of the old master renumber past the new columns
         basis = np.where(sol.basis >= size, sol.basis + entering.size,
                          sol.basis)
-        master = _master(inst, cols)
+        master = _master(inst, cols, budget)
         sol = lp_core.solve(master, basis=basis)
         pivots += sol.iterations
         y = lp_core.row_prices(master, sol)
     return cols, replace(sol, iterations=pivots)
 
 
-def fptas_solve(inst: Instance, delta: float):
-    """(1 - delta)-approximate predictor for any finite norm; ``delta``
-    must lie in (0, 1) (:func:`read_delta`).
-
-    Builds the plan LP over every q with its calibrated plan
-    (:func:`build_disc_lp`, n x P work).  When no diagonal reduced cost at
-    the calibrated prices is above 0, that plan is optimal, and its
-    predictor is read off it (:meth:`PlanProgram.settled`).  Otherwise the
-    solver solves the LP by column generation (:func:`solve_plan_lp`) and
-    converts the optimal plan (:func:`plan_to_predictor`).  That LP holds
-    each column of the plan LP on the grid at precision delta/3
-    (:func:`build_grid`), so the result keeps the budget and loses at most
-    a (1 - delta) factor of the optimal payoff, whatever delta; no grid is
-    built.  It solves on the events sorted by mean (equal means keep the
-    caller's order), so the order of distinct means does not pick among the
-    degenerate LP's optimal plans.  The predictor is certified before it is returned
-    (:func:`caldesign.model.certify`): its calibration error is within the
-    budget and its payoff is the returned objective, or
-    ``SolverError('UNCERTIFIED')`` is raised.
-    """
-    read_delta(delta)
+def _program(inst: Instance):
+    """``inst``'s events sorted by mean, stably, and their plan program."""
     order = np.argsort(inst.theta, kind="stable")
     view = inst._in_order(order)
-    prog = build_disc_lp(view, _predictions(view, envelope(view)[0]))
+    return order, build_disc_lp(view, _predictions(view, envelope(view)[0]))
+
+
+def _solve_budget(inst: Instance, order, prog: PlanProgram):
+    """:func:`fptas_solve`'s answer at ``inst.epsilon`` on :func:`_program`'s
+    ``order`` and ``prog``, and the Evaluation that certified it."""
     if not prog.improvable:
         predictor, objective = prog.settled(inst)
     else:
-        cols, sol = solve_plan_lp(prog)
+        cols, sol = solve_plan_lp(prog, inst.epsilon)
         plan = cols.plan(sol.x)
         plan.i, plan.j = order[plan.i], order[plan.j]   # the caller's events
         predictor = plan_to_predictor(plan, inst)
         objective = float(sol.objective_value)
-    certify(predictor, inst, objective)
-    return predictor, objective
+    return predictor, objective, certify(predictor, inst, objective)
+
+
+def fptas_solve(inst: Instance, delta: float):
+    """(1 - delta)-approximate predictor for any finite norm; ``delta``
+    must lie in (0, 1) (:func:`read_delta`).
+
+    Builds the plan LP over every q, which does not depend on the budget,
+    on the events sorted by mean, equal means in the caller's order, so the
+    order of distinct means does not pick among the degenerate LP's optimal
+    plans (:func:`_program`).  Its calibrated plan is optimal when no
+    diagonal reduced cost is above 0 (:meth:`PlanProgram.settled`);
+    otherwise :func:`solve_plan_lp` solves the LP at ``inst.epsilon`` and
+    :func:`plan_to_predictor` converts the optimal plan.  That LP holds each
+    column of the plan LP on the grid at precision delta/3
+    (:func:`build_grid`), so the result keeps the budget and loses at most
+    a (1 - delta) factor of the optimal payoff, whatever delta; no grid is
+    built.  The predictor is certified before it is returned
+    (:func:`caldesign.model.certify`), or ``SolverError('UNCERTIFIED')`` is
+    raised.
+    """
+    read_delta(delta)
+    return _solve_budget(inst, *_program(inst))[:2]
+
+
+def walk_budgets(inst: Instance, budgets, delta: float):
+    """:func:`fptas_solve` at each budget of ``budgets``, in the order
+    given, on one plan program: yields ``(predictor, objective,
+    evaluation)``, with the :class:`model.Evaluation` that certified the
+    predictor, or the ``CaldesignError`` that budget's solve raised.  A bad
+    ``delta`` or norm raises, as in :func:`fptas_solve`, before any budget."""
+    read_delta(delta)
+    order, prog = _program(inst)
+    for budget in budgets:
+        try:
+            result = _solve_budget(inst.with_epsilon(budget), order, prog)
+        except CaldesignError as err:
+            result = err
+        yield result

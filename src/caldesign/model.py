@@ -403,10 +403,10 @@ def envelope(inst):
         # first crossing, the best right after it: a sentinel-steep line can
         # meet two others at crossings that rounding cannot order.
         first = min(cross.values())
+        score = inst.agent_scores(first)
         act = max((b for b, c in cross.items()
                    if c <= first + SUPPORT_MERGE_TOL),
-                  key=lambda b: (first * v[b][1] + (1.0 - first) * v[b][0],
-                                 slope[b], -b))
+                  key=lambda b: (score[b], slope[b], -b))
         z, last = cross[act], z
         if z <= 1e-12 or zs and z - last <= SUPPORT_MERGE_TOL:
             acts[-1] = act      # the piece before z is empty or merged

@@ -25,14 +25,12 @@ from caldesign import fptas, lp_core
 from caldesign.errors import SolverError, ValidationError
 from caldesign.model import (
     INF,
-    SEPARATION,
     Instance,
     Predictor,
     ece,
     envelope,
     indirect_utility_matrix,
     payoff,
-    piece_scan,
     tied_action_sets,
 )
 from caldesign.structure import GammaCertificate
@@ -208,9 +206,10 @@ def l1_plan_optimum(inst: Instance) -> float:
     """The t = 1 optimum of the paper's plan LP over every outcome q, by
     scipy's HiGHS on explicit columns.
 
-    The predictions are those of the approximation scheme: the edges and
-    midpoints of the indirect utility's constant pieces, each envelope
-    breakpoint split by ``SEPARATION`` (clipped to [0, 1]), and the means.
+    The predictions are the approximation scheme's
+    (``fptas._predictions``): the edges and midpoints of the indirect
+    utility's constant pieces, each envelope breakpoint split by
+    ``SEPARATION`` (clipped to [0, 1]), and the means, merged.
     At t = 1 a pooled column's reduced cost is piecewise linear in q, with
     kinks only at the ends of its slice and at q = p, so the columns that
     can pay are finitely many: every event's diagonal entry (e, e, theta_e,
@@ -223,10 +222,7 @@ def l1_plan_optimum(inst: Instance) -> float:
     tie by the mass sent there.
     """
     from scipy.optimize import linprog
-    zs = envelope(inst)[0]
-    ps = np.unique(np.concatenate([
-        piece_scan(zs), np.clip(zs - SEPARATION, 0.0, 1.0),
-        np.clip(zs + SEPARATION, 0.0, 1.0), inst.theta]))
+    ps = fptas._predictions(inst, envelope(inst)[0])
     U = indirect_utility_matrix(inst, ps)
     n, theta = inst.n, inst.theta
     value, err, supply = [], [], []

@@ -453,16 +453,17 @@ class TestSweepWorkers:
 
     @staticmethod
     def _fail_at(monkeypatch, budgets):
-        """Make fptas_solve raise a SolverError at ``budgets``; patched
-        before any fork, so a forked child fails at them too."""
-        real = fptas.fptas_solve
+        """Make the fptas walk's per-budget solve raise a SolverError at
+        ``budgets``; patched before any fork, so a forked child fails at
+        them too."""
+        real = fptas._solve_budget
 
-        def solve(inst, delta):
+        def solve(inst, order, prog):
             if inst.epsilon in budgets:
                 raise SolverError("UNCERTIFIED", f"injected at {inst.epsilon}")
-            return real(inst, delta)
+            return real(inst, order, prog)
 
-        monkeypatch.setattr(fptas, "fptas_solve", solve)
+        monkeypatch.setattr(fptas, "_solve_budget", solve)
 
     @staticmethod
     def _renormed(tmp_path, norm):
@@ -514,6 +515,39 @@ class TestSweepWorkers:
             fields = (float(budget), objective, agent_payoff(pred, inst),
                       ece(pred, inst))
             assert row == ",".join([*(f"{x:.12g}" for x in fields), "ok"])
+
+    def test_a_walk_builds_one_program(self, monkeypatch, capsys, tmp_path):
+        # the plan program does not depend on the budget: an fptas sweep
+        # builds it once per block of 10, and each budget of a walk is
+        # fptas_solve's answer, bit for bit, at zero and positive budgets
+        builds = []
+
+        def build(*args, real=fptas.build_disc_lp):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fptas, "build_disc_lp", build)
+        code, _, _, procs = self._sweep(
+            monkeypatch, capsys, tmp_path, "in-process", "--eps",
+            self.GOLDEN_BUDGETS, "--method", "fptas", "--delta", "0.1")
+        assert code == 0 and procs == []
+        assert len(builds) == 9
+        # t = 2, events out of mean order; every budget solves masters, the
+        # zero ones on the candidates that spend nothing
+        inst = next(TestEventOrder._draws(30, 2.0, 1))[1]
+        budgets = [0.0, 0.05, 0.0, 0.2, 0.1]
+        builds.clear()
+        walked = list(fptas.walk_budgets(inst, budgets, 0.1))
+        assert len(builds) == 1
+        for budget, (pred, objective, checked) in zip(budgets, walked):
+            at = inst.with_epsilon(budget)
+            want, want_objective = fptas.fptas_solve(at, 0.1)
+            assert objective.hex() == want_objective.hex()
+            assert pred.support.tobytes() == want.support.tobytes()
+            assert pred.mass.tobytes() == want.mass.tobytes()
+            # the evaluation that certified it: its ece and payoff
+            assert checked[:2] == certify(want, at, want_objective)[:2]
+        assert len(builds) == 1 + len(budgets)
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("seed", [1, 2])
