@@ -172,7 +172,7 @@ def _sweep_block(inst, method, delta, budgets):
             rows.append((f"nan,nan,nan,error:{result.code}", str(result)))
             continue
         *_, objective, checked = result
-        fields = (objective, checked.agent_payoff(inst), checked.ece)
+        fields = (objective, checked.agent_payoff, checked.ece)
         rows.append((",".join([*map(_fmt, fields), "ok"]), None))
     return rows
 

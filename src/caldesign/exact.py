@@ -27,9 +27,9 @@ solve ends with ``model.certify``, independent of the solver: the returned
 predictor's calibration error is within the budget and its payoff is the
 returned objective, or ``SolverError('UNCERTIFIED')`` is raised.
 
-:func:`walk_budgets` solves one instance at a list of budgets on one
-program, each t=1 budget from the last one's optimal basis, and
-:func:`solve_exact` is its one-budget case.
+:func:`solve_exact` solves one budget and :func:`walk_budgets` a list of
+them on one program, each t=1 budget from the last one's optimal basis;
+both run one step per budget, :func:`_solve_budget`.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def _strategy_from_solution(inst, x):
 
 
 def solve_exact(inst: Instance, tie_break="agent"):
-    """Optimal (strategy, predictor, objective) for t in {1, inf}: the
-    one-budget case of :func:`walk_budgets`, whose error it raises.
+    """Optimal (strategy, predictor, objective) for t in {1, inf}: one
+    :func:`_solve_budget` at ``inst.epsilon`` on :func:`_program`.
 
     The first stage starts its simplex at the truthful scheme
     (:func:`_truthful_basis`), a feasible vertex of every instance.  The
@@ -221,38 +221,30 @@ def solve_exact(inst: Instance, tie_break="agent"):
     ``SEPARATION``, raise ``SolverError('UNCERTIFIED')``, as does a
     predictor that fails the final certificate (:func:`certify`).
     """
-    [result] = walk_budgets(inst, [inst.epsilon], tie_break)
-    if isinstance(result, CaldesignError):
-        raise result
-    return result[:3]
+    return _solve_budget(inst, _program(inst, tie_break), tie_break,
+                         None)[0][:3]
 
 
 def walk_budgets(inst: Instance, budgets, tie_break="agent"):
     """:func:`solve_exact` at each budget of ``budgets``, in the order
-    given: yields ``(strategy, predictor, objective, evaluation)``, with
-    the :class:`model.Evaluation` that certified the predictor, or the
-    ``CaldesignError`` that budget's solve raised, per budget.
+    given, on one program: yields ``(strategy, predictor, objective,
+    evaluation)``, with the :class:`model.Evaluation` that certified the
+    predictor, or the ``CaldesignError`` that budget's solve raised.  A bad
+    ``tie_break`` or norm raises before any budget.
 
-    The program is built once and each budget written into it
-    (:func:`_set_budget`, which leaves the program a rebuild would give).
-    For t=1 the budget is only a right-hand side, so one optimal basis
-    holds over an interval of budgets: each first stage starts from the
-    previous budget's optimal basis (a walk), and a caller that passes the
-    budgets sorted keeps the walk short.  It starts from the truthful
-    scheme instead after a budget that failed, and falls back to it when
-    ``lp_core`` rejects the walk's start or had to clamp it (an
-    ill-conditioned basis reads ``B⁻¹b`` slightly negative at the new
-    budget, and the clamp moves the objective in its ninth digit).  For
-    t=inf the budget is in the matrix, and every budget starts from the
-    truthful scheme.
+    Each budget is written into the program (:func:`_set_budget`, which
+    leaves the program a rebuild would give).  For t=1 the budget is only a
+    right-hand side, so one optimal basis holds over an interval of
+    budgets: each first stage starts from the previous budget's optimal
+    basis (a walk), and a caller that passes the budgets sorted keeps the
+    walk short.  It starts from the truthful scheme instead after a budget
+    that failed, and falls back to it when ``lp_core`` rejects the walk's
+    start or had to clamp it (an ill-conditioned basis reads ``B⁻¹b``
+    slightly negative at the new budget, and the clamp moves the objective
+    in its ninth digit).  For t=inf the budget is in the matrix, and every
+    budget starts from the truthful scheme.
     """
-    if tie_break not in ("agent", None):
-        raise ValidationError("BAD_FORMAT", f"unknown tie_break {tie_break!r}")
-    try:
-        lp = build_actrec_lp(inst)
-    except CaldesignError as err:
-        yield from [err] * len(budgets)
-        return
+    lp = _program(inst, tie_break)
     walk = None   # the last first stage's optimal basis, t=1 only
     for budget in budgets:
         try:
@@ -265,10 +257,18 @@ def walk_budgets(inst: Instance, budgets, tie_break="agent"):
             walk = basis
 
 
+def _program(inst, tie_break):
+    """:func:`build_actrec_lp` of ``inst``, built once per solve or walk; a
+    bad ``tie_break`` or norm raises here."""
+    if tie_break not in ("agent", None):
+        raise ValidationError("BAD_FORMAT", f"unknown tie_break {tie_break!r}")
+    return build_actrec_lp(inst)
+
+
 def _solve_budget(inst, lp, tie_break, walk):
-    """One budget of :func:`walk_budgets`, ``inst.epsilon``, on ``lp``;
-    returns its ``(strategy, predictor, objective, evaluation)`` and the
-    first stage's optimal basis."""
+    """One budget, ``inst.epsilon``, on ``lp`` (:func:`_program`), the
+    first stage from ``walk``; returns its ``(strategy, predictor,
+    objective, evaluation)`` and the first stage's optimal basis."""
     _set_budget(lp, inst, inst.epsilon)
     best, strat, basis = _solve_stages(inst, lp, tie_break, walk)
     merged = _lossy_merges(inst, strat)

@@ -225,8 +225,9 @@ def _predictions(inst: Instance, zs):
 class PlanProgram:
     """The plan LP of ``inst`` over the continuum of q, by event pair, and
     the calibrated plan that starts its column generation; no column of the
-    LP is built whole.  It holds no budget: :meth:`price` and
-    :func:`solve_plan_lp` take one, by default ``inst.epsilon``.
+    LP is built whole.  It holds no budget, and every call takes one: the
+    ``epsilon`` of ``inst``, :func:`_program`'s sorted view, is the
+    caller's, stale in a walk, and read nowhere.
 
     ``ps`` is the reduced prediction set and ``U[e, c]`` event e's indirect
     utility at ``ps[c]``.  ``ps`` holds every mean, merged, and in the
@@ -320,7 +321,7 @@ class PlanProgram:
                            r * self.U[i, c] + (1.0 - r) * self.U[j, c],
                            np.abs(q - p) ** inst.norm, r)
 
-    def price(self, y, budget=None):
+    def price(self, y, budget):
         """Pricing candidates for the row prices ``y`` (budget row first,
         then one supply row per event) at ``budget`` and their reduced costs.
 
@@ -339,7 +340,7 @@ class PlanProgram:
         than the best candidate of its pair and prediction."""
         cols, inst = self.fixed, self.inst
         t = inst.norm
-        if (inst.epsilon if budget is None else budget) == 0.0:
+        if budget == 0.0:
             cols = cols.take(np.flatnonzero(cols.err == 0.0))
         elif t > 1.0 and y[0] > 0.0:
             i, j = self.pairs
@@ -408,10 +409,9 @@ def plan_to_predictor(plan: PlanColumns, inst: Instance) -> Predictor:
     return Predictor._from_rows(support, rows, inst.theta)
 
 
-def _master(inst: Instance, cols: PlanColumns, budget=None):
-    """The restricted master on ``cols``: the plan LP's budget row (by
-    default at ``inst.epsilon``) and supply rows over those columns only."""
-    budget = inst.epsilon if budget is None else budget
+def _master(inst: Instance, cols: PlanColumns, budget):
+    """The restricted master on ``cols``: the plan LP's budget row at
+    ``budget`` and supply rows over those columns only."""
     size = cols.obj.size
     at = np.arange(size)
     supply = np.zeros((inst.n, size))
@@ -422,10 +422,10 @@ def _master(inst: Instance, cols: PlanColumns, budget=None):
         np.concatenate([[budget**inst.norm], inst.lam]))
 
 
-def solve_plan_lp(prog: PlanProgram, budget=None):
-    """Solve the :func:`build_disc_lp` plan LP at ``budget`` (by default
-    ``prog.inst.epsilon``) by column generation, priced at the calibrated
-    plan, first master solved only once columns enter.
+def solve_plan_lp(prog: PlanProgram, budget):
+    """Solve the :func:`build_disc_lp` plan LP at ``budget`` by column
+    generation, priced at the calibrated plan, first master solved only
+    once columns enter.
 
     An optimal vertex uses at most n + 1 columns.  The restricted master,
     the LP on the active columns only, starts with each event's calibrated

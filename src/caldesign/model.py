@@ -530,17 +530,11 @@ def agent_payoff(pred, inst):
 
 class Evaluation(NamedTuple):
     """What :func:`certify` computed of a predictor: its ``ece`` in the
-    instance's norm, its ``payoff``, and the ``weight`` and ``actions`` of
-    :func:`_support_actions` that the payoffs sum over, read-only."""
+    instance's norm, its ``payoff`` and its ``agent_payoff``."""
 
     ece: float
     payoff: float
-    weight: np.ndarray
-    actions: np.ndarray
-
-    def agent_payoff(self, inst):
-        """The predictor's :func:`agent_payoff`, on request."""
-        return _expected(self.weight, self.actions, inst.vbar_events)
+    agent_payoff: float
 
 
 # certify's own name for ece: a wrapper put on model.ece (perfbench's
@@ -550,9 +544,9 @@ _ece = ece
 
 def _evaluate(pred, inst):
     """The :class:`Evaluation` of ``pred`` that :func:`certify` checks."""
-    weight, acts = freeze(*_support_actions(pred, inst))
+    weight, acts = _support_actions(pred, inst)
     return Evaluation(_ece(pred, inst), _expected(weight, acts, inst.ubar),
-                      weight, acts)
+                      _expected(weight, acts, inst.vbar_events))
 
 
 def certify(predictor, inst, objective):

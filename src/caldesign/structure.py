@@ -379,34 +379,6 @@ def binary_action_optimal(inst: Instance) -> Predictor:
     return Predictor(support, mass)
 
 
-def binary_action_certificate(inst: Instance) -> GammaCertificate:
-    """The dual solution that certifies :func:`binary_action_optimal`.
-
-    With budget slack it is flat at the winning payoff, with alpha 0.  With
-    the budget exhausted it is 0 at the anchor (the cut-off event's mean,
-    or the lowest mean when everything pools) and rises at slope alpha
-    through (threshold, payoff); below the anchor it is flat, or falls at
-    slope -alpha when everything pools.
-    """
-    _, c, p_star = _binary_shape(inst)
-    pred = binary_action_optimal(inst)
-    err = ece(pred, inst, 1.0)
-    if err < inst.epsilon - 1e-12 or err <= 1e-12:
-        # slack (or a perfectly calibrated solution): flat certificate
-        return GammaCertificate([(0.0, c), (1.0, c)], 0.0)
-    # everything pooled at the threshold keeps no point below it, and the
-    # anchor is the lowest mean
-    keep = pred.support[live_points(pred, inst)[0]]
-    anchored = keep[keep < p_star - 1e-12]
-    anchor = float(anchored.max() if anchored.size else inst.theta.min())
-    alpha = c / (p_star - anchor)
-    low = alpha * anchor if inst.epsilon >= p_star - inst.theta_bar else 0.0
-    knots = [(0.0, low), (anchor, 0.0), (1.0, alpha * (1.0 - anchor))]
-    if anchor <= 1e-12:
-        knots = [(0.0, 0.0), (1.0, alpha)]
-    return GammaCertificate(knots, alpha)
-
-
 @dataclass
 class PredictionCounts:
     """Support-size statistics of a predictor."""

@@ -8,7 +8,8 @@ and the optimum of the paper's plan LP on the finitely many columns that
 can pay, for the 1-norm (:func:`l1_plan_optimum`) and the max-norm
 (:func:`linf_plan_optimum`), which reaches n, m >= 10.  For an
 event-independent 1-norm instance, :func:`gamma_certificate` solves the
-dual LP, whose value is the optimum too.
+dual LP, whose value is the optimum too, and for a binary-action one
+:func:`binary_action_certificate` gives the dual solution in closed form.
 :func:`sample_feasible` draws random predictors on a grid and keeps those
 within the budget, which a tight budget rarely admits;
 :func:`sample_calibrated_shifts` shifts calibrated predictors out to the
@@ -30,10 +31,15 @@ from caldesign.model import (
     ece,
     envelope,
     indirect_utility_matrix,
+    live_points,
     payoff,
     tied_action_sets,
 )
-from caldesign.structure import GammaCertificate
+from caldesign.structure import (
+    GammaCertificate,
+    _binary_shape,
+    binary_action_optimal,
+)
 
 from cold import cold_solve
 
@@ -323,3 +329,31 @@ def gamma_certificate(inst: Instance):
     assert res.status == 0, res.message
     return (GammaCertificate(np.column_stack([xs, res.x[1:]]), res.x[0]),
             float(res.fun))
+
+
+def binary_action_certificate(inst: Instance) -> GammaCertificate:
+    """The dual solution that certifies :func:`binary_action_optimal`.
+
+    With budget slack it is flat at the winning payoff, with alpha 0.  With
+    the budget exhausted it is 0 at the anchor (the cut-off event's mean,
+    or the lowest mean when everything pools) and rises at slope alpha
+    through (threshold, payoff); below the anchor it is flat, or falls at
+    slope -alpha when everything pools.
+    """
+    _, c, p_star = _binary_shape(inst)
+    pred = binary_action_optimal(inst)
+    err = ece(pred, inst, 1.0)
+    if err < inst.epsilon - 1e-12 or err <= 1e-12:
+        # slack (or a perfectly calibrated solution): flat certificate
+        return GammaCertificate([(0.0, c), (1.0, c)], 0.0)
+    # everything pooled at the threshold keeps no point below it, and the
+    # anchor is the lowest mean
+    keep = pred.support[live_points(pred, inst)[0]]
+    anchored = keep[keep < p_star - 1e-12]
+    anchor = float(anchored.max() if anchored.size else inst.theta.min())
+    alpha = c / (p_star - anchor)
+    low = alpha * anchor if inst.epsilon >= p_star - inst.theta_bar else 0.0
+    knots = [(0.0, low), (anchor, 0.0), (1.0, alpha * (1.0 - anchor))]
+    if anchor <= 1e-12:
+        knots = [(0.0, 0.0), (1.0, alpha)]
+    return GammaCertificate(knots, alpha)

@@ -833,7 +833,7 @@ class TestVerifyStructure:
     def _binary_check(capsys, tmp_path, **cert_keys):
         """``verify-structure`` on a binary instance's closed form with its
         certificate, ``cert_keys`` added to the certificate file."""
-        from caldesign.structure import binary_action_certificate
+        from oracle import binary_action_certificate
         from caldesign.model import validate_instance
         from caldesign.structure import binary_action_optimal
         raw = {"theta": [0.2, 0.8], "lambda": [0.5, 0.5],

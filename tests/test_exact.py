@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from caldesign import cli, exact, lp_core, model
+from caldesign import cli, exact, fptas, lp_core, model
 from caldesign.cli import _fmt
 from caldesign.errors import SolverError, ValidationError
 from caldesign.exact import (
@@ -823,12 +823,51 @@ class TestSolveBudgets:
     def test_tinf_is_bit_identical_to_per_budget_solves(self):
         self._check(INF, _hex_row)
 
-    def test_errors_come_back_per_budget(self, golden):
-        t2 = with_norm(golden, 0.1, 2.0)
-        results = list(exact.walk_budgets(t2, [0.1, 0.2]))
-        assert [err.code for err in results] == ["UNSUPPORTED_NORM"] * 2
+    def test_setup_errors_raise_at_the_first_budget(self, golden):
+        # a norm the solver cannot take fails the program's build, which
+        # raises before any budget, in a walk as in a single solve
+        t2, tinf = with_norm(golden, 0.1, 2.0), with_norm(golden, 0.1, INF)
+        for walk in (exact.walk_budgets(t2, [0.1, 0.2]),
+                     fptas.walk_budgets(tinf, [0.1, 0.2], 0.1)):
+            with pytest.raises(ValidationError, match="UNSUPPORTED_NORM"):
+                next(walk)
         with pytest.raises(ValidationError, match="UNSUPPORTED_NORM"):
             solve_exact(t2)
+        with pytest.raises(ValidationError, match="UNSUPPORTED_NORM"):
+            fptas_solve(tinf, 0.1)
+
+    @pytest.mark.parametrize("tie_break", ["agent", None])
+    def test_single_solve_runs_the_walk_step(self, monkeypatch, tie_break):
+        # solve_exact runs the per-budget step on the caller's instance:
+        # no walk, no copy of the instance, and the walk's answer at the
+        # instance's own budget, bit for bit
+        ladder = _ladder()
+        draws = [next(inst for inst in ladder if inst.norm == norm)
+                 for norm in (1.0, INF)]
+        called = []
+
+        def spy(name, real):
+            def record(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
+            return record
+
+        monkeypatch.setattr(exact, "walk_budgets",
+                            spy("walk_budgets", exact.walk_budgets))
+        monkeypatch.setattr(model.Instance, "with_epsilon",
+                            spy("with_epsilon", model.Instance.with_epsilon))
+        solved = [solve_exact(inst, tie_break) for inst in draws]
+        assert called == []
+        monkeypatch.undo()
+        for inst, (strat, pred, obj) in zip(draws, solved):
+            [(w_strat, w_pred, w_obj, _)] = exact.walk_budgets(
+                inst, [inst.epsilon], tie_break)
+            assert obj.hex() == w_obj.hex()
+            for mine, walked in ((pred.support, w_pred.support),
+                                 (pred.mass, w_pred.mass),
+                                 (strat.pi, w_strat.pi),
+                                 (strat.bias, w_strat.bias)):
+                assert mine.tobytes() == walked.tobytes()
 
 
 class TestTakenAsBuilt:
@@ -850,7 +889,7 @@ class TestTakenAsBuilt:
                     assert fields.endswith(f"error:{result.code}")
                     continue
                 _, pred, _, checked = result
-                assert checked.agent_payoff(inst).hex() == \
+                assert checked.agent_payoff.hex() == \
                     agent_payoff(pred, inst).hex()
                 assert checked.ece.hex() == ece(pred, inst).hex()
                 assert fields == _row(inst, result) + ",ok"

@@ -130,7 +130,7 @@ class TestDiscLp:
             sol = cold_solve(plan_program(inst, cols))
             plan = cols.plan(sol.x)
             assert np.allclose(plan_supply(plan, inst.n), inst.lam, atol=1e-7)
-            cols, sol = solve_plan_lp(prog)
+            cols, sol = solve_plan_lp(prog, inst.epsilon)
             plan = cols.plan(sol.x)
             assert np.allclose(plan_supply(plan, inst.n), inst.lam, atol=1e-9)
 
@@ -143,7 +143,7 @@ class TestDiscLp:
             for value in (
                     cold_solve(plan_program(inst, full_columns(
                         prog, build_grid(inst, 0.2).points))).objective_value,
-                    solve_plan_lp(prog)[1].objective_value):
+                    solve_plan_lp(prog, inst.epsilon)[1].objective_value):
                 assert value == pytest.approx(want, abs=1e-7)
 
     def test_pairs_pool_means_at_distinct_points(self):
@@ -200,7 +200,7 @@ class TestDiscLp:
             prog = _program(inst)
             y = rng.uniform(-1.0, 1.0, inst.n + 1)
             y[0] = (0.0, 10.0 ** rng.uniform(-3, 2))[trial % 3 > 0]
-            cand, reduced = prog.price(y)
+            cand, reduced = prog.price(y, inst.epsilon)
             theta = inst.theta
             assert np.all((theta[cand.i] <= cand.q) & (cand.q <= theta[cand.j]))
             assert np.array_equal(cand.err, np.abs(cand.q - cand.p) ** t)
@@ -252,7 +252,7 @@ class TestDiscLp:
             lp = plan_program(inst, everything)
             full = cold_solve(lp)
             solves.clear()
-            cols, sol = solve_plan_lp(prog)
+            cols, sol = solve_plan_lp(prog, inst.epsilon)
             # masters are solved whenever a pooled column beats the
             # calibrated plan
             pooling_pays = (full.objective_value
@@ -271,7 +271,8 @@ class TestDiscLp:
                                             cols.obj, cols.err, cols.r))
             else:
                 assert sol.objective_value >= full.objective_value - gap
-                y = lp_core.row_prices(fptas._master(inst, cols), sol)
+                master = fptas._master(inst, cols, inst.epsilon)
+                y = lp_core.row_prices(master, sol)
                 priced = lp.objective.copy()
                 for price, coeffs in zip(y, lp.A):
                     priced -= price * coeffs
@@ -307,7 +308,7 @@ class TestDiscLp:
             lp = plan_program(inst, cols)
             dense = cold_solve(lp).objective_value
             generated, _, _ = dense_column_generation(lp, cols)
-            value = solve_plan_lp(prog)[1].objective_value
+            value = solve_plan_lp(prog, inst.epsilon)[1].objective_value
             gap = fptas.PRICE_TOL * (1.0 + abs(value))
             for want in (dense, generated):
                 if t == 1.0:
@@ -325,7 +326,7 @@ class TestDiscLp:
         for trial in range(50):
             inst = random_instance(rng, epsilon=(0.01, 0.1)[trial % 2])
             prog = _program(inst)
-            pivots += solve_plan_lp(prog)[1].iterations
+            pivots += solve_plan_lp(prog, inst.epsilon)[1].iterations
         assert pivots < 300
 
     def test_peak_memory_holds_no_columns(self):
@@ -418,7 +419,7 @@ class TestCalibratedStart:
             for f in dataclasses.fields(cols):
                 assert np.array_equal(getattr(cols, f.name),
                                       getattr(diagonal, f.name))
-            master = fptas._master(inst, cols)
+            master = fptas._master(inst, cols, inst.epsilon)
             lp = lp_core.solve(master, basis=sol.basis)
             assert np.abs(lp_core.row_prices(master, lp) - y).max() <= 1e-12
             assert np.array_equal(lp.x, inst.lam)
@@ -464,7 +465,7 @@ class TestCalibratedStart:
                                  np.abs(inst.theta - 0.6) ** inst.norm,
                                  np.ones(n))
         assert cols.err @ inst.lam > 0.0
-        master = fptas._master(inst, cols)
+        master = fptas._master(inst, cols, inst.epsilon)
         with pytest.raises(SolverError) as err:
             lp_core.solve(master, basis=np.concatenate([[n], at]))
         assert "start basis rejected: infeasible start" in str(err.value)
@@ -493,10 +494,10 @@ class TestCalibratedStart:
                 fired[name] += 1
                 start, crash, prices = prog.start()
                 assert np.array_equal(prices[1:], prog.own)
-                reduced = prog.price(prices)[1]
+                reduced = prog.price(prices, inst.epsilon)[1]
                 tol = fptas.PRICE_TOL * (1.0 + abs(crash.objective_value))
                 assert reduced.max() <= tol
-                cols, sol = solve_plan_lp(prog)
+                cols, sol = solve_plan_lp(prog, inst.epsilon)
                 for f in dataclasses.fields(cols):
                     assert np.array_equal(getattr(cols, f.name),
                                           getattr(start, f.name))
@@ -1022,7 +1023,7 @@ class TestEdgeDraws:
             return real(lp, basis)
 
         monkeypatch.setattr(lp_core, "solve", solve)
-        cols, _ = solve_plan_lp(_program(inst))
+        cols, _ = solve_plan_lp(_program(inst), inst.epsilon)
         mine = list(zip(cols.i, cols.j, cols.q, cols.p))
         assert len(set(mine)) == len(mine)
         assert 3 <= len(masters) <= 10

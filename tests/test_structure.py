@@ -18,7 +18,6 @@ from caldesign.structure import (
     EventIndependentPlan,
     GammaCertificate,
     analyze_structure,
-    binary_action_certificate,
     binary_action_optimal,
     check_mpc,
     count_predictions,
@@ -33,7 +32,7 @@ from conftest import (
     random_instance,
     random_predictor,
 )
-from oracle import gamma_certificate
+from oracle import binary_action_certificate, gamma_certificate
 from plans import apply_plan, prior_on_means
 
 
